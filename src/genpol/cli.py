@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from genpol import encoding, features, maxsat, pddl, pipeline, policy, space
+from genpol import encoding, maxsat, pddl, pipeline, policy, space
 from genpol.errors import GenpolError
 
 
@@ -82,26 +82,20 @@ def cmd_expand(args) -> int:
 
 
 def cmd_features(args) -> int:
-    cfg = _config_from(args)
-    _dom, gps = pipeline.load_training(cfg)
-    sample = pipeline.build_sample(cfg, gps)
-    pool, _matrix = pipeline.build_pool(cfg, sample)
-    sys.stdout.write(pool.dump())
+    prep = pipeline.prepare(_config_from(args))
+    sys.stdout.write(prep.pool.dump())
     return 0
 
 
 def cmd_encode(args) -> int:
     cfg = _config_from(args)
-    _dom, gps = pipeline.load_training(cfg)
-    sample = pipeline.build_sample(cfg, gps)
-    pool, matrix = pipeline.build_pool(cfg, sample)
-    classes, class_of = encoding.compute_classes(sample, matrix,
-                                                 merge=cfg.merge_classes)
-    pairs = encoding.initial_pairs(classes, class_of, sample,
+    prep = pipeline.prepare(cfg)
+    pairs = encoding.initial_pairs(prep.classes, prep.class_of, prep.sample,
                                    extra_per_class=cfg.extra_pairs_per_class,
                                    seed=cfg.seed,
                                    full_limit=cfg.pair_full_limit)
-    theory = encoding.build_theory(sample, pool, matrix, classes, class_of,
+    theory = encoding.build_theory(prep.sample, prep.pool, prep.matrix,
+                                   prep.classes, prep.class_of,
                                    v_slack=cfg.v_slack, pairs=pairs)
     with open(args.out_prefix + ".wcnf", "w") as f:
         f.write(maxsat.format_wcnf(theory.wcnf))
@@ -133,17 +127,14 @@ def cmd_solve(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _config_from(args)
-    _dom, gps = pipeline.load_training(cfg)
-    sample = pipeline.build_sample(cfg, gps)
-    pool, matrix = pipeline.build_pool(cfg, sample)
-    classes, class_of = encoding.compute_classes(sample, matrix,
-                                                 merge=cfg.merge_classes)
-    theory = encoding.build_theory(sample, pool, matrix, classes, class_of,
+    prep = pipeline.prepare(cfg)
+    theory = encoding.build_theory(prep.sample, prep.pool, prep.matrix,
+                                   prep.classes, prep.class_of,
                                    v_slack=cfg.v_slack, pairs=[])
     with open(args.model) as f:
         model = maxsat.parse_model(f.read(), theory.wcnf.nvars)
     phi, goods, _values = encoding.decode(theory, model)
-    pol = policy.extract_policy(pool, phi, classes, goods)
+    pol = policy.extract_policy(prep.pool, phi, prep.classes, goods)
     sys.stdout.write(pol.dump())
     return 0
 

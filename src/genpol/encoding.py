@@ -173,12 +173,6 @@ def build_theory(sample: SampleSet, pool: FeaturePool, matrix: np.ndarray,
         wcnf.add_hard(clause)
         tags.append(tag)
 
-    def sel(f: int) -> int:
-        return f + 1
-
-    def good(c: int) -> int:
-        return n_select + c + 1
-
     v_dom = _value_domains(sample, v_slack)
     v_var: dict = {}
     next_var = n_select + n_good + 1
@@ -187,13 +181,14 @@ def build_theory(sample: SampleSet, pool: FeaturePool, matrix: np.ndarray,
             v_var[(g, d)] = next_var
             next_var += 1
     wcnf.nvars = max(wcnf.nvars, next_var - 1)
+    theory = Theory(wcnf, tags, n_select, n_good, v_var, v_dom, [], None, {})
+    sel, good = theory.select_var, theory.good_var
 
     # 4. goal separation (first: an infeasible pool is detected here)
     sep_clauses, witness = _separation_clauses(pool, matrix, sample)
     if witness is not None:
         add("goalsep", [])
-        theory = Theory(wcnf, tags, n_select, n_good, v_var, v_dom, [],
-                        witness, {})
+        theory.infeasible = witness
         theory.stats = _stats(theory, sample)
         return theory
     for feats in sep_clauses:
@@ -248,8 +243,7 @@ def build_theory(sample: SampleSet, pool: FeaturePool, matrix: np.ndarray,
     for f in range(n_select):
         wcnf.add_soft(int(pool.weights[f]), [-sel(f)])
 
-    theory = Theory(wcnf, tags, n_select, n_good, v_var, v_dom, enc_pairs,
-                    None, {})
+    theory.pairs = enc_pairs
     theory.stats = _stats(theory, sample)
     return theory
 

@@ -543,10 +543,6 @@ class GroundProblem:
             out.append((aid, (state - act.dele) | act.add))
         return out
 
-    def atom_str(self, atom_id: int) -> str:
-        a = self.atoms[atom_id]
-        return f"{a[0]}({','.join(a[1:])})"
-
 
 def _objects_by_type(dom: DomainModel, inst: InstanceModel) -> dict:
     by_type: dict = {t: [] for t in dom.types}

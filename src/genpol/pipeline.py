@@ -15,9 +15,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from genpol import concepts as co
 from genpol import encoding, features, maxsat, pddl, policy as policy_mod, space
 from genpol.errors import GenpolError, InternalInvariantError
+from genpol.policy import verify_space
 
 
 @dataclass
@@ -78,28 +78,42 @@ class LearnResult:
         return 0 if self.status == "ok" else 1
 
 
-def load_training(config: RunConfig):
+@dataclass
+class Prepared:
+    """Everything the stages after transition classes start from."""
+    dom: object
+    sample: space.SampleSet
+    pool: features.FeaturePool
+    matrix: object             # features x global states
+    classes: list
+    class_of: dict
+    times: dict                # "expand" and "pool" stage times, in seconds
+
+
+def prepare(config: RunConfig) -> Prepared:
+    """Parse and ground the training instances, expand and label their
+    spaces, generate the feature pool and group transitions into classes."""
+    t0 = time.monotonic()
     with open(config.domain_path) as f:
         dom = pddl.parse_domain(f.read())
-    gps = []
+    spaces = []
     for path in config.training_paths:
         with open(path) as f:
             inst = pddl.parse_instance(f.read(), dom, config.goal_params)
-        gps.append(pddl.ground(dom, inst))
-    return dom, gps
-
-
-def build_sample(config: RunConfig, gps) -> space.SampleSet:
-    spaces = [space.expand_labeled(gp, config.max_states, config.max_transitions)
-              for gp in gps]
-    return space.SampleSet(spaces)
-
-
-def build_pool(config: RunConfig, sample):
-    return features.generate_pool(
+        spaces.append(space.expand_labeled(pddl.ground(dom, inst),
+                                           config.max_states,
+                                           config.max_transitions))
+    sample = space.SampleSet(spaces)
+    t1 = time.monotonic()
+    pool, matrix = features.generate_pool(
         sample, max_weight=config.max_feature_weight, max_pool=config.max_pool,
         include_types=config.include_types,
         ignore_high_arity=config.ignore_high_arity)
+    t2 = time.monotonic()
+    classes, class_of = encoding.compute_classes(sample, matrix,
+                                                 merge=config.merge_classes)
+    return Prepared(dom, sample, pool, matrix, classes, class_of,
+                    {"expand": t1 - t0, "pool": t2 - t1})
 
 
 def _solve(config: RunConfig, wcnf: maxsat.WcnfProblem) -> maxsat.MaxSatResult:
@@ -111,19 +125,13 @@ def _solve(config: RunConfig, wcnf: maxsat.WcnfProblem) -> maxsat.MaxSatResult:
 
 def learn(config: RunConfig) -> LearnResult:
     config.validate()
-    times: dict = {}
     t0 = time.monotonic()
-    dom, gps = load_training(config)
-    sample = build_sample(config, gps)
-    times["expand"] = time.monotonic() - t0
-
-    t1 = time.monotonic()
-    pool, matrix = build_pool(config, sample)
-    times["pool"] = time.monotonic() - t1
+    prep = prepare(config)
+    sample, pool, matrix = prep.sample, prep.pool, prep.matrix
+    classes, class_of = prep.classes, prep.class_of
+    times = prep.times
 
     t2 = time.monotonic()
-    classes, class_of = encoding.compute_classes(sample, matrix,
-                                                 merge=config.merge_classes)
     pairs = encoding.initial_pairs(classes, class_of, sample,
                                    extra_per_class=config.extra_pairs_per_class,
                                    seed=config.seed,
@@ -167,8 +175,7 @@ def learn(config: RunConfig) -> LearnResult:
     t3 = time.monotonic()
     pol = policy_mod.extract_policy(pool, phi, classes, goods)
     verify_results = []
-    for k, (gp, sp) in enumerate(zip(gps, sample.spaces)):
-        off = sample.offsets[k]
+    for sp, off in zip(sample.spaces, sample.offsets):
         vals = [tuple(int(x) for x in matrix[phi, off + i])
                 for i in range(sp.n_states)]
         verify_results.append(verify_space(pol, sp, vals))
@@ -176,7 +183,7 @@ def learn(config: RunConfig) -> LearnResult:
     times["verify"] = time.monotonic() - t3
 
     t4 = time.monotonic()
-    tests = run_tests(config, dom, pol)
+    tests = run_tests(config, prep.dom, pol)
     times["tests"] = time.monotonic() - t4
     times["total"] = time.monotonic() - t0
 
@@ -184,39 +191,6 @@ def learn(config: RunConfig) -> LearnResult:
                              iterations, verify_results, tests, times)
     return LearnResult("ok", "", pol, machine, human, result.cost, iterations,
                        verify_ok, tests)
-
-
-def verify_space(pol, sp, vals):
-    """Verification on an already-expanded training space (values from the
-    training matrix, avoiding re-evaluation)."""
-    compat: dict = {}
-    n_compat = 0
-    complete = safe = True
-    witness = None
-    for sid in range(sp.n_states):
-        if not sp.is_alive(sid):
-            continue
-        edges = []
-        for t in sp.out_edges(sid):
-            did = sp.dst[t]
-            if pol.compatible(vals[sid], vals[did]):
-                if sp.is_deadend(did):
-                    safe = False
-                    witness = witness or (f"compatible transition into dead "
-                                          f"end {did} from {sid}")
-                edges.append(did)
-                n_compat += 1
-        if not edges:
-            complete = False
-            witness = witness or f"alive state {sid} has no compatible transition"
-        compat[sid] = edges
-    cycle_at = policy_mod._find_cycle(sp, compat)
-    acyclic = cycle_at is None
-    if not acyclic:
-        witness = witness or f"compatible cycle through state {cycle_at}"
-    ok = complete and safe and acyclic
-    return policy_mod.VerifyResult(ok, complete, safe, acyclic, witness,
-                                   sp.n_states, n_compat)
 
 
 def run_tests(config: RunConfig, dom, pol) -> list:

@@ -292,35 +292,40 @@ def _state_values(policy: Policy, gp, space) -> list:
     return [policy.evaluate(co.state_context(ictx, s)) for s in space.states]
 
 
-def verify_exhaustive(policy: Policy, gp, max_states: int = 10 ** 6) -> VerifyResult:
-    """Checks the certificate conditions on the full reachable space:
+def _compatible_edges(policy: Policy, space, vals):
+    """Yields (alive state id, its policy-compatible transition ids) for
+    every alive state, given per-state feature valuations `vals`."""
+    compatible = policy.compatible
+    dst = space.dst
+    for sid in range(space.n_states):
+        if space.is_alive(sid):
+            src_vals = vals[sid]
+            yield sid, [t for t in space.out_edges(sid)
+                        if compatible(src_vals, vals[dst[t]])]
+
+
+def verify_space(policy: Policy, space, vals) -> VerifyResult:
+    """Checks the certificate conditions on an expanded, labeled space:
     every alive state has a compatible transition, none leads to a dead end,
     and the compatible subgraph is acyclic.  Together these imply the policy
     solves the instance from every solvable reachable state."""
-    space = expand_labeled(gp, max_states=max_states)
-    vals = _state_values(policy, gp, space)
     compat: dict = {}
     n_compat = 0
     complete, safe = True, True
     witness = None
-    for sid in range(space.n_states):
-        if not space.is_alive(sid):
-            continue
-        edges = []
-        for t in space.out_edges(sid):
+    for sid, edges in _compatible_edges(policy, space, vals):
+        for t in edges:
             did = space.dst[t]
-            if policy.compatible(vals[sid], vals[did]):
-                if space.is_deadend(did):
-                    safe = False
-                    witness = witness or (
-                        f"compatible transition {space.gp.actions[space.act[t]].name} "
-                        f"from state {sid} reaches dead end {did}")
-                edges.append(did)
-                n_compat += 1
+            if space.is_deadend(did):
+                safe = False
+                witness = witness or (
+                    f"compatible transition {space.gp.actions[space.act[t]].name} "
+                    f"from state {sid} reaches dead end {did}")
         if not edges:
             complete = False
             witness = witness or f"alive state {sid} has no compatible transition"
-        compat[sid] = edges
+        compat[sid] = [space.dst[t] for t in edges]
+        n_compat += len(edges)
 
     cycle_at = _find_cycle(space, compat)
     acyclic = cycle_at is None
@@ -330,6 +335,12 @@ def verify_exhaustive(policy: Policy, gp, max_states: int = 10 ** 6) -> VerifyRe
     ok = complete and safe and acyclic
     return VerifyResult(ok, complete, safe, acyclic, witness,
                         space.n_states, n_compat)
+
+
+def verify_exhaustive(policy: Policy, gp, max_states: int = 10 ** 6) -> VerifyResult:
+    """`verify_space` on the full reachable space of a ground instance."""
+    space = expand_labeled(gp, max_states=max_states)
+    return verify_space(policy, space, _state_values(policy, gp, space))
 
 
 def _find_cycle(space, compat: dict):
@@ -364,19 +375,6 @@ def _find_cycle(space, compat: dict):
     return None
 
 
-def check_complete(policy: Policy, gp) -> tuple:
-    """(every alive state has a compatible move, witness state id or None)."""
-    space = expand_labeled(gp)
-    vals = _state_values(policy, gp, space)
-    for sid in range(space.n_states):
-        if not space.is_alive(sid):
-            continue
-        if not any(policy.compatible(vals[sid], vals[space.dst[t]])
-                   for t in space.out_edges(sid)):
-            return False, sid
-    return True, None
-
-
 def check_descending(policy: Policy, gp, tuple_values) -> tuple:
     """Whether every policy-compatible transition strictly decreases the
     given tuple lexicographically.  `tuple_values(state) -> tuple`.
@@ -384,12 +382,9 @@ def check_descending(policy: Policy, gp, tuple_values) -> tuple:
     space = expand_labeled(gp)
     vals = _state_values(policy, gp, space)
     tups = [tuple_values(s) for s in space.states]
-    for sid in range(space.n_states):
-        if not space.is_alive(sid):
-            continue
-        for t in space.out_edges(sid):
+    for sid, edges in _compatible_edges(policy, space, vals):
+        for t in edges:
             did = space.dst[t]
-            if policy.compatible(vals[sid], vals[did]):
-                if not tups[did] < tups[sid]:
-                    return False, (sid, did, gp.actions[space.act[t]].name)
+            if not tups[did] < tups[sid]:
+                return False, (sid, did, gp.actions[space.act[t]].name)
     return True, None

@@ -337,12 +337,11 @@ def test_criterion_6_maxsat_exactness(capsys):
 # Criterion 7: encoding equivalences
 # ---------------------------------------------------------------------------
 
-def _incremental_fixpoint(cfg, merge):
+def _incremental_fixpoint(cfg):
     """The learning loop's final (theory, result, classes, phi, goods)."""
-    _dom, gps = pipeline.load_training(cfg)
-    sample = pipeline.build_sample(cfg, gps)
-    pool, matrix = pipeline.build_pool(cfg, sample)
-    classes, class_of = encoding.compute_classes(sample, matrix, merge=merge)
+    prep = pipeline.prepare(cfg)
+    sample, pool, matrix = prep.sample, prep.pool, prep.matrix
+    classes, class_of = prep.classes, prep.class_of
     pairs = encoding.initial_pairs(classes, class_of, sample)
     while True:
         theory = encoding.build_theory(sample, pool, matrix, classes, class_of,
@@ -364,8 +363,9 @@ def test_criterion_7_merged_and_incremental_equivalences(tmp_path, capsys):
             cfg = _config(tmp_path, name)
             costs = {}
             for merge in (True, False):
+                cfg.merge_classes = merge
                 (sample, pool, matrix, classes, class_of, theory, res,
-                 phi, goods) = _incremental_fixpoint(cfg, merge)
+                 phi, goods) = _incremental_fixpoint(cfg)
                 costs[merge] = res.cost
                 # (b) the fixpoint model satisfies the full theory
                 assert encoding.validate_solution(classes, phi, goods) == []
@@ -422,14 +422,15 @@ def test_criterion_8_certificates(tmp_path, capsys):
             result = pipeline.learn(_config(tmp_path, name))
             assert result.status == "ok"
             gp = _training_gp(name)
-            ok, witness = po.check_complete(result.policy, gp)
-            assert ok, (name, witness)
+            rep = po.verify_exhaustive(result.policy, gp)
+            assert rep.complete, (name, rep.witness)
             if name in tuple_fns:
                 ok, witness = po.check_descending(result.policy, gp,
                                                   tuple_fns[name](gp))
                 assert ok, (name, witness)
                 checked.append(name)
-        info["detail"] = ("check_complete holds on all training spaces; "
+        info["detail"] = ("verify_exhaustive finds every alive state of "
+                          "all training spaces covered; "
                           "check_descending holds for blocks-clearing over "
                           "⟨blocks-above, holding⟩ and gripper over "
                           "⟨balls-left, carried-at-source, carried-at-target, "

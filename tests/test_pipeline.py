@@ -61,20 +61,18 @@ def test_learn_matches_manual_stage_composition(clear_files):
     cfg = _clear_config(clear_files)
     result = pipeline.learn(cfg)
 
-    _dom, gps = pipeline.load_training(cfg)
-    sample = pipeline.build_sample(cfg, gps)
-    pool, matrix = pipeline.build_pool(cfg, sample)
-    classes, class_of = encoding.compute_classes(sample, matrix)
-    pairs = encoding.initial_pairs(classes, class_of, sample,
+    prep = pipeline.prepare(cfg)
+    pairs = encoding.initial_pairs(prep.classes, prep.class_of, prep.sample,
                                    extra_per_class=cfg.extra_pairs_per_class,
                                    seed=cfg.seed,
                                    full_limit=cfg.pair_full_limit)
-    theory = encoding.build_theory(sample, pool, matrix, classes, class_of,
+    theory = encoding.build_theory(prep.sample, prep.pool, prep.matrix,
+                                   prep.classes, prep.class_of,
                                    v_slack=cfg.v_slack, pairs=pairs)
     res = maxsat.solve_wcnf(theory.wcnf)
     assert res.cost == result.cost
     phi, goods, _ = encoding.decode(theory, res.model)
-    manual = po.extract_policy(pool, phi, classes, goods)
+    manual = po.extract_policy(prep.pool, phi, prep.classes, goods)
     assert manual.dump() == result.policy.dump()
 
 

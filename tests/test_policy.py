@@ -1,9 +1,12 @@
 """Policy representation, extraction, greedy execution, and verification."""
 
+import re
+
 import pytest
 
 import domains
-from genpol import encoding, features, maxsat, pddl, policy as po, space
+from genpol import concepts as co
+from genpol import encoding, features, maxsat, pddl, pipeline, policy as po, space
 from genpol.errors import InternalInvariantError, PolicyError
 
 ONEWAY_DOMAIN = """
@@ -212,14 +215,39 @@ def test_verify_reports_cycles():
     assert "cycle" in report.witness
 
 
-def test_check_complete_and_check_descending():
+# (policy text, domain, instance, goal params) for each verdict: one policy
+# passes, and each of the others breaks one certificate condition.
+VERIFY_CASES = {
+    "clear": (CLEAR_POLICY, domains.BLOCKS_DOMAIN,
+              domains.clear_tower_instance(4), ("b1",)),
+    "lazy": ("feature 0 1 bool holding\nrule f0 -> !f0\n",
+             domains.BLOCKS_DOMAIN, domains.clear_tower_instance(3), ("b1",)),
+    "reckless": ("feature 0 1 bool Atom(fresh)\nrule f0 -> !f0\n",
+                 ONEWAY_DOMAIN, ONEWAY_INSTANCE, ()),
+    "wander": ("feature 0 2 num Not(visited)\nrule true -> nop | f0--\n",
+               domains.VISITALL_DOMAIN, domains.visitall_instance(2, 2, (0, 0)),
+               ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_exhaustive_equals_verify_space(name):
+    text, domain_text, instance_text, goal_params = VERIFY_CASES[name]
+    pol = po.parse_policy(text)
+    gp = _ground(domain_text, instance_text, goal_params)
+    sp = space.expand_labeled(gp)
+    ictx = co.InstanceContext(gp)
+    vals = [pol.evaluate(co.state_context(ictx, s)) for s in sp.states]
+    assert pipeline.verify_space(pol, sp, vals) == po.verify_exhaustive(pol, gp)
+
+
+def test_verify_complete_and_check_descending():
     pol = po.parse_policy(CLEAR_POLICY)
     gp = _ground(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4),
                  ("b1",))
-    ok, witness = po.check_complete(pol, gp)
-    assert ok and witness is None
+    report = po.verify_exhaustive(pol, gp)
+    assert report.complete and report.witness is None
 
-    from genpol import concepts as co
     ictx = co.InstanceContext(gp)
     above = co.parse_expression("Exists(on_plus,Nominal(goal0))")
     holding = co.parse_expression("holding")
@@ -241,5 +269,7 @@ def test_check_complete_and_check_descending():
     assert not ok and witness is not None
 
     lazy = po.parse_policy("feature 0 1 bool holding\nrule f0 -> !f0\n")
-    ok, witness = po.check_complete(lazy, gp)
-    assert not ok and isinstance(witness, int)
+    report = po.verify_exhaustive(lazy, gp)
+    assert not report.complete
+    assert re.fullmatch(r"alive state \d+ has no compatible transition",
+                        report.witness)
