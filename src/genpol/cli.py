@@ -21,12 +21,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from genpol import encoding, maxsat, pddl, pipeline, policy, space
+from genpol import encoding, maxsat, pipeline, policy, space
 from genpol.errors import GenpolError
 
 
 def _add_pool_args(p):
-    p.add_argument("--max-feature-weight", type=int, default=8,
+    p.add_argument("--max-feature-weight", type=int,
                    help="complexity cap for generated features (default 8)")
     p.add_argument("--no-types", dest="include_types", action="store_false",
                    help="do not add object types as unary concepts")
@@ -49,33 +49,23 @@ def _goal_params(args):
     return [x for x in args.goal_params.split(",") if x]
 
 
-def _load_one(args):
-    with open(args.domain) as f:
-        dom = pddl.parse_domain(f.read())
-    with open(args.instance) as f:
-        inst = pddl.parse_instance(f.read(), dom, _goal_params(args))
-    return pddl.ground(dom, inst)
-
-
 def _config_from(args) -> pipeline.RunConfig:
-    cfg = pipeline.RunConfig(
-        domain_path=args.domain,
-        training_paths=list(args.training),
-        goal_params=_goal_params(args),
-        max_feature_weight=args.max_feature_weight,
-        include_types=args.include_types,
-        ignore_high_arity=args.ignore_high_arity,
-    )
-    for name in ("v_slack", "seed", "max_states", "max_pool", "test_paths",
+    """A RunConfig from the given flags; flags left unset keep its defaults."""
+    cfg = pipeline.RunConfig(domain_path=args.domain,
+                             training_paths=list(args.training),
+                             goal_params=_goal_params(args))
+    for name in ("max_feature_weight", "include_types", "ignore_high_arity",
+                 "v_slack", "seed", "max_states", "max_pool", "test_paths",
                  "solver_time_limit", "solver_backend", "merge_classes",
                  "tie_break", "max_steps", "extra_pairs_per_class"):
-        if hasattr(args, name) and getattr(args, name) is not None:
+        if getattr(args, name, None) is not None:
             setattr(cfg, name, getattr(args, name))
     return cfg
 
 
 def cmd_expand(args) -> int:
-    gp = _load_one(args)
+    gp = pipeline.load_problem(pipeline.load_domain(args.domain),
+                               args.instance, _goal_params(args))
     sp = space.expand_labeled(gp, args.max_states)
     sys.stdout.write(space.dump_transitions(sp))
     return 0
@@ -109,11 +99,7 @@ def cmd_encode(args) -> int:
 def cmd_solve(args) -> int:
     with open(args.wcnf) as f:
         prob = maxsat.parse_wcnf(f.read())
-    if args.backend == "embedded":
-        res = maxsat.solve_wcnf(prob, time_limit=args.time_limit)
-    else:
-        res = maxsat.solve_wcnf_external(prob, args.backend,
-                                         time_limit=args.time_limit)
+    res = maxsat.solve(prob, args.backend, time_limit=args.time_limit)
     if res.status != maxsat.OPTIMUM:
         print("s UNSATISFIABLE")
         return 1
@@ -140,7 +126,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    gp = _load_one(args)
+    gp = pipeline.load_problem(pipeline.load_domain(args.domain),
+                               args.instance, _goal_params(args))
     with open(args.policy) as f:
         pol = policy.parse_policy(f.read())
     res = policy.verify_exhaustive(pol, gp, max_states=args.max_states)
@@ -156,7 +143,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_run(args) -> int:
-    gp = _load_one(args)
+    gp = pipeline.load_problem(pipeline.load_domain(args.domain),
+                               args.instance, _goal_params(args))
     with open(args.policy) as f:
         pol = policy.parse_policy(f.read())
     res = policy.greedy_execute(pol, gp, max_steps=args.max_steps,
@@ -169,9 +157,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    cfg = _config_from(args)
-    cfg.test_paths = list(args.test or [])
-    result = pipeline.learn(cfg)
+    result = pipeline.learn(_config_from(args))
     if args.out:
         import os
         os.makedirs(args.out, exist_ok=True)
@@ -202,15 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="print the generated feature pool")
     _add_instance_args(p, many=True)
     _add_pool_args(p)
-    p.add_argument("--max-pool", type=int, default=200_000)
+    p.add_argument("--max-pool", type=int)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("encode", help="write the theory as WCNF")
     _add_instance_args(p, many=True)
     _add_pool_args(p)
-    p.add_argument("--max-pool", type=int, default=200_000)
-    p.add_argument("--v-slack", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-pool", type=int)
+    p.add_argument("--v-slack", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--no-merge", dest="merge_classes", action="store_false")
     p.add_argument("--out-prefix", required=True,
                    help="write <prefix>.wcnf and <prefix>.tags")
@@ -226,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract a policy from a solver model")
     _add_instance_args(p, many=True)
     _add_pool_args(p)
-    p.add_argument("--max-pool", type=int, default=200_000)
-    p.add_argument("--v-slack", type=int, default=2)
+    p.add_argument("--max-pool", type=int)
+    p.add_argument("--v-slack", type=int)
     p.add_argument("--no-merge", dest="merge_classes", action="store_false")
     p.add_argument("--model", required=True,
                    help="file with the solver's v lines")
@@ -250,16 +236,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="run the whole pipeline")
     _add_instance_args(p, many=True)
     _add_pool_args(p)
-    p.add_argument("--test", nargs="*", help="held-out test instances")
-    p.add_argument("--max-pool", type=int, default=200_000)
-    p.add_argument("--max-states", type=int, default=10 ** 6)
-    p.add_argument("--v-slack", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--extra-pairs-per-class", type=int, default=2)
+    p.add_argument("--test", dest="test_paths", metavar="TEST", nargs="*",
+                   help="held-out test instances")
+    p.add_argument("--max-pool", type=int)
+    p.add_argument("--max-states", type=int)
+    p.add_argument("--v-slack", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--extra-pairs-per-class", type=int)
     p.add_argument("--no-merge", dest="merge_classes", action="store_false")
     p.add_argument("--solver-time-limit", type=float, default=None)
-    p.add_argument("--solver-backend", default="embedded")
-    p.add_argument("--tie-break", default="first", choices=["first", "random"])
+    p.add_argument("--solver-backend")
+    p.add_argument("--tie-break", choices=["first", "random"])
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--out", help="directory for policy and report files")
     p.set_defaults(func=cmd_learn)

@@ -28,10 +28,6 @@ class ArityError(GenpolError):
     """Feature generation was asked to handle a predicate of arity > 2."""
 
 
-class UnsatisfiableHardError(GenpolError):
-    """The hard clauses of a weighted CNF problem admit no model."""
-
-
 class SolverTimeoutError(GenpolError):
     """The solve budget ran out before the optimum was proven."""
 

@@ -14,6 +14,7 @@ subprocess adapter for external MaxSAT solvers speaking that format.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import tempfile
 import time
@@ -84,12 +85,12 @@ def parse_wcnf(text: str) -> WcnfProblem:
             parts = line.split()
             if len(parts) != 5 or parts[1] != "wcnf":
                 raise GenpolError(f"malformed problem line {ln}: '{raw}'")
-            p = WcnfProblem(nvars=int(parts[2]))
-            top = int(parts[4])
+            nvars, top = _ints(parts[2::2], f"problem line {ln}")
+            p = WcnfProblem(nvars=nvars)
             continue
         if p is None:
             raise GenpolError(f"clause before problem line at line {ln}")
-        nums = [int(t) for t in line.split()]
+        nums = _ints(line.split(), f"line {ln}")
         if nums[-1] != 0:
             raise GenpolError(f"clause at line {ln} lacks terminating 0")
         weight, clause = nums[0], nums[1:-1]
@@ -102,6 +103,13 @@ def parse_wcnf(text: str) -> WcnfProblem:
     if p is None:
         raise GenpolError("missing problem line")
     return p
+
+
+def _ints(tokens, where: str) -> list:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as e:
+        raise GenpolError(f"{where}: {e}") from None
 
 
 def parse_model(text: str, nvars: int) -> list:
@@ -125,8 +133,7 @@ def parse_model(text: str, nvars: int) -> list:
         for i, ch in enumerate(bits[:nvars], 1):
             model[i] = int(ch)
         return model
-    for t in tokens:
-        lit = int(t)
+    for lit in _ints(tokens, "'v' lines"):
         if lit == 0:
             continue
         v = abs(lit)
@@ -260,6 +267,15 @@ def _trim_core(solver: Cdcl, core: list, deadline) -> list:
     return core
 
 
+def solve(p: WcnfProblem, backend: str = "embedded",
+          time_limit: float | None = None) -> MaxSatResult:
+    """Solve with the embedded solver, or run `backend` as an external
+    solver command."""
+    if backend == "embedded":
+        return solve_wcnf(p, time_limit=time_limit)
+    return solve_wcnf_external(p, backend, time_limit=time_limit)
+
+
 def solve_wcnf_external(p: WcnfProblem, command: str,
                         time_limit: float | None = None) -> MaxSatResult:
     """Runs an external MaxSAT solver on the WCNF serialization.
@@ -279,6 +295,8 @@ def solve_wcnf_external(p: WcnfProblem, command: str,
         raise SolverTimeoutError(f"external solver exceeded {time_limit}s") from e
     except OSError as e:
         raise GenpolError(f"cannot run external solver '{command}': {e}") from e
+    finally:
+        os.unlink(path)
     out = proc.stdout
     if "s UNSATISFIABLE" in out:
         return MaxSatResult(UNSATISFIABLE)

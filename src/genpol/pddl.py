@@ -122,6 +122,13 @@ def _head(node: _Node) -> str:
     return node.value[0].value
 
 
+def _name_of(node: _Node) -> str:
+    """The name in a (head name) form, e.g. (domain gripper)."""
+    if len(node.value) != 2 or node.value[1].is_list:
+        raise _err(node, f"expected ({_head(node)} <name>)")
+    return node.value[1].value
+
+
 # ---------------------------------------------------------------------------
 # Model types
 # ---------------------------------------------------------------------------
@@ -263,7 +270,7 @@ def parse_domain(text: str) -> DomainModel:
     sections = root.value[1:]
     if not sections or _head(sections[0]) != "domain":
         raise _err(root, "first section must be (domain <name>)")
-    name = sections[0].value[1].value
+    name = _name_of(sections[0])
 
     types: dict = {ROOT_TYPE: None}
     predicates: dict = {}
@@ -332,6 +339,8 @@ def _parse_schema(sec: _Node, dom: DomainModel, const_types: dict) -> ActionSche
             raise _err(key, f"missing value for {key.value}")
         val = items[i + 1]
         if key.value == ":parameters":
+            if not val.is_list:
+                raise _err(val, f"expected a parameter list in action '{aname}'")
             params = _parse_typed_list(val.value, ":parameters")
             for var, ptype in params:
                 if not var.startswith("?"):
@@ -387,7 +396,7 @@ def parse_instance(text: str, dom: DomainModel, goal_params=()) -> InstanceModel
     sections = root.value[1:]
     if not sections or _head(sections[0]) != "problem":
         raise _err(root, "first section must be (problem <name>)")
-    name = sections[0].value[1].value
+    name = _name_of(sections[0])
 
     domain_name = None
     objects: list = list(dom.constants)
@@ -398,7 +407,7 @@ def parse_instance(text: str, dom: DomainModel, goal_params=()) -> InstanceModel
     for sec in sections[1:]:
         head = _head(sec)
         if head == ":domain":
-            domain_name = sec.value[1].value
+            domain_name = _name_of(sec)
         elif head == ":objects":
             objects.extend(_parse_typed_list(sec.value[1:], ":objects"))
         elif head == ":requirements":

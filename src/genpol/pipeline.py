@@ -90,20 +90,27 @@ class Prepared:
     times: dict                # "expand" and "pool" stage times, in seconds
 
 
+def load_domain(path: str) -> pddl.DomainModel:
+    with open(path) as f:
+        return pddl.parse_domain(f.read())
+
+
+def load_problem(dom, path: str, goal_params=()) -> pddl.GroundProblem:
+    """Parse the instance file at `path` against `dom` and ground it."""
+    with open(path) as f:
+        inst = pddl.parse_instance(f.read(), dom, goal_params)
+    return pddl.ground(dom, inst)
+
+
 def prepare(config: RunConfig) -> Prepared:
     """Parse and ground the training instances, expand and label their
     spaces, generate the feature pool and group transitions into classes."""
     t0 = time.monotonic()
-    with open(config.domain_path) as f:
-        dom = pddl.parse_domain(f.read())
-    spaces = []
-    for path in config.training_paths:
-        with open(path) as f:
-            inst = pddl.parse_instance(f.read(), dom, config.goal_params)
-        spaces.append(space.expand_labeled(pddl.ground(dom, inst),
-                                           config.max_states,
-                                           config.max_transitions))
-    sample = space.SampleSet(spaces)
+    dom = load_domain(config.domain_path)
+    sample = space.SampleSet([
+        space.expand_labeled(load_problem(dom, path, config.goal_params),
+                             config.max_states, config.max_transitions)
+        for path in config.training_paths])
     t1 = time.monotonic()
     pool, matrix = features.generate_pool(
         sample, max_weight=config.max_feature_weight, max_pool=config.max_pool,
@@ -116,11 +123,51 @@ def prepare(config: RunConfig) -> Prepared:
                     {"expand": t1 - t0, "pool": t2 - t1})
 
 
-def _solve(config: RunConfig, wcnf: maxsat.WcnfProblem) -> maxsat.MaxSatResult:
-    if config.solver_backend == "embedded":
-        return maxsat.solve_wcnf(wcnf, time_limit=config.solver_time_limit)
-    return maxsat.solve_wcnf_external(wcnf, config.solver_backend,
-                                      time_limit=config.solver_time_limit)
+# report.txt: one row per record key present, under these labels.
+_TABLE = (("status", "status"), ("instances", "n_instances"),
+          ("states", "n_states"), ("alive transitions", "n_alive_transitions"),
+          ("feature pool", "pool_size"), ("classes", "n_classes"),
+          ("vars", "n_vars"), ("hard clauses", "n_hard"),
+          ("iterations", "iterations"), ("optimum cost", "optimum_cost"),
+          ("selected features", "selected"), ("rules", "n_rules"),
+          ("verification", "verify.0.ok"), ("tests solved", "tests.solved"),
+          ("message", "message"))
+
+
+@dataclass
+class RunRecord:
+    """What one `learn` run established, filled in as each stage finishes.
+
+    `facts` is report.kv key for key, in order.  `times` holds the stage
+    times in seconds, in stage order; only report.txt shows them, so
+    report.kv stays deterministic.
+    """
+    facts: dict = field(default_factory=dict)
+    times: dict = field(default_factory=dict)
+
+    def verified(self) -> bool:
+        n = self.facts["n_instances"]
+        return all(self.facts.get(f"verify.{i}.ok") for i in range(n))
+
+    def machine(self) -> str:
+        return "".join(f"{k}={v}\n" for k, v in self.facts.items())
+
+    def human(self) -> str:
+        facts = self.facts
+        shown = dict(facts)
+        shown["n_instances"] = ", ".join(
+            facts[f"instance.{i}.name"] for i in range(facts["n_instances"]))
+        if "selected" in facts:
+            shown["selected"] = ", ".join(
+                s.rsplit(":", 1)[0] for s in facts["selected"].split(";"))
+        if "verify.0.ok" in facts:
+            shown["verify.0.ok"] = "pass" if self.verified() else "FAIL"
+        if "tests.solved" in facts:
+            shown["tests.solved"] = f"{facts['tests.solved']}/{facts['tests.total']}"
+        rows = [(label, str(shown[key])) for label, key in _TABLE if key in shown]
+        rows += [(f"time {k}", f"{v:.2f}s") for k, v in self.times.items()]
+        width = max(len(label) for label, _ in rows)
+        return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
 
 
 def learn(config: RunConfig) -> LearnResult:
@@ -129,7 +176,22 @@ def learn(config: RunConfig) -> LearnResult:
     prep = prepare(config)
     sample, pool, matrix = prep.sample, prep.pool, prep.matrix
     classes, class_of = prep.classes, prep.class_of
-    times = prep.times
+    rec = RunRecord(times=prep.times)
+    facts = rec.facts
+    facts.update(status="ok", seed=config.seed,
+                 max_feature_weight=config.max_feature_weight,
+                 v_slack=config.v_slack,
+                 merge_classes=int(config.merge_classes),
+                 n_instances=len(sample.spaces))
+    for i, sp in enumerate(sample.spaces):
+        facts[f"instance.{i}.name"] = sp.gp.instance.name
+        facts[f"instance.{i}.states"] = sp.n_states
+        facts[f"instance.{i}.alive_transitions"] = len(sp.alive_transitions())
+        facts[f"instance.{i}.max_goal_distance"] = sp.max_goal_distance()
+    facts.update(n_states=sample.n_states,
+                 n_alive_transitions=sample.n_alive_transitions(),
+                 max_goal_distance=sample.max_goal_distance(),
+                 pool_size=len(pool))
 
     t2 = time.monotonic()
     pairs = encoding.initial_pairs(classes, class_of, sample,
@@ -137,9 +199,7 @@ def learn(config: RunConfig) -> LearnResult:
                                    seed=config.seed,
                                    full_limit=config.pair_full_limit)
     iterations = 0
-    theory = None
-    result = None
-    phi = goods = None
+    message = ""
     while True:
         iterations += 1
         if iterations > config.max_iterations:
@@ -149,17 +209,14 @@ def learn(config: RunConfig) -> LearnResult:
                                        v_slack=config.v_slack, pairs=pairs)
         if theory.infeasible is not None:
             g, ng = theory.infeasible
-            times["solve"] = time.monotonic() - t2
-            msg = (f"no policy in feature space: goal state {g} and non-goal "
-                   f"state {ng} have identical feature values")
-            return _finish_unsat(config, sample, pool, theory, msg, iterations,
-                                 times, t0)
-        result = _solve(config, theory.wcnf)
+            message = (f"no policy in feature space: goal state {g} and "
+                       f"non-goal state {ng} have identical feature values")
+            break
+        result = maxsat.solve(theory.wcnf, config.solver_backend,
+                              time_limit=config.solver_time_limit)
         if result.status != maxsat.OPTIMUM:
-            times["solve"] = time.monotonic() - t2
-            return _finish_unsat(config, sample, pool, theory,
-                                 "no policy in feature space: theory is "
-                                 "unsatisfiable", iterations, times, t0)
+            message = "no policy in feature space: theory is unsatisfiable"
+            break
         phi, goods, _values = encoding.decode(theory, result.model)
         violated = encoding.validate_solution(classes, phi, goods)
         if not violated:
@@ -170,126 +227,56 @@ def learn(config: RunConfig) -> LearnResult:
             raise InternalInvariantError(
                 "validation reports violated pairs already encoded")
         pairs = sorted(known | set(fresh))
-    times["solve"] = time.monotonic() - t2
+    rec.times["solve"] = time.monotonic() - t2
+    facts["n_classes"] = theory.n_good
+    for key in ("n_vars", "n_hard", "n_soft", "n_clauses_full", "n_pairs"):
+        facts[key] = theory.stats[key]
+    facts["iterations"] = iterations
 
-    t3 = time.monotonic()
-    pol = policy_mod.extract_policy(pool, phi, classes, goods)
-    verify_results = []
-    for sp, off in zip(sample.spaces, sample.offsets):
-        vals = [tuple(int(x) for x in matrix[phi, off + i])
-                for i in range(sp.n_states)]
-        verify_results.append(verify_space(pol, sp, vals))
-    verify_ok = all(v.ok for v in verify_results)
-    times["verify"] = time.monotonic() - t3
+    pol = None
+    tests = []
+    if message:
+        facts["status"] = "unsat"
+        facts["message"] = message
+    else:
+        facts["optimum_cost"] = result.cost
+        t3 = time.monotonic()
+        pol = policy_mod.extract_policy(pool, phi, classes, goods)
+        facts["n_selected"] = len(phi)
+        facts["selected"] = ";".join(f"{f.render()}:{f.weight}"
+                                     for f in pol.features)
+        facts["n_rules"] = len(pol.rules)
+        for i, (sp, off) in enumerate(zip(sample.spaces, sample.offsets)):
+            vals = [tuple(int(x) for x in matrix[phi, off + j])
+                    for j in range(sp.n_states)]
+            v = verify_space(pol, sp, vals)
+            for key in ("ok", "complete", "safe", "acyclic"):
+                facts[f"verify.{i}.{key}"] = int(getattr(v, key))
+        rec.times["verify"] = time.monotonic() - t3
 
-    t4 = time.monotonic()
-    tests = run_tests(config, prep.dom, pol)
-    times["tests"] = time.monotonic() - t4
-    times["total"] = time.monotonic() - t0
+        t4 = time.monotonic()
+        tests = run_tests(config, prep.dom, pol)
+        if tests:
+            facts["tests.solved"] = sum(1 for t in tests if t.status == "goal")
+            facts["tests.total"] = len(tests)
+            for i, t in enumerate(tests):
+                facts[f"test.{i}.name"] = t.name
+                facts[f"test.{i}.status"] = t.status
+                facts[f"test.{i}.steps"] = t.steps
+        rec.times["tests"] = time.monotonic() - t4
+    rec.times["total"] = time.monotonic() - t0
 
-    machine, human = _report(config, sample, pool, theory, result, phi, pol,
-                             iterations, verify_results, tests, times)
-    return LearnResult("ok", "", pol, machine, human, result.cost, iterations,
-                       verify_ok, tests)
+    return LearnResult(facts["status"], message, pol, rec.machine(),
+                       rec.human(), facts.get("optimum_cost"), iterations,
+                       rec.verified(), tests)
 
 
 def run_tests(config: RunConfig, dom, pol) -> list:
     outcomes = []
     for path in config.test_paths:
-        with open(path) as f:
-            inst = pddl.parse_instance(f.read(), dom, config.goal_params)
-        gp = pddl.ground(dom, inst)
+        gp = load_problem(dom, path, config.goal_params)
         res = policy_mod.greedy_execute(pol, gp, max_steps=config.max_steps,
                                         tie_break=config.tie_break,
                                         seed=config.seed)
-        outcomes.append(TestOutcome(inst.name, res.status, res.steps))
+        outcomes.append(TestOutcome(gp.instance.name, res.status, res.steps))
     return outcomes
-
-
-def _finish_unsat(config, sample, pool, theory, msg, iterations, times, t0):
-    times["total"] = time.monotonic() - t0
-    machine, human = _report(config, sample, pool, theory, None, None, None,
-                             iterations, [], [], times, status="unsat",
-                             message=msg)
-    return LearnResult("unsat", msg, None, machine, human, None, iterations,
-                       False, [])
-
-
-def _report(config, sample, pool, theory, result, phi, pol, iterations,
-            verify_results, tests, times, status="ok", message=""):
-    lines = [
-        f"status={status}",
-        f"seed={config.seed}",
-        f"max_feature_weight={config.max_feature_weight}",
-        f"v_slack={config.v_slack}",
-        f"merge_classes={int(config.merge_classes)}",
-        f"n_instances={len(sample.spaces)}",
-    ]
-    for i, sp in enumerate(sample.spaces):
-        lines.append(f"instance.{i}.name={sp.gp.instance.name}")
-        lines.append(f"instance.{i}.states={sp.n_states}")
-        lines.append(f"instance.{i}.alive_transitions={len(sp.alive_transitions())}")
-        lines.append(f"instance.{i}.max_goal_distance={sp.max_goal_distance()}")
-    lines.append(f"n_states={sample.n_states}")
-    lines.append(f"n_alive_transitions={sample.n_alive_transitions()}")
-    lines.append(f"max_goal_distance={sample.max_goal_distance()}")
-    lines.append(f"pool_size={len(pool)}")
-    stats = theory.stats if theory is not None else {}
-    lines.append(f"n_classes={theory.n_good if theory else 0}")
-    for key in ("n_vars", "n_hard", "n_soft", "n_clauses_full", "n_pairs"):
-        if key in stats:
-            lines.append(f"{key}={stats[key]}")
-    lines.append(f"iterations={iterations}")
-    if message:
-        lines.append(f"message={message}")
-    if result is not None:
-        lines.append(f"optimum_cost={result.cost}")
-    if phi is not None and pol is not None:
-        lines.append(f"n_selected={len(phi)}")
-        feats = ";".join(f"{f.render()}:{f.weight}" for f in pol.features)
-        lines.append(f"selected={feats}")
-        lines.append(f"n_rules={len(pol.rules)}")
-    for i, v in enumerate(verify_results):
-        lines.append(f"verify.{i}.ok={int(v.ok)}")
-        lines.append(f"verify.{i}.complete={int(v.complete)}")
-        lines.append(f"verify.{i}.safe={int(v.safe)}")
-        lines.append(f"verify.{i}.acyclic={int(v.acyclic)}")
-    if tests:
-        solved = sum(1 for t in tests if t.status == "goal")
-        lines.append(f"tests.solved={solved}")
-        lines.append(f"tests.total={len(tests)}")
-        for i, t in enumerate(tests):
-            lines.append(f"test.{i}.name={t.name}")
-            lines.append(f"test.{i}.status={t.status}")
-            lines.append(f"test.{i}.steps={t.steps}")
-    machine = "\n".join(lines) + "\n"
-
-    rows = [("status", status)]
-    rows.append(("instances", ", ".join(sp.gp.instance.name for sp in sample.spaces)))
-    rows.append(("states", str(sample.n_states)))
-    rows.append(("alive transitions", str(sample.n_alive_transitions())))
-    rows.append(("feature pool", str(len(pool))))
-    if theory is not None:
-        rows.append(("classes", str(theory.n_good)))
-        rows.append(("vars", str(stats.get("n_vars", 0))))
-        rows.append(("hard clauses", str(stats.get("n_hard", 0))))
-    rows.append(("iterations", str(iterations)))
-    if result is not None:
-        rows.append(("optimum cost", str(result.cost)))
-    if pol is not None:
-        rows.append(("selected features",
-                     ", ".join(f.render() for f in pol.features)))
-        rows.append(("rules", str(len(pol.rules))))
-    if verify_results:
-        rows.append(("verification",
-                     "pass" if all(v.ok for v in verify_results) else "FAIL"))
-    if tests:
-        solved = sum(1 for t in tests if t.status == "goal")
-        rows.append(("tests solved", f"{solved}/{len(tests)}"))
-    if message:
-        rows.append(("message", message))
-    for key in sorted(times):
-        rows.append((f"time {key}", f"{times[key]:.2f}s"))
-    width = max(len(r[0]) for r in rows)
-    human = "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
-    return machine, human

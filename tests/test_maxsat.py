@@ -3,6 +3,7 @@
 import random
 import stat
 import sys
+import tempfile
 import textwrap
 
 import pytest
@@ -123,6 +124,10 @@ def test_parse_wcnf_rejects_malformed_input():
         parse_wcnf("p wcnf 2 1 5\n5 1 2\n")  # missing terminating 0
     with pytest.raises(GenpolError):
         parse_wcnf("p wcnf 2 1 5\n9 1 0\n")  # weight above top
+    with pytest.raises(GenpolError):
+        parse_wcnf("p wcnf 2 1 5\n5 1 x 0\n")  # non-integer literal
+    with pytest.raises(GenpolError):
+        parse_wcnf("p wcnf x 1 5\n")  # non-integer variable count
     # Comments and blank lines are fine.
     p = parse_wcnf("c a comment\n\np wcnf 2 1 5\nc more\n5 1 -2 0\n")
     assert p.hard == [[1, -2]]
@@ -152,6 +157,8 @@ def test_parse_model_formats():
     assert parse_model(binary, 3) == [0, 1, 0, 1]
     with pytest.raises(GenpolError):
         parse_model("s OPTIMUM FOUND\n", 3)
+    with pytest.raises(GenpolError):
+        parse_model("v 1 -2 zz", 3)
 
 
 def test_evaluate_counts_falsified_soft_weight():
@@ -182,9 +189,13 @@ def _write_script(tmp_path, body):
     return str(path)
 
 
-def test_external_solver_round_trip(tmp_path):
+def test_external_solver_round_trip(tmp_path, monkeypatch):
     # A stub solver that brute-forces the WCNF and answers in the standard
-    # output format; checks the file hand-off, parsing, and re-evaluation.
+    # output format; checks the file hand-off, parsing, and re-evaluation,
+    # and that the hand-off files are removed afterwards.
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     script = _write_script(tmp_path, """
         import itertools, sys
         hard, soft, top, n = [], [], None, 0
@@ -224,6 +235,7 @@ def test_external_solver_round_trip(tmp_path):
         else:
             assert res.status == maxsat.OPTIMUM
             assert res.cost == want
+    assert list(scratch.iterdir()) == []
 
 
 def test_external_solver_lies_are_caught(tmp_path):

@@ -44,6 +44,19 @@ def test_parse_error_position():
     with pytest.raises(PddlError) as exc:
         pddl.parse_domain("(define (domain broken)\n  (:predicates (p ?x)\n")
     assert exc.value.line >= 1
+    blocks = pddl.parse_domain(domains.BLOCKS_DOMAIN)
+    parse_instance = lambda text: pddl.parse_instance(text, blocks)
+    for parse, text in [
+        (pddl.parse_domain, "(define (domain))"),
+        (pddl.parse_domain, "(define (domain (d)))"),
+        (pddl.parse_domain, "(define (domain d) (:predicates (p ?x)) (:action a"
+                            " :parameters x :precondition (p ?x) :effect (p ?x)))"),
+        (parse_instance, "(define (problem))"),
+        (parse_instance, "(define (problem p) (:domain))"),
+    ]:
+        with pytest.raises(PddlError) as exc:
+            parse(text)
+        assert exc.value.line == 1, text
 
 
 def test_unsupported_features_rejected():

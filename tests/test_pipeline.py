@@ -84,6 +84,82 @@ def test_learn_reports_unsat_for_weak_feature_pool(clear_files):
     assert "status=unsat" in result.report_machine
 
 
+_SAMPLE_KV = """\
+v_slack=2
+merge_classes=1
+n_instances=1
+instance.0.name=clear-5
+instance.0.states=866
+instance.0.alive_transitions=1161
+instance.0.max_goal_distance=7
+n_states=866
+n_alive_transitions=1161
+max_goal_distance=7
+"""
+
+# Complete report.kv of the clear-5 fixture at each max_feature_weight:
+# a policy (4), an infeasible pool (1), an unsatisfiable theory (3).
+_EXPECTED_KV = {
+    4: "status=ok\nseed=0\nmax_feature_weight=4\n" + _SAMPLE_KV + """\
+pool_size=38
+n_classes=46
+n_vars=2323
+n_hard=10019
+n_soft=38
+n_clauses_full=10057
+n_pairs=1035
+iterations=1
+optimum_cost=8
+n_selected=3
+selected=holding:1;And(Nominal(goal0),holding):3;Exists(on_plus,Nominal(goal0)):4
+n_rules=3
+verify.0.ok=1
+verify.0.complete=1
+verify.0.safe=1
+verify.0.acyclic=1
+""",
+    1: "status=unsat\nseed=0\nmax_feature_weight=1\n" + _SAMPLE_KV + """\
+pool_size=3
+n_classes=4
+n_vars=2246
+n_hard=1
+n_soft=0
+n_clauses_full=13
+n_pairs=0
+iterations=1
+message=no policy in feature space: goal state 20 and non-goal state 1 have identical feature values
+""",
+    3: "status=unsat\nseed=0\nmax_feature_weight=3\n" + _SAMPLE_KV + """\
+pool_size=15
+n_classes=30
+n_vars=2284
+n_hard=8816
+n_soft=15
+n_clauses_full=8831
+n_pairs=435
+iterations=1
+message=no policy in feature space: theory is unsatisfiable
+""",
+}
+
+
+@pytest.mark.parametrize("weight", sorted(_EXPECTED_KV))
+def test_learn_reports_pinned(clear_files, weight):
+    result = pipeline.learn(_clear_config(clear_files,
+                                          max_feature_weight=weight))
+    assert result.report_machine == _EXPECTED_KV[weight]
+    ok = result.status == "ok"
+    assert result.verify_ok == ok and (result.policy is not None) == ok
+    assert result.cost == (8 if ok else None)
+    if not ok:
+        assert result.message in result.report_machine
+    # report.txt lists the stage times in stage order.
+    times = [line.split()[1] for line in result.report_human.splitlines()
+             if line.startswith("time ")]
+    stages = ["expand", "pool", "solve"] + (["verify", "tests"] if ok else [])
+    assert times == stages + ["total"]
+
+
 def test_run_config_validation(clear_files):
     with pytest.raises(GenpolError):
         pipeline.learn(_clear_config(clear_files, max_feature_weight=0))
@@ -211,6 +287,11 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
 
     bad = tmp_path / "bad.wcnf"
     bad.write_text("p cnf oops\n")
+    rc = cli.main(["solve", "--wcnf", str(bad)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+    bad.write_text("p wcnf 2 1 5\n5 1 x 0\n")
     rc = cli.main(["solve", "--wcnf", str(bad)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
