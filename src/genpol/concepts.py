@@ -108,8 +108,9 @@ class RoleEqual:
     right: object
 
 
-_ATOMIC = (Top, Bot, PrimitiveConcept, GoalConcept, TypeConcept, Nominal,
-           PrimitiveRole, GoalRole)
+_ATOMIC_CONCEPTS = (PrimitiveConcept, Top, Bot, GoalConcept, TypeConcept,
+                    Nominal)
+_ATOMIC = _ATOMIC_CONCEPTS + (PrimitiveRole, GoalRole)
 
 
 def complexity(expr) -> int:
@@ -283,6 +284,55 @@ class InstanceContext:
             else:
                 self._atom_kind.append((0, atom[0]))
 
+    def atomic_concept(self, expr, unary: dict):
+        """Denotation of an atomic concept.  `unary` maps each unary
+        predicate to its mask in the state at hand, or to a column of masks
+        over many states; the result is then a mask or such a column."""
+        if isinstance(expr, PrimitiveConcept):
+            mask = unary.get(expr.name)
+            if mask is None:
+                raise GenpolError(f"unknown unary predicate '{expr.name}'")
+            return mask
+        if isinstance(expr, Top):
+            return self.universe
+        if isinstance(expr, Bot):
+            return 0
+        if isinstance(expr, GoalConcept):
+            if expr.name not in unary:
+                raise GenpolError(f"unknown unary predicate '{expr.name}'")
+            return self.goal_unary.get(expr.name, 0)
+        if isinstance(expr, TypeConcept):
+            mask = self.type_masks.get(expr.name)
+            if mask is None:
+                raise GenpolError(f"unknown type '{expr.name}'")
+            return mask
+        if isinstance(expr, Nominal):
+            mask = self.nominals.get(expr.name)
+            if mask is None:
+                raise GenpolError(f"nominal '{expr.name}' is not a constant or "
+                                  f"goal parameter of instance "
+                                  f"'{self.gp.instance.name}'")
+            return mask
+        raise TypeError(f"not a concept: {expr!r}")
+
+    def atomic_role(self, expr, rows: dict):
+        """Denotation of a primitive or goal role; `rows` maps each binary
+        predicate to its successor masks in the state(s) at hand, as
+        `unary` does for `atomic_concept`."""
+        if isinstance(expr, PrimitiveRole):
+            got = rows.get(expr.name)
+            if got is None:
+                raise GenpolError(f"unknown binary predicate '{expr.name}'")
+            return got
+        if isinstance(expr, GoalRole):
+            got = self.goal_roles.get(expr.name)
+            if got is None:
+                if expr.name not in rows:
+                    raise GenpolError(f"unknown binary predicate '{expr.name}'")
+                got = (0,) * self.n
+            return got
+        raise TypeError(f"not a role: {expr!r}")
+
 
 class StateContext:
     """Denotation cache for one state; create via `state_context`."""
@@ -336,16 +386,8 @@ def eval_role(expr, ctx: StateContext) -> tuple:
     if got is not None:
         return got
     ictx = ctx.ictx
-    if isinstance(expr, PrimitiveRole):
-        rows = ctx.rows.get(expr.name)
-        if rows is None:
-            raise GenpolError(f"unknown binary predicate '{expr.name}'")
-    elif isinstance(expr, GoalRole):
-        rows = ictx.goal_roles.get(expr.name)
-        if rows is None:
-            if expr.name not in ctx.rows:
-                raise GenpolError(f"unknown binary predicate '{expr.name}'")
-            rows = (0,) * ictx.n
+    if isinstance(expr, (PrimitiveRole, GoalRole)):
+        rows = ictx.atomic_role(expr, ctx.rows)
     elif isinstance(expr, InverseRole):
         base = eval_role(expr.base, ctx)
         out = [0] * ictx.n
@@ -371,28 +413,8 @@ def eval_concept(expr, ctx: StateContext) -> int:
     if got is not None:
         return got
     ictx = ctx.ictx
-    if isinstance(expr, PrimitiveConcept):
-        mask = ctx.unary.get(expr.name)
-        if mask is None:
-            raise GenpolError(f"unknown unary predicate '{expr.name}'")
-    elif isinstance(expr, Top):
-        mask = ictx.universe
-    elif isinstance(expr, Bot):
-        mask = 0
-    elif isinstance(expr, GoalConcept):
-        if expr.name not in ctx.unary:
-            raise GenpolError(f"unknown unary predicate '{expr.name}'")
-        mask = ictx.goal_unary.get(expr.name, 0)
-    elif isinstance(expr, TypeConcept):
-        mask = ictx.type_masks.get(expr.name)
-        if mask is None:
-            raise GenpolError(f"unknown type '{expr.name}'")
-    elif isinstance(expr, Nominal):
-        mask = ictx.nominals.get(expr.name)
-        if mask is None:
-            raise GenpolError(f"nominal '{expr.name}' is not a constant or "
-                              f"goal parameter of instance "
-                              f"'{ictx.gp.instance.name}'")
+    if isinstance(expr, _ATOMIC_CONCEPTS):
+        mask = ictx.atomic_concept(expr, ctx.unary)
     elif isinstance(expr, Not):
         mask = ictx.universe & ~eval_concept(expr.child, ctx)
     elif isinstance(expr, And):
@@ -448,33 +470,6 @@ def bfs_distance(sources: int, rows, restrict: int, targets: int, n: int) -> int
         seen |= nxt
         cur = nxt
         dist += 1
-
-
-def bfs_distance_map(sources: int, rows, restrict: int, n: int) -> list:
-    """Per-object variant of bfs_distance: steps from `sources` to each object.
-
-    Entry i is the minimum step count to object i, or n + 1 when unreachable.
-    min() over a target set reproduces bfs_distance for that set.
-    """
-    dmap = [n + 1] * n
-    seen = cur = sources
-    dist = 0
-    while cur:
-        m = cur
-        while m:
-            low = m & -m
-            dmap[low.bit_length() - 1] = dist
-            m ^= low
-        nxt = 0
-        m = cur
-        while m:
-            low = m & -m
-            nxt |= rows[low.bit_length() - 1]
-            m ^= low
-        cur = nxt & restrict & ~seen
-        seen |= cur
-        dist += 1
-    return dmap
 
 
 def popcount(mask: int) -> int:

@@ -247,9 +247,7 @@ def learn(config: RunConfig) -> LearnResult:
                                      for f in pol.features)
         facts["n_rules"] = len(pol.rules)
         for i, (sp, off) in enumerate(zip(sample.spaces, sample.offsets)):
-            vals = [tuple(int(x) for x in matrix[phi, off + j])
-                    for j in range(sp.n_states)]
-            v = verify_space(pol, sp, vals)
+            v = verify_space(pol, sp, matrix[phi, off:off + sp.n_states].T)
             for key in ("ok", "complete", "safe", "acyclic"):
                 facts[f"verify.{i}.{key}"] = int(getattr(v, key))
         rec.times["verify"] = time.monotonic() - t3

@@ -19,10 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from genpol import concepts as co
 from genpol.encoding import FLAT, UP, validate_solution
 from genpol.errors import InternalInvariantError, PolicyError
-from genpol.features import parse_feature
+from genpol.features import MAX_BATCH_OBJECTS, feature_values, parse_feature
 from genpol.space import expand_labeled
 
 SET_TRUE = "set"
@@ -91,6 +93,32 @@ class Policy:
                 if self._alternative_matches(alt, src, dst):
                     return True
         return False
+
+    def compatible_mask(self, src, dst) -> np.ndarray:
+        """`compatible` for many transitions at once: `src` and `dst` are
+        int arrays [n_transitions, n_features]; returns one bool each."""
+        same = src == dst
+        out = np.zeros(len(src), dtype=bool)
+        for rule in self.rules:
+            body = np.ones(len(src), dtype=bool)
+            for c in rule.body:
+                body &= (src[:, c.feature] > 0) == c.positive
+            for alt in rule.alternatives:
+                match = body.copy()
+                for e in alt:
+                    v0, v1 = src[:, e.feature], dst[:, e.feature]
+                    if e.kind == SET_TRUE:
+                        match &= v1 > 0
+                    elif e.kind == SET_FALSE:
+                        match &= v1 == 0
+                    elif e.kind == INC:
+                        match &= v1 > v0
+                    else:
+                        match &= v1 < v0
+                mentioned = {e.feature for e in alt}
+                kept = [f for f in range(len(self.features)) if f not in mentioned]
+                out |= match & same[:, kept].all(axis=1)
+        return out
 
     # -- serialization -------------------------------------------------------
 
@@ -287,47 +315,56 @@ class VerifyResult:
     n_compatible: int
 
 
-def _state_values(policy: Policy, gp, space) -> list:
+def _state_values(policy: Policy, gp, space):
+    """Feature values of every state of `space`, [n_states, n_features]:
+    batched when the instance fits in int64 masks, per state otherwise."""
     ictx = co.InstanceContext(gp)
-    return [policy.evaluate(co.state_context(ictx, s)) for s in space.states]
+    if ictx.n > MAX_BATCH_OBJECTS:
+        return [policy.evaluate(co.state_context(ictx, s)) for s in space.states]
+    return feature_values(policy.features, ictx, space.states)
 
 
-def _compatible_edges(policy: Policy, space, vals):
-    """Yields (alive state id, its policy-compatible transition ids) for
-    every alive state, given per-state feature valuations `vals`."""
-    compatible = policy.compatible
-    dst = space.dst
-    for sid in range(space.n_states):
-        if space.is_alive(sid):
-            src_vals = vals[sid]
-            yield sid, [t for t in space.out_edges(sid)
-                        if compatible(src_vals, vals[dst[t]])]
+def _compatible(policy: Policy, space, vals):
+    """(src, dst, dead, alive, compat): transition endpoints and per-state
+    dead-end and alive flags as arrays, and whether each transition leaves
+    an alive state and is policy-compatible, given per-state feature values
+    `vals` (any 2-D int array-like)."""
+    vals = np.asarray(vals, dtype=np.int64)
+    src = np.asarray(space.src, dtype=np.int64)
+    dst = np.asarray(space.dst, dtype=np.int64)
+    dead = np.array([d is None for d in space.goal_dist], dtype=bool)
+    alive = ~dead & ~np.array(space.is_goal, dtype=bool)
+    compat = alive[src] & policy.compatible_mask(vals[src], vals[dst])
+    return src, dst, dead, alive, compat
 
 
 def verify_space(policy: Policy, space, vals) -> VerifyResult:
     """Checks the certificate conditions on an expanded, labeled space:
     every alive state has a compatible transition, none leads to a dead end,
     and the compatible subgraph is acyclic.  Together these imply the policy
-    solves the instance from every solvable reachable state."""
-    compat: dict = {}
-    n_compat = 0
-    complete, safe = True, True
-    witness = None
-    for sid, edges in _compatible_edges(policy, space, vals):
-        for t in edges:
-            did = space.dst[t]
-            if space.is_deadend(did):
-                safe = False
-                witness = witness or (
-                    f"compatible transition {space.gp.actions[space.act[t]].name} "
-                    f"from state {sid} reaches dead end {did}")
-        if not edges:
-            complete = False
-            witness = witness or f"alive state {sid} has no compatible transition"
-        compat[sid] = [space.dst[t] for t in edges]
-        n_compat += len(edges)
+    solves the instance from every solvable reachable state.  `vals` holds
+    the policy's feature values per state."""
+    src, dst, dead, alive, compat = _compatible(policy, space, vals)
+    n_compat = int(compat.sum())
+    unsafe = np.flatnonzero(compat & dead[dst])
+    stuck = np.flatnonzero(alive & (np.bincount(src[compat],
+                                                minlength=space.n_states) == 0))
+    safe, complete = not len(unsafe), not len(stuck)
 
-    cycle_at = _find_cycle(space, compat)
+    # The first witness in state order: a compatible move into a dead end
+    # (transitions are stored by source state), or a state with no move.
+    witness = None
+    if not safe and (complete or src[unsafe[0]] < stuck[0]):
+        t = int(unsafe[0])
+        witness = (f"compatible transition {space.gp.actions[space.act[t]].name} "
+                   f"from state {space.src[t]} reaches dead end {space.dst[t]}")
+    elif not complete:
+        witness = f"alive state {int(stuck[0])} has no compatible transition"
+
+    keep = np.flatnonzero(compat & alive[dst])
+    start = np.searchsorted(src[keep], np.arange(space.n_states + 1))
+    cycle_at = _find_cycle(np.flatnonzero(alive).tolist(), start.tolist(),
+                           dst[keep].tolist())
     acyclic = cycle_at is None
     if not acyclic:
         witness = witness or f"compatible cycle through state {cycle_at}"
@@ -343,48 +380,45 @@ def verify_exhaustive(policy: Policy, gp, max_states: int = 10 ** 6) -> VerifyRe
     return verify_space(policy, space, _state_values(policy, gp, space))
 
 
-def _find_cycle(space, compat: dict):
-    """First state on a cycle of the compatible subgraph over alive states,
-    or None.  Iterative three-color depth-first search."""
-    color = [0] * space.n_states  # 0 unseen, 1 active, 2 done
-    for root in compat:
+def _find_cycle(roots: list, start: list, succ: list):
+    """First node on a cycle of the graph whose node v has successors
+    succ[start[v]:start[v + 1]], searching from `roots` in order, or None.
+    Iterative three-color depth-first search."""
+    color = [0] * (len(start) - 1)  # 0 unseen, 1 active, 2 done
+    for root in roots:
         if color[root]:
             continue
-        stack = [(root, 0)]
+        stack = [(root, start[root])]
         color[root] = 1
         while stack:
             node, i = stack[-1]
-            edges = compat.get(node, ())
-            moved = False
-            while i < len(edges):
-                nxt = edges[i]
+            end = start[node + 1]
+            while i < end:
+                nxt = succ[i]
                 i += 1
-                if not space.is_alive(nxt):
-                    continue
                 if color[nxt] == 1:
                     return nxt
                 if color[nxt] == 0:
                     stack[-1] = (node, i)
                     color[nxt] = 1
-                    stack.append((nxt, 0))
-                    moved = True
+                    stack.append((nxt, start[nxt]))
                     break
-            if not moved:
+            else:
                 color[node] = 2
                 stack.pop()
     return None
 
 
-def check_descending(policy: Policy, gp, tuple_values) -> tuple:
+def check_descending(policy: Policy, gp, tuple_values,
+                     max_states: int = 10 ** 6) -> tuple:
     """Whether every policy-compatible transition strictly decreases the
     given tuple lexicographically.  `tuple_values(state) -> tuple`.
     Returns (holds, witness transition or None)."""
-    space = expand_labeled(gp)
-    vals = _state_values(policy, gp, space)
+    space = expand_labeled(gp, max_states=max_states)
+    *_, compat = _compatible(policy, space, _state_values(policy, gp, space))
     tups = [tuple_values(s) for s in space.states]
-    for sid, edges in _compatible_edges(policy, space, vals):
-        for t in edges:
-            did = space.dst[t]
-            if not tups[did] < tups[sid]:
-                return False, (sid, did, gp.actions[space.act[t]].name)
+    for t in np.flatnonzero(compat).tolist():
+        sid, did = space.src[t], space.dst[t]
+        if not tups[did] < tups[sid]:
+            return False, (sid, did, gp.actions[space.act[t]].name)
     return True, None

@@ -295,3 +295,86 @@ def policy_exists(space, matrix_rows, phi, v_slack):
         return any(search(good - {c}) for c in sorted(bad))
 
     return search(set(candidates))
+
+
+# -- policy certificates -------------------------------------------------------
+
+def _allows(policy, a, b):
+    """Whether some rule of `policy` allows a move from valuation a to b,
+    read literally off the rule records."""
+    for rule in policy.rules:
+        if any((a[c.feature] > 0) != c.positive for c in rule.body):
+            continue
+        for alt in rule.alternatives:
+            moved = {e.feature for e in alt}
+            effects_hold = all(
+                {"set": b[e.feature] > 0, "clear": b[e.feature] == 0,
+                 "inc": b[e.feature] > a[e.feature],
+                 "dec": b[e.feature] < a[e.feature]}[e.kind] for e in alt)
+            if effects_hold and all(a[f] == b[f] for f in range(len(a))
+                                    if f not in moved):
+                return True
+    return False
+
+
+def certificate(policy, space, vals):
+    """Certificate facts of `policy` on a labeled space with per-state
+    feature values `vals`: the number of allowed moves out of alive states,
+    completeness, safety, the first completeness or safety witness in state
+    order, acyclicity of the allowed moves among alive states (Kahn's
+    algorithm), and those moves as {alive state: set of alive targets}."""
+    alive = [s for s in range(space.n_states)
+             if space.goal_dist[s] is not None and not space.is_goal[s]]
+    alive_set = set(alive)
+    allowed = {s: [] for s in alive}
+    for t in range(space.n_transitions):
+        s, d = space.src[t], space.dst[t]
+        if s in alive_set and _allows(policy, list(vals[s]), list(vals[d])):
+            allowed[s].append(t)
+
+    witness = None
+    for s in alive:
+        if not allowed[s]:
+            witness = f"alive state {s} has no compatible transition"
+            break
+        into_dead = [t for t in allowed[s] if space.goal_dist[space.dst[t]] is None]
+        if into_dead:
+            t = into_dead[0]
+            witness = (f"compatible transition {space.gp.actions[space.act[t]].name} "
+                       f"from state {s} reaches dead end {space.dst[t]}")
+            break
+
+    moves = {s: {space.dst[t] for t in allowed[s]} & alive_set for s in alive}
+    indegree = {s: 0 for s in alive}
+    for s in alive:
+        for d in moves[s]:
+            indegree[d] += 1
+    free = [s for s in alive if indegree[s] == 0]
+    removed = 0
+    while free:
+        s = free.pop()
+        removed += 1
+        for d in moves[s]:
+            indegree[d] -= 1
+            if indegree[d] == 0:
+                free.append(d)
+
+    return {"n_compatible": sum(len(ts) for ts in allowed.values()),
+            "complete": all(allowed[s] for s in alive),
+            "safe": all(space.goal_dist[space.dst[t]] is not None
+                        for ts in allowed.values() for t in ts),
+            "witness": witness, "acyclic": removed == len(alive),
+            "moves": moves}
+
+
+def on_cycle(moves, state):
+    """Whether `state` reaches itself along `moves` ({state: targets})."""
+    seen, todo = set(), list(moves.get(state, ()))
+    while todo:
+        s = todo.pop()
+        if s == state:
+            return True
+        if s not in seen:
+            seen.add(s)
+            todo.extend(moves.get(s, ()))
+    return False

@@ -1,0 +1,272 @@
+"""The batch evaluator and the vectorized certificate walk against the
+per-state path.
+
+`features.feature_values` must give exactly the values of per-state
+`Policy.evaluate`, and `verify_space` must reach the same verdict on either
+value table; both are also checked against the certificate oracle in
+`oracles.py`, which reads the rules literally and walks plain dicts.
+"""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import domains
+import oracles
+from genpol import cli, features, pddl, policy as po, space
+from genpol import concepts as co
+from genpol.errors import GenpolError
+from test_policy import VERIFY_CASES
+
+POLICY_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "policies"
+
+
+def _ground(domain_text, instance_text, goal_params=()):
+    dom = pddl.parse_domain(domain_text)
+    inst = pddl.parse_instance(instance_text, dom, list(goal_params))
+    return pddl.ground(dom, inst)
+
+
+def _check(pol, gp, sp):
+    """Asserts batch values == per-state values and that both verify the
+    same way, matching the oracle; returns the VerifyResult."""
+    ictx = co.InstanceContext(gp)
+    per_state = [pol.evaluate(co.state_context(ictx, s)) for s in sp.states]
+    batch = features.feature_values(pol.features, ictx, sp.states)
+    assert batch.dtype == np.int64
+    assert batch.shape == (sp.n_states, len(pol.features))
+    assert batch.tolist() == [list(v) for v in per_state]
+
+    got = po.verify_space(pol, sp, batch)
+    assert got == po.verify_space(pol, sp, per_state)
+    ref = oracles.certificate(pol, sp, per_state)
+    assert (got.n_states, got.n_compatible, got.complete, got.safe,
+            got.acyclic) == (sp.n_states, ref["n_compatible"], ref["complete"],
+                             ref["safe"], ref["acyclic"])
+    if ref["witness"] is not None:
+        assert got.witness == ref["witness"]
+    elif not got.acyclic:
+        m = re.fullmatch(r"compatible cycle through state (\d+)", got.witness)
+        assert m and oracles.on_cycle(ref["moves"], int(m.group(1)))
+    else:
+        assert got.witness is None
+    return got
+
+
+# perfbench's fixed policies on small spaces: (policy, domain, instance,
+# goal params, verdict).
+FIXED = {
+    "clear": ("clear", domains.BLOCKS_DOMAIN, domains.clear_tower_instance(5),
+              ("b1",), True),
+    "gripper": ("gripper", domains.GRIPPER_DOMAIN,
+                domains.gripper_instance(3, seed=1), (), True),
+    "visitall": ("visitall", domains.VISITALL_DOMAIN,
+                 domains.visitall_instance(3, 3, (1, 0)), (), True),
+    "visitall-bad": ("visitall-bad", domains.VISITALL_DOMAIN,
+                     domains.visitall_instance(3, 3, (0, 0)), (), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_fixed_policies_batch_equals_per_state(name):
+    policy_file, domain_text, instance_text, goal_params, ok = FIXED[name]
+    pol = po.parse_policy((POLICY_DIR / f"{policy_file}.txt").read_text())
+    gp = _ground(domain_text, instance_text, goal_params)
+    sp = space.expand_labeled(gp)
+    assert _check(pol, gp, sp).ok == ok
+    assert po.verify_exhaustive(pol, gp).ok == ok
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_each_verdict_batch_equals_per_state(name):
+    text, domain_text, instance_text, goal_params = VERIFY_CASES[name]
+    gp = _ground(domain_text, instance_text, goal_params)
+    _check(po.parse_policy(text), gp, space.expand_labeled(gp))
+
+
+# From the start, `go` leads on and `burn` into a dead end; from the middle,
+# `finish` reaches the goal and `fail` a dead end.
+FORK_DOMAIN = """
+(define (domain fork)
+  (:predicates (start) (mid) (done) (ash) (trap))
+  (:action go :parameters () :precondition (and (start))
+           :effect (and (mid) (not (start))))
+  (:action burn :parameters () :precondition (and (start))
+           :effect (and (ash) (not (start))))
+  (:action finish :parameters () :precondition (and (mid))
+           :effect (and (done) (not (mid))))
+  (:action fail :parameters () :precondition (and (mid))
+           :effect (and (trap) (not (mid)))))
+"""
+
+FORK_INSTANCE = """
+(define (problem fork1) (:domain fork) (:init (start)) (:goal (and (done))))
+"""
+
+
+@pytest.mark.parametrize("rules,witness", [
+    # burn is the only move from the start (state 0) and the middle has none.
+    ("rule f0 -> !f0\n",
+     "compatible transition burn() from state 0 reaches dead end 1"),
+    # The start has no move; from the middle, finish and fail are moves.
+    ("rule !f0 f1 -> !f1\n", "alive state 0 has no compatible transition"),
+])
+def test_witness_is_the_first_in_state_order(rules, witness):
+    gp = _ground(FORK_DOMAIN, FORK_INSTANCE)
+    sp = space.expand_labeled(gp)
+    pol = po.parse_policy("feature 0 1 bool Atom(start)\n"
+                          "feature 1 1 bool Atom(mid)\n" + rules)
+    got = _check(pol, gp, sp)
+    assert not got.complete and not got.safe
+    assert got.witness == witness
+
+
+def test_atom_of_a_ternary_predicate_is_a_flag():
+    # The per-state path files atoms of arity above two under their
+    # predicate name; two of them in a state still make the value 1.
+    domain = """
+    (define (domain tern)
+      (:predicates (p ?x) (q ?x) (link ?x ?y ?z))
+      (:action mark :parameters (?x) :precondition (and (p ?x))
+               :effect (and (q ?x))))
+    """
+    instance = """
+    (define (problem t2) (:domain tern) (:objects a b)
+      (:init (p a) (p b) (link a a b) (link b a a))
+      (:goal (and (q a) (q b))))
+    """
+    gp = _ground(domain, instance)
+    sp = space.expand_labeled(gp)
+    pol = po.parse_policy("feature 0 1 bool Atom(link)\nfeature 1 1 num q\n"
+                          "rule f1=0 -> f1++\n")
+    _check(pol, gp, sp)
+    ictx = co.InstanceContext(gp)
+    assert features.feature_values(pol.features, ictx, sp.states)[:, 0].tolist() \
+        == [1] * sp.n_states
+
+
+# Feature sets covering every constructor: Forall, Equal, inverse, closure of
+# an inverse, a goal role of a predicate the goal does not mention, types,
+# nullary atoms (also of a unary predicate, always 0), and distances with an
+# empty source or target, whose value is n + 1 in every state.
+# name -> (domain, instance, goal params, features, rules, ids of the
+# distances with an empty end)
+FEATURE_CASES = {
+    "blocks": (domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4), ("b1",), [
+        "1 bool Atom(arm-empty)", "1 bool Atom(clear)",
+        "3 num Forall(on_plus,clear)", "4 num Exists(on_inv_plus,Nominal(goal0))",
+        "3 num Exists(on_inv,Top)", "4 num Not(Equal(on,on_g))",
+        "3 num Exists(on_g,Top)", "3 bool And(Nominal(goal0),holding)",
+        "5 num Dist(Nominal(goal0),on_inv,Top,clear)",
+        "5 num Dist(Bot,on,Top,clear)", "5 num Dist(Nominal(goal0),on,Top,Bot)",
+    ], "rule f0 -> !f0 | f9-- | f2++\nrule !f0 -> f0 f3--\n", (9, 10)),
+    "gripper": (domains.GRIPPER_DOMAIN, domains.gripper_instance(2, seed=3), (), [
+        "3 num Forall(at_g,at-robby)", "4 num Not(Equal(at,at_g))",
+        "3 num Exists(carry_g,Top)", "3 num Exists(at_inv,Top)",
+        "4 num Exists(carry_inv_plus,Top)", "1 num type(ball)",
+        "3 num Exists(carry,Top)", "2 num Not(free)",
+        "6 num Dist(at-robby,at_inv,Top,Not(type(room)))",
+    ], "rule f6=0 -> f6++ | f0++\nrule f6>0 -> f6-- f1-- | f0--\n", ()),
+    "visitall": (domains.VISITALL_DOMAIN, domains.visitall_instance(3, 2, (0, 1)), (), [
+        "2 num Not(visited)", "5 num Dist(at-robot,connected,Top,Not(visited))",
+        "4 num Dist(Bot,connected,Top,visited)",
+        "4 num Dist(at-robot,connected,Top,Bot)",
+        "6 num Dist(at-robot,connected_inv_plus,Not(visited),visited)",
+        "3 num Forall(connected,visited)", "4 num Exists(connected_inv,Not(visited))",
+        "1 num visited_g", "3 num Equal(connected,connected_g)",
+    ], "rule f0>0 -> f0-- | f1--\nrule true -> nop\n", (2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FEATURE_CASES))
+def test_feature_constructors_batch_equals_per_state(name):
+    domain_text, instance_text, goal_params, feats, rules, empty_end = \
+        FEATURE_CASES[name]
+    text = "".join(f"feature {i} {f}\n" for i, f in enumerate(feats)) + rules
+    pol = po.parse_policy(text)
+    gp = _ground(domain_text, instance_text, goal_params)
+    sp = space.expand_labeled(gp)
+    _check(pol, gp, sp)
+    vals = features.feature_values(pol.features, co.InstanceContext(gp), sp.states)
+    for j in empty_end:
+        assert (vals[:, j] == len(gp.objects) + 1).all(), feats[j]
+
+
+def test_space_larger_than_one_block():
+    gp = _ground(domains.GRIPPER_DOMAIN, domains.gripper_instance(8))
+    sp = space.expand_labeled(gp)
+    assert sp.n_states == 11_776 > features.BLOCK_STATES
+    pol = po.parse_policy((POLICY_DIR / "gripper.txt").read_text())
+    assert _check(pol, gp, sp).ok
+
+
+def test_more_than_62_objects_use_per_state_values(monkeypatch):
+    gp = _ground(domains.VISITALL_DOMAIN, domains.visitall_instance(64, 1, (0, 0)))
+    assert len(gp.objects) == 64 > features.MAX_BATCH_OBJECTS
+    pol = po.parse_policy((POLICY_DIR / "visitall.txt").read_text())
+    sp = space.expand_labeled(gp)
+    assert sp.n_states == 2_080
+    ictx = co.InstanceContext(gp)
+    per_state = [pol.evaluate(co.state_context(ictx, s)) for s in sp.states]
+    ref = oracles.certificate(pol, sp, per_state)
+
+    def no_batch(*args):
+        raise AssertionError("batch evaluation used on more than 62 objects")
+
+    monkeypatch.setattr(po, "feature_values", no_batch)
+    got = po.verify_exhaustive(pol, gp)
+    assert got == po.verify_space(pol, sp, per_state)
+    assert got.ok and ref["complete"] and ref["safe"] and ref["acyclic"]
+    assert got.n_compatible == ref["n_compatible"]
+
+
+POLICY_TEXTS = [(POLICY_DIR / f"{n}.txt").read_text()
+                for n in ("clear", "gripper", "visitall", "visitall-bad")] + [
+    "feature 0 1 num clear\nfeature 1 1 bool holding\nrule f0>0 -> f0--\n",
+    "feature 0 1 num clear\nrule true -> nop | f0--\n",
+    "feature 0 1 bool holding\nrule f0 -> !f0 | f0 !f0\nrule !f0 -> f0\n",
+]
+
+
+@pytest.mark.parametrize("text", POLICY_TEXTS)
+def test_compatible_mask_matches_compatible(text):
+    pol = po.parse_policy(text)
+    rng = np.random.default_rng(7)
+    src = rng.integers(0, 3, size=(2000, len(pol.features)))
+    dst = np.where(rng.random(src.shape) < 0.5, src,
+                   rng.integers(0, 3, size=src.shape))
+    want = [pol.compatible(a, b) for a, b in zip(src.tolist(), dst.tolist())]
+    assert pol.compatible_mask(src, dst).tolist() == want
+    assert any(want) and not all(want)
+
+
+@pytest.mark.parametrize("text", [
+    "Nominal(nosuch)", "vsited", "vsited_g", "type(nosuch)", "Atom(nosuch)",
+    "Exists(conected,Top)", "Exists(conected_g,Top)",
+    "Dist(at-robot,connected,Top,Nominal(goal0))",
+])
+def test_unknown_names_raise_the_per_state_error(text, tmp_path, capsys):
+    gp = _ground(domains.VISITALL_DOMAIN, domains.visitall_instance(3, 2, (0, 0)))
+    sp = space.expand_labeled(gp)
+    ictx = co.InstanceContext(gp)
+    feats = [features.parse_feature(2, "num", "Not(visited)"),
+             features.parse_feature(3, "num", text)]
+    with pytest.raises(GenpolError) as per_state:
+        [f.evaluate(co.state_context(ictx, sp.states[0])) for f in feats]
+    with pytest.raises(GenpolError) as batch:
+        features.feature_values(feats, ictx, sp.states)
+    assert str(batch.value) == str(per_state.value)
+
+    domain = tmp_path / "domain.pddl"
+    domain.write_text(domains.VISITALL_DOMAIN)
+    instance = tmp_path / "instance.pddl"
+    instance.write_text(domains.visitall_instance(3, 2, (0, 0)))
+    policy_file = tmp_path / "policy.txt"
+    policy_file.write_text(f"feature 0 2 num Not(visited)\nfeature 1 3 num {text}\n"
+                           f"rule f0>0 -> f0--\n")
+    rc = cli.main(["verify", "--domain", str(domain), "--instance", str(instance),
+                   "--policy", str(policy_file)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {per_state.value}\n"

@@ -9,7 +9,7 @@ import pytest
 import domains
 import oracles
 from genpol import concepts as co
-from genpol import pddl, space
+from genpol import features, pddl, space
 from genpol.concepts import (And, Bot, ClosureRole, Exists, Forall, GoalConcept,
                              GoalRole, InverseRole, Nominal, Not,
                              PrimitiveConcept, PrimitiveRole, RoleEqual, Top,
@@ -177,12 +177,18 @@ def test_distance_conventions():
 def test_distance_map_agrees_with_distance():
     gp, sp = _space(domains.VISITALL_DOMAIN, domains.visitall_instance(3, 2, (0, 0)))
     ictx = co.InstanceContext(gp)
-    for sid in range(0, sp.n_states, 9):
-        ctx = co.state_context(ictx, sp.states[sid])
-        robot = co.eval_concept(PrimitiveConcept("at-robot"), ctx)
-        conn = co.eval_role(PrimitiveRole("connected"), ctx)
-        restrict = co.eval_concept(Not(PrimitiveConcept("visited")), ctx)
-        dmap = co.bfs_distance_map(robot, conn, restrict, ictx.n)
+    states = sp.states[::9]
+    robot_c, conn_r = PrimitiveConcept("at-robot"), PrimitiveRole("connected")
+    restrict_c = Not(PrimitiveConcept("visited"))
+    batch = features.Batch([(ictx, states)])
+    dmaps = batch.distance_map(batch.concept(robot_c), batch.role(conn_r),
+                               batch.concept(restrict_c))
+    assert dmaps.shape == (len(states), ictx.n)
+    for dmap, state in zip(dmaps, states):
+        ctx = co.state_context(ictx, state)
+        robot = co.eval_concept(robot_c, ctx)
+        conn = co.eval_role(conn_r, ctx)
+        restrict = co.eval_concept(restrict_c, ctx)
         for obj_id in range(ictx.n):
             single = co.bfs_distance(robot, conn, restrict, 1 << obj_id, ictx.n)
             assert dmap[obj_id] == single

@@ -52,6 +52,33 @@ def test_generation_matches_per_state_evaluation(domain_text, instance_text,
     assert np.array_equal(matrix, fresh)
 
 
+@pytest.mark.parametrize("domain_text,instances,goal_params,k", [
+    (domains.BLOCKS_DOMAIN,
+     [domains.clear_tower_instance(3), domains.clear_tower_instance(4)], ("b1",), 5),
+    (domains.VISITALL_DOMAIN,
+     [domains.visitall_instance(2, 2, (0, 0)), domains.visitall_instance(3, 2, (1, 0))],
+     (), 5),
+], ids=["blocks-3-4", "visitall-2x2-3x2"])
+def test_generation_over_instances_of_different_sizes(domain_text, instances,
+                                                      goal_params, k):
+    # Roles are padded to the larger instance, and an unreachable distance
+    # is n + 1 with each state's own n.
+    dom = pddl.parse_domain(domain_text)
+    sample = space.SampleSet([
+        space.expand_labeled(pddl.ground(
+            dom, pddl.parse_instance(text, dom, list(goal_params))))
+        for text in instances])
+    sizes = [len(sp.gp.objects) for sp in sample.spaces]
+    assert sizes[0] < sizes[1]
+    pool, matrix = features.generate_pool(sample, max_weight=k)
+    assert np.array_equal(matrix, features.evaluate_matrix(pool, sample))
+    dist = [i for i, f in enumerate(pool.features) if isinstance(f, DistanceFeature)]
+    assert dist
+    off = sample.offsets[1]
+    assert (matrix[dist, :off] == sizes[0] + 1).any()
+    assert (matrix[dist, off:] == sizes[1] + 1).any()
+
+
 def test_feature_values_match_naive_oracle():
     sample = _sample(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4),
                      ("b1",))

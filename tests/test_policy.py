@@ -7,7 +7,7 @@ import pytest
 import domains
 from genpol import concepts as co
 from genpol import encoding, features, maxsat, pddl, pipeline, policy as po, space
-from genpol.errors import InternalInvariantError, PolicyError
+from genpol.errors import InternalInvariantError, LimitExceededError, PolicyError
 
 ONEWAY_DOMAIN = """
 (define (domain oneway)
@@ -273,3 +273,14 @@ def test_verify_complete_and_check_descending():
     assert not report.complete
     assert re.fullmatch(r"alive state \d+ has no compatible transition",
                         report.witness)
+
+
+def test_check_descending_honours_the_state_cap():
+    pol = po.parse_policy(CLEAR_POLICY)
+    gp = _ground(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4),
+                 ("b1",))  # 125 reachable states
+    with pytest.raises(LimitExceededError):
+        po.check_descending(pol, gp, lambda s: (0,), max_states=124)
+    # A constant tuple never descends.
+    ok, witness = po.check_descending(pol, gp, lambda s: (0,), max_states=125)
+    assert not ok and witness is not None
