@@ -82,8 +82,7 @@ def cmd_encode(args) -> int:
     prep = pipeline.prepare(cfg)
     pairs = encoding.initial_pairs(prep.classes, prep.class_of, prep.sample,
                                    extra_per_class=cfg.extra_pairs_per_class,
-                                   seed=cfg.seed,
-                                   full_limit=cfg.pair_full_limit)
+                                   seed=cfg.seed)
     theory = encoding.build_theory(prep.sample, prep.pool, prep.matrix,
                                    prep.classes, prep.class_of,
                                    v_slack=cfg.v_slack, pairs=pairs)

@@ -259,7 +259,6 @@ class InstanceContext:
                 rows = self.goal_roles.setdefault(pred, [0] * self.n)
                 rows[self.index[args[0]]] |= 1 << self.index[args[1]]
         self.goal_roles = {p: tuple(r) for p, r in self.goal_roles.items()}
-        self.goal_nullary = {a[0] for a in goal_atoms if len(a) == 1}
 
         # Nominals: domain constants by name, goal parameters by position
         # ("goal0", "goal1", ...) so the same feature re-binds to the goal
@@ -273,7 +272,6 @@ class InstanceContext:
         # Predicate bookkeeping for fast state contexts.
         self.unary_preds = sorted(p.name for p in dom.predicates.values() if p.arity == 1)
         self.binary_preds = sorted(p.name for p in dom.predicates.values() if p.arity == 2)
-        self.nullary_preds = sorted(p.name for p in dom.predicates.values() if p.arity == 0)
         self._atom_kind = []
         for atom in gp.atoms:
             arity = len(atom) - 1

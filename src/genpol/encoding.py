@@ -36,13 +36,15 @@ from genpol.space import SampleSet
 
 FLAT, UP, DOWN = 0, 1, 2
 
+# initial_pairs starts from all class pairs when there are at most this many.
+PAIR_FULL_LIMIT = 4000
+
 
 @dataclass
 class TransitionClass:
     index: int
     codes: bytes      # per feature: (source boolean << 2) | direction
     dst_dead: bool    # some member leads into a dead end (forces not-good)
-    rep: tuple        # (space_idx, transition_id, global_src, global_dst)
     size: int = 1
 
 
@@ -66,12 +68,12 @@ def compute_classes(sample: SampleSet, matrix: np.ndarray, merge: bool = True):
     class_of: dict = {}
     for k, t, gsrc, gdst in sample.iter_alive_transitions():
         sp = sample.spaces[k]
-        dst_dead = sp.is_deadend(sp.dst[t])
+        dst_dead = bool(sp.goal_dist[sp.dst[t]] < 0)
         codes = _direction_codes(matrix, gsrc, gdst).tobytes()
         key = codes if merge else (k, t)
         cls = by_key.get(key)
         if cls is None:
-            cls = TransitionClass(len(classes), codes, dst_dead, (k, t, gsrc, gdst))
+            cls = TransitionClass(len(classes), codes, dst_dead)
             by_key[key] = cls
             classes.append(cls)
         else:
@@ -102,14 +104,10 @@ class Theory:
 
 def _value_domains(sample: SampleSet, v_slack: int):
     v_dom: dict = {}
-    for g, sp, sid in sample.iter_states():
-        dist = sp.goal_dist[sid]
-        if dist is None:
-            continue  # dead end: no value label
-        if dist == 0:
-            v_dom[g] = [0]
-        else:
-            v_dom[g] = list(range(dist, v_slack * dist + 1))
+    for off, sp in zip(sample.offsets, sample.spaces):
+        for sid, dist in enumerate(sp.goal_dist.tolist()):
+            if dist >= 0:  # dead ends take no value label; goals exactly 0
+                v_dom[off + sid] = list(range(dist, v_slack * dist + 1))
     return v_dom
 
 
@@ -216,8 +214,7 @@ def build_theory(sample: SampleSet, pool: FeaturePool, matrix: np.ndarray,
             add("deadend", [-good(c.index)])
     for k, t, gsrc, gdst in sample.iter_alive_transitions():
         sp = sample.spaces[k]
-        did = sp.dst[t]
-        if sp.goal_dist[did] is None or sp.is_goal[did]:
+        if not sp.alive[sp.dst[t]]:
             continue  # dead ends handled above; goal targets satisfy any label
         c = class_of[(k, t)]
         dst_dom = v_dom[gdst]
@@ -265,15 +262,14 @@ def _stats(theory: Theory, sample: SampleSet) -> dict:
 
 
 def initial_pairs(classes: list, class_of: dict, sample: SampleSet,
-                  extra_per_class: int = 2, seed: int = 0,
-                  full_limit: int = 4000) -> list:
+                  extra_per_class: int = 2, seed: int = 0) -> list:
     """Starting tau: all pairs when the quadratic count is small; otherwise
     pairs of classes leaving a common state plus seeded random extras.
     Classes with identical feature codes (possible when merging is disabled)
     are chained together so their label-equality constraints are present from
     the first round instead of trickling in through validation."""
     n = len(classes)
-    if n * (n - 1) // 2 <= full_limit:
+    if n * (n - 1) // 2 <= PAIR_FULL_LIMIT:
         return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
     pairs = set()
@@ -283,7 +279,7 @@ def initial_pairs(classes: list, class_of: dict, sample: SampleSet,
     for group in by_codes.values():
         pairs.update((group[0], ci) for ci in group[1:])
     reps = sorted(group[0] for group in by_codes.values())
-    if len(reps) * (len(reps) - 1) // 2 <= full_limit:
+    if len(reps) * (len(reps) - 1) // 2 <= PAIR_FULL_LIMIT:
         # Distinguishability clauses between any two chained classes are
         # implied by the chain equalities plus the representative pair, so
         # covering every representative pair makes the starting set already

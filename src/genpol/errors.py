@@ -31,10 +31,9 @@ class ArityError(GenpolError):
 class SolverTimeoutError(GenpolError):
     """The solve budget ran out before the optimum was proven."""
 
-    def __init__(self, message: str, best_cost: int | None = None, best_model: list | None = None):
+    def __init__(self, message: str, best_cost: int | None = None):
         super().__init__(message)
         self.best_cost = best_cost
-        self.best_model = best_model
 
 
 class PolicyError(GenpolError):

@@ -252,14 +252,9 @@ def _parse_atom(node: _Node, dom: DomainModel, allowed: dict, context: str) -> S
 
 
 def _parse_conjunction(node: _Node, dom, allowed, context) -> list:
-    _check_unsupported(node, context)
     if node.is_list and node.value and not node.value[0].is_list \
             and node.value[0].value == "and":
-        atoms = []
-        for child in node.value[1:]:
-            _check_unsupported(child, context)
-            atoms.append(_parse_atom(child, dom, allowed, context))
-        return atoms
+        return [_parse_atom(child, dom, allowed, context) for child in node.value[1:]]
     return [_parse_atom(node, dom, allowed, context)]
 
 
@@ -376,15 +371,8 @@ def _parse_effect(node: _Node, dom, scope, aname):
                 and lit.value[0].value == "not":
             if len(lit.value) != 2:
                 raise _err(lit, "(not ...) takes exactly one atom")
-            inner = lit.value[1]
-            if inner.is_list and inner.value and not inner.value[0].is_list \
-                    and inner.value[0].value in _UNSUPPORTED_HEADS:
-                raise UnsupportedPddlError(
-                    f"{_UNSUPPORTED_HEADS[inner.value[0].value]} is not supported "
-                    f"in {context}", inner.line, inner.col)
-            dele.append(_parse_atom(inner, dom, scope, context))
+            dele.append(_parse_atom(lit.value[1], dom, scope, context))
         else:
-            _check_unsupported(lit, context)
             add.append(_parse_atom(lit, dom, scope, context))
     return add, dele
 

@@ -19,6 +19,9 @@ from genpol import encoding, features, maxsat, pddl, policy as policy_mod, space
 from genpol.errors import GenpolError, InternalInvariantError
 from genpol.policy import verify_space
 
+# Constraint-generation rounds before `learn` gives up.
+MAX_ITERATIONS = 100
+
 
 @dataclass
 class RunConfig:
@@ -30,11 +33,9 @@ class RunConfig:
     v_slack: int = 2
     seed: int = 0
     extra_pairs_per_class: int = 2
-    pair_full_limit: int = 4000
     max_states: int = 10 ** 6
     max_transitions: int = 10 ** 7
     max_pool: int = 200_000
-    max_iterations: int = 100
     solver_time_limit: float | None = None
     solver_backend: str = "embedded"
     include_types: bool = True
@@ -186,7 +187,7 @@ def learn(config: RunConfig) -> LearnResult:
     for i, sp in enumerate(sample.spaces):
         facts[f"instance.{i}.name"] = sp.gp.instance.name
         facts[f"instance.{i}.states"] = sp.n_states
-        facts[f"instance.{i}.alive_transitions"] = len(sp.alive_transitions())
+        facts[f"instance.{i}.alive_transitions"] = len(sp.alive_t)
         facts[f"instance.{i}.max_goal_distance"] = sp.max_goal_distance()
     facts.update(n_states=sample.n_states,
                  n_alive_transitions=sample.n_alive_transitions(),
@@ -196,15 +197,14 @@ def learn(config: RunConfig) -> LearnResult:
     t2 = time.monotonic()
     pairs = encoding.initial_pairs(classes, class_of, sample,
                                    extra_per_class=config.extra_pairs_per_class,
-                                   seed=config.seed,
-                                   full_limit=config.pair_full_limit)
+                                   seed=config.seed)
     iterations = 0
     message = ""
     while True:
         iterations += 1
-        if iterations > config.max_iterations:
+        if iterations > MAX_ITERATIONS:
             raise GenpolError(f"constraint generation did not converge in "
-                              f"{config.max_iterations} rounds")
+                              f"{MAX_ITERATIONS} rounds")
         theory = encoding.build_theory(sample, pool, matrix, classes, class_of,
                                        v_slack=config.v_slack, pairs=pairs)
         if theory.infeasible is not None:

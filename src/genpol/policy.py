@@ -324,18 +324,12 @@ def _state_values(policy: Policy, gp, space):
     return feature_values(policy.features, ictx, space.states)
 
 
-def _compatible(policy: Policy, space, vals):
-    """(src, dst, dead, alive, compat): transition endpoints and per-state
-    dead-end and alive flags as arrays, and whether each transition leaves
-    an alive state and is policy-compatible, given per-state feature values
-    `vals` (any 2-D int array-like)."""
+def _compatible(policy: Policy, space, vals) -> np.ndarray:
+    """Whether each transition leaves an alive state and is policy-compatible,
+    given per-state feature values `vals` (any 2-D int array-like)."""
     vals = np.asarray(vals, dtype=np.int64)
-    src = np.asarray(space.src, dtype=np.int64)
-    dst = np.asarray(space.dst, dtype=np.int64)
-    dead = np.array([d is None for d in space.goal_dist], dtype=bool)
-    alive = ~dead & ~np.array(space.is_goal, dtype=bool)
-    compat = alive[src] & policy.compatible_mask(vals[src], vals[dst])
-    return src, dst, dead, alive, compat
+    src, dst = space.src, space.dst
+    return space.alive[src] & policy.compatible_mask(vals[src], vals[dst])
 
 
 def verify_space(policy: Policy, space, vals) -> VerifyResult:
@@ -344,9 +338,10 @@ def verify_space(policy: Policy, space, vals) -> VerifyResult:
     and the compatible subgraph is acyclic.  Together these imply the policy
     solves the instance from every solvable reachable state.  `vals` holds
     the policy's feature values per state."""
-    src, dst, dead, alive, compat = _compatible(policy, space, vals)
+    src, dst, alive = space.src, space.dst, space.alive
+    compat = _compatible(policy, space, vals)
     n_compat = int(compat.sum())
-    unsafe = np.flatnonzero(compat & dead[dst])
+    unsafe = np.flatnonzero(compat & (space.goal_dist[dst] < 0))
     stuck = np.flatnonzero(alive & (np.bincount(src[compat],
                                                 minlength=space.n_states) == 0))
     safe, complete = not len(unsafe), not len(stuck)
@@ -357,7 +352,7 @@ def verify_space(policy: Policy, space, vals) -> VerifyResult:
     if not safe and (complete or src[unsafe[0]] < stuck[0]):
         t = int(unsafe[0])
         witness = (f"compatible transition {space.gp.actions[space.act[t]].name} "
-                   f"from state {space.src[t]} reaches dead end {space.dst[t]}")
+                   f"from state {src[t]} reaches dead end {dst[t]}")
     elif not complete:
         witness = f"alive state {int(stuck[0])} has no compatible transition"
 
@@ -415,10 +410,10 @@ def check_descending(policy: Policy, gp, tuple_values,
     given tuple lexicographically.  `tuple_values(state) -> tuple`.
     Returns (holds, witness transition or None)."""
     space = expand_labeled(gp, max_states=max_states)
-    *_, compat = _compatible(policy, space, _state_values(policy, gp, space))
+    compat = _compatible(policy, space, _state_values(policy, gp, space))
     tups = [tuple_values(s) for s in space.states]
-    for t in np.flatnonzero(compat).tolist():
-        sid, did = space.src[t], space.dst[t]
+    for sid, did, aid in zip(space.src[compat].tolist(), space.dst[compat].tolist(),
+                             space.act[compat].tolist()):
         if not tups[did] < tups[sid]:
-            return False, (sid, did, gp.actions[space.act[t]].name)
+            return False, (sid, did, gp.actions[aid].name)
     return True, None

@@ -2,20 +2,27 @@
 
 A `StateSpace` is the full reachable transition system of one ground
 instance: breadth-first from the initial state, goal states included and
-expanded like any other.  `label_goal_distances` adds the optimal distance
-to a goal for every state (None for dead ends, i.e. states from which no
-goal is reachable).
+expanded like any other.  The transitions are int64 arrays `src`, `dst` and
+`act`, stored by source state; `is_goal` is a bool array per state.
 
-Encoders and reports care about *alive-source* transitions: transitions
-whose source is solvable and not a goal.  Self loops count; transitions out
-of goal or dead-end states do not.
+`label_goal_distances` is the one place that decides the labeling the
+theory and the certificates range over:
+
+* `goal_dist`: optimal distance to a goal per state, -1 for dead ends
+  (states from which no goal is reachable);
+* `alive`: per state, solvable and not a goal;
+* `alive_t`: the ids, ascending, of the transitions leaving an alive state.
+  Self loops count; transitions out of goal or dead-end states do not.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from genpol.errors import LimitExceededError
 from genpol.pddl import GroundProblem
@@ -27,12 +34,15 @@ log = logging.getLogger(__name__)
 class StateSpace:
     gp: GroundProblem
     states: list  # id -> frozenset of atom ids; id 0 is the initial state
-    src: list  # transition id -> source state id
-    dst: list  # transition id -> target state id
-    act: list  # transition id -> ground action id
-    is_goal: list  # per state
-    goal_dist: list = None  # per state, None for dead ends; filled by labeling
-    out_start: list = field(default_factory=list)  # CSR offsets into src/dst/act
+    src: np.ndarray  # transition id -> source state id (int64, ascending)
+    dst: np.ndarray  # transition id -> target state id
+    act: np.ndarray  # transition id -> ground action id
+    is_goal: np.ndarray  # bool per state
+    out_start: np.ndarray  # CSR offsets into src/dst/act, n_states + 1
+    # Filled by label_goal_distances:
+    goal_dist: np.ndarray = None  # int64 per state, -1 for dead ends
+    alive: np.ndarray = None  # bool per state: solvable and not a goal
+    alive_t: np.ndarray = None  # int64 ids of transitions leaving alive states
 
     @property
     def n_states(self) -> int:
@@ -45,21 +55,8 @@ class StateSpace:
     def out_edges(self, state_id: int) -> range:
         return range(self.out_start[state_id], self.out_start[state_id + 1])
 
-    def is_solvable(self, state_id: int) -> bool:
-        return self.goal_dist[state_id] is not None
-
-    def is_deadend(self, state_id: int) -> bool:
-        return self.goal_dist[state_id] is None
-
-    def is_alive(self, state_id: int) -> bool:
-        return self.goal_dist[state_id] is not None and not self.is_goal[state_id]
-
-    def alive_transitions(self) -> list:
-        """Transition ids whose source is solvable and not a goal."""
-        return [t for t in range(len(self.src)) if self.is_alive(self.src[t])]
-
     def max_goal_distance(self) -> int:
-        return max((d for d in self.goal_dist if d is not None), default=0)
+        return int(self.goal_dist.max(initial=0))
 
 
 def expand(gp: GroundProblem, max_states: int = 10**6,
@@ -67,15 +64,12 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
     """Breadth-first complete expansion from the initial state."""
     init = gp.init
     index = {init: 0}
-    states = [init]
-    queue = deque([0])
-    src, dst, act = [], [], []
-    out_start = [0]
+    states = [init]  # also the BFS queue: the loop below walks it as it grows
+    src, dst, act = array("q"), array("q"), array("q")  # wrapped below, not copied
+    out_start = array("q", [0])
     actions = gp.actions
     applicable = gp.applicable
-    while queue:
-        sid = queue.popleft()
-        s = states[sid]
+    for sid, s in enumerate(states):
         for aid in applicable(s):
             a = actions[aid]
             t = (s - a.dele) | a.add
@@ -87,7 +81,6 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
                         f"more than {max_states} states in '{gp.instance.name}'")
                 index[t] = tid
                 states.append(t)
-                queue.append(tid)
             src.append(sid)
             dst.append(tid)
             act.append(aid)
@@ -95,33 +88,35 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
                 raise LimitExceededError(
                     f"more than {max_transitions} transitions in '{gp.instance.name}'")
         out_start.append(len(src))
-    # BFS pops states in id order, so out_start is already aligned with ids.
-    goal_flags = [gp.is_goal(s) for s in states]
-    return StateSpace(gp=gp, states=states, src=src, dst=dst, act=act,
-                      is_goal=goal_flags, out_start=out_start)
+    is_goal = np.fromiter(map(gp.is_goal, states), dtype=bool, count=len(states))
+    ids = lambda xs: np.frombuffer(xs, dtype=np.int64)
+    return StateSpace(gp=gp, states=states, src=ids(src), dst=ids(dst),
+                      act=ids(act), is_goal=is_goal, out_start=ids(out_start))
 
 
 def label_goal_distances(space: StateSpace) -> StateSpace:
-    """Fill per-state optimal goal distances via backward breadth-first search."""
+    """Fill `goal_dist`, `alive` and `alive_t` by one backward breadth-first
+    search, level by level, from all goal states at once."""
     n = space.n_states
-    radj = [[] for _ in range(n)]
-    for t in range(space.n_transitions):
-        radj[space.dst[t]].append(space.src[t])
-    dist = [None] * n
-    queue = deque()
-    for sid in range(n):
-        if space.is_goal[sid]:
-            dist[sid] = 0
-            queue.append(sid)
-    while queue:
-        v = queue.popleft()
-        d = dist[v] + 1
-        for u in radj[v]:
-            if dist[u] is None:
-                dist[u] = d
-                queue.append(u)
+    src, dst = space.src, space.dst
+    by_dst = np.argsort(dst)
+    pred = src[by_dst]  # predecessors of state v: pred[start[v]:start[v + 1]]
+    start = np.searchsorted(dst[by_dst], np.arange(n + 1))
+    dist = np.full(n, -1, dtype=np.int64)
+    frontier = np.flatnonzero(space.is_goal)
+    d = 0
+    while len(frontier):
+        dist[frontier] = d
+        d += 1
+        lo, count = start[frontier], start[frontier + 1] - start[frontier]
+        ends = np.cumsum(count)  # the frontier's predecessor slots, concatenated:
+        at = np.arange(ends[-1]) + np.repeat(lo - (ends - count), count)
+        p = pred[at]
+        frontier = np.unique(p[dist[p] < 0])
     space.goal_dist = dist
-    if dist[0] is None:
+    space.alive = (dist >= 0) & ~space.is_goal
+    space.alive_t = np.flatnonzero(space.alive[src])
+    if dist[0] < 0:
         log.warning("initial state of '%s' is a dead end: no goal is reachable",
                     space.gp.instance.name)
     return space
@@ -148,9 +143,6 @@ class SampleSet:
             off += sp.n_states
         self.n_states = off
 
-    def globalize(self, space_idx: int, state_id: int) -> int:
-        return self.offsets[space_idx] + state_id
-
     def iter_states(self):
         """Yields (global_id, space, local_id)."""
         for k, sp in enumerate(self.spaces):
@@ -159,14 +151,14 @@ class SampleSet:
                 yield off + sid, sp, sid
 
     def iter_alive_transitions(self):
-        """Yields (space_idx, transition_id, global_src, global_dst)."""
+        """Yields (space_idx, transition_id, global_src, global_dst), as ints."""
         for k, sp in enumerate(self.spaces):
-            off = self.offsets[k]
-            for t in sp.alive_transitions():
-                yield k, t, off + sp.src[t], off + sp.dst[t]
+            off, t = self.offsets[k], sp.alive_t
+            yield from zip(repeat(k), t.tolist(), (sp.src[t] + off).tolist(),
+                           (sp.dst[t] + off).tolist())
 
     def n_alive_transitions(self) -> int:
-        return sum(len(sp.alive_transitions()) for sp in self.spaces)
+        return sum(len(sp.alive_t) for sp in self.spaces)
 
     def max_goal_distance(self) -> int:
         return max(sp.max_goal_distance() for sp in self.spaces)
@@ -181,14 +173,14 @@ def dump_transitions(space: StateSpace) -> str:
     """
     if space.goal_dist is None:
         raise ValueError("label the space before dumping")
-    fmt_d = lambda d: "-" if d is None else str(d)
+    goal = space.is_goal.astype(int).tolist()
+    dist = space.goal_dist.tolist()
+    names = [a.name for a in space.gp.actions]
     lines = []
-    for t in range(space.n_transitions):
-        s, d = space.src[t], space.dst[t]
+    for s, d, a in zip(space.src.tolist(), space.dst.tolist(), space.act.tolist()):
         lines.append(" ".join([
-            str(s), str(d), space.gp.actions[space.act[t]].name,
-            str(int(space.is_goal[s])), str(int(space.is_goal[d])),
-            str(int(space.goal_dist[s] is None)), str(int(space.goal_dist[d] is None)),
-            fmt_d(space.goal_dist[s]), fmt_d(space.goal_dist[d]),
+            str(s), str(d), names[a], str(goal[s]), str(goal[d]),
+            str(int(dist[s] < 0)), str(int(dist[d] < 0)),
+            "-" if dist[s] < 0 else str(dist[s]), "-" if dist[d] < 0 else str(dist[d]),
         ]))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -201,7 +201,7 @@ def policy_exists(space, matrix_rows, phi, v_slack):
     members = []
     for t in range(space.n_transitions):
         s, d = space.src[t], space.dst[t]
-        if not space.is_alive(s):
+        if not space.alive[s]:
             continue
         code = []
         for f in phi:
@@ -213,12 +213,12 @@ def policy_exists(space, matrix_rows, phi, v_slack):
         members[c].append(t)
 
     candidates = {c for c, ts in enumerate(members)
-                  if all(not space.is_deadend(space.dst[t]) for t in ts)}
+                  if all(not space.goal_dist[space.dst[t]] < 0 for t in ts)}
     state_classes = {}
     for c in candidates:
         for t in members[c]:
             state_classes.setdefault(space.src[t], set()).add(c)
-    alive = [s for s in range(space.n_states) if space.is_alive(s)]
+    alive = [s for s in range(space.n_states) if space.alive[s]]
 
     def v_feasible(good):
         """None when V labels exist; otherwise a witness set of classes."""
@@ -227,7 +227,7 @@ def policy_exists(space, matrix_rows, phi, v_slack):
         for c in good:
             for t in members[c]:
                 s, d = space.src[t], space.dst[t]
-                if space.is_goal[d] or space.is_deadend(d):
+                if space.is_goal[d] or space.goal_dist[d] < 0:
                     continue
                 adj.setdefault(s, set()).add(d)
                 edge_classes.setdefault((s, d), set()).add(c)
@@ -324,7 +324,7 @@ def certificate(policy, space, vals):
     order, acyclicity of the allowed moves among alive states (Kahn's
     algorithm), and those moves as {alive state: set of alive targets}."""
     alive = [s for s in range(space.n_states)
-             if space.goal_dist[s] is not None and not space.is_goal[s]]
+             if space.goal_dist[s] >= 0 and not space.is_goal[s]]
     alive_set = set(alive)
     allowed = {s: [] for s in alive}
     for t in range(space.n_transitions):
@@ -337,7 +337,7 @@ def certificate(policy, space, vals):
         if not allowed[s]:
             witness = f"alive state {s} has no compatible transition"
             break
-        into_dead = [t for t in allowed[s] if space.goal_dist[space.dst[t]] is None]
+        into_dead = [t for t in allowed[s] if space.goal_dist[space.dst[t]] < 0]
         if into_dead:
             t = into_dead[0]
             witness = (f"compatible transition {space.gp.actions[space.act[t]].name} "
@@ -361,7 +361,7 @@ def certificate(policy, space, vals):
 
     return {"n_compatible": sum(len(ts) for ts in allowed.values()),
             "complete": all(allowed[s] for s in alive),
-            "safe": all(space.goal_dist[space.dst[t]] is not None
+            "safe": all(space.goal_dist[space.dst[t]] >= 0
                         for ts in allowed.values() for t in ts),
             "witness": witness, "acyclic": removed == len(alive),
             "moves": moves}

@@ -190,8 +190,10 @@ def _make_toy(seed):
     sp = space.StateSpace(
         gp=SimpleNamespace(instance=SimpleNamespace(name=f"toy-{seed}")),
         states=[frozenset([i]) for i in range(n)],
-        src=src, dst=dst, act=list(range(len(edges))),
-        is_goal=[s in goals for s in range(n)], out_start=out_start)
+        src=np.array(src, dtype=np.int64), dst=np.array(dst, dtype=np.int64),
+        act=np.arange(len(edges), dtype=np.int64),
+        is_goal=np.array([s in goals for s in range(n)], dtype=bool),
+        out_start=np.array(out_start, dtype=np.int64))
     space.label_goal_distances(sp)
 
     n_feat = rng.randrange(2, 6)
@@ -199,7 +201,7 @@ def _make_toy(seed):
     for _f in range(n_feat):
         kind = rng.random()
         if kind < 0.35:
-            rows.append([min(sp.goal_dist[s], 3) if sp.goal_dist[s] is not None
+            rows.append([min(sp.goal_dist[s], 3) if sp.goal_dist[s] >= 0
                          else 3 for s in range(n)])
         elif kind < 0.55:
             rows.append([int(s in goals) for s in range(n)])

@@ -125,9 +125,9 @@ def test_descend_skips_goal_and_dead_targets():
                            v_slack=2)
     sp = bsample.spaces[0]
     expected = 0
-    for t in sp.alive_transitions():
+    for t in sp.alive_t:
         did = sp.dst[t]
-        if sp.goal_dist[did] is not None and not sp.is_goal[did]:
+        if sp.goal_dist[did] >= 0 and not sp.is_goal[did]:
             expected += len(btheory.v_dom[sp.src[t]])
     assert btheory.tags.count("descend") == expected
 
@@ -139,7 +139,7 @@ def test_cover_clauses_one_per_alive_state():
     classes, class_of = compute_classes(sample, matrix)
     theory = build_theory(sample, pool, matrix, classes, class_of)
     sp = sample.spaces[0]
-    n_alive_states = sum(1 for s in range(sp.n_states) if sp.is_alive(s))
+    n_alive_states = sum(1 for s in range(sp.n_states) if sp.alive[s])
     assert theory.tags.count("cover") == n_alive_states
 
 

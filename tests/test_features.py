@@ -10,7 +10,7 @@ import pytest
 
 import domains
 import oracles
-from genpol import features, pddl, space
+from genpol import concepts as co, features, pddl, space
 from genpol.errors import ArityError, GenpolError, LimitExceededError
 from genpol.features import (CardinalityFeature, DistanceFeature,
                              NullaryFeature)
@@ -150,6 +150,27 @@ def test_pool_order_is_weight_then_name():
     pool, _ = features.generate_pool(sample, max_weight=4)
     keys = [(f.weight, f.render()) for f in pool.features]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("domain_text,instance_text,goal_params,k", [
+    (domains.BLOCKS_DOMAIN, domains.clear_tower_instance(5), ("b1",), 4),
+    (domains.GRIPPER_DOMAIN, domains.gripper_instance(4), (), 8),
+    (domains.VISITALL_DOMAIN, domains.visitall_instance(3, 3, (1, 1)), (), 6),
+], ids=["clear", "gripper", "visitall"])
+def test_pool_weights_are_complexities(domain_text, instance_text, goal_params, k):
+    # The paper's cost of a feature: 1 for a nullary atom, the syntax-tree
+    # size of C for |C|, and the sum over the four components of a Dist.
+    sample = _sample(domain_text, instance_text, goal_params)
+    pool, _ = features.generate_pool(sample, max_weight=k)
+    for f, w in zip(pool.features, pool.weights.tolist()):
+        if isinstance(f, NullaryFeature):
+            want = 1
+        elif isinstance(f, CardinalityFeature):
+            want = co.complexity(f.concept)
+        else:
+            want = sum(co.complexity(e) for e in (f.source, f.role, f.restrict,
+                                                  f.target))
+        assert f.weight == w == want, f.render()
 
 
 def test_known_useful_features_survive():

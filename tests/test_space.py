@@ -75,7 +75,7 @@ def test_training_instance_sizes():
     for dom_text, inst_text, gparams, n_states, n_alive, diameter in cases:
         sp = space.expand_labeled(_ground(dom_text, inst_text, gparams))
         assert sp.n_states == n_states
-        assert len(sp.alive_transitions()) == n_alive
+        assert len(sp.alive_t) == n_alive
         assert sp.max_goal_distance() == diameter
 
 
@@ -90,28 +90,44 @@ def test_out_edges_csr_consistency():
     assert total == sp.n_transitions
 
 
-def test_goal_distances_are_shortest():
+def test_clear_tower_goal_distance():
     gp = _ground(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(3), ("b1",))
     sp = space.expand_labeled(gp)
     # Clearing the bottom of a 3-tower: unstack, put down, unstack again.
     assert sp.goal_dist[0] == 3
-    # Every non-goal solvable state has a successor one step closer.
+
+
+@pytest.mark.parametrize("domain_text,instance_text,goal_params", [
+    (domains.GRIPPER_DOMAIN, domains.gripper_instance(2), ()),
+    (domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4), ("b1",)),
+    (domains.VISITALL_DOMAIN, domains.visitall_instance(2, 2, (0, 0)), ()),
+    (ONEWAY_DOMAIN, ONEWAY_INSTANCE, ()),
+], ids=["gripper-2", "blocks-4", "visitall-2x2", "oneway"])
+def test_goal_distances_are_shortest(domain_text, instance_text, goal_params):
+    sp = space.expand_labeled(_ground(domain_text, instance_text, goal_params))
+    dist = sp.goal_dist.tolist()
     for sid in range(sp.n_states):
-        if not sp.is_alive(sid):
-            continue
-        best = min(sp.goal_dist[sp.dst[t]] for t in sp.out_edges(sid)
-                   if sp.goal_dist[sp.dst[t]] is not None)
-        assert sp.goal_dist[sid] == best + 1
+        succ = [dist[sp.dst[t]] for t in sp.out_edges(sid) if dist[sp.dst[t]] >= 0]
+        if sp.is_goal[sid]:
+            assert dist[sid] == 0
+        elif succ:
+            assert dist[sid] == 1 + min(succ)
+        else:
+            assert dist[sid] == -1
+    alive = [dist[s] >= 0 and not sp.is_goal[s] for s in range(sp.n_states)]
+    assert sp.alive.tolist() == alive
+    assert sp.alive_t.tolist() == [t for t in range(sp.n_transitions)
+                                   if alive[sp.src[t]]]
 
 
 def test_dead_end_states_and_alive_filter():
     sp = space.expand_labeled(_ground(ONEWAY_DOMAIN, ONEWAY_INSTANCE))
     assert sp.n_states == 3
-    assert sp.goal_dist == [1, None, 0]
-    assert sp.is_deadend(1) and not sp.is_deadend(0)
+    assert sp.goal_dist.tolist() == [1, -1, 0]
+    assert sp.goal_dist[1] < 0 and not sp.goal_dist[0] < 0
     # Only the two transitions out of the (alive) initial state count.
-    assert len(sp.alive_transitions()) == 2
-    assert sp.is_goal[2] and sp.is_solvable(2) and not sp.is_alive(2)
+    assert len(sp.alive_t) == 2
+    assert sp.is_goal[2] and sp.goal_dist[2] >= 0 and not sp.alive[2]
 
 
 def test_goal_states_are_expanded_not_pruned():
@@ -125,7 +141,7 @@ def test_goal_states_are_expanded_not_pruned():
     assert any(len(sp.out_edges(g)) > 0 for g in goal_ids)
     for g in goal_ids:
         for t in sp.out_edges(g):
-            assert t not in sp.alive_transitions()
+            assert t not in sp.alive_t
 
 
 def test_expansion_limits_raise():
@@ -144,12 +160,12 @@ def test_sample_set_offsets_and_global_ids():
     sample = space.SampleSet([sp1, sp2])
     assert sample.offsets == [0, sp1.n_states]
     assert sample.n_states == sp1.n_states + sp2.n_states
-    assert sample.globalize(1, 3) == sp1.n_states + 3
+    assert sample.offsets[1] + 3 == sp1.n_states + 3
     seen = [g for g, _, _ in sample.iter_states()]
     assert seen == list(range(sample.n_states))
     alive = list(sample.iter_alive_transitions())
     assert len(alive) == sample.n_alive_transitions()
-    assert len(alive) == len(sp1.alive_transitions()) + len(sp2.alive_transitions())
+    assert len(alive) == len(sp1.alive_t) + len(sp2.alive_t)
     for k, t, gsrc, gdst in alive:
         sp = sample.spaces[k]
         assert gsrc == sample.offsets[k] + sp.src[t]
@@ -175,8 +191,8 @@ def test_dump_transitions_format():
         s, d = int(parts[0]), int(parts[1])
         assert parts[3] == str(int(sp.is_goal[s]))
         assert parts[4] == str(int(sp.is_goal[d]))
-        assert parts[7] == ("-" if sp.goal_dist[s] is None else str(sp.goal_dist[s]))
-        assert parts[8] == ("-" if sp.goal_dist[d] is None else str(sp.goal_dist[d]))
+        assert parts[7] == ("-" if sp.goal_dist[s] < 0 else str(sp.goal_dist[s]))
+        assert parts[8] == ("-" if sp.goal_dist[d] < 0 else str(sp.goal_dist[d]))
     # The burned state is a dead end and must be flagged as such.
     dead_lines = [l for l in lines if l.split()[6] == "1"]
     assert len(dead_lines) == 1
