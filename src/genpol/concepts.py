@@ -1,9 +1,12 @@
 """Description logic concepts and roles over planning states.
 
-Concepts denote sets of objects, roles denote binary relations; both are
-evaluated against a single state of a ground instance.  Denotations are
-bitmasks over the instance's (sorted) object list, roles are tuples of
-per-object successor masks.
+Concepts denote sets of objects, roles denote binary relations.  Both are
+evaluated over many states at once, possibly of several instances of one
+domain (`state_context`): a set of objects is a row of uint64 words, one
+bit per object of the instance's sorted object list, so a concept is an
+array [states, words] and a role one of per-object successor sets
+[states, objects, words].  Distances are breadth-first searches run in all
+states together.
 
 The grammar: primitive concepts (unary predicates and type names), goal
 versions of goal-relevant predicates, nominals for constants and declared
@@ -21,6 +24,9 @@ Role suffixes: ``_g`` goal version, ``_inv`` inverse, ``_plus`` closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from genpol.errors import GenpolError
 
@@ -226,79 +232,126 @@ def parse_expression(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation contexts
+# Evaluation over sets of states
 # ---------------------------------------------------------------------------
 
+def _words(n: int) -> int:
+    """uint64 words in a set of n objects; at least one."""
+    return max(1, -(-n // 64))
+
+
+def pack(bits: np.ndarray, words: int) -> np.ndarray:
+    """bool [..., n] -> uint64 [..., words]; object j is bit j % 64 of
+    word j // 64."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    short = 8 * words - packed.shape[-1]
+    if short:
+        packed = np.concatenate(
+            [packed, np.zeros(packed.shape[:-1] + (short,), dtype=np.uint8)], axis=-1)
+    return packed.view("<u8")
+
+
 class InstanceContext:
-    """Per-instance constants: object numbering, types, goal denotations."""
+    """Per-instance constants: the object numbering, where each ground atom
+    goes in a state's atom table, and the state-independent denotations
+    (Top, types, goal versions, nominals) as sets of `words` words."""
 
     def __init__(self, gp):
         self.gp = gp
         self.objects = gp.objects  # sorted names
         self.index = {o: i for i, o in enumerate(self.objects)}
-        self.n = len(self.objects)
-        self.universe = (1 << self.n) - 1
+        n = self.n = len(self.objects)
+        self.words = _words(n)
         dom = gp.domain
 
-        self.type_masks = {}
-        for t in dom.types:
-            mask = 0
-            for o, i in self.index.items():
-                if dom.is_subtype(gp.object_types[o], t):
-                    mask |= 1 << i
-            self.type_masks[t] = mask
+        def objects(names):
+            bits = np.zeros(n, dtype=bool)
+            bits[[self.index[o] for o in names]] = True
+            return pack(bits, self.words)
 
-        goal_atoms = [gp.atoms[a] for a in gp.goal]
-        self.goal_unary = {}
-        self.goal_roles = {}
-        for atom in goal_atoms:
+        self.top = objects(self.objects)
+        self.type_masks = {
+            t: objects([o for o in self.objects
+                        if dom.is_subtype(gp.object_types[o], t)])
+            for t in dom.types}
+
+        goal_unary: dict = {}
+        goal_roles: dict = {}
+        for atom in (gp.atoms[a] for a in gp.goal):
             pred, args = atom[0], atom[1:]
             if len(args) == 1:
-                self.goal_unary[pred] = self.goal_unary.get(pred, 0) | (1 << self.index[args[0]])
+                goal_unary.setdefault(pred, []).append(args[0])
             elif len(args) == 2:
-                rows = self.goal_roles.setdefault(pred, [0] * self.n)
-                rows[self.index[args[0]]] |= 1 << self.index[args[1]]
-        self.goal_roles = {p: tuple(r) for p, r in self.goal_roles.items()}
+                rows = goal_roles.setdefault(pred, np.zeros((n, n), dtype=bool))
+                rows[self.index[args[0]], self.index[args[1]]] = True
+        self.goal_unary = {p: objects(names) for p, names in goal_unary.items()}
+        self.goal_roles = {p: pack(rows, self.words) for p, rows in goal_roles.items()}
 
         # Nominals: domain constants by name, goal parameters by position
         # ("goal0", "goal1", ...) so the same feature re-binds to the goal
         # arguments of whatever instance it is evaluated on.
-        self.nominals = {}
-        for name, _ in dom.constants:
-            self.nominals[name] = 1 << self.index[name]
+        self.nominals = {name: objects([name]) for name, _ in dom.constants}
         for i, name in enumerate(gp.instance.goal_params):
-            self.nominals[f"goal{i}"] = 1 << self.index[name]
+            self.nominals[f"goal{i}"] = objects([name])
 
-        # Predicate bookkeeping for fast state contexts.
+        # A state's atom table is one uint64 row: `words` words per unary
+        # predicate and per (binary predicate, first object), then one
+        # column per other predicate that counts its atoms.  Each atom adds
+        # its bit to one cell; the atoms of a state add distinct bits to a
+        # set's cell, so adding them up is or-ing them.
         self.unary_preds = sorted(p.name for p in dom.predicates.values() if p.arity == 1)
         self.binary_preds = sorted(p.name for p in dom.predicates.values() if p.arity == 2)
-        self._atom_kind = []
-        for atom in gp.atoms:
-            arity = len(atom) - 1
-            if arity == 1:
-                self._atom_kind.append((1, atom[0], self.index[atom[1]]))
-            elif arity == 2:
-                self._atom_kind.append((2, atom[0], self.index[atom[1]], self.index[atom[2]]))
-            else:
-                self._atom_kind.append((0, atom[0]))
+        self.flag_preds = sorted(p.name for p in dom.predicates.values()
+                                 if p.arity not in (1, 2))
+        w = self.words
+        unary = {p: k * w for k, p in enumerate(self.unary_preds)}
+        binary = {p: (len(unary) + k * n) * w for k, p in enumerate(self.binary_preds)}
+        self._flag0 = (len(unary) + len(binary) * n) * w
+        self._width = self._flag0 + len(self.flag_preds)
+        flag = {p: self._flag0 + k for k, p in enumerate(self.flag_preds)}
 
-    def atomic_concept(self, expr, unary: dict):
-        """Denotation of an atomic concept.  `unary` maps each unary
-        predicate to its mask in the state at hand, or to a column of masks
-        over many states; the result is then a mask or such a column."""
-        if isinstance(expr, PrimitiveConcept):
-            mask = unary.get(expr.name)
-            if mask is None:
-                raise GenpolError(f"unknown unary predicate '{expr.name}'")
-            return mask
+        def place(atom):
+            """The first cell of an atom's set and its object; a flag's
+            bit is that of object 0."""
+            if len(atom) == 2:
+                return unary[atom[0]], self.index[atom[1]]
+            if len(atom) == 3:
+                return binary[atom[0]] + self.index[atom[1]] * w, self.index[atom[2]]
+            return flag[atom[0]], 0
+
+        where = np.fromiter(chain.from_iterable(map(place, gp.atoms)), dtype=np.int64,
+                            count=2 * len(gp.atoms)).reshape(-1, 2)
+        self._slot = where[:, 0] + where[:, 1] // 64
+        self._bit = np.left_shift(np.uint64(1), (where[:, 1] % 64).astype(np.uint64))
+
+    def tables(self, states):
+        """The atoms of `states`: unary sets [S, U, words], binary successor
+        sets [S, B, n, words] and flags bool [S, F], S = len(states), in
+        the order of `unary_preds`, `binary_preds` and `flag_preds`."""
+        n_states, width = len(states), self._width
+        lens = np.fromiter(map(len, states), dtype=np.int64, count=n_states)
+        atoms = np.fromiter(chain.from_iterable(states), dtype=np.int64,
+                            count=int(lens.sum()))
+        table = np.zeros(n_states * width, dtype=np.uint64)
+        np.add.at(table, np.repeat(np.arange(n_states) * width, lens)
+                  + self._slot[atoms], self._bit[atoms])
+        table = table.reshape(n_states, width)
+        sets = len(self.unary_preds) * self.words
+        return (table[:, :sets].reshape(n_states, len(self.unary_preds), self.words),
+                table[:, sets:self._flag0].reshape(n_states, len(self.binary_preds),
+                                                   self.n, self.words),
+                table[:, self._flag0:] > 0)
+
+    def atomic_concept(self, expr) -> np.ndarray:
+        """Denotation of a state-independent atomic concept."""
         if isinstance(expr, Top):
-            return self.universe
+            return self.top
         if isinstance(expr, Bot):
-            return 0
+            return np.zeros(self.words, dtype=np.uint64)
         if isinstance(expr, GoalConcept):
-            if expr.name not in unary:
+            if expr.name not in self.unary_preds:
                 raise GenpolError(f"unknown unary predicate '{expr.name}'")
-            return self.goal_unary.get(expr.name, 0)
+            return self.goal_unary.get(expr.name, np.zeros(self.words, dtype=np.uint64))
         if isinstance(expr, TypeConcept):
             mask = self.type_masks.get(expr.name)
             if mask is None:
@@ -313,162 +366,160 @@ class InstanceContext:
             return mask
         raise TypeError(f"not a concept: {expr!r}")
 
-    def atomic_role(self, expr, rows: dict):
-        """Denotation of a primitive or goal role; `rows` maps each binary
-        predicate to its successor masks in the state(s) at hand, as
-        `unary` does for `atomic_concept`."""
-        if isinstance(expr, PrimitiveRole):
-            got = rows.get(expr.name)
-            if got is None:
-                raise GenpolError(f"unknown binary predicate '{expr.name}'")
-            return got
-        if isinstance(expr, GoalRole):
-            got = self.goal_roles.get(expr.name)
-            if got is None:
-                if expr.name not in rows:
-                    raise GenpolError(f"unknown binary predicate '{expr.name}'")
-                got = (0,) * self.n
-            return got
-        raise TypeError(f"not a role: {expr!r}")
+    def goal_role(self, name: str) -> np.ndarray:
+        """Successor sets [n, words] of the goal version of a binary predicate."""
+        got = self.goal_roles.get(name)
+        if got is None:
+            if name not in self.binary_preds:
+                raise GenpolError(f"unknown binary predicate '{name}'")
+            got = np.zeros((self.n, self.words), dtype=np.uint64)
+        return got
+
+
+def _padded(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """`a` zero-padded to `shape`."""
+    if a.shape == shape:
+        return a
+    out = np.zeros(shape, dtype=a.dtype)
+    out[tuple(map(slice, a.shape))] = a
+    return out
 
 
 class StateContext:
-    """Denotation cache for one state; create via `state_context`."""
+    """Denotations over many states at once; create via `state_context`.
 
-    __slots__ = ("ictx", "unary", "rows", "nullary", "memo")
-
-    def __init__(self, ictx, unary, rows, nullary):
-        self.ictx = ictx
-        self.unary = unary        # pred -> mask
-        self.rows = rows          # pred -> tuple of masks
-        self.nullary = nullary    # set of true nullary predicate names
-        self.memo = {}
-
-
-def state_context(ictx: InstanceContext, state) -> StateContext:
-    unary = dict.fromkeys(ictx.unary_preds, 0)
-    rows = {p: [0] * ictx.n for p in ictx.binary_preds}
-    nullary = set()
-    kinds = ictx._atom_kind
-    for atom_id in state:
-        k = kinds[atom_id]
-        if k[0] == 1:
-            unary[k[1]] |= 1 << k[2]
-        elif k[0] == 2:
-            rows[k[1]][k[2]] |= 1 << k[3]
-        else:
-            nullary.add(k[1])
-    rows = {p: tuple(r) for p, r in rows.items()}
-    return StateContext(ictx, unary, rows, nullary)
-
-
-def _closure(rows, n) -> tuple:
-    """Non-reflexive transitive closure of a relation given as successor masks."""
-    out = list(rows)
-    for k in range(n):
-        bit = 1 << k
-        row_k = out[k]
-        if not row_k:
-            continue
-        for i in range(n):
-            if out[i] & bit:
-                out[i] |= row_k
-    # A second sweep is unnecessary: bitset Floyd-Warshall is complete in one
-    # pass over intermediates.
-    return tuple(out)
-
-
-def eval_role(expr, ctx: StateContext) -> tuple:
-    memo = ctx.memo
-    got = memo.get(expr)
-    if got is not None:
-        return got
-    ictx = ctx.ictx
-    if isinstance(expr, (PrimitiveRole, GoalRole)):
-        rows = ictx.atomic_role(expr, ctx.rows)
-    elif isinstance(expr, InverseRole):
-        base = eval_role(expr.base, ctx)
-        out = [0] * ictx.n
-        for i, row in enumerate(base):
-            bit = 1 << i
-            m = row
-            while m:
-                low = m & -m
-                out[low.bit_length() - 1] |= bit
-                m ^= low
-        rows = tuple(out)
-    elif isinstance(expr, ClosureRole):
-        rows = _closure(eval_role(expr.base, ctx), ictx.n)
-    else:
-        raise TypeError(f"not a role: {expr!r}")
-    memo[expr] = rows
-    return rows
-
-
-def eval_concept(expr, ctx: StateContext) -> int:
-    memo = ctx.memo
-    got = memo.get(expr)
-    if got is not None:
-        return got
-    ictx = ctx.ictx
-    if isinstance(expr, _ATOMIC_CONCEPTS):
-        mask = ictx.atomic_concept(expr, ctx.unary)
-    elif isinstance(expr, Not):
-        mask = ictx.universe & ~eval_concept(expr.child, ctx)
-    elif isinstance(expr, And):
-        mask = eval_concept(expr.left, ctx) & eval_concept(expr.right, ctx)
-    elif isinstance(expr, Exists):
-        child = eval_concept(expr.child, ctx)
-        mask = 0
-        for i, row in enumerate(eval_role(expr.role, ctx)):
-            if row & child:
-                mask |= 1 << i
-    elif isinstance(expr, Forall):
-        bad = ictx.universe & ~eval_concept(expr.child, ctx)
-        mask = 0
-        for i, row in enumerate(eval_role(expr.role, ctx)):
-            if not row & bad:
-                mask |= 1 << i
-    elif isinstance(expr, RoleEqual):
-        left = eval_role(expr.left, ctx)
-        right = eval_role(expr.right, ctx)
-        mask = 0
-        for i in range(ictx.n):
-            if left[i] == right[i]:
-                mask |= 1 << i
-    else:
-        raise TypeError(f"not a concept: {expr!r}")
-    memo[expr] = mask
-    return mask
-
-
-def bfs_distance(sources: int, rows, restrict: int, targets: int, n: int) -> int:
-    """Minimum number of role steps from `sources` to `targets`.
-
-    Steps follow pairs (x, y) of the role whose target y lies in `restrict`.
-    Returns 0 when a source is already a target, and n + 1 when the target
-    set is unreachable or either end is empty.
+    The states are those of `parts`, (InstanceContext, states) pairs of one
+    domain, concatenated.  With n the most objects of any instance (at
+    least one), a concept is a uint64 array [n_states, words] of object
+    sets and a role an array [n_states, n, words] of successor sets, empty
+    past an instance's own objects.  Denotations are memoized in `memo`.
     """
-    if not sources or not targets:
-        return n + 1
-    seen = cur = sources
-    dist = 0
-    while True:
-        if cur & targets:
-            return dist
-        nxt = 0
-        m = cur
-        while m:
-            low = m & -m
-            nxt |= rows[low.bit_length() - 1]
-            m ^= low
-        nxt &= restrict & ~seen
-        if not nxt:
-            return n + 1
-        seen |= nxt
-        cur = nxt
-        dist += 1
+
+    def __init__(self, parts):
+        self.ictxs = [ictx for ictx, _ in parts]
+        self.sizes = [len(states) for _, states in parts]
+        self.n_states = sum(self.sizes)
+        self.domain = self.ictxs[0].gp.domain
+        self.n = max(1, max(c.n for c in self.ictxs))
+        self.words = _words(self.n)
+        self.n_objs = np.repeat([c.n for c in self.ictxs], self.sizes)
+        self.memo: dict = {}
+
+        ictx0 = self.ictxs[0]
+        tables = [ictx.tables(states) for ictx, states in parts]
+        shapes = [(len(ictx0.unary_preds), self.words),
+                  (len(ictx0.binary_preds), self.n, self.words),
+                  (len(ictx0.flag_preds),)]
+        unary, rows, flags = (
+            np.concatenate([_padded(a, a.shape[:1] + tail) for a in got])
+            for got, tail in zip(zip(*tables), shapes))
+        self.unary = {p: unary[:, k] for k, p in enumerate(ictx0.unary_preds)}
+        self.rows = {p: rows[:, k] for k, p in enumerate(ictx0.binary_preds)}
+        self.flags = {p: flags[:, k].astype(np.int64)
+                      for k, p in enumerate(ictx0.flag_preds)}
+        self.universe = self.constant([c.top for c in self.ictxs])
+
+    def constant(self, values) -> np.ndarray:
+        """Per-state array of a per-instance set (or successor sets), given
+        for each part."""
+        shape = (self.words,) if values[0].ndim == 1 else (self.n, self.words)
+        rows = np.stack([_padded(v, shape) for v in values])
+        return np.repeat(rows, self.sizes, axis=0)
+
+    def pack(self, bits: np.ndarray) -> np.ndarray:
+        return pack(bits, self.words)
+
+    def members(self, sets: np.ndarray) -> np.ndarray:
+        """uint64 [..., words] -> bool [..., n]; inverse of `pack`."""
+        octets = np.ascontiguousarray(sets, dtype="<u8").view(np.uint8)
+        return np.unpackbits(octets, axis=-1, count=self.n, bitorder="little").view(bool)
+
+    def popcounts(self, col: np.ndarray) -> np.ndarray:
+        return self.members(col).sum(axis=-1, dtype=np.int64)
+
+    # -- denotations -------------------------------------------------------
+
+    def concept(self, expr) -> np.ndarray:
+        got = self.memo.get(expr)
+        if got is None:
+            got = self.memo[expr] = self.compose(expr)
+        return got
+
+    def compose(self, expr) -> np.ndarray:
+        """Denotation of a concept from its children's memoized ones; the
+        concept itself is not memoized."""
+        if isinstance(expr, Not):
+            return self.universe & ~self.concept(expr.child)
+        if isinstance(expr, And):
+            return self.concept(expr.left) & self.concept(expr.right)
+        if isinstance(expr, Exists):
+            child = self.concept(expr.child)
+            return self.pack((self.role(expr.role) & child[:, None]).any(axis=-1))
+        if isinstance(expr, Forall):
+            bad = self.role(expr.role) & ~self.concept(expr.child)[:, None]
+            return self.pack(~bad.any(axis=-1)) & self.universe
+        if isinstance(expr, RoleEqual):
+            same = (self.role(expr.left) == self.role(expr.right)).all(axis=-1)
+            return self.pack(same) & self.universe
+        if isinstance(expr, PrimitiveConcept):
+            got = self.unary.get(expr.name)
+            if got is None:
+                raise GenpolError(f"unknown unary predicate '{expr.name}'")
+            return got
+        return self.constant([c.atomic_concept(expr) for c in self.ictxs])
+
+    def role(self, expr) -> np.ndarray:
+        got = self.memo.get(expr)
+        if got is not None:
+            return got
+        if isinstance(expr, PrimitiveRole):
+            got = self.rows.get(expr.name)
+            if got is None:
+                raise GenpolError(f"unknown binary predicate '{expr.name}'")
+        elif isinstance(expr, GoalRole):
+            got = self.constant([c.goal_role(expr.name) for c in self.ictxs])
+        elif isinstance(expr, InverseRole):
+            got = self.pack(self.members(self.role(expr.base)).swapaxes(1, 2))
+        elif isinstance(expr, ClosureRole):
+            # Bitset Floyd-Warshall: one pass over the intermediates k adds
+            # row k to every row that reaches k.
+            got = self.role(expr.base).copy()
+            for k in range(self.n):
+                word, bit = divmod(k, 64)
+                via = (got[:, :, word] >> np.uint64(bit)) & np.uint64(1)
+                got |= np.where(via[:, :, None] != 0, got[:, k:k + 1], np.uint64(0))
+        else:
+            raise TypeError(f"not a role: {expr!r}")
+        self.memo[expr] = got
+        return got
+
+    # -- distances ---------------------------------------------------------
+
+    def distance_map(self, sources, rows, restrict) -> np.ndarray:
+        """Breadth-first search in every state at once: [n_states, n] role
+        steps from `sources` to each object, the steps entering `restrict`
+        only; n + 1 where unreachable, with each state's own n."""
+        dmap = np.repeat((self.n_objs + 1)[:, None], self.n, axis=1)
+        seen = cur = sources
+        dist = 0
+        while cur.any():
+            at = self.members(cur)
+            dmap[at] = dist
+            step = np.bitwise_or.reduce(
+                np.where(at[:, :, None], rows, np.uint64(0)), axis=1)
+            cur = step & restrict & ~seen
+            seen = seen | cur
+            dist += 1
+        return dmap
+
+    def min_distance(self, dmap: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Per state, the least `dmap` entry over `targets`: the number of
+        steps to the nearest target, n + 1 when there is none."""
+        return np.where(self.members(targets), dmap,
+                        (self.n_objs + 1)[:, None]).min(axis=1)
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
+def state_context(parts) -> StateContext:
+    """Denotations over the states of `parts`, (InstanceContext, states)
+    pairs of one domain."""
+    return StateContext(parts)

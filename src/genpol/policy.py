@@ -9,6 +9,11 @@ strictly up/down for numerics) and every unmentioned feature keeps its exact
 value.  A transition is policy-compatible when some rule with a satisfied
 body has a matching alternative.
 
+Feature values come as int64 tables, one row per state (`Policy.evaluate`),
+and compatibility is decided for many transitions at once
+(`Policy.compatible_mask`): for every transition of a space in
+verification, for one state's successors at each greedy step.
+
 Extraction turns the good equivalence classes of a theory model into rules:
 classes are grouped by the source valuation (one rule per distinct body) and
 each class contributes its change profile as one alternative.
@@ -24,13 +29,15 @@ import numpy as np
 from genpol import concepts as co
 from genpol.encoding import FLAT, UP, validate_solution
 from genpol.errors import InternalInvariantError, PolicyError
-from genpol.features import MAX_BATCH_OBJECTS, feature_values, parse_feature
+from genpol.features import parse_feature
 from genpol.space import expand_labeled
 
 SET_TRUE = "set"
 SET_FALSE = "clear"
 INC = "inc"
 DEC = "dec"
+
+BLOCK_STATES = 8192  # states evaluated together by `Policy.evaluate`
 
 
 @dataclass(frozen=True)
@@ -50,9 +57,6 @@ class Rule:
     body: tuple        # Conditions, sorted by feature
     alternatives: tuple  # tuples of Effects, each sorted by feature
 
-    def body_satisfied(self, values) -> bool:
-        return all((values[c.feature] > 0) == c.positive for c in self.body)
-
 
 class Policy:
     def __init__(self, features: list, rules: list):
@@ -61,42 +65,25 @@ class Policy:
 
     # -- semantics ---------------------------------------------------------
 
-    def evaluate(self, sctx: co.StateContext) -> tuple:
-        return tuple(f.evaluate(sctx) for f in self.features)
-
-    def _alternative_matches(self, alt, src, dst) -> bool:
-        mentioned = 0
-        for e in alt:
-            v0, v1 = src[e.feature], dst[e.feature]
-            if e.kind == SET_TRUE:
-                ok = v1 > 0
-            elif e.kind == SET_FALSE:
-                ok = v1 == 0
-            elif e.kind == INC:
-                ok = v1 > v0
-            else:
-                ok = v1 < v0
-            if not ok:
-                return False
-            mentioned |= 1 << e.feature
-        for f in range(len(self.features)):
-            if not (mentioned >> f) & 1 and src[f] != dst[f]:
-                return False
-        return True
+    def evaluate(self, ictx: co.InstanceContext, states) -> np.ndarray:
+        """int64 [len(states), n_features]: the feature values of states of
+        one instance, evaluated `BLOCK_STATES` states at a time."""
+        out = np.empty((len(states), len(self.features)), dtype=np.int64)
+        for lo in range(0, len(states), BLOCK_STATES):
+            ctx = co.state_context([(ictx, states[lo:lo + BLOCK_STATES])])
+            for j, f in enumerate(self.features):
+                out[lo:lo + BLOCK_STATES, j] = f.values(ctx)
+        return out
 
     def compatible(self, src, dst) -> bool:
         """Whether a transition with these feature valuations is a policy move."""
-        for rule in self.rules:
-            if not rule.body_satisfied(src):
-                continue
-            for alt in rule.alternatives:
-                if self._alternative_matches(alt, src, dst):
-                    return True
-        return False
+        return bool(self.compatible_mask(np.array([src], dtype=np.int64),
+                                         np.array([dst], dtype=np.int64))[0])
 
     def compatible_mask(self, src, dst) -> np.ndarray:
-        """`compatible` for many transitions at once: `src` and `dst` are
-        int arrays [n_transitions, n_features]; returns one bool each."""
+        """Whether each transition is a policy move: `src` and `dst` are int
+        arrays [n_transitions, n_features] of the feature valuations before
+        and after; returns one bool each."""
         same = src == dst
         out = np.zeros(len(src), dtype=bool)
         for rule in self.rules:
@@ -273,24 +260,22 @@ def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
         max_steps = 10 * max(4, len(gp.objects)) ** 2
     rng = random.Random(seed)
     ictx = co.InstanceContext(gp)
-    cache: dict = {}
-
-    def values(state):
-        got = cache.get(state)
-        if got is None:
-            got = policy.evaluate(co.state_context(ictx, state))
-            cache[state] = got
-        return got
-
+    cache: dict = {}  # state -> its feature values
     state = gp.init
     visited = {state}
     trajectory: list = []
     for step in range(max_steps):
         if gp.goal <= state:
             return ExecutionResult("goal", step, trajectory)
-        src_vals = values(state)
-        options = [(aid, nxt) for aid, nxt in gp.successors(state)
-                   if policy.compatible(src_vals, values(nxt))]
+        succ = gp.successors(state)
+        new = [s for s in dict.fromkeys([state] + [nxt for _, nxt in succ])
+               if s not in cache]
+        if new:
+            cache.update(zip(new, map(tuple, policy.evaluate(ictx, new).tolist())))
+        dst = np.array([cache[nxt] for _, nxt in succ], dtype=np.int64)
+        dst = dst.reshape(len(succ), len(policy.features))
+        src = np.broadcast_to(cache[state], dst.shape)
+        options = [succ[i] for i in np.flatnonzero(policy.compatible_mask(src, dst))]
         if not options:
             return ExecutionResult("no_compatible", step, trajectory)
         aid, nxt = options[0] if tie_break == "first" else rng.choice(options)
@@ -313,15 +298,6 @@ class VerifyResult:
     witness: str | None
     n_states: int
     n_compatible: int
-
-
-def _state_values(policy: Policy, gp, space):
-    """Feature values of every state of `space`, [n_states, n_features]:
-    batched when the instance fits in int64 masks, per state otherwise."""
-    ictx = co.InstanceContext(gp)
-    if ictx.n > MAX_BATCH_OBJECTS:
-        return [policy.evaluate(co.state_context(ictx, s)) for s in space.states]
-    return feature_values(policy.features, ictx, space.states)
 
 
 def _compatible(policy: Policy, space, vals) -> np.ndarray:
@@ -372,7 +348,8 @@ def verify_space(policy: Policy, space, vals) -> VerifyResult:
 def verify_exhaustive(policy: Policy, gp, max_states: int = 10 ** 6) -> VerifyResult:
     """`verify_space` on the full reachable space of a ground instance."""
     space = expand_labeled(gp, max_states=max_states)
-    return verify_space(policy, space, _state_values(policy, gp, space))
+    return verify_space(policy, space,
+                        policy.evaluate(co.InstanceContext(gp), space.states))
 
 
 def _find_cycle(roots: list, start: list, succ: list):
@@ -410,7 +387,8 @@ def check_descending(policy: Policy, gp, tuple_values,
     given tuple lexicographically.  `tuple_values(state) -> tuple`.
     Returns (holds, witness transition or None)."""
     space = expand_labeled(gp, max_states=max_states)
-    compat = _compatible(policy, space, _state_values(policy, gp, space))
+    compat = _compatible(policy, space,
+                         policy.evaluate(co.InstanceContext(gp), space.states))
     tups = [tuple_values(s) for s in space.states]
     for sid, did, aid in zip(space.src[compat].tolist(), space.dst[compat].tolist(),
                              space.act[compat].tolist()):

@@ -115,13 +115,20 @@ def naive_eval_state(expr, gp, state):
         if isinstance(e, co.InverseRole):
             return {(y, x) for (x, y) in role(e.base)}
         if isinstance(e, co.ClosureRole):
-            r = set(role(e.base))
-            while True:
-                extra = {(x, z) for (x, y) in r for (y2, z) in r
-                         if y2 == y} - r
-                if not extra:
-                    return r
-                r |= extra
+            # (x, z) for every z reachable from x in one or more steps.
+            succ = {}
+            for x, y in role(e.base):
+                succ.setdefault(x, set()).add(y)
+            out = set()
+            for x, first in succ.items():
+                seen, todo = set(first), list(first)
+                while todo:
+                    for z in succ.get(todo.pop(), ()):
+                        if z not in seen:
+                            seen.add(z)
+                            todo.append(z)
+                out |= {(x, z) for z in seen}
+            return out
         raise AssertionError(f"unknown role {e!r}")
 
     if isinstance(expr, (co.PrimitiveRole, co.GoalRole, co.InverseRole,
@@ -142,18 +149,39 @@ def naive_distance(gp, state, source, role, restrict, target):
         return m + 1
     if src & tgt:
         return 0
+    succ = {}
+    for x, y in rol:
+        succ.setdefault(x, set()).add(y)
     frontier = set(src)
     seen = set(src)
     dist = 0
     while frontier:
         dist += 1
-        nxt = {y for x in frontier for (x2, y) in rol
-               if x2 == x and y in res and y not in seen}
+        nxt = {y for x in frontier for y in succ.get(x, ())
+               if y in res and y not in seen}
         if nxt & tgt:
             return dist
         seen |= nxt
         frontier = nxt
     return m + 1
+
+
+def feature_value(feature, gp, state):
+    """Value of a pool or policy feature on a ground state: an atom flag,
+    the size of a concept (1 or 0 when boolean: exactly one element), or a
+    `naive_distance`."""
+    from genpol import features as fe
+
+    if isinstance(feature, fe.NullaryFeature):
+        # Atom(p) holds when some atom of p holds; unary and binary
+        # predicates are concepts and roles, never atom flags.
+        return int(any(gp.atoms[a][0] == feature.pred
+                       and len(gp.atoms[a]) not in (2, 3) for a in state))
+    if isinstance(feature, fe.CardinalityFeature):
+        size = len(naive_eval_state(feature.concept, gp, state))
+        return int(size == 1) if feature.is_boolean else size
+    return naive_distance(gp, state, feature.source, feature.role,
+                          feature.restrict, feature.target)
 
 
 # -- weighted MaxSAT -------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""The batch evaluator and the vectorized certificate walk against the
-per-state path.
+"""The evaluator and the vectorized certificate walk against the oracles.
 
-`features.feature_values` must give exactly the values of per-state
-`Policy.evaluate`, and `verify_space` must reach the same verdict on either
-value table; both are also checked against the certificate oracle in
-`oracles.py`, which reads the rules literally and walks plain dicts.
+`Policy.evaluate`, one `concepts.StateContext` over many states, must give
+exactly the values of the set-semantics oracle (`oracles.feature_value`) on
+every state, and `verify_space` on those values must match the certificate
+oracle, which reads the rules literally and walks plain dicts.
 """
 
+import random
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,11 @@ from genpol import concepts as co
 from genpol.errors import GenpolError
 from test_policy import VERIFY_CASES
 
-POLICY_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "policies"
+ROOT = Path(__file__).resolve().parents[1]
+POLICY_DIR = ROOT / "perfbench" / "policies"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import instances  # noqa: E402  perfbench's generators and STRIPS replay
 
 
 def _ground(domain_text, instance_text, goal_params=()):
@@ -30,18 +35,18 @@ def _ground(domain_text, instance_text, goal_params=()):
 
 
 def _check(pol, gp, sp):
-    """Asserts batch values == per-state values and that both verify the
-    same way, matching the oracle; returns the VerifyResult."""
-    ictx = co.InstanceContext(gp)
-    per_state = [pol.evaluate(co.state_context(ictx, s)) for s in sp.states]
-    batch = features.feature_values(pol.features, ictx, sp.states)
-    assert batch.dtype == np.int64
-    assert batch.shape == (sp.n_states, len(pol.features))
-    assert batch.tolist() == [list(v) for v in per_state]
+    """Asserts evaluated values == oracle values on every state and that
+    `verify_space` on them matches the certificate oracle; returns the
+    VerifyResult."""
+    vals = pol.evaluate(co.InstanceContext(gp), sp.states)
+    assert vals.dtype == np.int64
+    assert vals.shape == (sp.n_states, len(pol.features))
+    want = [[oracles.feature_value(f, gp, s) for f in pol.features]
+            for s in sp.states]
+    assert vals.tolist() == want
 
-    got = po.verify_space(pol, sp, batch)
-    assert got == po.verify_space(pol, sp, per_state)
-    ref = oracles.certificate(pol, sp, per_state)
+    got = po.verify_space(pol, sp, vals)
+    ref = oracles.certificate(pol, sp, want)
     assert (got.n_states, got.n_compatible, got.complete, got.safe,
             got.acyclic) == (sp.n_states, ref["n_compatible"], ref["complete"],
                              ref["safe"], ref["acyclic"])
@@ -124,8 +129,8 @@ def test_witness_is_the_first_in_state_order(rules, witness):
 
 
 def test_atom_of_a_ternary_predicate_is_a_flag():
-    # The per-state path files atoms of arity above two under their
-    # predicate name; two of them in a state still make the value 1.
+    # Atoms of arity above two are flags of their predicate; two of them
+    # in a state still make the value 1.
     domain = """
     (define (domain tern)
       (:predicates (p ?x) (q ?x) (link ?x ?y ?z))
@@ -142,8 +147,7 @@ def test_atom_of_a_ternary_predicate_is_a_flag():
     pol = po.parse_policy("feature 0 1 bool Atom(link)\nfeature 1 1 num q\n"
                           "rule f1=0 -> f1++\n")
     _check(pol, gp, sp)
-    ictx = co.InstanceContext(gp)
-    assert features.feature_values(pol.features, ictx, sp.states)[:, 0].tolist() \
+    assert pol.evaluate(co.InstanceContext(gp), sp.states)[:, 0].tolist() \
         == [1] * sp.n_states
 
 
@@ -189,7 +193,7 @@ def test_feature_constructors_batch_equals_per_state(name):
     gp = _ground(domain_text, instance_text, goal_params)
     sp = space.expand_labeled(gp)
     _check(pol, gp, sp)
-    vals = features.feature_values(pol.features, co.InstanceContext(gp), sp.states)
+    vals = pol.evaluate(co.InstanceContext(gp), sp.states)
     for j in empty_end:
         assert (vals[:, j] == len(gp.objects) + 1).all(), feats[j]
 
@@ -197,29 +201,54 @@ def test_feature_constructors_batch_equals_per_state(name):
 def test_space_larger_than_one_block():
     gp = _ground(domains.GRIPPER_DOMAIN, domains.gripper_instance(8))
     sp = space.expand_labeled(gp)
-    assert sp.n_states == 11_776 > features.BLOCK_STATES
+    assert sp.n_states == 11_776 > po.BLOCK_STATES
     pol = po.parse_policy((POLICY_DIR / "gripper.txt").read_text())
     assert _check(pol, gp, sp).ok
 
 
-def test_more_than_62_objects_use_per_state_values(monkeypatch):
-    gp = _ground(domains.VISITALL_DOMAIN, domains.visitall_instance(64, 1, (0, 0)))
-    assert len(gp.objects) == 64 > features.MAX_BATCH_OBJECTS
-    pol = po.parse_policy((POLICY_DIR / "visitall.txt").read_text())
+# Lines of 63, 64, 65 and 130 cells, one object per cell, so sets take one,
+# one, two and three words.  The robot starts at the right end with all but
+# the leftmost cell visited, which keeps each space at 2 * width - 1 states;
+# object names sort as loc-0-0, loc-1-0, loc-10-0, ..., so neighbours sit in
+# different words.
+LINE_FEATURES = [
+    "4 num Exists(connected_plus,at-robot)", "4 num Exists(connected_inv,Not(visited))",
+    "3 num Forall(connected,visited)", "3 num Equal(connected,connected_g)",
+    "4 num Not(Equal(connected,connected_g))",
+    "5 num Dist(at-robot,connected,Top,Not(visited))",
+    "6 num Dist(at-robot,connected_inv_plus,Not(visited),visited)",
+    "4 num Dist(Bot,connected,Top,visited)", "4 bool And(at-robot,visited_g)",
+]
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 130])
+def test_word_boundaries_match_the_oracle(width):
+    gp = _ground(domains.VISITALL_DOMAIN, domains.visitall_instance(
+        width, 1, (width - 1, 0), visited=[(x, 0) for x in range(1, width)]))
+    assert len(gp.objects) == width
     sp = space.expand_labeled(gp)
-    assert sp.n_states == 2_080
-    ictx = co.InstanceContext(gp)
-    per_state = [pol.evaluate(co.state_context(ictx, s)) for s in sp.states]
-    ref = oracles.certificate(pol, sp, per_state)
+    assert sp.n_states == 2 * width - 1
+    text = "".join(f"feature {i} {f}\n" for i, f in enumerate(LINE_FEATURES))
+    pol = po.parse_policy(text + "rule f5>0 -> f5-- | f1--\n")
+    _check(pol, gp, sp)
+    assert _check(po.parse_policy((POLICY_DIR / "visitall.txt").read_text()),
+                  gp, sp).ok
 
-    def no_batch(*args):
-        raise AssertionError("batch evaluation used on more than 62 objects")
 
-    monkeypatch.setattr(po, "feature_values", no_batch)
-    got = po.verify_exhaustive(pol, gp)
-    assert got == po.verify_space(pol, sp, per_state)
-    assert got.ok and ref["complete"] and ref["safe"] and ref["acyclic"]
-    assert got.n_compatible == ref["n_compatible"]
+@pytest.mark.parametrize("name", ["gripper", "visitall"])
+@pytest.mark.parametrize("tie_break", ["first", "random"])
+def test_greedy_plans_on_more_than_64_objects_replay_to_the_goal(name, tie_break):
+    if name == "gripper":
+        inst = instances.gripper(62, random.Random(5), "gripper-62")
+    else:
+        inst = instances.visitall(9, 8, (4, 3), "visitall-9x8")
+    gp = _ground((ROOT / "benchmarks" / name / "domain.pddl").read_text(),
+                 inst.pddl())
+    assert len(gp.objects) in (66, 72)
+    pol = po.parse_policy((POLICY_DIR / f"{name}.txt").read_text())
+    run = po.greedy_execute(pol, gp, tie_break=tie_break, seed=3)
+    assert run.solved and run.steps == len(run.trajectory) > 60
+    assert instances.replay(inst, run.trajectory) is None
 
 
 POLICY_TEXTS = [(POLICY_DIR / f"{n}.txt").read_text()
@@ -237,27 +266,41 @@ def test_compatible_mask_matches_compatible(text):
     src = rng.integers(0, 3, size=(2000, len(pol.features)))
     dst = np.where(rng.random(src.shape) < 0.5, src,
                    rng.integers(0, 3, size=src.shape))
-    want = [pol.compatible(a, b) for a, b in zip(src.tolist(), dst.tolist())]
+    want = [oracles._allows(pol, a, b) for a, b in zip(src.tolist(), dst.tolist())]
     assert pol.compatible_mask(src, dst).tolist() == want
     assert any(want) and not all(want)
+    # `compatible` is the one-row case, and a bool.
+    got = [pol.compatible(a, b) for a, b in zip(src[:200].tolist(), dst[:200].tolist())]
+    assert got == want[:200] and {type(ok) for ok in got} == {bool}
 
 
-@pytest.mark.parametrize("text", [
-    "Nominal(nosuch)", "vsited", "vsited_g", "type(nosuch)", "Atom(nosuch)",
-    "Exists(conected,Top)", "Exists(conected_g,Top)",
-    "Dist(at-robot,connected,Top,Nominal(goal0))",
-])
+# Each unknown name and its message, unchanged since the names were first
+# checked.
+UNKNOWN_NAMES = {
+    "Nominal(nosuch)":
+        "nominal 'nosuch' is not a constant or goal parameter of instance "
+        "'visitall-3x2'",
+    "vsited": "unknown unary predicate 'vsited'",
+    "vsited_g": "unknown unary predicate 'vsited'",
+    "type(nosuch)": "unknown type 'nosuch'",
+    "Atom(nosuch)": "unknown predicate 'nosuch'",
+    "Exists(conected,Top)": "unknown binary predicate 'conected'",
+    "Exists(conected_g,Top)": "unknown binary predicate 'conected'",
+    "Dist(at-robot,connected,Top,Nominal(goal0))":
+        "nominal 'goal0' is not a constant or goal parameter of instance "
+        "'visitall-3x2'",
+}
+
+
+@pytest.mark.parametrize("text", list(UNKNOWN_NAMES))
 def test_unknown_names_raise_the_per_state_error(text, tmp_path, capsys):
     gp = _ground(domains.VISITALL_DOMAIN, domains.visitall_instance(3, 2, (0, 0)))
     sp = space.expand_labeled(gp)
-    ictx = co.InstanceContext(gp)
-    feats = [features.parse_feature(2, "num", "Not(visited)"),
-             features.parse_feature(3, "num", text)]
-    with pytest.raises(GenpolError) as per_state:
-        [f.evaluate(co.state_context(ictx, sp.states[0])) for f in feats]
-    with pytest.raises(GenpolError) as batch:
-        features.feature_values(feats, ictx, sp.states)
-    assert str(batch.value) == str(per_state.value)
+    pol = po.Policy([features.parse_feature(2, "num", "Not(visited)"),
+                     features.parse_feature(3, "num", text)], [])
+    with pytest.raises(GenpolError) as raised:
+        pol.evaluate(co.InstanceContext(gp), sp.states)
+    assert str(raised.value) == UNKNOWN_NAMES[text]
 
     domain = tmp_path / "domain.pddl"
     domain.write_text(domains.VISITALL_DOMAIN)
@@ -269,4 +312,4 @@ def test_unknown_names_raise_the_per_state_error(text, tmp_path, capsys):
     rc = cli.main(["verify", "--domain", str(domain), "--instance", str(instance),
                    "--policy", str(policy_file)])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: {per_state.value}\n"
+    assert capsys.readouterr().err == f"error: {UNKNOWN_NAMES[text]}\n"

@@ -1,15 +1,17 @@
 """Description-logic expressions: parsing, printing, evaluation, distances.
 
-Bitmask evaluation is cross-checked against an independent set-semantics
-evaluator (`oracles.naive_eval_state`) over real reachable states.
+Evaluation over all reachable states at once (`concepts.state_context`) is
+cross-checked state by state against an independent set-semantics
+evaluator (`oracles.naive_eval_state`, `oracles.naive_distance`).
 """
 
+import numpy as np
 import pytest
 
 import domains
 import oracles
 from genpol import concepts as co
-from genpol import features, pddl, space
+from genpol import pddl, space
 from genpol.concepts import (And, Bot, ClosureRole, Exists, Forall, GoalConcept,
                              GoalRole, InverseRole, Nominal, Not,
                              PrimitiveConcept, PrimitiveRole, RoleEqual, Top,
@@ -24,14 +26,19 @@ def _space(domain_text, instance_text, goal_params=()):
     return gp, space.expand(gp)
 
 
-def _mask_to_names(mask, ictx):
-    return {ictx.objects[i] for i in range(ictx.n) if mask >> i & 1}
+def _context(gp, sp):
+    ictx = co.InstanceContext(gp)
+    return ictx, co.state_context([(ictx, sp.states)])
 
 
-def _rows_to_pairs(rows, ictx):
-    return {(ictx.objects[i], ictx.objects[j])
-            for i, row in enumerate(rows)
-            for j in range(ictx.n) if row >> j & 1}
+def _names(bits, ictx):
+    """bool [n] -> object names."""
+    return {ictx.objects[i] for i in np.flatnonzero(bits)}
+
+
+def _pairs(bits, ictx):
+    """bool [n, n] -> object name pairs."""
+    return {(ictx.objects[i], ictx.objects[j]) for i, j in zip(*np.nonzero(bits))}
 
 
 GRIPPER_CONCEPTS = [
@@ -87,22 +94,19 @@ VISITALL_CONCEPTS = [
 def test_concept_evaluation_matches_set_semantics(domain_text, instance_text,
                                                   goal_params, exprs):
     gp, sp = _space(domain_text, instance_text, goal_params)
-    ictx = co.InstanceContext(gp)
-    checked = 0
-    for sid in range(0, sp.n_states, 7):
-        ctx = co.state_context(ictx, sp.states[sid])
-        for expr in exprs:
-            got = _mask_to_names(co.eval_concept(expr, ctx), ictx)
+    ictx, ctx = _context(gp, sp)
+    for expr in exprs:
+        col = ctx.concept(expr)
+        assert col.shape == (sp.n_states, ictx.words) and col.dtype == np.uint64
+        for sid, bits in enumerate(ctx.members(col)):
             want = oracles.naive_eval_state(expr, gp, sp.states[sid])
-            assert got == want, (co.render(expr), sid, got, want)
-            checked += 1
-    assert checked > 50
+            assert _names(bits, ictx) == want, (co.render(expr), sid)
 
 
 def test_role_evaluation_matches_set_semantics():
     gp, sp = _space(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4),
                     ("b1",))
-    ictx = co.InstanceContext(gp)
+    ictx, ctx = _context(gp, sp)
     roles = [
         PrimitiveRole("on"),
         GoalRole("on"),
@@ -111,87 +115,83 @@ def test_role_evaluation_matches_set_semantics():
         ClosureRole(InverseRole(PrimitiveRole("on"))),
         InverseRole(ClosureRole(PrimitiveRole("on"))),
     ]
-    for sid in range(0, sp.n_states, 5):
-        ctx = co.state_context(ictx, sp.states[sid])
-        for role in roles:
-            got = _rows_to_pairs(co.eval_role(role, ctx), ictx)
+    for role in roles:
+        rows = ctx.role(role)
+        assert rows.shape == (sp.n_states, ictx.n, ictx.words)
+        for sid, bits in enumerate(ctx.members(rows)):
             want = oracles.naive_eval_state(role, gp, sp.states[sid])
-            assert got == want, (co.render(role), sid)
+            assert _pairs(bits, ictx) == want, (co.render(role), sid)
 
 
 def test_goal_denotations_are_state_independent():
     gp, sp = _space(domains.GRIPPER_DOMAIN, domains.gripper_instance(3, seed=2))
-    ictx = co.InstanceContext(gp)
-    expr = Exists(GoalRole("at"), Top())
-    values = {co.eval_concept(expr, co.state_context(ictx, sp.states[sid]))
-              for sid in range(sp.n_states)}
-    assert len(values) == 1
+    _, ctx = _context(gp, sp)
+    col = ctx.concept(Exists(GoalRole("at"), Top()))
+    assert col.any() and (col == col[0]).all()
+
+
+DISTANCES = [
+    (Nominal("goal0"), PrimitiveRole("on"), Top(), PrimitiveConcept("on-table")),
+    (Nominal("goal0"), InverseRole(PrimitiveRole("on")), Top(),
+     PrimitiveConcept("clear")),
+    (PrimitiveConcept("holding"), PrimitiveRole("on"), Top(),
+     PrimitiveConcept("on-table")),
+    (PrimitiveConcept("clear"), InverseRole(PrimitiveRole("on")),
+     Not(Nominal("goal0")), PrimitiveConcept("on-table")),
+]
 
 
 def test_distance_matches_naive_bfs():
     gp, sp = _space(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(5),
                     ("b1",))
-    ictx = co.InstanceContext(gp)
-    combos = [
-        (Nominal("goal0"), PrimitiveRole("on"), Top(), PrimitiveConcept("on-table")),
-        (Nominal("goal0"), InverseRole(PrimitiveRole("on")), Top(),
-         PrimitiveConcept("clear")),
-        (PrimitiveConcept("holding"), PrimitiveRole("on"), Top(),
-         PrimitiveConcept("on-table")),
-        (PrimitiveConcept("clear"), InverseRole(PrimitiveRole("on")),
-         Not(Nominal("goal0")), PrimitiveConcept("on-table")),
-    ]
-    checked = 0
-    for sid in range(0, sp.n_states, 11):
-        state = sp.states[sid]
-        ctx = co.state_context(ictx, state)
-        for source, role, restrict, target in combos:
-            got = co.bfs_distance(co.eval_concept(source, ctx),
-                                  co.eval_role(role, ctx),
-                                  co.eval_concept(restrict, ctx),
-                                  co.eval_concept(target, ctx), ictx.n)
-            want = oracles.naive_distance(gp, state, source, role, restrict,
-                                          target)
-            assert got == want, (sid, co.render(source), got, want)
-            checked += 1
-    assert checked > 50
+    _, ctx = _context(gp, sp)
+    for source, role, restrict, target in DISTANCES:
+        dmap = ctx.distance_map(ctx.concept(source), ctx.role(role),
+                                ctx.concept(restrict))
+        got = ctx.min_distance(dmap, ctx.concept(target))
+        want = [oracles.naive_distance(gp, state, source, role, restrict, target)
+                for state in sp.states]
+        assert got.tolist() == want, co.render(source)
 
 
 def test_distance_conventions():
     gp, sp = _space(domains.VISITALL_DOMAIN, domains.visitall_instance(3, 2, (0, 0)))
     ictx = co.InstanceContext(gp)
-    ctx = co.state_context(ictx, sp.states[0])
-    robot = co.eval_concept(PrimitiveConcept("at-robot"), ctx)
-    conn = co.eval_role(PrimitiveRole("connected"), ctx)
+    ctx = co.state_context([(ictx, sp.states[:1])])
+    robot = ctx.concept(PrimitiveConcept("at-robot"))
+    conn = ctx.role(PrimitiveRole("connected"))
+    top, empty = ctx.universe, np.zeros_like(robot)
     n = ictx.n
+
+    def dist(source, restrict, target):
+        dmap = ctx.distance_map(source, conn, restrict)
+        return int(ctx.min_distance(dmap, target)[0])
+
     # Source intersects target: distance zero.
-    assert co.bfs_distance(robot, conn, ictx.universe, robot, n) == 0
+    assert dist(robot, top, robot) == 0
     # Empty source or target: sentinel n + 1.
-    assert co.bfs_distance(0, conn, ictx.universe, robot, n) == n + 1
-    assert co.bfs_distance(robot, conn, ictx.universe, 0, n) == n + 1
+    assert dist(empty, top, robot) == n + 1
+    assert dist(robot, top, empty) == n + 1
     # Unreachable because the restriction blocks every path.
-    far = 1 << ictx.index["loc-2-1"]
-    assert co.bfs_distance(robot, conn, robot, far, n) == n + 1
+    far = co.pack(np.arange(n) == ictx.index["loc-2-1"], ictx.words)[None]
+    assert dist(robot, top, far) == 3
+    assert dist(robot, robot, far) == n + 1
 
 
 def test_distance_map_agrees_with_distance():
+    # The minimum of one map over any target set is that set's distance.
     gp, sp = _space(domains.VISITALL_DOMAIN, domains.visitall_instance(3, 2, (0, 0)))
-    ictx = co.InstanceContext(gp)
-    states = sp.states[::9]
-    robot_c, conn_r = PrimitiveConcept("at-robot"), PrimitiveRole("connected")
-    restrict_c = Not(PrimitiveConcept("visited"))
-    batch = features.Batch([(ictx, states)])
-    dmaps = batch.distance_map(batch.concept(robot_c), batch.role(conn_r),
-                               batch.concept(restrict_c))
-    assert dmaps.shape == (len(states), ictx.n)
-    for dmap, state in zip(dmaps, states):
-        ctx = co.state_context(ictx, state)
-        robot = co.eval_concept(robot_c, ctx)
-        conn = co.eval_role(conn_r, ctx)
-        restrict = co.eval_concept(restrict_c, ctx)
-        for obj_id in range(ictx.n):
-            single = co.bfs_distance(robot, conn, restrict, 1 << obj_id, ictx.n)
-            assert dmap[obj_id] == single
+    ictx, ctx = _context(gp, sp)
+    robot, conn = PrimitiveConcept("at-robot"), PrimitiveRole("connected")
+    restrict = Not(PrimitiveConcept("visited"))
+    dmap = ctx.distance_map(ctx.concept(robot), ctx.role(conn),
+                            ctx.concept(restrict))
+    assert dmap.shape == (sp.n_states, ictx.n)
+    for target in (Top(), Bot(), robot, PrimitiveConcept("visited"), restrict,
+                   Exists(conn, robot)):
+        want = [oracles.naive_distance(gp, state, robot, conn, restrict, target)
+                for state in sp.states]
+        assert ctx.min_distance(dmap, ctx.concept(target)).tolist() == want
 
 
 def test_render_parse_round_trip():
@@ -232,35 +232,33 @@ def test_complexity_counts_syntax_nodes():
 def test_unknown_names_raise():
     gp, sp = _space(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(3),
                     ("b1",))
-    ictx = co.InstanceContext(gp)
-    ctx = co.state_context(ictx, sp.states[0])
+    _, ctx = _context(gp, sp)
     with pytest.raises(GenpolError):
-        co.eval_concept(PrimitiveConcept("nonsense"), ctx)
+        ctx.concept(PrimitiveConcept("nonsense"))
     with pytest.raises(GenpolError):
-        co.eval_role(PrimitiveRole("nonsense"), ctx)
+        ctx.role(PrimitiveRole("nonsense"))
     with pytest.raises(GenpolError):
-        co.eval_concept(Nominal("b1"), ctx)  # not a constant or goal position
+        ctx.concept(Nominal("b1"))  # not a constant or goal position
     with pytest.raises(GenpolError):
-        co.eval_concept(TypeConcept("widget"), ctx)
+        ctx.concept(TypeConcept("widget"))
 
 
 def test_goal_role_of_unmentioned_predicate_is_empty():
     # A binary predicate absent from the goal has an empty goal denotation,
     # not an error, as long as the predicate itself exists.
     gp, sp = _space(domains.VISITALL_DOMAIN, domains.visitall_instance(2, 2, (0, 0)))
-    ictx = co.InstanceContext(gp)
-    ctx = co.state_context(ictx, sp.states[0])
-    assert co.eval_role(GoalRole("connected"), ctx) == (0,) * ictx.n
+    ictx, ctx = _context(gp, sp)
+    rows = ctx.role(GoalRole("connected"))
+    assert rows.shape == (sp.n_states, ictx.n, ictx.words) and not rows.any()
     with pytest.raises(GenpolError):
-        co.eval_role(GoalRole("nonsense"), ctx)
+        ctx.role(GoalRole("nonsense"))
 
 
 def test_evaluation_is_memoized_per_state():
     gp, sp = _space(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(3),
                     ("b1",))
-    ictx = co.InstanceContext(gp)
-    ctx = co.state_context(ictx, sp.states[0])
+    _, ctx = _context(gp, sp)
     expr = Exists(ClosureRole(PrimitiveRole("on")), Nominal("goal0"))
-    first = co.eval_concept(expr, ctx)
-    assert expr in ctx.memo
-    assert co.eval_concept(expr, ctx) == first
+    first = ctx.concept(expr)
+    assert expr in ctx.memo and ClosureRole(PrimitiveRole("on")) in ctx.memo
+    assert ctx.concept(expr) is first

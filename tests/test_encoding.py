@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import domains
+import oracles
 from genpol import encoding, features, maxsat, pddl, space
 from genpol.encoding import (build_theory, compute_classes, decode,
                              initial_pairs, validate_solution)
@@ -168,7 +169,9 @@ def test_indistinguishable_goal_pair_marks_theory_infeasible():
     sample, pool, matrix = _oneway()
     # A pool that only sees `fresh` cannot tell the goal from the dead end.
     crippled = features.load_pool("0 1 bool Atom(fresh)\n")
-    cmatrix = features.evaluate_matrix(crippled, sample)
+    sp = sample.spaces[0]
+    cmatrix = np.array([[oracles.feature_value(f, sp.gp, s) for s in sp.states]
+                        for f in crippled.features], dtype=np.int64)
     classes, class_of = compute_classes(sample, cmatrix)
     theory = build_theory(sample, crippled, cmatrix, classes, class_of)
     assert theory.infeasible is not None

@@ -5,6 +5,7 @@ import re
 import pytest
 
 import domains
+import oracles
 from genpol import concepts as co
 from genpol import encoding, features, maxsat, pddl, pipeline, policy as po, space
 from genpol.errors import InternalInvariantError, LimitExceededError, PolicyError
@@ -236,8 +237,8 @@ def test_verify_exhaustive_equals_verify_space(name):
     pol = po.parse_policy(text)
     gp = _ground(domain_text, instance_text, goal_params)
     sp = space.expand_labeled(gp)
-    ictx = co.InstanceContext(gp)
-    vals = [pol.evaluate(co.state_context(ictx, s)) for s in sp.states]
+    vals = [[oracles.feature_value(f, gp, s) for f in pol.features]
+            for s in sp.states]
     assert pipeline.verify_space(pol, sp, vals) == po.verify_exhaustive(pol, gp)
 
 
@@ -248,14 +249,12 @@ def test_verify_complete_and_check_descending():
     report = po.verify_exhaustive(pol, gp)
     assert report.complete and report.witness is None
 
-    ictx = co.InstanceContext(gp)
     above = co.parse_expression("Exists(on_plus,Nominal(goal0))")
     holding = co.parse_expression("holding")
 
     def n_then_h(state):
-        ctx = co.state_context(ictx, state)
-        return (co.popcount(co.eval_concept(above, ctx)),
-                co.popcount(co.eval_concept(holding, ctx)))
+        return (len(oracles.naive_eval_state(above, gp, state)),
+                len(oracles.naive_eval_state(holding, gp, state)))
 
     ok, witness = po.check_descending(pol, gp, n_then_h)
     assert ok and witness is None
