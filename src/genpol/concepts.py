@@ -6,7 +6,9 @@ domain (`state_context`): a set of objects is a row of uint64 words, one
 bit per object of the instance's sorted object list, so a concept is an
 array [states, words] and a role one of per-object successor sets
 [states, objects, words].  Distances are breadth-first searches run in all
-states together.
+states together.  States come as packed rows over the dynamic atoms (see
+`pddl.GroundProblem`); an instance's static atoms are placed in its atom
+table once (`InstanceContext`), and only the set bits of each row after.
 
 The grammar: primitive concepts (unary predicates and type names), goal
 versions of goal-relevant predicates, nominals for constants and declared
@@ -298,7 +300,8 @@ class InstanceContext:
         # predicate and per (binary predicate, first object), then one
         # column per other predicate that counts its atoms.  Each atom adds
         # its bit to one cell; the atoms of a state add distinct bits to a
-        # set's cell, so adding them up is or-ing them.
+        # set's cell, so adding them up is or-ing them.  The static atoms
+        # are added once, to the row every state's table starts from.
         self.unary_preds = sorted(p.name for p in dom.predicates.values() if p.arity == 1)
         self.binary_preds = sorted(p.name for p in dom.predicates.values() if p.arity == 2)
         self.flag_preds = sorted(p.name for p in dom.predicates.values()
@@ -321,20 +324,24 @@ class InstanceContext:
 
         where = np.fromiter(chain.from_iterable(map(place, gp.atoms)), dtype=np.int64,
                             count=2 * len(gp.atoms)).reshape(-1, 2)
-        self._slot = where[:, 0] + where[:, 1] // 64
-        self._bit = np.left_shift(np.uint64(1), (where[:, 1] % 64).astype(np.uint64))
+        slot = where[:, 0] + where[:, 1] // 64
+        bit = np.left_shift(np.uint64(1), (where[:, 1] % 64).astype(np.uint64))
+        static = np.fromiter(gp.static_atoms, dtype=np.int64, count=len(gp.static_atoms))
+        self._static_table = np.zeros(self._width, dtype=np.uint64)
+        np.add.at(self._static_table, slot[static], bit[static])
+        self._slot, self._bit = slot[gp.dynamic], bit[gp.dynamic]  # per dynamic atom
 
-    def tables(self, states):
-        """The atoms of `states`: unary sets [S, U, words], binary successor
-        sets [S, B, n, words] and flags bool [S, F], S = len(states), in
-        the order of `unary_preds`, `binary_preds` and `flag_preds`."""
-        n_states, width = len(states), self._width
-        lens = np.fromiter(map(len, states), dtype=np.int64, count=n_states)
-        atoms = np.fromiter(chain.from_iterable(states), dtype=np.int64,
-                            count=int(lens.sum()))
-        table = np.zeros(n_states * width, dtype=np.uint64)
-        np.add.at(table, np.repeat(np.arange(n_states) * width, lens)
-                  + self._slot[atoms], self._bit[atoms])
+    def tables(self, rows):
+        """The atoms of the states of the packed `rows`: unary sets [S, U,
+        words], binary successor sets [S, B, n, words] and flags bool [S, F],
+        S = len(rows), in the order of `unary_preds`, `binary_preds` and
+        `flag_preds`."""
+        n_states, width = len(rows), self._width
+        octets = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+        at, bits = np.nonzero(np.unpackbits(octets, axis=1, count=len(self._slot),
+                                            bitorder="little"))
+        table = np.tile(self._static_table, n_states)
+        np.add.at(table, at * width + self._slot[bits], self._bit[bits])
         table = table.reshape(n_states, width)
         sets = len(self.unary_preds) * self.words
         return (table[:, :sets].reshape(n_states, len(self.unary_preds), self.words),
@@ -388,8 +395,8 @@ def _padded(a: np.ndarray, shape: tuple) -> np.ndarray:
 class StateContext:
     """Denotations over many states at once; create via `state_context`.
 
-    The states are those of `parts`, (InstanceContext, states) pairs of one
-    domain, concatenated.  With n the most objects of any instance (at
+    The states are those of `parts`, (InstanceContext, packed rows) pairs
+    of one domain, concatenated.  With n the most objects of any instance (at
     least one), a concept is a uint64 array [n_states, words] of object
     sets and a role an array [n_states, n, words] of successor sets, empty
     past an instance's own objects.  Denotations are memoized in `memo`.
@@ -520,6 +527,6 @@ class StateContext:
 
 
 def state_context(parts) -> StateContext:
-    """Denotations over the states of `parts`, (InstanceContext, states)
-    pairs of one domain."""
+    """Denotations over the states of `parts`, (InstanceContext, packed
+    rows) pairs of one domain."""
     return StateContext(parts)

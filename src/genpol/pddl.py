@@ -8,18 +8,21 @@ fluents and action costs.
 
 Ground atoms and actions get ids that are stable across runs: atoms are
 sorted lexicographically by (predicate, args) and actions by (schema, args).
-States are frozensets of atom ids.
+A state is a packed row of uint64 words over the dynamic atoms only, those
+of predicates that some action adds or deletes; the static atoms of the
+initial state hold in every state and are kept once per instance.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from genpol.errors import LimitExceededError, PddlError, UnsupportedPddlError
 
 Atom = tuple  # ("on", "a", "b"); nullary atoms are 1-tuples
-State = frozenset
 
 ROOT_TYPE = "object"
 
@@ -278,6 +281,8 @@ def parse_domain(text: str) -> DomainModel:
             continue  # supported fragment is enforced structurally below
         elif head == ":types":
             for tname, parent in _parse_typed_list(sec.value[1:], ":types"):
+                if tname == ROOT_TYPE and parent == ROOT_TYPE:
+                    continue  # the root type, declared again
                 types[tname] = parent
                 types.setdefault(parent, ROOT_TYPE if parent != ROOT_TYPE else None)
         elif head == ":constants":
@@ -297,9 +302,13 @@ def parse_domain(text: str) -> DomainModel:
         else:
             raise UnsupportedPddlError(f"unsupported section '{head}'", sec.line, sec.col)
 
-    for tname, parent in types.items():
-        if parent is not None and parent not in types:
-            types[parent] = ROOT_TYPE
+    for tname in types:
+        seen, t = set(), tname
+        while t is not None:
+            if t in seen:
+                raise PddlError(f"type '{tname}' is its own ancestor")
+            seen.add(t)
+            t = types[t]
 
     dom = DomainModel(name, types, predicates, tuple(constants), ())
     for cname, ctype in constants:
@@ -502,43 +511,97 @@ class GroundAction:
     dele: frozenset
 
 
+# Rows times actions tested at once by `GroundProblem.transitions`; bounds
+# its [rows, actions] temporaries to a few MB on large frontiers.
+_APPLICABLE_BLOCK = 1 << 20
+
+
 @dataclass
 class GroundProblem:
-    """A fully grounded instance with deterministic atom/action ids."""
+    """A fully grounded instance with deterministic atom/action ids.
+
+    A state is a packed row, uint64 [words]: dynamic atom k holds when bit
+    k % 64 of word k // 64 is set.  The dynamic atoms are numbered in atom
+    id order (`dynamic` maps a bit to its atom id); `words` is at least one.
+    Each action has packed masks of its dynamic preconditions, adds and
+    deletes, rows of `pre_masks`, `add_masks` and `del_masks`; its static
+    preconditions hold, or `ground` would have dropped it.
+    """
 
     domain: DomainModel
     instance: InstanceModel
     atoms: list  # id -> Atom
     atom_ids: dict  # Atom -> id
     actions: list  # id -> GroundAction
-    init: State
+    init: np.ndarray  # packed row of the initial state
     goal: frozenset  # atom ids
     objects: list  # sorted object names
     object_types: dict  # name -> type
     static_predicates: frozenset
-    _watch: dict = field(default_factory=dict, repr=False)
-    _always: list = field(default_factory=list, repr=False)
+    dynamic: np.ndarray  # bit -> atom id (int64, ascending)
+    static_atoms: frozenset  # ids of the static atoms, true in every state
+    pre_masks: np.ndarray  # uint64 [actions, words]
+    add_masks: np.ndarray
+    del_masks: np.ndarray
+    goal_mask: np.ndarray  # packed row of the dynamic goal atoms
+    goal_static: bool  # whether the static goal atoms hold
 
-    def is_goal(self, state: State) -> bool:
-        return self.goal <= state
+    def __post_init__(self):
+        # Per word, the actions with preconditions in it and their masks
+        # there: `transitions` tests only these.
+        self._pre_words = []
+        for w in range(self.words):
+            ids = np.flatnonzero(self.pre_masks[:, w])
+            if len(ids):
+                cols = slice(None) if len(ids) == len(self.actions) else ids
+                self._pre_words.append((w, cols, self.pre_masks[ids, w]))
 
-    def applicable(self, state: State) -> list:
-        """Ids of actions applicable in `state`, ascending."""
-        cands = set(self._always)
-        for atom_id in state:
-            bucket = self._watch.get(atom_id)
-            if bucket:
-                cands.update(bucket)
-        acts = self.actions
-        return sorted(a for a in cands if acts[a].pre <= state)
+    @property
+    def words(self) -> int:
+        return len(self.init)
 
-    def successors(self, state: State) -> list:
-        """(action_id, next_state) pairs in ascending action id order."""
-        out = []
-        for aid in self.applicable(state):
-            act = self.actions[aid]
-            out.append((aid, (state - act.dele) | act.add))
-        return out
+    def is_goal(self, rows) -> np.ndarray:
+        """Whether each packed row (or the one row) satisfies the goal."""
+        return self.goal_static & ((rows & self.goal_mask) == self.goal_mask).all(axis=-1)
+
+    def transitions(self, rows: np.ndarray) -> tuple:
+        """Every transition out of the packed rows [n, words], n >= 1: arrays
+        of the row index, the action id and the successor row, in (row,
+        action id) order.  One mask test covers a block of rows and all
+        actions."""
+        n_actions = len(self.actions)
+        step = max(1, _APPLICABLE_BLOCK // max(1, n_actions))
+        at, aids = [], []
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            ok = np.ones((len(block), n_actions), dtype=bool)
+            for w, cols, pre in self._pre_words:
+                ok[:, cols] &= (block[:, w, None] & pre) == pre
+            row, aid = np.nonzero(ok)
+            at.append(row + lo)
+            aids.append(aid)
+        at, aids = np.concatenate(at), np.concatenate(aids)
+        return at, aids, (rows[at] & ~self.del_masks[aids]) | self.add_masks[aids]
+
+    def successors(self, row: np.ndarray) -> tuple:
+        """(action ids ascending, successor rows [k, words]) of one row."""
+        _, aids, nxt = self.transitions(row[None])
+        return aids, nxt
+
+
+def _pack_sets(sets, bit_of: np.ndarray, words: int) -> np.ndarray:
+    """uint64 [len(sets), words]: each set of atom ids packed over the
+    dynamic atoms (`bit_of`: atom id -> bit, -1 for a static atom)."""
+    lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    atoms = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
+                        count=int(lens.sum()))
+    bits = bit_of[atoms]
+    rows = np.repeat(np.arange(len(sets)), lens)[bits >= 0]
+    bits = bits[bits >= 0]
+    out = np.zeros((len(sets), words), dtype=np.uint64)
+    np.bitwise_or.at(out, (rows, bits // 64),
+                     np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64)))
+    return out
 
 
 def _objects_by_type(dom: DomainModel, inst: InstanceModel) -> dict:
@@ -607,39 +670,31 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
     ground_actions.sort(key=lambda g: g[0])
     actions = [GroundAction(*g) for g in ground_actions]
 
-    gp = GroundProblem(
+    is_static = np.array([a[0] in static_preds for a in atoms], dtype=bool)
+    dynamic = np.flatnonzero(~is_static)
+    bit_of = np.full(len(atoms), -1, dtype=np.int64)
+    bit_of[dynamic] = np.arange(len(dynamic))
+    words = max(1, -(-len(dynamic) // 64))
+    init = frozenset(atom_ids[a] for a in init_atoms)
+    goal = frozenset(atom_ids[a] for a in inst.goal)
+    static_atoms = frozenset(a for a in init if is_static[a])
+    pack = lambda sets: _pack_sets(sets, bit_of, words)
+    return GroundProblem(
         domain=dom,
         instance=inst,
         atoms=atoms,
         atom_ids=atom_ids,
         actions=actions,
-        init=frozenset(atom_ids[a] for a in init_atoms),
-        goal=frozenset(atom_ids[a] for a in inst.goal),
+        init=pack([init])[0],
+        goal=goal,
         objects=sorted(o for o, _ in inst.objects),
         object_types={o: t for o, t in inst.objects},
         static_predicates=static_preds,
+        dynamic=dynamic,
+        static_atoms=static_atoms,
+        pre_masks=pack([a.pre for a in actions]),
+        add_masks=pack([a.add for a in actions]),
+        del_masks=pack([a.dele for a in actions]),
+        goal_mask=pack([goal])[0],
+        goal_static=all(a in static_atoms for a in goal if is_static[a]),
     )
-    _index_actions(gp)
-    return gp
-
-
-def _index_actions(gp: GroundProblem):
-    """Index each action under its rarest dynamic precondition atom.
-
-    `applicable` then only scans actions watching some atom that is true,
-    which keeps successor generation near-linear in the out-degree.
-    """
-    static = gp.static_predicates
-    counts: dict = {}
-    dyn_pres = []
-    for act in gp.actions:
-        dyn = [a for a in act.pre if gp.atoms[a][0] not in static]
-        dyn_pres.append(dyn)
-        for a in dyn:
-            counts[a] = counts.get(a, 0) + 1
-    for aid, dyn in enumerate(dyn_pres):
-        if not dyn:
-            gp._always.append(aid)
-        else:
-            watch = min(dyn, key=lambda a: (counts[a], a))
-            gp._watch.setdefault(watch, []).append(aid)

@@ -255,36 +255,39 @@ class ExecutionResult:
 
 def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
                    tie_break: str = "first", seed: int = 0) -> ExecutionResult:
-    """Follows policy-compatible transitions from the initial state."""
+    """Follows policy-compatible transitions from the initial state.  The
+    feature values of one step's successors are kept for the next step only,
+    which finds there the values of the state it starts from."""
     if max_steps is None:
         max_steps = 10 * max(4, len(gp.objects)) ** 2
     rng = random.Random(seed)
     ictx = co.InstanceContext(gp)
-    cache: dict = {}  # state -> its feature values
     state = gp.init
-    visited = {state}
+    cache = {state.tobytes(): policy.evaluate(ictx, state[None])[0]}
+    visited = {state.tobytes()}
     trajectory: list = []
     for step in range(max_steps):
-        if gp.goal <= state:
+        if gp.is_goal(state):
             return ExecutionResult("goal", step, trajectory)
-        succ = gp.successors(state)
-        new = [s for s in dict.fromkeys([state] + [nxt for _, nxt in succ])
-               if s not in cache]
-        if new:
-            cache.update(zip(new, map(tuple, policy.evaluate(ictx, new).tolist())))
-        dst = np.array([cache[nxt] for _, nxt in succ], dtype=np.int64)
-        dst = dst.reshape(len(succ), len(policy.features))
-        src = np.broadcast_to(cache[state], dst.shape)
-        options = [succ[i] for i in np.flatnonzero(policy.compatible_mask(src, dst))]
+        aids, succ = gp.successors(state)
+        src = cache[state.tobytes()]
+        keys = [row.tobytes() for row in succ]
+        new = {k: i for i, k in enumerate(keys) if k not in cache}
+        cache = ({k: cache[k] for k in keys if k in cache}
+                 | dict(zip(new, policy.evaluate(ictx, succ[list(new.values())]))))
+        dst = np.array([cache[k] for k in keys], dtype=np.int64)
+        dst = dst.reshape(len(keys), len(policy.features))
+        options = np.flatnonzero(policy.compatible_mask(
+            np.broadcast_to(src, dst.shape), dst)).tolist()
         if not options:
             return ExecutionResult("no_compatible", step, trajectory)
-        aid, nxt = options[0] if tie_break == "first" else rng.choice(options)
-        if nxt in visited:
+        i = options[0] if tie_break == "first" else rng.choice(options)
+        if keys[i] in visited:
             return ExecutionResult("cycle", step, trajectory)
-        visited.add(nxt)
-        trajectory.append(gp.actions[aid].name)
-        state = nxt
-    if gp.goal <= state:
+        visited.add(keys[i])
+        trajectory.append(gp.actions[aids[i]].name)
+        state = succ[i]
+    if gp.is_goal(state):
         return ExecutionResult("goal", max_steps, trajectory)
     return ExecutionResult("step_limit", max_steps, trajectory)
 
@@ -384,7 +387,8 @@ def _find_cycle(roots: list, start: list, succ: list):
 def check_descending(policy: Policy, gp, tuple_values,
                      max_states: int = 10 ** 6) -> tuple:
     """Whether every policy-compatible transition strictly decreases the
-    given tuple lexicographically.  `tuple_values(state) -> tuple`.
+    given tuple lexicographically.  `tuple_values(row) -> tuple`, for a
+    state's packed row (see `pddl.GroundProblem`).
     Returns (holds, witness transition or None)."""
     space = expand_labeled(gp, max_states=max_states)
     compat = _compatible(policy, space,

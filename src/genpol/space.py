@@ -2,8 +2,15 @@
 
 A `StateSpace` is the full reachable transition system of one ground
 instance: breadth-first from the initial state, goal states included and
-expanded like any other.  The transitions are int64 arrays `src`, `dst` and
-`act`, stored by source state; `is_goal` is a bool array per state.
+expanded like any other.  The states are one uint64 matrix [n_states,
+words] of packed rows (see `pddl.GroundProblem`), numbered in breadth-first
+order; the transitions are int64 arrays `src`, `dst` and `act`, stored by
+source state; `is_goal` is a bool array per state.
+
+`expand` works one breadth-first level at a time: one mask test finds the
+applicable actions of the whole frontier, the successors are `(row & ~del)
+| add`, and a sorted array of row keys tells the known states from the new
+ones, which are numbered in (source, action id) order of first occurrence.
 
 `label_goal_distances` is the one place that decides the labeling the
 theory and the certificates range over:
@@ -18,7 +25,6 @@ theory and the certificates range over:
 from __future__ import annotations
 
 import logging
-from array import array
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -33,7 +39,7 @@ log = logging.getLogger(__name__)
 @dataclass
 class StateSpace:
     gp: GroundProblem
-    states: list  # id -> frozenset of atom ids; id 0 is the initial state
+    states: np.ndarray  # uint64 [n_states, words] packed rows; 0 is the initial state
     src: np.ndarray  # transition id -> source state id (int64, ascending)
     dst: np.ndarray  # transition id -> target state id
     act: np.ndarray  # transition id -> ground action id
@@ -59,39 +65,70 @@ class StateSpace:
         return int(self.goal_dist.max(initial=0))
 
 
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One comparable key per packed row: its bytes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
+def _merged(a: np.ndarray, old: np.ndarray, values: np.ndarray, to: np.ndarray):
+    """`a` at the places `old` marks and `values` at the places `to`."""
+    out = np.empty(len(old), dtype=a.dtype)
+    out[old] = a
+    out[to] = values
+    return out
+
+
 def expand(gp: GroundProblem, max_states: int = 10**6,
            max_transitions: int = 10**7) -> StateSpace:
-    """Breadth-first complete expansion from the initial state."""
-    init = gp.init
-    index = {init: 0}
-    states = [init]  # also the BFS queue: the loop below walks it as it grows
-    src, dst, act = array("q"), array("q"), array("q")  # wrapped below, not copied
-    out_start = array("q", [0])
-    actions = gp.actions
-    applicable = gp.applicable
-    for sid, s in enumerate(states):
-        for aid in applicable(s):
-            a = actions[aid]
-            t = (s - a.dele) | a.add
-            tid = index.get(t)
-            if tid is None:
-                tid = len(states)
-                if tid >= max_states:
-                    raise LimitExceededError(
-                        f"more than {max_states} states in '{gp.instance.name}'")
-                index[t] = tid
-                states.append(t)
-            src.append(sid)
-            dst.append(tid)
-            act.append(aid)
-            if len(src) > max_transitions:
-                raise LimitExceededError(
-                    f"more than {max_transitions} transitions in '{gp.instance.name}'")
-        out_start.append(len(src))
-    is_goal = np.fromiter(map(gp.is_goal, states), dtype=bool, count=len(states))
-    ids = lambda xs: np.frombuffer(xs, dtype=np.int64)
-    return StateSpace(gp=gp, states=states, src=ids(src), dst=ids(dst),
-                      act=ids(act), is_goal=is_goal, out_start=ids(out_start))
+    """Breadth-first complete expansion from the initial state.  The caps
+    fire as the one-state-at-a-time search would: at the first transition,
+    in (source, action id) order, that makes a state beyond `max_states` or
+    a transition beyond `max_transitions`."""
+    name = gp.instance.name
+    levels = [gp.init[None]]  # the states of each level, in id order
+    known, known_ids = _keys(levels[0]), np.zeros(1, dtype=np.int64)
+    src, dst, act = [], [], []
+    lo, n_states, n_transitions = 0, 1, 0  # lo: id of the frontier's first state
+    while len(levels[-1]):
+        at, aids, succ = gp.transitions(levels[-1])
+        keys = _keys(succ)
+        uniq, first, inverse = np.unique(keys, return_index=True,
+                                         return_inverse=True)
+        pos = np.searchsorted(known, uniq)
+        near = np.minimum(pos, len(known) - 1)
+        ids = known_ids[near]
+        fresh = np.flatnonzero(known[near] != uniq)  # in key order
+        new = fresh[np.argsort(first[fresh])]  # in order of first occurrence
+        ids[new] = np.arange(n_states, n_states + len(new))
+
+        # The level's first transition beyond the cap, and its first new
+        # state beyond the cap; at one transition the state cap comes first.
+        at_t = max(0, max_transitions - n_transitions)
+        at_s = max(0, max_states - n_states)
+        if at_s < len(new) and first[new[at_s]] <= at_t:
+            raise LimitExceededError(f"more than {max_states} states in '{name}'")
+        if at_t < len(succ):
+            raise LimitExceededError(
+                f"more than {max_transitions} transitions in '{name}'")
+
+        src.append(at + lo)
+        dst.append(ids[inverse])
+        act.append(aids)
+        to = pos[fresh] + np.arange(len(fresh))  # their places once merged
+        old = np.ones(len(known) + len(fresh), dtype=bool)
+        old[to] = False
+        known = _merged(known, old, uniq[fresh], to)
+        known_ids = _merged(known_ids, old, ids[fresh], to)
+        levels.append(succ[first[new]])
+        lo, n_states = n_states, n_states + len(new)
+        n_transitions += len(succ)
+    states = np.concatenate(levels)
+    cat = lambda xs: np.concatenate(xs).astype(np.int64, copy=False)
+    src, dst, act = cat(src), cat(dst), cat(act)
+    out_start = np.searchsorted(src, np.arange(n_states + 1))
+    return StateSpace(gp=gp, states=states, src=src, dst=dst, act=act,
+                      is_goal=gp.is_goal(states), out_start=out_start)
 
 
 def label_goal_distances(space: StateSpace) -> StateSpace:

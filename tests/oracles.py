@@ -47,11 +47,53 @@ def brute_force_ground_actions(dom, inst):
     return sorted(names)
 
 
+# -- states and expansion ------------------------------------------------------
+
+def unpacker(gp):
+    """row -> the atom ids that hold in the state of a packed row: the static
+    atoms of the initial state, and atom k of the atoms whose predicate is
+    not static (in atom id order) when bit k % 64 of word k // 64 is set."""
+    static = gp.static_predicates
+    dynamic = [i for i, a in enumerate(gp.atoms) if a[0] not in static]
+    always = {i for i, a in enumerate(gp.atoms) if a[0] in static and a in gp.instance.init}
+
+    def unpack(row):
+        words = [int(w) for w in row]
+        return frozenset(always | {i for k, i in enumerate(dynamic)
+                                   if words[k // 64] >> (k % 64) & 1})
+    return unpack
+
+
+def state_sets(space):
+    """The atom ids of every state of an expanded space, in state id order."""
+    return list(map(unpacker(space.gp), space.states))
+
+
+def naive_expand(gp):
+    """Breadth-first enumeration over frozensets of atom ids, from
+    `GroundAction.pre/add/dele` and `gp.atoms` only: the states (id 0 the
+    initial one, ids in discovery order), the (src, dst, action) triples in
+    (source, action id) order, and whether each state is a goal state."""
+    index = {a: i for i, a in enumerate(gp.atoms)}
+    init = frozenset(index[a] for a in gp.instance.init)
+    goal = frozenset(index[a] for a in gp.instance.goal)
+    states, ids, edges = [init], {init: 0}, []
+    for sid, s in enumerate(states):  # the list is also the queue
+        for aid, a in enumerate(gp.actions):
+            if a.pre <= s:
+                t = (s - a.dele) | a.add
+                if t not in ids:
+                    ids[t] = len(states)
+                    states.append(t)
+                edges.append((sid, ids[t], aid))
+    return states, edges, [goal <= s for s in states]
+
+
 # -- concept evaluation --------------------------------------------------------
 
 def naive_eval_state(expr, gp, state):
     """Set-semantics evaluation of a concept or role expression on a ground
-    state; returns a set of objects or of object pairs."""
+    state, a set of atom ids; returns a set of objects or of object pairs."""
     from genpol import concepts as co
 
     atoms = [gp.atoms[i] for i in sorted(state)]
@@ -167,9 +209,9 @@ def naive_distance(gp, state, source, role, restrict, target):
 
 
 def feature_value(feature, gp, state):
-    """Value of a pool or policy feature on a ground state: an atom flag,
-    the size of a concept (1 or 0 when boolean: exactly one element), or a
-    `naive_distance`."""
+    """Value of a pool or policy feature on a ground state, a set of atom
+    ids: an atom flag, the size of a concept (1 or 0 when boolean: exactly
+    one element), or a `naive_distance`."""
     from genpol import features as fe
 
     if isinstance(feature, fe.NullaryFeature):

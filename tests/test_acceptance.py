@@ -189,7 +189,7 @@ def _make_toy(seed):
         out_start[i + 1] += out_start[i]
     sp = space.StateSpace(
         gp=SimpleNamespace(instance=SimpleNamespace(name=f"toy-{seed}")),
-        states=[frozenset([i]) for i in range(n)],
+        states=np.zeros((n, 1), dtype=np.uint64),
         src=np.array(src, dtype=np.int64), dst=np.array(dst, dtype=np.int64),
         act=np.arange(len(edges), dtype=np.int64),
         is_goal=np.array([s in goals for s in range(n)], dtype=bool),
@@ -392,8 +392,10 @@ def test_criterion_7_merged_and_incremental_equivalences(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def _clear_tuple_fn(gp):
-    def values(state):
-        atoms = [gp.atoms[i] for i in state]
+    unpack = oracles.unpacker(gp)
+
+    def values(row):
+        atoms = [gp.atoms[i] for i in unpack(row)]
         above = {a[2]: a[1] for a in atoms if a[0] == "on"}
         n, cur = 0, "b1"
         while cur in above:
@@ -405,8 +407,10 @@ def _clear_tuple_fn(gp):
 
 
 def _gripper_tuple_fn(gp):
-    def values(state):
-        atoms = [gp.atoms[i] for i in state]
+    unpack = oracles.unpacker(gp)
+
+    def values(row):
+        atoms = [gp.atoms[i] for i in unpack(row)]
         b_a = sum(1 for a in atoms if a[0] == "at" and a[2] == "rooma")
         carried = sum(1 for a in atoms if a[0] == "carry")
         r_b = int(("at-robby", "roomb") in atoms)

@@ -42,7 +42,7 @@ def _check(pol, gp, sp):
     assert vals.dtype == np.int64
     assert vals.shape == (sp.n_states, len(pol.features))
     want = [[oracles.feature_value(f, gp, s) for f in pol.features]
-            for s in sp.states]
+            for s in oracles.state_sets(sp)]
     assert vals.tolist() == want
 
     got = po.verify_space(pol, sp, vals)

@@ -95,11 +95,12 @@ def test_concept_evaluation_matches_set_semantics(domain_text, instance_text,
                                                   goal_params, exprs):
     gp, sp = _space(domain_text, instance_text, goal_params)
     ictx, ctx = _context(gp, sp)
+    states = oracles.state_sets(sp)
     for expr in exprs:
         col = ctx.concept(expr)
         assert col.shape == (sp.n_states, ictx.words) and col.dtype == np.uint64
         for sid, bits in enumerate(ctx.members(col)):
-            want = oracles.naive_eval_state(expr, gp, sp.states[sid])
+            want = oracles.naive_eval_state(expr, gp, states[sid])
             assert _names(bits, ictx) == want, (co.render(expr), sid)
 
 
@@ -115,11 +116,12 @@ def test_role_evaluation_matches_set_semantics():
         ClosureRole(InverseRole(PrimitiveRole("on"))),
         InverseRole(ClosureRole(PrimitiveRole("on"))),
     ]
+    states = oracles.state_sets(sp)
     for role in roles:
         rows = ctx.role(role)
         assert rows.shape == (sp.n_states, ictx.n, ictx.words)
         for sid, bits in enumerate(ctx.members(rows)):
-            want = oracles.naive_eval_state(role, gp, sp.states[sid])
+            want = oracles.naive_eval_state(role, gp, states[sid])
             assert _pairs(bits, ictx) == want, (co.render(role), sid)
 
 
@@ -145,12 +147,13 @@ def test_distance_matches_naive_bfs():
     gp, sp = _space(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(5),
                     ("b1",))
     _, ctx = _context(gp, sp)
+    states = oracles.state_sets(sp)
     for source, role, restrict, target in DISTANCES:
         dmap = ctx.distance_map(ctx.concept(source), ctx.role(role),
                                 ctx.concept(restrict))
         got = ctx.min_distance(dmap, ctx.concept(target))
         want = [oracles.naive_distance(gp, state, source, role, restrict, target)
-                for state in sp.states]
+                for state in states]
         assert got.tolist() == want, co.render(source)
 
 
@@ -190,7 +193,7 @@ def test_distance_map_agrees_with_distance():
     for target in (Top(), Bot(), robot, PrimitiveConcept("visited"), restrict,
                    Exists(conn, robot)):
         want = [oracles.naive_distance(gp, state, robot, conn, restrict, target)
-                for state in sp.states]
+                for state in oracles.state_sets(sp)]
         assert ctx.min_distance(dmap, ctx.concept(target)).tolist() == want
 
 

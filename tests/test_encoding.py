@@ -170,7 +170,8 @@ def test_indistinguishable_goal_pair_marks_theory_infeasible():
     # A pool that only sees `fresh` cannot tell the goal from the dead end.
     crippled = features.load_pool("0 1 bool Atom(fresh)\n")
     sp = sample.spaces[0]
-    cmatrix = np.array([[oracles.feature_value(f, sp.gp, s) for s in sp.states]
+    states = oracles.state_sets(sp)
+    cmatrix = np.array([[oracles.feature_value(f, sp.gp, s) for s in states]
                         for f in crippled.features], dtype=np.int64)
     classes, class_of = compute_classes(sample, cmatrix)
     theory = build_theory(sample, crippled, cmatrix, classes, class_of)

@@ -39,8 +39,8 @@ def _sample(domain_text, instance_text, goal_params=()):
 def _oracle_matrix(pool, sample):
     """int64 [n_features, n_states]: every pool feature on every state of
     the sample, from the oracle."""
-    return np.array([[oracles.feature_value(f, sp.gp, s)
-                      for sp in sample.spaces for s in sp.states]
+    states = [(sp.gp, s) for sp in sample.spaces for s in oracles.state_sets(sp)]
+    return np.array([[oracles.feature_value(f, gp, s) for gp, s in states]
                      for f in pool.features], dtype=np.int64)
 
 
@@ -116,9 +116,10 @@ def test_boolean_flag_iff_counts_never_exceed_one():
     pool, _ = features.generate_pool(sample, max_weight=4)
     cardinality = [f for f in pool.features if isinstance(f, CardinalityFeature)]
     assert cardinality
+    states = oracles.state_sets(sp)
     for f in cardinality[::4]:
         counts = [len(oracles.naive_eval_state(f.concept, sp.gp, s))
-                  for s in sp.states]
+                  for s in states]
         assert f.is_boolean == (max(counts) <= 1), f.render()
     # Distance features are always numeric.
     for f in pool.features:

@@ -1,8 +1,9 @@
 """Parser, grounder and successor generator tests."""
 
+import numpy as np
 import pytest
 
-from genpol import pddl
+from genpol import pddl, space
 from genpol.errors import PddlError, UnsupportedPddlError
 
 import domains
@@ -71,6 +72,19 @@ def test_unsupported_features_rejected():
         pddl.parse_domain(text)
 
 
+@pytest.mark.parametrize("types,error", [
+    ("place object", None), ("place - object object", None),
+    ("a - b b - a", "type 'a' is its own ancestor"),
+    ("object - place", "type 'object' is its own ancestor")])
+def test_type_hierarchy_cycles_rejected(types, error):
+    text = domains.VISITALL_DOMAIN.replace("(:types place - object)", f"(:types {types})")
+    if error is None:
+        assert pddl.parse_domain(text).types["object"] is None
+    else:
+        with pytest.raises(PddlError, match=f"^{error}$"):
+            pddl.parse_domain(text)
+
+
 def test_undeclared_predicate_rejected():
     text = """
     (define (domain bad)
@@ -126,21 +140,52 @@ def test_applicable_matches_hand_simulation():
       (:goal (and (clear a))))"""
     inst = pddl.parse_instance(text, dom, ["a"])
     gp = pddl.ground(dom, inst)
-    applicable = {gp.actions[i].name for i in gp.applicable(gp.init)}
-    assert applicable == {"unstack(b,a)"}
-    succ = gp.successors(gp.init)
-    (aid, s2), = succ
-    assert gp.actions[aid].name == "unstack(b,a)"
-    applicable2 = {gp.actions[i].name for i in gp.applicable(s2)}
-    assert applicable2 == {"putdown(b)", "stack(b,a)"}
+    aids, succ = gp.successors(gp.init)
+    assert [gp.actions[i].name for i in aids] == ["unstack(b,a)"]
+    assert oracles.unpacker(gp)(succ[0]) == {
+        gp.atom_ids[a] for a in [("clear", "a"), ("holding", "b"), ("on-table", "a")]}
+    aids2, _ = gp.successors(succ[0])
+    assert [gp.actions[i].name for i in aids2] == ["putdown(b)", "stack(b,a)"]
 
 
-def test_successor_states_are_frozensets_of_atom_ids():
+def test_successor_states_are_packed_rows():
     dom, inst = _gripper(1)
     gp = pddl.ground(dom, inst)
-    for _aid, s2 in gp.successors(gp.init):
-        assert isinstance(s2, frozenset)
-        assert all(0 <= a < len(gp.atoms) for a in s2)
+    assert gp.init.dtype == np.uint64 and gp.init.shape == (gp.words,)
+    assert gp.static_atoms == frozenset()  # every gripper predicate is dynamic
+    aids, succ = gp.successors(gp.init)
+    assert succ.dtype == np.uint64 and succ.shape == (len(aids), gp.words)
+    unpack = oracles.unpacker(gp)
+    init = unpack(gp.init)
+    for aid, row in zip(aids.tolist(), succ):
+        act = gp.actions[aid]
+        assert act.pre <= init
+        assert unpack(row) == (init - act.dele) | act.add
+
+
+def test_static_atoms_are_kept_once_per_instance():
+    dom = pddl.parse_domain(domains.VISITALL_DOMAIN)
+    gp = pddl.ground(dom, pddl.parse_instance(
+        domains.visitall_instance(2, 2, (0, 0)), dom))
+    assert gp.static_predicates == {"connected"}
+    assert {gp.atoms[a][0] for a in gp.static_atoms} == {"connected"}
+    assert len(gp.static_atoms) == 8 and len(gp.dynamic) == 8 and gp.words == 1
+    assert not gp.is_goal(gp.init)
+
+
+@pytest.mark.parametrize("static_goal,holds", [
+    ("(connected loc-0-0 loc-1-0)", True), ("(connected loc-0-0 loc-1-1)", False)])
+def test_static_goal_atoms(static_goal, holds):
+    # A static goal atom is decided by the initial state, in every state.
+    dom = pddl.parse_domain(domains.VISITALL_DOMAIN)
+    text = domains.visitall_instance(2, 2, (0, 0)).replace(
+        "(:goal (and", f"(:goal (and {static_goal}")
+    gp = pddl.ground(dom, pddl.parse_instance(text, dom))
+    sp = space.expand(gp)
+    visited = {("visited", f"loc-{x}-{y}") for x in (0, 1) for y in (0, 1)}
+    want = [holds and visited <= {gp.atoms[a] for a in state}
+            for state in oracles.state_sets(sp)]
+    assert sp.is_goal.tolist() == want and any(want) == holds
 
 
 def test_atom_ids_deterministic_and_sorted():

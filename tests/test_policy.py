@@ -238,7 +238,7 @@ def test_verify_exhaustive_equals_verify_space(name):
     gp = _ground(domain_text, instance_text, goal_params)
     sp = space.expand_labeled(gp)
     vals = [[oracles.feature_value(f, gp, s) for f in pol.features]
-            for s in sp.states]
+            for s in oracles.state_sets(sp)]
     assert pipeline.verify_space(pol, sp, vals) == po.verify_exhaustive(pol, gp)
 
 
@@ -252,7 +252,10 @@ def test_verify_complete_and_check_descending():
     above = co.parse_expression("Exists(on_plus,Nominal(goal0))")
     holding = co.parse_expression("holding")
 
-    def n_then_h(state):
+    unpack = oracles.unpacker(gp)
+
+    def n_then_h(row):
+        state = unpack(row)
         return (len(oracles.naive_eval_state(above, gp, state)),
                 len(oracles.naive_eval_state(holding, gp, state)))
 
@@ -261,8 +264,8 @@ def test_verify_complete_and_check_descending():
 
     # The swapped tuple is not a termination certificate: picking a block up
     # raises H while n only drops in the second position.
-    def h_then_n(state):
-        return tuple(reversed(n_then_h(state)))
+    def h_then_n(row):
+        return tuple(reversed(n_then_h(row)))
 
     ok, witness = po.check_descending(pol, gp, h_then_n)
     assert not ok and witness is not None

@@ -1,10 +1,10 @@
 """State-space expansion, goal-distance labeling, and sample bookkeeping."""
 
-from collections import deque
-
+import numpy as np
 import pytest
 
 import domains
+import oracles
 from genpol import pddl, space
 from genpol.errors import LimitExceededError
 
@@ -29,38 +29,39 @@ def _ground(domain_text, instance_text, goal_params=()):
     return pddl.ground(dom, inst)
 
 
-def reference_expansion(gp):
-    """Independent breadth-first enumeration used to cross-check `expand`.
-
-    Returns (number of states, number of transitions) without relying on
-    any of the StateSpace bookkeeping.
-    """
-    seen = {gp.init}
-    queue = deque([gp.init])
-    n_edges = 0
-    while queue:
-        s = queue.popleft()
-        for aid in gp.applicable(s):
-            a = gp.actions[aid]
-            t = (s - a.dele) | a.add
-            n_edges += 1
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return len(seen), n_edges
-
-
-@pytest.mark.parametrize("domain_text,instance_text", [
-    (domains.GRIPPER_DOMAIN, domains.gripper_instance(2)),
-    (domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4)),
-    (domains.VISITALL_DOMAIN, domains.visitall_instance(2, 2, (0, 0))),
-], ids=["gripper", "blocks", "visitall"])
-def test_expand_matches_reference_enumeration(domain_text, instance_text):
-    gp = _ground(domain_text, instance_text)
+def _check_against_oracle(gp):
+    """`expand` equals `oracles.naive_expand` transition by transition and
+    state by state."""
     sp = space.expand(gp)
-    n_states, n_edges = reference_expansion(gp)
-    assert sp.n_states == n_states
-    assert sp.n_transitions == n_edges
+    states, edges, goal = oracles.naive_expand(gp)
+    assert sp.n_states == len(states)
+    assert list(zip(sp.src.tolist(), sp.dst.tolist(), sp.act.tolist())) == edges
+    assert sp.is_goal.tolist() == goal
+    assert sp.states.dtype == np.uint64
+    assert sp.states.shape == (len(states), max(1, -(-len(gp.dynamic) // 64)))
+    assert oracles.state_sets(sp) == states
+    return sp
+
+
+@pytest.mark.parametrize("domain_text,instance_text,goal_params", [
+    (domains.GRIPPER_DOMAIN, domains.gripper_instance(2), ()),
+    (domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4), ("b1",)),
+    (domains.VISITALL_DOMAIN, domains.visitall_instance(2, 2, (0, 0)), ()),
+    (ONEWAY_DOMAIN, ONEWAY_INSTANCE, ()),
+], ids=["gripper", "blocks", "visitall", "oneway"])
+def test_expand_matches_reference_enumeration(domain_text, instance_text,
+                                              goal_params):
+    _check_against_oracle(_ground(domain_text, instance_text, goal_params))
+
+
+@pytest.mark.parametrize("cells,dynamic", [(31, 62), (32, 64), (33, 66), (65, 130)])
+def test_expand_across_word_boundaries(cells, dynamic):
+    # A visitall line has one at-robot and one visited atom per cell, so these
+    # states straddle the 64- and 128-bit word boundaries.
+    gp = _ground(domains.VISITALL_DOMAIN, domains.visitall_instance(cells, 1, (0, 0)))
+    assert len(gp.dynamic) == dynamic
+    sp = _check_against_oracle(gp)
+    assert sp.is_goal.sum() == cells  # every cell visited, the robot anywhere
 
 
 def test_training_instance_sizes():
@@ -144,12 +145,51 @@ def test_goal_states_are_expanded_not_pruned():
             assert t not in sp.alive_t
 
 
+def _first_cap(edges, max_states, max_transitions):
+    """The cap a one-state-at-a-time search over `edges`, in (source,
+    action id) order, hits first: the state cap at a new state beyond
+    `max_states`, checked before the transition cap at the transition
+    beyond `max_transitions`; None when neither is hit."""
+    n_states = 1
+    for n, (_, dst, _) in enumerate(edges, 1):
+        if dst == n_states:
+            n_states += 1
+            if n_states > max_states:
+                return "states"
+        if n > max_transitions:
+            return "transitions"
+    return None
+
+
 def test_expansion_limits_raise():
     gp = _ground(domains.GRIPPER_DOMAIN, domains.gripper_instance(3))
-    with pytest.raises(LimitExceededError):
+    with pytest.raises(LimitExceededError,
+                       match=r"^more than 5 states in 'gripper-3-none'$"):
         space.expand(gp, max_states=5)
-    with pytest.raises(LimitExceededError):
+    with pytest.raises(LimitExceededError,
+                       match=r"^more than 10 transitions in 'gripper-3-none'$"):
         space.expand(gp, max_transitions=10)
+
+
+def test_expansion_caps_are_exact():
+    # Every cap, mid-level ones included, fires exactly when the space is
+    # larger, with the error the one-state-at-a-time order reaches first.
+    gp = _ground(domains.GRIPPER_DOMAIN, domains.gripper_instance(2))
+    states, edges, _ = oracles.naive_expand(gp)
+    n, t = len(states), len(edges)
+    for max_states in range(1, n + 2):
+        for max_transitions in range(0, t + 2, 3):
+            want = _first_cap(edges, max_states, max_transitions)
+            if want is None:
+                sp = space.expand(gp, max_states, max_transitions)
+                assert (sp.n_states, sp.n_transitions) == (n, t)
+                continue
+            cap = max_states if want == "states" else max_transitions
+            with pytest.raises(LimitExceededError) as err:
+                space.expand(gp, max_states, max_transitions)
+            assert str(err.value) == f"more than {cap} {want} in 'gripper-2-none'"
+    assert _first_cap(edges, n - 1, t) == "states"
+    assert _first_cap(edges, n, t - 1) == "transitions"
 
 
 def test_sample_set_offsets_and_global_ids():
