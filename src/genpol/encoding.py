@@ -20,19 +20,27 @@ Transitions are grouped into equivalence classes by their feature change
 profile; constraints 1, 5 and 6 operate on class variables.  Constraint 6 is
 built only for a pair set tau, which the learning loop grows on demand; the
 others are always complete.
+
+Everything here works on the arrays of the sample (`space.SampleSet`): the
+change profiles of all alive transitions form one uint8 [transitions,
+features] matrix, `compute_classes` numbers its distinct rows by first
+occurrence, and `class_of` is an int64 array over the sample's alive
+transitions.  The V(s, d) of a state are consecutive variables from
+`Theory.v_first[s]`, d = goal_dist(s) first.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from genpol.errors import InternalInvariantError
 from genpol.features import FeaturePool, boolean_matrix
 from genpol.maxsat import WcnfProblem
-from genpol.space import SampleSet
+from genpol.space import SampleSet, row_keys
 
 FLAT, UP, DOWN = 0, 1, 2
 
@@ -40,47 +48,76 @@ FLAT, UP, DOWN = 0, 1, 2
 PAIR_FULL_LIMIT = 4000
 
 
+def _first_ids(rows: np.ndarray):
+    """(ids, first): per row the id of its value, ids numbered by first
+    occurrence, and per id the row where it first occurs (ascending)."""
+    if not rows.shape[1]:  # zero-width rows are all equal
+        return np.zeros(len(rows), dtype=np.int64), np.arange(min(1, len(rows)))
+    _, first, inverse = np.unique(row_keys(rows), return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    return rank[inverse.reshape(-1)], first[order]
+
+
+def _firsts(ids: np.ndarray, n_ids: int, side: np.ndarray) -> np.ndarray:
+    """[2, n_ids]: per id, the first row i of that id with side[i] false
+    (row 0) and true (row 1); len(ids) where there is none."""
+    out = np.full((2, n_ids), len(ids))
+    np.minimum.at(out, (side.astype(np.intp), ids), np.arange(len(ids)))
+    return out
+
+
+def _direction_codes(matrix: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """uint8 [transitions, features]: (source value > 0) << 2 | direction of
+    the change from state src[i] to state dst[i]."""
+    a, b = matrix[:, src].T, matrix[:, dst].T
+    codes = (a > 0).astype(np.uint8) << 2  # FLAT unless set below
+    codes[b > a] |= UP
+    codes[b < a] |= DOWN
+    return codes
+
+
 @dataclass
-class TransitionClass:
-    index: int
-    codes: bytes      # per feature: (source boolean << 2) | direction
-    dst_dead: bool    # some member leads into a dead end (forces not-good)
-    size: int = 1
+class Classes:
+    """Transition classes, numbered by first occurrence among the sample's
+    alive transitions."""
+    codes: np.ndarray     # uint8 [classes, features]: the members' change profile
+    dst_dead: np.ndarray  # bool per class: some member leads into a dead end
+    size: np.ndarray      # int64 per class: number of member transitions
 
-
-def _direction_codes(matrix: np.ndarray, gsrc: int, gdst: int) -> np.ndarray:
-    src = matrix[:, gsrc]
-    dst = matrix[:, gdst]
-    dirs = np.where(dst > src, UP, np.where(dst < src, DOWN, FLAT))
-    return (((src > 0).astype(np.uint8) << 2) | dirs.astype(np.uint8))
+    def __len__(self) -> int:
+        return len(self.size)
 
 
 def compute_classes(sample: SampleSet, matrix: np.ndarray, merge: bool = True):
     """Groups alive transitions indistinguishable by the full pool.
 
-    Returns (classes, class_of) with class_of[(space_idx, transition_id)] set
-    for every alive transition.  With merge=False every transition becomes a
-    singleton class, which must yield the same optimum (the merged encoding
-    is an equivalence-preserving simplification).
+    Returns (classes, class_of), class_of[i] the class of the sample's alive
+    transition i.  With merge=False every transition becomes a singleton
+    class, which must yield the same optimum (the merged encoding is an
+    equivalence-preserving simplification).
     """
-    classes: list = []
-    by_key: dict = {}
-    class_of: dict = {}
-    for k, t, gsrc, gdst in sample.iter_alive_transitions():
-        sp = sample.spaces[k]
-        dst_dead = bool(sp.goal_dist[sp.dst[t]] < 0)
-        codes = _direction_codes(matrix, gsrc, gdst).tobytes()
-        key = codes if merge else (k, t)
-        cls = by_key.get(key)
-        if cls is None:
-            cls = TransitionClass(len(classes), codes, dst_dead)
-            by_key[key] = cls
-            classes.append(cls)
-        else:
-            cls.size += 1
-            cls.dst_dead = cls.dst_dead or dst_dead
-        class_of[(k, t)] = cls.index
-    return classes, class_of
+    codes = _direction_codes(matrix, sample.src, sample.dst)
+    if merge:
+        class_of, first = _first_ids(codes)
+    else:
+        class_of = first = np.arange(len(codes))
+    n = len(first)
+    dead = sample.goal_dist[sample.dst] < 0
+    return Classes(codes[first], np.bincount(class_of, weights=dead, minlength=n) > 0,
+                   np.bincount(class_of, minlength=n)), class_of
+
+
+def _out_classes(sample: SampleSet, class_of: np.ndarray, n_classes: int) -> list:
+    """Per alive state, ascending, the distinct classes of its outgoing
+    transitions, ascending."""
+    n = max(n_classes, 1)
+    key = np.unique(sample.src * n + class_of)
+    if not len(key):
+        return []
+    return np.split(key % n, np.flatnonzero(np.diff(key // n)) + 1)
 
 
 @dataclass
@@ -89,8 +126,9 @@ class Theory:
     tags: list                # formula tag per hard clause
     n_select: int
     n_good: int
-    v_var: dict               # (global state, d) -> variable
-    v_dom: dict               # global state -> list of admissible d
+    goal_dist: np.ndarray     # per global state (the sample's)
+    v_first: np.ndarray       # per global state: variable of V(s, goal_dist(s))
+    v_count: np.ndarray       # per global state: number of admissible values
     pairs: list               # encoded tau (unordered class index pairs)
     infeasible: tuple | None  # (goal state, non-goal state) with equal signature
     stats: dict
@@ -101,86 +139,51 @@ class Theory:
     def good_var(self, c: int) -> int:
         return self.n_select + c + 1
 
-
-def _value_domains(sample: SampleSet, v_slack: int):
-    v_dom: dict = {}
-    for off, sp in zip(sample.offsets, sample.spaces):
-        for sid, dist in enumerate(sp.goal_dist.tolist()):
-            if dist >= 0:  # dead ends take no value label; goals exactly 0
-                v_dom[off + sid] = list(range(dist, v_slack * dist + 1))
-    return v_dom
+    def value_var(self, g: int, d: int) -> int:
+        return int(self.v_first[g] + d - self.goal_dist[g])
 
 
 def _separation_clauses(pool: FeaturePool, matrix: np.ndarray, sample: SampleSet):
     """Minimal deduplicated goal/non-goal difference sets, or a witness pair
     of states no feature can tell apart."""
-    bools = boolean_matrix(pool, matrix)
-    goal_sigs: dict = {}
-    other_sigs: dict = {}
-    for g, sp, sid in sample.iter_states():
-        col = bools[:, g].tobytes()
-        bucket = goal_sigs if sp.is_goal[sid] else other_sigs
-        bucket.setdefault(col, g)
-    for sig, g in goal_sigs.items():
-        if sig in other_sigs:
-            return None, (g, other_sigs[sig])
+    sigs = boolean_matrix(pool, matrix).T  # per global state
+    ids, first = _first_ids(sigs)
+    n = len(ids)
+    other, goal = _firsts(ids, len(first), sample.is_goal)  # per signature
+    both = np.flatnonzero((goal < n) & (other < n))
+    if len(both):
+        s = both[np.argmin(goal[both])]
+        return None, (int(goal[s]), int(other[s]))
 
-    masks = set()
-    for gsig in goal_sigs:
-        a = np.frombuffer(gsig, dtype=np.uint8)
-        for osig in other_sigs:
-            b = np.frombuffer(osig, dtype=np.uint8)
-            diff = np.nonzero(a != b)[0]
-            mask = 0
-            for f in diff:
-                mask |= 1 << int(f)
-            masks.add(mask)
+    gsigs, osigs = sigs[goal[goal < n]], sigs[other[other < n]]
+    diffs = (gsigs[:, None] != osigs[None]).reshape(-1, sigs.shape[1])
+    masks = diffs[_first_ids(diffs)[1]]
+    # Fewest features first, then as binary numbers with feature f as bit f.
+    order = np.lexsort(np.vstack([masks.T, masks.sum(axis=1)]))
     kept: list = []
-    for mask in sorted(masks, key=lambda m: (m.bit_count(), m)):
-        if any(km & mask == km for km in kept):
-            continue
-        kept.append(mask)
-    clauses = []
-    for mask in kept:
-        clause = []
-        f = 0
-        while mask:
-            if mask & 1:
-                clause.append(f)
-            mask >>= 1
-            f += 1
-        clauses.append(clause)
-    return clauses, None
-
-
-def _diff_features(c1: TransitionClass, c2: TransitionClass) -> list:
-    a = np.frombuffer(c1.codes, dtype=np.uint8)
-    b = np.frombuffer(c2.codes, dtype=np.uint8)
-    return np.nonzero(a != b)[0].tolist()
+    for mask in masks[order]:
+        if not any((k <= mask).all() for k in kept):
+            kept.append(mask)
+    return [np.flatnonzero(k).tolist() for k in kept], None
 
 
 def build_theory(sample: SampleSet, pool: FeaturePool, matrix: np.ndarray,
-                 classes: list, class_of: dict, v_slack: int = 2,
+                 classes: Classes, class_of: np.ndarray, v_slack: int = 2,
                  pairs: list | None = None) -> Theory:
-    wcnf = WcnfProblem()
-    tags: list = []
     n_select = len(pool)
     n_good = len(classes)
+    dist = sample.goal_dist
+    v_count = np.where(dist >= 0, (v_slack - 1) * dist + 1, 0)
+    v_first = n_select + n_good + 1 + np.cumsum(v_count) - v_count
+    wcnf = WcnfProblem(nvars=n_select + n_good + int(v_count.sum()))
+    tags: list = []
+    theory = Theory(wcnf, tags, n_select, n_good, dist, v_first, v_count,
+                    [], None, {})
+    sel, good = theory.select_var, theory.good_var
 
     def add(tag: str, clause: list):
         wcnf.add_hard(clause)
         tags.append(tag)
-
-    v_dom = _value_domains(sample, v_slack)
-    v_var: dict = {}
-    next_var = n_select + n_good + 1
-    for g in sorted(v_dom):
-        for d in v_dom[g]:
-            v_var[(g, d)] = next_var
-            next_var += 1
-    wcnf.nvars = max(wcnf.nvars, next_var - 1)
-    theory = Theory(wcnf, tags, n_select, n_good, v_var, v_dom, [], None, {})
-    sel, good = theory.select_var, theory.good_var
 
     # 4. goal separation (first: an infeasible pool is detected here)
     sep_clauses, witness = _separation_clauses(pool, matrix, sample)
@@ -193,49 +196,40 @@ def build_theory(sample: SampleSet, pool: FeaturePool, matrix: np.ndarray,
         add("goalsep", [sel(f) for f in feats])
 
     # 1. alive states are covered by a good class
-    out_classes: dict = {}
-    for k, t, gsrc, gdst in sample.iter_alive_transitions():
-        out_classes.setdefault(gsrc, []).append(class_of[(k, t)])
-    for gsrc in sorted(out_classes):
-        seen = sorted(set(out_classes[gsrc]))
-        add("cover", [good(c) for c in seen])
+    for cs in _out_classes(sample, class_of, n_good):
+        add("cover", (cs + n_select + 1).tolist())  # the Good(c) variables
 
     # 2. exactly one value per solvable state
-    for g in sorted(v_dom):
-        dom = v_dom[g]
-        add("value", [v_var[(g, d)] for d in dom])
-        for i in range(len(dom)):
-            for j in range(i + 1, len(dom)):
-                add("value", [-v_var[(g, dom[i])], -v_var[(g, dom[j])]])
+    solvable = dist >= 0
+    for v, count in zip(v_first[solvable].tolist(), v_count[solvable].tolist()):
+        labels = range(v, v + count)
+        add("value", list(labels))
+        for a, b in combinations(labels, 2):
+            add("value", [-a, -b])
 
     # 3. good transitions descend; 5. dead-end targets are never good
-    for c in classes:
-        if c.dst_dead:
-            add("deadend", [-good(c.index)])
-    for k, t, gsrc, gdst in sample.iter_alive_transitions():
-        sp = sample.spaces[k]
-        if not sp.alive[sp.dst[t]]:
-            continue  # dead ends handled above; goal targets satisfy any label
-        c = class_of[(k, t)]
-        dst_dom = v_dom[gdst]
-        for d in v_dom[gsrc]:
-            clause = [-good(c), -v_var[(gsrc, d)]]
-            clause += [v_var[(gdst, d2)] for d2 in dst_dom if d2 < d]
-            add("descend", clause)
+    for c in np.flatnonzero(classes.dst_dead).tolist():
+        add("deadend", [-good(c)])
+    # Dead-end targets are handled above; goal targets satisfy any label.
+    keep = sample.alive[sample.dst]
+    src, dst = sample.src[keep], sample.dst[keep]
+    per_state = (dist[src], dist[dst], v_first[src], v_count[src], v_first[dst],
+                 v_count[dst])
+    for c, ds, dt, fs, ns, ft, nt in zip(class_of[keep].tolist(),
+                                          *(a.tolist() for a in per_state)):
+        for k in range(ns):  # d = ds + k; the V(t, d2) with d2 < d follow
+            below = range(ft, ft + min(max(ds + k - dt, 0), nt))
+            add("descend", [-good(c), -(fs + k), *below])
 
     # 6. D2 separation over the requested pairs
-    enc_pairs: list = []
-    if pairs:
-        for c1, c2 in pairs:
-            if c1 == c2:
-                continue
-            a, b = (c1, c2) if c1 < c2 else (c2, c1)
-            enc_pairs.append((a, b))
-        enc_pairs = sorted(set(enc_pairs))
-        for a, b in enc_pairs:
-            diff = [sel(f) for f in _diff_features(classes[a], classes[b])]
-            add("separate", [-good(a), good(b)] + diff)
-            add("separate", [-good(b), good(a)] + diff)
+    enc_pairs = sorted({(min(a, b), max(a, b)) for a, b in pairs or () if a != b})
+    if enc_pairs:
+        lo, hi = np.array(enc_pairs).T
+        diff = classes.codes[lo] != classes.codes[hi]
+        for a, b, row in zip(lo.tolist(), hi.tolist(), diff):
+            sels = (np.flatnonzero(row) + 1).tolist()  # the Select(f) variables
+            add("separate", [-good(a), good(b), *sels])
+            add("separate", [-good(b), good(a), *sels])
 
     for f in range(n_select):
         wcnf.add_soft(int(pool.weights[f]), [-sel(f)])
@@ -261,7 +255,7 @@ def _stats(theory: Theory, sample: SampleSet) -> dict:
     }
 
 
-def initial_pairs(classes: list, class_of: dict, sample: SampleSet,
+def initial_pairs(classes: Classes, class_of: np.ndarray, sample: SampleSet,
                   extra_per_class: int = 2, seed: int = 0) -> list:
     """Starting tau: all pairs when the quadratic count is small; otherwise
     pairs of classes leaving a common state plus seeded random extras.
@@ -270,32 +264,20 @@ def initial_pairs(classes: list, class_of: dict, sample: SampleSet,
     the first round instead of trickling in through validation."""
     n = len(classes)
     if n * (n - 1) // 2 <= PAIR_FULL_LIMIT:
-        return [(a, b) for a in range(n) for b in range(a + 1, n)]
+        return list(combinations(range(n), 2))
 
-    pairs = set()
-    by_codes: dict = {}
-    for c in classes:
-        by_codes.setdefault(c.codes, []).append(c.index)
-    for group in by_codes.values():
-        pairs.update((group[0], ci) for ci in group[1:])
-    reps = sorted(group[0] for group in by_codes.values())
+    ids, reps = _first_ids(classes.codes)  # reps: first class of each code
+    chained = np.flatnonzero(reps[ids] != np.arange(n))
+    pairs = set(zip(reps[ids[chained]].tolist(), chained.tolist()))
     if len(reps) * (len(reps) - 1) // 2 <= PAIR_FULL_LIMIT:
         # Distinguishability clauses between any two chained classes are
         # implied by the chain equalities plus the representative pair, so
         # covering every representative pair makes the starting set already
         # closed over all class pairs.
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                pairs.add((reps[i], reps[j]))
+        pairs.update(combinations(reps.tolist(), 2))
         return sorted(pairs)
-    by_src: dict = {}
-    for k, t, gsrc, gdst in sample.iter_alive_transitions():
-        by_src.setdefault(gsrc, set()).add(class_of[(k, t)])
-    for gsrc in sorted(by_src):
-        cs = sorted(by_src[gsrc])
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                pairs.add((cs[i], cs[j]))
+    for cs in _out_classes(sample, class_of, n):
+        pairs.update(combinations(cs.tolist(), 2))
     rng = random.Random(seed)
     want = len(pairs) + extra_per_class * n
     attempts = 0
@@ -309,41 +291,40 @@ def initial_pairs(classes: list, class_of: dict, sample: SampleSet,
 
 
 def decode(theory: Theory, model: list):
-    """(selected feature ids, good class ids, value labels per global state)."""
-    phi = [f for f in range(theory.n_select) if model[theory.select_var(f)]]
-    goods = [c for c in range(theory.n_good) if model[theory.good_var(c)]]
-    values = {}
-    for (g, d), var in theory.v_var.items():
-        if model[var]:
-            if g in values:
-                raise InternalInvariantError(f"state {g} carries two value labels")
-            values[g] = d
+    """(selected feature ids, good class ids, value label per global state,
+    -1 for the dead ends)."""
+    m = np.asarray(model, dtype=bool)
+    n_select, n_good = theory.n_select, theory.n_good
+    phi = np.flatnonzero(m[1:n_select + 1]).tolist()
+    goods = np.flatnonzero(m[n_select + 1:n_select + n_good + 1]).tolist()
+    v0 = n_select + n_good + 1
+    owner = np.repeat(np.arange(len(theory.v_count)), theory.v_count)
+    on = np.flatnonzero(m[v0:v0 + len(owner)])  # true V variables, less v0
+    states = owner[on]
+    twice = states[1:][np.diff(states) == 0]
+    if len(twice):
+        raise InternalInvariantError(f"state {twice[0]} carries two value labels")
+    values = np.full(len(theory.v_count), -1, dtype=np.int64)
+    values[states] = theory.goal_dist[states] + v0 + on - theory.v_first[states]
     return phi, goods, values
 
 
-def validate_solution(classes: list, phi: list, goods: list) -> list:
+def validate_solution(classes: Classes, phi: list, goods: list) -> list:
     """All D2-separation violations of a candidate solution.
 
     Groups classes by their change profile restricted to the selected
-    features (dead-end flag included); any group mixing good and bad classes
-    yields violated pairs to be added to tau.
+    features; a group mixing good and bad classes yields violated pairs to
+    be added to tau: its first good class with each of its bad classes, and
+    its first bad class with each of its other good classes.
     """
-    good_set = set(goods)
-    groups: dict = {}
-    for c in classes:
-        arr = np.frombuffer(c.codes, dtype=np.uint8)
-        key = arr[phi].tobytes() if phi else b""
-        groups.setdefault(key, []).append(c.index)
-    violations: list = []
-    for members in groups.values():
-        ins = [c for c in members if c in good_set]
-        outs = [c for c in members if c not in good_set]
-        if not ins or not outs:
-            continue
-        first_in, first_out = ins[0], outs[0]
-        for c in outs:
-            violations.append((min(first_in, c), max(first_in, c)))
-        for c in ins:
-            if c != first_in:
-                violations.append((min(c, first_out), max(c, first_out)))
-    return sorted(set(violations))
+    n = len(classes)
+    ids, first = _first_ids(classes.codes[:, phi])
+    good = np.zeros(n, dtype=bool)
+    good[goods] = True
+    firsts = _firsts(ids, len(first), good)  # per group: first bad, first good
+    mixed = (firsts < n).all(axis=0)[ids]
+    partner = firsts[(~good).astype(np.intp), ids]
+    at = np.flatnonzero(mixed & (np.arange(n) != firsts[1, ids]))
+    lo, hi = np.minimum(at, partner[at]), np.maximum(at, partner[at])
+    key = np.unique(lo * n + hi)
+    return list(zip((key // n).tolist(), (key % n).tolist()))

@@ -448,58 +448,6 @@ def parse_instance(text: str, dom: DomainModel, goal_params=()) -> InstanceModel
 
 
 # ---------------------------------------------------------------------------
-# Pretty-printing (inverse of parsing, up to whitespace)
-# ---------------------------------------------------------------------------
-
-def _fmt_typed(pairs) -> str:
-    return " ".join(f"{n} - {t}" for n, t in pairs)
-
-
-def _fmt_schema_atom(sa: SchemaAtom) -> str:
-    return f"({sa.pred}{''.join(' ' + a for a in sa.args)})"
-
-
-def format_domain(dom: DomainModel) -> str:
-    lines = [f"(define (domain {dom.name})"]
-    declared = [t for t in dom.types if t != ROOT_TYPE]
-    if declared:
-        lines.append("  (:types " + " ".join(
-            f"{t} - {dom.types[t]}" for t in declared) + ")")
-    if dom.constants:
-        lines.append(f"  (:constants {_fmt_typed(dom.constants)})")
-    preds = []
-    for p in dom.predicates.values():
-        args = " ".join(f"?a{i} - {t}" for i, t in enumerate(p.arg_types))
-        preds.append(f"({p.name}{' ' + args if args else ''})")
-    lines.append("  (:predicates " + " ".join(preds) + ")")
-    for sc in dom.schemas:
-        lines.append(f"  (:action {sc.name}")
-        lines.append(f"    :parameters ({_fmt_typed(sc.params)})")
-        key = lambda a: (a.pred, a.args)
-        pre = " ".join(_fmt_schema_atom(a) for a in sorted(sc.pre, key=key))
-        lines.append(f"    :precondition (and {pre})")
-        eff = [_fmt_schema_atom(a) for a in sorted(sc.add, key=key)]
-        eff += [f"(not {_fmt_schema_atom(a)})" for a in sorted(sc.dele, key=key)]
-        lines.append(f"    :effect (and {' '.join(eff)}))")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
-def format_instance(inst: InstanceModel, dom: DomainModel) -> str:
-    own = [o for o in inst.objects if o not in dom.constants]
-    fmt = lambda a: f"({a[0]}{''.join(' ' + x for x in a[1:])})"
-    lines = [
-        f"(define (problem {inst.name})",
-        f"  (:domain {inst.domain_name})",
-        f"  (:objects {_fmt_typed(own)})",
-        "  (:init " + " ".join(fmt(a) for a in sorted(inst.init)) + ")",
-        "  (:goal (and " + " ".join(fmt(a) for a in sorted(inst.goal)) + "))",
-        ")",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # Grounding
 # ---------------------------------------------------------------------------
 

@@ -86,8 +86,8 @@ class Prepared:
     sample: space.SampleSet
     pool: features.FeaturePool
     matrix: object             # features x global states
-    classes: list
-    class_of: dict
+    classes: encoding.Classes
+    class_of: object           # class per alive transition of the sample
     times: dict                # "expand" and "pool" stage times, in seconds
 
 

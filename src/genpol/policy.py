@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from genpol import concepts as co
-from genpol.encoding import FLAT, UP, validate_solution
+from genpol.encoding import FLAT, UP, Classes, validate_solution
 from genpol.errors import InternalInvariantError, PolicyError
 from genpol.features import parse_feature
 from genpol.space import expand_labeled
@@ -201,7 +201,7 @@ def _parse_eff(token: str, features: list, ln: int) -> Effect:
 # Extraction from a theory model
 # ---------------------------------------------------------------------------
 
-def extract_policy(pool, phi: list, classes: list, goods: list,
+def extract_policy(pool, phi: list, classes: Classes, goods: list,
                    check: bool = True) -> Policy:
     """Builds the policy of a model.  `phi` and `goods` are the selected
     feature ids and good class ids of the decoded solution."""
@@ -213,11 +213,9 @@ def extract_policy(pool, phi: list, classes: list, goods: list,
     features = [pool.features[f] for f in phi]
     rules: dict = {}
     for c in goods:
-        codes = classes[c].codes
         body = []
         effects = []
-        for local, f in enumerate(phi):
-            code = codes[f]
+        for local, code in enumerate(classes.codes[c, phi].tolist()):
             src_true = bool(code >> 2)
             body.append(Condition(local, src_true))
             direction = code & 3

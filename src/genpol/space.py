@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -65,8 +64,9 @@ class StateSpace:
         return int(self.goal_dist.max(initial=0))
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """One comparable key per packed row: its bytes."""
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One comparable key per row of a 2-D array (a packed state, a code
+    row): its bytes."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
@@ -87,12 +87,12 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
     a transition beyond `max_transitions`."""
     name = gp.instance.name
     levels = [gp.init[None]]  # the states of each level, in id order
-    known, known_ids = _keys(levels[0]), np.zeros(1, dtype=np.int64)
+    known, known_ids = row_keys(levels[0]), np.zeros(1, dtype=np.int64)
     src, dst, act = [], [], []
     lo, n_states, n_transitions = 0, 1, 0  # lo: id of the frontier's first state
     while len(levels[-1]):
         at, aids, succ = gp.transitions(levels[-1])
-        keys = _keys(succ)
+        keys = row_keys(succ)
         uniq, first, inverse = np.unique(keys, return_index=True,
                                          return_inverse=True)
         pos = np.searchsorted(known, uniq)
@@ -166,39 +166,37 @@ def expand_labeled(gp: GroundProblem, max_states: int = 10**6,
 
 @dataclass
 class SampleSet:
-    """Several labeled state spaces with a shared global state numbering."""
+    """Several labeled state spaces with one global state numbering: state s
+    of space k is global state `offsets[k] + s`.
+
+    The theory reads the sample through arrays built here once:
+
+    * `goal_dist`, `is_goal`, `alive`: the spaces' labels per global state;
+    * `src`, `dst`: global source and target of every alive transition,
+      space by space in `alive_t` order.  Position i in them is the sample's
+      alive transition i, the numbering `encoding.compute_classes` uses.
+    """
 
     spaces: list
 
     def __post_init__(self):
-        self.offsets = []
-        off = 0
-        for sp in self.spaces:
-            if sp.goal_dist is None:
-                raise ValueError("sample spaces must be labeled first")
-            self.offsets.append(off)
-            off += sp.n_states
-        self.n_states = off
-
-    def iter_states(self):
-        """Yields (global_id, space, local_id)."""
-        for k, sp in enumerate(self.spaces):
-            off = self.offsets[k]
-            for sid in range(sp.n_states):
-                yield off + sid, sp, sid
-
-    def iter_alive_transitions(self):
-        """Yields (space_idx, transition_id, global_src, global_dst), as ints."""
-        for k, sp in enumerate(self.spaces):
-            off, t = self.offsets[k], sp.alive_t
-            yield from zip(repeat(k), t.tolist(), (sp.src[t] + off).tolist(),
-                           (sp.dst[t] + off).tolist())
+        if any(sp.goal_dist is None for sp in self.spaces):
+            raise ValueError("sample spaces must be labeled first")
+        sizes = [sp.n_states for sp in self.spaces]
+        self.offsets = [sum(sizes[:k]) for k in range(len(sizes))]
+        self.n_states = sum(sizes)
+        placed = list(zip(self.spaces, self.offsets))
+        self.goal_dist = np.concatenate([sp.goal_dist for sp in self.spaces])
+        self.is_goal = np.concatenate([sp.is_goal for sp in self.spaces])
+        self.alive = np.concatenate([sp.alive for sp in self.spaces])
+        self.src = np.concatenate([sp.src[sp.alive_t] + off for sp, off in placed])
+        self.dst = np.concatenate([sp.dst[sp.alive_t] + off for sp, off in placed])
 
     def n_alive_transitions(self) -> int:
-        return sum(len(sp.alive_t) for sp in self.spaces)
+        return len(self.src)
 
     def max_goal_distance(self) -> int:
-        return max(sp.max_goal_distance() for sp in self.spaces)
+        return int(self.goal_dist.max(initial=0))
 
 
 def dump_transitions(space: StateSpace) -> str:

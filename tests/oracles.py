@@ -244,6 +244,74 @@ def brute_force_wcnf(problem):
     return best
 
 
+# -- transition classes -------------------------------------------------------------
+
+def group_by_first_occurrence(keys):
+    """Plain-dict grouping: (group id per key, the positions of each group's
+    keys), groups numbered in order of first occurrence."""
+    ids = {}
+    groups = []
+    for i, key in enumerate(keys):
+        c = ids.setdefault(key, len(ids))
+        if c == len(groups):
+            groups.append([])
+        groups[c].append(i)
+    return [ids[key] for key in keys], groups
+
+
+def change_code(matrix_rows, feats, s, d):
+    """Per feature of `feats`, (source value > 0) * 4 + direction of the change
+    from state s to state d: 0 flat, 1 up, 2 down."""
+    out = []
+    for f in feats:
+        vs, vd = matrix_rows[f][s], matrix_rows[f][d]
+        out.append((vs > 0) * 4 + (0 if vs == vd else (1 if vd > vs else 2)))
+    return tuple(out)
+
+
+def transition_classes(sample, matrix, merge):
+    """The classes of the sample's alive transitions (space by space, each in
+    ascending transition id) grouped by change-code tuple over all features,
+    or one class per transition when not merging.  Returns (class per
+    transition, code tuple per class, size per class, dead-end flag per class:
+    some member leads into a dead end)."""
+    rows = matrix.tolist()
+    feats = range(len(rows))
+    keys, codes, dead = [], [], []
+    for k, sp in enumerate(sample.spaces):
+        off = sample.offsets[k]
+        for t in range(sp.n_transitions):
+            s, d = int(sp.src[t]), int(sp.dst[t])
+            if not sp.alive[s]:
+                continue
+            code = change_code(rows, feats, off + s, off + d)
+            keys.append(code if merge else (k, t))
+            codes.append(code)
+            dead.append(sp.goal_dist[d] < 0)
+    class_of, groups = group_by_first_occurrence(keys)
+    return (class_of, [codes[g[0]] for g in groups], [len(g) for g in groups],
+            [any(dead[i] for i in g) for g in groups])
+
+
+def separation_violations(codes, phi, goods):
+    """The class pairs a (phi, goods) solution leaves unseparated: classes
+    grouped by their codes on phi (a dict of lists); in each group with good
+    and bad classes, the first good class with every bad one and the first
+    bad class with every other good one.  Sorted (smaller, larger) pairs."""
+    good = set(goods)
+    groups = {}
+    for c, code in enumerate(codes):
+        groups.setdefault(tuple(code[f] for f in phi), []).append(c)
+    out = set()
+    for members in groups.values():
+        ins = [c for c in members if c in good]
+        outs = [c for c in members if c not in good]
+        if ins and outs:
+            out.update((min(ins[0], c), max(ins[0], c)) for c in outs)
+            out.update((min(c, outs[0]), max(c, outs[0])) for c in ins[1:])
+    return sorted(out)
+
+
 # -- policy existence over a feature subset ----------------------------------------
 
 def policy_exists(space, matrix_rows, phi, v_slack):
@@ -267,20 +335,10 @@ def policy_exists(space, matrix_rows, phi, v_slack):
         return False
 
     # phi-induced classes over alive-source transitions
-    class_ids = {}
-    members = []
-    for t in range(space.n_transitions):
-        s, d = space.src[t], space.dst[t]
-        if not space.alive[s]:
-            continue
-        code = []
-        for f in phi:
-            vs, vd = matrix_rows[f][s], matrix_rows[f][d]
-            code.append((vs > 0, 0 if vs == vd else (1 if vd > vs else 2)))
-        c = class_ids.setdefault(tuple(code), len(class_ids))
-        if c == len(members):
-            members.append([])
-        members[c].append(t)
+    ts = [t for t in range(space.n_transitions) if space.alive[space.src[t]]]
+    _, groups = group_by_first_occurrence(
+        [change_code(matrix_rows, phi, space.src[t], space.dst[t]) for t in ts])
+    members = [[ts[i] for i in group] for group in groups]
 
     candidates = {c for c, ts in enumerate(members)
                   if all(not space.goal_dist[space.dst[t]] < 0 for t in ts)}

@@ -1,13 +1,20 @@
 """Propositional theory construction: classes, constraints, decoding."""
 
+import hashlib
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import domains
 import oracles
-from genpol import encoding, features, maxsat, pddl, space
+from genpol import encoding, features, maxsat, pddl, pipeline, space
 from genpol.encoding import (build_theory, compute_classes, decode,
                              initial_pairs, validate_solution)
+from genpol.errors import InternalInvariantError
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 ONEWAY_DOMAIN = """
 (define (domain oneway)
@@ -37,11 +44,24 @@ def _oneway():
     return sample, pool, matrix
 
 
+def _alive_actions(sample):
+    """The action name of each alive transition of the sample, in order."""
+    return [sp.gp.actions[a].name for sp in sample.spaces
+            for a in sp.act[sp.alive_t].tolist()]
+
+
+def _domains(theory):
+    """Solvable global state -> its admissible value labels."""
+    return {g: list(range(d, d + n)) for g, (d, n) in enumerate(
+        zip(theory.goal_dist.tolist(), theory.v_count.tolist())) if n}
+
+
 def test_direction_codes_track_value_changes():
     matrix = np.array([[3, 5], [2, 2], [4, 1], [0, 2]], dtype=np.int64)
-    codes = encoding._direction_codes(matrix, 0, 1)
+    codes = encoding._direction_codes(matrix, np.array([0]), np.array([1]))
     # (source > 0) << 2 | direction, direction in {flat 0, up 1, down 2}.
-    assert codes.tolist() == [
+    assert codes.shape == (1, 4)
+    assert codes[0].tolist() == [
         (1 << 2) | encoding.UP,
         (1 << 2) | encoding.FLAT,
         (1 << 2) | encoding.DOWN,
@@ -56,13 +76,10 @@ def test_classes_merge_by_change_profile():
     # nullary atoms, so they stay distinct.
     assert len(classes) == 2
     assert len(class_of) == 2
-    by_action = {}
-    for (k, t), ci in class_of.items():
-        sp = sample.spaces[k]
-        by_action[sp.gp.actions[sp.act[t]].name] = classes[ci]
-    assert by_action["finish()"].dst_dead is False
-    assert by_action["burn()"].dst_dead is True
-    assert {c.size for c in classes} == {1}
+    by_action = dict(zip(_alive_actions(sample), class_of.tolist()))
+    assert not classes.dst_dead[by_action["finish()"]]
+    assert classes.dst_dead[by_action["burn()"]]
+    assert classes.size.tolist() == [1, 1]
 
 
 def test_unmerged_classes_are_singletons():
@@ -73,10 +90,10 @@ def test_unmerged_classes_are_singletons():
     single, class_of = compute_classes(sample, matrix, merge=False)
     n_alive = sample.n_alive_transitions()
     assert len(single) == n_alive
-    assert all(c.size == 1 for c in single)
-    assert len({class_of[key] for key in class_of}) == n_alive
+    assert single.size.tolist() == [1] * n_alive
+    assert len(set(class_of.tolist())) == n_alive
     # Grouping singletons by codes reproduces the merged class count.
-    assert len({c.codes for c in single}) == len(merged)
+    assert len({row.tobytes() for row in single.codes}) == len(merged)
 
 
 def test_training_space_class_counts():
@@ -97,7 +114,7 @@ def test_value_domains_and_exactly_one():
     classes, class_of = compute_classes(sample, matrix)
     theory = build_theory(sample, pool, matrix, classes, class_of, v_slack=2)
     # fresh: distance 1 -> {1, 2}; done: goal -> {0}; ash: dead end -> absent.
-    assert theory.v_dom == {0: [1, 2], 2: [0]}
+    assert _domains(theory) == {0: [1, 2], 2: [0]}
     value_clauses = [theory.wcnf.hard[i] for i, t in enumerate(theory.tags)
                      if t == "value"]
     # One at-least-one per solvable state plus one pairwise exclusion for the
@@ -107,7 +124,7 @@ def test_value_domains_and_exactly_one():
     pairwise = [c for c in value_clauses if all(l < 0 for l in c)]
     assert len(at_least) == 2 and len(pairwise) == 1
     wide = build_theory(sample, pool, matrix, classes, class_of, v_slack=3)
-    assert wide.v_dom[0] == [1, 2, 3]
+    assert _domains(wide)[0] == [1, 2, 3]
 
 
 def test_descend_skips_goal_and_dead_targets():
@@ -129,7 +146,7 @@ def test_descend_skips_goal_and_dead_targets():
     for t in sp.alive_t:
         did = sp.dst[t]
         if sp.goal_dist[did] >= 0 and not sp.is_goal[did]:
-            expected += len(btheory.v_dom[sp.src[t]])
+            expected += btheory.v_count[sp.src[t]]
     assert btheory.tags.count("descend") == expected
 
 
@@ -189,7 +206,8 @@ def test_variable_layout_and_soft_clauses():
     assert theory.n_select == len(pool)
     assert [theory.select_var(f) for f in range(len(pool))] == [1, 2, 3]
     assert theory.good_var(0) == len(pool) + 1
-    v_ids = sorted(theory.v_var.values())
+    v_ids = sorted(theory.value_var(g, d)
+                   for g, dom in _domains(theory).items() for d in dom)
     assert v_ids[0] == len(pool) + len(classes) + 1
     assert v_ids == list(range(v_ids[0], v_ids[0] + len(v_ids)))
     assert theory.wcnf.nvars == v_ids[-1]
@@ -212,14 +230,19 @@ def test_oneway_theory_solves_to_known_optimum():
     assert res.cost == 1
     phi, goods, values = decode(theory, res.model)
     assert [pool.features[f].render() for f in phi] == ["Atom(done)"]
-    finish = [classes[ci] for (k, t), ci in class_of.items()
-              if sample.spaces[k].gp.actions[sample.spaces[k].act[t]].name
-              == "finish()"][0]
-    assert goods == [finish.index]
+    finish = dict(zip(_alive_actions(sample), class_of.tolist()))["finish()"]
+    assert goods == [finish]
     assert validate_solution(classes, phi, goods) == []
-    # Value labels: the goal is 0 and the initial state within its band.
+    # Value labels: the goal is 0, the initial state within its band and
+    # the dead end unlabeled.
     assert values[2] == 0
     assert values[0] in (1, 2)
+    assert values[1] == -1
+    # A model with two labels on one state is rejected.
+    twice = list(res.model)
+    twice[theory.value_var(0, 1)] = twice[theory.value_var(0, 2)] = 1
+    with pytest.raises(InternalInvariantError, match="state 0 carries two"):
+        decode(theory, twice)
 
 
 def test_initial_pairs_full_quadratic_when_small():
@@ -241,8 +264,8 @@ def test_initial_pairs_chain_identical_codes():
     pairs = initial_pairs(classes, class_of, sample)
     pair_set = set(pairs)
     groups = {}
-    for c in classes:
-        groups.setdefault(c.codes, []).append(c.index)
+    for c, row in enumerate(classes.codes):
+        groups.setdefault(row.tobytes(), []).append(c)
     reps = {codes: members[0] for codes, members in groups.items()}
     # Every non-representative is chained to its representative...
     for members in groups.values():
@@ -289,3 +312,128 @@ def test_validate_solution_flags_unseparated_mixtures():
     assert all(a == 0 or b == 0 for a, b in violations)
     # Selecting every feature separates everything: no violations.
     assert validate_solution(classes, list(range(len(pool))), goods) == []
+
+
+# sha256 of `format_wcnf` and of the `.tags` lines of the starting theory
+# (`initial_pairs`, default seed); any change to clause order, variable
+# numbering, class ids or pair selection changes them.
+PINNED = {
+    ("clear-5", True): (
+        "a79f7a986472e4cf3f07a9645e9764156433244dd52e94e0fd40d99b343e8cf6",
+        "6844094439f8119fa1076a28afc0212908c2341d7cb47bc9f6c4a36c8e1e0980"),
+    ("clear-5", False): (
+        "79ad72f6dbe9abfe593ad7b76968fad8ee6ccf408c1a6f41a2fd09039f0993a0",
+        "341129547d23c66b0317d10a130c05f09eb5a498be4b62556209e7ed3ae07752"),
+    # More than PAIR_FULL_LIMIT class pairs: shared sources, random extras
+    # and, unmerged, chains of classes with equal codes.
+    ("visitall", True): (
+        "cc45398b1cd94e5c09dc43a4c25fedbb3729f0c34494741ef2a54ef203255922",
+        "90c875bea80aad553207e36254f70bfc0ab5859f48e47bf4be54912e4e5957f1"),
+    ("visitall", False): (
+        "c9be7b8a3d03c6b2f367600980d12a337f03bd6f873f4a518ab34221cca58ef1",
+        "859ed497f652cd5900ae33041fdea4b72a5b981f94ef9fee14a90236888cb7ee"),
+}
+
+# The three benchmark training instances: (problem, goal parameters, weight).
+BENCHMARK_SAMPLES = {"clear": ("prob05", ["b1"], 4),
+                     "gripper": ("prob04", [], 8),
+                     "visitall": ("prob3x3", [], 6)}
+
+# A ladder climbed rung by rung, from which one can fall at any rung into a
+# dead end: transition classes whose targets are dead ends.
+LADDER_DOMAIN = """
+(define (domain ladder)
+  (:types rung)
+  (:predicates (at ?r - rung) (next ?a ?b - rung) (fallen))
+  (:action up :parameters (?a ?b - rung) :precondition (and (at ?a) (next ?a ?b))
+           :effect (and (at ?b) (not (at ?a))))
+  (:action down :parameters (?a ?b - rung)
+           :precondition (and (at ?b) (next ?a ?b))
+           :effect (and (at ?a) (not (at ?b))))
+  (:action fall :parameters (?a - rung) :precondition (and (at ?a))
+           :effect (and (fallen) (not (at ?a)))))
+"""
+
+
+def _ladder_instance(n):
+    rungs = " ".join(f"r{i}" for i in range(n))
+    steps = " ".join(f"(next r{i} r{i + 1})" for i in range(n - 1))
+    return (f"(define (problem ladder-{n}) (:domain ladder)\n"
+            f"  (:objects {rungs} - rung)\n"
+            f"  (:init (at r0) {steps})\n"
+            f"  (:goal (and (at r{n - 1}))))")
+
+
+def _ladders():
+    """A sample of two spaces, ladders of 3 and 5 rungs."""
+    dom = pddl.parse_domain(LADDER_DOMAIN)
+    return space.SampleSet([space.expand_labeled(pddl.ground(
+        dom, pddl.parse_instance(_ladder_instance(n), dom, [])))
+        for n in (3, 5)])
+
+
+def _prepared(name):
+    """(sample, pool, matrix) of a benchmark sample or of "ladders"."""
+    if name == "ladders":
+        sample = _ladders()
+        return (sample, *features.generate_pool(sample, max_weight=4))
+    prob, goal_params, k = BENCHMARK_SAMPLES[name]
+    d = BENCHMARKS / name
+    prep = pipeline.prepare(pipeline.RunConfig(
+        domain_path=str(d / "domain.pddl"),
+        training_paths=[str(d / f"{prob}.pddl")],
+        goal_params=goal_params, max_feature_weight=k))
+    return prep.sample, prep.pool, prep.matrix
+
+
+@pytest.fixture(scope="module")
+def prepared():
+    """_prepared, each sample built once per module."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = _prepared(name)
+        return cache[name]
+    return get
+
+
+@pytest.mark.parametrize("name, merge", sorted(PINNED))
+def test_starting_theory_bytes_are_pinned(name, merge, prepared):
+    if name == "clear-5":
+        sample = _sample(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(5),
+                         ("b1",))
+        pool, matrix = features.generate_pool(sample, max_weight=4)
+    else:
+        sample, pool, matrix = prepared(name)
+    classes, class_of = compute_classes(sample, matrix, merge=merge)
+    pairs = initial_pairs(classes, class_of, sample)
+    theory = build_theory(sample, pool, matrix, classes, class_of, pairs=pairs)
+    wcnf = maxsat.format_wcnf(theory.wcnf)
+    tags = "".join(f"{i} {tag}\n" for i, tag in enumerate(theory.tags))
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert (digest(wcnf), digest(tags)) == PINNED[(name, merge)]
+
+
+@pytest.mark.parametrize("merge", [True, False])
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SAMPLES) + ["ladders"])
+def test_classes_and_validation_match_dict_grouping(name, merge, prepared):
+    sample, _pool, matrix = prepared(name)
+    classes, class_of = compute_classes(sample, matrix, merge=merge)
+    if name == "ladders":
+        assert len(sample.spaces) == 2 and 0 < classes.dst_dead.sum() < len(classes)
+    want_of, want_codes, want_size, want_dead = oracles.transition_classes(
+        sample, matrix, merge)
+    assert class_of.tolist() == want_of
+    assert [tuple(row) for row in classes.codes.tolist()] == want_codes
+    assert classes.size.tolist() == want_size
+    assert classes.dst_dead.tolist() == want_dead
+
+    n_feat, n = matrix.shape[0], len(classes)
+    rng = random.Random(f"{name}-{merge}")
+    for size in (0, 1, 2, 3, 5, n_feat):
+        for _ in range(3):
+            phi = sorted(rng.sample(range(n_feat), size))
+            goods = sorted(rng.sample(range(n), rng.randrange(n + 1)))
+            assert validate_solution(classes, phi, goods) == \
+                oracles.separation_violations(want_codes, phi, goods)

@@ -203,15 +203,3 @@ def test_goal_params_recorded():
     assert inst.goal_params == ("b1",)
     with pytest.raises(PddlError):
         pddl.parse_instance(domains.clear_tower_instance(3), dom, ["nope"])
-
-
-def test_format_round_trip():
-    dom = pddl.parse_domain(domains.GRIPPER_DOMAIN)
-    text2 = pddl.format_domain(dom)
-    dom2 = pddl.parse_domain(text2)
-    assert dom2.predicates.keys() == dom.predicates.keys()
-    assert {sc.name for sc in dom2.schemas} == {sc.name for sc in dom.schemas}
-    inst = pddl.parse_instance(domains.gripper_instance(2), dom)
-    inst2 = pddl.parse_instance(pddl.format_instance(inst, dom), dom2)
-    assert set(inst2.init) == set(inst.init)
-    assert set(inst2.goal) == set(inst.goal)

@@ -201,15 +201,19 @@ def test_sample_set_offsets_and_global_ids():
     assert sample.offsets == [0, sp1.n_states]
     assert sample.n_states == sp1.n_states + sp2.n_states
     assert sample.offsets[1] + 3 == sp1.n_states + 3
-    seen = [g for g, _, _ in sample.iter_states()]
-    assert seen == list(range(sample.n_states))
-    alive = list(sample.iter_alive_transitions())
-    assert len(alive) == sample.n_alive_transitions()
+    for name in ("goal_dist", "is_goal", "alive"):
+        per_state = getattr(sample, name)
+        assert len(per_state) == sample.n_states
+        assert per_state.tolist() == (getattr(sp1, name).tolist()
+                                      + getattr(sp2, name).tolist())
+    alive = [(k, t) for k, sp in enumerate(sample.spaces)
+             for t in range(sp.n_transitions) if sp.alive[sp.src[t]]]
+    assert sample.n_alive_transitions() == len(alive)
     assert len(alive) == len(sp1.alive_t) + len(sp2.alive_t)
-    for k, t, gsrc, gdst in alive:
-        sp = sample.spaces[k]
-        assert gsrc == sample.offsets[k] + sp.src[t]
-        assert gdst == sample.offsets[k] + sp.dst[t]
+    assert sample.src.tolist() == [sample.offsets[k] + sample.spaces[k].src[t]
+                                   for k, t in alive]
+    assert sample.dst.tolist() == [sample.offsets[k] + sample.spaces[k].dst[t]
+                                   for k, t in alive]
     assert sample.max_goal_distance() == max(sp1.max_goal_distance(),
                                              sp2.max_goal_distance())
 
