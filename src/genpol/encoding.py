@@ -26,7 +26,9 @@ change profiles of all alive transitions form one uint8 [transitions,
 features] matrix, `compute_classes` numbers its distinct rows by first
 occurrence, and `class_of` is an int64 array over the sample's alive
 transitions.  The V(s, d) of a state are consecutive variables from
-`Theory.v_first[s]`, d = goal_dist(s) first.
+`Theory.v_first[s]`, d = goal_dist(s) first.  Each constraint family is
+emitted from numpy as one `maxsat.Clauses` block, in the order the clauses
+are numbered in the `.wcnf` and `.tags` files.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from genpol.errors import InternalInvariantError
 from genpol.features import FeaturePool, boolean_matrix
-from genpol.maxsat import WcnfProblem
+from genpol.maxsat import Clauses, WcnfProblem, ranges
 from genpol.space import SampleSet, row_keys
 
 FLAT, UP, DOWN = 0, 1, 2
@@ -110,14 +112,12 @@ def compute_classes(sample: SampleSet, matrix: np.ndarray, merge: bool = True):
                    np.bincount(class_of, minlength=n)), class_of
 
 
-def _out_classes(sample: SampleSet, class_of: np.ndarray, n_classes: int) -> list:
-    """Per alive state, ascending, the distinct classes of its outgoing
-    transitions, ascending."""
+def _out_classes(sample: SampleSet, class_of: np.ndarray, n_classes: int) -> Clauses:
+    """One row per alive state, ascending: the distinct classes of its
+    outgoing transitions, ascending."""
     n = max(n_classes, 1)
     key = np.unique(sample.src * n + class_of)
-    if not len(key):
-        return []
-    return np.split(key % n, np.flatnonzero(np.diff(key // n)) + 1)
+    return Clauses.of(key % n, np.unique(key // n, return_counts=True)[1])
 
 
 @dataclass
@@ -144,8 +144,8 @@ class Theory:
 
 
 def _separation_clauses(pool: FeaturePool, matrix: np.ndarray, sample: SampleSet):
-    """Minimal deduplicated goal/non-goal difference sets, or a witness pair
-    of states no feature can tell apart."""
+    """Minimal deduplicated goal/non-goal difference sets (one row of feature
+    ids each), or a witness pair of states no feature can tell apart."""
     sigs = boolean_matrix(pool, matrix).T  # per global state
     ids, first = _first_ids(sigs)
     n = len(ids)
@@ -164,7 +164,8 @@ def _separation_clauses(pool: FeaturePool, matrix: np.ndarray, sample: SampleSet
     for mask in masks[order]:
         if not any((k <= mask).all() for k in kept):
             kept.append(mask)
-    return [np.flatnonzero(k).tolist() for k in kept], None
+    kept = np.array(kept, dtype=bool).reshape(-1, sigs.shape[1])
+    return Clauses.of(np.nonzero(kept)[1], kept.sum(axis=1)), None
 
 
 def build_theory(sample: SampleSet, pool: FeaturePool, matrix: np.ndarray,
@@ -175,73 +176,99 @@ def build_theory(sample: SampleSet, pool: FeaturePool, matrix: np.ndarray,
     dist = sample.goal_dist
     v_count = np.where(dist >= 0, (v_slack - 1) * dist + 1, 0)
     v_first = n_select + n_good + 1 + np.cumsum(v_count) - v_count
-    wcnf = WcnfProblem(nvars=n_select + n_good + int(v_count.sum()))
-    tags: list = []
-    theory = Theory(wcnf, tags, n_select, n_good, dist, v_first, v_count,
-                    [], None, {})
-    sel, good = theory.select_var, theory.good_var
-
-    def add(tag: str, clause: list):
-        wcnf.add_hard(clause)
-        tags.append(tag)
+    nvars = n_select + n_good + int(v_count.sum())
+    good = lambda c: n_select + 1 + c  # the Good(c) variables
+    enc_pairs = sorted({(min(a, b), max(a, b)) for a, b in pairs or () if a != b})
+    soft = Clauses.of(-np.arange(1, n_select + 1), np.ones(n_select, np.int64))
+    families = []
 
     # 4. goal separation (first: an infeasible pool is detected here)
-    sep_clauses, witness = _separation_clauses(pool, matrix, sample)
+    sep, witness = _separation_clauses(pool, matrix, sample)
     if witness is not None:
-        add("goalsep", [])
-        theory.infeasible = witness
-        theory.stats = _stats(theory, sample)
-        return theory
-    for feats in sep_clauses:
-        add("goalsep", [sel(f) for f in feats])
+        families.append(("goalsep", Clauses.of([], [0])))
+        enc_pairs = []
+    else:
+        families.append(("goalsep", Clauses(sep.lits + 1, sep.starts)))  # Select(f)
+        families += _state_families(sample, classes, class_of, good, v_first,
+                                    v_count)
+        families.append(("separate", _separate(classes, enc_pairs, good)))
 
-    # 1. alive states are covered by a good class
-    for cs in _out_classes(sample, class_of, n_good):
-        add("cover", (cs + n_select + 1).tolist())  # the Good(c) variables
-
-    # 2. exactly one value per solvable state
-    solvable = dist >= 0
-    for v, count in zip(v_first[solvable].tolist(), v_count[solvable].tolist()):
-        labels = range(v, v + count)
-        add("value", list(labels))
-        for a, b in combinations(labels, 2):
-            add("value", [-a, -b])
-
-    # 3. good transitions descend; 5. dead-end targets are never good
-    for c in np.flatnonzero(classes.dst_dead).tolist():
-        add("deadend", [-good(c)])
-    # Dead-end targets are handled above; goal targets satisfy any label.
-    keep = sample.alive[sample.dst]
-    src, dst = sample.src[keep], sample.dst[keep]
-    per_state = (dist[src], dist[dst], v_first[src], v_count[src], v_first[dst],
-                 v_count[dst])
-    for c, ds, dt, fs, ns, ft, nt in zip(class_of[keep].tolist(),
-                                          *(a.tolist() for a in per_state)):
-        for k in range(ns):  # d = ds + k; the V(t, d2) with d2 < d follow
-            below = range(ft, ft + min(max(ds + k - dt, 0), nt))
-            add("descend", [-good(c), -(fs + k), *below])
-
-    # 6. D2 separation over the requested pairs
-    enc_pairs = sorted({(min(a, b), max(a, b)) for a, b in pairs or () if a != b})
-    if enc_pairs:
-        lo, hi = np.array(enc_pairs).T
-        diff = classes.codes[lo] != classes.codes[hi]
-        for a, b, row in zip(lo.tolist(), hi.tolist(), diff):
-            sels = (np.flatnonzero(row) + 1).tolist()  # the Select(f) variables
-            add("separate", [-good(a), good(b), *sels])
-            add("separate", [-good(b), good(a), *sels])
-
-    for f in range(n_select):
-        wcnf.add_soft(int(pool.weights[f]), [-sel(f)])
-
-    theory.pairs = enc_pairs
+    tags = []
+    for tag, part in families:
+        tags += [tag] * len(part)
+    wcnf = WcnfProblem(nvars, Clauses.join([part for _, part in families]), soft,
+                       np.asarray(pool.weights, np.int64))
+    theory = Theory(wcnf, tags, n_select, n_good, dist, v_first, v_count,
+                    enc_pairs, witness, {})
     theory.stats = _stats(theory, sample)
     return theory
 
 
+def _state_families(sample: SampleSet, classes: Classes, class_of: np.ndarray,
+                    good, v_first: np.ndarray, v_count: np.ndarray) -> list:
+    """The cover, value, deadend and descend clauses, in that order."""
+    dist = sample.goal_dist
+
+    # 1. alive states are covered by a good class
+    out = _out_classes(sample, class_of, len(classes))
+    cover = Clauses(good(out.lits), out.starts)
+
+    # 2. exactly one value per solvable state: the clause over its labels,
+    # then -a | -b for each pair of labels a < b
+    first, count = v_first[dist >= 0], v_count[dist >= 0]
+    labels = ranges(first, count)
+    later = np.repeat(first + count, count) - labels - 1  # labels b > a
+    pairwise = Clauses.of(np.stack([-np.repeat(labels, later),
+                                    -ranges(labels + 1, later)], axis=1).ravel(),
+                          np.full(int(later.sum()), 2))
+    state = np.arange(len(count))
+    owner = np.concatenate([state, np.repeat(state, count * (count - 1) // 2)])
+    value = Clauses.join([Clauses.of(labels, count), pairwise]).take(
+        np.argsort(owner, kind="stable"))
+
+    # 5. dead-end targets are never good
+    dead = good(np.flatnonzero(classes.dst_dead))
+    deadend = Clauses.of(-dead, np.ones(len(dead), np.int64))
+
+    # 3. good transitions descend: for transition (s, t) of class c and each
+    # label d = goal_dist(s) + k of s, -Good(c) | -V(s, d) | the V(t, d2) with
+    # d2 < d.  Dead-end targets are handled above; goal targets satisfy any
+    # label.
+    keep = sample.alive[sample.dst]
+    count = v_count[sample.src[keep]]
+    row = np.repeat(np.flatnonzero(keep), count)  # the transition of each clause
+    k = ranges(np.zeros(len(count), np.int64), count)
+    src, dst = sample.src[row], sample.dst[row]
+    below = np.clip(dist[src] + k - dist[dst], 0, v_count[dst])
+    heads = np.stack([-good(class_of[row]), -(v_first[src] + k)], axis=1)
+    descend = Clauses.of(heads.ravel(), np.full(len(row), 2)).zip(
+        Clauses.of(ranges(v_first[dst], below), below))
+    return [("cover", cover), ("value", value), ("deadend", deadend),
+            ("descend", descend)]
+
+
+def _separate(classes: Classes, enc_pairs: list, good) -> Clauses:
+    """6. D2 separation over the pairs: for (a, b), -Good(a) | Good(b) | the
+    Select(f) of the features whose change differs, then the same with a and
+    b swapped."""
+    if not enc_pairs:
+        return Clauses()
+    lo, hi = np.array(enc_pairs).T
+    # One row per clause: two head columns, then one per feature.
+    cells = np.ones((2 * len(lo), 2 + classes.codes.shape[1]), dtype=bool)
+    cells[:, 2:] = np.repeat(classes.codes[lo] != classes.codes[hi], 2, axis=0)
+    lits = np.flatnonzero(cells)
+    lits %= cells.shape[1]
+    lits -= 1  # the Select(f) variable, f + 1, of column f + 2
+    out = Clauses.of(lits, cells.sum(axis=1))
+    out.lits[out.starts[:-1]] = -good(np.stack([lo, hi], axis=1).ravel())
+    out.lits[out.starts[:-1] + 1] = good(np.stack([hi, lo], axis=1).ravel())
+    return out
+
+
 def _stats(theory: Theory, sample: SampleSet) -> dict:
     n_classes = theory.n_good
-    built_sep = sum(1 for t in theory.tags if t == "separate")
+    built_sep = theory.tags.count("separate")
     full_sep = n_classes * (n_classes - 1)  # both directions of each pair
     base = len(theory.tags) - built_sep
     return {
@@ -276,8 +303,8 @@ def initial_pairs(classes: Classes, class_of: np.ndarray, sample: SampleSet,
         # closed over all class pairs.
         pairs.update(combinations(reps.tolist(), 2))
         return sorted(pairs)
-    for cs in _out_classes(sample, class_of, n):
-        pairs.update(combinations(cs.tolist(), 2))
+    for cs in _out_classes(sample, class_of, n).tolist():
+        pairs.update(combinations(cs, 2))
     rng = random.Random(seed)
     want = len(pairs) + extra_per_class * n
     attempts = 0

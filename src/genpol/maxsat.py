@@ -19,6 +19,9 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from genpol.errors import GenpolError, SolverTimeoutError
 from genpol.sat import Cdcl
@@ -27,34 +30,118 @@ OPTIMUM = "OPTIMUM"
 UNSATISFIABLE = "UNSATISFIABLE"
 
 
+def ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The concatenated ranges first[i] .. first[i] + count[i] - 1."""
+    total = int(count.sum())
+    return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(total)
+
+
+@dataclass(eq=False)
+class Clauses:
+    """Clauses in CSR form: clause i is lits[starts[i]:starts[i + 1]], signed
+    DIMACS literals."""
+    lits: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    starts: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
+
+    @classmethod
+    def of(cls, lits, lengths) -> Clauses:
+        """From the literals of all clauses in order and each clause's length."""
+        starts = np.zeros(len(lengths) + 1, np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        return cls(np.asarray(lits, np.int64), starts)
+
+    @classmethod
+    def from_lists(cls, clauses) -> Clauses:
+        return cls.of(np.fromiter(chain.from_iterable(clauses), np.int64),
+                      np.fromiter(map(len, clauses), np.int64, len(clauses)))
+
+    @classmethod
+    def join(cls, parts) -> Clauses:
+        """The clauses of `parts`, one after the other."""
+        return cls.of(np.concatenate([p.lits for p in parts]),
+                      np.concatenate([p.lengths() for p in parts]))
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.starts)
+
+    def tolist(self) -> list:
+        flat = self.lits.tolist()
+        return [flat[a:b] for a, b in zip(self.starts[:-1].tolist(),
+                                          self.starts[1:].tolist())]
+
+    def take(self, order: np.ndarray) -> Clauses:
+        """Clause order[i] as clause i."""
+        lengths = self.lengths()[order]
+        return Clauses.of(self.lits[ranges(self.starts[order], lengths)], lengths)
+
+    def zip(self, tail: Clauses) -> Clauses:
+        """Clause i followed by the literals of tail's clause i."""
+        head = self.lengths()
+        out = Clauses.of(np.empty(len(self.lits) + len(tail.lits), np.int64),
+                         head + tail.lengths())
+        at = ranges(out.starts[:-1], head)
+        out.lits[at] = self.lits
+        rest = np.ones(len(out.lits), bool)
+        rest[at] = False
+        out.lits[rest] = tail.lits
+        return out
+
+    def satisfied(self, model: np.ndarray) -> np.ndarray:
+        """Per clause, whether `model` (bool per variable, index 0 unused,
+        covering every literal) makes one of its literals true; false for
+        the empty clause."""
+        truth = np.concatenate([model, ~model[:0:-1]])  # truth[l], -n <= l <= n
+        size = self.lengths()
+        out = np.zeros(len(size), bool)
+        some = size > 0
+        if some.any():
+            out[some] = np.logical_or.reduceat(truth[self.lits], self.starts[:-1][some])
+        return out
+
+
 @dataclass
 class WcnfProblem:
+    """Hard clauses, and soft clauses with one positive weight each."""
     nvars: int = 0
-    hard: list = field(default_factory=list)   # lists of signed ints
-    soft: list = field(default_factory=list)   # (weight, clause) pairs
+    hard: Clauses = field(default_factory=Clauses)
+    soft: Clauses = field(default_factory=Clauses)
+    weights: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+
+    def __post_init__(self):
+        self._check(self.hard, self.soft, weights=self.weights)
 
     def add_hard(self, clause):
-        clause = list(clause)
-        self.hard.append(clause)
-        self._grow(clause)
+        part = Clauses.from_lists([list(clause)])
+        self._check(part)
+        self.hard = Clauses.join([self.hard, part])
 
     def add_soft(self, weight: int, clause):
-        if weight <= 0:
-            raise GenpolError(f"soft clause weight must be positive, got {weight}")
-        clause = list(clause)
-        self.soft.append((weight, clause))
-        self._grow(clause)
+        part = Clauses.from_lists([list(clause)])
+        weights = np.append(self.weights, weight)
+        self._check(part, weights=weights)
+        self.soft, self.weights = Clauses.join([self.soft, part]), weights
 
-    def _grow(self, clause):
-        for lit in clause:
-            if lit == 0:
-                raise GenpolError("literal 0 is reserved for clause termination")
-            if abs(lit) > self.nvars:
-                self.nvars = abs(lit)
+    def _check(self, *parts: Clauses, weights=None):
+        """Rejects a weight below 1, weights summing beyond 64 bits and
+        literal 0; grows nvars to cover every literal."""
+        if weights is not None and len(weights):
+            if weights.min() <= 0:
+                raise GenpolError(f"soft clause weight must be positive, got "
+                                  f"{weights.min()}")
+            if sum(weights.tolist()) >= np.iinfo(np.int64).max:
+                raise GenpolError("soft clause weights sum beyond 64 bits")
+        for part in parts:
+            if len(part.lits):
+                if not part.lits.all():
+                    raise GenpolError("literal 0 is reserved for clause termination")
+                self.nvars = max(self.nvars, int(part.lits.max()), -int(part.lits.min()))
 
     @property
     def top(self) -> int:
-        return 1 + sum(w for w, _ in self.soft)
+        return 1 + sum(self.weights.tolist())
 
 
 @dataclass
@@ -64,19 +151,27 @@ class MaxSatResult:
     model: list | None = None   # 0/1 per variable, index 0 unused
 
 
+def _lines(weights, clauses: Clauses) -> str:
+    """One 'weight lits 0' line per clause.  The token 0 only ever ends a
+    clause, and a weight follows it, so ' 0 ' marks every line break."""
+    ones = np.ones(len(clauses), np.int64)
+    tokens = Clauses.of(weights, ones).zip(clauses).zip(Clauses.of(0 * ones, ones))
+    return " ".join(map(str, tokens.lits.tolist())).replace(" 0 ", " 0\n")
+
+
 def format_wcnf(p: WcnfProblem) -> str:
     top = p.top
     lines = [f"p wcnf {p.nvars} {len(p.hard) + len(p.soft)} {top}"]
-    for clause in p.hard:
-        lines.append(" ".join([str(top)] + [str(l) for l in clause] + ["0"]))
-    for w, clause in p.soft:
-        lines.append(" ".join([str(w)] + [str(l) for l in clause] + ["0"]))
+    for weights, clauses in ((np.full(len(p.hard), top), p.hard),
+                             (p.weights, p.soft)):
+        if len(clauses):
+            lines.append(_lines(weights, clauses))
     return "\n".join(lines) + "\n"
 
 
 def parse_wcnf(text: str) -> WcnfProblem:
-    p = None
-    top = None
+    nvars = top = None
+    hard, soft, weights = [], [], []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -86,23 +181,29 @@ def parse_wcnf(text: str) -> WcnfProblem:
             if len(parts) != 5 or parts[1] != "wcnf":
                 raise GenpolError(f"malformed problem line {ln}: '{raw}'")
             nvars, top = _ints(parts[2::2], f"problem line {ln}")
-            p = WcnfProblem(nvars=nvars)
+            hard, soft, weights = [], [], []
             continue
-        if p is None:
+        if nvars is None:
             raise GenpolError(f"clause before problem line at line {ln}")
         nums = _ints(line.split(), f"line {ln}")
         if nums[-1] != 0:
             raise GenpolError(f"clause at line {ln} lacks terminating 0")
         weight, clause = nums[0], nums[1:-1]
         if weight == top:
-            p.add_hard(clause)
+            hard.append(clause)
         elif 0 < weight < top:
-            p.add_soft(weight, clause)
+            soft.append(clause)
+            weights.append(weight)
         else:
             raise GenpolError(f"clause weight {weight} out of range at line {ln}")
-    if p is None:
+    if nvars is None:
         raise GenpolError("missing problem line")
-    return p
+    try:
+        weights = np.array(weights, np.int64)
+    except OverflowError:
+        raise GenpolError("soft clause weight beyond 64 bits") from None
+    return WcnfProblem(nvars, Clauses.from_lists(hard), Clauses.from_lists(soft),
+                       weights)
 
 
 def _ints(tokens, where: str) -> list:
@@ -144,40 +245,45 @@ def parse_model(text: str, nvars: int) -> list:
 
 def evaluate(p: WcnfProblem, model: list) -> tuple:
     """(hard clauses all satisfied, total weight of falsified soft clauses)."""
-
-    def sat(clause):
-        return any((model[l] == 1) if l > 0 else (model[-l] == 0) for l in clause)
-
-    hard_ok = all(sat(c) for c in p.hard)
-    cost = sum(w for w, c in p.soft if not sat(c))
-    return hard_ok, cost
+    m = np.asarray(model, dtype=bool)
+    if len(m) <= p.nvars:
+        raise GenpolError(f"model of {len(m) - 1} variables for {p.nvars}")
+    return (bool(p.hard.satisfied(m).all()),
+            sum(p.weights[~p.soft.satisfied(m)].tolist()))
 
 
 def _totalizer_outputs(solver: Cdcl, lits: list) -> list:
     """Counting literals over `lits`: output j (1-based) is forced true when
     at least j inputs are true.  Only that direction is encoded, which is all
-    the core-guided loop needs."""
-    nodes = [[l] for l in lits]
+    the core-guided loop needs.
+
+    The tree merges neighbouring nodes level by level (an odd last node
+    moves up unmerged).  Merging a and b gives len(a) + len(b) new outputs
+    and, for each 0 <= ia <= len(a), 0 <= ib <= len(b) but (0, 0) in that
+    order, the clause out[ia + ib] | -a[ia] | -b[ib] (1-based, without the
+    terms for ia or ib = 0)."""
+    nodes = Clauses.of(lits, np.ones(len(lits), np.int64))
+    parts = []
     while len(nodes) > 1:
-        merged = []
-        for i in range(0, len(nodes) - 1, 2):
-            a, b = nodes[i], nodes[i + 1]
-            outs = [solver.new_var() for _ in range(len(a) + len(b))]
-            for ia in range(len(a) + 1):
-                for ib in range(len(b) + 1):
-                    if ia + ib == 0:
-                        continue
-                    clause = [outs[ia + ib - 1]]
-                    if ia > 0:
-                        clause.append(-a[ia - 1])
-                    if ib > 0:
-                        clause.append(-b[ib - 1])
-                    solver.add_clause(clause)
-            merged.append(outs)
-        if len(nodes) % 2:
-            merged.append(nodes[-1])
-        nodes = merged
-    return nodes[0]
+        m = len(nodes) // 2
+        size, start = nodes.lengths()[:2 * m], nodes.starts[:2 * m]
+        la, lb, sa, sb = size[0::2], size[1::2], start[0::2], start[1::2]
+        n_out = la + lb
+        first = solver.nvars + 1 + np.cumsum(n_out) - n_out
+        solver.ensure_vars(solver.nvars + int(n_out.sum()))
+        cells = (la + 1) * (lb + 1) - 1
+        pair = np.repeat(np.arange(m), cells)
+        ia, ib = np.divmod(ranges(np.ones(m, np.int64), cells), (lb + 1)[pair])
+        grid = np.stack([first[pair] + ia + ib - 1,
+                         -nodes.lits[sa[pair] + ia - 1],
+                         -nodes.lits[sb[pair] + ib - 1]], axis=1)
+        used = np.stack([np.ones(len(ia), bool), ia > 0, ib > 0], axis=1)
+        parts.append(Clauses.of(grid[used], used.sum(axis=1)))
+        nodes = Clauses.join([Clauses.of(ranges(first, n_out), n_out),
+                              nodes.take(np.arange(2 * m, len(nodes)))])
+    clauses = Clauses.join(parts)
+    solver.add_clauses(clauses.lits, clauses.starts)
+    return nodes.lits.tolist()
 
 
 def solve_wcnf(p: WcnfProblem, time_limit: float | None = None) -> MaxSatResult:
@@ -185,10 +291,8 @@ def solve_wcnf(p: WcnfProblem, time_limit: float | None = None) -> MaxSatResult:
     deadline = time.monotonic() + time_limit if time_limit else None
     solver = Cdcl()
     solver.ensure_vars(p.nvars)
-    lower = 0
-    for clause in p.hard:
-        if not solver.add_clause(clause):
-            return MaxSatResult(UNSATISFIABLE)
+    if not solver.add_clauses(p.hard.lits, p.hard.starts):
+        return MaxSatResult(UNSATISFIABLE)
 
     active: dict = {}  # assumption literal -> remaining weight
 
@@ -197,16 +301,23 @@ def solve_wcnf(p: WcnfProblem, time_limit: float | None = None) -> MaxSatResult:
         if active[lit] == 0:
             del active[lit]
 
-    for w, clause in p.soft:
-        if not clause:
-            lower += w
-            continue
-        if len(clause) == 1:
-            charge(clause[0], w)
+    # A unit soft clause is assumed as it is; a wider one gets a fresh
+    # relaxation variable r (clause | r, assume -r); an empty one is paid.
+    size = p.soft.lengths()
+    wide = np.flatnonzero(size > 1)
+    relax = solver.nvars + 1 + np.arange(len(wide))
+    solver.ensure_vars(solver.nvars + len(wide))
+    assumed = np.zeros(len(size), np.int64)
+    assumed[size == 1] = p.soft.lits[p.soft.starts[:-1][size == 1]]
+    assumed[wide] = -relax
+    lower = 0
+    for w, lit in zip(p.weights.tolist(), assumed.tolist()):
+        if lit:
+            charge(lit, w)
         else:
-            r = solver.new_var()
-            solver.add_clause(clause + [r])
-            charge(-r, w)
+            lower += w
+    relaxed = p.soft.take(wide).zip(Clauses.of(relax, np.ones(len(wide), np.int64)))
+    solver.add_clauses(relaxed.lits, relaxed.starts)
     if not solver.ok:
         return MaxSatResult(UNSATISFIABLE)
 

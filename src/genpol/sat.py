@@ -15,9 +15,12 @@ from __future__ import annotations
 import time
 from heapq import heappop, heappush
 
+import numpy as np
+
 from genpol.errors import SolverTimeoutError
 
 UNASSIGNED = 2
+BLOCK = 4096  # literals add_clauses examines at a time (or one clause)
 
 
 def _enc(lit: int) -> int:
@@ -51,6 +54,9 @@ class Cdcl:
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
+        # Entry c is the int c: attached clauses share these objects rather
+        # than holding one int object per literal.
+        self.code_ints = np.zeros(0, object)
 
     # -- variables -----------------------------------------------------
 
@@ -107,6 +113,73 @@ class Cdcl:
             return self.ok
         self._attach(clause)
         self.clauses.append(clause)
+        return True
+
+    def add_clauses(self, lits, starts) -> bool:
+        """Adds clause i = lits[starts[i]:starts[i + 1]] (signed ints) for
+        each i in order, leaving the state add_clause on each in turn leaves:
+        the same clause lists, watch order, level-0 trail and heap.
+
+        A clause of two or more distinct variables, none of them assigned,
+        is attached as it is, its literals encoded in numpy.  The others
+        (units, empty clauses, repeated variables, and clauses over a
+        variable assigned at level 0 by the time they are reached) go
+        through add_clause in their turn.  Clauses are examined about BLOCK
+        literals at a time, so the temporaries stay small beside the clause
+        lists."""
+        if not self.ok:
+            return False
+        lits = np.asarray(lits, np.int64)
+        starts = np.asarray(starts, np.int64)
+        n = len(starts) - 1
+        if n <= 0:
+            return True
+        self._cancel_until(0)
+        top = max(self.nvars, int(lits.max(initial=0)), -int(lits.min(initial=0)))
+        assigned = np.zeros(top + 1, bool)  # the variables of trail[:marked]
+        if len(self.code_ints) < 2 * top + 2:  # grown by doubling
+            self.code_ints = np.arange(4 * top + 4).astype(object)
+        marked = pos = 0
+        while pos < n:
+            end = max(pos + 1, int(np.searchsorted(starts, starts[pos] + BLOCK,
+                                                   "right")) - 1)
+            m = end - pos
+            block = lits[starts[pos]:starts[end]]
+            offsets = starts[pos:end + 1] - starts[pos]
+            size = np.diff(offsets)
+            var = np.abs(block)
+            local = np.repeat(np.arange(m), size)
+            # add_clause takes these whatever the assignment: units, empty
+            # clauses and clauses naming a variable twice
+            key = np.sort(local * (top + 1) + var)
+            fixed = size < 2
+            fixed[key[1:][key[1:] == key[:-1]] // (top + 1)] = True
+            flat = self.code_ints[(var << 1) | (block < 0)].tolist()
+            bounds = offsets.tolist()
+            at = 0
+            while at < m:
+                if marked < len(self.trail):
+                    assigned[[code >> 1 for code in self.trail[marked:]]] = True
+                    marked = len(self.trail)
+                special = fixed[at:].copy()
+                rest = slice(bounds[at], None)
+                special[local[rest][assigned[var[rest]]] - at] = True
+                for stop in (np.flatnonzero(special) + at).tolist() + [m]:
+                    if stop > at:
+                        self.ensure_vars(int(var[bounds[at]:bounds[stop]].max()))
+                        for a, b in zip(bounds[at:stop], bounds[at + 1:stop + 1]):
+                            clause = flat[a:b]
+                            self._attach(clause)
+                            self.clauses.append(clause)
+                    at = stop
+                    if stop == m:
+                        break
+                    if not self.add_clause(block[bounds[stop]:bounds[stop + 1]].tolist()):
+                        return False
+                    at = stop + 1
+                    if len(self.trail) > marked:  # new level-0 values: look again
+                        break
+            pos = end
         return True
 
     def _attach(self, clause):

@@ -228,18 +228,24 @@ def feature_value(feature, gp, state):
 
 # -- weighted MaxSAT -------------------------------------------------------------
 
+def evaluate_wcnf(problem, model):
+    """Clause by clause: (hard clauses all satisfied, total weight of the
+    falsified soft clauses) under `model`, 0/1 per variable, index 0 unused."""
+    def sat(clause):
+        return any(model[abs(l)] == (l > 0) for l in clause)
+    hard_ok = all(sat(c) for c in problem.hard.tolist())
+    cost = sum(w for w, c in zip(problem.weights.tolist(), problem.soft.tolist())
+               if not sat(c))
+    return hard_ok, cost
+
+
 def brute_force_wcnf(problem):
     """Minimum soft cost over all assignments, or None when the hard part is
     unsatisfiable.  2^n enumeration."""
-    n = problem.nvars
     best = None
-    for bits in itertools.product((False, True), repeat=n):
-        def sat(clause):
-            return any((bits[abs(l) - 1]) == (l > 0) for l in clause)
-        if not all(sat(c) for c in problem.hard):
-            continue
-        cost = sum(w for w, c in problem.soft if not sat(c))
-        if best is None or cost < best:
+    for bits in itertools.product((0, 1), repeat=problem.nvars):
+        hard_ok, cost = evaluate_wcnf(problem, (0,) + bits)
+        if hard_ok and (best is None or cost < best):
             best = cost
     return best
 

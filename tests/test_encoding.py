@@ -13,6 +13,7 @@ from genpol import encoding, features, maxsat, pddl, pipeline, space
 from genpol.encoding import (build_theory, compute_classes, decode,
                              initial_pairs, validate_solution)
 from genpol.errors import InternalInvariantError
+from genpol.sat import Cdcl
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -115,7 +116,7 @@ def test_value_domains_and_exactly_one():
     theory = build_theory(sample, pool, matrix, classes, class_of, v_slack=2)
     # fresh: distance 1 -> {1, 2}; done: goal -> {0}; ash: dead end -> absent.
     assert _domains(theory) == {0: [1, 2], 2: [0]}
-    value_clauses = [theory.wcnf.hard[i] for i, t in enumerate(theory.tags)
+    value_clauses = [c for c, t in zip(theory.wcnf.hard.tolist(), theory.tags)
                      if t == "value"]
     # One at-least-one per solvable state plus one pairwise exclusion for the
     # two-value state.
@@ -167,14 +168,14 @@ def test_goal_separation_minimal_and_irredundant():
     assert witness is None
     # Pool order: Atom(ash)=0, Atom(done)=1, Atom(fresh)=2.  The goal state
     # differs from `fresh` on {done, fresh} and from `ash` on {ash, done}.
-    assert [sorted(c) for c in clauses] == [[0, 1], [1, 2]]
+    assert [sorted(c) for c in clauses.tolist()] == [[0, 1], [1, 2]]
 
     bsample = _sample(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4),
                       ("b1",))
     bpool, bmatrix = features.generate_pool(bsample, max_weight=4)
     bclauses, bwitness = encoding._separation_clauses(bpool, bmatrix, bsample)
     assert bwitness is None
-    sets = [frozenset(c) for c in bclauses]
+    sets = [frozenset(c) for c in bclauses.tolist()]
     assert len(set(sets)) == len(sets)
     for a in sets:
         for b in sets:
@@ -195,7 +196,7 @@ def test_indistinguishable_goal_pair_marks_theory_infeasible():
     assert theory.infeasible is not None
     g, s = theory.infeasible
     assert {g, s} == {1, 2}  # the burned state and the goal state
-    assert [] in theory.wcnf.hard
+    assert [] in theory.wcnf.hard.tolist()
     assert maxsat.solve_wcnf(theory.wcnf).status == maxsat.UNSATISFIABLE
 
 
@@ -211,8 +212,9 @@ def test_variable_layout_and_soft_clauses():
     assert v_ids[0] == len(pool) + len(classes) + 1
     assert v_ids == list(range(v_ids[0], v_ids[0] + len(v_ids)))
     assert theory.wcnf.nvars == v_ids[-1]
-    assert theory.wcnf.soft == [(int(pool.weights[f]), [-theory.select_var(f)])
-                                for f in range(len(pool))]
+    assert theory.wcnf.soft.tolist() == [[-theory.select_var(f)]
+                                         for f in range(len(pool))]
+    assert theory.wcnf.weights.tolist() == pool.weights.tolist()
     assert len(theory.tags) == len(theory.wcnf.hard)
     assert theory.stats["n_hard"] == len(theory.wcnf.hard)
     assert theory.stats["n_soft"] == len(pool)
@@ -398,8 +400,8 @@ def prepared():
     return get
 
 
-@pytest.mark.parametrize("name, merge", sorted(PINNED))
-def test_starting_theory_bytes_are_pinned(name, merge, prepared):
+def _starting_theory(name, merge, prepared):
+    """The theory of the first learning round on sample `name`."""
     if name == "clear-5":
         sample = _sample(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(5),
                          ("b1",))
@@ -408,11 +410,59 @@ def test_starting_theory_bytes_are_pinned(name, merge, prepared):
         sample, pool, matrix = prepared(name)
     classes, class_of = compute_classes(sample, matrix, merge=merge)
     pairs = initial_pairs(classes, class_of, sample)
-    theory = build_theory(sample, pool, matrix, classes, class_of, pairs=pairs)
+    return build_theory(sample, pool, matrix, classes, class_of, pairs=pairs)
+
+
+@pytest.mark.parametrize("name, merge", sorted(PINNED))
+def test_starting_theory_bytes_are_pinned(name, merge, prepared):
+    theory = _starting_theory(name, merge, prepared)
     wcnf = maxsat.format_wcnf(theory.wcnf)
     tags = "".join(f"{i} {tag}\n" for i, tag in enumerate(theory.tags))
     digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
     assert (digest(wcnf), digest(tags)) == PINNED[(name, merge)]
+
+
+# Per starting theory: the optimum cost, the sha256 of the model's 0/1 bytes,
+# and the SAT calls, conflicts, decisions and propagations of the embedded
+# search, summed over the Cdcl.solve calls that return.  Loading the clauses
+# in another order or state changes the search and so these counts.
+PINNED_SEARCH = {
+    ("clear-5", False): (
+        8, "f382935ba6d34665410a9dc86eb074f5c090bf23c73a910fe25dc506786fb9c2",
+        9, 5, 906, 6435),
+    ("clear-5", True): (
+        8, "702a50f7b881ef1eeeca59d623538419cd3f8f359b45ea2dc7c797a5c48731ab",
+        9, 5, 904, 3366),
+    # 16 cores, so 16 totalizers loaded between solves.
+    ("gripper", True): (
+        10, "4b17b612aff8b5841c178881b16043c2d0e20e8f129ff27f092c2e00eed17c0c",
+        17, 63, 8930, 47189),
+    ("visitall", False): (
+        7, "ac047eef89ebdd8a97eb07ae02f2fbd3b940212c90a81318f7000e4d51015b86",
+        7, 13, 2418, 15878),
+    ("visitall", True): (
+        7, "2f4007e9076da2608d6b6ba7f456daf20ba4b470e1ed37c75e6a7b808671dc77",
+        7, 18, 2979, 14568),
+}
+
+
+@pytest.mark.parametrize("name, merge", sorted(PINNED_SEARCH))
+def test_starting_theory_search_is_pinned(name, merge, prepared, monkeypatch):
+    theory = _starting_theory(name, merge, prepared)
+    counts = [0, 0, 0, 0]
+    solve = Cdcl.solve
+
+    def counted(self, *args, **kwargs):
+        before = (0, self.conflicts, self.decisions, self.propagations)
+        result = solve(self, *args, **kwargs)
+        after = (1, self.conflicts, self.decisions, self.propagations)
+        counts[:] = [n + b - a for n, a, b in zip(counts, before, after)]
+        return result
+
+    monkeypatch.setattr(Cdcl, "solve", counted)
+    res = maxsat.solve_wcnf(theory.wcnf)
+    model = hashlib.sha256(bytes(res.model)).hexdigest()
+    assert (res.cost, model, *counts) == PINNED_SEARCH[(name, merge)]
 
 
 @pytest.mark.parametrize("merge", [True, False])

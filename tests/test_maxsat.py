@@ -101,8 +101,8 @@ def test_wcnf_round_trip_is_byte_exact():
     frozen = "p wcnf 3 2 5\n5 1 -2 0\n4 -3 0\n"
     p = parse_wcnf(frozen)
     assert p.nvars == 3
-    assert p.hard == [[1, -2]]
-    assert p.soft == [(4, [-3])]
+    assert p.hard.tolist() == [[1, -2]]
+    assert p.soft.tolist() == [[-3]] and p.weights.tolist() == [4]
     assert format_wcnf(p) == frozen
 
     rng = random.Random(9)
@@ -130,7 +130,7 @@ def test_parse_wcnf_rejects_malformed_input():
         parse_wcnf("p wcnf x 1 5\n")  # non-integer variable count
     # Comments and blank lines are fine.
     p = parse_wcnf("c a comment\n\np wcnf 2 1 5\nc more\n5 1 -2 0\n")
-    assert p.hard == [[1, -2]]
+    assert p.hard.tolist() == [[1, -2]]
 
 
 def test_problem_construction_guards():
@@ -169,6 +169,19 @@ def test_evaluate_counts_falsified_soft_weight():
     assert cost == 4 + 3 + 1
     hard_ok, _ = evaluate(p, [0, 0, 0, 1])
     assert not hard_ok
+
+
+def test_evaluate_matches_clause_by_clause_check():
+    rng = random.Random(23)
+    for i in range(200):
+        p = random_wcnf(rng)
+        if i % 3 == 0:
+            p.add_hard([])
+        if i % 4 == 0:
+            p.add_soft(rng.randint(1, 9), [])
+        for _ in range(5):
+            model = [0] + [rng.randint(0, 1) for _ in range(p.nvars)]
+            assert evaluate(p, model) == oracles.evaluate_wcnf(p, model)
 
 
 def test_time_limit_raises_with_progress_bound():

@@ -122,8 +122,8 @@ pool_size=3
 n_classes=4
 n_vars=2246
 n_hard=1
-n_soft=0
-n_clauses_full=13
+n_soft=3
+n_clauses_full=16
 n_pairs=0
 iterations=1
 message=no policy in feature space: goal state 20 and non-goal state 1 have identical feature values

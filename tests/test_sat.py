@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from genpol.errors import SolverTimeoutError
@@ -220,3 +221,74 @@ def test_restart_heavy_formulas_match_brute_force():
             assert _model_satisfies(solver.model(), clauses)
         if solver.conflicts > 100:
             restarted += 1
+
+
+def random_clauses(rng, n_vars, n_clauses):
+    """Clauses of 0-4 literals, some with a repeated literal or a literal and
+    its negation."""
+    clauses = []
+    for _ in range(n_clauses):
+        cl = [rng.choice([-1, 1]) * rng.randint(1, n_vars)
+              for _ in range(rng.choice([0, 1, 1, 2, 2, 3, 3, 4]))]
+        if cl and rng.random() < 0.1:
+            cl.insert(rng.randrange(len(cl) + 1), cl[0])
+        if cl and rng.random() < 0.1:
+            cl.insert(rng.randrange(len(cl) + 1), -cl[0])
+        clauses.append(cl)
+    return clauses
+
+
+def _state(s):
+    return s.ok, s.nvars, s.clauses, s.watches, s.trail, s.heap
+
+
+def test_bulk_loader_matches_clause_by_clause():
+    # Each formula goes on top of a solver that already holds clauses, has
+    # level-0 units (so later clauses are satisfied or falsified at level 0)
+    # and was left above level 0 by a solve; some name variables not created
+    # yet.
+    rng = random.Random(500)
+    differs = empty = 0
+    for _ in range(400):
+        n = rng.randint(2, 10)
+        before = random_clauses(rng, n, rng.randint(0, n))
+        clauses = random_clauses(rng, n + 2, rng.randint(0, 4 * n))
+        lits = [l for cl in clauses for l in cl]
+        starts = np.cumsum([0] + [len(cl) for cl in clauses])
+        assumptions = [rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(2)]
+        solvers = []
+        for bulk in (False, True):
+            s = Cdcl()
+            s.ensure_vars(n)
+            for cl in before:
+                s.add_clause(cl)
+            s.solve(assumptions=assumptions[:1])
+            if bulk:
+                ok = s.add_clauses(lits, starts)
+            else:
+                ok = all([s.add_clause(cl) for cl in clauses]) and s.ok
+            solvers.append((ok, s))
+        (ok_one, one), (ok_bulk, bulk) = solvers
+        assert ok_one == ok_bulk and _state(one) == _state(bulk), (before, clauses)
+        differs += one.nvars > n
+        empty += [] in clauses
+        for _round in range(3):
+            assumed = sorted({rng.choice([-1, 1]) * rng.randint(1, n)
+                              for _ in range(rng.randint(0, 3))})
+            got = one.solve(assumptions=assumed)
+            assert bulk.solve(assumptions=assumed) == got
+            if got:
+                assert bulk.model() == one.model()
+            assert bulk.core == one.core
+            assert _state(one) == _state(bulk)
+    assert differs > 50 and empty > 50
+
+
+def test_bulk_loader_takes_no_clauses_and_stops_when_unsatisfiable():
+    s = Cdcl()
+    s.ensure_vars(2)
+    assert s.add_clauses([], [0])
+    assert s.add_clauses([1, 2, -1, 2], [0, 2, 3, 4])
+    assert s.trail == [3, 4]  # -1, then 2 from 1 | 2 (codes 2v + sign)
+    assert s.add_clauses([-2, 1, 2], [0, 1, 3]) is False
+    assert not s.ok and s.add_clauses([1, 2], [0, 2]) is False
