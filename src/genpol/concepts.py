@@ -134,7 +134,10 @@ def complexity(expr) -> int:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def render(expr) -> str:
+def render(expr, name=None) -> str:
+    """The printable form of `expr`.  `name`, when given, gives those of its
+    sub-expressions (say, from a cache); by default they are rendered."""
+    name = name or render
     if isinstance(expr, Top):
         return "Top"
     if isinstance(expr, Bot):
@@ -148,19 +151,19 @@ def render(expr) -> str:
     if isinstance(expr, Nominal):
         return f"Nominal({expr.name})"
     if isinstance(expr, Not):
-        return f"Not({render(expr.child)})"
+        return f"Not({name(expr.child)})"
     if isinstance(expr, And):
-        return f"And({render(expr.left)},{render(expr.right)})"
+        return f"And({name(expr.left)},{name(expr.right)})"
     if isinstance(expr, Exists):
-        return f"Exists({render(expr.role)},{render(expr.child)})"
+        return f"Exists({name(expr.role)},{name(expr.child)})"
     if isinstance(expr, Forall):
-        return f"Forall({render(expr.role)},{render(expr.child)})"
+        return f"Forall({name(expr.role)},{name(expr.child)})"
     if isinstance(expr, RoleEqual):
-        return f"Equal({render(expr.left)},{render(expr.right)})"
+        return f"Equal({name(expr.left)},{name(expr.right)})"
     if isinstance(expr, InverseRole):
-        return f"{render(expr.base)}_inv"
+        return f"{name(expr.base)}_inv"
     if isinstance(expr, ClosureRole):
-        return f"{render(expr.base)}_plus"
+        return f"{name(expr.base)}_plus"
     raise TypeError(f"not an expression: {expr!r}")
 
 

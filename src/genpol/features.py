@@ -43,7 +43,7 @@ class NullaryFeature:
     weight: int = 1
     is_boolean: bool = True
 
-    def render(self) -> str:
+    def render(self, name=None) -> str:
         return f"Atom({self.pred})"
 
     def values(self, ctx: co.StateContext) -> np.ndarray:
@@ -62,8 +62,9 @@ class CardinalityFeature:
     weight: int
     is_boolean: bool
 
-    def render(self) -> str:
-        return co.render(self.concept)
+    def render(self, name=co.render) -> str:
+        """The printable form; `name` renders a concept or role."""
+        return name(self.concept)
 
     def values(self, ctx: co.StateContext) -> np.ndarray:
         counts = ctx.popcounts(ctx.concept(self.concept))
@@ -79,9 +80,10 @@ class DistanceFeature:
     weight: int
     is_boolean: bool = False
 
-    def render(self) -> str:
-        return (f"Dist({co.render(self.source)},{co.render(self.role)},"
-                f"{co.render(self.restrict)},{co.render(self.target)})")
+    def render(self, name=co.render) -> str:
+        """The printable form; `name` renders a concept or role."""
+        return (f"Dist({name(self.source)},{name(self.role)},"
+                f"{name(self.restrict)},{name(self.target)})")
 
     def values(self, ctx: co.StateContext) -> np.ndarray:
         dmap = ctx.distance_map(ctx.concept(self.source), ctx.role(self.role),
@@ -200,8 +202,9 @@ def load_pool(text: str) -> FeaturePool:
                        np.array([f.is_boolean for f in feats], dtype=bool))
 
 
-def _generate_roles(vocab: Vocabulary, ctx: co.StateContext):
-    """Atomic roles plus inverse/closure/closed-inverse, denotation-pruned."""
+def _generate_roles(vocab: Vocabulary, ctx: co.StateContext, name):
+    """Atomic roles plus inverse/closure/closed-inverse, denotation-pruned;
+    `name` renders an expression."""
     kept, seen = [], {}
     levels = {
         1: list(vocab.roles),
@@ -209,7 +212,7 @@ def _generate_roles(vocab: Vocabulary, ctx: co.StateContext):
         3: [co.ClosureRole(co.InverseRole(r)) for r in vocab.roles],
     }
     for level in (1, 2, 3):
-        for expr in sorted(levels[level], key=co.render):
+        for expr in sorted(levels[level], key=name):
             col = ctx.role(expr)
             sig = col.tobytes()
             if sig in seen:
@@ -226,7 +229,15 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
     ctx = co.state_context([(co.InstanceContext(sp.gp), sp.states)
                             for sp in sample.spaces])
 
-    roles = _generate_roles(vocab, ctx)
+    names: dict = {}  # expression -> printable form, rendered once
+
+    def name(expr) -> str:
+        text = names.get(expr)
+        if text is None:
+            text = names[expr] = co.render(expr, name)
+        return text
+
+    roles = _generate_roles(vocab, ctx, name)
 
     # Concepts, level by level.  kept: list of (expr, weight, column).  A
     # candidate's children are kept concepts and roles, so their columns are
@@ -256,9 +267,10 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
                 wb = level - 1 - wa
                 if wa > wb:
                     continue
+                bs = [(name(b), b) for b, _ in by_weight.get(wb, [])]
                 for a, _ in by_weight.get(wa, []):
-                    for b, _ in by_weight.get(wb, []):
-                        ra, rb = co.render(a), co.render(b)
+                    ra = name(a)
+                    for rb, b in bs:
                         if (wa, ra) < (wb, rb):
                             cands.append(co.And(a, b))
             for rexpr, rw, _ in roles:
@@ -269,14 +281,20 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
             if level == 3:
                 for pred in vocab.goal_binary:
                     cands.append(co.RoleEqual(co.PrimitiveRole(pred), co.GoalRole(pred)))
-        for expr in sorted(cands, key=co.render):
+        for expr in sorted(cands, key=name):
             consider(expr, level)
 
-    # Features.
+    # Features.  Those constant over every training state can never
+    # separate, descend, or distinguish anything, so they are dropped here.
     feats: list = []  # (feature, value column)
+
+    def add(feature, col):
+        if not (col.size and np.all(col == col[0])):
+            feats.append((feature, col))
+
     for pred in sorted(vocab.nullary):
         if 1 <= max_weight:
-            feats.append((NullaryFeature(pred), ctx.flags[pred]))
+            add(NullaryFeature(pred), ctx.flags[pred])
 
     singletons: list = []
     for expr, weight, col in kept:
@@ -286,7 +304,7 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
         boolean = bool((counts <= 1).all())
         if weight <= max_weight:
             values = (counts == 1).astype(np.int64) if boolean else counts
-            feats.append((CardinalityFeature(expr, weight, boolean), values))
+            add(CardinalityFeature(expr, weight, boolean), values)
         if (counts == 1).all():
             singletons.append((expr, weight, col))
 
@@ -303,20 +321,15 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
                     dmap = ctx.distance_map(col1, rcol, colr)
                     for w2 in range(1, max_weight - base - wr + 1):
                         for c2, col2 in by_weight.get(w2, []):
-                            feats.append((DistanceFeature(c1, rexpr, cr, c2,
-                                                          base + wr + w2),
-                                          ctx.min_distance(dmap, col2)))
+                            add(DistanceFeature(c1, rexpr, cr, c2, base + wr + w2),
+                                ctx.min_distance(dmap, col2))
 
-    # Canonical order, then value-vector deduplication.  Features that are
-    # constant over every training state can never separate, descend, or
-    # distinguish anything, so they are dropped as well.
-    feats.sort(key=lambda fc: (fc[0].weight, fc[0].render()))
+    # Canonical order, then value-vector deduplication.
+    feats.sort(key=lambda fc: (fc[0].weight, fc[0].render(name)))
     final: list = []
     cols_out: list = []
     value_seen: set = set()
     for f, col in feats:
-        if col.size and np.all(col == col[0]):
-            continue
         sig = col.tobytes()
         if sig in value_seen:
             continue

@@ -170,6 +170,8 @@ def format_wcnf(p: WcnfProblem) -> str:
 
 
 def parse_wcnf(text: str) -> WcnfProblem:
+    """The problem of a WCNF text with exactly one problem line, which must
+    declare as many clauses as follow it."""
     nvars = top = None
     hard, soft, weights = [], [], []
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -180,8 +182,9 @@ def parse_wcnf(text: str) -> WcnfProblem:
             parts = line.split()
             if len(parts) != 5 or parts[1] != "wcnf":
                 raise GenpolError(f"malformed problem line {ln}: '{raw}'")
-            nvars, top = _ints(parts[2::2], f"problem line {ln}")
-            hard, soft, weights = [], [], []
+            if nvars is not None:
+                raise GenpolError(f"second problem line at line {ln}")
+            nvars, declared, top = _ints(parts[2:], f"problem line {ln}")
             continue
         if nvars is None:
             raise GenpolError(f"clause before problem line at line {ln}")
@@ -198,6 +201,9 @@ def parse_wcnf(text: str) -> WcnfProblem:
             raise GenpolError(f"clause weight {weight} out of range at line {ln}")
     if nvars is None:
         raise GenpolError("missing problem line")
+    if len(hard) + len(soft) != declared:
+        raise GenpolError(f"problem line declares {declared} clauses, "
+                          f"found {len(hard) + len(soft)}")
     try:
         weights = np.array(weights, np.int64)
     except OverflowError:

@@ -6,17 +6,23 @@ Rejected with a positioned error: negative preconditions or goals,
 conditional effects, quantifiers, disjunctions, equality atoms, numeric
 fluents and action costs.
 
-Ground atoms and actions get ids that are stable across runs: atoms are
-sorted lexicographically by (predicate, args) and actions by (schema, args).
-A state is a packed row of uint64 words over the dynamic atoms only, those
-of predicates that some action adds or deletes; the static atoms of the
-initial state hold in every state and are kept once per instance.
+Grounding keeps only the atoms that can hold or are asked for: every
+type-consistent atom of a dynamic predicate (one that some action adds or
+deletes), the static atoms of the initial state, and the goal atoms.  The
+actions are the bindings whose static preconditions hold in the initial
+state, found by a join on those atoms.  Ids are stable across runs: atoms
+are sorted lexicographically by (predicate, args) and actions by name.  A
+state is a packed row of uint64 words over the dynamic atoms only; the
+static atoms of the initial state hold in every state and are kept once
+per instance.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -451,8 +457,7 @@ def parse_instance(text: str, dom: DomainModel, goal_params=()) -> InstanceModel
 # Grounding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroundAction:
+class GroundAction(NamedTuple):
     name: str
     pre: frozenset  # atom ids
     add: frozenset
@@ -468,12 +473,16 @@ _APPLICABLE_BLOCK = 1 << 20
 class GroundProblem:
     """A fully grounded instance with deterministic atom/action ids.
 
-    A state is a packed row, uint64 [words]: dynamic atom k holds when bit
-    k % 64 of word k // 64 is set.  The dynamic atoms are numbered in atom
-    id order (`dynamic` maps a bit to its atom id); `words` is at least one.
-    Each action has packed masks of its dynamic preconditions, adds and
-    deletes, rows of `pre_masks`, `add_masks` and `del_masks`; its static
-    preconditions hold, or `ground` would have dropped it.
+    `atoms` are every type-consistent atom of a dynamic predicate, the
+    static atoms of the initial state (`static_atoms`) and the goal atoms,
+    sorted; a static atom false in the initial state exists only if the
+    goal names it.  A state is a packed row, uint64 [words]: dynamic atom k
+    holds when bit k % 64 of word k // 64 is set.  The dynamic atoms are
+    numbered in atom id order (`dynamic` maps a bit to its atom id);
+    `words` is at least one.  Each action has packed masks of its dynamic
+    preconditions, adds and deletes, rows of `pre_masks`, `add_masks` and
+    `del_masks`; its static preconditions hold, or `ground` would have
+    dropped it.
     """
 
     domain: DomainModel
@@ -537,19 +546,15 @@ class GroundProblem:
         return aids, nxt
 
 
-def _pack_sets(sets, bit_of: np.ndarray, words: int) -> np.ndarray:
-    """uint64 [len(sets), words]: each set of atom ids packed over the
-    dynamic atoms (`bit_of`: atom id -> bit, -1 for a static atom)."""
-    lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    atoms = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
-                        count=int(lens.sum()))
-    bits = bit_of[atoms]
-    rows = np.repeat(np.arange(len(sets)), lens)[bits >= 0]
-    bits = bits[bits >= 0]
-    out = np.zeros((len(sets), words), dtype=np.uint64)
-    np.bitwise_or.at(out, (rows, bits // 64),
+def _pack(out: np.ndarray, rows: np.ndarray, ids: np.ndarray, bit_of: np.ndarray):
+    """Set in `out`, uint64 [n, words] packed over the dynamic atoms, the bit
+    of atom ids[i] in row rows[i] for every i (`bit_of`: atom id -> bit, -1
+    for a static atom)."""
+    bits = bit_of[ids]
+    on = bits >= 0
+    bits = bits[on]
+    np.bitwise_or.at(out, (rows[on], bits // 64),
                      np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64)))
-    return out
 
 
 def _objects_by_type(dom: DomainModel, inst: InstanceModel) -> dict:
@@ -564,85 +569,276 @@ def _objects_by_type(dom: DomainModel, inst: InstanceModel) -> dict:
     return by_type
 
 
-def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> GroundProblem:
-    """Enumerate type-consistent ground atoms and actions.
+class _Binder:
+    """Grounds action schemas against one instance's atoms.
 
-    Actions whose statically-determined preconditions (predicates never
-    added or deleted by any schema) are false in the initial state are
-    dropped; they can never become applicable.  Delete effects shadowed by
-    an add of the same atom are removed, so add and delete sets of every
-    ground action are disjoint.
+    Objects are numbered by name.  A schema is compiled into templates: each
+    atom becomes (predicate, slots), where slot i names parameter i for i < k
+    (the schema's k parameters) and constant i - k after that.  The atom
+    ids of a template over a dynamic predicate are arithmetic: that
+    predicate's atoms are the product of its argument types' objects, in
+    order and consecutive among the atom ids.  Static templates are matched
+    against the static atoms of the initial state, which the join also
+    draws parameters from.
+    """
+
+    def __init__(self, dom, objects, by_type, atoms, static_preds, static_init):
+        self.dom = dom
+        self.static_preds = static_preds
+        self.objects = objects
+        self.index = {o: i for i, o in enumerate(objects)}
+        self.pools = {t: [self.index[o] for o in names] for t, names in by_type.items()}
+        self.atoms = atoms
+        self._start, self._rank = {}, {}
+        # (predicate, object ids...) -> atom id, and (predicate, position,
+        # the other arguments) -> [(object id at that position, atom id)].
+        self.static_ids = {(a[0], *map(self.index.__getitem__, a[1:])): i
+                           for a, i in static_init.items()}
+        self.candidates: dict = {}
+        for key, aid in self.static_ids.items():
+            for pos in range(len(key) - 1):
+                other = key[1:pos + 1] + key[pos + 2:]
+                self.candidates.setdefault((key[0], pos, other), []).append(
+                    (key[pos + 1], aid))
+
+    def bind(self, sc: ActionSchema, room: int) -> tuple:
+        """The names and the atom ids of the pre, add and delete templates,
+        int64 [n, c] each, of the first room + 1 bindings of `sc` under which
+        its static preconditions hold.  Without static preconditions the
+        bindings are the product of the parameters' types; with them, a join
+        (see `_plan`)."""
+        k = len(sc.params)
+        types = [t for _, t in sc.params]
+        pre, add, dele, consts = self._compile(sc)
+        statics = [t for t in pre if t[0] in self.static_preds]
+        if statics:
+            found = self._join(types, consts, statics)
+        else:
+            found = itertools.product(*(self.pools[t] for t in types))
+        found = list(itertools.islice(found, room + 1))
+        rows = np.array(found, dtype=np.int64).reshape(len(found), k + len(statics))
+        column = lambda s: rows[:, s] if s < k else consts[s - k]
+        static_col = {t: rows[:, k + j] for j, t in enumerate(statics)}
+
+        def ids(templates):
+            out = np.empty((len(rows), len(templates)), dtype=np.int64)
+            for c, t in enumerate(templates):
+                out[:, c] = static_col[t] if t in static_col else self._atom_ids(t, column)
+            return out
+
+        names = [f"{sc.name}({','.join(map(self.objects.__getitem__, row[:k]))})"
+                 for row in found]
+        return names, ids(pre), ids(add), ids(dele)
+
+    def _compile(self, sc: ActionSchema) -> tuple:
+        """(pre, add, dele, consts): the schema's atoms as templates, sorted,
+        and the object id of each constant slot."""
+        slot = {v: i for i, (v, _) in enumerate(sc.params)}
+        consts = []
+
+        def templates(atoms):
+            out = []
+            for sa in sorted(atoms, key=lambda sa: (sa.pred, sa.args)):
+                for term in sa.args:
+                    if term not in slot:
+                        slot[term] = len(slot)
+                        consts.append(self.index[term])
+                out.append((sa.pred, tuple(slot[term] for term in sa.args)))
+            return out
+
+        return templates(sc.pre), templates(sc.add), templates(sc.dele), consts
+
+    def _atom_ids(self, template, column) -> np.ndarray:
+        """Ids of a dynamic-predicate template's atoms, given each slot's
+        object ids (`column`: slot -> int64 [n] or one object id)."""
+        pred, slots = template
+        if pred not in self._start:
+            self._start[pred] = bisect.bisect_left(self.atoms, (pred,))
+        ids, stride = self._start[pred], 1
+        for s, t in zip(reversed(slots), reversed(self.dom.predicates[pred].arg_types)):
+            if t not in self._rank:
+                self._rank[t] = np.full(len(self.objects), -1, dtype=np.int64)
+                self._rank[t][self.pools[t]] = np.arange(len(self.pools[t]))
+            ids = ids + self._rank[t][column(s)] * stride
+            stride *= len(self.pools[t])
+        return ids
+
+    def _plan(self, types, n_slots, statics) -> tuple:
+        """The order in which the join binds a schema's parameters.
+
+        Returns (tests, steps).  `tests` are the static templates over
+        constants only, tested once.  Each step binds one parameter and is
+        (parameter, source, keep, tests): source (j, pos) draws it from the
+        candidates of static template j at position pos, whose other slots
+        are bound, so j holds by construction; source None draws it from its
+        type.  `keep` is the set of objects of the parameter's type when the
+        candidates may lie outside it (else None), and `tests` the templates
+        whose last slot the step binds.
+        """
+        k = len(types)
+        bound = set(range(k, n_slots))
+        open_ = list(range(len(statics)))
+
+        def ready():
+            done = [j for j in open_ if bound.issuperset(statics[j][1])]
+            open_[:] = [j for j in open_ if j not in done]
+            return done
+
+        tests, steps = ready(), []
+        while len(bound) < n_slots:
+            # An open template has an unbound slot; when all its other slots
+            # are bound, that one names a parameter there only.
+            source = next(((j, pos) for j in open_ for pos in range(len(statics[j][1]))
+                           if bound.issuperset(statics[j][1][:pos] + statics[j][1][pos + 1:])),
+                          None)
+            keep = None
+            if source is None:
+                # Prefer a parameter some open static template names, so the
+                # next steps can draw from the index.
+                p = min((q for q in range(k) if q not in bound),
+                        key=lambda q: (all(q not in statics[j][1] for j in open_), q))
+            else:
+                j, pos = source
+                p = statics[j][1][pos]
+                open_.remove(j)
+                if not self.dom.is_subtype(self.dom.predicates[statics[j][0]].arg_types[pos],
+                                           types[p]):
+                    keep = frozenset(self.pools[types[p]])
+            bound.add(p)
+            steps.append((p, source, keep, ready()))
+        return tests, steps
+
+    def _join(self, types, consts, statics):
+        """Yield each binding under which every static template holds: the
+        parameters' object ids, then the static templates' atom ids."""
+        k = len(types)
+        tests0, steps = self._plan(types, k + len(consts), statics)
+        slots = [0] * k + consts
+        sids = [0] * len(statics)
+        pools = {types[p]: [(o, -1) for o in self.pools[types[p]]]
+                 for p, source, _, _ in steps if source is None}
+
+        def holds(tests):
+            for j in tests:
+                pred, ss = statics[j]
+                aid = self.static_ids.get((pred, *[slots[s] for s in ss]))
+                if aid is None:
+                    return False
+                sids[j] = aid
+            return True
+
+        def extend(depth):
+            if depth == len(steps):
+                yield (*slots[:k], *sids)
+                return
+            p, source, keep, tests = steps[depth]
+            if source is None:
+                j, cands = None, pools[types[p]]
+            else:
+                j, pos = source
+                pred, ss = statics[j]
+                other = tuple(slots[s] for s in ss[:pos] + ss[pos + 1:])
+                cands = self.candidates.get((pred, pos, other), ())
+            for o, aid in cands:
+                if keep is not None and o not in keep:
+                    continue
+                slots[p] = o
+                if j is not None:
+                    sids[j] = aid
+                if holds(tests):
+                    yield from extend(depth + 1)
+
+        if holds(tests0):
+            yield from extend(0)
+
+
+def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> GroundProblem:
+    """Ground the atoms that can hold and the actions that can apply.
+
+    The atoms are every type-consistent atom of a dynamic predicate (one
+    that some schema adds or deletes), the static atoms of the initial
+    state and the goal atoms.  The actions are the bindings of each schema's
+    parameters to objects of their types under which its static
+    preconditions hold in the initial state; no other binding can ever
+    apply.  Delete effects shadowed by an add of the same atom are removed,
+    so the add and delete sets of every ground action are disjoint.
     """
     by_type = _objects_by_type(dom, inst)
+    members = {t: frozenset(names) for t, names in by_type.items()}
+    for what, atoms in (("init", inst.init), ("goal", inst.goal)):
+        for a in atoms:
+            pred = dom.predicates.get(a[0])
+            if pred is None or len(a) != pred.arity + 1 or any(
+                    o not in members[t] for o, t in zip(a[1:], pred.arg_types)):
+                raise PddlError(f"{what} atom {a} is not type-consistent")
 
-    atoms = []
-    for pred in sorted(dom.predicates.values(), key=lambda p: p.name):
-        pools = [by_type.get(t, []) for t in pred.arg_types]
-        for combo in itertools.product(*pools):
-            atoms.append((pred.name, *combo))
-    atoms.sort()
+    dynamic_preds = {sa.pred for sc in dom.schemas for sa in sc.add | sc.dele}
+    static_preds = frozenset(dom.predicates) - dynamic_preds
+    static_init = [a for a in inst.init if a[0] in static_preds]
+    atoms = sorted(itertools.chain(
+        ((p.name, *args) for p in dom.predicates.values() if p.name in dynamic_preds
+         for args in itertools.product(*(by_type[t] for t in p.arg_types))),
+        set(static_init).union(a for a in inst.goal if a[0] in static_preds)))
     atom_ids = {a: i for i, a in enumerate(atoms)}
-
-    dynamic = set()
-    for sc in dom.schemas:
-        dynamic.update(sa.pred for sa in sc.add)
-        dynamic.update(sa.pred for sa in sc.dele)
-    static_preds = frozenset(dom.predicates) - dynamic
-
-    init_atoms = inst.init
-    for a in init_atoms:
-        if a not in atom_ids:
-            raise PddlError(f"init atom {a} is not type-consistent")
-    for a in inst.goal:
-        if a not in atom_ids:
-            raise PddlError(f"goal atom {a} is not type-consistent")
-
-    ground_actions = []
-    for sc in sorted(dom.schemas, key=lambda s: s.name):
-        pools = [by_type.get(ptype, []) for _, ptype in sc.params]
-        names = [pvar for pvar, _ in sc.params]
-        for combo in itertools.product(*pools):
-            binding = dict(zip(names, combo))
-            bind = lambda sa: (sa.pred, *(binding.get(t, t) for t in sa.args))
-            pre = [bind(sa) for sa in sc.pre]
-            if any(a[0] in static_preds and a not in init_atoms for a in pre):
-                continue
-            add = frozenset(atom_ids[bind(sa)] for sa in sc.add)
-            dele = frozenset(atom_ids[bind(sa)] for sa in sc.dele) - add
-            pre_ids = frozenset(atom_ids[a] for a in pre)
-            name = f"{sc.name}({','.join(combo)})"
-            ground_actions.append((name, pre_ids, add, dele))
-            if len(ground_actions) > max_actions:
-                raise LimitExceededError(
-                    f"more than {max_actions} ground actions in '{inst.name}'")
-    ground_actions.sort(key=lambda g: g[0])
-    actions = [GroundAction(*g) for g in ground_actions]
-
     is_static = np.array([a[0] in static_preds for a in atoms], dtype=bool)
     dynamic = np.flatnonzero(~is_static)
-    bit_of = np.full(len(atoms), -1, dtype=np.int64)
+    bit_of = np.full(len(atoms) + 1, -1, dtype=np.int64)  # id len(atoms): none
     bit_of[dynamic] = np.arange(len(dynamic))
     words = max(1, -(-len(dynamic) // 64))
-    init = frozenset(atom_ids[a] for a in init_atoms)
+
+    objects = sorted(o for o, _ in inst.objects)
+    static_init = {a: atom_ids[a] for a in static_init}
+    binder = _Binder(dom, objects, by_type, atoms, static_preds, static_init)
+    id_ints = np.arange(len(atoms)).astype(object)  # one int object per atom id
+    actions, bound = [], []
+    for sc in sorted(dom.schemas, key=lambda s: s.name):
+        names, pre, add, dele = binder.bind(sc, max_actions - len(actions))
+        if len(actions) + len(names) > max_actions:
+            raise LimitExceededError(
+                f"more than {max_actions} ground actions in '{inst.name}'")
+        pres = list(map(frozenset, id_ints[pre].tolist()))
+        adds = list(map(frozenset, id_ints[add].tolist()))
+        dels = list(map(frozenset.difference, map(frozenset, id_ints[dele].tolist()), adds))
+        actions.extend(map(GroundAction, names, pres, adds, dels))
+        shadowed = (dele[:, :, None] == add[:, None, :]).any(axis=2)
+        bound.append((pre, add, np.where(shadowed, len(atoms), dele)))
+    order = sorted(range(len(actions)), key=lambda i: actions[i].name)
+    actions = [actions[i] for i in order]
+    rank = np.empty(len(actions), dtype=np.int64)
+    rank[order] = np.arange(len(actions))
+    masks = np.zeros((3, len(actions), words), dtype=np.uint64)  # pre, add, delete
+    first = 0
+    for templates in bound:
+        rows = rank[first:first + len(templates[0])]
+        first += len(rows)
+        for out, ids in zip(masks, templates):
+            _pack(out, np.repeat(rows, ids.shape[1]), ids.ravel(), bit_of)
+
+    def pack_set(ids):
+        row = np.zeros((1, words), dtype=np.uint64)
+        _pack(row, np.zeros(len(ids), dtype=np.int64),
+              np.fromiter(ids, dtype=np.int64, count=len(ids)), bit_of)
+        return row[0]
+
+    init = frozenset(atom_ids[a] for a in inst.init)
     goal = frozenset(atom_ids[a] for a in inst.goal)
-    static_atoms = frozenset(a for a in init if is_static[a])
-    pack = lambda sets: _pack_sets(sets, bit_of, words)
+    static_atoms = frozenset(static_init.values())
     return GroundProblem(
         domain=dom,
         instance=inst,
         atoms=atoms,
         atom_ids=atom_ids,
         actions=actions,
-        init=pack([init])[0],
+        init=pack_set(init),
         goal=goal,
-        objects=sorted(o for o, _ in inst.objects),
+        objects=objects,
         object_types={o: t for o, t in inst.objects},
         static_predicates=static_preds,
         dynamic=dynamic,
         static_atoms=static_atoms,
-        pre_masks=pack([a.pre for a in actions]),
-        add_masks=pack([a.add for a in actions]),
-        del_masks=pack([a.dele for a in actions]),
-        goal_mask=pack([goal])[0],
+        pre_masks=masks[0],
+        add_masks=masks[1],
+        del_masks=masks[2],
+        goal_mask=pack_set(goal),
         goal_static=all(a in static_atoms for a in goal if is_static[a]),
     )

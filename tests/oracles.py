@@ -6,6 +6,9 @@ in the tests; the two sides share no code paths.
 """
 
 import itertools
+from types import SimpleNamespace
+
+import numpy as np
 
 
 # -- grounding ---------------------------------------------------------------
@@ -45,6 +48,57 @@ def brute_force_ground_actions(dom, inst):
             if all(ground(p) in ever_true for p in schema.pre):
                 names.append(f"{schema.name}({','.join(binding)})")
     return sorted(names)
+
+
+def product_ground(dom, inst):
+    """Grounding by product and filter: every type-consistent atom, and
+    every type-consistent binding of every schema, kept when its static
+    preconditions (over predicates no schema adds or deletes) hold in the
+    initial state.  Returns a namespace of atom tuples, not ids: `actions`
+    sorted by name as (name, pre, add, dele) with dele minus add;
+    `dynamic`, the dynamic atoms in sorted order (bit k is dynamic[k]);
+    `static_atoms` and `goal`; and the packed uint64 rows `init`,
+    `pre_masks`, `add_masks` and `del_masks`."""
+    type_objs = {t: [] for t in dom.types}
+    for name, t in inst.objects:
+        while t is not None:
+            type_objs[t].append(name)
+            t = dom.types.get(t)
+    type_objs = {t: sorted(names) for t, names in type_objs.items()}
+    changing = {a.pred for s in dom.schemas for a in s.add | s.dele}
+    static = set(dom.predicates) - changing
+    atoms = sorted((p.name, *args) for p in dom.predicates.values()
+                   for args in itertools.product(*[type_objs[t] for t in p.arg_types]))
+    dynamic = [a for a in atoms if a[0] not in static]
+
+    actions = []
+    for schema in dom.schemas:
+        for binding in itertools.product(*[type_objs[t] for _v, t in schema.params]):
+            env = dict(zip((v for v, _t in schema.params), binding))
+            ground = lambda atoms: frozenset(
+                (a.pred,) + tuple(env.get(x, x) for x in a.args) for a in atoms)
+            pre = ground(schema.pre)
+            if any(a[0] in static and a not in inst.init for a in pre):
+                continue
+            add = ground(schema.add)
+            actions.append((f"{schema.name}({','.join(binding)})", pre, add,
+                            ground(schema.dele) - add))
+    actions.sort(key=lambda a: a[0])
+
+    bit = {a: k for k, a in enumerate(dynamic)}
+    words = max(1, -(-len(dynamic) // 64))
+
+    def pack(atom_set):
+        value = sum(1 << bit[a] for a in atom_set if a in bit)
+        return [(value >> (64 * w)) & ((1 << 64) - 1) for w in range(words)]
+
+    rows = lambda sets: np.array([pack(s) for s in sets], dtype=np.uint64).reshape(-1, words)
+    return SimpleNamespace(
+        actions=actions, dynamic=dynamic,
+        static_atoms=frozenset(a for a in inst.init if a[0] in static),
+        goal=frozenset(inst.goal), init=np.array(pack(inst.init), dtype=np.uint64),
+        pre_masks=rows(a[1] for a in actions), add_masks=rows(a[2] for a in actions),
+        del_masks=rows(a[3] for a in actions))
 
 
 # -- states and expansion ------------------------------------------------------

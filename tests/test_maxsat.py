@@ -128,6 +128,14 @@ def test_parse_wcnf_rejects_malformed_input():
         parse_wcnf("p wcnf 2 1 5\n5 1 x 0\n")  # non-integer literal
     with pytest.raises(GenpolError):
         parse_wcnf("p wcnf x 1 5\n")  # non-integer variable count
+    with pytest.raises(GenpolError, match="second problem line at line 3"):
+        parse_wcnf("p wcnf 2 2 5\n5 1 0\np wcnf 2 1 5\n5 2 0\n")
+    with pytest.raises(GenpolError, match="declares 7 clauses, found 1"):
+        parse_wcnf("p wcnf 2 7 5\n5 1 0\n")
+    with pytest.raises(GenpolError, match="declares 1 clauses, found 2"):
+        parse_wcnf("p wcnf 2 1 5\n5 1 0\n3 2 0\n")
+    with pytest.raises(GenpolError):
+        parse_wcnf("p wcnf 2 x 5\n")  # non-integer clause count
     # Comments and blank lines are fine.
     p = parse_wcnf("c a comment\n\np wcnf 2 1 5\nc more\n5 1 -2 0\n")
     assert p.hard.tolist() == [[1, -2]]

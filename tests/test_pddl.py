@@ -1,13 +1,23 @@
 """Parser, grounder and successor generator tests."""
 
+import dataclasses
+import random
+import re
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from genpol import pddl, space
-from genpol.errors import PddlError, UnsupportedPddlError
+from genpol.errors import LimitExceededError, PddlError, UnsupportedPddlError
 
 import domains
 import oracles
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import instances  # noqa: E402  perfbench's seeded instance generators
 
 
 def _gripper(n=2, seed=None):
@@ -110,6 +120,158 @@ def test_ground_action_count_matches_brute_force_blocks():
     gp = pddl.ground(dom, inst)
     expected = oracles.brute_force_ground_actions(dom, inst)
     assert sorted(a.name for a in gp.actions) == expected
+
+
+# Static preconditions on a constant (home), with a repeated variable
+# (spin), over a nullary predicate (home, shut) and over a supertype of the
+# parameter (tour, look: road takes places, ?c is a city); shadowed deletes
+# when ?a = ?b (drive) or ?a = depot (home).
+ROADS_DOMAIN = """
+(define (domain roads)
+  (:requirements :strips :typing)
+  (:types place vehicle - object city - place)
+  (:constants depot - city)
+  (:predicates (at ?v - vehicle ?p - place) (road ?a ?b - place)
+               (big ?c - city) (visited ?p - place) (open) (closed))
+  (:action drive
+    :parameters (?v - vehicle ?a ?b - place)
+    :precondition (and (at ?v ?a) (road ?a ?b))
+    :effect (and (at ?v ?b) (visited ?b) (not (at ?v ?a))))
+  (:action home
+    :parameters (?v - vehicle ?a - place)
+    :precondition (and (at ?v ?a) (road ?a depot) (open))
+    :effect (and (at ?v depot) (not (at ?v ?a))))
+  (:action spin
+    :parameters (?v - vehicle ?p - place)
+    :precondition (and (at ?v ?p) (road ?p ?p))
+    :effect (and (visited ?p)))
+  (:action shut
+    :parameters (?v - vehicle)
+    :precondition (and (closed) (at ?v depot))
+    :effect (and (not (at ?v depot))))
+  (:action tour
+    :parameters (?c - city ?p - place)
+    :precondition (and (road ?p ?c) (big ?c))
+    :effect (and (visited ?c)))
+  (:action look
+    :parameters (?p - place ?c - city)
+    :precondition (and (road ?p ?c))
+    :effect (and (visited ?c))))
+"""
+
+
+def _roads(flag="open", goal=""):
+    dom = pddl.parse_domain(ROADS_DOMAIN)
+    return dom, pddl.parse_instance(f"""(define (problem roads-1) (:domain roads)
+      (:objects truck van - vehicle x y - city p q - place)
+      (:init (at truck x) (at van p) (road x y) (road y x) (road y depot)
+             (road p p) (road p x) (road q depot) (road depot depot) (big y) (big depot) ({flag}))
+      (:goal (and (visited depot) {goal})))""", dom)
+
+
+def _ground_like_product(dom, inst):
+    """`pddl.ground` checked against `oracles.product_ground`; the ground
+    problem."""
+    gp = pddl.ground(dom, inst)
+    want = oracles.product_ground(dom, inst)
+    atoms = lambda ids: frozenset(gp.atoms[i] for i in ids)
+    assert [(a.name, atoms(a.pre), atoms(a.add), atoms(a.dele))
+            for a in gp.actions] == want.actions
+    assert [gp.atoms[i] for i in gp.dynamic] == want.dynamic
+    assert atoms(gp.static_atoms) == want.static_atoms
+    assert atoms(gp.goal) == want.goal
+    # The atoms are the dynamic ones, the static ones of the initial state
+    # and the goal's, sorted.
+    assert gp.atoms == sorted(set(want.dynamic) | want.static_atoms | want.goal)
+    assert gp.atom_ids == {a: i for i, a in enumerate(gp.atoms)}
+    for name in ("init", "pre_masks", "add_masks", "del_masks"):
+        got = getattr(gp, name)
+        assert got.dtype == np.uint64 and np.array_equal(got, getattr(want, name)), name
+    return gp
+
+
+@pytest.mark.parametrize("name", ["clear", "gripper", "visitall"])
+def test_ground_matches_product_on_benchmarks(name):
+    bench = ROOT / "benchmarks" / name
+    dom = pddl.parse_domain((bench / "domain.pddl").read_text())
+    for path in sorted(bench.glob("prob*.pddl")):
+        _ground_like_product(dom, pddl.parse_instance(path.read_text(), dom))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: instances.gripper(3, rng, "gripper-3"),
+    lambda rng: instances.clear_towers(5, rng, "clear-5"),
+    lambda rng: instances.clear_tower(6, rng, "clear-6"),
+    lambda rng: instances.visitall(3, 4, (1, 2), "visitall-3x4"),
+    lambda rng: instances.visitall(1, 1, (0, 0), "visitall-1x1")])
+def test_ground_matches_product_on_generated_instances(make):
+    inst = make(random.Random(3))
+    directory = {"gripper": "gripper", "blocksworld": "clear",
+                 "grid-visit-all": "visitall"}[inst.domain]
+    dom = pddl.parse_domain((ROOT / "benchmarks" / directory / "domain.pddl").read_text())
+    _ground_like_product(dom, pddl.parse_instance(inst.pddl(), dom, inst.goal_params))
+
+
+def test_ground_keeps_only_atoms_that_can_hold():
+    inst = instances.visitall(14, 14, (3, 5), "visitall-14x14")
+    dom = pddl.parse_domain((ROOT / "benchmarks" / "visitall" / "domain.pddl").read_text())
+    gp = pddl.ground(dom, pddl.parse_instance(inst.pddl(), dom))
+    # 196 at-robot and 196 visited atoms and the grid's 728 connected atoms,
+    # of 196 * 196 type-consistent ones; one move per connected atom.
+    assert len(gp.atoms) == 2 * 196 + 728 and len(gp.dynamic) == 2 * 196
+    assert len(gp.actions) == 728
+
+
+def test_ground_joins_static_preconditions():
+    gp = _ground_like_product(*_roads())
+    names = {a.name for a in gp.actions}
+    assert {"home(truck,y)", "home(van,q)", "spin(van,p)", "tour(y,x)",
+            "tour(depot,y)", "tour(depot,q)", "look(p,x)", "look(depot,depot)"} <= names
+    # (closed) is false, there is no (road x x), x is not big and p is no city.
+    assert not any(n.startswith(("shut", "spin(truck,x)", "tour(x,", "tour(p,", "look(p,p)"))
+                   for n in names)
+    # The static atoms are those of the initial state, not every road.
+    assert sum(a[0] == "road" for a in gp.atoms) == 7
+    home = next(a for a in gp.actions if a.name == "home(truck,depot)")
+    assert not home.add & home.dele
+
+
+def test_ground_nullary_static_precondition_false():
+    gp = _ground_like_product(*_roads(flag="closed"))
+    names = {a.name.split("(")[0] for a in gp.actions}
+    assert "home" not in names and "shut" in names
+    assert ("open",) not in gp.atom_ids and ("closed",) in gp.atom_ids
+
+
+@pytest.mark.parametrize("goal,holds", [("(road x y)", True), ("(road x p)", False),
+                                        ("(open)", True), ("(closed)", False)])
+def test_ground_static_goal_atom(goal, holds):
+    gp = _ground_like_product(*_roads(goal=goal))
+    # A static goal atom false in the initial state exists as an atom, and
+    # then no state is a goal state.
+    assert gp.goal_static == holds
+    sp = space.expand(gp)
+    assert sp.is_goal.any() == holds
+
+
+@pytest.mark.parametrize("problem", [_gripper, _roads])
+def test_ground_max_actions_hit_exactly(problem):
+    dom, inst = problem()
+    n = len(pddl.ground(dom, inst).actions)
+    assert len(pddl.ground(dom, inst, max_actions=n).actions) == n
+    with pytest.raises(LimitExceededError,
+                       match=re.escape(f"more than {n - 1} ground actions in '{inst.name}'")):
+        pddl.ground(dom, inst, max_actions=n - 1)
+
+
+@pytest.mark.parametrize("field,atom", [
+    ("init", ("at", "truck", "truck")), ("goal", ("visited", "van")),
+    ("init", ("road", "x")), ("goal", ("nowhere", "x"))])
+def test_ground_rejects_atoms_not_type_consistent(field, atom):
+    dom, inst = _roads()
+    inst = dataclasses.replace(inst, **{field: getattr(inst, field) | {atom}})
+    with pytest.raises(PddlError, match=re.escape(f"{field} atom {atom} is not type-consistent")):
+        pddl.ground(dom, inst)
 
 
 def test_ground_repeated_binding_self_loop():

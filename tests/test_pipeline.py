@@ -290,10 +290,13 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
-    bad.write_text("p wcnf 2 1 5\n5 1 x 0\n")
-    rc = cli.main(["solve", "--wcnf", str(bad)])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    for text in ("p wcnf 2 1 5\n5 1 x 0\n",
+                 "p wcnf 2 2 5\n5 1 0\np wcnf 2 1 5\n5 2 0\n",  # concatenated
+                 "p wcnf 2 7 5\n5 1 0\n"):  # truncated
+        bad.write_text(text)
+        rc = cli.main(["solve", "--wcnf", str(bad)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
     with pytest.raises(SystemExit) as exc:
         cli.main(["learn", "--domain", "x"])  # missing required --training
