@@ -145,3 +145,60 @@ def visitall_instance(width: int, height: int, start, visited=(), name=None) -> 
             f"  (:objects {objs} - place)\n"
             f"  (:init {' '.join(init)})\n"
             f"  (:goal (and {' '.join(goal)})))")
+
+
+def random_strips_problem(rng: random.Random) -> tuple:
+    """(domain, instance) PDDL texts of a random typed STRIPS problem: up to
+    three types in a random hierarchy, up to two constants, two to five
+    predicates of arity 0-3, one to three schemas of up to three parameters
+    whose atoms take parameters and constants of fitting types (repeats
+    included), and up to five objects.  Predicates no schema changes are
+    static."""
+    types = {"object": None}
+    for i in range(rng.randint(0, 3)):
+        types[f"t{i}"] = rng.choice(list(types))
+
+    def is_sub(t, ancestor):
+        while t is not None and t != ancestor:
+            t = types[t]
+        return t == ancestor
+
+    consts = [(f"c{i}", rng.choice(list(types))) for i in range(rng.randint(0, 2))]
+    preds = {f"p{i}": [rng.choice(list(types)) for _ in range(rng.choice([0, 1, 1, 2, 2, 2, 3]))]
+             for i in range(rng.randint(2, 5))}
+
+    def atom(terms):
+        """A random atom over `terms` [(name, type)], or None if none fits."""
+        name = rng.choice(list(preds))
+        args = []
+        for t in preds[name]:
+            fits = [term for term, tt in terms if is_sub(tt, t)]
+            if not fits:
+                return None
+            args.append(rng.choice(fits))
+        return f"({' '.join([name] + args)})"
+
+    def atoms(terms, n):
+        return [a for a in (atom(terms) for _ in range(n)) if a]
+
+    typed = lambda pairs: " ".join(f"{name} - {t}" for name, t in pairs)
+    schemas = []
+    for s in range(rng.randint(1, 3)):
+        params = [(f"?v{i}", rng.choice(list(types))) for i in range(rng.randint(0, 3))]
+        pre, add, dele = (atoms(params + consts, rng.randint(lo, hi))
+                          for lo, hi in ((0, 3), (0, 2), (0, 2)))
+        effect = " ".join(add + [f"(not {a})" for a in dele])
+        schemas.append(f"(:action a{s} :parameters ({typed(params)})"
+                       f" :precondition (and {' '.join(pre)}) :effect (and {effect}))")
+    signatures = " ".join(f"({' '.join([p] + [f'?a{i} - {t}' for i, t in enumerate(ts)])})"
+                          for p, ts in preds.items())
+    domain = (f"(define (domain rnd) (:requirements :strips :typing)"
+              f" (:types {typed((t, p) for t, p in types.items() if p is not None)})"
+              f" (:constants {typed(consts)}) (:predicates {signatures}) {' '.join(schemas)})")
+    objects = [(f"o{i}", rng.choice(list(types))) for i in range(rng.randint(1, 5))]
+    init = sorted(set(atoms(objects + consts, rng.randint(0, 12))))
+    goal = sorted(set(atoms(objects + consts, rng.randint(1, 3))))
+    instance = (f"(define (problem rnd-{rng.randrange(10**6)}) (:domain rnd)"
+                f" (:objects {typed(objects)}) (:init {' '.join(init)})"
+                f" (:goal (and {' '.join(goal)})))")
+    return domain, instance

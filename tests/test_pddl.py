@@ -212,6 +212,14 @@ def test_ground_matches_product_on_generated_instances(make):
     _ground_like_product(dom, pddl.parse_instance(inst.pddl(), dom, inst.goal_params))
 
 
+def test_ground_matches_product_on_random_domains():
+    rng = random.Random(11)
+    for _ in range(300):
+        domain, instance = domains.random_strips_problem(rng)
+        dom = pddl.parse_domain(domain)
+        _ground_like_product(dom, pddl.parse_instance(instance, dom))
+
+
 def test_ground_keeps_only_atoms_that_can_hold():
     inst = instances.visitall(14, 14, (3, 5), "visitall-14x14")
     dom = pddl.parse_domain((ROOT / "benchmarks" / "visitall" / "domain.pddl").read_text())
