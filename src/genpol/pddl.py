@@ -693,10 +693,7 @@ class _Binder:
                           None)
             keep = None
             if source is None:
-                # Prefer a parameter some open static template names, so the
-                # next steps can draw from the index.
-                p = min((q for q in range(k) if q not in bound),
-                        key=lambda q: (all(q not in statics[j][1] for j in open_), q))
+                p = next(q for q in range(k) if q not in bound)
             else:
                 j, pos = source
                 p = statics[j][1][pos]
