@@ -96,6 +96,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    maxsat.check_time_limit(args.time_limit)
     with open(args.wcnf) as f:
         prob = maxsat.parse_wcnf(f.read())
     res = maxsat.solve(prob, args.backend, time_limit=args.time_limit)
@@ -168,9 +169,7 @@ def cmd_learn(args) -> int:
             with open(os.path.join(args.out, "policy.txt"), "w") as f:
                 f.write(result.policy.dump())
     sys.stdout.write(result.report_human)
-    if result.status != "ok":
-        return 1
-    return 0 if result.verify_ok else 1
+    return result.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -171,7 +171,8 @@ def format_wcnf(p: WcnfProblem) -> str:
 
 def parse_wcnf(text: str) -> WcnfProblem:
     """The problem of a WCNF text with exactly one problem line, which must
-    declare as many clauses as follow it."""
+    declare as many clauses as follow it and a variable count that covers
+    every literal."""
     nvars = top = None
     hard, soft, weights = [], [], []
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -185,6 +186,8 @@ def parse_wcnf(text: str) -> WcnfProblem:
             if nvars is not None:
                 raise GenpolError(f"second problem line at line {ln}")
             nvars, declared, top = _ints(parts[2:], f"problem line {ln}")
+            if nvars < 0:
+                raise GenpolError(f"negative variable count {nvars} at line {ln}")
             continue
         if nvars is None:
             raise GenpolError(f"clause before problem line at line {ln}")
@@ -192,6 +195,10 @@ def parse_wcnf(text: str) -> WcnfProblem:
         if nums[-1] != 0:
             raise GenpolError(f"clause at line {ln} lacks terminating 0")
         weight, clause = nums[0], nums[1:-1]
+        beyond = [lit for lit in clause if abs(lit) > nvars]
+        if beyond:
+            raise GenpolError(f"literal {beyond[0]} beyond the declared "
+                              f"{nvars} variables at line {ln}")
         if weight == top:
             hard.append(clause)
         elif 0 < weight < top:
@@ -382,6 +389,14 @@ def _trim_core(solver: Cdcl, core: list, deadline) -> list:
             break
         core = solver.core
     return core
+
+
+def check_time_limit(time_limit: float | None):
+    """Rejects a solver time limit that is not positive and finite; None is
+    no limit."""
+    if time_limit is not None and not 0 < time_limit < float("inf"):
+        raise GenpolError(f"solver time limit must be positive and finite, "
+                          f"got {time_limit}")
 
 
 def solve(p: WcnfProblem, backend: str = "embedded",

@@ -14,7 +14,8 @@ state, found by a join on those atoms.  Ids are stable across runs: atoms
 are sorted lexicographically by (predicate, args) and actions by name.  A
 state is a packed row of uint64 words over the dynamic atoms only; the
 static atoms of the initial state hold in every state and are kept once
-per instance.
+per instance.  A ground action is a name and three packed masks, of its
+dynamic preconditions, adds and deletes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -457,13 +457,6 @@ def parse_instance(text: str, dom: DomainModel, goal_params=()) -> InstanceModel
 # Grounding
 # ---------------------------------------------------------------------------
 
-class GroundAction(NamedTuple):
-    name: str
-    pre: frozenset  # atom ids
-    add: frozenset
-    dele: frozenset
-
-
 # Rows times actions tested at once by `GroundProblem.transitions`; bounds
 # its [rows, actions] temporaries to a few MB on large frontiers.
 _APPLICABLE_BLOCK = 1 << 20
@@ -479,22 +472,21 @@ class GroundProblem:
     goal names it.  A state is a packed row, uint64 [words]: dynamic atom k
     holds when bit k % 64 of word k // 64 is set.  The dynamic atoms are
     numbered in atom id order (`dynamic` maps a bit to its atom id);
-    `words` is at least one.  Each action has packed masks of its dynamic
-    preconditions, adds and deletes, rows of `pre_masks`, `add_masks` and
-    `del_masks`; its static preconditions hold, or `ground` would have
-    dropped it.
+    `words` is at least one.  An action is its name and three packed masks:
+    action id i is named `actions[i]`, and rows i of `pre_masks`,
+    `add_masks` and `del_masks` hold its dynamic preconditions, adds and
+    deletes (the adds and deletes are disjoint).  Its static preconditions
+    hold, or `ground` would have dropped it.
     """
 
     domain: DomainModel
     instance: InstanceModel
     atoms: list  # id -> Atom
-    atom_ids: dict  # Atom -> id
-    actions: list  # id -> GroundAction
+    actions: list  # id -> action name, e.g. "move(rooma,roomb)"
     init: np.ndarray  # packed row of the initial state
     goal: frozenset  # atom ids
     objects: list  # sorted object names
     object_types: dict  # name -> type
-    static_predicates: frozenset
     dynamic: np.ndarray  # bit -> atom id (int64, ascending)
     static_atoms: frozenset  # ids of the static atoms, true in every state
     pre_masks: np.ndarray  # uint64 [actions, words]
@@ -623,7 +615,7 @@ class _Binder:
         def ids(templates):
             out = np.empty((len(rows), len(templates)), dtype=np.int64)
             for c, t in enumerate(templates):
-                out[:, c] = static_col[t] if t in static_col else self._atom_ids(t, column)
+                out[:, c] = static_col[t] if t in static_col else self._dynamic_ids(t, column)
             return out
 
         names = [f"{sc.name}({','.join(map(self.objects.__getitem__, row[:k]))})"
@@ -648,7 +640,7 @@ class _Binder:
 
         return templates(sc.pre), templates(sc.add), templates(sc.dele), consts
 
-    def _atom_ids(self, template, column) -> np.ndarray:
+    def _dynamic_ids(self, template, column) -> np.ndarray:
         """Ids of a dynamic-predicate template's atoms, given each slot's
         object ids (`column`: slot -> int64 [n] or one object id)."""
         pred, slots = template
@@ -758,7 +750,7 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
     parameters to objects of their types under which its static
     preconditions hold in the initial state; no other binding can ever
     apply.  Delete effects shadowed by an add of the same atom are removed,
-    so the add and delete sets of every ground action are disjoint.
+    so the add and delete masks of every ground action are disjoint.
     """
     by_type = _objects_by_type(dom, inst)
     members = {t: frozenset(names) for t, names in by_type.items()}
@@ -776,7 +768,7 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
         ((p.name, *args) for p in dom.predicates.values() if p.name in dynamic_preds
          for args in itertools.product(*(by_type[t] for t in p.arg_types))),
         set(static_init).union(a for a in inst.goal if a[0] in static_preds)))
-    atom_ids = {a: i for i, a in enumerate(atoms)}
+    atom_id = {a: i for i, a in enumerate(atoms)}
     is_static = np.array([a[0] in static_preds for a in atoms], dtype=bool)
     dynamic = np.flatnonzero(~is_static)
     bit_of = np.full(len(atoms) + 1, -1, dtype=np.int64)  # id len(atoms): none
@@ -784,22 +776,18 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
     words = max(1, -(-len(dynamic) // 64))
 
     objects = sorted(o for o, _ in inst.objects)
-    static_init = {a: atom_ids[a] for a in static_init}
+    static_init = {a: atom_id[a] for a in static_init}
     binder = _Binder(dom, objects, by_type, atoms, static_preds, static_init)
-    id_ints = np.arange(len(atoms)).astype(object)  # one int object per atom id
     actions, bound = [], []
     for sc in sorted(dom.schemas, key=lambda s: s.name):
         names, pre, add, dele = binder.bind(sc, max_actions - len(actions))
         if len(actions) + len(names) > max_actions:
             raise LimitExceededError(
                 f"more than {max_actions} ground actions in '{inst.name}'")
-        pres = list(map(frozenset, id_ints[pre].tolist()))
-        adds = list(map(frozenset, id_ints[add].tolist()))
-        dels = list(map(frozenset.difference, map(frozenset, id_ints[dele].tolist()), adds))
-        actions.extend(map(GroundAction, names, pres, adds, dels))
+        actions += names
         shadowed = (dele[:, :, None] == add[:, None, :]).any(axis=2)
         bound.append((pre, add, np.where(shadowed, len(atoms), dele)))
-    order = sorted(range(len(actions)), key=lambda i: actions[i].name)
+    order = sorted(range(len(actions)), key=actions.__getitem__)
     actions = [actions[i] for i in order]
     rank = np.empty(len(actions), dtype=np.int64)
     rank[order] = np.arange(len(actions))
@@ -817,20 +805,18 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
               np.fromiter(ids, dtype=np.int64, count=len(ids)), bit_of)
         return row[0]
 
-    init = frozenset(atom_ids[a] for a in inst.init)
-    goal = frozenset(atom_ids[a] for a in inst.goal)
+    init = frozenset(atom_id[a] for a in inst.init)
+    goal = frozenset(atom_id[a] for a in inst.goal)
     static_atoms = frozenset(static_init.values())
     return GroundProblem(
         domain=dom,
         instance=inst,
         atoms=atoms,
-        atom_ids=atom_ids,
         actions=actions,
         init=pack_set(init),
         goal=goal,
         objects=objects,
         object_types={o: t for o, t in inst.objects},
-        static_predicates=static_preds,
         dynamic=dynamic,
         static_atoms=static_atoms,
         pre_masks=masks[0],

@@ -53,6 +53,7 @@ class RunConfig:
             raise GenpolError("at least one training instance is required")
         if self.tie_break not in ("first", "random"):
             raise GenpolError(f"unknown tie_break '{self.tie_break}'")
+        maxsat.check_time_limit(self.solver_time_limit)
 
 
 @dataclass
@@ -76,7 +77,8 @@ class LearnResult:
 
     @property
     def exit_code(self) -> int:
-        return 0 if self.status == "ok" else 1
+        """0 for a policy found and verified on every training instance."""
+        return 0 if self.status == "ok" and self.verify_ok else 1
 
 
 @dataclass

@@ -283,7 +283,7 @@ def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
         if keys[i] in visited:
             return ExecutionResult("cycle", step, trajectory)
         visited.add(keys[i])
-        trajectory.append(gp.actions[aids[i]].name)
+        trajectory.append(gp.actions[aids[i]])
         state = succ[i]
     if gp.is_goal(state):
         return ExecutionResult("goal", max_steps, trajectory)
@@ -301,14 +301,6 @@ class VerifyResult:
     n_compatible: int
 
 
-def _compatible(policy: Policy, space, vals) -> np.ndarray:
-    """Whether each transition leaves an alive state and is policy-compatible,
-    given per-state feature values `vals` (any 2-D int array-like)."""
-    vals = np.asarray(vals, dtype=np.int64)
-    src, dst = space.src, space.dst
-    return space.alive[src] & policy.compatible_mask(vals[src], vals[dst])
-
-
 def verify_space(policy: Policy, space, vals) -> VerifyResult:
     """Checks the certificate conditions on an expanded, labeled space:
     every alive state has a compatible transition, none leads to a dead end,
@@ -316,7 +308,8 @@ def verify_space(policy: Policy, space, vals) -> VerifyResult:
     solves the instance from every solvable reachable state.  `vals` holds
     the policy's feature values per state."""
     src, dst, alive = space.src, space.dst, space.alive
-    compat = _compatible(policy, space, vals)
+    vals = np.asarray(vals, dtype=np.int64)
+    compat = alive[src] & policy.compatible_mask(vals[src], vals[dst])
     n_compat = int(compat.sum())
     unsafe = np.flatnonzero(compat & (space.goal_dist[dst] < 0))
     stuck = np.flatnonzero(alive & (np.bincount(src[compat],
@@ -328,7 +321,7 @@ def verify_space(policy: Policy, space, vals) -> VerifyResult:
     witness = None
     if not safe and (complete or src[unsafe[0]] < stuck[0]):
         t = int(unsafe[0])
-        witness = (f"compatible transition {space.gp.actions[space.act[t]].name} "
+        witness = (f"compatible transition {space.gp.actions[space.act[t]]} "
                    f"from state {src[t]} reaches dead end {dst[t]}")
     elif not complete:
         witness = f"alive state {int(stuck[0])} has no compatible transition"
@@ -381,19 +374,3 @@ def _find_cycle(roots: list, start: list, succ: list):
                 stack.pop()
     return None
 
-
-def check_descending(policy: Policy, gp, tuple_values,
-                     max_states: int = 10 ** 6) -> tuple:
-    """Whether every policy-compatible transition strictly decreases the
-    given tuple lexicographically.  `tuple_values(row) -> tuple`, for a
-    state's packed row (see `pddl.GroundProblem`).
-    Returns (holds, witness transition or None)."""
-    space = expand_labeled(gp, max_states=max_states)
-    compat = _compatible(policy, space,
-                         policy.evaluate(co.InstanceContext(gp), space.states))
-    tups = [tuple_values(s) for s in space.states]
-    for sid, did, aid in zip(space.src[compat].tolist(), space.dst[compat].tolist(),
-                             space.act[compat].tolist()):
-        if not tups[did] < tups[sid]:
-            return False, (sid, did, gp.actions[aid].name)
-    return True, None

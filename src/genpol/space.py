@@ -43,7 +43,6 @@ class StateSpace:
     dst: np.ndarray  # transition id -> target state id
     act: np.ndarray  # transition id -> ground action id
     is_goal: np.ndarray  # bool per state
-    out_start: np.ndarray  # CSR offsets into src/dst/act, n_states + 1
     # Filled by label_goal_distances:
     goal_dist: np.ndarray = None  # int64 per state, -1 for dead ends
     alive: np.ndarray = None  # bool per state: solvable and not a goal
@@ -56,9 +55,6 @@ class StateSpace:
     @property
     def n_transitions(self) -> int:
         return len(self.src)
-
-    def out_edges(self, state_id: int) -> range:
-        return range(self.out_start[state_id], self.out_start[state_id + 1])
 
     def max_goal_distance(self) -> int:
         return int(self.goal_dist.max(initial=0))
@@ -125,10 +121,8 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
         n_transitions += len(succ)
     states = np.concatenate(levels)
     cat = lambda xs: np.concatenate(xs).astype(np.int64, copy=False)
-    src, dst, act = cat(src), cat(dst), cat(act)
-    out_start = np.searchsorted(src, np.arange(n_states + 1))
-    return StateSpace(gp=gp, states=states, src=src, dst=dst, act=act,
-                      is_goal=gp.is_goal(states), out_start=out_start)
+    return StateSpace(gp=gp, states=states, src=cat(src), dst=cat(dst),
+                      act=cat(act), is_goal=gp.is_goal(states))
 
 
 def label_goal_distances(space: StateSpace) -> StateSpace:
@@ -210,7 +204,7 @@ def dump_transitions(space: StateSpace) -> str:
         raise ValueError("label the space before dumping")
     goal = space.is_goal.astype(int).tolist()
     dist = space.goal_dist.tolist()
-    names = [a.name for a in space.gp.actions]
+    names = space.gp.actions
     lines = []
     for s, d, a in zip(space.src.tolist(), space.dst.tolist(), space.act.tolist()):
         lines.append(" ".join([

@@ -13,6 +13,11 @@ import numpy as np
 
 # -- grounding ---------------------------------------------------------------
 
+def static_predicates(dom):
+    """The predicates no schema adds or deletes."""
+    return set(dom.predicates) - {a.pred for s in dom.schemas for a in s.add | s.dele}
+
+
 def brute_force_ground_actions(dom, inst):
     """All type-consistent bindings whose preconditions can ever hold under a
     delete-free fixpoint.  Returns a sorted list of names like 'move(a,b)'."""
@@ -65,8 +70,7 @@ def product_ground(dom, inst):
             type_objs[t].append(name)
             t = dom.types.get(t)
     type_objs = {t: sorted(names) for t, names in type_objs.items()}
-    changing = {a.pred for s in dom.schemas for a in s.add | s.dele}
-    static = set(dom.predicates) - changing
+    static = static_predicates(dom)
     atoms = sorted((p.name, *args) for p in dom.predicates.values()
                    for args in itertools.product(*[type_objs[t] for t in p.arg_types]))
     dynamic = [a for a in atoms if a[0] not in static]
@@ -107,7 +111,7 @@ def unpacker(gp):
     """row -> the atom ids that hold in the state of a packed row: the static
     atoms of the initial state, and atom k of the atoms whose predicate is
     not static (in atom id order) when bit k % 64 of word k // 64 is set."""
-    static = gp.static_predicates
+    static = static_predicates(gp.domain)
     dynamic = [i for i, a in enumerate(gp.atoms) if a[0] not in static]
     always = {i for i, a in enumerate(gp.atoms) if a[0] in static and a in gp.instance.init}
 
@@ -124,22 +128,24 @@ def state_sets(space):
 
 
 def naive_expand(gp):
-    """Breadth-first enumeration over frozensets of atom ids, from
-    `GroundAction.pre/add/dele` and `gp.atoms` only: the states (id 0 the
+    """Breadth-first enumeration over frozensets of atom ids, from the
+    actions of `product_ground` and `gp.atoms` only: the states (id 0 the
     initial one, ids in discovery order), the (src, dst, action) triples in
     (source, action id) order, and whether each state is a goal state."""
     index = {a: i for i, a in enumerate(gp.atoms)}
-    init = frozenset(index[a] for a in gp.instance.init)
-    goal = frozenset(index[a] for a in gp.instance.goal)
-    states, ids, edges = [init], {init: 0}, []
+    ids = lambda atoms: frozenset(index[a] for a in atoms)
+    actions = [(ids(pre), ids(add), ids(dele))
+               for _, pre, add, dele in product_ground(gp.domain, gp.instance).actions]
+    init, goal = ids(gp.instance.init), ids(gp.instance.goal)
+    states, known, edges = [init], {init: 0}, []
     for sid, s in enumerate(states):  # the list is also the queue
-        for aid, a in enumerate(gp.actions):
-            if a.pre <= s:
-                t = (s - a.dele) | a.add
-                if t not in ids:
-                    ids[t] = len(states)
+        for aid, (pre, add, dele) in enumerate(actions):
+            if pre <= s:
+                t = (s - dele) | add
+                if t not in known:
+                    known[t] = len(states)
                     states.append(t)
-                edges.append((sid, ids[t], aid))
+                edges.append((sid, known[t], aid))
     return states, edges, [goal <= s for s in states]
 
 
@@ -528,7 +534,7 @@ def certificate(policy, space, vals):
         into_dead = [t for t in allowed[s] if space.goal_dist[space.dst[t]] < 0]
         if into_dead:
             t = into_dead[0]
-            witness = (f"compatible transition {space.gp.actions[space.act[t]].name} "
+            witness = (f"compatible transition {space.gp.actions[space.act[t]]} "
                        f"from state {s} reaches dead end {space.dst[t]}")
             break
 
@@ -566,3 +572,24 @@ def on_cycle(moves, state):
             seen.add(s)
             todo.extend(moves.get(s, ()))
     return False
+
+
+def check_descending(policy, gp, tuple_values, max_states=10 ** 6):
+    """Whether every policy-compatible transition out of an alive state of
+    the full reachable space strictly decreases the given tuple
+    lexicographically, with compatibility read from
+    `Policy.compatible_mask`.  `tuple_values(row) -> tuple`, for a state's
+    packed row.  Returns (holds, witness (src, dst, action name) or None)."""
+    from genpol import concepts as co
+    from genpol.space import expand_labeled
+
+    space = expand_labeled(gp, max_states=max_states)
+    vals = policy.evaluate(co.InstanceContext(gp), space.states)
+    src, dst = space.src, space.dst
+    compat = space.alive[src] & policy.compatible_mask(vals[src], vals[dst])
+    tups = [tuple_values(s) for s in space.states]
+    for s, d, a in zip(src[compat].tolist(), dst[compat].tolist(),
+                       space.act[compat].tolist()):
+        if not tups[d] < tups[s]:
+            return False, (s, d, gp.actions[a])
+    return True, None

@@ -47,7 +47,7 @@ def _oneway():
 
 def _alive_actions(sample):
     """The action name of each alive transition of the sample, in order."""
-    return [sp.gp.actions[a].name for sp in sample.spaces
+    return [sp.gp.actions[a] for sp in sample.spaces
             for a in sp.act[sp.alive_t].tolist()]
 
 

@@ -136,6 +136,12 @@ def test_parse_wcnf_rejects_malformed_input():
         parse_wcnf("p wcnf 2 1 5\n5 1 0\n3 2 0\n")
     with pytest.raises(GenpolError):
         parse_wcnf("p wcnf 2 x 5\n")  # non-integer clause count
+    with pytest.raises(GenpolError, match="negative variable count -4 at line 1"):
+        parse_wcnf("p wcnf -4 0 5\n")
+    with pytest.raises(GenpolError, match="literal 3 beyond the declared 1 variables at line 2"):
+        parse_wcnf("p wcnf 1 1 5\n5 3 0\n")
+    with pytest.raises(GenpolError, match="literal -2 beyond the declared 1 variables at line 3"):
+        parse_wcnf("p wcnf 1 2 5\n5 1 0\n2 -1 -2 0\n")
     # Comments and blank lines are fine.
     p = parse_wcnf("c a comment\n\np wcnf 2 1 5\nc more\n5 1 -2 0\n")
     assert p.hard.tolist() == [[1, -2]]

@@ -111,7 +111,7 @@ def test_ground_action_count_matches_brute_force_gripper():
     dom, inst = _gripper(3, seed=5)
     gp = pddl.ground(dom, inst)
     expected = oracles.brute_force_ground_actions(dom, inst)
-    assert sorted(a.name for a in gp.actions) == expected
+    assert gp.actions == expected
 
 
 def test_ground_action_count_matches_brute_force_blocks():
@@ -119,7 +119,7 @@ def test_ground_action_count_matches_brute_force_blocks():
     inst = pddl.parse_instance(domains.clear_tower_instance(5), dom, ["b1"])
     gp = pddl.ground(dom, inst)
     expected = oracles.brute_force_ground_actions(dom, inst)
-    assert sorted(a.name for a in gp.actions) == expected
+    assert gp.actions == expected
 
 
 # Static preconditions on a constant (home), with a repeated variable
@@ -175,18 +175,18 @@ def _ground_like_product(dom, inst):
     gp = pddl.ground(dom, inst)
     want = oracles.product_ground(dom, inst)
     atoms = lambda ids: frozenset(gp.atoms[i] for i in ids)
-    assert [(a.name, atoms(a.pre), atoms(a.add), atoms(a.dele))
-            for a in gp.actions] == want.actions
+    assert gp.actions == [a[0] for a in want.actions]
     assert [gp.atoms[i] for i in gp.dynamic] == want.dynamic
     assert atoms(gp.static_atoms) == want.static_atoms
     assert atoms(gp.goal) == want.goal
     # The atoms are the dynamic ones, the static ones of the initial state
     # and the goal's, sorted.
     assert gp.atoms == sorted(set(want.dynamic) | want.static_atoms | want.goal)
-    assert gp.atom_ids == {a: i for i, a in enumerate(gp.atoms)}
     for name in ("init", "pre_masks", "add_masks", "del_masks"):
         got = getattr(gp, name)
         assert got.dtype == np.uint64 and np.array_equal(got, getattr(want, name)), name
+    # No action adds and deletes the same atom.
+    assert not (gp.add_masks & gp.del_masks).any()
     return gp
 
 
@@ -232,7 +232,7 @@ def test_ground_keeps_only_atoms_that_can_hold():
 
 def test_ground_joins_static_preconditions():
     gp = _ground_like_product(*_roads())
-    names = {a.name for a in gp.actions}
+    names = set(gp.actions)
     assert {"home(truck,y)", "home(van,q)", "spin(van,p)", "tour(y,x)",
             "tour(depot,y)", "tour(depot,q)", "look(p,x)", "look(depot,depot)"} <= names
     # (closed) is false, there is no (road x x), x is not big and p is no city.
@@ -240,15 +240,13 @@ def test_ground_joins_static_preconditions():
                    for n in names)
     # The static atoms are those of the initial state, not every road.
     assert sum(a[0] == "road" for a in gp.atoms) == 7
-    home = next(a for a in gp.actions if a.name == "home(truck,depot)")
-    assert not home.add & home.dele
 
 
 def test_ground_nullary_static_precondition_false():
     gp = _ground_like_product(*_roads(flag="closed"))
-    names = {a.name.split("(")[0] for a in gp.actions}
+    names = {name.split("(")[0] for name in gp.actions}
     assert "home" not in names and "shut" in names
-    assert ("open",) not in gp.atom_ids and ("closed",) in gp.atom_ids
+    assert ("open",) not in gp.atoms and ("closed",) in gp.atoms
 
 
 @pytest.mark.parametrize("goal,holds", [("(road x y)", True), ("(road x p)", False),
@@ -284,13 +282,9 @@ def test_ground_rejects_atoms_not_type_consistent(field, atom):
 
 def test_ground_repeated_binding_self_loop():
     """move(rooma, rooma) is type-consistent and must be generated; its
-    delete set drops atoms it also adds."""
-    dom, inst = _gripper(1)
-    gp = pddl.ground(dom, inst)
-    names = {a.name for a in gp.actions}
-    assert "move(rooma,rooma)" in names
-    act = next(a for a in gp.actions if a.name == "move(rooma,rooma)")
-    assert not (act.add & act.dele)
+    delete mask drops atoms it also adds (see `_ground_like_product`)."""
+    gp = _ground_like_product(*_gripper(1))
+    assert "move(rooma,rooma)" in gp.actions
 
 
 def test_statically_false_preconditions_pruned():
@@ -298,8 +292,7 @@ def test_statically_false_preconditions_pruned():
     never applicable and must not be grounded."""
     dom, inst = _gripper(2)
     gp = pddl.ground(dom, inst)
-    assert all(not a.name.startswith("pick(left")
-               for a in gp.actions)
+    assert not any(name.startswith("pick(left") for name in gp.actions)
 
 
 def test_applicable_matches_hand_simulation():
@@ -311,11 +304,11 @@ def test_applicable_matches_hand_simulation():
     inst = pddl.parse_instance(text, dom, ["a"])
     gp = pddl.ground(dom, inst)
     aids, succ = gp.successors(gp.init)
-    assert [gp.actions[i].name for i in aids] == ["unstack(b,a)"]
-    assert oracles.unpacker(gp)(succ[0]) == {
-        gp.atom_ids[a] for a in [("clear", "a"), ("holding", "b"), ("on-table", "a")]}
+    assert [gp.actions[i] for i in aids] == ["unstack(b,a)"]
+    assert {gp.atoms[i] for i in oracles.unpacker(gp)(succ[0])} == {
+        ("clear", "a"), ("holding", "b"), ("on-table", "a")}
     aids2, _ = gp.successors(succ[0])
-    assert [gp.actions[i].name for i in aids2] == ["putdown(b)", "stack(b,a)"]
+    assert [gp.actions[i] for i in aids2] == ["putdown(b)", "stack(b,a)"]
 
 
 def test_successor_states_are_packed_rows():
@@ -326,19 +319,21 @@ def test_successor_states_are_packed_rows():
     aids, succ = gp.successors(gp.init)
     assert succ.dtype == np.uint64 and succ.shape == (len(aids), gp.words)
     unpack = oracles.unpacker(gp)
-    init = unpack(gp.init)
+    atoms = lambda row: {gp.atoms[i] for i in unpack(row)}
+    init = atoms(gp.init)
+    want = oracles.product_ground(dom, inst).actions
     for aid, row in zip(aids.tolist(), succ):
-        act = gp.actions[aid]
-        assert act.pre <= init
-        assert unpack(row) == (init - act.dele) | act.add
+        name, pre, add, dele = want[aid]
+        assert name == gp.actions[aid] and pre <= init
+        assert atoms(row) == (init - dele) | add
 
 
 def test_static_atoms_are_kept_once_per_instance():
     dom = pddl.parse_domain(domains.VISITALL_DOMAIN)
     gp = pddl.ground(dom, pddl.parse_instance(
         domains.visitall_instance(2, 2, (0, 0)), dom))
-    assert gp.static_predicates == {"connected"}
     assert {gp.atoms[a][0] for a in gp.static_atoms} == {"connected"}
+    assert {gp.atoms[a][0] for a in gp.dynamic} == {"at-robot", "visited"}
     assert len(gp.static_atoms) == 8 and len(gp.dynamic) == 8 and gp.words == 1
     assert not gp.is_goal(gp.init)
 

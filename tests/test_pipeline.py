@@ -223,6 +223,34 @@ def test_cli_learn_unsat_exit_code(clear_files, capsys):
     assert "no policy in feature space" in capsys.readouterr().out
 
 
+def test_learn_exit_code_needs_a_verified_policy():
+    assert pipeline.LearnResult("ok", verify_ok=True).exit_code == 0
+    assert pipeline.LearnResult("ok", verify_ok=False).exit_code == 1
+    assert pipeline.LearnResult("unsat").exit_code == 1
+
+
+def test_cli_learn_returns_the_result_exit_code(clear_files, monkeypatch, capsys):
+    dom, train = clear_files
+    result = pipeline.LearnResult("ok", report_human="unverified\n", verify_ok=False)
+    monkeypatch.setattr(pipeline, "learn", lambda config: result)
+    assert cli.main(["learn", "--domain", dom, "--training", train]) == 1
+    assert capsys.readouterr().out == "unverified\n"
+
+
+@pytest.mark.parametrize("limit", [0, -1.5, float("nan"), float("inf")])
+def test_solver_time_limit_must_be_positive(clear_files, tmp_path, capsys, limit):
+    with pytest.raises(GenpolError, match="solver time limit must be positive and finite"):
+        _clear_config(clear_files, solver_time_limit=limit).validate()
+    dom, train = clear_files
+    wcnf = tmp_path / "ok.wcnf"
+    wcnf.write_text("p wcnf 1 1 5\n5 1 0\n")
+    for argv in (["solve", "--wcnf", str(wcnf), "--time-limit", str(limit)],
+                 ["learn", "--domain", dom, "--training", train, "--goal-params", "b1",
+                  "--solver-time-limit", str(limit)]):
+        assert cli.main(argv) == 2
+        assert "solver time limit must be positive and finite" in capsys.readouterr().err
+
+
 def test_cli_stagewise_chain(clear_files, tmp_path, capsys):
     """encode -> solve -> extract -> verify -> run reproduces `learn`."""
     dom, train = clear_files
@@ -292,7 +320,9 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
 
     for text in ("p wcnf 2 1 5\n5 1 x 0\n",
                  "p wcnf 2 2 5\n5 1 0\np wcnf 2 1 5\n5 2 0\n",  # concatenated
-                 "p wcnf 2 7 5\n5 1 0\n"):  # truncated
+                 "p wcnf 2 7 5\n5 1 0\n",  # truncated
+                 "p wcnf -4 0 5\n",  # negative variable count
+                 "p wcnf 1 1 5\n5 3 0\n"):  # literal beyond the declared count
         bad.write_text(text)
         rc = cli.main(["solve", "--wcnf", str(bad)])
         assert rc == 2

@@ -259,7 +259,7 @@ def test_verify_complete_and_check_descending():
         return (len(oracles.naive_eval_state(above, gp, state)),
                 len(oracles.naive_eval_state(holding, gp, state)))
 
-    ok, witness = po.check_descending(pol, gp, n_then_h)
+    ok, witness = oracles.check_descending(pol, gp, n_then_h)
     assert ok and witness is None
 
     # The swapped tuple is not a termination certificate: picking a block up
@@ -267,7 +267,7 @@ def test_verify_complete_and_check_descending():
     def h_then_n(row):
         return tuple(reversed(n_then_h(row)))
 
-    ok, witness = po.check_descending(pol, gp, h_then_n)
+    ok, witness = oracles.check_descending(pol, gp, h_then_n)
     assert not ok and witness is not None
 
     lazy = po.parse_policy("feature 0 1 bool holding\nrule f0 -> !f0\n")
@@ -282,7 +282,7 @@ def test_check_descending_honours_the_state_cap():
     gp = _ground(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4),
                  ("b1",))  # 125 reachable states
     with pytest.raises(LimitExceededError):
-        po.check_descending(pol, gp, lambda s: (0,), max_states=124)
+        oracles.check_descending(pol, gp, lambda s: (0,), max_states=124)
     # A constant tuple never descends.
-    ok, witness = po.check_descending(pol, gp, lambda s: (0,), max_states=125)
+    ok, witness = oracles.check_descending(pol, gp, lambda s: (0,), max_states=125)
     assert not ok and witness is not None

@@ -80,15 +80,15 @@ def test_training_instance_sizes():
         assert sp.max_goal_distance() == diameter
 
 
-def test_out_edges_csr_consistency():
-    gp = _ground(domains.GRIPPER_DOMAIN, domains.gripper_instance(2))
-    sp = space.expand(gp)
-    total = 0
-    for sid in range(sp.n_states):
-        for t in sp.out_edges(sid):
-            assert sp.src[t] == sid
-            total += 1
-    assert total == sp.n_transitions
+def test_transitions_are_stored_by_source():
+    # `verify_space` reads the first witness in state order off the
+    # transition order, and finds each state's moves by a binary search on
+    # `src`.
+    for gp in (_ground(domains.GRIPPER_DOMAIN, domains.gripper_instance(2)),
+               _ground(domains.VISITALL_DOMAIN, domains.visitall_instance(3, 3, (1, 1)))):
+        sp = space.expand(gp)
+        assert sp.n_transitions > sp.n_states
+        assert (np.diff(sp.src) >= 0).all()
 
 
 def test_clear_tower_goal_distance():
@@ -108,7 +108,8 @@ def test_goal_distances_are_shortest(domain_text, instance_text, goal_params):
     sp = space.expand_labeled(_ground(domain_text, instance_text, goal_params))
     dist = sp.goal_dist.tolist()
     for sid in range(sp.n_states):
-        succ = [dist[sp.dst[t]] for t in sp.out_edges(sid) if dist[sp.dst[t]] >= 0]
+        succ = [dist[d] for s, d in zip(sp.src.tolist(), sp.dst.tolist())
+                if s == sid and dist[d] >= 0]
         if sp.is_goal[sid]:
             assert dist[sid] == 0
         elif succ:
@@ -137,12 +138,9 @@ def test_goal_states_are_expanded_not_pruned():
     gp = _ground(domains.VISITALL_DOMAIN,
                  domains.visitall_instance(2, 1, (0, 0)))
     sp = space.expand_labeled(gp)
-    goal_ids = [sid for sid in range(sp.n_states) if sp.is_goal[sid]]
-    assert goal_ids
-    assert any(len(sp.out_edges(g)) > 0 for g in goal_ids)
-    for g in goal_ids:
-        for t in sp.out_edges(g):
-            assert t not in sp.alive_t
+    from_goal = np.flatnonzero(sp.is_goal[sp.src])
+    assert sp.is_goal.any() and len(from_goal)
+    assert not np.isin(from_goal, sp.alive_t).any()
 
 
 def _first_cap(edges, max_states, max_transitions):

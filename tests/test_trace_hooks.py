@@ -43,6 +43,8 @@ def test_tracer_wraps_every_traced_name_and_records_the_space_spans():
         tracer.begin_op(1)
         assert po.greedy_execute(pol, gp).solved
         moves = [pol.compatible((2, 0), (1, 1)), pol.compatible((2, 0), (2, 0))]
+        tracer.begin_op(2)
+        grounded = pddl.ground(dom, gp.instance)
     finally:
         tracer.uninstall()
     assert [vars(owner)[attr] for owner, attr, *_ in tracing.TRACED] == originals
@@ -62,3 +64,5 @@ def test_tracer_wraps_every_traced_name_and_records_the_space_spans():
     assert moves == [True, False] and all(type(ok) is bool for ok in moves)
     assert calls["policy.compatible", 1] == 2
     assert tracer.counters[1]["policy.compatible_true"] == 1
+    assert calls["pddl.ground", 2] == 1
+    assert tracer.counters[2]["pddl.ground_actions"] == len(grounded.actions) == 40
