@@ -19,6 +19,8 @@ verification/execution failure), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import os
 import sys
 
 from genpol import encoding, maxsat, pipeline, policy, space
@@ -28,8 +30,6 @@ from genpol.errors import GenpolError
 def _add_pool_args(p):
     p.add_argument("--max-feature-weight", type=int,
                    help="complexity cap for generated features (default 8)")
-    p.add_argument("--no-types", dest="include_types", action="store_false",
-                   help="do not add object types as unary concepts")
     p.add_argument("--ignore-high-arity", action="store_true",
                    help="drop predicates of arity above two instead of failing")
 
@@ -45,21 +45,24 @@ def _add_instance_args(p, many=False):
                    help="comma separated objects lifted as goal parameters")
 
 
+# RunConfig fields set from --domain, --training and --goal-params.
+_INSTANCE_FIELDS = ("domain_path", "training_paths", "goal_params")
+
+
 def _goal_params(args):
     return [x for x in args.goal_params.split(",") if x]
 
 
 def _config_from(args) -> pipeline.RunConfig:
-    """A RunConfig from the given flags; flags left unset keep its defaults."""
+    """A RunConfig from the given flags, each field read from the flag of its
+    name; flags left unset keep its defaults."""
     cfg = pipeline.RunConfig(domain_path=args.domain,
                              training_paths=list(args.training),
                              goal_params=_goal_params(args))
-    for name in ("max_feature_weight", "include_types", "ignore_high_arity",
-                 "v_slack", "seed", "max_states", "max_pool", "test_paths",
-                 "solver_time_limit", "solver_backend", "merge_classes",
-                 "tie_break", "max_steps", "extra_pairs_per_class"):
-        if getattr(args, name, None) is not None:
-            setattr(cfg, name, getattr(args, name))
+    for f in dataclasses.fields(cfg):
+        value = getattr(args, f.name, None)
+        if f.name not in _INSTANCE_FIELDS and value is not None:
+            setattr(cfg, f.name, value)
     return cfg
 
 
@@ -81,7 +84,6 @@ def cmd_encode(args) -> int:
     cfg = _config_from(args)
     prep = pipeline.prepare(cfg)
     pairs = encoding.initial_pairs(prep.classes, prep.class_of, prep.sample,
-                                   extra_per_class=cfg.extra_pairs_per_class,
                                    seed=cfg.seed)
     theory = encoding.build_theory(prep.sample, prep.pool, prep.matrix,
                                    prep.classes, prep.class_of,
@@ -96,7 +98,6 @@ def cmd_encode(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    maxsat.check_time_limit(args.time_limit)
     with open(args.wcnf) as f:
         prob = maxsat.parse_wcnf(f.read())
     res = maxsat.solve(prob, args.backend, time_limit=args.time_limit)
@@ -159,7 +160,6 @@ def cmd_run(args) -> int:
 def cmd_learn(args) -> int:
     result = pipeline.learn(_config_from(args))
     if args.out:
-        import os
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.kv"), "w") as f:
             f.write(result.report_machine)
@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pool", type=int)
     p.add_argument("--v-slack", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--no-merge", dest="merge_classes", action="store_false")
     p.add_argument("--out-prefix", required=True,
                    help="write <prefix>.wcnf and <prefix>.tags")
     p.set_defaults(func=cmd_encode)
@@ -212,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pool_args(p)
     p.add_argument("--max-pool", type=int)
     p.add_argument("--v-slack", type=int)
-    p.add_argument("--no-merge", dest="merge_classes", action="store_false")
     p.add_argument("--model", required=True,
                    help="file with the solver's v lines")
     p.set_defaults(func=cmd_extract)
@@ -240,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=int)
     p.add_argument("--v-slack", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--extra-pairs-per-class", type=int)
-    p.add_argument("--no-merge", dest="merge_classes", action="store_false")
     p.add_argument("--solver-time-limit", type=float, default=None)
     p.add_argument("--solver-backend")
     p.add_argument("--tie-break", choices=["first", "random"])
@@ -255,10 +251,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GenpolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GenpolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,8 +46,10 @@ from genpol.space import SampleSet, row_keys
 
 FLAT, UP, DOWN = 0, 1, 2
 
-# initial_pairs starts from all class pairs when there are at most this many.
+# initial_pairs starts from all class pairs when there are at most this many;
+# otherwise it adds this many seeded random pairs per class.
 PAIR_FULL_LIMIT = 4000
+EXTRA_PAIRS_PER_CLASS = 2
 
 
 def _first_ids(rows: np.ndarray):
@@ -93,19 +95,17 @@ class Classes:
         return len(self.size)
 
 
-def compute_classes(sample: SampleSet, matrix: np.ndarray, merge: bool = True):
-    """Groups alive transitions indistinguishable by the full pool.
+def compute_classes(sample: SampleSet, matrix: np.ndarray):
+    """Groups alive transitions indistinguishable by the full pool, so no two
+    classes share a change profile.
 
     Returns (classes, class_of), class_of[i] the class of the sample's alive
-    transition i.  With merge=False every transition becomes a singleton
-    class, which must yield the same optimum (the merged encoding is an
-    equivalence-preserving simplification).
+    transition i.  Merging keeps the optimum: one class per transition gives
+    the same cost (acceptance criterion 7, on the test oracle's singleton
+    classes).
     """
     codes = _direction_codes(matrix, sample.src, sample.dst)
-    if merge:
-        class_of, first = _first_ids(codes)
-    else:
-        class_of = first = np.arange(len(codes))
+    class_of, first = _first_ids(codes)
     n = len(first)
     dead = sample.goal_dist[sample.dst] < 0
     return Classes(codes[first], np.bincount(class_of, weights=dead, minlength=n) > 0,
@@ -283,30 +283,19 @@ def _stats(theory: Theory, sample: SampleSet) -> dict:
 
 
 def initial_pairs(classes: Classes, class_of: np.ndarray, sample: SampleSet,
-                  extra_per_class: int = 2, seed: int = 0) -> list:
+                  seed: int = 0) -> list:
     """Starting tau: all pairs when the quadratic count is small; otherwise
-    pairs of classes leaving a common state plus seeded random extras.
-    Classes with identical feature codes (possible when merging is disabled)
-    are chained together so their label-equality constraints are present from
-    the first round instead of trickling in through validation."""
+    pairs of classes leaving a common state plus EXTRA_PAIRS_PER_CLASS seeded
+    random pairs per class."""
     n = len(classes)
     if n * (n - 1) // 2 <= PAIR_FULL_LIMIT:
         return list(combinations(range(n), 2))
 
-    ids, reps = _first_ids(classes.codes)  # reps: first class of each code
-    chained = np.flatnonzero(reps[ids] != np.arange(n))
-    pairs = set(zip(reps[ids[chained]].tolist(), chained.tolist()))
-    if len(reps) * (len(reps) - 1) // 2 <= PAIR_FULL_LIMIT:
-        # Distinguishability clauses between any two chained classes are
-        # implied by the chain equalities plus the representative pair, so
-        # covering every representative pair makes the starting set already
-        # closed over all class pairs.
-        pairs.update(combinations(reps.tolist(), 2))
-        return sorted(pairs)
+    pairs = set()
     for cs in _out_classes(sample, class_of, n).tolist():
         pairs.update(combinations(cs, 2))
     rng = random.Random(seed)
-    want = len(pairs) + extra_per_class * n
+    want = len(pairs) + EXTRA_PAIRS_PER_CLASS * n
     attempts = 0
     while len(pairs) < want and attempts < 20 * want:
         a = rng.randrange(n)

@@ -119,8 +119,7 @@ class Vocabulary:
     goal_binary: list   # binary predicates with a goal version (for Equal)
 
 
-def primitive_vocabulary(sample: SampleSet, include_types: bool = True,
-                         ignore_high_arity: bool = False) -> Vocabulary:
+def primitive_vocabulary(sample: SampleSet, ignore_high_arity: bool = False) -> Vocabulary:
     dom = sample.spaces[0].gp.domain
     high = dom.high_arity_predicates()
     if high and not ignore_high_arity:
@@ -148,9 +147,8 @@ def primitive_vocabulary(sample: SampleSet, include_types: bool = True,
             if pred.name in goal_preds:
                 roles.append(co.GoalRole(pred.name))
                 goal_binary.append(pred.name)
-    if include_types:
-        for t in sorted(dom.types):
-            atoms.append(co.TypeConcept(t))
+    for t in sorted(dom.types):
+        atoms.append(co.TypeConcept(t))
 
     for name, _ in dom.constants:
         for sp in sample.spaces:
@@ -223,9 +221,9 @@ def _generate_roles(vocab: Vocabulary, ctx: co.StateContext, name):
 
 
 def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_000,
-                  include_types: bool = True, ignore_high_arity: bool = False):
+                  ignore_high_arity: bool = False):
     """Returns (FeaturePool, value matrix over the sample's global states)."""
-    vocab = primitive_vocabulary(sample, include_types, ignore_high_arity)
+    vocab = primitive_vocabulary(sample, ignore_high_arity)
     ctx = co.state_context([(co.InstanceContext(sp.gp), sp.states)
                             for sp in sample.spaces])
 

@@ -301,7 +301,7 @@ def _totalizer_outputs(solver: Cdcl, lits: list) -> list:
 
 def solve_wcnf(p: WcnfProblem, time_limit: float | None = None) -> MaxSatResult:
     """Exact optimum via OLL core-guided search on the embedded solver."""
-    deadline = time.monotonic() + time_limit if time_limit else None
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     solver = Cdcl()
     solver.ensure_vars(p.nvars)
     if not solver.add_clauses(p.hard.lits, p.hard.starts):
@@ -402,7 +402,8 @@ def check_time_limit(time_limit: float | None):
 def solve(p: WcnfProblem, backend: str = "embedded",
           time_limit: float | None = None) -> MaxSatResult:
     """Solve with the embedded solver, or run `backend` as an external
-    solver command."""
+    solver command, within `time_limit` seconds (None: no limit)."""
+    check_time_limit(time_limit)
     if backend == "embedded":
         return solve_wcnf(p, time_limit=time_limit)
     return solve_wcnf_external(p, backend, time_limit=time_limit)

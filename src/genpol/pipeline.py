@@ -19,7 +19,7 @@ from genpol import encoding, features, maxsat, pddl, policy as policy_mod, space
 from genpol.errors import GenpolError, InternalInvariantError
 from genpol.policy import verify_space
 
-# Constraint-generation rounds before `learn` gives up.
+# Constraint-generation rounds before `solve_fixpoint` gives up.
 MAX_ITERATIONS = 100
 
 
@@ -32,15 +32,12 @@ class RunConfig:
     max_feature_weight: int = 8
     v_slack: int = 2
     seed: int = 0
-    extra_pairs_per_class: int = 2
     max_states: int = 10 ** 6
     max_transitions: int = 10 ** 7
     max_pool: int = 200_000
     solver_time_limit: float | None = None
     solver_backend: str = "embedded"
-    include_types: bool = True
     ignore_high_arity: bool = False
-    merge_classes: bool = True
     tie_break: str = "first"
     max_steps: int | None = None
 
@@ -54,6 +51,7 @@ class RunConfig:
         if self.tie_break not in ("first", "random"):
             raise GenpolError(f"unknown tie_break '{self.tie_break}'")
         maxsat.check_time_limit(self.solver_time_limit)
+        policy_mod.check_max_steps(self.max_steps)
 
 
 @dataclass
@@ -117,13 +115,57 @@ def prepare(config: RunConfig) -> Prepared:
     t1 = time.monotonic()
     pool, matrix = features.generate_pool(
         sample, max_weight=config.max_feature_weight, max_pool=config.max_pool,
-        include_types=config.include_types,
         ignore_high_arity=config.ignore_high_arity)
     t2 = time.monotonic()
-    classes, class_of = encoding.compute_classes(sample, matrix,
-                                                 merge=config.merge_classes)
+    classes, class_of = encoding.compute_classes(sample, matrix)
     return Prepared(dom, sample, pool, matrix, classes, class_of,
                     {"expand": t1 - t0, "pool": t2 - t1})
+
+
+@dataclass
+class Fixpoint:
+    """Where constraint generation stopped."""
+    theory: encoding.Theory  # of the last round
+    result: object           # maxsat.MaxSatResult; None for an infeasible pool
+    phi: list                # selected features of the final model
+    goods: list              # good classes of the final model
+    iterations: int
+    message: str             # why no policy exists; empty when one does
+
+
+def solve_fixpoint(prep: Prepared, pairs: list, config: RunConfig) -> Fixpoint:
+    """Solves the theory restricted to the pair set tau, starting from
+    `pairs`, and grows tau with the pairs the model leaves unseparated until
+    it leaves none: the model then satisfies the full theory."""
+    iterations = 0
+    while True:
+        iterations += 1
+        if iterations > MAX_ITERATIONS:
+            raise GenpolError(f"constraint generation did not converge in "
+                              f"{MAX_ITERATIONS} rounds")
+        theory = encoding.build_theory(prep.sample, prep.pool, prep.matrix,
+                                       prep.classes, prep.class_of,
+                                       v_slack=config.v_slack, pairs=pairs)
+        if theory.infeasible is not None:
+            g, ng = theory.infeasible
+            return Fixpoint(theory, None, [], [], iterations,
+                            f"no policy in feature space: goal state {g} and "
+                            f"non-goal state {ng} have identical feature values")
+        result = maxsat.solve(theory.wcnf, config.solver_backend,
+                              time_limit=config.solver_time_limit)
+        if result.status != maxsat.OPTIMUM:
+            return Fixpoint(theory, result, [], [], iterations,
+                            "no policy in feature space: theory is unsatisfiable")
+        phi, goods, _values = encoding.decode(theory, result.model)
+        violated = encoding.validate_solution(prep.classes, phi, goods)
+        if not violated:
+            return Fixpoint(theory, result, phi, goods, iterations, "")
+        known = set(pairs)
+        fresh = [p for p in violated if p not in known]
+        if not fresh:
+            raise InternalInvariantError(
+                "validation reports violated pairs already encoded")
+        pairs = sorted(known | set(fresh))
 
 
 # report.txt: one row per record key present, under these labels.
@@ -184,7 +226,6 @@ def learn(config: RunConfig) -> LearnResult:
     facts.update(status="ok", seed=config.seed,
                  max_feature_weight=config.max_feature_weight,
                  v_slack=config.v_slack,
-                 merge_classes=int(config.merge_classes),
                  n_instances=len(sample.spaces))
     for i, sp in enumerate(sample.spaces):
         facts[f"instance.{i}.name"] = sp.gp.instance.name
@@ -197,53 +238,24 @@ def learn(config: RunConfig) -> LearnResult:
                  pool_size=len(pool))
 
     t2 = time.monotonic()
-    pairs = encoding.initial_pairs(classes, class_of, sample,
-                                   extra_per_class=config.extra_pairs_per_class,
-                                   seed=config.seed)
-    iterations = 0
-    message = ""
-    while True:
-        iterations += 1
-        if iterations > MAX_ITERATIONS:
-            raise GenpolError(f"constraint generation did not converge in "
-                              f"{MAX_ITERATIONS} rounds")
-        theory = encoding.build_theory(sample, pool, matrix, classes, class_of,
-                                       v_slack=config.v_slack, pairs=pairs)
-        if theory.infeasible is not None:
-            g, ng = theory.infeasible
-            message = (f"no policy in feature space: goal state {g} and "
-                       f"non-goal state {ng} have identical feature values")
-            break
-        result = maxsat.solve(theory.wcnf, config.solver_backend,
-                              time_limit=config.solver_time_limit)
-        if result.status != maxsat.OPTIMUM:
-            message = "no policy in feature space: theory is unsatisfiable"
-            break
-        phi, goods, _values = encoding.decode(theory, result.model)
-        violated = encoding.validate_solution(classes, phi, goods)
-        if not violated:
-            break
-        known = set(pairs)
-        fresh = [p for p in violated if p not in known]
-        if not fresh:
-            raise InternalInvariantError(
-                "validation reports violated pairs already encoded")
-        pairs = sorted(known | set(fresh))
+    pairs = encoding.initial_pairs(classes, class_of, sample, seed=config.seed)
+    fix = solve_fixpoint(prep, pairs, config)
     rec.times["solve"] = time.monotonic() - t2
-    facts["n_classes"] = theory.n_good
+    facts["n_classes"] = fix.theory.n_good
     for key in ("n_vars", "n_hard", "n_soft", "n_clauses_full", "n_pairs"):
-        facts[key] = theory.stats[key]
-    facts["iterations"] = iterations
+        facts[key] = fix.theory.stats[key]
+    facts["iterations"] = fix.iterations
 
     pol = None
     tests = []
-    if message:
+    phi = fix.phi
+    if fix.message:
         facts["status"] = "unsat"
-        facts["message"] = message
+        facts["message"] = fix.message
     else:
-        facts["optimum_cost"] = result.cost
+        facts["optimum_cost"] = fix.result.cost
         t3 = time.monotonic()
-        pol = policy_mod.extract_policy(pool, phi, classes, goods)
+        pol = policy_mod.extract_policy(pool, phi, classes, fix.goods)
         facts["n_selected"] = len(phi)
         facts["selected"] = ";".join(f"{f.render()}:{f.weight}"
                                      for f in pol.features)
@@ -266,8 +278,8 @@ def learn(config: RunConfig) -> LearnResult:
         rec.times["tests"] = time.monotonic() - t4
     rec.times["total"] = time.monotonic() - t0
 
-    return LearnResult(facts["status"], message, pol, rec.machine(),
-                       rec.human(), facts.get("optimum_cost"), iterations,
+    return LearnResult(facts["status"], fix.message, pol, rec.machine(),
+                       rec.human(), facts.get("optimum_cost"), fix.iterations,
                        rec.verified(), tests)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from genpol import concepts as co
 from genpol.encoding import FLAT, UP, Classes, validate_solution
-from genpol.errors import InternalInvariantError, PolicyError
+from genpol.errors import GenpolError, InternalInvariantError, PolicyError
 from genpol.features import parse_feature
 from genpol.space import expand_labeled
 
@@ -201,15 +201,13 @@ def _parse_eff(token: str, features: list, ln: int) -> Effect:
 # Extraction from a theory model
 # ---------------------------------------------------------------------------
 
-def extract_policy(pool, phi: list, classes: Classes, goods: list,
-                   check: bool = True) -> Policy:
+def extract_policy(pool, phi: list, classes: Classes, goods: list) -> Policy:
     """Builds the policy of a model.  `phi` and `goods` are the selected
     feature ids and good class ids of the decoded solution."""
-    if check:
-        bad = validate_solution(classes, phi, goods)
-        if bad:
-            raise InternalInvariantError(
-                f"model does not separate good from bad classes: pairs {bad[:5]}")
+    bad = validate_solution(classes, phi, goods)
+    if bad:
+        raise InternalInvariantError(
+            f"model does not separate good from bad classes: pairs {bad[:5]}")
     features = [pool.features[f] for f in phi]
     rules: dict = {}
     for c in goods:
@@ -251,11 +249,18 @@ class ExecutionResult:
         return self.status == "goal"
 
 
+def check_max_steps(max_steps: int | None):
+    """Rejects a negative step limit; None is the default limit."""
+    if max_steps is not None and max_steps < 0:
+        raise GenpolError(f"max_steps must be non-negative, got {max_steps}")
+
+
 def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
                    tie_break: str = "first", seed: int = 0) -> ExecutionResult:
     """Follows policy-compatible transitions from the initial state.  The
     feature values of one step's successors are kept for the next step only,
     which finds there the values of the state it starts from."""
+    check_max_steps(max_steps)
     if max_steps is None:
         max_steps = 10 * max(4, len(gp.objects)) ** 2
     rng = random.Random(seed)

@@ -385,7 +385,7 @@ class Cdcl:
         for code in codes:
             self.ensure_vars(code >> 1)
         assumption_set = set(codes)
-        deadline = time.monotonic() + time_limit if time_limit else None
+        deadline = None if time_limit is None else time.monotonic() + time_limit
         start_conflicts = self.conflicts
         since_restart = 0
         restart_idx = 1

@@ -359,6 +359,32 @@ def transition_classes(sample, matrix, merge):
             [any(dead[i] for i in g) for g in groups])
 
 
+def unmerged_classes(sample, matrix):
+    """The unmerged encoding's classes, one per alive transition:
+    (`encoding.Classes` built from transition_classes without merging,
+    class_of as an int64 array)."""
+    from genpol.encoding import Classes
+    class_of, codes, size, dead = transition_classes(sample, matrix, merge=False)
+    codes = np.array(codes, dtype=np.uint8).reshape(len(codes), len(matrix))
+    return (Classes(codes, np.array(dead, dtype=bool), np.array(size, dtype=np.int64)),
+            np.array(class_of, dtype=np.int64))
+
+
+def chained_pairs(classes):
+    """Start pairs for classes that may share a code: each class chained to
+    the first class with its code, and every pair of those first classes.
+    The chain equalities and the first-class pairs imply the separation of
+    every class pair, so the set is closed from the first round."""
+    first = {}
+    pairs = set()
+    for c, row in enumerate(classes.codes.tolist()):
+        rep = first.setdefault(tuple(row), c)
+        if rep != c:
+            pairs.add((rep, c))
+    pairs.update(itertools.combinations(sorted(first.values()), 2))
+    return sorted(pairs)
+
+
 def separation_violations(codes, phi, goods):
     """The class pairs a (phi, goods) solution leaves unseparated: classes
     grouped by their codes on phi (a dict of lists); in each group with good

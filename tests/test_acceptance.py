@@ -6,6 +6,7 @@ pytest run doubles as an acceptance report.  Criterion 9 is informational
 only and never fails.
 """
 
+import dataclasses
 import itertools
 import random
 import time
@@ -333,46 +334,37 @@ def test_criterion_6_maxsat_exactness(capsys):
 # Criterion 7: encoding equivalences
 # ---------------------------------------------------------------------------
 
-def _incremental_fixpoint(cfg):
-    """The learning loop's final (theory, result, classes, phi, goods)."""
-    prep = pipeline.prepare(cfg)
-    sample, pool, matrix = prep.sample, prep.pool, prep.matrix
-    classes, class_of = prep.classes, prep.class_of
-    pairs = encoding.initial_pairs(classes, class_of, sample)
-    while True:
-        theory = encoding.build_theory(sample, pool, matrix, classes, class_of,
-                                       pairs=pairs)
-        assert theory.infeasible is None
-        res = maxsat.solve_wcnf(theory.wcnf)
-        assert res.status == maxsat.OPTIMUM
-        phi, goods, _values = encoding.decode(theory, res.model)
-        violated = encoding.validate_solution(classes, phi, goods)
-        if not violated:
-            return sample, pool, matrix, classes, class_of, theory, res, phi, goods
-        pairs = sorted(set(pairs) | set(violated))
-
-
 def test_criterion_7_merged_and_incremental_equivalences(tmp_path, capsys):
     with criterion(capsys, 7, "merged==unmerged cost; fixpoint satisfies full theory") as info:
         details = []
         for name in ("clear", "gripper"):
             cfg = _config(tmp_path, name)
+            merged = pipeline.prepare(cfg)
+            # The unmerged encoding, one class per transition, from the oracle.
+            classes, class_of = oracles.unmerged_classes(merged.sample,
+                                                         merged.matrix)
+            unmerged = dataclasses.replace(merged, classes=classes,
+                                           class_of=class_of)
+            runs = [(True, merged, encoding.initial_pairs(
+                        merged.classes, merged.class_of, merged.sample)),
+                    (False, unmerged, oracles.chained_pairs(classes))]
             costs = {}
-            for merge in (True, False):
-                cfg.merge_classes = merge
-                (sample, pool, matrix, classes, class_of, theory, res,
-                 phi, goods) = _incremental_fixpoint(cfg)
-                costs[merge] = res.cost
+            for merge, prep, pairs in runs:
+                fix = pipeline.solve_fixpoint(prep, pairs, cfg)
+                assert fix.message == "", fix.message
+                costs[merge] = fix.result.cost
                 # (b) the fixpoint model satisfies the full theory
-                assert encoding.validate_solution(classes, phi, goods) == []
+                assert encoding.validate_solution(prep.classes, fix.phi,
+                                                  fix.goods) == []
                 if merge:
-                    nc = len(classes)
+                    nc = len(prep.classes)
                     full = encoding.build_theory(
-                        sample, pool, matrix, classes, class_of,
-                        pairs=[(a, b) for a in range(nc)
-                               for b in range(a + 1, nc)])
-                    hard_ok, model_cost = maxsat.evaluate(full.wcnf, res.model)
-                    assert hard_ok and model_cost == res.cost
+                        prep.sample, prep.pool, prep.matrix, prep.classes,
+                        prep.class_of, pairs=[(a, b) for a in range(nc)
+                                              for b in range(a + 1, nc)])
+                    hard_ok, model_cost = maxsat.evaluate(full.wcnf,
+                                                          fix.result.model)
+                    assert hard_ok and model_cost == fix.result.cost
             # (a) merging transition classes does not change the optimum
             assert costs[True] == costs[False], (name, costs)
             details.append(f"{name} cost {costs[True]}")

@@ -87,12 +87,15 @@ def test_unmerged_classes_are_singletons():
     sample = _sample(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4),
                      ("b1",))
     pool, matrix = features.generate_pool(sample, max_weight=4)
-    merged, _ = compute_classes(sample, matrix, merge=True)
-    single, class_of = compute_classes(sample, matrix, merge=False)
+    merged, merged_of = compute_classes(sample, matrix)
+    single, class_of = oracles.unmerged_classes(sample, matrix)
     n_alive = sample.n_alive_transitions()
     assert len(single) == n_alive
     assert single.size.tolist() == [1] * n_alive
-    assert len(set(class_of.tolist())) == n_alive
+    assert class_of.tolist() == list(range(n_alive))
+    # Each singleton has its transition's merged code and dead-end target.
+    assert (single.codes == merged.codes[merged_of]).all()
+    assert (single.dst_dead == (sample.goal_dist[sample.dst] < 0)).all()
     # Grouping singletons by codes reproduces the merged class count.
     assert len({row.tobytes() for row in single.codes}) == len(merged)
 
@@ -262,8 +265,12 @@ def test_initial_pairs_chain_identical_codes():
     sample = _sample(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(5),
                      ("b1",))
     pool, matrix = features.generate_pool(sample, max_weight=4)
-    classes, class_of = compute_classes(sample, matrix, merge=False)
-    pairs = initial_pairs(classes, class_of, sample)
+    # Merged classes share no code, so chaining adds nothing to the full set
+    # of class pairs that initial_pairs starts from.
+    merged, merged_of = compute_classes(sample, matrix)
+    assert oracles.chained_pairs(merged) == initial_pairs(merged, merged_of, sample)
+    classes, _ = oracles.unmerged_classes(sample, matrix)
+    pairs = oracles.chained_pairs(classes)
     pair_set = set(pairs)
     groups = {}
     for c, row in enumerate(classes.codes):
@@ -317,8 +324,9 @@ def test_validate_solution_flags_unseparated_mixtures():
 
 
 # sha256 of `format_wcnf` and of the `.tags` lines of the starting theory
-# (`initial_pairs`, default seed); any change to clause order, variable
-# numbering, class ids or pair selection changes them.
+# (`initial_pairs`, default seed; unmerged, the oracle's singleton classes and
+# chained pairs); any change to clause order, variable numbering, class ids or
+# pair selection changes them.
 PINNED = {
     ("clear-5", True): (
         "a79f7a986472e4cf3f07a9645e9764156433244dd52e94e0fd40d99b343e8cf6",
@@ -326,14 +334,10 @@ PINNED = {
     ("clear-5", False): (
         "79ad72f6dbe9abfe593ad7b76968fad8ee6ccf408c1a6f41a2fd09039f0993a0",
         "341129547d23c66b0317d10a130c05f09eb5a498be4b62556209e7ed3ae07752"),
-    # More than PAIR_FULL_LIMIT class pairs: shared sources, random extras
-    # and, unmerged, chains of classes with equal codes.
+    # More than PAIR_FULL_LIMIT class pairs: shared sources and random extras.
     ("visitall", True): (
         "cc45398b1cd94e5c09dc43a4c25fedbb3729f0c34494741ef2a54ef203255922",
         "90c875bea80aad553207e36254f70bfc0ab5859f48e47bf4be54912e4e5957f1"),
-    ("visitall", False): (
-        "c9be7b8a3d03c6b2f367600980d12a337f03bd6f873f4a518ab34221cca58ef1",
-        "859ed497f652cd5900ae33041fdea4b72a5b981f94ef9fee14a90236888cb7ee"),
 }
 
 # The three benchmark training instances: (problem, goal parameters, weight).
@@ -408,8 +412,12 @@ def _starting_theory(name, merge, prepared):
         pool, matrix = features.generate_pool(sample, max_weight=4)
     else:
         sample, pool, matrix = prepared(name)
-    classes, class_of = compute_classes(sample, matrix, merge=merge)
-    pairs = initial_pairs(classes, class_of, sample)
+    if merge:
+        classes, class_of = compute_classes(sample, matrix)
+        pairs = initial_pairs(classes, class_of, sample)
+    else:
+        classes, class_of = oracles.unmerged_classes(sample, matrix)
+        pairs = oracles.chained_pairs(classes)
     return build_theory(sample, pool, matrix, classes, class_of, pairs=pairs)
 
 
@@ -437,9 +445,6 @@ PINNED_SEARCH = {
     ("gripper", True): (
         10, "4b17b612aff8b5841c178881b16043c2d0e20e8f129ff27f092c2e00eed17c0c",
         17, 63, 8930, 47189),
-    ("visitall", False): (
-        7, "ac047eef89ebdd8a97eb07ae02f2fbd3b940212c90a81318f7000e4d51015b86",
-        7, 13, 2418, 15878),
     ("visitall", True): (
         7, "2f4007e9076da2608d6b6ba7f456daf20ba4b470e1ed37c75e6a7b808671dc77",
         7, 18, 2979, 14568),
@@ -469,15 +474,19 @@ def test_starting_theory_search_is_pinned(name, merge, prepared, monkeypatch):
 @pytest.mark.parametrize("name", sorted(BENCHMARK_SAMPLES) + ["ladders"])
 def test_classes_and_validation_match_dict_grouping(name, merge, prepared):
     sample, _pool, matrix = prepared(name)
-    classes, class_of = compute_classes(sample, matrix, merge=merge)
-    if name == "ladders":
-        assert len(sample.spaces) == 2 and 0 < classes.dst_dead.sum() < len(classes)
     want_of, want_codes, want_size, want_dead = oracles.transition_classes(
         sample, matrix, merge)
-    assert class_of.tolist() == want_of
-    assert [tuple(row) for row in classes.codes.tolist()] == want_codes
-    assert classes.size.tolist() == want_size
-    assert classes.dst_dead.tolist() == want_dead
+    if merge:
+        classes, class_of = compute_classes(sample, matrix)
+        assert class_of.tolist() == want_of
+        assert [tuple(row) for row in classes.codes.tolist()] == want_codes
+        assert classes.size.tolist() == want_size
+        assert classes.dst_dead.tolist() == want_dead
+    else:
+        # Singleton classes share codes, which validation must group.
+        classes, _ = oracles.unmerged_classes(sample, matrix)
+    if name == "ladders":
+        assert len(sample.spaces) == 2 and 0 < classes.dst_dead.sum() < len(classes)
 
     n_feat, n = matrix.shape[0], len(classes)
     rng = random.Random(f"{name}-{merge}")

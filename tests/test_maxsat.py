@@ -209,6 +209,25 @@ def test_time_limit_raises_with_progress_bound():
         solve_wcnf(p, time_limit=1e-9)
 
 
+@pytest.mark.parametrize("limit", [0, -1.0, float("nan"), float("inf")])
+def test_solve_rejects_a_time_limit_that_is_not_positive(tmp_path, limit):
+    p = WcnfProblem()
+    p.add_hard([1])
+    script = _write_script(tmp_path, """
+        print('s OPTIMUM FOUND')
+        print('v 1 0')
+    """)
+    # One meaning on both backends: 0 is no budget, never "no limit".
+    for backend in ("embedded", script):
+        with pytest.raises(GenpolError, match="must be positive and finite"):
+            maxsat.solve(p, backend, time_limit=limit)
+    # Below the check only None means no limit: no budget times out at once.
+    assert solve_wcnf(p, time_limit=None).status == maxsat.OPTIMUM
+    if limit == 0:
+        with pytest.raises(SolverTimeoutError):
+            solve_wcnf(p, time_limit=0)
+
+
 def _write_script(tmp_path, body):
     path = tmp_path / "fake_solver.py"
     path.write_text("#!" + sys.executable + "\n" + textwrap.dedent(body))

@@ -1,5 +1,7 @@
 """End-to-end pipeline behavior and the command line interface."""
 
+import dataclasses
+
 import pytest
 
 import domains
@@ -63,7 +65,6 @@ def test_learn_matches_manual_stage_composition(clear_files):
 
     prep = pipeline.prepare(cfg)
     pairs = encoding.initial_pairs(prep.classes, prep.class_of, prep.sample,
-                                   extra_per_class=cfg.extra_pairs_per_class,
                                    seed=cfg.seed)
     theory = encoding.build_theory(prep.sample, prep.pool, prep.matrix,
                                    prep.classes, prep.class_of,
@@ -85,7 +86,6 @@ def test_learn_reports_unsat_for_weak_feature_pool(clear_files):
 
 _SAMPLE_KV = """\
 v_slack=2
-merge_classes=1
 n_instances=1
 instance.0.name=clear-5
 instance.0.states=866
@@ -169,6 +169,50 @@ def test_run_config_validation(clear_files):
     dom, _train = clear_files
     with pytest.raises(GenpolError):
         pipeline.learn(pipeline.RunConfig(domain_path=dom, training_paths=[]))
+
+
+def test_negative_max_steps_is_rejected_before_any_stage(clear_files, tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "prepare",
+                        lambda config: pytest.fail("a stage ran"))
+    with pytest.raises(GenpolError, match="max_steps must be non-negative"):
+        pipeline.learn(_clear_config(clear_files, max_steps=-3))
+    dom, train = clear_files
+    pol = tmp_path / "policy.txt"
+    pol.write_text("feature 0 1 bool holding\nrule f0 -> !f0\n")
+    for argv in (["learn", "--domain", dom, "--training", train, "--goal-params",
+                  "b1", "--max-steps", "-3", "--test", train],
+                 ["run", "--domain", dom, "--instance", train, "--goal-params",
+                  "b1", "--policy", str(pol), "--max-steps", "-5"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "max_steps must be non-negative" in captured.err
+        assert captured.out == ""
+
+
+def test_cli_learn_flags_set_every_run_config_field():
+    parse = lambda argv: cli._config_from(cli.build_parser().parse_args(argv))
+    cfg = parse(["learn", "--domain", "d.pddl", "--training", "a.pddl", "b.pddl",
+                 "--goal-params", "b1,b2", "--test", "t1.pddl", "t2.pddl",
+                 "--max-feature-weight", "5", "--ignore-high-arity",
+                 "--max-pool", "99", "--max-states", "1234", "--v-slack", "3",
+                 "--seed", "7", "--solver-time-limit", "2.5",
+                 "--solver-backend", "mysolver", "--tie-break", "random",
+                 "--max-steps", "42"])
+    assert cfg == pipeline.RunConfig(
+        domain_path="d.pddl", training_paths=["a.pddl", "b.pddl"],
+        test_paths=["t1.pddl", "t2.pddl"], goal_params=["b1", "b2"],
+        max_feature_weight=5, v_slack=3, seed=7, max_states=1234, max_pool=99,
+        solver_time_limit=2.5, solver_backend="mysolver",
+        ignore_high_arity=True, tie_break="random", max_steps=42)
+    # Every field with a flag is off its default above; only
+    # max_transitions has none.
+    bare = pipeline.RunConfig(domain_path="", training_paths=[])
+    assert [f.name for f in dataclasses.fields(cfg)
+            if getattr(cfg, f.name) == getattr(bare, f.name)] == ["max_transitions"]
+    # Flags left unset keep the defaults.
+    assert parse(["learn", "--domain", "d.pddl", "--training", "a.pddl"]) == \
+        pipeline.RunConfig(domain_path="d.pddl", training_paths=["a.pddl"])
 
 
 def test_learn_runs_heldout_tests(clear_files, tmp_path):

@@ -8,7 +8,8 @@ import domains
 import oracles
 from genpol import concepts as co
 from genpol import encoding, features, maxsat, pddl, pipeline, policy as po, space
-from genpol.errors import InternalInvariantError, LimitExceededError, PolicyError
+from genpol.errors import (GenpolError, InternalInvariantError,
+                           LimitExceededError, PolicyError)
 
 ONEWAY_DOMAIN = """
 (define (domain oneway)
@@ -147,8 +148,6 @@ def test_extraction_requires_separated_classes():
     if len(classes) > 1:
         with pytest.raises(InternalInvariantError):
             po.extract_policy(pool, [], classes, [0])
-        # check=False skips the guard for diagnostic use.
-        po.extract_policy(pool, [], classes, [0], check=False)
 
 
 def test_greedy_execution_statuses():
@@ -179,6 +178,11 @@ def test_greedy_execution_statuses():
     run = po.greedy_execute(clear_pol, gp3, max_steps=1)
     assert run.status == "step_limit"
     assert len(run.trajectory) == 1
+
+    run = po.greedy_execute(clear_pol, gp3, max_steps=0)
+    assert run.status == "step_limit" and run.steps == 0
+    with pytest.raises(GenpolError, match="max_steps must be non-negative"):
+        po.greedy_execute(clear_pol, gp3, max_steps=-5)
 
 
 def test_verify_reports_incompleteness():
