@@ -6,9 +6,12 @@ domain (`state_context`): a set of objects is a row of uint64 words, one
 bit per object of the instance's sorted object list, so a concept is an
 array [states, words] and a role one of per-object successor sets
 [states, objects, words].  Distances are breadth-first searches run in all
-states together.  States come as packed rows over the dynamic atoms (see
-`pddl.GroundProblem`); an instance's static atoms are placed in its atom
-table once (`InstanceContext`), and only the set bits of each row after.
+states together, or, over a state-independent role and restriction (built
+from static predicates, types, nominals, goal versions, Top and Bot only),
+reads of an all-pairs table built once per instance.  States come as packed
+rows over the dynamic atoms (see `pddl.GroundProblem`); an instance's static
+atoms are placed in its atom table once (`InstanceContext`), and only the
+set bits of each row after.
 
 The grammar: primitive concepts (unary predicates and type names), goal
 versions of goal-relevant predicates, nominals for constants and declared
@@ -121,17 +124,35 @@ _ATOMIC_CONCEPTS = (PrimitiveConcept, Top, Bot, GoalConcept, TypeConcept,
 _ATOMIC = _ATOMIC_CONCEPTS + (PrimitiveRole, GoalRole)
 
 
+_ROLES = (PrimitiveRole, GoalRole, InverseRole, ClosureRole)
+
+
+def _children(expr) -> tuple:
+    if isinstance(expr, _ATOMIC):
+        return ()
+    if isinstance(expr, Not):
+        return (expr.child,)
+    if isinstance(expr, (InverseRole, ClosureRole)):
+        return (expr.base,)
+    if isinstance(expr, (And, RoleEqual)):
+        return (expr.left, expr.right)
+    if isinstance(expr, (Exists, Forall)):
+        return (expr.role, expr.child)
+    raise TypeError(f"not an expression: {expr!r}")
+
+
 def complexity(expr) -> int:
     """Number of syntax tree nodes."""
-    if isinstance(expr, _ATOMIC):
-        return 1
-    if isinstance(expr, (Not, InverseRole, ClosureRole)):
-        return 1 + complexity(expr.child if isinstance(expr, Not) else expr.base)
-    if isinstance(expr, (And, RoleEqual)):
-        return 1 + complexity(expr.left) + complexity(expr.right)
-    if isinstance(expr, (Exists, Forall)):
-        return 1 + complexity(expr.role) + complexity(expr.child)
-    raise TypeError(f"not an expression: {expr!r}")
+    return 1 + sum(map(complexity, _children(expr)))
+
+
+def state_independent(expr, static_preds) -> bool:
+    """Whether `expr` denotes the same in every state of an instance: it is
+    built only from the predicates of `static_preds` (those no action adds
+    or deletes), types, nominals, goal versions, Top and Bot."""
+    if isinstance(expr, (PrimitiveConcept, PrimitiveRole)):
+        return expr.name in static_preds
+    return all(state_independent(c, static_preds) for c in _children(expr))
 
 
 def render(expr, name=None) -> str:
@@ -256,13 +277,56 @@ def pack(bits: np.ndarray, words: int) -> np.ndarray:
     return packed.view("<u8")
 
 
+def unpack(sets: np.ndarray, n: int) -> np.ndarray:
+    """uint64 [..., words] -> bool [..., n]; inverse of `pack`."""
+    octets = np.ascontiguousarray(sets, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=n, bitorder="little").view(bool)
+
+
+def _reduce_members(ufunc, at, values):
+    """(rows, reduced): the rows i of bool `at` [k, n] that have a member
+    and, for each, `ufunc` reduced over values[i, j] of its members j;
+    `values` is [k, n, ...]."""
+    row, obj = np.nonzero(at)
+    first = np.ones(len(row), dtype=bool)
+    np.not_equal(row[1:], row[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return row[starts], ufunc.reduceat(values[row, obj], starts, axis=0)
+
+
+def _bfs(sources, rows, restrict, far, n) -> np.ndarray:
+    """Breadth-first search from each of the object sets `sources` [k,
+    words] at once: int64 [k, n] steps of the successor sets `rows` [k or
+    1, n, words] to each object, the steps entering `restrict` [k or 1,
+    words] only; `far` [k] where unreachable."""
+    dmap = np.repeat(far[:, None], n, axis=1)
+    rows = np.broadcast_to(rows, (len(sources),) + rows.shape[1:])
+    seen = cur = sources
+    dist = 0
+    while cur.any():
+        at = unpack(cur, n)
+        dmap[at] = dist
+        step = np.zeros_like(cur)
+        heads, reached = _reduce_members(np.bitwise_or, at, rows)
+        step[heads] = reached
+        cur = step & restrict & ~seen
+        seen = seen | cur
+        dist += 1
+    return dmap
+
+
 class InstanceContext:
     """Per-instance constants: the object numbering, where each ground atom
-    goes in a state's atom table, and the state-independent denotations
-    (Top, types, goal versions, nominals) as sets of `words` words."""
+    goes in a state's atom table, the state-independent denotations (Top,
+    types, goal versions, nominals) as sets of `words` words, and, built
+    on first use, those of state-independent expressions (`static`) and
+    their distance tables (`distance_table`)."""
 
     def __init__(self, gp):
         self.gp = gp
+        self.static_preds = gp.domain.static_predicates()
+        self._init = None  # StateContext of the initial state, made on first use
+        self._tables: dict = {}  # (role, restrict) -> distance table
         self.objects = gp.objects  # sorted names
         self.index = {o: i for i, o in enumerate(self.objects)}
         n = self.n = len(self.objects)
@@ -385,6 +449,28 @@ class InstanceContext:
             got = np.zeros((self.n, self.words), dtype=np.uint64)
         return got
 
+    def static(self, expr) -> np.ndarray:
+        """The denotation of a state-independent concept ([words]) or role
+        ([n, words]), evaluated once in the initial state and memoized."""
+        if not state_independent(expr, self.static_preds):
+            raise ValueError(f"not state-independent: {render(expr)}")
+        if self._init is None:
+            self._init = StateContext([(self, self.gp.init[None])])
+        ctx = self._init
+        return (ctx.role(expr) if isinstance(expr, _ROLES) else ctx.concept(expr))[0]
+
+    def distance_table(self, role, restrict) -> np.ndarray:
+        """int64 [n, n]: the steps of the state-independent `role` from each
+        object to each object, the steps entering the state-independent
+        `restrict` only; n + 1 where unreachable.  Built once per pair."""
+        got = self._tables.get((role, restrict))
+        if got is None:
+            n = self.n
+            got = self._tables[role, restrict] = _bfs(
+                pack(np.eye(n, dtype=bool), self.words), self.static(role)[None, :n],
+                self.static(restrict)[None], np.full(n, n + 1), n)
+        return got
+
 
 def _padded(a: np.ndarray, shape: tuple) -> np.ndarray:
     """`a` zero-padded to `shape`."""
@@ -441,8 +527,7 @@ class StateContext:
 
     def members(self, sets: np.ndarray) -> np.ndarray:
         """uint64 [..., words] -> bool [..., n]; inverse of `pack`."""
-        octets = np.ascontiguousarray(sets, dtype="<u8").view(np.uint8)
-        return np.unpackbits(octets, axis=-1, count=self.n, bitorder="little").view(bool)
+        return unpack(sets, self.n)
 
     def popcounts(self, col: np.ndarray) -> np.ndarray:
         return self.members(col).sum(axis=-1, dtype=np.int64)
@@ -505,28 +590,41 @@ class StateContext:
 
     # -- distances ---------------------------------------------------------
 
+    def distances(self, source, role, restrict) -> np.ndarray:
+        """int64 [n_states, n]: the steps of `role` from the members of
+        `source` to each object, the steps entering `restrict` only; n + 1
+        where unreachable, with each state's own n.  When `role` and
+        `restrict` are state-independent, each state's map is the minimum
+        of its instance's distance table rows over the source members;
+        otherwise it is a breadth-first search in every state at once."""
+        ictx0 = self.ictxs[0]
+        if not (state_independent(role, ictx0.static_preds)
+                and state_independent(restrict, ictx0.static_preds)):
+            return self.distance_map(self.concept(source), self.role(role),
+                                     self.concept(restrict))
+        members = self.members(self.concept(source))
+        dmap = np.repeat((self.n_objs + 1)[:, None], self.n, axis=1)
+        lo = 0
+        for ictx, size in zip(self.ictxs, self.sizes):
+            table = ictx.distance_table(role, restrict)
+            states, dists = _reduce_members(np.minimum, members[lo:lo + size, :ictx.n],
+                                            np.broadcast_to(table, (size,) + table.shape))
+            dmap[lo + states, :ictx.n] = dists
+            lo += size
+        return dmap
+
     def distance_map(self, sources, rows, restrict) -> np.ndarray:
         """Breadth-first search in every state at once: [n_states, n] role
         steps from `sources` to each object, the steps entering `restrict`
         only; n + 1 where unreachable, with each state's own n."""
-        dmap = np.repeat((self.n_objs + 1)[:, None], self.n, axis=1)
-        seen = cur = sources
-        dist = 0
-        while cur.any():
-            at = self.members(cur)
-            dmap[at] = dist
-            step = np.bitwise_or.reduce(
-                np.where(at[:, :, None], rows, np.uint64(0)), axis=1)
-            cur = step & restrict & ~seen
-            seen = seen | cur
-            dist += 1
-        return dmap
+        return _bfs(sources, rows, restrict, self.n_objs + 1, self.n)
 
     def min_distance(self, dmap: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per state, the least `dmap` entry over `targets`: the number of
-        steps to the nearest target, n + 1 when there is none."""
+        steps to the nearest target, n + 1 when there is none.  `targets`
+        [..., n_states, words] may stack several target sets."""
         return np.where(self.members(targets), dmap,
-                        (self.n_objs + 1)[:, None]).min(axis=1)
+                        (self.n_objs + 1)[:, None]).min(axis=-1)
 
 
 def state_context(parts) -> StateContext:

@@ -32,6 +32,10 @@ from genpol import concepts as co
 from genpol.errors import ArityError, GenpolError, LimitExceededError
 from genpol.space import SampleSet
 
+# Bound on the [targets, states, objects] elements of one reduction of
+# distance minima in `generate_pool`, which keeps its temporaries to a few MB.
+_MIN_BLOCK = 1 << 20
+
 
 # ---------------------------------------------------------------------------
 # Feature kinds
@@ -86,8 +90,7 @@ class DistanceFeature:
                 f"{name(self.restrict)},{name(self.target)})")
 
     def values(self, ctx: co.StateContext) -> np.ndarray:
-        dmap = ctx.distance_map(ctx.concept(self.source), ctx.role(self.role),
-                                ctx.concept(self.restrict))
+        dmap = ctx.distances(self.source, self.role, self.restrict)
         return ctx.min_distance(dmap, ctx.concept(self.target))
 
 
@@ -286,13 +289,16 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
     # separate, descend, or distinguish anything, so they are dropped here.
     feats: list = []  # (feature, value column)
 
-    def add(feature, col):
-        if not (col.size and np.all(col == col[0])):
-            feats.append((feature, col))
+    def add(values, feature):
+        """Keep `feature(i)` with a copy of its value column values[i] for
+        each row of `values` [features, states] that is not constant (a
+        view would keep all of `values` alive)."""
+        for i in np.flatnonzero((values != values[:, :1]).any(axis=1)).tolist():
+            feats.append((feature(i), values[i].copy()))
 
     for pred in sorted(vocab.nullary):
         if 1 <= max_weight:
-            add(NullaryFeature(pred), ctx.flags[pred])
+            add(ctx.flags[pred][None], lambda _: NullaryFeature(pred))
 
     singletons: list = []
     for expr, weight, col in kept:
@@ -300,27 +306,30 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
             continue  # fixed denotation; |Top| and |Bot| carry no signal
         counts = ctx.popcounts(col)
         boolean = bool((counts <= 1).all())
-        if weight <= max_weight:
-            values = (counts == 1).astype(np.int64) if boolean else counts
-            add(CardinalityFeature(expr, weight, boolean), values)
+        values = (counts == 1).astype(np.int64) if boolean else counts
+        add(values[None], lambda _: CardinalityFeature(expr, weight, boolean))
         if (counts == 1).all():
             singletons.append((expr, weight, col))
 
-    # Distance features, one breadth-first search in all states at once per
-    # (source, role, restrict); each target concept then reads its minimum
-    # off the per-object distance map.
-    for c1, w1, col1 in singletons:
-        for rexpr, rw, rcol in roles:
+    # Distance features, one distance map in all states at once per (source,
+    # role, restrict).  The targets of a map, the kept concepts up to some
+    # weight, are a prefix of `kept`; their minima over the map are taken in
+    # blocks of at most `_MIN_BLOCK` [targets, states, objects] elements.
+    cols = [col for _, _, col in kept]
+    upto = np.searchsorted([w for _, w, _ in kept], np.arange(max_weight + 1),
+                           side="right")
+    block = max(1, _MIN_BLOCK // (ctx.n_states * ctx.n))
+    for c1, w1, _ in singletons:
+        for rexpr, rw, _ in roles:
             base = w1 + rw
-            if base + 2 > max_weight:
-                continue
             for wr in range(1, max_weight - base):
-                for cr, colr in by_weight.get(wr, []):
-                    dmap = ctx.distance_map(col1, rcol, colr)
-                    for w2 in range(1, max_weight - base - wr + 1):
-                        for c2, col2 in by_weight.get(w2, []):
-                            add(DistanceFeature(c1, rexpr, cr, c2, base + wr + w2),
-                                ctx.min_distance(dmap, col2))
+                k = upto[max_weight - base - wr]
+                for cr, _ in by_weight.get(wr, []):
+                    dmap = ctx.distances(c1, rexpr, cr)
+                    for lo in range(0, k, block):
+                        add(ctx.min_distance(dmap, np.stack(cols[lo:min(k, lo + block)])),
+                            lambda i: DistanceFeature(c1, rexpr, cr, kept[lo + i][0],
+                                                      base + wr + kept[lo + i][1]))
 
     # Canonical order, then value-vector deduplication.
     feats.sort(key=lambda fc: (fc[0].weight, fc[0].render(name)))

@@ -185,6 +185,12 @@ class DomainModel:
     def high_arity_predicates(self) -> list:
         return sorted(p.name for p in self.predicates.values() if p.arity > 2)
 
+    def static_predicates(self) -> frozenset:
+        """The predicates no schema adds or deletes: their atoms are those
+        of the initial state in every state."""
+        return frozenset(self.predicates) - {
+            a.pred for sc in self.schemas for a in sc.add | sc.dele}
+
 
 @dataclass
 class InstanceModel:
@@ -761,11 +767,10 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
                     o not in members[t] for o, t in zip(a[1:], pred.arg_types)):
                 raise PddlError(f"{what} atom {a} is not type-consistent")
 
-    dynamic_preds = {sa.pred for sc in dom.schemas for sa in sc.add | sc.dele}
-    static_preds = frozenset(dom.predicates) - dynamic_preds
+    static_preds = dom.static_predicates()
     static_init = [a for a in inst.init if a[0] in static_preds]
     atoms = sorted(itertools.chain(
-        ((p.name, *args) for p in dom.predicates.values() if p.name in dynamic_preds
+        ((p.name, *args) for p in dom.predicates.values() if p.name not in static_preds
          for args in itertools.product(*(by_type[t] for t in p.arg_types))),
         set(static_init).union(a for a in inst.goal if a[0] in static_preds)))
     atom_id = {a: i for i, a in enumerate(atoms)}

@@ -64,6 +64,54 @@ VISITALL_DOMAIN = """
 """
 
 
+# Static preconditions on a constant (home), with a repeated variable
+# (spin), over a nullary predicate (home, shut) and over a supertype of the
+# parameter (tour, look: road takes places, ?c is a city); shadowed deletes
+# when ?a = ?b (drive) or ?a = depot (home).  road and big are static.
+ROADS_DOMAIN = """
+(define (domain roads)
+  (:requirements :strips :typing)
+  (:types place vehicle - object city - place)
+  (:constants depot - city)
+  (:predicates (at ?v - vehicle ?p - place) (road ?a ?b - place)
+               (big ?c - city) (visited ?p - place) (open) (closed))
+  (:action drive
+    :parameters (?v - vehicle ?a ?b - place)
+    :precondition (and (at ?v ?a) (road ?a ?b))
+    :effect (and (at ?v ?b) (visited ?b) (not (at ?v ?a))))
+  (:action home
+    :parameters (?v - vehicle ?a - place)
+    :precondition (and (at ?v ?a) (road ?a depot) (open))
+    :effect (and (at ?v depot) (not (at ?v ?a))))
+  (:action spin
+    :parameters (?v - vehicle ?p - place)
+    :precondition (and (at ?v ?p) (road ?p ?p))
+    :effect (and (visited ?p)))
+  (:action shut
+    :parameters (?v - vehicle)
+    :precondition (and (closed) (at ?v depot))
+    :effect (and (not (at ?v depot))))
+  (:action tour
+    :parameters (?c - city ?p - place)
+    :precondition (and (road ?p ?c) (big ?c))
+    :effect (and (visited ?c)))
+  (:action look
+    :parameters (?p - place ?c - city)
+    :precondition (and (road ?p ?c))
+    :effect (and (visited ?c))))
+"""
+
+
+def roads_instance(flag="open", goal="") -> str:
+    """Two vehicles on seven roads between four places and the depot; `flag`
+    is the nullary atom that holds, `goal` extra goal atoms."""
+    return f"""(define (problem roads-1) (:domain roads)
+      (:objects truck van - vehicle x y - city p q - place)
+      (:init (at truck x) (at van p) (road x y) (road y x) (road y depot)
+             (road p p) (road p x) (road q depot) (road depot depot) (big y) (big depot) ({flag}))
+      (:goal (and (visited depot) {goal})))"""
+
+
 def gripper_instance(n_balls: int, seed=None, name=None) -> str:
     """Balls in random rooms (all in rooma when seed is None); goal: all in
     roomb."""

@@ -5,6 +5,9 @@ cross-checked state by state against an independent set-semantics
 evaluator (`oracles.naive_eval_state`, `oracles.naive_distance`).
 """
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
@@ -265,3 +268,168 @@ def test_evaluation_is_memoized_per_state():
     first = ctx.concept(expr)
     assert expr in ctx.memo and ClosureRole(PrimitiveRole("on")) in ctx.memo
     assert ctx.concept(expr) is first
+
+
+# -- random expressions against the set semantics --------------------------------
+
+def _vocabulary(gp, static_only=False):
+    """(atomic concepts, atomic roles) of `gp`'s domain; with `static_only`,
+    without the primitive ones of predicates some schema changes."""
+    dom = gp.domain
+    static = oracles.static_predicates(dom)
+    keep = lambda p: not static_only or p in static
+    unary = sorted(p.name for p in dom.predicates.values() if p.arity == 1)
+    binary = sorted(p.name for p in dom.predicates.values() if p.arity == 2)
+    concepts = ([Top(), Bot()] + [PrimitiveConcept(p) for p in unary if keep(p)]
+                + [GoalConcept(p) for p in unary] + [TypeConcept(t) for t in sorted(dom.types)]
+                + [Nominal(c) for c, _ in dom.constants]
+                + [Nominal(f"goal{i}") for i in range(len(gp.instance.goal_params))])
+    roles = [PrimitiveRole(p) for p in binary if keep(p)] + [GoalRole(p) for p in binary]
+    return concepts, roles
+
+
+def _random_role(rng, vocab):
+    role = rng.choice(vocab[1])
+    for ctor in rng.choice([(), (), (InverseRole,), (ClosureRole,),
+                            (InverseRole, ClosureRole), (ClosureRole, InverseRole)]):
+        role = ctor(role)
+    return role
+
+
+def _random_concept(rng, vocab, depth=3):
+    """A seeded random concept over `vocab` of at most `depth` nested
+    constructors."""
+    kind = "atom" if depth == 0 else rng.choice(
+        ["atom", "Not", "And", "Exists", "Forall", "Equal"])
+    sub = lambda: _random_concept(rng, vocab, depth - 1)
+    if kind == "Not":
+        return Not(sub())
+    if kind == "And":
+        return And(sub(), sub())
+    if kind in ("Exists", "Forall"):
+        return (Exists if kind == "Exists" else Forall)(_random_role(rng, vocab), sub())
+    if kind == "Equal":
+        return RoleEqual(_random_role(rng, vocab), _random_role(rng, vocab))
+    return rng.choice(vocab[0])
+
+
+def _predicates_in(expr):
+    """The predicate names of the primitive concepts and roles in `expr`."""
+    if isinstance(expr, (PrimitiveConcept, PrimitiveRole)):
+        return {expr.name}
+    return set().union(*(_predicates_in(getattr(expr, f.name))
+                         for f in dataclasses.fields(expr)
+                         if dataclasses.is_dataclass(getattr(expr, f.name))))
+
+
+def _reachable_rows(gp, levels):
+    """Packed rows of the states at most `levels` steps from the initial one."""
+    rows = gp.init[None]
+    for _ in range(levels):
+        _, _, nxt = gp.transitions(rows)
+        rows = np.unique(np.vstack([rows, nxt]), axis=0)
+    return rows
+
+
+def _parts(case):
+    """(ground problem, packed state rows) of each instance of a case."""
+    if case == "two-sizes":
+        # 6 and 72 objects: one and two words per set, padded to two.
+        dom = pddl.parse_domain(domains.VISITALL_DOMAIN)
+        small, big = (pddl.ground(dom, pddl.parse_instance(domains.visitall_instance(*size), dom))
+                      for size in ((2, 3, (0, 0)), (9, 8, (4, 4))))
+        return [(big, _reachable_rows(big, 2)), (small, space.expand(small).states)]
+    gp, sp = {
+        "clear": lambda: _space(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4), ("b1",)),
+        "gripper": lambda: _space(domains.GRIPPER_DOMAIN, domains.gripper_instance(2, seed=3)),
+        "visitall": lambda: _space(domains.VISITALL_DOMAIN,
+                                   domains.visitall_instance(3, 2, (0, 0))),
+        "roads": lambda: _space(domains.ROADS_DOMAIN, domains.roads_instance()),
+    }[case]()
+    return [(gp, sp.states)]
+
+
+RANDOM_CASES = ["clear", "gripper", "visitall", "roads", "two-sizes"]
+
+
+@pytest.mark.parametrize("case", RANDOM_CASES)
+def test_random_expressions_match_set_semantics(case):
+    rng = random.Random(RANDOM_CASES.index(case))
+    parts = _parts(case)
+    ictxs = [co.InstanceContext(gp) for gp, _ in parts]
+    ctx = co.state_context([(ictx, rows) for ictx, (_, rows) in zip(ictxs, parts)])
+    # Up to 12 states of each instance, 3 of a large one, as (global index,
+    # instance, atom ids); the set semantics is slow on many objects.
+    checked, lo = [], 0
+    for ictx, (gp, rows) in zip(ictxs, parts):
+        unpack = oracles.unpacker(gp)
+        for i in sorted(rng.sample(range(len(rows)), min(12 if ictx.n < 64 else 3, len(rows)))):
+            checked.append((lo + i, ictx, unpack(rows[i])))
+        lo += len(rows)
+    vocab, static_vocab = _vocabulary(parts[0][0]), _vocabulary(parts[0][0], True)
+
+    for _ in range(60):
+        pick = rng.choice([vocab, static_vocab])
+        expr = _random_concept(rng, pick) if rng.random() < 0.75 else _random_role(rng, pick)
+        is_role = isinstance(expr, (PrimitiveRole, GoalRole, InverseRole, ClosureRole))
+        bits = ctx.members(ctx.role(expr) if is_role else ctx.concept(expr))
+        for s, ictx, state in checked:
+            want = oracles.naive_eval_state(expr, ictx.gp, state)
+            n = ictx.n
+            got = _pairs(bits[s, :n, :n], ictx) if is_role else _names(bits[s, :n], ictx)
+            assert got == want and not bits[s, n:].any(), (co.render(expr), s)
+            if co.state_independent(expr, ictx.static_preds):
+                static = co.unpack(ictx.static(expr), n)
+                assert (_pairs(static[:n], ictx) if is_role else _names(static, ictx)) == want
+
+    tables = 0
+    for _ in range(30):
+        pick = rng.choice([vocab, static_vocab])
+        source, restrict, target = (_random_concept(rng, pick, 1) for _ in range(3))
+        role = _random_role(rng, pick)
+        tables += all(co.state_independent(e, ictxs[0].static_preds) for e in (role, restrict))
+        dmap = ctx.distances(source, role, restrict)
+        bfs_map = ctx.distance_map(ctx.concept(source), ctx.role(role), ctx.concept(restrict))
+        assert np.array_equal(dmap, bfs_map)  # padding included
+        got = ctx.min_distance(dmap, ctx.concept(target))
+        bfs = ctx.min_distance(bfs_map, ctx.concept(target))
+        for s, ictx, state in checked:
+            want = oracles.naive_distance(ictx.gp, state, source, role, restrict, target)
+            assert got[s] == want and bfs[s] == want, \
+                (co.render(source), co.render(role), co.render(restrict), co.render(target), s)
+    assert tables >= 5  # the seeds draw enough state-independent pairs
+
+
+def test_distances_read_tables_only_for_state_independent_parts(monkeypatch):
+    gp, sp = _space(domains.ROADS_DOMAIN, domains.roads_instance())
+    ictx, ctx = _context(gp, sp)
+    static = oracles.static_predicates(gp.domain)
+    assert ictx.static_preds == static == {"road", "big", "open", "closed"}
+    calls = {"bfs": 0, "table": 0}
+
+    def count(name, method):
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+        return counted
+
+    monkeypatch.setattr(co.StateContext, "distance_map",
+                        count("bfs", co.StateContext.distance_map))
+    monkeypatch.setattr(co.InstanceContext, "distance_table",
+                        count("table", co.InstanceContext.distance_table))
+    rng = random.Random(7)
+    vocab, static_vocab = _vocabulary(gp), _vocabulary(gp, True)
+    seen = set()
+    for _ in range(80):
+        role = _random_role(rng, rng.choice([vocab, static_vocab]))
+        restrict = _random_concept(rng, rng.choice([vocab, static_vocab]), 2)
+        independent = _predicates_in(role) | _predicates_in(restrict) <= static
+        assert co.state_independent(role, static) == (_predicates_in(role) <= static)
+        assert co.state_independent(restrict, static) == (_predicates_in(restrict) <= static)
+        calls.update(bfs=0, table=0)
+        ctx.distances(Nominal("depot"), role, restrict)
+        assert calls == ({"bfs": 0, "table": 1} if independent else {"bfs": 1, "table": 0})
+        seen.add(independent)
+    assert seen == {True, False}
+    with pytest.raises(ValueError):
+        ictx.static(Exists(PrimitiveRole("road"), PrimitiveConcept("visited")))

@@ -122,51 +122,9 @@ def test_ground_action_count_matches_brute_force_blocks():
     assert gp.actions == expected
 
 
-# Static preconditions on a constant (home), with a repeated variable
-# (spin), over a nullary predicate (home, shut) and over a supertype of the
-# parameter (tour, look: road takes places, ?c is a city); shadowed deletes
-# when ?a = ?b (drive) or ?a = depot (home).
-ROADS_DOMAIN = """
-(define (domain roads)
-  (:requirements :strips :typing)
-  (:types place vehicle - object city - place)
-  (:constants depot - city)
-  (:predicates (at ?v - vehicle ?p - place) (road ?a ?b - place)
-               (big ?c - city) (visited ?p - place) (open) (closed))
-  (:action drive
-    :parameters (?v - vehicle ?a ?b - place)
-    :precondition (and (at ?v ?a) (road ?a ?b))
-    :effect (and (at ?v ?b) (visited ?b) (not (at ?v ?a))))
-  (:action home
-    :parameters (?v - vehicle ?a - place)
-    :precondition (and (at ?v ?a) (road ?a depot) (open))
-    :effect (and (at ?v depot) (not (at ?v ?a))))
-  (:action spin
-    :parameters (?v - vehicle ?p - place)
-    :precondition (and (at ?v ?p) (road ?p ?p))
-    :effect (and (visited ?p)))
-  (:action shut
-    :parameters (?v - vehicle)
-    :precondition (and (closed) (at ?v depot))
-    :effect (and (not (at ?v depot))))
-  (:action tour
-    :parameters (?c - city ?p - place)
-    :precondition (and (road ?p ?c) (big ?c))
-    :effect (and (visited ?c)))
-  (:action look
-    :parameters (?p - place ?c - city)
-    :precondition (and (road ?p ?c))
-    :effect (and (visited ?c))))
-"""
-
-
 def _roads(flag="open", goal=""):
-    dom = pddl.parse_domain(ROADS_DOMAIN)
-    return dom, pddl.parse_instance(f"""(define (problem roads-1) (:domain roads)
-      (:objects truck van - vehicle x y - city p q - place)
-      (:init (at truck x) (at van p) (road x y) (road y x) (road y depot)
-             (road p p) (road p x) (road q depot) (road depot depot) (big y) (big depot) ({flag}))
-      (:goal (and (visited depot) {goal})))""", dom)
+    dom = pddl.parse_domain(domains.ROADS_DOMAIN)
+    return dom, pddl.parse_instance(domains.roads_instance(flag, goal), dom)
 
 
 def _ground_like_product(dom, inst):
@@ -174,6 +132,7 @@ def _ground_like_product(dom, inst):
     problem."""
     gp = pddl.ground(dom, inst)
     want = oracles.product_ground(dom, inst)
+    assert dom.static_predicates() == oracles.static_predicates(dom)
     atoms = lambda ids: frozenset(gp.atoms[i] for i in ids)
     assert gp.actions == [a[0] for a in want.actions]
     assert [gp.atoms[i] for i in gp.dynamic] == want.dynamic

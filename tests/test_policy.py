@@ -1,6 +1,8 @@
 """Policy representation, extraction, greedy execution, and verification."""
 
+import hashlib
 import re
+from pathlib import Path
 
 import pytest
 
@@ -290,3 +292,34 @@ def test_check_descending_honours_the_state_cap():
     # A constant tuple never descends.
     ok, witness = oracles.check_descending(pol, gp, lambda s: (0,), max_states=125)
     assert not ok and witness is not None
+
+
+# The fixed visitall policy, Dist(at-robot,connected,Top,Not(visited)) over a
+# static role; its trajectories and values are pinned to those of the BFS
+# evaluator that read no distance tables.
+VISITALL_POLICY = (Path(__file__).resolve().parents[1] / "perfbench" / "policies"
+                   / "visitall.txt").read_text()
+
+
+def _visitall(width, height, start):
+    return _ground(domains.VISITALL_DOMAIN, domains.visitall_instance(width, height, start))
+
+
+@pytest.mark.parametrize("tie_break,seed,steps,digest", [
+    ("first", 0, 99, "2227243f50a165eaca205a822aa3f35c62b327430865f979b9e99dbf2d67f872"),
+    ("random", 3, 124, "6ac122c91781579bcd3e78553d2c91a31da44b1d8f031585819e7ee40b7337ac"),
+], ids=["first", "random"])
+def test_visitall_greedy_trajectory_is_pinned(tie_break, seed, steps, digest):
+    res = po.greedy_execute(po.parse_policy(VISITALL_POLICY), _visitall(10, 10, (3, 6)),
+                            tie_break=tie_break, seed=seed)
+    assert (res.status, res.steps) == ("goal", steps)
+    assert hashlib.sha256("\n".join(res.trajectory).encode()).hexdigest() == digest
+
+
+def test_visitall_policy_values_are_pinned():
+    gp = _visitall(4, 4, (1, 0))
+    sp = space.expand(gp)
+    vals = po.parse_policy(VISITALL_POLICY).evaluate(co.InstanceContext(gp), sp.states)
+    assert vals.shape == (68_773, 2)
+    assert hashlib.sha256(vals.astype("<i8").tobytes()).hexdigest() == \
+        "37811fb1a45e5422e17de5ef50a39b8b1a6d690290f616628340a86978b8a057"
