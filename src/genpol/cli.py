@@ -27,14 +27,9 @@ from genpol import encoding, maxsat, pipeline, policy, space
 from genpol.errors import GenpolError
 
 
-def _add_pool_args(p):
-    p.add_argument("--max-feature-weight", type=int,
-                   help="complexity cap for generated features (default 8)")
-    p.add_argument("--ignore-high-arity", action="store_true",
-                   help="drop predicates of arity above two instead of failing")
-
-
 def _add_instance_args(p, many=False):
+    """--domain, --goal-params and one --instance; or, with `many`, the
+    --training instances and the flags of the feature pool built on them."""
     p.add_argument("--domain", required=True, help="domain PDDL file")
     if many:
         p.add_argument("--training", required=True, nargs="+",
@@ -43,6 +38,12 @@ def _add_instance_args(p, many=False):
         p.add_argument("--instance", required=True, help="instance PDDL file")
     p.add_argument("--goal-params", default="",
                    help="comma separated objects lifted as goal parameters")
+    if many:
+        p.add_argument("--max-feature-weight", type=int,
+                       help="complexity cap for generated features (default 8)")
+        p.add_argument("--ignore-high-arity", action="store_true",
+                       help="drop predicates of arity above two instead of failing")
+        p.add_argument("--max-pool", type=int)
 
 
 # RunConfig fields set from --domain, --training and --goal-params.
@@ -66,10 +67,20 @@ def _config_from(args) -> pipeline.RunConfig:
     return cfg
 
 
+def _instance(args):
+    """The ground instance of --domain, --instance and --goal-params."""
+    return pipeline.load_problem(pipeline.load_domain(args.domain),
+                                 args.instance, _goal_params(args))
+
+
+def _policy(args) -> policy.Policy:
+    """The policy file of --policy."""
+    with open(args.policy) as f:
+        return policy.parse_policy(f.read())
+
+
 def cmd_expand(args) -> int:
-    gp = pipeline.load_problem(pipeline.load_domain(args.domain),
-                               args.instance, _goal_params(args))
-    sp = space.expand_labeled(gp, args.max_states)
+    sp = space.expand_labeled(_instance(args), args.max_states)
     sys.stdout.write(space.dump_transitions(sp))
     return 0
 
@@ -83,17 +94,12 @@ def cmd_features(args) -> int:
 def cmd_encode(args) -> int:
     cfg = _config_from(args)
     prep = pipeline.prepare(cfg)
-    pairs = encoding.initial_pairs(prep.classes, prep.class_of, prep.sample,
-                                   seed=cfg.seed)
-    theory = encoding.build_theory(prep.sample, prep.pool, prep.matrix,
-                                   prep.classes, prep.class_of,
-                                   v_slack=cfg.v_slack, pairs=pairs)
+    theory = pipeline.build_theory(prep, pipeline.start_pairs(prep, cfg), cfg)
     with open(args.out_prefix + ".wcnf", "w") as f:
         f.write(maxsat.format_wcnf(theory.wcnf))
     with open(args.out_prefix + ".tags", "w") as f:
         f.writelines(f"{i} {tag}\n" for i, tag in enumerate(theory.tags))
-    for key, value in sorted(theory.stats.items()):
-        print(f"{key}={value}")
+    sys.stdout.write(pipeline.render_kv(dict(sorted(theory.stats.items()))))
     return 0
 
 
@@ -115,9 +121,7 @@ def cmd_solve(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _config_from(args)
     prep = pipeline.prepare(cfg)
-    theory = encoding.build_theory(prep.sample, prep.pool, prep.matrix,
-                                   prep.classes, prep.class_of,
-                                   v_slack=cfg.v_slack, pairs=[])
+    theory = pipeline.build_theory(prep, [], cfg)
     with open(args.model) as f:
         model = maxsat.parse_model(f.read(), theory.wcnf.nvars)
     phi, goods, _values = encoding.decode(theory, model)
@@ -127,48 +131,39 @@ def cmd_extract(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    gp = pipeline.load_problem(pipeline.load_domain(args.domain),
-                               args.instance, _goal_params(args))
-    with open(args.policy) as f:
-        pol = policy.parse_policy(f.read())
-    res = policy.verify_exhaustive(pol, gp, max_states=args.max_states)
-    print(f"states={res.n_states}")
-    print(f"compatible_transitions={res.n_compatible}")
-    print(f"complete={int(res.complete)}")
-    print(f"safe={int(res.safe)}")
-    print(f"acyclic={int(res.acyclic)}")
-    print(f"ok={int(res.ok)}")
+    gp = _instance(args)
+    res = policy.verify_exhaustive(_policy(args), gp, max_states=args.max_states)
+    facts = {"states": res.n_states, "compatible_transitions": res.n_compatible,
+             "complete": int(res.complete), "safe": int(res.safe),
+             "acyclic": int(res.acyclic), "ok": int(res.ok)}
     if res.witness:
-        print(f"witness={res.witness}")
+        facts["witness"] = res.witness
+    sys.stdout.write(pipeline.render_kv(facts))
     return 0 if res.ok else 1
 
 
 def cmd_run(args) -> int:
-    gp = pipeline.load_problem(pipeline.load_domain(args.domain),
-                               args.instance, _goal_params(args))
-    with open(args.policy) as f:
-        pol = policy.parse_policy(f.read())
-    res = policy.greedy_execute(pol, gp, max_steps=args.max_steps,
+    gp = _instance(args)
+    res = policy.greedy_execute(_policy(args), gp, max_steps=args.max_steps,
                                 tie_break=args.tie_break, seed=args.seed)
     for name in res.trajectory:
         print(name)
-    print(f"status={res.status}")
-    print(f"steps={res.steps}")
+    sys.stdout.write(pipeline.render_kv({"status": res.status, "steps": res.steps}))
     return 0 if res.solved else 1
 
 
 def cmd_learn(args) -> int:
     result = pipeline.learn(_config_from(args))
+    human = result.human()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.kv"), "w") as f:
-            f.write(result.report_machine)
-        with open(os.path.join(args.out, "report.txt"), "w") as f:
-            f.write(result.report_human)
+        files = {"report.kv": result.machine(), "report.txt": human}
         if result.policy is not None:
-            with open(os.path.join(args.out, "policy.txt"), "w") as f:
-                f.write(result.policy.dump())
-    sys.stdout.write(result.report_human)
+            files["policy.txt"] = result.policy.dump()
+        for name, text in files.items():
+            with open(os.path.join(args.out, name), "w") as f:
+                f.write(text)
+    sys.stdout.write(human)
     return result.exit_code
 
 
@@ -185,14 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="print the generated feature pool")
     _add_instance_args(p, many=True)
-    _add_pool_args(p)
-    p.add_argument("--max-pool", type=int)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("encode", help="write the theory as WCNF")
     _add_instance_args(p, many=True)
-    _add_pool_args(p)
-    p.add_argument("--max-pool", type=int)
     p.add_argument("--v-slack", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-prefix", required=True,
@@ -208,8 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract a policy from a solver model")
     _add_instance_args(p, many=True)
-    _add_pool_args(p)
-    p.add_argument("--max-pool", type=int)
     p.add_argument("--v-slack", type=int)
     p.add_argument("--model", required=True,
                    help="file with the solver's v lines")
@@ -225,22 +214,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     p.add_argument("--policy", required=True)
     p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--tie-break", default="first", choices=["first", "random"])
+    p.add_argument("--tie-break", default="first", choices=policy.TIE_BREAKS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("learn", help="run the whole pipeline")
     _add_instance_args(p, many=True)
-    _add_pool_args(p)
     p.add_argument("--test", dest="test_paths", metavar="TEST", nargs="*",
                    help="held-out test instances")
-    p.add_argument("--max-pool", type=int)
     p.add_argument("--max-states", type=int)
     p.add_argument("--v-slack", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--solver-time-limit", type=float, default=None)
     p.add_argument("--solver-backend")
-    p.add_argument("--tie-break", choices=["first", "random"])
+    p.add_argument("--tie-break", choices=policy.TIE_BREAKS)
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--out", help="directory for policy and report files")
     p.set_defaults(func=cmd_learn)

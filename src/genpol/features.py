@@ -25,6 +25,7 @@ verification and execution over the states at hand (`Policy.evaluate`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -94,9 +95,20 @@ class DistanceFeature:
         return ctx.min_distance(dmap, ctx.concept(self.target))
 
 
+# Deepest nesting of a feature text, one level per parenthesis and per role
+# suffix (_plus, _inv).  Parsing, hashing and evaluating recurse per level,
+# so a far deeper text ends in a bare RecursionError; generated features
+# nest a few levels.
+MAX_NESTING = 100
+
+
 def parse_feature(weight: int, kind: str, text: str):
     """Rebuild a feature from its pool/policy file fields."""
     text = text.strip()
+    depth = (max(accumulate((c == "(") - (c == ")") for c in text), default=0)
+             + text.count("_plus") + text.count("_inv"))
+    if depth > MAX_NESTING:
+        raise co.ExpressionParseError(f"nesting depth {depth} exceeds {MAX_NESTING}")
     boolean = kind == "bool"
     if text.startswith("Atom(") and text.endswith(")"):
         return NullaryFeature(text[5:-1].strip(), weight, True)

@@ -48,35 +48,9 @@ class RunConfig:
             raise GenpolError("v_slack must be at least 1")
         if not self.training_paths:
             raise GenpolError("at least one training instance is required")
-        if self.tie_break not in ("first", "random"):
-            raise GenpolError(f"unknown tie_break '{self.tie_break}'")
         maxsat.check_time_limit(self.solver_time_limit)
+        policy_mod.check_tie_break(self.tie_break)
         policy_mod.check_max_steps(self.max_steps)
-
-
-@dataclass
-class TestOutcome:
-    name: str
-    status: str
-    steps: int
-
-
-@dataclass
-class LearnResult:
-    status: str                  # ok | unsat
-    message: str = ""
-    policy: object = None
-    report_machine: str = ""
-    report_human: str = ""
-    cost: int | None = None
-    iterations: int = 0
-    verify_ok: bool = False
-    tests: list = field(default_factory=list)
-
-    @property
-    def exit_code(self) -> int:
-        """0 for a policy found and verified on every training instance."""
-        return 0 if self.status == "ok" and self.verify_ok else 1
 
 
 @dataclass
@@ -122,6 +96,20 @@ def prepare(config: RunConfig) -> Prepared:
                     {"expand": t1 - t0, "pool": t2 - t1})
 
 
+def start_pairs(prep: Prepared, config: RunConfig) -> list:
+    """The class pairs tau that constraint generation starts from."""
+    return encoding.initial_pairs(prep.classes, prep.class_of, prep.sample,
+                                  seed=config.seed)
+
+
+def build_theory(prep: Prepared, pairs: list, config: RunConfig) -> encoding.Theory:
+    """The theory of a prepared sample with its separation constraints
+    restricted to the class pairs `pairs`."""
+    return encoding.build_theory(prep.sample, prep.pool, prep.matrix,
+                                 prep.classes, prep.class_of,
+                                 v_slack=config.v_slack, pairs=pairs)
+
+
 @dataclass
 class Fixpoint:
     """Where constraint generation stopped."""
@@ -143,9 +131,7 @@ def solve_fixpoint(prep: Prepared, pairs: list, config: RunConfig) -> Fixpoint:
         if iterations > MAX_ITERATIONS:
             raise GenpolError(f"constraint generation did not converge in "
                               f"{MAX_ITERATIONS} rounds")
-        theory = encoding.build_theory(prep.sample, prep.pool, prep.matrix,
-                                       prep.classes, prep.class_of,
-                                       v_slack=config.v_slack, pairs=pairs)
+        theory = build_theory(prep, pairs, config)
         if theory.infeasible is not None:
             g, ng = theory.infeasible
             return Fixpoint(theory, None, [], [], iterations,
@@ -179,25 +165,54 @@ _TABLE = (("status", "status"), ("instances", "n_instances"),
           ("message", "message"))
 
 
+def render_kv(facts: dict) -> str:
+    """One `key=value` line per fact, in order: report.kv and the stdout of
+    the stage commands."""
+    return "".join(f"{k}={v}\n" for k, v in facts.items())
+
+
 @dataclass
-class RunRecord:
+class LearnResult:
     """What one `learn` run established, filled in as each stage finishes.
 
     `facts` is report.kv key for key, in order.  `times` holds the stage
     times in seconds, in stage order; only report.txt shows them, so
-    report.kv stays deterministic.
+    report.kv stays deterministic.  `policy` is None unless one was found.
+    The other attributes read `facts`.
     """
     facts: dict = field(default_factory=dict)
     times: dict = field(default_factory=dict)
+    policy: object = None
 
-    def verified(self) -> bool:
+    @property
+    def status(self) -> str:  # ok | unsat
+        return self.facts["status"]
+
+    @property
+    def message(self) -> str:  # why no policy exists; empty when one does
+        return self.facts.get("message", "")
+
+    @property
+    def cost(self) -> int | None:
+        return self.facts.get("optimum_cost")
+
+    @property
+    def verify_ok(self) -> bool:
+        """Whether the policy verified on every training instance."""
         n = self.facts["n_instances"]
         return all(self.facts.get(f"verify.{i}.ok") for i in range(n))
 
+    @property
+    def exit_code(self) -> int:
+        """0 for a policy found and verified on every training instance."""
+        return 0 if self.status == "ok" and self.verify_ok else 1
+
     def machine(self) -> str:
-        return "".join(f"{k}={v}\n" for k, v in self.facts.items())
+        """report.kv"""
+        return render_kv(self.facts)
 
     def human(self) -> str:
+        """report.txt"""
         facts = self.facts
         shown = dict(facts)
         shown["n_instances"] = ", ".join(
@@ -206,7 +221,7 @@ class RunRecord:
             shown["selected"] = ", ".join(
                 s.rsplit(":", 1)[0] for s in facts["selected"].split(";"))
         if "verify.0.ok" in facts:
-            shown["verify.0.ok"] = "pass" if self.verified() else "FAIL"
+            shown["verify.0.ok"] = "pass" if self.verify_ok else "FAIL"
         if "tests.solved" in facts:
             shown["tests.solved"] = f"{facts['tests.solved']}/{facts['tests.total']}"
         rows = [(label, str(shown[key])) for label, key in _TABLE if key in shown]
@@ -220,13 +235,11 @@ def learn(config: RunConfig) -> LearnResult:
     t0 = time.monotonic()
     prep = prepare(config)
     sample, pool, matrix = prep.sample, prep.pool, prep.matrix
-    classes, class_of = prep.classes, prep.class_of
-    rec = RunRecord(times=prep.times)
-    facts = rec.facts
+    res = LearnResult(times=prep.times)
+    facts = res.facts
     facts.update(status="ok", seed=config.seed,
                  max_feature_weight=config.max_feature_weight,
-                 v_slack=config.v_slack,
-                 n_instances=len(sample.spaces))
+                 v_slack=config.v_slack, n_instances=len(sample.spaces))
     for i, sp in enumerate(sample.spaces):
         facts[f"instance.{i}.name"] = sp.gp.instance.name
         facts[f"instance.{i}.states"] = sp.n_states
@@ -238,24 +251,21 @@ def learn(config: RunConfig) -> LearnResult:
                  pool_size=len(pool))
 
     t2 = time.monotonic()
-    pairs = encoding.initial_pairs(classes, class_of, sample, seed=config.seed)
-    fix = solve_fixpoint(prep, pairs, config)
-    rec.times["solve"] = time.monotonic() - t2
+    fix = solve_fixpoint(prep, start_pairs(prep, config), config)
+    res.times["solve"] = time.monotonic() - t2
     facts["n_classes"] = fix.theory.n_good
     for key in ("n_vars", "n_hard", "n_soft", "n_clauses_full", "n_pairs"):
         facts[key] = fix.theory.stats[key]
     facts["iterations"] = fix.iterations
 
-    pol = None
-    tests = []
-    phi = fix.phi
     if fix.message:
-        facts["status"] = "unsat"
-        facts["message"] = fix.message
+        facts.update(status="unsat", message=fix.message)
     else:
         facts["optimum_cost"] = fix.result.cost
         t3 = time.monotonic()
-        pol = policy_mod.extract_policy(pool, phi, classes, fix.goods)
+        phi = fix.phi
+        pol = res.policy = policy_mod.extract_policy(pool, phi, prep.classes,
+                                                     fix.goods)
         facts["n_selected"] = len(phi)
         facts["selected"] = ";".join(f"{f.render()}:{f.weight}"
                                      for f in pol.features)
@@ -264,31 +274,20 @@ def learn(config: RunConfig) -> LearnResult:
             v = verify_space(pol, sp, matrix[phi, off:off + sp.n_states].T)
             for key in ("ok", "complete", "safe", "acyclic"):
                 facts[f"verify.{i}.{key}"] = int(getattr(v, key))
-        rec.times["verify"] = time.monotonic() - t3
+        res.times["verify"] = time.monotonic() - t3
 
         t4 = time.monotonic()
-        tests = run_tests(config, prep.dom, pol)
-        if tests:
-            facts["tests.solved"] = sum(1 for t in tests if t.status == "goal")
-            facts["tests.total"] = len(tests)
-            for i, t in enumerate(tests):
-                facts[f"test.{i}.name"] = t.name
-                facts[f"test.{i}.status"] = t.status
-                facts[f"test.{i}.steps"] = t.steps
-        rec.times["tests"] = time.monotonic() - t4
-    rec.times["total"] = time.monotonic() - t0
-
-    return LearnResult(facts["status"], fix.message, pol, rec.machine(),
-                       rec.human(), facts.get("optimum_cost"), fix.iterations,
-                       rec.verified(), tests)
-
-
-def run_tests(config: RunConfig, dom, pol) -> list:
-    outcomes = []
-    for path in config.test_paths:
-        gp = load_problem(dom, path, config.goal_params)
-        res = policy_mod.greedy_execute(pol, gp, max_steps=config.max_steps,
-                                        tie_break=config.tie_break,
-                                        seed=config.seed)
-        outcomes.append(TestOutcome(gp.instance.name, res.status, res.steps))
-    return outcomes
+        if config.test_paths:
+            facts.update({"tests.solved": 0, "tests.total": len(config.test_paths)})
+        for i, path in enumerate(config.test_paths):
+            gp = load_problem(prep.dom, path, config.goal_params)
+            run = policy_mod.greedy_execute(pol, gp, max_steps=config.max_steps,
+                                            tie_break=config.tie_break,
+                                            seed=config.seed)
+            facts["tests.solved"] += run.solved
+            facts[f"test.{i}.name"] = gp.instance.name
+            facts[f"test.{i}.status"] = run.status
+            facts[f"test.{i}.steps"] = run.steps
+        res.times["tests"] = time.monotonic() - t4
+    res.times["total"] = time.monotonic() - t0
+    return res

@@ -38,6 +38,7 @@ INC = "inc"
 DEC = "dec"
 
 BLOCK_STATES = 8192  # states evaluated together by `Policy.evaluate`
+TIE_BREAKS = ("first", "random")  # how `greedy_execute` picks among moves
 
 
 @dataclass(frozen=True)
@@ -255,41 +256,41 @@ def check_max_steps(max_steps: int | None):
         raise GenpolError(f"max_steps must be non-negative, got {max_steps}")
 
 
+def check_tie_break(tie_break: str):
+    """Rejects a tie break not in `TIE_BREAKS`."""
+    if tie_break not in TIE_BREAKS:
+        raise GenpolError(f"unknown tie_break '{tie_break}'")
+
+
 def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
                    tie_break: str = "first", seed: int = 0) -> ExecutionResult:
-    """Follows policy-compatible transitions from the initial state.  The
-    feature values of one step's successors are kept for the next step only,
-    which finds there the values of the state it starts from."""
+    """Follows policy-compatible transitions from the initial state."""
     check_max_steps(max_steps)
+    check_tie_break(tie_break)
     if max_steps is None:
         max_steps = 10 * max(4, len(gp.objects)) ** 2
     rng = random.Random(seed)
     ictx = co.InstanceContext(gp)
     state = gp.init
-    cache = {state.tobytes(): policy.evaluate(ictx, state[None])[0]}
+    src = policy.evaluate(ictx, state[None])[0]
     visited = {state.tobytes()}
     trajectory: list = []
     for step in range(max_steps):
         if gp.is_goal(state):
             return ExecutionResult("goal", step, trajectory)
         aids, succ = gp.successors(state)
-        src = cache[state.tobytes()]
-        keys = [row.tobytes() for row in succ]
-        new = {k: i for i, k in enumerate(keys) if k not in cache}
-        cache = ({k: cache[k] for k in keys if k in cache}
-                 | dict(zip(new, policy.evaluate(ictx, succ[list(new.values())]))))
-        dst = np.array([cache[k] for k in keys], dtype=np.int64)
-        dst = dst.reshape(len(keys), len(policy.features))
+        dst = policy.evaluate(ictx, succ)
         options = np.flatnonzero(policy.compatible_mask(
             np.broadcast_to(src, dst.shape), dst)).tolist()
         if not options:
             return ExecutionResult("no_compatible", step, trajectory)
         i = options[0] if tie_break == "first" else rng.choice(options)
-        if keys[i] in visited:
+        key = succ[i].tobytes()
+        if key in visited:
             return ExecutionResult("cycle", step, trajectory)
-        visited.add(keys[i])
+        visited.add(key)
         trajectory.append(gp.actions[aids[i]])
-        state = succ[i]
+        state, src = succ[i], dst[i]
     if gp.is_goal(state):
         return ExecutionResult("goal", max_steps, trajectory)
     return ExecutionResult("step_limit", max_steps, trajectory)

@@ -109,7 +109,7 @@ def test_criterion_2_clear_reproduction(tmp_path, capsys):
         result = pipeline.learn(_config(tmp_path, "clear"))
         assert result.status == "ok"
         report = dict(line.split("=", 1)
-                      for line in result.report_machine.splitlines())
+                      for line in result.machine().splitlines())
         assert report["n_alive_transitions"] == "1161"
         assert 8 <= result.cost <= 10
         assert result.verify_ok
@@ -137,7 +137,7 @@ def test_criterion_3_visitall_reproduction(tmp_path, capsys):
         result = pipeline.learn(_config(tmp_path, "visitall"))
         assert result.status == "ok"
         report = dict(line.split("=", 1)
-                      for line in result.report_machine.splitlines())
+                      for line in result.machine().splitlines())
         assert report["n_alive_transitions"] == "2396"
         assert len(result.policy.rules) <= 2
 
@@ -439,7 +439,7 @@ def test_criterion_9_informational_encoding_sizes(tmp_path, capsys):
         for name in ("clear", "gripper", "visitall"):
             result = pipeline.learn(_config(tmp_path, name))
             report = dict(line.split("=", 1)
-                          for line in result.report_machine.splitlines())
+                          for line in result.machine().splitlines())
             n_vars = int(report["n_vars"])
             n_clauses = int(report["n_clauses_full"])
             ref_v, ref_c = REFERENCE_SIZES[name]

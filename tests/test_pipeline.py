@@ -31,14 +31,14 @@ def test_learn_clear_end_to_end(clear_files):
     assert result.status == "ok" and result.exit_code == 0
     assert result.cost == 8
     assert result.verify_ok
-    assert result.iterations == 1
+    assert result.facts["iterations"] == 1
     pol = result.policy
     assert sorted(f.render() for f in pol.features) == [
         "And(Nominal(goal0),holding)",
         "Exists(on_plus,Nominal(goal0))",
         "holding",
     ]
-    lines = result.report_machine.splitlines()
+    lines = result.machine().splitlines()
     assert all("=" in line for line in lines)
     report = dict(line.split("=", 1) for line in lines)
     assert report["status"] == "ok"
@@ -48,14 +48,14 @@ def test_learn_clear_end_to_end(clear_files):
     assert report["n_alive_transitions"] == "1161"
     assert report["verify.0.ok"] == "1"
     # The human report carries the same headline facts.
-    assert "optimum cost" in result.report_human
-    assert "pass" in result.report_human
+    assert "optimum cost" in result.human()
+    assert "pass" in result.human()
 
 
 def test_learn_is_deterministic(clear_files):
     a = pipeline.learn(_clear_config(clear_files))
     b = pipeline.learn(_clear_config(clear_files))
-    assert a.report_machine == b.report_machine
+    assert a.machine() == b.machine()
     assert a.policy.dump() == b.policy.dump()
 
 
@@ -64,11 +64,7 @@ def test_learn_matches_manual_stage_composition(clear_files):
     result = pipeline.learn(cfg)
 
     prep = pipeline.prepare(cfg)
-    pairs = encoding.initial_pairs(prep.classes, prep.class_of, prep.sample,
-                                   seed=cfg.seed)
-    theory = encoding.build_theory(prep.sample, prep.pool, prep.matrix,
-                                   prep.classes, prep.class_of,
-                                   v_slack=cfg.v_slack, pairs=pairs)
+    theory = pipeline.build_theory(prep, pipeline.start_pairs(prep, cfg), cfg)
     res = maxsat.solve_wcnf(theory.wcnf)
     assert res.cost == result.cost
     phi, goods, _ = encoding.decode(theory, res.model)
@@ -81,7 +77,7 @@ def test_learn_reports_unsat_for_weak_feature_pool(clear_files):
     assert result.status == "unsat" and result.exit_code == 1
     assert "no policy in feature space" in result.message
     assert result.policy is None
-    assert "status=unsat" in result.report_machine
+    assert "status=unsat" in result.machine()
 
 
 _SAMPLE_KV = """\
@@ -146,14 +142,14 @@ message=no policy in feature space: theory is unsatisfiable
 def test_learn_reports_pinned(clear_files, weight):
     result = pipeline.learn(_clear_config(clear_files,
                                           max_feature_weight=weight))
-    assert result.report_machine == _EXPECTED_KV[weight]
+    assert result.machine() == _EXPECTED_KV[weight]
     ok = result.status == "ok"
     assert result.verify_ok == ok and (result.policy is not None) == ok
     assert result.cost == (8 if ok else None)
     if not ok:
-        assert result.message in result.report_machine
+        assert result.message in result.machine()
     # report.txt lists the stage times in stage order.
-    times = [line.split()[1] for line in result.report_human.splitlines()
+    times = [line.split()[1] for line in result.human().splitlines()
              if line.startswith("time ")]
     stages = ["expand", "pool", "solve"] + (["verify", "tests"] if ok else [])
     assert times == stages + ["total"]
@@ -228,8 +224,8 @@ def test_learn_runs_heldout_tests(clear_files, tmp_path):
     t2.write_text(text)
     cfg = _clear_config(clear_files, test_paths=[str(t1), str(t2)])
     result = pipeline.learn(cfg)
-    assert [t.status for t in result.tests] == ["goal", "goal"]
-    assert "tests.solved=2" in result.report_machine
+    assert [result.facts[f"test.{i}.status"] for i in range(2)] == ["goal", "goal"]
+    assert "tests.solved=2" in result.machine()
 
 
 def test_cli_expand(clear_files, capsys):
@@ -267,18 +263,27 @@ def test_cli_learn_unsat_exit_code(clear_files, capsys):
     assert "no policy in feature space" in capsys.readouterr().out
 
 
+def _learn_result(status, *verified):
+    facts = {"status": status, "n_instances": len(verified)}
+    facts.update((f"instance.{i}.name", f"i{i}") for i in range(len(verified)))
+    facts.update((f"verify.{i}.ok", int(ok)) for i, ok in enumerate(verified))
+    return pipeline.LearnResult(facts)
+
+
 def test_learn_exit_code_needs_a_verified_policy():
-    assert pipeline.LearnResult("ok", verify_ok=True).exit_code == 0
-    assert pipeline.LearnResult("ok", verify_ok=False).exit_code == 1
-    assert pipeline.LearnResult("unsat").exit_code == 1
+    assert _learn_result("ok", True).exit_code == 0
+    assert _learn_result("ok", False).exit_code == 1
+    assert _learn_result("ok", True, False).exit_code == 1
+    assert _learn_result("unsat").exit_code == 1
 
 
 def test_cli_learn_returns_the_result_exit_code(clear_files, monkeypatch, capsys):
     dom, train = clear_files
-    result = pipeline.LearnResult("ok", report_human="unverified\n", verify_ok=False)
+    result = _learn_result("ok", False)
     monkeypatch.setattr(pipeline, "learn", lambda config: result)
     assert cli.main(["learn", "--domain", dom, "--training", train]) == 1
-    assert capsys.readouterr().out == "unverified\n"
+    assert capsys.readouterr().out == result.human()
+    assert "verification  FAIL" in result.human()
 
 
 @pytest.mark.parametrize("limit", [0, -1.5, float("nan"), float("inf")])
@@ -295,6 +300,53 @@ def test_solver_time_limit_must_be_positive(clear_files, tmp_path, capsys, limit
         assert "solver time limit must be positive and finite" in capsys.readouterr().err
 
 
+# Stage command stdout on the clear-5 fixture (maximum feature weight 4) and
+# the unseen clear-7 tower, taken byte for byte from the stage printers.
+_ENCODE_STATS = """\
+n_alive_transitions=1161
+n_clauses_full=10057
+n_hard=10019
+n_pairs=1035
+n_soft=38
+n_states=866
+n_vars=2323
+"""
+_VERIFY_LEARNED = """\
+states=65990
+compatible_transitions=68983
+complete=1
+safe=1
+acyclic=1
+ok=1
+"""
+# `holding` flips forever: every state is covered, but not acyclically.
+_CYCLIC_POLICY = "feature 0 1 bool holding\nrule f0 -> !f0\nrule !f0 -> f0\n"
+_VERIFY_CYCLIC = """\
+states=65990
+compatible_transitions=115363
+complete=1
+safe=1
+acyclic=0
+ok=0
+witness=compatible cycle through state 1
+"""
+_RUN_RANDOM_3 = """\
+unstack(b7,b6)
+putdown(b7)
+unstack(b6,b5)
+stack(b6,b7)
+unstack(b5,b4)
+putdown(b5)
+unstack(b4,b3)
+stack(b4,b5)
+unstack(b3,b2)
+putdown(b3)
+unstack(b2,b1)
+status=goal
+steps=11
+"""
+
+
 def test_cli_stagewise_chain(clear_files, tmp_path, capsys):
     """encode -> solve -> extract -> verify -> run reproduces `learn`."""
     dom, train = clear_files
@@ -303,11 +355,9 @@ def test_cli_stagewise_chain(clear_files, tmp_path, capsys):
                    "--goal-params", "b1", "--max-feature-weight", "4",
                    "--out-prefix", prefix])
     assert rc == 0
-    stats = dict(line.split("=") for line in
-                 capsys.readouterr().out.splitlines())
-    assert int(stats["n_vars"]) > 0 and int(stats["n_hard"]) > 0
+    assert capsys.readouterr().out == _ENCODE_STATS
     tags = (tmp_path / "clear.tags").read_text().splitlines()
-    assert int(stats["n_hard"]) == len(tags)
+    assert len(tags) == 10019  # one per hard clause
 
     rc = cli.main(["solve", "--wcnf", prefix + ".wcnf"])
     out = capsys.readouterr().out
@@ -324,19 +374,60 @@ def test_cli_stagewise_chain(clear_files, tmp_path, capsys):
     policy_text = capsys.readouterr().out
     pol_path = tmp_path / "policy.txt"
     pol_path.write_text(policy_text)
-    assert len(po.parse_policy(policy_text).features) == 3
+    learned = pipeline.learn(_clear_config(clear_files))
+    assert policy_text == learned.policy.dump()
 
     unseen = tmp_path / "seven.pddl"
     unseen.write_text(domains.clear_tower_instance(7))
-    rc = cli.main(["verify", "--domain", dom, "--instance", str(unseen),
-                   "--goal-params", "b1", "--policy", str(pol_path)])
-    out = capsys.readouterr().out
-    assert rc == 0 and "ok=1" in out
+    instance = ["--domain", dom, "--instance", str(unseen), "--goal-params", "b1"]
+    rc = cli.main(["verify", *instance, "--policy", str(pol_path)])
+    assert rc == 0 and capsys.readouterr().out == _VERIFY_LEARNED
 
-    rc = cli.main(["run", "--domain", dom, "--instance", str(unseen),
-                   "--goal-params", "b1", "--policy", str(pol_path)])
-    out = capsys.readouterr().out
-    assert rc == 0 and "status=goal" in out
+    cyclic = tmp_path / "cyclic.txt"
+    cyclic.write_text(_CYCLIC_POLICY)
+    rc = cli.main(["verify", *instance, "--policy", str(cyclic)])
+    assert rc == 1 and capsys.readouterr().out == _VERIFY_CYCLIC
+
+    rc = cli.main(["run", *instance, "--policy", str(pol_path),
+                   "--tie-break", "random", "--seed", "3"])
+    assert rc == 0 and capsys.readouterr().out == _RUN_RANDOM_3
+
+
+# `holding` nested inside `depth` Nots; an even number keeps its values.
+def _nested(depth):
+    return "Not(" * depth + "holding" + ")" * depth
+
+
+@pytest.mark.parametrize("text,depth", [
+    (_nested(600), 600), (_nested(2000), 2000),
+    ("Exists(on" + "_inv" * 2000 + ",Nominal(goal0))", 2002)],
+    ids=["not-600", "not-2000", "inv-2000"])
+def test_cli_rejects_deeply_nested_policy_features(clear_files, tmp_path,
+                                                    capsys, text, depth):
+    dom, train = clear_files
+    pol = tmp_path / "deep.txt"
+    pol.write_text(f"feature 0 1 bool {text}\nrule f0 -> !f0\n")
+    for cmd in ("verify", "run"):
+        rc = cli.main([cmd, "--domain", dom, "--instance", train,
+                       "--goal-params", "b1", "--policy", str(pol)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: line 1: bad feature: nesting depth "
+                                f"{depth} exceeds 100\n")
+        assert captured.out == ""
+
+
+def test_policy_feature_at_the_nesting_bound_verifies(clear_files, tmp_path,
+                                                      capsys):
+    dom, train = clear_files
+    learned = pipeline.learn(_clear_config(clear_files)).policy.dump()
+    pol = tmp_path / "deep.txt"
+    pol.write_text(learned.replace(" bool holding\n",
+                                   f" bool {_nested(100)}\n", 1))
+    assert _nested(100) in pol.read_text()
+    rc = cli.main(["verify", "--domain", dom, "--instance", train,
+                   "--goal-params", "b1", "--policy", str(pol)])
+    assert rc == 0 and capsys.readouterr().out.endswith("ok=1\n")
 
 
 def test_cli_verify_rejects_bad_policy(clear_files, tmp_path, capsys):

@@ -187,6 +187,12 @@ def test_greedy_execution_statuses():
         po.greedy_execute(clear_pol, gp3, max_steps=-5)
 
 
+def test_unknown_tie_break_is_rejected():
+    gp = _ground(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(3), ("b1",))
+    with pytest.raises(GenpolError, match="unknown tie_break 'best'"):
+        po.greedy_execute(po.parse_policy(CLEAR_POLICY), gp, tie_break="best")
+
+
 def test_verify_reports_incompleteness():
     lazy = po.parse_policy(
         "feature 0 1 bool holding\n"
