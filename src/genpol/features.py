@@ -103,7 +103,11 @@ MAX_NESTING = 100
 
 
 def parse_feature(weight: int, kind: str, text: str):
-    """Rebuild a feature from its pool/policy file fields."""
+    """Rebuild a feature from its pool/policy file fields.  The kind is
+    `bool` or `num`; an Atom(...) is always bool and a Dist(...) always num,
+    and any other kind is an ExpressionParseError."""
+    if kind not in ("bool", "num"):
+        raise co.ExpressionParseError(f"unknown feature kind '{kind}' (bool or num)")
     text = text.strip()
     depth = (max(accumulate((c == "(") - (c == ")") for c in text), default=0)
              + text.count("_plus") + text.count("_inv"))
@@ -111,8 +115,12 @@ def parse_feature(weight: int, kind: str, text: str):
         raise co.ExpressionParseError(f"nesting depth {depth} exceeds {MAX_NESTING}")
     boolean = kind == "bool"
     if text.startswith("Atom(") and text.endswith(")"):
+        if not boolean:
+            raise co.ExpressionParseError(f"'{text}' is a bool feature, not {kind}")
         return NullaryFeature(text[5:-1].strip(), weight, True)
     if text.startswith("Dist(") and text.endswith(")"):
+        if boolean:
+            raise co.ExpressionParseError(f"'{text}' is a num feature, not {kind}")
         args = co._split_args(text[5:-1])
         if len(args) != 4:
             raise co.ExpressionParseError(f"Dist takes 4 arguments: '{text}'")
@@ -120,6 +128,30 @@ def parse_feature(weight: int, kind: str, text: str):
                                co.parse_expression(args[2]), co.parse_expression(args[3]),
                                weight, False)
     return CardinalityFeature(co.parse_expression(text), weight, boolean)
+
+
+def parse_feature_line(line: str, index: int):
+    """The feature of one `id weight kind expression` line, the id of which
+    must be `index` (ids are dense from 0); ExpressionParseError otherwise."""
+    fields = line.split(maxsplit=3)
+    if len(fields) != 4:
+        raise co.ExpressionParseError(
+            f"expected 'id weight kind expression': '{line}'")
+    try:
+        idx, weight = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise co.ExpressionParseError(
+            f"id and weight must be integers: '{line}'") from None
+    if idx != index:
+        raise co.ExpressionParseError(
+            f"feature ids must be dense: expected {index}, got {idx}")
+    return parse_feature(weight, fields[2], fields[3])
+
+
+def render_feature_line(index: int, feature) -> str:
+    """The `id weight kind expression` line parse_feature_line reads back."""
+    kind = "bool" if feature.is_boolean else "num"
+    return f"{index} {feature.weight} {kind} {feature.render()}"
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +228,20 @@ class FeaturePool:
         return len(self.features)
 
     def dump(self) -> str:
-        lines = [f"{i} {f.weight} {'bool' if f.is_boolean else 'num'} {f.render()}"
-                 for i, f in enumerate(self.features)]
+        lines = [render_feature_line(i, f) for i, f in enumerate(self.features)]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
 def load_pool(text: str) -> FeaturePool:
     feats = []
-    for line in text.splitlines():
-        line = line.strip()
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        idx, weight, kind, expr = line.split(maxsplit=3)
-        if int(idx) != len(feats):
-            raise GenpolError(f"pool ids must be dense, got {idx}")
-        feats.append(parse_feature(int(weight), kind, expr))
+        try:
+            feats.append(parse_feature_line(line, len(feats)))
+        except co.ExpressionParseError as e:
+            raise co.ExpressionParseError(f"line {ln}: bad feature: {e}") from e
     return FeaturePool(feats, np.array([f.weight for f in feats], dtype=np.int64),
                        np.array([f.is_boolean for f in feats], dtype=bool))
 

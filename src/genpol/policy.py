@@ -29,7 +29,7 @@ import numpy as np
 from genpol import concepts as co
 from genpol.encoding import FLAT, UP, Classes, validate_solution
 from genpol.errors import GenpolError, InternalInvariantError, PolicyError
-from genpol.features import parse_feature
+from genpol.features import parse_feature_line, render_feature_line
 from genpol.space import expand_labeled
 
 SET_TRUE = "set"
@@ -111,10 +111,8 @@ class Policy:
     # -- serialization -------------------------------------------------------
 
     def dump(self) -> str:
-        lines = []
-        for i, f in enumerate(self.features):
-            kind = "bool" if f.is_boolean else "num"
-            lines.append(f"feature {i} {f.weight} {kind} {f.render()}")
+        lines = [f"feature {render_feature_line(i, f)}"
+                 for i, f in enumerate(self.features)]
         for rule in self.rules:
             body = " ".join(self._cond_str(c) for c in rule.body) or "true"
             alts = " | ".join(
@@ -142,11 +140,9 @@ def parse_policy(text: str) -> Policy:
             continue
         if line.startswith("feature "):
             try:
-                _, idx, weight, kind, expr = line.split(maxsplit=4)
-                if int(idx) != len(features):
-                    raise PolicyError(f"line {ln}: feature ids must be dense")
-                features.append(parse_feature(int(weight), kind, expr))
-            except (ValueError, co.ExpressionParseError) as e:
+                features.append(parse_feature_line(line[len("feature "):],
+                                                   len(features)))
+            except co.ExpressionParseError as e:
                 raise PolicyError(f"line {ln}: bad feature: {e}") from e
         elif line.startswith("rule "):
             try:

@@ -8,6 +8,19 @@ final-core extraction, which the MaxSAT layer relies on.
 
 Variables are 1-based.  The public API takes signed DIMACS-style integers;
 internally literal v is encoded as 2v (positive) or 2v+1 (negative).
+
+Values are kept per literal, as in MiniSat (Een and Sorensson, SAT 2003):
+`lval[code]` is 1 when literal `code` is true, 0 when it is false and
+UNASSIGNED otherwise, so reading a literal's value is one index.
+
+The branching heap holds (-activity, v) entries and keeps one live entry per
+variable: `queued[v]` is the activity of v's live entry, or None once that
+entry has been popped, and an entry at any other activity is stale and
+skipped when popped.  A variable is pushed (when unassigned, bumped or
+rescaled) only when it has no entry at its current activity.  Every
+unassigned variable has a live entry at its activity, so the first live
+entry of an unassigned variable popped is the unassigned variable of highest
+activity, the lowest index on ties.
 """
 
 from __future__ import annotations
@@ -38,11 +51,12 @@ class Cdcl:
         self.clauses = []        # problem clauses (lists of encoded lits)
         self.learnts = []
         self.watches = [[], []]  # indexed by encoded literal
-        self.val = [UNASSIGNED]  # indexed by variable
+        self.lval = [UNASSIGNED, UNASSIGNED]  # indexed by encoded literal
         self.level = [0]
         self.reason = [None]     # invariant: reason[v][0] is v's literal
         self.phase = [0]
         self.activity = [0.0]
+        self.queued = [None]     # activity of v's live heap entry, or None
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -60,27 +74,25 @@ class Cdcl:
 
     # -- variables -----------------------------------------------------
 
-    def new_var(self) -> int:
-        self.nvars += 1
-        self.val.append(UNASSIGNED)
-        self.level.append(0)
-        self.reason.append(None)
-        self.phase.append(0)
-        self.activity.append(0.0)
-        self.watches.append([])
-        self.watches.append([])
-        heappush(self.heap, (0.0, self.nvars))
-        return self.nvars
-
     def ensure_vars(self, n: int):
-        while self.nvars < n:
-            self.new_var()
+        """Creates variables nvars + 1 .. n, unassigned at activity 0."""
+        k = n - self.nvars
+        if k <= 0:
+            return
+        first = self.nvars + 1
+        self.nvars = n
+        self.lval += [UNASSIGNED] * (2 * k)
+        self.level += [0] * k
+        self.reason += [None] * k
+        self.phase += [0] * k
+        self.activity += [0.0] * k
+        self.queued += [0.0] * k
+        self.watches += [[] for _ in range(2 * k)]
+        # No entry is above (0.0, first), so appending keeps the heap order
+        # (and is what pushing one by one would leave).
+        self.heap += [(0.0, v) for v in range(first, n + 1)]
 
     # -- clause management ----------------------------------------------
-
-    def _lit_value(self, code: int) -> int:
-        v = self.val[code >> 1]
-        return v if v == UNASSIGNED else v ^ (code & 1)
 
     def add_clause(self, lits) -> bool:
         """Add a problem clause (signed ints).  False means the formula is
@@ -97,7 +109,7 @@ class Cdcl:
                 return True  # tautology
             if code in seen:
                 continue
-            v = self._lit_value(code)
+            v = self.lval[code]
             if v == 1:
                 return True  # satisfied at level 0
             if v == 0:
@@ -167,10 +179,12 @@ class Cdcl:
                 for stop in (np.flatnonzero(special) + at).tolist() + [m]:
                     if stop > at:
                         self.ensure_vars(int(var[bounds[at]:bounds[stop]].max()))
+                        watches, clauses = self.watches, self.clauses
                         for a, b in zip(bounds[at:stop], bounds[at + 1:stop + 1]):
                             clause = flat[a:b]
-                            self._attach(clause)
-                            self.clauses.append(clause)
+                            watches[clause[0]].append(clause)
+                            watches[clause[1]].append(clause)
+                            clauses.append(clause)
                     at = stop
                     if stop == m:
                         break
@@ -192,21 +206,27 @@ class Cdcl:
 
     def _enqueue(self, code: int, reason):
         v = code >> 1
-        self.val[v] = 1 ^ (code & 1)
+        self.lval[code] = 1
+        self.lval[code ^ 1] = 0
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
-        self.phase[v] = self.val[v]
+        self.phase[v] = 1 ^ (code & 1)
         self.trail.append(code)
 
     def _cancel_until(self, lvl: int):
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            v = self.trail[i] >> 1
-            self.val[v] = UNASSIGNED
-            self.reason[v] = None
-            heappush(self.heap, (-self.activity[v], v))
+        lval, reason, heap = self.lval, self.reason, self.heap
+        activity, queued = self.activity, self.queued
+        for code in self.trail[bound:]:
+            lval[code] = lval[code ^ 1] = UNASSIGNED
+            v = code >> 1
+            reason[v] = None
+            a = activity[v]
+            if queued[v] != a:
+                queued[v] = a
+                heappush(heap, (-a, v))
         del self.trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = bound
@@ -214,61 +234,78 @@ class Cdcl:
     # -- propagation -----------------------------------------------------
 
     def _propagate(self):
-        """Runs unit propagation; returns a conflicting clause or None."""
-        while self.qhead < len(self.trail):
-            code = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            falsified = code ^ 1
-            ws = self.watches[falsified]
+        """Runs unit propagation; returns a conflicting clause or None.
+
+        Each clause watching the falsified literal is visited in list order.
+        Its other watch moves to c[0]; if that is not true, the watch moves
+        to the first literal of c[2:] that is not false, and failing that
+        c[0] is enqueued (or, when false, c is the conflict)."""
+        trail, lval, watches = self.trail, self.lval, self.watches
+        level, reason, phase = self.level, self.reason, self.phase
+        lvl = len(self.trail_lim)
+        qhead = start = self.qhead
+        confl = None
+        while qhead < len(trail):
+            falsified = trail[qhead] ^ 1
+            qhead += 1
             keep = []
-            n = len(ws)
-            i = 0
-            while i < n:
-                c = ws[i]
-                i += 1
-                if c[0] == falsified:
-                    c[0], c[1] = c[1], c[0]
+            ws = iter(watches[falsified])
+            for c in ws:
                 first = c[0]
-                fv = self.val[first >> 1]
-                if fv != UNASSIGNED and fv == (1 ^ (first & 1)):
+                if first == falsified:
+                    first = c[0] = c[1]
+                    c[1] = falsified
+                fv = lval[first]
+                if fv == 1:
                     keep.append(c)
                     continue
-                moved = False
                 for k in range(2, len(c)):
                     lk = c[k]
-                    lv = self.val[lk >> 1]
-                    if lv == UNASSIGNED or lv == (1 ^ (lk & 1)):
-                        c[1], c[k] = c[k], c[1]
-                        self.watches[lk].append(c)
-                        moved = True
+                    if lval[lk]:  # true or unassigned
+                        c[1] = lk
+                        c[k] = falsified
+                        watches[lk].append(c)
                         break
-                if moved:
-                    continue
-                keep.append(c)
-                if fv == UNASSIGNED:
-                    self._enqueue(first, c)
                 else:
-                    keep.extend(ws[i:])
-                    ws[:] = keep
-                    self.qhead = len(self.trail)
-                    return c
-            ws[:] = keep
-        return None
+                    keep.append(c)
+                    if fv:  # unassigned: enqueue first with reason c
+                        v = first >> 1
+                        lval[first] = 1
+                        lval[first ^ 1] = 0
+                        level[v] = lvl
+                        reason[v] = c
+                        phase[v] = 1 ^ (first & 1)
+                        trail.append(first)
+                    else:
+                        keep.extend(ws)
+                        confl = c
+                        break
+            watches[falsified] = keep
+            if confl is not None:
+                break
+        self.propagations += qhead - start
+        self.qhead = len(trail) if confl is not None else qhead
+        return confl
 
     # -- learning ----------------------------------------------------------
 
     def _bump(self, v: int):
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for u in range(1, self.nvars + 1):
-                self.activity[u] *= 1e-100
+        activity = self.activity
+        activity[v] += self.var_inc
+        if activity[v] > 1e100:
+            activity[:] = [a * 1e-100 for a in activity]
             self.var_inc *= 1e-100
             for u in range(1, self.nvars + 1):
-                if self.val[u] == UNASSIGNED:
-                    heappush(self.heap, (-self.activity[u], u))
-        elif self.val[v] == UNASSIGNED:
-            heappush(self.heap, (-self.activity[v], v))
+                self._requeue(u)
+        else:
+            self._requeue(v)
+
+    def _requeue(self, v: int):
+        """Pushes unassigned v unless it has a live entry at its activity."""
+        a = self.activity[v]
+        if self.lval[2 * v] == UNASSIGNED and self.queued[v] != a:
+            self.queued[v] = a
+            heappush(self.heap, (-a, v))
 
     def _analyze(self, confl):
         """First-UIP conflict analysis.  Returns (learnt, backjump level)."""
@@ -344,13 +381,15 @@ class Cdcl:
     # -- search ------------------------------------------------------------
 
     def _decide_var(self) -> int:
-        while self.heap:
-            act, v = heappop(self.heap)
-            if self.val[v] == UNASSIGNED and -act == self.activity[v]:
-                return v
-        for v in range(1, self.nvars + 1):
-            if self.val[v] == UNASSIGNED:
-                return v
+        """The unassigned variable of highest activity (lowest index on
+        ties), its heap entry popped; 0 when every variable is assigned."""
+        heap, queued, lval = self.heap, self.queued, self.lval
+        while heap:
+            act, v = heappop(heap)
+            if queued[v] == -act:
+                queued[v] = None
+                if lval[2 * v] == UNASSIGNED:
+                    return v
         return 0
 
     def _reduce_learnts(self):
@@ -403,7 +442,7 @@ class Cdcl:
                 self._cancel_until(back)
                 if len(learnt) == 1:
                     self._cancel_until(0)
-                    v = self._lit_value(learnt[0])
+                    v = self.lval[learnt[0]]
                     if v == 0:
                         self.ok = False
                         return False
@@ -432,7 +471,7 @@ class Cdcl:
 
             if len(self.trail_lim) < len(codes):
                 code = codes[len(self.trail_lim)]
-                v = self._lit_value(code)
+                v = self.lval[code]
                 if v == 0:
                     self.core = self._analyze_final(code ^ 1, assumption_set)
                     self._cancel_until(0)
@@ -452,8 +491,7 @@ class Cdcl:
 
     def model(self) -> list:
         """Values after a satisfiable solve(); entry i is variable i (0/1)."""
-        return [0] + [1 if self.val[v] == 1 else 0
-                      for v in range(1, self.nvars + 1)]
+        return [0] + [1 if x == 1 else 0 for x in self.lval[2::2]]
 
 
 def _luby(i: int) -> int:

@@ -296,8 +296,9 @@ UNKNOWN_NAMES = {
 def test_unknown_names_raise_the_per_state_error(text, tmp_path, capsys):
     gp = _ground(domains.VISITALL_DOMAIN, domains.visitall_instance(3, 2, (0, 0)))
     sp = space.expand_labeled(gp)
+    kind = "bool" if text.startswith("Atom(") else "num"  # an atom is bool
     pol = po.Policy([features.parse_feature(2, "num", "Not(visited)"),
-                     features.parse_feature(3, "num", text)], [])
+                     features.parse_feature(3, kind, text)], [])
     with pytest.raises(GenpolError) as raised:
         pol.evaluate(co.InstanceContext(gp), sp.states)
     assert str(raised.value) == UNKNOWN_NAMES[text]
@@ -307,7 +308,7 @@ def test_unknown_names_raise_the_per_state_error(text, tmp_path, capsys):
     instance = tmp_path / "instance.pddl"
     instance.write_text(domains.visitall_instance(3, 2, (0, 0)))
     policy_file = tmp_path / "policy.txt"
-    policy_file.write_text(f"feature 0 2 num Not(visited)\nfeature 1 3 num {text}\n"
+    policy_file.write_text(f"feature 0 2 num Not(visited)\nfeature 1 3 {kind} {text}\n"
                            f"rule f0>0 -> f0--\n")
     rc = cli.main(["verify", "--domain", str(domain), "--instance", str(instance),
                    "--policy", str(policy_file)])

@@ -240,6 +240,29 @@ def test_load_pool_rejects_sparse_ids():
         features.load_pool("0 1 bool Atom(arm-empty)\n2 1 bool clear\n")
 
 
+@pytest.mark.parametrize("text", [
+    "0 1 Bool holding\n",                              # no such kind
+    "0 1 numeric clear\n",
+    "0 1 num Atom(arm-empty)\n",                       # an atom is bool
+    "0 3 bool Dist(Nominal(b1),on,Top,clear)\n",       # a distance is num
+    "0 1 bool Atom(arm-empty)\n1 one num clear\n",     # weight not an integer
+])
+def test_load_pool_rejects_malformed_lines(text):
+    with pytest.raises(co.ExpressionParseError, match=r"^line \d: bad feature: "):
+        features.load_pool(text)
+
+
+def test_feature_lines_round_trip_every_kind():
+    feats = [NullaryFeature("arm-empty"),
+             CardinalityFeature(co.PrimitiveConcept("clear"), 1, True),
+             CardinalityFeature(co.parse_expression("Exists(on_plus,Nominal(b1))"), 4,
+                                False),
+             features.parse_feature(5, "num", "Dist(Nominal(b1),on,Top,clear)")]
+    lines = [features.render_feature_line(i, f) for i, f in enumerate(feats)]
+    assert [l.split()[2] for l in lines] == ["bool", "bool", "num", "num"]
+    assert [features.parse_feature_line(l, i) for i, l in enumerate(lines)] == feats
+
+
 def test_boolean_matrix_thresholds_numerics():
     pool = features.load_pool(
         "0 1 bool Atom(arm-empty)\n"

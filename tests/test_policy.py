@@ -124,6 +124,17 @@ def test_policy_parse_errors():
         po.parse_policy("nonsense line\n")
 
 
+@pytest.mark.parametrize("line", [
+    "feature 0 1 boolean holding",                      # no such kind
+    "feature 0 1 Bool holding",
+    "feature 0 1 num Atom(arm-empty)",                  # an atom is bool
+    "feature 0 3 bool Dist(Nominal(b1),on,Top,clear)",  # a distance is num
+])
+def test_policy_rejects_unknown_and_contradicting_kinds(line):
+    with pytest.raises(PolicyError, match=r"^line 1: bad feature: "):
+        po.parse_policy(line + "\nrule true -> nop\n")
+
+
 def test_extracted_policy_passes_exhaustive_verification():
     pool, phi, classes, goods, gp = _learn_clear()
     pol = po.extract_policy(pool, phi, classes, goods)

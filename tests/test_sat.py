@@ -2,12 +2,14 @@
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import oracles
 from genpol.errors import SolverTimeoutError
-from genpol.sat import Cdcl, _luby
+from genpol.sat import UNASSIGNED, Cdcl, _luby
 
 
 def brute_force_sat(n_vars, clauses, fixed=()):
@@ -239,7 +241,7 @@ def random_clauses(rng, n_vars, n_clauses):
 
 
 def _state(s):
-    return s.ok, s.nvars, s.clauses, s.watches, s.trail, s.heap
+    return s.ok, s.nvars, s.clauses, s.watches, s.trail, s.heap, s.queued
 
 
 def test_bulk_loader_matches_clause_by_clause():
@@ -292,3 +294,87 @@ def test_bulk_loader_takes_no_clauses_and_stops_when_unsatisfiable():
     assert s.trail == [3, 4]  # -1, then 2 from 1 | 2 (codes 2v + sign)
     assert s.add_clauses([-2, 1, 2], [0, 1, 3]) is False
     assert not s.ok and s.add_clauses([1, 2], [0, 2]) is False
+
+
+class ScannedCdcl(Cdcl):
+    """Checks every branching choice against a scan of all variables."""
+
+    def _decide_var(self):
+        free = [v for v in range(1, self.nvars + 1)
+                if self.lval[2 * v] == UNASSIGNED]
+        want = min(free, key=lambda v: (-self.activity[v], v), default=0)
+        got = super()._decide_var()
+        assert got == want
+        return got
+
+
+def _search_state(s):
+    """What the search has done and will read next, the heap aside."""
+    return (s.ok, s.nvars, s.trail, s.trail_lim, s.qhead, s.level, s.reason,
+            s.phase, s.activity, s.var_inc, s.clauses, s.learnts, s.watches,
+            s.max_learnts, s.conflicts, s.decisions, s.propagations, s.core)
+
+
+def _bulk(clauses):
+    lits = [l for cl in clauses for l in cl]
+    return lits, np.cumsum([0] + [len(cl) for cl in clauses])
+
+
+def _session_calls(rng):
+    """One random incremental session: (method, args, kwargs) calls that a
+    solver and the reference both take.  It starts from random 3-SAT near
+    the threshold, so that searches conflict and restart."""
+    n = rng.choice([12, 25, 50, 90])
+    three_sat = [[rng.choice([-1, 1]) * v for v in rng.sample(range(1, n + 1), 3)]
+                 for _ in range(int(rng.uniform(3.8, 4.4) * n))]
+    calls = [("ensure_vars", (rng.randint(0, n),), {}),
+             ("add_clauses", _bulk(three_sat), {})]
+    for _ in range(rng.randint(4, 12)):
+        op = rng.choice(["clause", "clauses", "solve", "solve", "solve"])
+        if op == "clause":
+            calls.append(("add_clause", (random_clauses(rng, n + 2, 1)[0],), {}))
+        elif op == "clauses":
+            clauses = random_clauses(rng, n + 2, rng.randint(0, 4))
+            calls.append(("add_clauses", _bulk(clauses), {}))
+        else:
+            assumed = [rng.choice([-1, 1]) * rng.randint(1, n)
+                       for _ in range(rng.choice([0, 0, 1, 3, 8]))]
+            limit = rng.choice([None, None, None, 3])
+            calls.append(("solve", (), {"assumptions": assumed,
+                                        "conflict_limit": limit}))
+    return calls
+
+
+def test_search_matches_reference_step_for_step():
+    # The solver must search exactly as the reference copy of its earlier
+    # version does: the same trail, reasons, learnt clauses, decisions,
+    # counters, models and cores after every call.  Small learnt limits make
+    # clause reduction run, and a large starting increment makes activities
+    # rescale.
+    rng = random.Random(600)
+    seen = Counter()
+    for _ in range(60):
+        new, ref = ScannedCdcl(), oracles.ReferenceCdcl()
+        max_learnts = rng.choice([4, 12, 4000])
+        var_inc = rng.choice([1.0, 1e99])
+        for s in (new, ref):
+            s.max_learnts, s.var_inc = max_learnts, var_inc
+        for name, args, kwargs in _session_calls(rng):
+            results, before = [], new.conflicts
+            for s in (new, ref):
+                try:
+                    results.append(getattr(s, name)(*args, **kwargs))
+                except SolverTimeoutError:
+                    results.append("timeout")
+            assert results[0] == results[1], name
+            assert _search_state(new) == _search_state(ref), name
+            if name == "solve":
+                seen[results[0]] += 1
+                seen["restarted"] += new.conflicts - before > 100
+                seen["core"] += bool(new.core)
+                if results[0] is True:
+                    assert new.model() == ref.model()
+        seen["reduced"] += new.max_learnts > max_learnts
+        seen["rescaled"] += new.var_inc < var_inc
+    assert min(seen[k] for k in (True, False, "timeout", "core", "reduced",
+                                 "rescaled", "restarted")) >= 5, seen
