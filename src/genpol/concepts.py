@@ -577,9 +577,12 @@ class StateContext:
             got = self.pack(self.members(self.role(expr.base)).swapaxes(1, 2))
         elif isinstance(expr, ClosureRole):
             # Bitset Floyd-Warshall: one pass over the intermediates k adds
-            # row k to every row that reaches k.
+            # row k to every row that reaches k.  A path enters k by a base
+            # edge, so only objects some base row holds, in some state, can
+            # be intermediates.
             got = self.role(expr.base).copy()
-            for k in range(self.n):
+            entered = np.bitwise_or.reduce(got, axis=(0, 1))
+            for k in np.flatnonzero(self.members(entered)).tolist():
                 word, bit = divmod(k, 64)
                 via = (got[:, :, word] >> np.uint64(bit)) & np.uint64(1)
                 got |= np.where(via[:, :, None] != 0, got[:, k:k + 1], np.uint64(0))

@@ -133,15 +133,6 @@ class Theory:
     infeasible: tuple | None  # (goal state, non-goal state) with equal signature
     stats: dict
 
-    def select_var(self, f: int) -> int:
-        return f + 1
-
-    def good_var(self, c: int) -> int:
-        return self.n_select + c + 1
-
-    def value_var(self, g: int, d: int) -> int:
-        return int(self.v_first[g] + d - self.goal_dist[g])
-
 
 def _separation_clauses(pool: FeaturePool, matrix: np.ndarray, sample: SampleSet):
     """Minimal deduplicated goal/non-goal difference sets (one row of feature

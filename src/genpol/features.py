@@ -232,20 +232,6 @@ class FeaturePool:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_pool(text: str) -> FeaturePool:
-    feats = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            feats.append(parse_feature_line(line, len(feats)))
-        except co.ExpressionParseError as e:
-            raise co.ExpressionParseError(f"line {ln}: bad feature: {e}") from e
-    return FeaturePool(feats, np.array([f.weight for f in feats], dtype=np.int64),
-                       np.array([f.is_boolean for f in feats], dtype=bool))
-
-
 def _generate_roles(vocab: Vocabulary, ctx: co.StateContext, name):
     """Atomic roles plus inverse/closure/closed-inverse, denotation-pruned;
     `name` renders an expression."""

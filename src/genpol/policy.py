@@ -12,7 +12,12 @@ body has a matching alternative.
 Feature values come as int64 tables, one row per state (`Policy.evaluate`),
 and compatibility is decided for many transitions at once
 (`Policy.compatible_mask`): for every transition of a space in
-verification, for one state's successors at each greedy step.
+verification, and for blocks of one state's successors at each greedy
+step.  Greedy execution with the "first" tie break takes the first
+compatible successor in action order, so it evaluates the successors in
+blocks, `FIRST_BLOCK` of them first and twice as many in each next block,
+and stops at the first block that holds a compatible one; with the
+"random" tie break it evaluates them all, as one block.
 
 Extraction turns the good equivalence classes of a theory model into rules:
 classes are grouped by the source valuation (one rule per distinct body) and
@@ -38,6 +43,7 @@ INC = "inc"
 DEC = "dec"
 
 BLOCK_STATES = 8192  # states evaluated together by `Policy.evaluate`
+FIRST_BLOCK = 16  # successors in a greedy step's first block; each next doubles
 TIE_BREAKS = ("first", "random")  # how `greedy_execute` picks among moves
 
 
@@ -63,6 +69,13 @@ class Policy:
     def __init__(self, features: list, rules: list):
         self.features = features  # Feature objects, policy-local indices
         self.rules = rules
+        # Per rule, its body and, per alternative, its effects and the
+        # features it keeps unchanged, for `compatible_mask`.
+        self._tests = [
+            (rule.body, [(alt, [f for f in range(len(features))
+                                if f not in {e.feature for e in alt}])
+                         for alt in rule.alternatives])
+            for rule in rules]
 
     # -- semantics ---------------------------------------------------------
 
@@ -87,11 +100,11 @@ class Policy:
         and after; returns one bool each."""
         same = src == dst
         out = np.zeros(len(src), dtype=bool)
-        for rule in self.rules:
+        for conds, alternatives in self._tests:
             body = np.ones(len(src), dtype=bool)
-            for c in rule.body:
+            for c in conds:
                 body &= (src[:, c.feature] > 0) == c.positive
-            for alt in rule.alternatives:
+            for alt, kept in alternatives:
                 match = body.copy()
                 for e in alt:
                     v0, v1 = src[:, e.feature], dst[:, e.feature]
@@ -103,8 +116,6 @@ class Policy:
                         match &= v1 > v0
                     else:
                         match &= v1 < v0
-                mentioned = {e.feature for e in alt}
-                kept = [f for f in range(len(self.features)) if f not in mentioned]
                 out |= match & same[:, kept].all(axis=1)
         return out
 
@@ -260,11 +271,13 @@ def check_tie_break(tie_break: str):
 
 def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
                    tie_break: str = "first", seed: int = 0) -> ExecutionResult:
-    """Follows policy-compatible transitions from the initial state."""
+    """Follows policy-compatible transitions from the initial state: the
+    first in action order, or one drawn by `seed` among all of them."""
     check_max_steps(max_steps)
     check_tie_break(tie_break)
     if max_steps is None:
         max_steps = 10 * max(4, len(gp.objects)) ** 2
+    first = tie_break == "first"
     rng = random.Random(seed)
     ictx = co.InstanceContext(gp)
     state = gp.init
@@ -275,21 +288,38 @@ def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
         if gp.is_goal(state):
             return ExecutionResult("goal", step, trajectory)
         aids, succ = gp.successors(state)
-        dst = policy.evaluate(ictx, succ)
-        options = np.flatnonzero(policy.compatible_mask(
-            np.broadcast_to(src, dst.shape), dst)).tolist()
+        options, values = _compatible_successors(
+            policy, ictx, src, succ, FIRST_BLOCK if first else len(succ))
         if not options:
             return ExecutionResult("no_compatible", step, trajectory)
-        i = options[0] if tie_break == "first" else rng.choice(options)
+        k = 0 if first else rng.randrange(len(options))
+        i = options[k]
         key = succ[i].tobytes()
         if key in visited:
             return ExecutionResult("cycle", step, trajectory)
         visited.add(key)
         trajectory.append(gp.actions[aids[i]])
-        state, src = succ[i], dst[i]
+        state, src = succ[i], values[k]
     if gp.is_goal(state):
         return ExecutionResult("goal", max_steps, trajectory)
     return ExecutionResult("step_limit", max_steps, trajectory)
+
+
+def _compatible_successors(policy: Policy, ictx, src, succ, block: int):
+    """(ids, values): the ids, ascending, of the successor rows `succ` that
+    are policy moves from a state with feature values `src`, and their
+    feature values.  The successors are evaluated in blocks in row order,
+    `block` of them first and twice as many in each next block; only the
+    moves of the first block that holds any are returned."""
+    lo = 0
+    while lo < len(succ):
+        dst = policy.evaluate(ictx, succ[lo:lo + block])
+        hits = np.flatnonzero(policy.compatible_mask(
+            np.broadcast_to(src, dst.shape), dst))
+        if len(hits):
+            return (lo + hits).tolist(), dst[hits]
+        lo, block = lo + block, 2 * block
+    return [], None
 
 
 @dataclass

@@ -6,6 +6,7 @@ in the tests; the two sides share no code paths.
 """
 
 import itertools
+import random
 import time
 from heapq import heappop, heappush
 from types import SimpleNamespace
@@ -408,6 +409,42 @@ def separation_violations(codes, phi, goods):
     return sorted(out)
 
 
+# -- theory variables and pool dumps ------------------------------------------
+# Read off `encoding.Theory`'s public arrays and `features.parse_feature_line`.
+
+def select_var(f):
+    """The WCNF variable of selecting pool feature f."""
+    return f + 1
+
+
+def good_var(theory, c):
+    """The WCNF variable of class c being good."""
+    return theory.n_select + c + 1
+
+
+def value_var(theory, g, d):
+    """The WCNF variable of global state g taking value d."""
+    return int(theory.v_first[g] + d - theory.goal_dist[g])
+
+
+def load_pool(text):
+    """The FeaturePool of a pool dump (`FeaturePool.dump`)."""
+    from genpol import concepts as co
+    from genpol.features import FeaturePool, parse_feature_line
+
+    feats = []
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            feats.append(parse_feature_line(line, len(feats)))
+        except co.ExpressionParseError as e:
+            raise co.ExpressionParseError(f"line {ln}: bad feature: {e}") from e
+    return FeaturePool(feats, np.array([f.weight for f in feats], dtype=np.int64),
+                       np.array([f.is_boolean for f in feats], dtype=bool))
+
+
 # -- policy existence over a feature subset ----------------------------------------
 
 def policy_exists(space, matrix_rows, phi, v_slack):
@@ -623,6 +660,47 @@ def check_descending(policy, gp, tuple_values, max_states=10 ** 6):
         if not tups[d] < tups[s]:
             return False, (s, d, gp.actions[a])
     return True, None
+
+
+# -- greedy execution ----------------------------------------------------------
+# `genpol.policy.greedy_execute` before it evaluated successors in blocks,
+# kept verbatim but for the name and the module prefixes: every step
+# evaluates every successor.  `tests/test_policy.py` requires the same runs.
+
+def eager_greedy_execute(policy, gp, max_steps=None, tie_break="first", seed=0):
+    """Follows policy-compatible transitions from the initial state."""
+    from genpol import concepts as co
+    from genpol import policy as po
+
+    po.check_max_steps(max_steps)
+    po.check_tie_break(tie_break)
+    if max_steps is None:
+        max_steps = 10 * max(4, len(gp.objects)) ** 2
+    rng = random.Random(seed)
+    ictx = co.InstanceContext(gp)
+    state = gp.init
+    src = policy.evaluate(ictx, state[None])[0]
+    visited = {state.tobytes()}
+    trajectory: list = []
+    for step in range(max_steps):
+        if gp.is_goal(state):
+            return po.ExecutionResult("goal", step, trajectory)
+        aids, succ = gp.successors(state)
+        dst = policy.evaluate(ictx, succ)
+        options = np.flatnonzero(policy.compatible_mask(
+            np.broadcast_to(src, dst.shape), dst)).tolist()
+        if not options:
+            return po.ExecutionResult("no_compatible", step, trajectory)
+        i = options[0] if tie_break == "first" else rng.choice(options)
+        key = succ[i].tobytes()
+        if key in visited:
+            return po.ExecutionResult("cycle", step, trajectory)
+        visited.add(key)
+        trajectory.append(gp.actions[aids[i]])
+        state, src = succ[i], dst[i]
+    if gp.is_goal(state):
+        return po.ExecutionResult("goal", max_steps, trajectory)
+    return po.ExecutionResult("step_limit", max_steps, trajectory)
 
 
 # -- SAT search ----------------------------------------------------------------

@@ -276,10 +276,10 @@ def test_criterion_5_every_sampled_model_yields_verified_policy(capsys):
                 n_models += 1
                 block = []
                 for f in range(theory.n_select):
-                    v = theory.select_var(f)
+                    v = oracles.select_var(f)
                     block.append(-v if res.model[v] else v)
                 for c in range(theory.n_good):
-                    v = theory.good_var(c)
+                    v = oracles.good_var(theory, c)
                     block.append(-v if res.model[v] else v)
                 theory.wcnf.add_hard(block)
             if n_models:

@@ -3,7 +3,9 @@
 `Policy.evaluate`, one `concepts.StateContext` over many states, must give
 exactly the values of the set-semantics oracle (`oracles.feature_value`) on
 every state, and `verify_space` on those values must match the certificate
-oracle, which reads the rules literally and walks plain dicts.
+oracle, which reads the rules literally and walks plain dicts.  Greedy
+execution, which evaluates successors in blocks, must repeat the runs of
+the loop that evaluates them all (`oracles.eager_greedy_execute`).
 """
 
 import random
@@ -249,6 +251,77 @@ def test_greedy_plans_on_more_than_64_objects_replay_to_the_goal(name, tie_break
     run = po.greedy_execute(pol, gp, tie_break=tie_break, seed=3)
     assert run.solved and run.steps == len(run.trajectory) > 60
     assert instances.replay(inst, run.trajectory) is None
+
+
+# Greedy runs that the block scan must repeat exactly.  Gripper steps have
+# up to 60 successors; the clear tower's putdowns and stacks take the
+# successor at position n - 2 near the end, in the third block; visitall
+# steps have at most 4 successors, one block.  The stuck policy picks one
+# ball, then finds no move among 31 successors, so every block is read.
+BLOCK_SCAN_CASES = {
+    "gripper-30": ("gripper", lambda: instances.gripper(30, random.Random(1), "g"), None),
+    "clear-52": ("clear", lambda: instances.clear_tower(52, random.Random(1), "c"), None),
+    "visitall-6x5": ("visitall", lambda: instances.visitall(6, 5, (2, 2), "v"), None),
+    "gripper-30-stuck": ("gripper", lambda: instances.gripper(30, random.Random(1), "g"),
+                         "feature 0 3 num Exists(carry,Top)\nrule f0=0 -> f0++\n"),
+}
+
+
+def _block_scan_case(name):
+    domain, make, text = BLOCK_SCAN_CASES[name]
+    inst = make()
+    gp = _ground((ROOT / "benchmarks" / domain / "domain.pddl").read_text(),
+                 inst.pddl(), inst.goal_params)
+    return gp, po.parse_policy(text or (POLICY_DIR / f"{domain}.txt").read_text())
+
+
+def _positions(gp, trajectory):
+    """Per step of a run, the position of the action taken among the
+    state's successors, and the number of successors of every state."""
+    state, taken, counts = gp.init, [], []
+    for action in trajectory:
+        aids, succ = gp.successors(state)
+        taken.append([gp.actions[a] for a in aids].index(action))
+        counts.append(len(aids))
+        state = succ[taken[-1]]
+    return taken, counts + [len(gp.successors(state)[0])]
+
+
+@pytest.mark.parametrize("name", list(BLOCK_SCAN_CASES))
+def test_block_scan_matches_the_eager_loop(name):
+    gp, pol = _block_scan_case(name)
+    for tie_break, seed in [("first", 0), ("random", 0), ("random", 1),
+                            ("random", 2), ("random", 3)]:
+        got = po.greedy_execute(pol, gp, tie_break=tie_break, seed=seed)
+        want = oracles.eager_greedy_execute(pol, gp, tie_break=tie_break, seed=seed)
+        assert (got.status, got.steps, got.trajectory) == \
+            (want.status, want.steps, want.trajectory), (tie_break, seed)
+        if tie_break == "first":
+            taken, counts = _positions(gp, got.trajectory)
+            if name == "clear-52":
+                assert max(taken) >= 3 * po.FIRST_BLOCK  # past two blocks
+            if name.startswith("gripper"):
+                assert max(counts) > po.FIRST_BLOCK
+            if name == "gripper-30-stuck":
+                assert got.status == "no_compatible"
+                assert counts[-1] > po.FIRST_BLOCK
+
+
+def test_first_tie_break_evaluates_fewer_states(monkeypatch):
+    evaluated = []
+    evaluate = po.Policy.evaluate
+
+    def counting(self, ictx, states):
+        evaluated.append(len(states))
+        return evaluate(self, ictx, states)
+
+    monkeypatch.setattr(po.Policy, "evaluate", counting)
+    gp, pol = _block_scan_case("gripper-30")
+    assert po.greedy_execute(pol, gp).solved
+    lazy = sum(evaluated)
+    evaluated.clear()
+    assert oracles.eager_greedy_execute(pol, gp).solved
+    assert lazy < sum(evaluated)
 
 
 POLICY_TEXTS = [(POLICY_DIR / f"{n}.txt").read_text()

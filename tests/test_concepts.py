@@ -128,6 +128,34 @@ def test_role_evaluation_matches_set_semantics():
             assert _pairs(bits, ictx) == want, (co.render(role), sid)
 
 
+@pytest.mark.parametrize("n_blocks", [5, 70])
+def test_closure_matches_set_semantics_when_objects_lack_predecessors(n_blocks):
+    # The closure passes only over objects that some row of the base role
+    # holds in some state: nothing is on the top block, and the bottom
+    # block is on nothing.  The states run from two blocks put down back to
+    # the initial tower, so the first state alone lacks some entered
+    # objects; 70 blocks take two words.
+    dom = pddl.parse_domain(domains.BLOCKS_DOMAIN)
+    gp = pddl.ground(dom, pddl.parse_instance(
+        domains.clear_tower_instance(n_blocks), dom, ["b1"]))
+    top, below, second = (f"b{n_blocks - i}" for i in range(3))
+    rows = [gp.init]
+    for action in (f"unstack({top},{below})", f"putdown({top})",
+                   f"unstack({below},{second})", f"putdown({below})"):
+        aids, succ = gp.successors(rows[-1])
+        rows.append(succ[[gp.actions[a] for a in aids].index(action)])
+    rows = np.array(rows[::-1])
+    ictx = co.InstanceContext(gp)
+    ctx = co.state_context([(ictx, rows)])
+    states = list(map(oracles.unpacker(gp), rows))
+    for base in (PrimitiveRole("on"), InverseRole(PrimitiveRole("on"))):
+        assert not ctx.members(ctx.role(base)).any(axis=(0, 1)).all()
+        for role in (ClosureRole(base), InverseRole(ClosureRole(base))):
+            for sid, bits in enumerate(ctx.members(ctx.role(role))):
+                want = oracles.naive_eval_state(role, gp, states[sid])
+                assert _pairs(bits, ictx) == want, (co.render(role), sid)
+
+
 def test_goal_denotations_are_state_independent():
     gp, sp = _space(domains.GRIPPER_DOMAIN, domains.gripper_instance(3, seed=2))
     _, ctx = _context(gp, sp)

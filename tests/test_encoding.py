@@ -189,7 +189,7 @@ def test_goal_separation_minimal_and_irredundant():
 def test_indistinguishable_goal_pair_marks_theory_infeasible():
     sample, pool, matrix = _oneway()
     # A pool that only sees `fresh` cannot tell the goal from the dead end.
-    crippled = features.load_pool("0 1 bool Atom(fresh)\n")
+    crippled = oracles.load_pool("0 1 bool Atom(fresh)\n")
     sp = sample.spaces[0]
     states = oracles.state_sets(sp)
     cmatrix = np.array([[oracles.feature_value(f, sp.gp, s) for s in states]
@@ -208,14 +208,14 @@ def test_variable_layout_and_soft_clauses():
     classes, class_of = compute_classes(sample, matrix)
     theory = build_theory(sample, pool, matrix, classes, class_of)
     assert theory.n_select == len(pool)
-    assert [theory.select_var(f) for f in range(len(pool))] == [1, 2, 3]
-    assert theory.good_var(0) == len(pool) + 1
-    v_ids = sorted(theory.value_var(g, d)
+    assert [oracles.select_var(f) for f in range(len(pool))] == [1, 2, 3]
+    assert oracles.good_var(theory, 0) == len(pool) + 1
+    v_ids = sorted(oracles.value_var(theory, g, d)
                    for g, dom in _domains(theory).items() for d in dom)
     assert v_ids[0] == len(pool) + len(classes) + 1
     assert v_ids == list(range(v_ids[0], v_ids[0] + len(v_ids)))
     assert theory.wcnf.nvars == v_ids[-1]
-    assert theory.wcnf.soft.tolist() == [[-theory.select_var(f)]
+    assert theory.wcnf.soft.tolist() == [[-oracles.select_var(f)]
                                          for f in range(len(pool))]
     assert theory.wcnf.weights.tolist() == pool.weights.tolist()
     assert len(theory.tags) == len(theory.wcnf.hard)
@@ -245,7 +245,7 @@ def test_oneway_theory_solves_to_known_optimum():
     assert values[1] == -1
     # A model with two labels on one state is rejected.
     twice = list(res.model)
-    twice[theory.value_var(0, 1)] = twice[theory.value_var(0, 2)] = 1
+    twice[oracles.value_var(theory, 0, 1)] = twice[oracles.value_var(theory, 0, 2)] = 1
     with pytest.raises(InternalInvariantError, match="state 0 carries two"):
         decode(theory, twice)
 

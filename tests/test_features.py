@@ -226,7 +226,7 @@ def test_pool_dump_load_round_trip():
                      ("b1",))
     pool, matrix = features.generate_pool(sample, max_weight=5)
     text = pool.dump()
-    loaded = features.load_pool(text)
+    loaded = oracles.load_pool(text)
     assert [f.render() for f in loaded.features] == [f.render() for f in pool.features]
     assert loaded.features == pool.features
     assert np.array_equal(loaded.weights, pool.weights)
@@ -237,7 +237,7 @@ def test_pool_dump_load_round_trip():
 
 def test_load_pool_rejects_sparse_ids():
     with pytest.raises(GenpolError):
-        features.load_pool("0 1 bool Atom(arm-empty)\n2 1 bool clear\n")
+        oracles.load_pool("0 1 bool Atom(arm-empty)\n2 1 bool clear\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -249,7 +249,7 @@ def test_load_pool_rejects_sparse_ids():
 ])
 def test_load_pool_rejects_malformed_lines(text):
     with pytest.raises(co.ExpressionParseError, match=r"^line \d: bad feature: "):
-        features.load_pool(text)
+        oracles.load_pool(text)
 
 
 def test_feature_lines_round_trip_every_kind():
@@ -264,7 +264,7 @@ def test_feature_lines_round_trip_every_kind():
 
 
 def test_boolean_matrix_thresholds_numerics():
-    pool = features.load_pool(
+    pool = oracles.load_pool(
         "0 1 bool Atom(arm-empty)\n"
         "1 1 num clear\n")
     values = np.array([[1, 0, 1], [0, 2, 5]], dtype=np.int64)

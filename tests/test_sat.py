@@ -206,12 +206,25 @@ def test_conflict_limit_aborts_then_recovers():
     assert s.solve() is False
 
 
+def planted_3sat(rng, n_vars, n_clauses):
+    """Random clauses of 3 distinct variables, each kept only when a hidden
+    random assignment satisfies it, so the formula is satisfiable."""
+    hidden = [None] + [rng.random() < 0.5 for _ in range(n_vars)]
+    clauses = []
+    while len(clauses) < n_clauses:
+        cl = [v if rng.random() < 0.5 else -v
+              for v in rng.sample(range(1, n_vars + 1), 3)]
+        if any(hidden[abs(l)] == (l > 0) for l in cl):
+            clauses.append(cl)
+    return clauses
+
+
 def test_restart_heavy_formulas_match_brute_force():
-    # Dense formulas near the phase transition take well over a hundred
-    # conflicts, which drives the solver through restarts; the cheap fuzz
-    # above stays below the first restart, so cover the regime explicitly.
+    # The solver restarts after 100 conflicts (times a Luby factor), which
+    # the cheap fuzz above never reaches.  Small formulas are checked
+    # against brute force; planted 3-SAT of 120-150 variables at clause
+    # ratio 4.26, near the phase transition, takes hundreds of conflicts.
     rng = random.Random(400)
-    restarted = 0
     for _ in range(25):
         n = rng.randint(10, 13)
         clauses = random_formula(rng, n, int(4.3 * n))
@@ -221,8 +234,15 @@ def test_restart_heavy_formulas_match_brute_force():
         assert got == want, (n, clauses)
         if got:
             assert _model_satisfies(solver.model(), clauses)
-        if solver.conflicts > 100:
-            restarted += 1
+    restarted = 0
+    for _ in range(10):
+        n = rng.randint(120, 150)
+        clauses = planted_3sat(rng, n, round(4.26 * n))
+        solver, ok = _load(clauses, n)
+        assert ok and solver.solve(), n
+        assert _model_satisfies(solver.model(), clauses)
+        restarted += solver.conflicts > 100
+    assert restarted > 0
 
 
 def random_clauses(rng, n_vars, n_clauses):
