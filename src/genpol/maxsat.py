@@ -113,17 +113,6 @@ class WcnfProblem:
     def __post_init__(self):
         self._check(self.hard, self.soft, weights=self.weights)
 
-    def add_hard(self, clause):
-        part = Clauses.from_lists([list(clause)])
-        self._check(part)
-        self.hard = Clauses.join([self.hard, part])
-
-    def add_soft(self, weight: int, clause):
-        part = Clauses.from_lists([list(clause)])
-        weights = np.append(self.weights, weight)
-        self._check(part, weights=weights)
-        self.soft, self.weights = Clauses.join([self.soft, part]), weights
-
     def _check(self, *parts: Clauses, weights=None):
         """Rejects a weight below 1, weights summing beyond 64 bits and
         literal 0; grows nvars to cover every literal."""

@@ -35,7 +35,7 @@ from genpol import concepts as co
 from genpol.encoding import FLAT, UP, Classes, validate_solution
 from genpol.errors import GenpolError, InternalInvariantError, PolicyError
 from genpol.features import parse_feature_line, render_feature_line
-from genpol.space import expand_labeled
+from genpol.space import expand_labeled, predecessors
 
 SET_TRUE = "set"
 SET_FALSE = "clear"
@@ -338,7 +338,9 @@ def verify_space(policy: Policy, space, vals) -> VerifyResult:
     every alive state has a compatible transition, none leads to a dead end,
     and the compatible subgraph is acyclic.  Together these imply the policy
     solves the instance from every solvable reachable state.  `vals` holds
-    the policy's feature values per state."""
+    the policy's feature values per state.  Acyclicity is decided by
+    peeling (`_peels_away`); a depth-first search (`_find_cycle`) names a
+    state on a cycle only when peeling leaves some."""
     src, dst, alive = space.src, space.dst, space.alive
     vals = np.asarray(vals, dtype=np.int64)
     compat = alive[src] & policy.compatible_mask(vals[src], vals[dst])
@@ -359,11 +361,11 @@ def verify_space(policy: Policy, space, vals) -> VerifyResult:
         witness = f"alive state {int(stuck[0])} has no compatible transition"
 
     keep = np.flatnonzero(compat & alive[dst])
-    start = np.searchsorted(src[keep], np.arange(space.n_states + 1))
-    cycle_at = _find_cycle(np.flatnonzero(alive).tolist(), start.tolist(),
-                           dst[keep].tolist())
-    acyclic = cycle_at is None
+    acyclic = _peels_away(alive, src[keep], dst[keep])
     if not acyclic:
+        start = np.searchsorted(src[keep], np.arange(space.n_states + 1))
+        cycle_at = _find_cycle(np.flatnonzero(alive).tolist(), start.tolist(),
+                               dst[keep].tolist())
         witness = witness or f"compatible cycle through state {cycle_at}"
 
     ok = complete and safe and acyclic
@@ -376,6 +378,23 @@ def verify_exhaustive(policy: Policy, gp, max_states: int = 10 ** 6) -> VerifyRe
     space = expand_labeled(gp, max_states=max_states)
     return verify_space(policy, space,
                         policy.evaluate(co.InstanceContext(gp), space.states))
+
+
+def _peels_away(nodes: np.ndarray, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether the graph on the nodes that the bool array `nodes` marks, with
+    edges src[i] -> dst[i] among them, is acyclic: removing the nodes with no
+    out-edge left, level by level, removes them all (Kahn, CACM 1962)."""
+    n = len(nodes)
+    out = np.bincount(src, minlength=n)
+    preds = predecessors(src, dst, n)
+    sinks = np.flatnonzero(nodes & (out == 0))
+    removed = 0
+    while len(sinks):
+        removed += len(sinks)
+        p = preds(sinks)
+        out -= np.bincount(p, minlength=n)
+        sinks = np.unique(p[out[p] == 0])
+    return removed == int(np.count_nonzero(nodes))
 
 
 def _find_cycle(roots: list, start: list, succ: list):

@@ -11,6 +11,8 @@ source state; `is_goal` is a bool array per state.
 applicable actions of the whole frontier, the successors are `(row & ~del)
 | add`, and a sorted array of row keys tells the known states from the new
 ones, which are numbered in (source, action id) order of first occurrence.
+A row of one word is its own uint64 key; wider rows are keyed by their
+bytes (`row_keys`).
 
 `label_goal_distances` is the one place that decides the labeling the
 theory and the certificates range over:
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from genpol.errors import LimitExceededError
+from genpol.maxsat import ranges
 from genpol.pddl import GroundProblem
 
 log = logging.getLogger(__name__)
@@ -62,7 +65,10 @@ class StateSpace:
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
     """One comparable key per row of a 2-D array (a packed state, a code
-    row): its bytes."""
+    row): its one value when the array has one column, its bytes otherwise.
+    Keys are equal exactly when rows are; their order is not the rows'."""
+    if rows.shape[1] == 1:
+        return rows[:, 0]
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
@@ -128,29 +134,31 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
 def label_goal_distances(space: StateSpace) -> StateSpace:
     """Fill `goal_dist`, `alive` and `alive_t` by one backward breadth-first
     search, level by level, from all goal states at once."""
-    n = space.n_states
-    src, dst = space.src, space.dst
-    by_dst = np.argsort(dst)
-    pred = src[by_dst]  # predecessors of state v: pred[start[v]:start[v + 1]]
-    start = np.searchsorted(dst[by_dst], np.arange(n + 1))
-    dist = np.full(n, -1, dtype=np.int64)
+    preds = predecessors(space.src, space.dst, space.n_states)
+    dist = np.full(space.n_states, -1, dtype=np.int64)
     frontier = np.flatnonzero(space.is_goal)
     d = 0
     while len(frontier):
         dist[frontier] = d
         d += 1
-        lo, count = start[frontier], start[frontier + 1] - start[frontier]
-        ends = np.cumsum(count)  # the frontier's predecessor slots, concatenated:
-        at = np.arange(ends[-1]) + np.repeat(lo - (ends - count), count)
-        p = pred[at]
+        p = preds(frontier)
         frontier = np.unique(p[dist[p] < 0])
     space.goal_dist = dist
     space.alive = (dist >= 0) & ~space.is_goal
-    space.alive_t = np.flatnonzero(space.alive[src])
+    space.alive_t = np.flatnonzero(space.alive[space.src])
     if dist[0] < 0:
         log.warning("initial state of '%s' is a dead end: no goal is reachable",
                     space.gp.instance.name)
     return space
+
+
+def predecessors(src: np.ndarray, dst: np.ndarray, n: int):
+    """The edges src[i] -> dst[i] of a graph on nodes 0..n-1, grouped by
+    target: a function from an array of nodes to the sources of the edges
+    into them, concatenated in node order."""
+    count = np.bincount(dst, minlength=n)
+    pred, first = src[np.argsort(dst)], np.cumsum(count) - count
+    return lambda nodes: pred[ranges(first[nodes], count[nodes])]
 
 
 def expand_labeled(gp: GroundProblem, max_states: int = 10**6,

@@ -5,6 +5,7 @@ enumeration, no bit tricks.  Results are compared against the real modules
 in the tests; the two sides share no code paths.
 """
 
+import dataclasses
 import itertools
 import random
 import time
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from genpol.errors import SolverTimeoutError
+from genpol.maxsat import Clauses
 
 
 # -- grounding ---------------------------------------------------------------
@@ -302,6 +304,21 @@ def evaluate_wcnf(problem, model):
     cost = sum(w for w, c in zip(problem.weights.tolist(), problem.soft.tolist())
                if not sat(c))
     return hard_ok, cost
+
+
+def add_hard(problem, clause):
+    """`problem` with the hard clause `clause` (a list of literals) appended.
+    The new problem goes through the `WcnfProblem` constructor's checks."""
+    return dataclasses.replace(problem, hard=Clauses.join(
+        [problem.hard, Clauses.from_lists([list(clause)])]))
+
+
+def add_soft(problem, weight, clause):
+    """`problem` with the soft clause `clause` of weight `weight` appended,
+    checked as `add_hard` checks."""
+    return dataclasses.replace(
+        problem, soft=Clauses.join([problem.soft, Clauses.from_lists([list(clause)])]),
+        weights=np.append(problem.weights, weight))
 
 
 def brute_force_wcnf(problem):

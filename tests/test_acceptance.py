@@ -88,6 +88,11 @@ def test_criterion_1_gripper_reproduction(tmp_path, capsys):
         assert po.verify_exhaustive(result.policy, _training_gp("gripper")).ok
 
         dom = pddl.parse_domain(domains.GRIPPER_DOMAIN)
+        for n in range(1, 11):  # up to 68,608 states
+            inst = pddl.parse_instance(domains.gripper_instance(n), dom, [])
+            rep = po.verify_exhaustive(result.policy, pddl.ground(dom, inst))
+            assert rep.ok, f"{n} balls: {rep.witness}"
+
         rng = random.Random(20260815)
         solved = 0
         for i in range(30):
@@ -100,7 +105,8 @@ def test_criterion_1_gripper_reproduction(tmp_path, capsys):
         elapsed = time.monotonic() - t0
         assert elapsed < 60
         info["detail"] = (f"|Φ|=3, cost={result.cost} in [9,11], training "
-                          f"verified, {solved}/30 random ≤30-ball instances solved")
+                          f"verified, verified on 1-10 balls, {solved}/30 "
+                          f"random ≤30-ball instances solved")
 
 
 def test_criterion_2_clear_reproduction(tmp_path, capsys):
@@ -116,6 +122,12 @@ def test_criterion_2_clear_reproduction(tmp_path, capsys):
         assert po.verify_exhaustive(result.policy, _training_gp("clear")).ok
 
         dom = pddl.parse_domain(domains.BLOCKS_DOMAIN)
+        for n in range(2, 8):  # up to 65,990 states
+            text, target = domains.clear_random_instance(n, seed=700 + n)
+            inst = pddl.parse_instance(text, dom, [target])
+            rep = po.verify_exhaustive(result.policy, pddl.ground(dom, inst))
+            assert rep.ok, f"{n} blocks: {rep.witness}"
+
         rng = random.Random(42)
         solved = 0
         for i in range(30):
@@ -128,7 +140,8 @@ def test_criterion_2_clear_reproduction(tmp_path, capsys):
         elapsed = time.monotonic() - t0
         assert elapsed < 120
         info["detail"] = (f"1161 transitions exact, cost={result.cost} in [8,10], "
-                          f"{solved}/30 random ≤15-block instances solved")
+                          f"verified on 2-7 blocks, {solved}/30 random "
+                          f"≤15-block instances solved")
 
 
 def test_criterion_3_visitall_reproduction(tmp_path, capsys):
@@ -281,7 +294,7 @@ def test_criterion_5_every_sampled_model_yields_verified_policy(capsys):
                 for c in range(theory.n_good):
                     v = oracles.good_var(theory, c)
                     block.append(-v if res.model[v] else v)
-                theory.wcnf.add_hard(block)
+                theory.wcnf = oracles.add_hard(theory.wcnf, block)
             if n_models:
                 sat_spaces += 1
                 total_models += n_models
@@ -307,12 +320,12 @@ def test_criterion_6_maxsat_exactness(capsys):
             for _ in range(rng.randrange(0, 3 * n + 1)):
                 size = rng.randrange(1, 4)
                 vs = rng.sample(range(1, n + 1), min(size, n))
-                p.add_hard([v if rng.random() < 0.5 else -v for v in vs])
+                p = oracles.add_hard(p, [v if rng.random() < 0.5 else -v for v in vs])
             for _ in range(rng.randrange(1, n + 2)):
                 size = rng.randrange(1, 4)
                 vs = rng.sample(range(1, n + 1), min(size, n))
-                p.add_soft(rng.randrange(1, 9),
-                           [v if rng.random() < 0.5 else -v for v in vs])
+                p = oracles.add_soft(p, rng.randrange(1, 9),
+                                     [v if rng.random() < 0.5 else -v for v in vs])
             p.nvars = max(p.nvars, n)
             want = oracles.brute_force_wcnf(p)
             got = maxsat.solve_wcnf(p)

@@ -12,6 +12,7 @@ import random
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,6 +129,92 @@ def test_witness_is_the_first_in_state_order(rules, witness):
     got = _check(pol, gp, sp)
     assert not got.complete and not got.safe
     assert got.witness == witness
+
+
+def _random_digraph(seed):
+    """A labeled space over a seeded random graph (no PDDL), per-state values
+    of one numeric feature, and the states of the cycle behind the chain.
+
+    Its disconnected parts: goals with a cycle among them; dead ends with a
+    cycle and self loops among them; a random part with edges into goals and,
+    in half the graphs, dead ends; and a chain of 40-160 states ending in a
+    goal or in a cycle that only the chain reaches.  By `seed % 3`, the
+    random part's edges run forward only and the chain ends in a goal (0),
+    they may run back and loop (1), or they run forward and the chain ends
+    in a cycle (2).  State ids are shuffled across the parts."""
+    rng = random.Random(seed)
+    kind = seed % 3
+    goals, dead, mixed, chain, loop = (
+        rng.randrange(2, 5), rng.randrange(3, 7), rng.randrange(5, 40),
+        rng.randrange(40, 161), rng.randrange(1, 4) if kind == 2 else 0)
+    n = goals + dead + mixed + chain + loop
+    ids = list(range(n))
+    rng.shuffle(ids)
+    g, d, m, c, o = (ids[:goals], ids[goals:goals + dead],
+                     ids[goals + dead:n - chain - loop],
+                     ids[n - chain - loop:n - loop], ids[n - loop:])
+    edges = set(zip(g, g[1:] + g[:1])) | set(zip(d, d[1:] + d[:1]))
+    edges |= {(s, s) for s in rng.sample(d, 2)}
+    into_dead = d if rng.random() < 0.5 else []
+    for i, s in enumerate(m):
+        later = m if kind == 1 else m[i + 1:]
+        edges |= {(s, rng.choice(later + g + into_dead))
+                  for _ in range(rng.randrange(4))}
+        if kind == 1 and rng.random() < 0.2:
+            edges.add((s, s))
+        edges.add((s, rng.choice(g)))
+    edges |= set(zip(c, c[1:]))
+    if loop:  # the chain leads into a cycle whose states can also reach a goal
+        edges |= {(c[-1], o[0])} | set(zip(o, o[1:] + o[:1]))
+        edges |= {(s, rng.choice(g)) for s in o}
+    else:
+        edges.add((c[-1], rng.choice(g)))
+    src, dst = (np.array(x, dtype=np.int64) for x in zip(*sorted(edges)))
+    gp = SimpleNamespace(actions=[f"a{t}" for t in range(len(src))],
+                         instance=SimpleNamespace(name=f"graph-{seed}"))
+    is_goal = np.zeros(n, dtype=bool)
+    is_goal[g] = True
+    sp = space.label_goal_distances(space.StateSpace(
+        gp=gp, states=np.zeros((n, 1), dtype=np.uint64), src=src, dst=dst,
+        act=np.arange(len(src)), is_goal=is_goal))
+    vals = np.zeros((n, 1), dtype=np.int64)
+    vals[g] = 2
+    vals[m] = [[rng.randrange(rng.choice([1, 3]))] for _ in m]
+    return sp, vals, o
+
+
+def test_peeling_matches_the_search_and_the_certificate():
+    # A move keeps the feature or raises it, so cycles run among states of
+    # equal value.  The chain and its cycle are all 0 and the goals 2, so
+    # their moves count, and every alive state has a move into a goal.
+    pol = po.parse_policy("feature 0 1 num Not(visited)\n"
+                          "rule true -> nop | f0++\n")
+    cyclic, named = [0, 0, 0], 0
+    for seed in range(60):
+        sp, vals, behind_chain = _random_digraph(seed)
+        compat = sp.alive[sp.src] & pol.compatible_mask(vals[sp.src], vals[sp.dst])
+        keep = np.flatnonzero(compat & sp.alive[sp.dst])
+        start = np.searchsorted(sp.src[keep], np.arange(sp.n_states + 1))
+        cycle_at = po._find_cycle(np.flatnonzero(sp.alive).tolist(),
+                                  start.tolist(), sp.dst[keep].tolist())
+        ref = oracles.certificate(pol, sp, vals.tolist())
+        got = po.verify_space(pol, sp, vals)
+        assert got.acyclic == (cycle_at is None) == ref["acyclic"], seed
+        cycle = None
+        if cycle_at is not None:
+            assert oracles.on_cycle(ref["moves"], cycle_at), seed
+            cycle = f"compatible cycle through state {cycle_at}"
+        assert got.witness == (ref["witness"] or cycle), seed
+        assert (got.complete, got.safe, got.n_compatible) == (
+            ref["complete"], ref["safe"], ref["n_compatible"]), seed
+        if seed % 3 == 2:
+            assert cycle_at in behind_chain, seed
+        cyclic[seed % 3] += not got.acyclic
+        named += got.witness == cycle is not None
+    # Cycles among goals and dead ends never count; the cycle behind the
+    # chain always does.
+    assert cyclic[0] == 0 and cyclic[1] > 0 and cyclic[2] == 20
+    assert named >= 10
 
 
 def test_atom_of_a_ternary_predicate_is_a_flag():

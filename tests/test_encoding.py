@@ -488,6 +488,20 @@ def test_classes_and_validation_match_dict_grouping(name, merge, prepared):
     if name == "ladders":
         assert len(sample.spaces) == 2 and 0 < classes.dst_dead.sum() < len(classes)
 
+    # One-column rows are keyed by their value and wider ones by their bytes;
+    # either way ids number the distinct rows by first occurrence.
+    codes = classes.codes
+    wide = codes.sum(axis=1, dtype=np.uint64)
+    wide[1::2] += np.uint64(1) << np.uint64(63)  # beyond float64 precision
+    assert len(codes) > 1
+    for rows in (codes, *(codes[:, [f]] for f in range(codes.shape[1])),
+                 wide[:, None]):
+        ids, first = encoding._first_ids(rows)
+        want, groups = oracles.group_by_first_occurrence(
+            [row.tobytes() for row in rows])
+        assert ids.tolist() == want
+        assert first.tolist() == [g[0] for g in groups]
+
     n_feat, n = matrix.shape[0], len(classes)
     rng = random.Random(f"{name}-{merge}")
     for size in (0, 1, 2, 3, 5, n_feat):

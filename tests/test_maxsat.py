@@ -20,11 +20,12 @@ def random_wcnf(rng, max_vars=12):
     p = WcnfProblem(nvars=n)
     for _ in range(rng.randint(0, 3 * n)):
         k = rng.randint(1, 3)
-        p.add_hard([rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(k)])
+        p = oracles.add_hard(p, [rng.choice([-1, 1]) * rng.randint(1, n)
+                                 for _ in range(k)])
     for _ in range(rng.randint(1, 2 * n)):
         k = rng.randint(1, 3)
         clause = [rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(k)]
-        p.add_soft(rng.randint(1, 9), clause)
+        p = oracles.add_soft(p, rng.randint(1, 9), clause)
     return p
 
 
@@ -51,12 +52,12 @@ def test_positive_cost_and_weight_aggregation():
     # Mutually exclusive unit softs with distinct weights: optimum keeps the
     # heaviest one.
     p = WcnfProblem()
-    p.add_hard([-1, -2])
-    p.add_hard([-2, -3])
-    p.add_hard([-1, -3])
-    p.add_soft(3, [1])
-    p.add_soft(5, [2])
-    p.add_soft(4, [3])
+    p = oracles.add_hard(p, [-1, -2])
+    p = oracles.add_hard(p, [-2, -3])
+    p = oracles.add_hard(p, [-1, -3])
+    p = oracles.add_soft(p, 3, [1])
+    p = oracles.add_soft(p, 5, [2])
+    p = oracles.add_soft(p, 4, [3])
     res = solve_wcnf(p)
     assert res.status == maxsat.OPTIMUM
     assert res.cost == 7
@@ -71,9 +72,9 @@ def test_cardinality_ladder_costs():
         p = WcnfProblem()
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                p.add_hard([-i, -j])
+                p = oracles.add_hard(p, [-i, -j])
         for i in range(1, n + 1):
-            p.add_soft(1, [i])
+            p = oracles.add_soft(p, 1, [i])
         res = solve_wcnf(p)
         assert res.status == maxsat.OPTIMUM
         assert res.cost == n - 1
@@ -82,17 +83,17 @@ def test_cardinality_ladder_costs():
 
 def test_hard_unsatisfiable_reported():
     p = WcnfProblem()
-    p.add_hard([1])
-    p.add_hard([-1])
-    p.add_soft(2, [2])
+    p = oracles.add_hard(p, [1])
+    p = oracles.add_hard(p, [-1])
+    p = oracles.add_soft(p, 2, [2])
     assert solve_wcnf(p).status == maxsat.UNSATISFIABLE
 
 
 def test_empty_soft_clause_pays_its_weight():
     p = WcnfProblem()
-    p.add_hard([1])
-    p.add_soft(3, [])
-    p.add_soft(2, [1])
+    p = oracles.add_hard(p, [1])
+    p = oracles.add_soft(p, 3, [])
+    p = oracles.add_soft(p, 2, [1])
     res = solve_wcnf(p)
     assert res.cost == 3
 
@@ -150,14 +151,14 @@ def test_parse_wcnf_rejects_malformed_input():
 def test_problem_construction_guards():
     p = WcnfProblem()
     with pytest.raises(GenpolError):
-        p.add_soft(0, [1])
+        oracles.add_soft(p, 0, [1])
     with pytest.raises(GenpolError):
-        p.add_soft(-2, [1])
+        oracles.add_soft(p, -2, [1])
     with pytest.raises(GenpolError):
-        p.add_hard([1, 0])
-    p.add_hard([4])
+        oracles.add_hard(p, [1, 0])
+    p = oracles.add_hard(p, [4])
     assert p.nvars == 4
-    p.add_soft(1, [-6])
+    p = oracles.add_soft(p, 1, [-6])
     assert p.nvars == 6
     assert p.top == 2
 
@@ -190,9 +191,9 @@ def test_evaluate_matches_clause_by_clause_check():
     for i in range(200):
         p = random_wcnf(rng)
         if i % 3 == 0:
-            p.add_hard([])
+            p = oracles.add_hard(p, [])
         if i % 4 == 0:
-            p.add_soft(rng.randint(1, 9), [])
+            p = oracles.add_soft(p, rng.randint(1, 9), [])
         for _ in range(5):
             model = [0] + [rng.randint(0, 1) for _ in range(p.nvars)]
             assert evaluate(p, model) == oracles.evaluate_wcnf(p, model)
@@ -203,8 +204,8 @@ def test_time_limit_raises_with_progress_bound():
     n = 9
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            p.add_hard([-i, -j])
-        p.add_soft(1, [i])
+            p = oracles.add_hard(p, [-i, -j])
+        p = oracles.add_soft(p, 1, [i])
     with pytest.raises(SolverTimeoutError):
         solve_wcnf(p, time_limit=1e-9)
 
@@ -212,7 +213,7 @@ def test_time_limit_raises_with_progress_bound():
 @pytest.mark.parametrize("limit", [0, -1.0, float("nan"), float("inf")])
 def test_solve_rejects_a_time_limit_that_is_not_positive(tmp_path, limit):
     p = WcnfProblem()
-    p.add_hard([1])
+    p = oracles.add_hard(p, [1])
     script = _write_script(tmp_path, """
         print('s OPTIMUM FOUND')
         print('v 1 0')
@@ -290,8 +291,8 @@ def test_external_solver_lies_are_caught(tmp_path):
         print('v -1 -2 0')
     """)
     p = WcnfProblem()
-    p.add_hard([1])
-    p.add_soft(1, [2])
+    p = oracles.add_hard(p, [1])
+    p = oracles.add_soft(p, 1, [2])
     with pytest.raises(GenpolError):
         solve_wcnf_external(p, bad_model)
 
