@@ -287,7 +287,7 @@ def _reduce_members(ufunc, at, values):
     """(rows, reduced): the rows i of bool `at` [k, n] that have a member
     and, for each, `ufunc` reduced over values[i, j] of its members j;
     `values` is [k, n, ...]."""
-    row, obj = np.nonzero(at)
+    row, obj = np.divmod(np.flatnonzero(at), at.shape[1])
     first = np.ones(len(row), dtype=bool)
     np.not_equal(row[1:], row[:-1], out=first[1:])
     starts = np.flatnonzero(first)
@@ -405,8 +405,8 @@ class InstanceContext:
         `flag_preds`."""
         n_states, width = len(rows), self._width
         octets = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
-        at, bits = np.nonzero(np.unpackbits(octets, axis=1, count=len(self._slot),
-                                            bitorder="little"))
+        at, bits = np.divmod(np.flatnonzero(np.unpackbits(
+            octets, axis=1, count=len(self._slot), bitorder="little")), len(self._slot))
         table = np.tile(self._static_table, n_states)
         np.add.at(table, at * width + self._slot[bits], self._bit[bits])
         table = table.reshape(n_states, width)

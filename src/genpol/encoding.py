@@ -42,7 +42,7 @@ import numpy as np
 from genpol.errors import InternalInvariantError
 from genpol.features import FeaturePool, boolean_matrix
 from genpol.maxsat import Clauses, WcnfProblem, ranges
-from genpol.space import SampleSet, row_keys
+from genpol.space import SampleSet, group, row_keys
 
 FLAT, UP, DOWN = 0, 1, 2
 
@@ -57,12 +57,11 @@ def _first_ids(rows: np.ndarray):
     occurrence, and per id the row where it first occurs (ascending)."""
     if not rows.shape[1]:  # zero-width rows are all equal
         return np.zeros(len(rows), dtype=np.int64), np.arange(min(1, len(rows)))
-    _, first, inverse = np.unique(row_keys(rows), return_index=True,
-                                  return_inverse=True)
+    _, first, inverse = group(row_keys(rows))
     order = np.argsort(first)
     rank = np.empty(len(first), dtype=np.int64)
     rank[order] = np.arange(len(first))
-    return rank[inverse.reshape(-1)], first[order]
+    return rank[inverse], first[order]
 
 
 def _firsts(ids: np.ndarray, n_ids: int, side: np.ndarray) -> np.ndarray:

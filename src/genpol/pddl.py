@@ -532,7 +532,7 @@ class GroundProblem:
             ok = np.ones((len(block), n_actions), dtype=bool)
             for w, cols, pre in self._pre_words:
                 ok[:, cols] &= (block[:, w, None] & pre) == pre
-            row, aid = np.nonzero(ok)
+            row, aid = np.divmod(np.flatnonzero(ok), n_actions)
             at.append(row + lo)
             aids.append(aid)
         at, aids = np.concatenate(at), np.concatenate(aids)

@@ -383,17 +383,21 @@ def verify_exhaustive(policy: Policy, gp, max_states: int = 10 ** 6) -> VerifyRe
 def _peels_away(nodes: np.ndarray, src: np.ndarray, dst: np.ndarray) -> bool:
     """Whether the graph on the nodes that the bool array `nodes` marks, with
     edges src[i] -> dst[i] among them, is acyclic: removing the nodes with no
-    out-edge left, level by level, removes them all (Kahn, CACM 1962)."""
+    out-edge left, level by level, removes them all (Kahn, CACM 1962).  A
+    bool mark over the nodes gives each level's sinks once, without a sort."""
     n = len(nodes)
     out = np.bincount(src, minlength=n)
     preds = predecessors(src, dst, n)
     sinks = np.flatnonzero(nodes & (out == 0))
+    mark = np.zeros(n, dtype=bool)
     removed = 0
     while len(sinks):
         removed += len(sinks)
         p = preds(sinks)
         out -= np.bincount(p, minlength=n)
-        sinks = np.unique(p[out[p] == 0])
+        mark[p[out[p] == 0]] = True
+        sinks = np.flatnonzero(mark)
+        mark[sinks] = False
     return removed == int(np.count_nonzero(nodes))
 
 

@@ -12,7 +12,8 @@ applicable actions of the whole frontier, the successors are `(row & ~del)
 | add`, and a sorted array of row keys tells the known states from the new
 ones, which are numbered in (source, action id) order of first occurrence.
 A row of one word is its own uint64 key; wider rows are keyed by their
-bytes (`row_keys`).
+bytes (`row_keys`).  A level's successors are grouped by key with one
+default-kind sort (`group`), not the stable sort of `np.unique`.
 
 `label_goal_distances` is the one place that decides the labeling the
 theory and the certificates range over:
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from genpol.errors import LimitExceededError
+from genpol.errors import GenpolError, LimitExceededError
 from genpol.maxsat import ranges
 from genpol.pddl import GroundProblem
 
@@ -73,6 +74,20 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
 
+def group(keys: np.ndarray):
+    """`np.unique(keys, return_index=True, return_inverse=True)` from one
+    default-kind sort, not a stable one: a key's first occurrence is the
+    least index in its run of equal sorted keys, whatever their order."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(head)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(head) - 1
+    return ordered[starts], np.minimum.reduceat(order, starts), inverse
+
+
 def _merged(a: np.ndarray, old: np.ndarray, values: np.ndarray, to: np.ndarray):
     """`a` at the places `old` marks and `values` at the places `to`."""
     out = np.empty(len(old), dtype=a.dtype)
@@ -87,6 +102,10 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
     fire as the one-state-at-a-time search would: at the first transition,
     in (source, action id) order, that makes a state beyond `max_states` or
     a transition beyond `max_transitions`."""
+    if max_states < 1:
+        raise GenpolError(f"max_states must be at least 1, got {max_states}")
+    if max_transitions < 0:
+        raise GenpolError(f"max_transitions must be non-negative, got {max_transitions}")
     name = gp.instance.name
     levels = [gp.init[None]]  # the states of each level, in id order
     known, known_ids = row_keys(levels[0]), np.zeros(1, dtype=np.int64)
@@ -94,9 +113,7 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
     lo, n_states, n_transitions = 0, 1, 0  # lo: id of the frontier's first state
     while len(levels[-1]):
         at, aids, succ = gp.transitions(levels[-1])
-        keys = row_keys(succ)
-        uniq, first, inverse = np.unique(keys, return_index=True,
-                                         return_inverse=True)
+        uniq, first, inverse = group(row_keys(succ))
         pos = np.searchsorted(known, uniq)
         near = np.minimum(pos, len(known) - 1)
         ids = known_ids[near]
@@ -106,8 +123,8 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
 
         # The level's first transition beyond the cap, and its first new
         # state beyond the cap; at one transition the state cap comes first.
-        at_t = max(0, max_transitions - n_transitions)
-        at_s = max(0, max_states - n_states)
+        at_t = max_transitions - n_transitions
+        at_s = max_states - n_states
         if at_s < len(new) and first[new[at_s]] <= at_t:
             raise LimitExceededError(f"more than {max_states} states in '{name}'")
         if at_t < len(succ):
@@ -133,16 +150,20 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
 
 def label_goal_distances(space: StateSpace) -> StateSpace:
     """Fill `goal_dist`, `alive` and `alive_t` by one backward breadth-first
-    search, level by level, from all goal states at once."""
+    search, level by level, from all goal states at once.  A bool mark over
+    the states gives each next frontier, ascending, without a sort."""
     preds = predecessors(space.src, space.dst, space.n_states)
     dist = np.full(space.n_states, -1, dtype=np.int64)
+    mark = np.zeros(space.n_states, dtype=bool)
     frontier = np.flatnonzero(space.is_goal)
     d = 0
     while len(frontier):
         dist[frontier] = d
         d += 1
         p = preds(frontier)
-        frontier = np.unique(p[dist[p] < 0])
+        mark[p[dist[p] < 0]] = True
+        frontier = np.flatnonzero(mark)
+        mark[frontier] = False
     space.goal_dist = dist
     space.alive = (dist >= 0) & ~space.is_goal
     space.alive_t = np.flatnonzero(space.alive[space.src])

@@ -23,6 +23,7 @@ from genpol import cli, features, pddl, policy as po, space
 from genpol import concepts as co
 from genpol.errors import GenpolError
 from test_policy import VERIFY_CASES
+from test_space import assert_shortest_labeling
 
 ROOT = Path(__file__).resolve().parents[1]
 POLICY_DIR = ROOT / "perfbench" / "policies"
@@ -215,6 +216,18 @@ def test_peeling_matches_the_search_and_the_certificate():
     # chain always does.
     assert cyclic[0] == 0 and cyclic[1] > 0 and cyclic[2] == 20
     assert named >= 10
+
+
+def test_labeling_of_random_graphs_is_shortest():
+    # Cycles among goals and among dead ends, self loops, and a chain of
+    # 40-160 states: frontiers with repeated predecessors and long runs of
+    # one-state levels.
+    longest = 0
+    for seed in range(60):
+        sp, _, _ = _random_digraph(seed)
+        assert_shortest_labeling(sp)
+        longest = max(longest, sp.max_goal_distance())
+    assert longest > 40
 
 
 def test_atom_of_a_ternary_predicate_is_a_flag():

@@ -288,6 +288,21 @@ def test_goal_role_of_unmentioned_predicate_is_empty():
         ctx.role(GoalRole("nonsense"))
 
 
+@pytest.mark.parametrize("n", [0, 1, 70])
+def test_reduce_members_matches_a_loop(n):
+    # Rows with no member are left out, in zero-width masks too.
+    rng = np.random.default_rng(n)
+    at = rng.random((40, n)) < 0.1
+    at[::7] = False
+    values = rng.integers(0, 2**63, (40, n, 2), dtype=np.uint64)
+    for ufunc in (np.bitwise_or, np.minimum):
+        rows, reduced = co._reduce_members(ufunc, at, values)
+        want = [i for i in range(len(at)) if at[i].any()]
+        assert rows.tolist() == want and reduced.shape == (len(want), 2)
+        for i, got in zip(want, reduced):
+            assert got.tolist() == ufunc.reduce(values[i][at[i]], axis=0).tolist()
+
+
 def test_evaluation_is_memoized_per_state():
     gp, sp = _space(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(3),
                     ("b1",))

@@ -5,8 +5,8 @@ import pytest
 
 import domains
 import oracles
-from genpol import pddl, space
-from genpol.errors import LimitExceededError
+from genpol import cli, concepts as co, pddl, policy as po, space
+from genpol.errors import GenpolError, LimitExceededError
 
 ONEWAY_DOMAIN = """
 (define (domain oneway)
@@ -105,15 +105,24 @@ def test_clear_tower_goal_distance():
     (ONEWAY_DOMAIN, ONEWAY_INSTANCE, ()),
 ], ids=["gripper-2", "blocks-4", "visitall-2x2", "oneway"])
 def test_goal_distances_are_shortest(domain_text, instance_text, goal_params):
-    sp = space.expand_labeled(_ground(domain_text, instance_text, goal_params))
+    assert_shortest_labeling(
+        space.expand_labeled(_ground(domain_text, instance_text, goal_params)))
+
+
+def assert_shortest_labeling(sp):
+    """The labels of `sp` satisfy the goal-distance recurrence, which only
+    the shortest distances do: 0 at a goal, else 1 + the least distance of a
+    successor, -1 where no successor has one."""
     dist = sp.goal_dist.tolist()
+    succ = [[] for _ in range(sp.n_states)]
+    for s, d in zip(sp.src.tolist(), sp.dst.tolist()):
+        if dist[d] >= 0:
+            succ[s].append(dist[d])
     for sid in range(sp.n_states):
-        succ = [dist[d] for s, d in zip(sp.src.tolist(), sp.dst.tolist())
-                if s == sid and dist[d] >= 0]
         if sp.is_goal[sid]:
             assert dist[sid] == 0
-        elif succ:
-            assert dist[sid] == 1 + min(succ)
+        elif succ[sid]:
+            assert dist[sid] == 1 + min(succ[sid])
         else:
             assert dist[sid] == -1
     alive = [dist[s] >= 0 and not sp.is_goal[s] for s in range(sp.n_states)]
@@ -167,6 +176,115 @@ def test_expansion_limits_raise():
     with pytest.raises(LimitExceededError,
                        match=r"^more than 10 transitions in 'gripper-3-none'$"):
         space.expand(gp, max_transitions=10)
+
+
+# One static atom and one action whose effect is empty: no dynamic atoms,
+# one state, one self loop.
+STILL_DOMAIN = """
+(define (domain still)
+  (:predicates (on))
+  (:action wait :parameters () :precondition (and (on)) :effect (and)))
+"""
+
+STILL_INSTANCE = """
+(define (problem p1) (:domain still) (:init (on)) (:goal (and (on))))
+"""
+
+STILL_POLICY = "feature 0 1 bool Atom(on)\nrule f0 -> nop\n"
+
+
+@pytest.mark.parametrize("max_states,max_transitions,bad", [
+    (0, 10, "max_states must be at least 1, got 0"),
+    (-3, 10, "max_states must be at least 1, got -3"),
+    (1, -1, "max_transitions must be non-negative, got -1"),
+])
+def test_caps_below_their_least_value_are_rejected(max_states, max_transitions, bad):
+    gp = _ground(STILL_DOMAIN, STILL_INSTANCE)
+    with pytest.raises(GenpolError, match=f"^{bad}$") as err:
+        space.expand(gp, max_states, max_transitions)
+    assert not isinstance(err.value, LimitExceededError)
+    sp = space.expand(gp, 1, 1)  # the least caps that hold the space
+    assert (sp.n_states, sp.n_transitions) == (1, 1)
+
+
+def test_cli_rejects_a_state_cap_below_one(tmp_path, capsys):
+    dom, inst = tmp_path / "domain.pddl", tmp_path / "p1.pddl"
+    dom.write_text(STILL_DOMAIN)
+    inst.write_text(STILL_INSTANCE)
+    pol = tmp_path / "policy.txt"
+    pol.write_text(STILL_POLICY)
+    files = ["--domain", str(dom)]
+    for argv, cap in ((["expand", "--instance", str(inst), "--max-states", "0"], 0),
+                      (["verify", "--instance", str(inst), "--policy", str(pol),
+                        "--max-states", "-3"], -3),
+                      (["learn", "--training", str(inst), "--max-states", "-5"], -5)):
+        assert cli.main(argv[:1] + files + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: max_states must be at least 1, got {cap}\n"
+        assert captured.out == ""
+    assert cli.main(["verify"] + files + ["--instance", str(inst), "--policy",
+                                          str(pol), "--max-states", "1"]) == 0
+    assert "ok=1" in capsys.readouterr().out
+
+
+def test_instance_without_dynamic_atoms():
+    # Zero-width atom masks all the way through: the packed row is one zero
+    # word, `tables` unpacks no bits, and the one state is a goal.
+    gp = _ground(STILL_DOMAIN, STILL_INSTANCE)
+    assert len(gp.dynamic) == 0 and gp.actions == ["wait()"]
+    sp = _check_against_oracle(gp)
+    space.label_goal_distances(sp)
+    assert sp.states.tolist() == [[0]] and sp.goal_dist.tolist() == [0]
+    assert (sp.src.tolist(), sp.dst.tolist(), sp.alive_t.tolist()) == ([0], [0], [])
+    unary, binary, flags = co.InstanceContext(gp).tables(sp.states)
+    assert unary.shape == (1, 0, 1) and binary.shape == (1, 0, 0, 1)
+    assert flags.tolist() == [[True]]
+    res = po.verify_exhaustive(po.parse_policy(STILL_POLICY), gp)
+    assert res.ok and (res.n_states, res.n_compatible) == (1, 0)
+
+
+def test_frontier_blocks_without_applicable_actions(monkeypatch):
+    # One row per block of the applicability test, so the dead ends of the
+    # last level make blocks with no applicable action.
+    for gp in (_ground(ONEWAY_DOMAIN, ONEWAY_INSTANCE),
+               _ground(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(3), ("b1",))):
+        whole = space.expand(gp)
+        monkeypatch.setattr(pddl, "_APPLICABLE_BLOCK", 1)
+        sp = _check_against_oracle(gp)
+        monkeypatch.undo()
+        for name in ("states", "src", "dst", "act"):
+            assert np.array_equal(getattr(sp, name), getattr(whole, name))
+    dead = _ground(ONEWAY_DOMAIN, ONEWAY_INSTANCE)
+    at, aids, succ = dead.transitions(space.expand(dead).states[1:])
+    assert len(at) == len(aids) == 0 and succ.shape == (0, 1)
+
+
+def _group_keys():
+    """Seeded keys: uint64 with many repeats and values >= 2**63, and the
+    row keys of two- and three-word rows, at lengths 0, 1 and 3,000."""
+    rng = np.random.default_rng(18)
+    out = []
+    for n in (0, 1, 3000):
+        high = rng.integers(0, 2, n).astype(np.uint64) << np.uint64(63)
+        out.append(rng.integers(0, 40, n).astype(np.uint64) | high)
+        for words in (2, 3):
+            rows = rng.integers(0, 3, (n, words)).astype(np.uint64) << np.uint64(62)
+            out.append(space.row_keys(rows))
+    return out
+
+
+@pytest.mark.parametrize("keys", _group_keys(),
+                         ids=[f"{n}-{k}" for n in (0, 1, 3000) for k in ("u64", "w2", "w3")])
+def test_group_matches_unique_and_first_occurrence(keys):
+    uniq, first, inverse = space.group(keys)
+    want = np.unique(keys, return_index=True, return_inverse=True)
+    for got, ref in zip((uniq, first, inverse), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref.reshape(-1))
+    ids, groups = oracles.group_by_first_occurrence([k.tobytes() for k in keys])
+    assert sorted(first.tolist()) == [g[0] for g in groups]
+    assert first[inverse].tolist() == [groups[c][0] for c in ids]
+    if len(keys) > 1:
+        assert 1 < len(uniq) < len(keys) / 10
 
 
 def test_expansion_caps_are_exact():
