@@ -593,41 +593,53 @@ class StateContext:
 
     # -- distances ---------------------------------------------------------
 
-    def distances(self, source, role, restrict) -> np.ndarray:
-        """int64 [n_states, n]: the steps of `role` from the members of
-        `source` to each object, the steps entering `restrict` only; n + 1
-        where unreachable, with each state's own n.  When `role` and
-        `restrict` are state-independent, each state's map is the minimum
-        of its instance's distance table rows over the source members;
-        otherwise it is a breadth-first search in every state at once."""
-        ictx0 = self.ictxs[0]
-        if not (state_independent(role, ictx0.static_preds)
-                and state_independent(restrict, ictx0.static_preds)):
-            return self.distance_map(self.concept(source), self.role(role),
-                                     self.concept(restrict))
+    def distances(self, source, role, restricts) -> np.ndarray:
+        """int64 [len(restricts), n_states, n]: per restriction, the steps of
+        `role` from the members of `source` to each object, the steps entering
+        the restriction only; n + 1 where unreachable, with each state's own n.
+        Where `role` and a restriction are state-independent, a state's map is
+        the minimum of its instance's distance table rows over the source
+        members; the other restrictions share one breadth-first search."""
+        preds = self.ictxs[0].static_preds
+        tabled = np.array([state_independent(role, preds) and state_independent(r, preds)
+                           for r in restricts], dtype=bool)
+        dmap = np.tile((self.n_objs + 1)[:, None], (len(restricts), 1, self.n))
+        searched = [self.concept(r) for r, t in zip(restricts, tabled) if not t]
+        if searched:
+            k = len(searched)
+            dmap[~tabled] = self.distance_map(
+                np.tile(self.concept(source), (k, 1)), np.tile(self.role(role), (k, 1, 1)),
+                np.concatenate(searched)).reshape(k, self.n_states, self.n)
+        if not tabled.any():
+            return dmap
         members = self.members(self.concept(source))
-        dmap = np.repeat((self.n_objs + 1)[:, None], self.n, axis=1)
         lo = 0
         for ictx, size in zip(self.ictxs, self.sizes):
-            table = ictx.distance_table(role, restrict)
+            table = np.stack([ictx.distance_table(role, r)  # [objects, restricts, objects]
+                              for r, t in zip(restricts, tabled) if t], axis=1)
             states, dists = _reduce_members(np.minimum, members[lo:lo + size, :ictx.n],
                                             np.broadcast_to(table, (size,) + table.shape))
-            dmap[lo + states, :ictx.n] = dists
+            dmap[np.ix_(tabled, lo + states, range(ictx.n))] = dists.swapaxes(0, 1)
             lo += size
         return dmap
 
     def distance_map(self, sources, rows, restrict) -> np.ndarray:
-        """Breadth-first search in every state at once: [n_states, n] role
-        steps from `sources` to each object, the steps entering `restrict`
-        only; n + 1 where unreachable, with each state's own n."""
-        return _bfs(sources, rows, restrict, self.n_objs + 1, self.n)
+        """Breadth-first search in every state at once, k searches stacked:
+        [k * n_states, n] role steps from `sources` to each object, the steps
+        entering `restrict` only; n + 1 where unreachable, with each state's own n."""
+        return _bfs(sources, rows, restrict,
+                    np.tile(self.n_objs + 1, len(sources) // self.n_states), self.n)
 
-    def min_distance(self, dmap: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Per state, the least `dmap` entry over `targets`: the number of
-        steps to the nearest target, n + 1 when there is none.  `targets`
-        [..., n_states, words] may stack several target sets."""
-        return np.where(self.members(targets), dmap,
-                        (self.n_objs + 1)[:, None]).min(axis=-1)
+    def min_distance(self, maps: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Per state, the least entry of each of `maps` [..., n_states, n] over
+        each of `targets` [..., n_states, words], n + 1 if none: [maps...,
+        targets..., n_states].  Laid out [objects, maps, targets, states], the
+        values reduce over axis 0, far faster than over a short last axis."""
+        at = np.ascontiguousarray(np.moveaxis(self.members(targets), -1, 0))
+        dmap = np.ascontiguousarray(np.moveaxis(maps, -1, 0))
+        at = at.reshape(at.shape[:1] + (1,) * (maps.ndim - 2) + at.shape[1:])
+        dmap = dmap.reshape(dmap.shape[:-1] + (1,) * (targets.ndim - 2) + dmap.shape[-1:])
+        return np.where(at, dmap, self.n_objs + 1).min(axis=0)
 
 
 def state_context(parts) -> StateContext:

@@ -33,8 +33,8 @@ from genpol import concepts as co
 from genpol.errors import ArityError, GenpolError, LimitExceededError
 from genpol.space import SampleSet
 
-# Bound on the [targets, states, objects] elements of one reduction of
-# distance minima in `generate_pool`, which keeps its temporaries to a few MB.
+# Bound on the elements of one search's maps and of one block of distance
+# minima in `generate_pool`, which keeps its temporaries to a few MB.
 _MIN_BLOCK = 1 << 20
 
 
@@ -91,7 +91,7 @@ class DistanceFeature:
                 f"{name(self.restrict)},{name(self.target)})")
 
     def values(self, ctx: co.StateContext) -> np.ndarray:
-        dmap = ctx.distances(self.source, self.role, self.restrict)
+        dmap = ctx.distances(self.source, self.role, [self.restrict])[0]
         return ctx.min_distance(dmap, ctx.concept(self.target))
 
 
@@ -252,9 +252,16 @@ def _generate_roles(vocab: Vocabulary, ctx: co.StateContext, name):
     return kept
 
 
+def check_max_pool(max_pool: int):
+    """Rejects a pool cap below 1."""
+    if max_pool < 1:
+        raise GenpolError(f"max_pool must be at least 1, got {max_pool}")
+
+
 def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_000,
                   ignore_high_arity: bool = False):
     """Returns (FeaturePool, value matrix over the sample's global states)."""
+    check_max_pool(max_pool)
     vocab = primitive_vocabulary(sample, ignore_high_arity)
     ctx = co.state_context([(co.InstanceContext(sp.gp), sp.states)
                             for sp in sample.spaces])
@@ -340,25 +347,29 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
         if (counts == 1).all():
             singletons.append((expr, weight, col))
 
-    # Distance features, one distance map in all states at once per (source,
-    # role, restrict).  The targets of a map, the kept concepts up to some
-    # weight, are a prefix of `kept`; their minima over the map are taken in
-    # blocks of at most `_MIN_BLOCK` [targets, states, objects] elements.
+    # Distance features: one search per (source, role, restrict weight) over
+    # that weight's restricts, `span` maps at a time.  A map's targets, the
+    # kept concepts up to some weight, are a prefix of `kept`; the minima over
+    # them take blocks of at most `_MIN_BLOCK` [objects, maps, targets, states].
     cols = [col for _, _, col in kept]
     upto = np.searchsorted([w for _, w, _ in kept], np.arange(max_weight + 1),
                            side="right")
-    block = max(1, _MIN_BLOCK // (ctx.n_states * ctx.n))
+    span = max(1, _MIN_BLOCK // (ctx.n_states * ctx.n))
     for c1, w1, _ in singletons:
         for rexpr, rw, _ in roles:
             base = w1 + rw
             for wr in range(1, max_weight - base):
                 k = upto[max_weight - base - wr]
-                for cr, _ in by_weight.get(wr, []):
-                    dmap = ctx.distances(c1, rexpr, cr)
+                crs = [cr for cr, _ in by_weight.get(wr, [])]
+                for g in range(0, len(crs), span):
+                    maps = ctx.distances(c1, rexpr, crs[g:g + span])
+                    block = max(1, span // len(maps))
                     for lo in range(0, k, block):
-                        add(ctx.min_distance(dmap, np.stack(cols[lo:min(k, lo + block)])),
-                            lambda i: DistanceFeature(c1, rexpr, cr, kept[lo + i][0],
-                                                      base + wr + kept[lo + i][1]))
+                        t = min(k - lo, block)
+                        add(ctx.min_distance(maps, np.stack(cols[lo:lo + t])).reshape(
+                            -1, ctx.n_states), lambda i: DistanceFeature(
+                                c1, rexpr, crs[g + i // t], kept[lo + i % t][0],
+                                base + wr + kept[lo + i % t][1]))
 
     # Canonical order, then value-vector deduplication.
     feats.sort(key=lambda fc: (fc[0].weight, fc[0].render(name)))

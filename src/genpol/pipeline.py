@@ -48,6 +48,8 @@ class RunConfig:
             raise GenpolError("v_slack must be at least 1")
         if not self.training_paths:
             raise GenpolError("at least one training instance is required")
+        space.check_caps(self.max_states, self.max_transitions)
+        features.check_max_pool(self.max_pool)
         maxsat.check_time_limit(self.solver_time_limit)
         policy_mod.check_tie_break(self.tie_break)
         policy_mod.check_max_steps(self.max_steps)

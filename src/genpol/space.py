@@ -96,16 +96,21 @@ def _merged(a: np.ndarray, old: np.ndarray, values: np.ndarray, to: np.ndarray):
     return out
 
 
+def check_caps(max_states: int, max_transitions: int):
+    """Rejects a state cap below 1 and a negative transition cap."""
+    if max_states < 1:
+        raise GenpolError(f"max_states must be at least 1, got {max_states}")
+    if max_transitions < 0:
+        raise GenpolError(f"max_transitions must be non-negative, got {max_transitions}")
+
+
 def expand(gp: GroundProblem, max_states: int = 10**6,
            max_transitions: int = 10**7) -> StateSpace:
     """Breadth-first complete expansion from the initial state.  The caps
     fire as the one-state-at-a-time search would: at the first transition,
     in (source, action id) order, that makes a state beyond `max_states` or
     a transition beyond `max_transitions`."""
-    if max_states < 1:
-        raise GenpolError(f"max_states must be at least 1, got {max_states}")
-    if max_transitions < 0:
-        raise GenpolError(f"max_transitions must be non-negative, got {max_transitions}")
+    check_caps(max_states, max_transitions)
     name = gp.instance.name
     levels = [gp.init[None]]  # the states of each level, in id order
     known, known_ids = row_keys(levels[0]), np.zeros(1, dtype=np.int64)

@@ -395,20 +395,26 @@ def _parts(case):
 RANDOM_CASES = ["clear", "gripper", "visitall", "roads", "two-sizes"]
 
 
-@pytest.mark.parametrize("case", RANDOM_CASES)
-def test_random_expressions_match_set_semantics(case):
-    rng = random.Random(RANDOM_CASES.index(case))
+def _case_context(case, rng):
+    """(parts, instance contexts, state context, checked states) of a case:
+    up to 12 states of each instance, 3 of a large one, as (global index,
+    instance, atom ids); the set semantics is slow on many objects."""
     parts = _parts(case)
     ictxs = [co.InstanceContext(gp) for gp, _ in parts]
     ctx = co.state_context([(ictx, rows) for ictx, (_, rows) in zip(ictxs, parts)])
-    # Up to 12 states of each instance, 3 of a large one, as (global index,
-    # instance, atom ids); the set semantics is slow on many objects.
     checked, lo = [], 0
     for ictx, (gp, rows) in zip(ictxs, parts):
         unpack = oracles.unpacker(gp)
         for i in sorted(rng.sample(range(len(rows)), min(12 if ictx.n < 64 else 3, len(rows)))):
             checked.append((lo + i, ictx, unpack(rows[i])))
         lo += len(rows)
+    return parts, ictxs, ctx, checked
+
+
+@pytest.mark.parametrize("case", RANDOM_CASES)
+def test_random_expressions_match_set_semantics(case):
+    rng = random.Random(RANDOM_CASES.index(case))
+    parts, ictxs, ctx, checked = _case_context(case, rng)
     vocab, static_vocab = _vocabulary(parts[0][0]), _vocabulary(parts[0][0], True)
 
     for _ in range(60):
@@ -431,7 +437,7 @@ def test_random_expressions_match_set_semantics(case):
         source, restrict, target = (_random_concept(rng, pick, 1) for _ in range(3))
         role = _random_role(rng, pick)
         tables += all(co.state_independent(e, ictxs[0].static_preds) for e in (role, restrict))
-        dmap = ctx.distances(source, role, restrict)
+        dmap = ctx.distances(source, role, [restrict])[0]
         bfs_map = ctx.distance_map(ctx.concept(source), ctx.role(role), ctx.concept(restrict))
         assert np.array_equal(dmap, bfs_map)  # padding included
         got = ctx.min_distance(dmap, ctx.concept(target))
@@ -470,9 +476,74 @@ def test_distances_read_tables_only_for_state_independent_parts(monkeypatch):
         assert co.state_independent(role, static) == (_predicates_in(role) <= static)
         assert co.state_independent(restrict, static) == (_predicates_in(restrict) <= static)
         calls.update(bfs=0, table=0)
-        ctx.distances(Nominal("depot"), role, restrict)
+        ctx.distances(Nominal("depot"), role, [restrict])
         assert calls == ({"bfs": 0, "table": 1} if independent else {"bfs": 1, "table": 0})
         seen.add(independent)
     assert seen == {True, False}
     with pytest.raises(ValueError):
         ictx.static(Exists(PrimitiveRole("road"), PrimitiveConcept("visited")))
+
+
+@pytest.mark.parametrize("case", ["roads", "two-sizes"])
+def test_distances_over_several_restricts_match_one_at_a_time(case):
+    # One call over a list of restricts, state-dependent ones (one search
+    # for all) mixed with state-independent ones (table reads), gives the
+    # maps of one restrict at a time, of a plain search and of the oracle.
+    rng = random.Random(11 + RANDOM_CASES.index(case))
+    parts, ictxs, ctx, checked = _case_context(case, rng)
+    vocab, static_vocab = _vocabulary(parts[0][0]), _vocabulary(parts[0][0], True)
+    preds = ictxs[0].static_preds
+    mixed = 0
+    for _ in range(12):
+        source = _random_concept(rng, rng.choice([vocab, static_vocab]), 1)
+        role = _random_role(rng, rng.choice([vocab, static_vocab]))
+        restricts = [_random_concept(rng, rng.choice([vocab, static_vocab]), 1)
+                     for _ in range(rng.randint(1, 5))]
+        mixed += {co.state_independent(role, preds) and co.state_independent(r, preds)
+                  for r in restricts} == {True, False}
+        maps = ctx.distances(source, role, restricts)
+        assert maps.shape == (len(restricts), ctx.n_states, ctx.n)
+        assert maps.dtype == np.int64
+        target = _random_concept(rng, vocab, 1)
+        minima = ctx.min_distance(maps, ctx.concept(target))
+        for restrict, dmap, got in zip(restricts, maps, minima):
+            assert np.array_equal(dmap, ctx.distances(source, role, [restrict])[0])
+            assert np.array_equal(dmap, ctx.distance_map(  # padding included
+                ctx.concept(source), ctx.role(role), ctx.concept(restrict)))
+            for s, ictx, state in checked:
+                want = oracles.naive_distance(ictx.gp, state, source, role, restrict, target)
+                assert got[s] == want, (co.render(role), co.render(restrict), s)
+    assert mixed >= 2  # the seeds draw calls that search and read tables at once
+    assert ctx.distances(Top(), PrimitiveRole(vocab[1][0].name), []).shape == (
+        0, ctx.n_states, ctx.n)
+
+
+def test_min_distance_over_stacked_maps_and_targets_matches_a_loop():
+    # Two instances of 72 and 6 objects: two words per set, and n + 1 with
+    # each state's own n where a target is empty or out of reach.
+    _, _, ctx, _ = _case_context("two-sizes", random.Random(0))
+    rng = np.random.default_rng(3)
+    far = ctx.n_objs + 1
+    maps = rng.integers(0, far[None, :, None] + 1, size=(4, ctx.n_states, ctx.n))
+    bits = (rng.random((6, ctx.n_states, ctx.n)) < 0.05) & ctx.members(ctx.universe)
+    bits[0] = False
+    got = ctx.min_distance(maps, ctx.pack(bits))
+    assert got.shape == (4, 6, ctx.n_states) and got.dtype == np.int64
+    for i in range(4):
+        assert np.array_equal(ctx.min_distance(maps[i], ctx.pack(bits)), got[i])
+        for j in range(6):
+            want = [min(maps[i, s, bits[j, s]], default=far[s]) for s in range(ctx.n_states)]
+            assert got[i, j].tolist() == want
+            assert np.array_equal(ctx.min_distance(maps[i], ctx.pack(bits[j])), got[i, j])
+    assert (got[:, 0] == far).all()
+    # Real maps, one of them unreachable past the source (restricted to Bot).
+    source, role = PrimitiveConcept("at-robot"), PrimitiveRole("connected")
+    restricts = [Top(), Bot(), Not(PrimitiveConcept("visited"))]
+    maps = ctx.distances(source, role, restricts)
+    targets = np.stack([ctx.concept(c) for c in (Bot(), Top(), restricts[2])])
+    got = ctx.min_distance(maps, targets)
+    for i in range(3):
+        for j in range(3):
+            assert np.array_equal(got[i, j], ctx.min_distance(maps[i], targets[j]))
+    assert (got[:, 0] == far).all()
+    assert (got[1, 2] == far).all() and (got[0, 2] < far).any()

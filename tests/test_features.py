@@ -4,6 +4,9 @@ The value matrix of generation is checked, every feature on every state,
 against the set-semantics oracle in `oracles.py` (`oracles.feature_value`).
 """
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,11 +32,19 @@ TERNARY_INSTANCE = """
 """
 
 
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
 def _sample(domain_text, instance_text, goal_params=()):
+    return _sample_of(domain_text, [instance_text], goal_params)
+
+
+def _sample_of(domain_text, instances, goal_params=()):
     dom = pddl.parse_domain(domain_text)
-    inst = pddl.parse_instance(instance_text, dom, list(goal_params))
-    gp = pddl.ground(dom, inst)
-    return space.SampleSet([space.expand_labeled(gp)])
+    return space.SampleSet([
+        space.expand_labeled(pddl.ground(
+            dom, pddl.parse_instance(text, dom, list(goal_params))))
+        for text in instances])
 
 
 def _oracle_matrix(pool, sample):
@@ -44,11 +55,29 @@ def _oracle_matrix(pool, sample):
                      for f in pool.features], dtype=np.int64)
 
 
-@pytest.mark.parametrize("domain_text,instance_text,goal_params,k", [
-    (domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4), ("b1",), 4),
-    (domains.GRIPPER_DOMAIN, domains.gripper_instance(2), (), 5),
-    (domains.VISITALL_DOMAIN, domains.visitall_instance(2, 2, (0, 0)), (), 4),
-], ids=["blocks", "gripper", "visitall"])
+ONE_INSTANCE = [
+    pytest.param(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4), ("b1",), 4,
+                 id="blocks"),
+    pytest.param(domains.GRIPPER_DOMAIN, domains.gripper_instance(2), (), 5, id="gripper"),
+    pytest.param(domains.VISITALL_DOMAIN, domains.visitall_instance(2, 2, (0, 0)), (), 4,
+                 id="visitall"),
+]
+
+TWO_SIZES = [
+    pytest.param(domains.BLOCKS_DOMAIN,
+                 [domains.clear_tower_instance(3), domains.clear_tower_instance(4)], ("b1",),
+                 5, id="blocks-3-4"),
+    pytest.param(domains.VISITALL_DOMAIN,
+                 [domains.visitall_instance(2, 2, (0, 0)),
+                  domains.visitall_instance(3, 2, (1, 0))], (), 5, id="visitall-2x2-3x2"),
+    pytest.param(domains.VISITALL_DOMAIN,
+                 [domains.visitall_instance(3, 1, (0, 0)), domains.visitall_instance(
+                     65, 1, (64, 0), visited=[(x, 0) for x in range(1, 65)])], (), 5,
+                 id="visitall-3x1-65x1"),
+]
+
+
+@pytest.mark.parametrize("domain_text,instance_text,goal_params,k", ONE_INSTANCE)
 def test_generation_matches_per_state_evaluation(domain_text, instance_text,
                                                  goal_params, k):
     sample = _sample(domain_text, instance_text, goal_params)
@@ -58,25 +87,12 @@ def test_generation_matches_per_state_evaluation(domain_text, instance_text,
     assert np.array_equal(matrix, _oracle_matrix(pool, sample))
 
 
-@pytest.mark.parametrize("domain_text,instances,goal_params,k", [
-    (domains.BLOCKS_DOMAIN,
-     [domains.clear_tower_instance(3), domains.clear_tower_instance(4)], ("b1",), 5),
-    (domains.VISITALL_DOMAIN,
-     [domains.visitall_instance(2, 2, (0, 0)), domains.visitall_instance(3, 2, (1, 0))],
-     (), 5),
-    (domains.VISITALL_DOMAIN,
-     [domains.visitall_instance(3, 1, (0, 0)), domains.visitall_instance(
-         65, 1, (64, 0), visited=[(x, 0) for x in range(1, 65)])], (), 5),
-], ids=["blocks-3-4", "visitall-2x2-3x2", "visitall-3x1-65x1"])
+@pytest.mark.parametrize("domain_text,instances,goal_params,k", TWO_SIZES)
 def test_generation_over_instances_of_different_sizes(domain_text, instances,
                                                       goal_params, k):
     # Sets and roles are padded to the larger instance (to two words for 65
     # objects), and an unreachable distance is n + 1 with each state's own n.
-    dom = pddl.parse_domain(domain_text)
-    sample = space.SampleSet([
-        space.expand_labeled(pddl.ground(
-            dom, pddl.parse_instance(text, dom, list(goal_params))))
-        for text in instances])
+    sample = _sample_of(domain_text, instances, goal_params)
     sizes = [len(sp.gp.objects) for sp in sample.spaces]
     assert sizes[0] < sizes[1]
     pool, matrix = features.generate_pool(sample, max_weight=k)
@@ -86,6 +102,70 @@ def test_generation_over_instances_of_different_sizes(domain_text, instances,
     off = sample.offsets[1]
     assert (matrix[dist, :off] == sizes[0] + 1).any()
     assert (matrix[dist, off:] == sizes[1] + 1).any()
+
+
+@pytest.mark.parametrize("domain_text,instances,goal_params,k", [
+    pytest.param(*p.values[:1], [p.values[1]], *p.values[2:], id=p.id)
+    for p in ONE_INSTANCE] + TWO_SIZES)
+def test_minimum_blocks_do_not_change_the_pool(domain_text, instances, goal_params, k,
+                                               monkeypatch):
+    # Blocks of one map and one target, and blocks that split the largest
+    # target stack of the default run in halves.
+    sample = _sample_of(domain_text, instances, goal_params)
+    shapes = []
+    min_distance = co.StateContext.min_distance
+
+    def recorded(ctx, maps, targets):
+        shapes.append((len(maps), len(targets)))
+        return min_distance(ctx, maps, targets)
+
+    monkeypatch.setattr(co.StateContext, "min_distance", recorded)
+    pool, matrix = features.generate_pool(sample, max_weight=k)
+    calls = len(shapes)
+    n_maps, n_targets = max(shapes, key=lambda shape: shape[1])
+    assert n_targets > 1
+    half = (n_maps, n_targets // 2)
+    per_map = sample.n_states * max(len(sp.gp.objects) for sp in sample.spaces)
+    for bound in (1, half[0] * half[1] * per_map):
+        shapes.clear()
+        monkeypatch.setattr(features, "_MIN_BLOCK", bound)
+        got_pool, got_matrix = features.generate_pool(sample, max_weight=k)
+        assert got_pool.dump() == pool.dump()
+        assert got_matrix.dtype == matrix.dtype and np.array_equal(got_matrix, matrix)
+        assert len(shapes) > calls
+        assert max(m * t * per_map for m, t in shapes) <= max(bound, per_map)
+    assert half in shapes
+
+
+# sha256 of the pool dump and of the value matrix bytes of each benchmark
+# training sample at its benchmark weight, and of visitall at weight 8.
+PINNED_POOLS = {
+    ("clear", "prob05", ("b1",), 4): (
+        38, "2b69b6ecb6f9ea0c7ec3cf7abf4fa27fabedda8dc72c54ada35c67f25f84ba90",
+        "7974f4f2c38b526ac319aa76dfd9cec13d19e444d49aefd4c92adc1a2cdbb63b"),
+    ("gripper", "prob04", (), 8): (
+        216, "92a4fbfbbd6e6e183b4f9cf17263097565e253c20e97315f0f96cda9203f58ec",
+        "850c780bbd0d91691e427c55e313af4a4033b76d4155a646bf97312ef6db16cb"),
+    ("visitall", "prob3x3", (), 6): (
+        56, "257a4df10ac4e382b04dad30150e237cc1889a59b54d8e55f2119e2083f62d66",
+        "68baad520422845b017c031ef77e4db9ed430b7c3e2b19d1df1c831a22aa11df"),
+    ("visitall", "prob3x3", (), 8): (
+        203, "44058e3810afa2742646986ff34bacff02ce147d3d46d543ef431e495d84f2c7",
+        "e59aaf7da17e8959e9bcb95e727a2b6bd2c018b529742889466fe8674d530e13"),
+}
+
+
+@pytest.mark.parametrize("name,prob,goal_params,k", list(PINNED_POOLS),
+                         ids=[f"{name}-{k}" for name, _, _, k in PINNED_POOLS])
+def test_benchmark_pools_are_pinned(name, prob, goal_params, k):
+    bench = BENCHMARKS / name
+    sample = _sample((bench / "domain.pddl").read_text(),
+                     (bench / f"{prob}.pddl").read_text(), goal_params)
+    pool, matrix = features.generate_pool(sample, max_weight=k)
+    assert matrix.dtype == np.int64 and matrix.shape == (len(pool), sample.n_states)
+    assert (len(pool), hashlib.sha256(pool.dump().encode()).hexdigest(),
+            hashlib.sha256(matrix.tobytes()).hexdigest()) == PINNED_POOLS[name, prob,
+                                                                          goal_params, k]
 
 
 def test_feature_values_match_naive_oracle():
@@ -219,6 +299,18 @@ def test_pool_size_cap():
                      ("b1",))
     with pytest.raises(LimitExceededError):
         features.generate_pool(sample, max_weight=4, max_pool=5)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_pool_cap_below_one_is_rejected_before_generation(cap, monkeypatch):
+    sample = _sample(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(3), ("b1",))
+    with pytest.raises(LimitExceededError):
+        features.generate_pool(sample, max_weight=2, max_pool=1)  # 1 is a cap
+    monkeypatch.setattr(features, "primitive_vocabulary",
+                        lambda *args: pytest.fail("generation started"))
+    with pytest.raises(GenpolError, match=f"^max_pool must be at least 1, got {cap}$") as err:
+        features.generate_pool(sample, max_weight=2, max_pool=cap)
+    assert not isinstance(err.value, LimitExceededError)
 
 
 def test_pool_dump_load_round_trip():

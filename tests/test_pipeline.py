@@ -186,6 +186,39 @@ def test_negative_max_steps_is_rejected_before_any_stage(clear_files, tmp_path,
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("field,value,bad", [
+    ("max_pool", 0, "max_pool must be at least 1, got 0"),
+    ("max_pool", -1, "max_pool must be at least 1, got -1"),
+    ("max_states", 0, "max_states must be at least 1, got 0"),
+    ("max_transitions", -1, "max_transitions must be non-negative, got -1"),
+])
+def test_caps_are_rejected_before_any_stage(clear_files, monkeypatch, field, value, bad):
+    monkeypatch.setattr(pipeline, "load_domain", lambda path: pytest.fail("a stage ran"))
+    config = _clear_config(clear_files, **{field: value})
+    with pytest.raises(GenpolError, match=f"^{bad}$"):
+        config.validate()
+    with pytest.raises(GenpolError, match=f"^{bad}$"):
+        pipeline.learn(config)
+
+
+def test_cli_rejects_a_pool_cap_below_one(clear_files, tmp_path, capsys):
+    dom, train = clear_files
+    # `features` rejects it as the pool starts, `learn` before it reads a
+    # file: the missing domain is not reported.
+    for argv, cap in ((["features", "--domain", dom, "--training", train,
+                        "--goal-params", "b1", "--max-pool", "-1"], -1),
+                      (["learn", "--domain", str(tmp_path / "missing.pddl"),
+                        "--training", train, "--max-pool", "0"], 0)):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: max_pool must be at least 1, got {cap}\n"
+        assert captured.out == ""
+    assert cli.main(["features", "--domain", dom, "--training", train,
+                     "--goal-params", "b1", "--max-feature-weight", "1",
+                     "--max-pool", "1"]) == 2
+    assert "feature pool exceeds cap of 1" in capsys.readouterr().err
+
+
 def test_cli_learn_flags_set_every_run_config_field():
     parse = lambda argv: cli._config_from(cli.build_parser().parse_args(argv))
     cfg = parse(["learn", "--domain", "d.pddl", "--training", "a.pddl", "b.pddl",
