@@ -603,24 +603,22 @@ class StateContext:
         preds = self.ictxs[0].static_preds
         tabled = np.array([state_independent(role, preds) and state_independent(r, preds)
                            for r in restricts], dtype=bool)
-        dmap = np.tile((self.n_objs + 1)[:, None], (len(restricts), 1, self.n))
+        dmap = np.full((len(restricts), self.n_states, self.n), (self.n_objs + 1)[:, None])
         searched = [self.concept(r) for r, t in zip(restricts, tabled) if not t]
         if searched:
             k = len(searched)
             dmap[~tabled] = self.distance_map(
                 np.tile(self.concept(source), (k, 1)), np.tile(self.role(role), (k, 1, 1)),
                 np.concatenate(searched)).reshape(k, self.n_states, self.n)
-        if not tabled.any():
-            return dmap
         members = self.members(self.concept(source))
-        lo = 0
-        for ictx, size in zip(self.ictxs, self.sizes):
-            table = np.stack([ictx.distance_table(role, r)  # [objects, restricts, objects]
-                              for r, t in zip(restricts, tabled) if t], axis=1)
-            states, dists = _reduce_members(np.minimum, members[lo:lo + size, :ictx.n],
-                                            np.broadcast_to(table, (size,) + table.shape))
-            dmap[np.ix_(tabled, lo + states, range(ictx.n))] = dists.swapaxes(0, 1)
-            lo += size
+        for i in np.flatnonzero(tabled).tolist():
+            lo = 0
+            for ictx, size in zip(self.ictxs, self.sizes):
+                table = ictx.distance_table(role, restricts[i])
+                states, dists = _reduce_members(np.minimum, members[lo:lo + size, :ictx.n],
+                                                np.broadcast_to(table, (size,) + table.shape))
+                dmap[i, lo + states, :ictx.n] = dists
+                lo += size
         return dmap
 
     def distance_map(self, sources, rows, restrict) -> np.ndarray:
@@ -635,10 +633,12 @@ class StateContext:
         each of `targets` [..., n_states, words], n + 1 if none: [maps...,
         targets..., n_states].  Laid out [objects, maps, targets, states], the
         values reduce over axis 0, far faster than over a short last axis."""
-        at = np.ascontiguousarray(np.moveaxis(self.members(targets), -1, 0))
-        dmap = np.ascontiguousarray(np.moveaxis(maps, -1, 0))
-        at = at.reshape(at.shape[:1] + (1,) * (maps.ndim - 2) + at.shape[1:])
-        dmap = dmap.reshape(dmap.shape[:-1] + (1,) * (targets.ndim - 2) + dmap.shape[-1:])
+        at = np.ascontiguousarray(self.members(targets).transpose(-1, *range(targets.ndim - 1)))
+        dmap = maps.transpose(-1, *range(maps.ndim - 1))
+        if targets.ndim > 2:  # several targets read each map: copy it object-major
+            dmap = np.ascontiguousarray(dmap)
+        at = at[(slice(None),) + (None,) * (maps.ndim - 2)]
+        dmap = dmap[(Ellipsis,) + (None,) * (targets.ndim - 2) + (slice(None),)]
         return np.where(at, dmap, self.n_objs + 1).min(axis=0)
 
 

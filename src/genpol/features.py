@@ -34,8 +34,8 @@ from genpol.errors import ArityError, GenpolError, LimitExceededError
 from genpol.space import SampleSet
 
 # Bound on the elements of one search's maps and of one block of distance
-# minima in `generate_pool`, which keeps its temporaries to a few MB.
-_MIN_BLOCK = 1 << 20
+# minima in `generate_pool`, which keeps each of its temporaries to 1 MB.
+_MIN_BLOCK = 1 << 17
 
 
 # ---------------------------------------------------------------------------
