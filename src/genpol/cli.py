@@ -55,8 +55,8 @@ def _goal_params(args):
 
 
 def _config_from(args) -> pipeline.RunConfig:
-    """A RunConfig from the given flags, each field read from the flag of its
-    name; flags left unset keep its defaults."""
+    """The validated RunConfig of the given flags, each field read from the
+    flag of its name; flags left unset keep its defaults."""
     cfg = pipeline.RunConfig(domain_path=args.domain,
                              training_paths=list(args.training),
                              goal_params=_goal_params(args))
@@ -64,6 +64,7 @@ def _config_from(args) -> pipeline.RunConfig:
         value = getattr(args, f.name, None)
         if f.name not in _INSTANCE_FIELDS and value is not None:
             setattr(cfg, f.name, value)
+    cfg.validate()
     return cfg
 
 

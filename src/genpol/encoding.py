@@ -128,7 +128,7 @@ class Theory:
     goal_dist: np.ndarray     # per global state (the sample's)
     v_first: np.ndarray       # per global state: variable of V(s, goal_dist(s))
     v_count: np.ndarray       # per global state: number of admissible values
-    pairs: list               # encoded tau (unordered class index pairs)
+    pairs: list               # encoded tau (class index pairs a < b, as given)
     infeasible: tuple | None  # (goal state, non-goal state) with equal signature
     stats: dict
 
@@ -168,7 +168,9 @@ def build_theory(sample: SampleSet, pool: FeaturePool, matrix: np.ndarray,
     v_first = n_select + n_good + 1 + np.cumsum(v_count) - v_count
     nvars = n_select + n_good + int(v_count.sum())
     good = lambda c: n_select + 1 + c  # the Good(c) variables
-    enc_pairs = sorted({(min(a, b), max(a, b)) for a, b in pairs or () if a != b})
+    # in the order given, so appending pairs appends hard clauses
+    enc_pairs = list(dict.fromkeys((min(a, b), max(a, b))
+                                   for a, b in pairs or () if a != b))
     soft = Clauses.of(-np.arange(1, n_select + 1), np.ones(n_select, np.int64))
     families = []
 

@@ -1,11 +1,17 @@
 """Weighted partial MaxSAT on top of the embedded CDCL solver.
 
-Optimization uses core-guided search (OLL): all active soft clauses are
-assumed satisfied; each unsatisfiable core raises the lower bound by the
-core's minimum weight and introduces totalizer counting literals so that
-additional violations inside the core are charged individually.  The first
+Optimization uses core-guided search (OLL; Morgado et al., CP 2014): all
+active soft clauses are assumed satisfied; each unsatisfiable core raises
+the lower bound by the core's minimum weight and is relaxed into a sum, a
+totalizer over the core whose "at least 2" output is assumed false with that
+weight, so that further violations inside the core are charged.  Outputs
+are built lazily (Martins et al., CP 2014; RC2, Ignatiev et al., JSAT 2019):
+when a sum's bound b shows up in a core, every node gets its output b + 1
+and the sum's new bound is assumed with the sum's weight.  The first
 satisfying call is optimal, so the cost of the returned model always equals
-the proven lower bound.
+the proven lower bound.  One search (`Oll`) can be continued on a problem
+that appends hard clauses: added clauses only raise the optimum, so the
+solver, its assumptions, the sums and the lower bound all carry over.
 
 Also provides WCNF serialization in the standard DIMACS-like format
 ("p wcnf <vars> <clauses> <top>", hard clauses carry weight = top) and a
@@ -254,109 +260,142 @@ def evaluate(p: WcnfProblem, model: list) -> tuple:
             sum(p.weights[~p.soft.satisfied(m)].tolist()))
 
 
-def _totalizer_outputs(solver: Cdcl, lits: list) -> list:
-    """Counting literals over `lits`: output j (1-based) is forced true when
-    at least j inputs are true.  Only that direction is encoded, which is all
-    the core-guided loop needs.
+class _Sum:
+    """A totalizer (Bailleux and Boufkhad, CP 2003) whose output j (1-based)
+    is forced true when at least j inputs are; only that direction is
+    encoded.  The tree merges neighbouring nodes level by level (an odd last
+    node moves up unmerged).  A node is [outputs, inputs below it, left
+    outputs, right outputs], a leaf [[its literal], 1]; output j of a merge
+    of a and b gets the clauses out[j] | -a[ia] | -b[j - ia] (1-based,
+    without the term for an index of 0)."""
 
-    The tree merges neighbouring nodes level by level (an odd last node
-    moves up unmerged).  Merging a and b gives len(a) + len(b) new outputs
-    and, for each 0 <= ia <= len(a), 0 <= ib <= len(b) but (0, 0) in that
-    order, the clause out[ia + ib] | -a[ia] | -b[ib] (1-based, without the
-    terms for ia or ib = 0)."""
-    nodes = Clauses.of(lits, np.ones(len(lits), np.int64))
-    parts = []
-    while len(nodes) > 1:
-        m = len(nodes) // 2
-        size, start = nodes.lengths()[:2 * m], nodes.starts[:2 * m]
-        la, lb, sa, sb = size[0::2], size[1::2], start[0::2], start[1::2]
-        n_out = la + lb
-        first = solver.nvars + 1 + np.cumsum(n_out) - n_out
-        solver.ensure_vars(solver.nvars + int(n_out.sum()))
-        cells = (la + 1) * (lb + 1) - 1
-        pair = np.repeat(np.arange(m), cells)
-        ia, ib = np.divmod(ranges(np.ones(m, np.int64), cells), (lb + 1)[pair])
-        grid = np.stack([first[pair] + ia + ib - 1,
-                         -nodes.lits[sa[pair] + ia - 1],
-                         -nodes.lits[sb[pair] + ib - 1]], axis=1)
-        used = np.stack([np.ones(len(ia), bool), ia > 0, ib > 0], axis=1)
-        parts.append(Clauses.of(grid[used], used.sum(axis=1)))
-        nodes = Clauses.join([Clauses.of(ranges(first, n_out), n_out),
-                              nodes.take(np.arange(2 * m, len(nodes)))])
-    clauses = Clauses.join(parts)
-    solver.add_clauses(clauses.lits, clauses.starts)
-    return nodes.lits.tolist()
+    def __init__(self, solver: Cdcl, lits: list, weight: int):
+        self.weight = weight  # of the assumption on each bound
+        level = [[[lit], 1] for lit in lits]
+        self.merges = []      # the inner nodes, children first
+        while len(level) > 1:
+            up = [[[], a[1] + b[1], a[0], b[0]] for a, b in zip(level[::2], level[1::2])]
+            self.merges += up
+            level = up + level[2 * len(up):]
+        self.outs, self.size = level[0][:2]
+        self.extend(solver, 2)
+
+    def extend(self, solver: Cdcl, bound: int):
+        """Builds the outputs up to `bound` in every node."""
+        clauses, top = [], solver.nvars
+        for out, size, a, b in self.merges:
+            while len(out) < min(bound, size):
+                top += 1
+                out.append(top)
+                j = len(out)
+                for ia in range(max(0, j - len(b)), min(j, len(a)) + 1):
+                    clauses.append([top] + [-a[ia - 1]] * (ia > 0)
+                                   + [-b[j - ia - 1]] * (ia < j))
+        solver.ensure_vars(top)
+        added = Clauses.from_lists(clauses)
+        solver.add_clauses(added.lits, added.starts)
 
 
-def solve_wcnf(p: WcnfProblem, time_limit: float | None = None) -> MaxSatResult:
-    """Exact optimum via OLL core-guided search on the embedded solver."""
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    solver = Cdcl()
-    solver.ensure_vars(p.nvars)
-    if not solver.add_clauses(p.hard.lits, p.hard.starts):
-        return MaxSatResult(UNSATISFIABLE)
+class Oll:
+    """One OLL search on the embedded solver, continued by `solve_wcnf` on
+    each problem that appends hard clauses to the one loaded last."""
 
-    active: dict = {}  # assumption literal -> remaining weight
+    def __init__(self):
+        self.solver = Cdcl()
+        self.problem = None  # the problem loaded last
+        self.active = {}     # assumption literal -> remaining weight
+        self.sums = {}       # the assumption -out[b] on a sum's top bound b -> the sum
+        self.lower = 0
 
-    def charge(lit: int, weight: int):
+    def charge(self, lit: int, weight: int):
+        active = self.active
         active[lit] = active.get(lit, 0) + weight
         if active[lit] == 0:
             del active[lit]
 
-    # A unit soft clause is assumed as it is; a wider one gets a fresh
-    # relaxation variable r (clause | r, assume -r); an empty one is paid.
-    size = p.soft.lengths()
-    wide = np.flatnonzero(size > 1)
-    relax = solver.nvars + 1 + np.arange(len(wide))
-    solver.ensure_vars(solver.nvars + len(wide))
-    assumed = np.zeros(len(size), np.int64)
-    assumed[size == 1] = p.soft.lits[p.soft.starts[:-1][size == 1]]
-    assumed[wide] = -relax
-    lower = 0
-    for w, lit in zip(p.weights.tolist(), assumed.tolist()):
-        if lit:
-            charge(lit, w)
-        else:
-            lower += w
-    relaxed = p.soft.take(wide).zip(Clauses.of(relax, np.ones(len(wide), np.int64)))
-    solver.add_clauses(relaxed.lits, relaxed.starts)
-    if not solver.ok:
-        return MaxSatResult(UNSATISFIABLE)
+    def load(self, p: WcnfProblem):
+        """Adds the clauses p has beyond the problem loaded last."""
+        old, solver = self.problem, self.solver
+        if old is not None and not (p.nvars == old.nvars and all(map(
+                np.array_equal, (old.hard.starts, old.hard.lits, old.soft.lits,
+                                 old.soft.starts, old.weights),
+                (p.hard.starts[:len(old.hard) + 1], p.hard.lits[:len(old.hard.lits)],
+                 p.soft.lits, p.soft.starts, p.weights)))):
+            raise GenpolError("a continued MaxSAT search takes only hard clauses "
+                              "appended to the last problem")
+        self.problem = p
+        solver.ensure_vars(p.nvars)
+        solver.add_clauses(p.hard.lits, p.hard.starts[len(old.hard) if old else 0:])
+        if old is not None:
+            return
+        # A unit soft clause is assumed as it is; a wider one gets a fresh
+        # relaxation variable r (clause | r, assume -r); an empty one is paid.
+        size = p.soft.lengths()
+        wide = np.flatnonzero(size > 1)
+        relax = solver.nvars + 1 + np.arange(len(wide))
+        solver.ensure_vars(solver.nvars + len(wide))
+        assumed = np.zeros(len(size), np.int64)
+        assumed[size == 1] = p.soft.lits[p.soft.starts[:-1][size == 1]]
+        assumed[wide] = -relax
+        for w, lit in zip(p.weights.tolist(), assumed.tolist()):
+            if lit:
+                self.charge(lit, w)
+            else:
+                self.lower += w
+        relaxed = p.soft.take(wide).zip(Clauses.of(relax, np.ones(len(wide), np.int64)))
+        solver.add_clauses(relaxed.lits, relaxed.starts)
 
-    while True:
-        budget = None
-        if deadline is not None:
-            budget = deadline - time.monotonic()
-            if budget <= 0:
+    def search(self, deadline) -> MaxSatResult:
+        """The optimum of the problem loaded last: the first satisfying call
+        is optimal, so the cost of its model must equal the lower bound."""
+        solver, active = self.solver, self.active
+        while True:
+            budget = None
+            if deadline is not None:
+                budget = deadline - time.monotonic()
+                if budget <= 0:
+                    raise SolverTimeoutError("MaxSAT search exceeded time limit",
+                                             best_cost=self.lower)
+            try:
+                sat = solver.solve(assumptions=list(active), time_limit=budget)
+            except SolverTimeoutError as e:
                 raise SolverTimeoutError("MaxSAT search exceeded time limit",
-                                         best_cost=lower)
-        assumptions = list(active.keys())
-        try:
-            sat = solver.solve(assumptions=assumptions, time_limit=budget)
-        except SolverTimeoutError as e:
-            raise SolverTimeoutError("MaxSAT search exceeded time limit",
-                                     best_cost=lower) from e
-        if sat:
-            model = solver.model()
-            hard_ok, cost = evaluate(p, model)
-            if not hard_ok or cost != lower:
-                raise GenpolError(
-                    f"internal optimization error: model cost {cost} vs "
-                    f"proven bound {lower} (hard_ok={hard_ok})")
-            return MaxSatResult(OPTIMUM, cost=cost, model=model)
-        core = solver.core
-        if not core:
-            return MaxSatResult(UNSATISFIABLE)
+                                         best_cost=self.lower) from e
+            if sat:
+                model = solver.model()
+                hard_ok, cost = evaluate(self.problem, model)
+                if not hard_ok or cost != self.lower:
+                    raise GenpolError(
+                        f"internal optimization error: model cost {cost} vs "
+                        f"proven bound {self.lower} (hard_ok={hard_ok})")
+                return MaxSatResult(OPTIMUM, cost=cost, model=model)
+            if not solver.core:
+                return MaxSatResult(UNSATISFIABLE)
 
-        core = _trim_core(solver, core, deadline)
-        wmin = min(active[l] for l in core)
-        lower += wmin
-        for l in core:
-            charge(l, -wmin)
-        if len(core) > 1:
-            outs = _totalizer_outputs(solver, [-l for l in core])
-            for j in range(1, len(outs)):
-                charge(-outs[j], wmin)
+            core = _trim_core(solver, solver.core, deadline)
+            wmin = min(active[l] for l in core)
+            self.lower += wmin
+            for l in core:  # a sum whose top bound b is in the core gets b + 1
+                self.charge(l, -wmin)
+                total = self.sums.pop(l, None)
+                if total is not None and len(total.outs) < total.size:
+                    total.extend(solver, len(total.outs) + 1)
+                    self.sums[-total.outs[-1]] = total
+                    self.charge(-total.outs[-1], total.weight)
+            if len(core) > 1:
+                total = _Sum(solver, [-l for l in core], wmin)
+                self.sums[-total.outs[1]] = total
+                self.charge(-total.outs[1], wmin)
+
+
+def solve_wcnf(p: WcnfProblem, time_limit: float | None = None,
+               oll: Oll | None = None) -> MaxSatResult:
+    """Exact optimum via OLL core-guided search on the embedded solver,
+    continuing the search `oll` when one is given."""
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    oll = Oll() if oll is None else oll
+    oll.load(p)
+    return oll.search(deadline)
 
 
 def _trim_core(solver: Cdcl, core: list, deadline) -> list:
@@ -389,12 +428,13 @@ def check_time_limit(time_limit: float | None):
 
 
 def solve(p: WcnfProblem, backend: str = "embedded",
-          time_limit: float | None = None) -> MaxSatResult:
-    """Solve with the embedded solver, or run `backend` as an external
-    solver command, within `time_limit` seconds (None: no limit)."""
+          time_limit: float | None = None, oll: Oll | None = None) -> MaxSatResult:
+    """Solve with the embedded solver, continuing the search `oll` when one
+    is given, or run `backend` as an external solver command on the whole
+    of p, within `time_limit` seconds (None: no limit)."""
     check_time_limit(time_limit)
     if backend == "embedded":
-        return solve_wcnf(p, time_limit=time_limit)
+        return solve_wcnf(p, time_limit=time_limit, oll=oll)
     return solve_wcnf_external(p, backend, time_limit=time_limit)
 
 

@@ -126,7 +126,13 @@ class Fixpoint:
 def solve_fixpoint(prep: Prepared, pairs: list, config: RunConfig) -> Fixpoint:
     """Solves the theory restricted to the pair set tau, starting from
     `pairs`, and grows tau with the pairs the model leaves unseparated until
-    it leaves none: the model then satisfies the full theory."""
+    it leaves none: the model then satisfies the full theory.
+
+    Each round builds the whole theory, for its stats and the model check.
+    The embedded backend continues one OLL search across rounds: the fresh
+    pairs are appended to tau, so a round's hard clauses extend the last
+    round's by the new `separate` clauses, and only those are loaded."""
+    oll = maxsat.Oll()
     iterations = 0
     while True:
         iterations += 1
@@ -140,7 +146,7 @@ def solve_fixpoint(prep: Prepared, pairs: list, config: RunConfig) -> Fixpoint:
                             f"no policy in feature space: goal state {g} and "
                             f"non-goal state {ng} have identical feature values")
         result = maxsat.solve(theory.wcnf, config.solver_backend,
-                              time_limit=config.solver_time_limit)
+                              time_limit=config.solver_time_limit, oll=oll)
         if result.status != maxsat.OPTIMUM:
             return Fixpoint(theory, result, [], [], iterations,
                             "no policy in feature space: theory is unsatisfiable")
@@ -153,7 +159,7 @@ def solve_fixpoint(prep: Prepared, pairs: list, config: RunConfig) -> Fixpoint:
         if not fresh:
             raise InternalInvariantError(
                 "validation reports violated pairs already encoded")
-        pairs = sorted(known | set(fresh))
+        pairs = pairs + fresh
 
 
 # report.txt: one row per record key present, under these labels.

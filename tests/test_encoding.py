@@ -436,18 +436,18 @@ def test_starting_theory_bytes_are_pinned(name, merge, prepared):
 # in another order or state changes the search and so these counts.
 PINNED_SEARCH = {
     ("clear-5", False): (
-        8, "f382935ba6d34665410a9dc86eb074f5c090bf23c73a910fe25dc506786fb9c2",
-        9, 5, 906, 6435),
+        8, "1a07817a59ad743691f8443ee822aed6b3a701791f7f6f8c06041131c0da1fce",
+        9, 5, 776, 6119),
     ("clear-5", True): (
-        8, "702a50f7b881ef1eeeca59d623538419cd3f8f359b45ea2dc7c797a5c48731ab",
-        9, 5, 904, 3366),
-    # 16 cores, so 16 totalizers loaded between solves.
+        8, "0bb99fe786c602eb8ce9caaf8731e0e3d744c6979153a5e32db8850f21a56804",
+        9, 5, 774, 3050),
+    # 7 cores, so 7 sums built and 8 bounds extended between solves.
     ("gripper", True): (
-        10, "4b17b612aff8b5841c178881b16043c2d0e20e8f129ff27f092c2e00eed17c0c",
-        17, 63, 8930, 47189),
+        10, "ec777dcc83c604c4bf96c83a52e60bddd19305e1c4d7b5aced83079f042bf7e2",
+        17, 63, 4607, 25398),
     ("visitall", True): (
-        7, "2f4007e9076da2608d6b6ba7f456daf20ba4b470e1ed37c75e6a7b808671dc77",
-        7, 18, 2979, 14568),
+        7, "e1053e26e99da5564271eea8b27dc93395974cf67f1422b64f00dd6686f7f51e",
+        7, 18, 2574, 13186),
 }
 
 

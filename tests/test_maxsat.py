@@ -1,5 +1,7 @@
 """Weighted partial MaxSAT: exact optima, WCNF serialization, model parsing."""
 
+import dataclasses
+import itertools
 import random
 import stat
 import sys
@@ -13,6 +15,7 @@ from genpol import maxsat
 from genpol.errors import GenpolError, SolverTimeoutError
 from genpol.maxsat import (WcnfProblem, evaluate, format_wcnf, parse_model,
                            parse_wcnf, solve_wcnf, solve_wcnf_external)
+from genpol.sat import Cdcl
 
 
 def random_wcnf(rng, max_vars=12):
@@ -64,21 +67,147 @@ def test_positive_cost_and_weight_aggregation():
     assert res.model[2] == 1
 
 
+def ladder(n):
+    """Pairwise-conflicting variables 1..n, all softly wanted: exactly one
+    can be true, so the optimum is n - 1."""
+    p = WcnfProblem()
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            p = oracles.add_hard(p, [-i, -j])
+    for i in range(1, n + 1):
+        p = oracles.add_soft(p, 1, [i])
+    return p
+
+
 def test_cardinality_ladder_costs():
-    # Pairwise-conflicting variables, all softly wanted: exactly one can be
-    # true, so cost is n - 1.  Exercises repeated cores and the counting
-    # circuitry rather than single-step refutations.
+    # Exercises repeated cores and the counting circuitry rather than
+    # single-step refutations.
     for n in (4, 6, 8):
-        p = WcnfProblem()
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                p = oracles.add_hard(p, [-i, -j])
-        for i in range(1, n + 1):
-            p = oracles.add_soft(p, 1, [i])
+        p = ladder(n)
         res = solve_wcnf(p)
         assert res.status == maxsat.OPTIMUM
         assert res.cost == n - 1
         assert sum(res.model[1:n + 1]) == 1
+
+
+def test_a_continued_search_matches_fresh_solves():
+    # One search continued over rounds of appended hard clauses finds each
+    # round's optimum, as brute force and a fresh search do.  Half the
+    # clauses added negate a soft literal, so optima rise between rounds.
+    rng = random.Random(20)
+    later = rises = 0
+    for _ in range(150):
+        p = random_wcnf(rng, max_vars=9)
+        oll, last = maxsat.Oll(), None
+        for _ in range(rng.randint(2, 3)):
+            want = oracles.brute_force_wcnf(p)
+            got, fresh = solve_wcnf(p, oll=oll), solve_wcnf(p)
+            assert got.status == fresh.status
+            if want is None:
+                assert got.status == maxsat.UNSATISFIABLE
+                break
+            assert got.cost == fresh.cost == want, format_wcnf(p)
+            assert evaluate(p, got.model) == (True, want)
+            if last is not None:
+                later += 1
+                rises += want > last
+            last = want
+            for _ in range(rng.randint(1, 2)):
+                soft = p.soft.lits.tolist()
+                p = oracles.add_hard(p, [-rng.choice(soft)] if soft and rng.random() < 0.5
+                                     else [rng.choice([-1, 1]) * rng.randint(1, p.nvars)
+                                           for _ in range(rng.randint(1, 3))])
+    assert later > 80 and rises > 15, (later, rises)
+
+
+def test_a_continued_search_takes_only_appended_hard_clauses():
+    p = oracles.add_hard(ladder(4), [1, 2])
+    for other in (oracles.add_soft(p, 1, [3]), ladder(4),
+                  oracles.add_hard(ladder(4), [1, 3]),
+                  dataclasses.replace(p, nvars=5)):
+        oll = maxsat.Oll()
+        solve_wcnf(p, oll=oll)
+        with pytest.raises(GenpolError, match="only hard clauses appended"):
+            solve_wcnf(other, oll=oll)
+    oll = maxsat.Oll()
+    assert solve_wcnf(p, oll=oll).cost == solve_wcnf(p, oll=oll).cost == 3
+
+
+@pytest.mark.parametrize("n, m, bound", [(6, 2, 3), (8, 3, 4)])
+def test_at_most_m_of_n_extends_a_sum_past_bound_two(monkeypatch, n, m, bound):
+    # n unit softs of which at most m can hold (a clause against every m + 1
+    # of them): later cores hold a sum's bound, which is then extended.
+    # The ladder (m = 1) never gets past bound 2: its cores are pairs.  With
+    # weights, the optimum holds only if each new bound is charged the
+    # weight its sum was created with.
+    bounds = []
+    extend = maxsat._Sum.extend
+
+    def spy(self, solver, bound):
+        bounds.append(bound)
+        return extend(self, solver, bound)
+
+    monkeypatch.setattr(maxsat._Sum, "extend", spy)
+    p = WcnfProblem()
+    for group in itertools.combinations(range(1, n + 1), m + 1):
+        p = oracles.add_hard(p, [-v for v in group])
+    unit = p
+    for v in range(1, n + 1):
+        unit = oracles.add_soft(unit, 1, [v])
+    assert solve_wcnf(unit).cost == n - m
+    assert max(bounds) == bound
+    rng = random.Random(n)
+    for _ in range(10):
+        weighted = p
+        for v in range(1, n + 1):
+            weighted = oracles.add_soft(weighted, rng.randint(1, 9), [v])
+        bounds.clear()
+        assert solve_wcnf(weighted).cost == oracles.brute_force_wcnf(weighted)
+        assert max(bounds) > 2
+
+
+@pytest.mark.parametrize("k", [2, 3, 17, 175, 1000])
+def test_a_new_sum_loads_clauses_linear_in_its_inputs(k):
+    solver = Cdcl()
+    solver.ensure_vars(k)
+    total = maxsat._Sum(solver, list(range(1, k + 1)), 1)
+    assert total.size == k and len(total.outs) == 2
+    # k - 1 merges, each with two outputs: at most 2 + 3 clauses.
+    assert solver.nvars - k <= 2 * (k - 1)
+    assert len(solver.clauses) <= 5 * (k - 1)
+
+
+def test_sum_outputs_count_their_inputs():
+    # Under every input assignment, output j is forced true exactly when at
+    # least j inputs are, at each bound the sum is extended to.
+    k = 5
+    solver = Cdcl()
+    solver.ensure_vars(k)
+    total = maxsat._Sum(solver, list(range(1, k + 1)), 1)
+    for bound in range(2, k + 1):
+        total.extend(solver, bound)
+        assert len(total.outs) == bound
+        for bits in itertools.product((0, 1), repeat=k):
+            inputs = [v if b else -v for v, b in enumerate(bits, 1)]
+            for j, out in enumerate(total.outs, 1):
+                assert solver.solve(inputs + [-out]) == (sum(bits) < j)
+
+
+def test_a_later_round_times_out_above_the_last_optimum():
+    # The lower bound carries over: a round out of time at once still
+    # reports the last round's optimum, where a fresh search reports 0.
+    p = ladder(9)
+    oll = maxsat.Oll()
+    assert solve_wcnf(p, oll=oll).cost == 8
+    p = oracles.add_hard(oracles.add_hard(p, [-1]), [-2])
+    with pytest.raises(SolverTimeoutError) as fresh:
+        solve_wcnf(p, time_limit=1e-9)
+    assert fresh.value.best_cost == 0
+    with pytest.raises(SolverTimeoutError) as later:
+        solve_wcnf(p, time_limit=1e-9, oll=oll)
+    assert later.value.best_cost >= 8
+    # The timed-out round can be continued, with its own time budget.
+    assert solve_wcnf(p, time_limit=60, oll=oll).cost == 8
 
 
 def test_hard_unsatisfiable_reported():
@@ -200,14 +329,8 @@ def test_evaluate_matches_clause_by_clause_check():
 
 
 def test_time_limit_raises_with_progress_bound():
-    p = WcnfProblem()
-    n = 9
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            p = oracles.add_hard(p, [-i, -j])
-        p = oracles.add_soft(p, 1, [i])
     with pytest.raises(SolverTimeoutError):
-        solve_wcnf(p, time_limit=1e-9)
+        solve_wcnf(ladder(9), time_limit=1e-9)
 
 
 @pytest.mark.parametrize("limit", [0, -1.0, float("nan"), float("inf")])

@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior and the command line interface."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +71,28 @@ def test_learn_matches_manual_stage_composition(clear_files):
     phi, goods, _ = encoding.decode(theory, res.model)
     manual = po.extract_policy(prep.pool, phi, prep.classes, goods)
     assert manual.dump() == result.policy.dump()
+
+
+def test_rounds_continue_one_search(monkeypatch):
+    # Visitall 3x3 takes two rounds.  The second continues the first's
+    # search on one solver, and finds the optimum a fresh search finds on
+    # the whole theory of that round.
+    made = []
+
+    class Counted(maxsat.Cdcl):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(maxsat, "Cdcl", Counted)
+    visitall = Path(__file__).resolve().parent.parent / "benchmarks" / "visitall"
+    cfg = pipeline.RunConfig(domain_path=str(visitall / "domain.pddl"),
+                             training_paths=[str(visitall / "prob3x3.pddl")],
+                             max_feature_weight=6)
+    prep = pipeline.prepare(cfg)
+    fix = pipeline.solve_fixpoint(prep, pipeline.start_pairs(prep, cfg), cfg)
+    assert fix.iterations == 2 and len(made) == 1
+    assert fix.result.cost == maxsat.solve_wcnf(fix.theory.wcnf).cost == 7
 
 
 def test_learn_reports_unsat_for_weak_feature_pool(clear_files):
@@ -203,8 +226,8 @@ def test_caps_are_rejected_before_any_stage(clear_files, monkeypatch, field, val
 
 def test_cli_rejects_a_pool_cap_below_one(clear_files, tmp_path, capsys):
     dom, train = clear_files
-    # `features` rejects it as the pool starts, `learn` before it reads a
-    # file: the missing domain is not reported.
+    # Both reject it before they read a file: `learn` does not report the
+    # missing domain.
     for argv, cap in ((["features", "--domain", dom, "--training", train,
                         "--goal-params", "b1", "--max-pool", "-1"], -1),
                       (["learn", "--domain", str(tmp_path / "missing.pddl"),
@@ -217,6 +240,24 @@ def test_cli_rejects_a_pool_cap_below_one(clear_files, tmp_path, capsys):
                      "--goal-params", "b1", "--max-feature-weight", "1",
                      "--max-pool", "1"]) == 2
     assert "feature pool exceeds cap of 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, bad_flag, rest, bad", [
+    ("features", ["--max-feature-weight", "0"], [], "max_feature_weight must be at least 1"),
+    ("encode", ["--v-slack", "0"], ["--out-prefix"], "v_slack must be at least 1"),
+    ("extract", ["--v-slack", "0"], ["--model"], "v_slack must be at least 1"),
+])
+def test_stage_commands_validate_their_config(clear_files, tmp_path, monkeypatch,
+                                             capsys, command, bad_flag, rest, bad):
+    # Each stage command rejects a bad value before any stage runs, with the
+    # message `learn` prints for it.
+    monkeypatch.setattr(pipeline, "load_domain", lambda path: pytest.fail("a stage ran"))
+    dom, train = clear_files
+    common = ["--domain", dom, "--training", train, "--goal-params", "b1", *bad_flag]
+    for argv in ([command, *common, *rest, *[str(tmp_path / "out")] * len(rest)],
+                 ["learn", *common]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}\n")
 
 
 def test_cli_learn_flags_set_every_run_config_field():

@@ -4,19 +4,22 @@ names still carry the work: verification and greedy execution evaluate
 features through `concepts.state_context` and `Policy.evaluate`.
 
 A renamed or moved function would make `perfbench/run.py --trace 1` fail
-at install time, or silently record no span for a layer.
+at install time, or silently record no span for a layer.  `learn` runs one
+MaxSAT search across its constraint-generation rounds, and each round must
+still enter it through the traced `maxsat.solve_wcnf`.
 """
 
 import sys
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracing  # noqa: E402
 
 import domains  # noqa: E402
-from genpol import pddl, policy as po, space  # noqa: E402
+from genpol import pddl, pipeline, policy as po, space  # noqa: E402
 
 CLEAR_POLICY = """\
 feature 0 4 num Exists(on_plus,Nominal(goal0))
@@ -66,3 +69,33 @@ def test_tracer_wraps_every_traced_name_and_records_the_space_spans():
     assert tracer.counters[1]["policy.compatible_true"] == 1
     assert calls["pddl.ground", 2] == 1
     assert tracer.counters[2]["pddl.ground_actions"] == len(grounded.actions) == 40
+
+
+def test_tracer_records_every_round_of_a_learn_run():
+    visitall = ROOT / "benchmarks" / "visitall"
+    config = pipeline.RunConfig(domain_path=str(visitall / "domain.pddl"),
+                                training_paths=[str(visitall / "prob3x3.pddl")],
+                                max_feature_weight=6)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.begin_op(0)
+        res = pipeline.learn(config)
+    finally:
+        tracer.uninstall()
+    rounds = res.facts["iterations"]
+    assert res.status == "ok" and rounds == 2
+    names = [tracer.names[i] for i in tracer.name]
+    parent = list(tracer.parent)
+    # One theory built and one search entered per round, in that order.
+    assert [n for n in names if n in ("encoding.build_theory", "maxsat.solve_wcnf")] \
+        == ["encoding.build_theory", "maxsat.solve_wcnf"] * rounds
+    assert tracer.counters[0]["pipeline.rounds"] == rounds
+
+    def inside_search(i):
+        while i >= 0 and names[i] != "maxsat.solve_wcnf":
+            i = parent[i]
+        return i >= 0
+
+    sat_calls = [i for i, n in enumerate(names) if n == "sat.solve"]
+    assert sat_calls and all(inside_search(i) for i in sat_calls)
