@@ -506,9 +506,10 @@ class StateContext:
         shapes = [(len(ictx0.unary_preds), self.words),
                   (len(ictx0.binary_preds), self.n, self.words),
                   (len(ictx0.flag_preds),)]
-        unary, rows, flags = (
-            np.concatenate([_padded(a, a.shape[:1] + tail) for a in got])
-            for got, tail in zip(zip(*tables), shapes))
+        unary, rows, flags = (  # one part's tables are used as they are
+            np.concatenate(p) if len(p) > 1 else p[0]
+            for p in ([_padded(a, a.shape[:1] + tail) for a in got]
+                      for got, tail in zip(zip(*tables), shapes)))
         self.unary = {p: unary[:, k] for k, p in enumerate(ictx0.unary_preds)}
         self.rows = {p: rows[:, k] for k, p in enumerate(ictx0.binary_preds)}
         self.flags = {p: flags[:, k].astype(np.int64)
@@ -517,8 +518,10 @@ class StateContext:
 
     def constant(self, values) -> np.ndarray:
         """Per-state array of a per-instance set (or successor sets), given
-        for each part."""
+        for each part; of one part, a read-only view of its value."""
         shape = (self.words,) if values[0].ndim == 1 else (self.n, self.words)
+        if len(values) == 1:
+            return np.broadcast_to(_padded(values[0], shape), (self.n_states,) + shape)
         rows = np.stack([_padded(v, shape) for v in values])
         return np.repeat(rows, self.sizes, axis=0)
 
@@ -632,9 +635,12 @@ class StateContext:
         """Per state, the least entry of each of `maps` [..., n_states, n] over
         each of `targets` [..., n_states, words], n + 1 if none: [maps...,
         targets..., n_states].  Laid out [objects, maps, targets, states], the
-        values reduce over axis 0, far faster than over a short last axis."""
-        at = np.ascontiguousarray(self.members(targets).transpose(-1, *range(targets.ndim - 1)))
+        values reduce over axis 0, far faster than over a short last axis;
+        one map and one target are only transposed, as a copy costs more."""
+        at = self.members(targets).transpose(-1, *range(targets.ndim - 1))
         dmap = maps.transpose(-1, *range(maps.ndim - 1))
+        if maps.ndim > 2 or targets.ndim > 2:
+            at = np.ascontiguousarray(at)
         if targets.ndim > 2:  # several targets read each map: copy it object-major
             dmap = np.ascontiguousarray(dmap)
         at = at[(slice(None),) + (None,) * (maps.ndim - 2)]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -482,7 +483,12 @@ class GroundProblem:
     action id i is named `actions[i]`, and rows i of `pre_masks`,
     `add_masks` and `del_masks` hold its dynamic preconditions, adds and
     deletes (the adds and deletes are disjoint).  Its static preconditions
-    hold, or `ground` would have dropped it.
+    hold, or `ground` would have dropped it.  Each action is keyed by one
+    dynamic precondition bit (`pre_key`), the one the fewest actions
+    require, the lowest on ties; an action without one gets bit 64 * words,
+    which `successors` sets on every row.  `successors` of one row tests
+    only the actions keyed by bits the row holds (as in Helmert, JAIR
+    2006); `transitions` tests all actions on blocks of rows.
     """
 
     domain: DomainModel
@@ -500,16 +506,15 @@ class GroundProblem:
     del_masks: np.ndarray
     goal_mask: np.ndarray  # packed row of the dynamic goal atoms
     goal_static: bool  # whether the static goal atoms hold
+    pre_key: np.ndarray  # action -> its key bit (int64)
 
-    def __post_init__(self):
-        # Per word, the actions with preconditions in it and their masks
-        # there: `transitions` tests only these.
-        self._pre_words = []
-        for w in range(self.words):
-            ids = np.flatnonzero(self.pre_masks[:, w])
-            if len(ids):
-                cols = slice(None) if len(ids) == len(self.actions) else ids
-                self._pre_words.append((w, cols, self.pre_masks[ids, w]))
+    @cached_property
+    def _pre_words(self) -> list:
+        """Per word, the actions with preconditions in it and their masks
+        there: `transitions` tests only these."""
+        ids = [np.flatnonzero(self.pre_masks[:, w]) for w in range(self.words)]
+        return [(w, slice(None) if len(i) == len(self.actions) else i, self.pre_masks[i, w])
+                for w, i in enumerate(ids) if len(i)]
 
     @property
     def words(self) -> int:
@@ -539,9 +544,14 @@ class GroundProblem:
         return at, aids, (rows[at] & ~self.del_masks[aids]) | self.add_masks[aids]
 
     def successors(self, row: np.ndarray) -> tuple:
-        """(action ids ascending, successor rows [k, words]) of one row."""
-        _, aids, nxt = self.transitions(row[None])
-        return aids, nxt
+        """(action ids ascending, successor rows [k, words]) of one row, the
+        same as `transitions(row[None])`."""
+        held = np.unpackbits(np.append(row, np.uint64(1)).astype("<u8", copy=False)
+                             .view(np.uint8), bitorder="little")
+        aids = np.flatnonzero(held[self.pre_key])
+        pre = self.pre_masks[aids]
+        aids = aids[((row & pre) == pre).all(axis=1)]
+        return aids, (row & ~self.del_masks[aids]) | self.add_masks[aids]
 
 
 def _pack(out: np.ndarray, rows: np.ndarray, ids: np.ndarray, bit_of: np.ndarray):
@@ -553,6 +563,23 @@ def _pack(out: np.ndarray, rows: np.ndarray, ids: np.ndarray, bit_of: np.ndarray
     bits = bits[on]
     np.bitwise_or.at(out, (rows[on], bits // 64),
                      np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64)))
+
+
+def _key_bits(pres: list, rank: np.ndarray, bit_of: np.ndarray, words: int) -> np.ndarray:
+    """Each action's key bit (see `GroundProblem`), from the schemas' pre
+    templates `pres` in grounding order (`rank`: that order -> action id)."""
+    bits = [bit_of[pre] for pre in pres]
+    for b in bits:
+        for j in range(1, b.shape[1]):  # an atom required twice counts once
+            b[(b[:, :j] == b[:, j:j + 1]).any(axis=1), j] = -1
+    m = len(bit_of)  # above every bit; count[-1] is 0
+    count = np.bincount(np.concatenate([b[b >= 0] for b in bits] + [rank[:0]]), minlength=m)
+    never = (len(rank) + 1) * m
+    best = np.concatenate([rank[:0]] + [np.where(b >= 0, count[b] * m + b, never).min(axis=1)
+                                        if b.shape[1] else np.full(len(b), never) for b in bits])
+    key = np.empty(len(rank), dtype=np.int64)
+    key[rank] = np.where(best < never, best % m, 64 * words)
+    return key
 
 
 def _objects_by_type(dom: DomainModel, inst: InstanceModel) -> dict:
@@ -829,4 +856,5 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
         del_masks=masks[2],
         goal_mask=pack_set(goal),
         goal_static=all(a in static_atoms for a in goal if is_static[a]),
+        pre_key=_key_bits([pre for pre, _, _ in bound], rank, bit_of, words),
     )

@@ -13,11 +13,15 @@ Feature values come as int64 tables, one row per state (`Policy.evaluate`),
 and compatibility is decided for many transitions at once
 (`Policy.compatible_mask`): for every transition of a space in
 verification, and for blocks of one state's successors at each greedy
-step.  Greedy execution with the "first" tie break takes the first
-compatible successor in action order, so it evaluates the successors in
-blocks, `FIRST_BLOCK` of them first and twice as many in each next block,
-and stops at the first block that holds a compatible one; with the
-"random" tie break it evaluates them all, as one block.
+step.  Each rule alternative is compiled to the change codes it allows per
+feature, so a transition costs one bit test per feature and alternative.
+A greedy step takes the successors of one state from
+`GroundProblem.successors`, which tests only the actions keyed by bits the
+state holds.  With the "first" tie break it takes the first compatible
+successor in action order, so it evaluates the successors in blocks,
+`FIRST_BLOCK` of them first and twice as many in each next block, and
+stops at the first block that holds a compatible one; with the "random"
+tie break it evaluates them all, as one block.
 
 Extraction turns the good equivalence classes of a theory model into rules:
 classes are grouped by the source valuation (one rule per distinct body) and
@@ -44,6 +48,7 @@ DEC = "dec"
 
 BLOCK_STATES = 8192  # states evaluated together by `Policy.evaluate`
 FIRST_BLOCK = 16  # successors in a greedy step's first block; each next doubles
+MASK_BLOCK = 1 << 16  # transitions tested together by `Policy.compatible_mask`
 TIE_BREAKS = ("first", "random")  # how `greedy_execute` picks among moves
 
 
@@ -65,17 +70,29 @@ class Rule:
     alternatives: tuple  # tuples of Effects, each sorted by feature
 
 
+# A feature's change from value v0 to v1 (both non-negative) has the code
+# 6 * (v0 > 0) + 3 * (v1 > 0) + sign(v1 - v0) + 1.  As 12-bit sets: the codes
+# with v0 > 0, with v1 > 0, all codes, and those of v1 = v0, > v0 and < v0.
+_V0, _V1, _ALL = 0b111111000000, 0b111000111000, 0b111111111111
+_SAME, _UP, _DOWN = 0b010010010010, 0b100100100100, 0b001001001001
+_EFFECTS = {SET_TRUE: _V1, SET_FALSE: _ALL ^ _V1, INC: _UP, DEC: _DOWN}
+
+
 class Policy:
     def __init__(self, features: list, rules: list):
         self.features = features  # Feature objects, policy-local indices
         self.rules = rules
-        # Per rule, its body and, per alternative, its effects and the
-        # features it keeps unchanged, for `compatible_mask`.
-        self._tests = [
-            (rule.body, [(alt, [f for f in range(len(features))
-                                if f not in {e.feature for e in alt}])
-                         for alt in rule.alternatives])
-            for rule in rules]
+        # Per (rule, alternative), the compiled test of `compatible_mask`:
+        # per feature, the set of its change codes that meet the body and
+        # the alternative (a bool table [features, 12], packed as uint16).
+        masks = []
+        for rule in rules:
+            body = {c.feature: _V0 if c.positive else _ALL ^ _V0 for c in rule.body}
+            for alt in rule.alternatives:
+                change = {e.feature: _EFFECTS[e.kind] for e in alt}
+                masks.append([change.get(f, _SAME) & body.get(f, _ALL)
+                              for f in range(len(features))])
+        self._masks = np.array(masks, dtype=np.uint16).reshape(len(masks), len(features))
 
     # -- semantics ---------------------------------------------------------
 
@@ -98,25 +115,15 @@ class Policy:
         """Whether each transition is a policy move: `src` and `dst` are int
         arrays [n_transitions, n_features] of the feature valuations before
         and after; returns one bool each."""
-        same = src == dst
-        out = np.zeros(len(src), dtype=bool)
-        for conds, alternatives in self._tests:
-            body = np.ones(len(src), dtype=bool)
-            for c in conds:
-                body &= (src[:, c.feature] > 0) == c.positive
-            for alt, kept in alternatives:
-                match = body.copy()
-                for e in alt:
-                    v0, v1 = src[:, e.feature], dst[:, e.feature]
-                    if e.kind == SET_TRUE:
-                        match &= v1 > 0
-                    elif e.kind == SET_FALSE:
-                        match &= v1 == 0
-                    elif e.kind == INC:
-                        match &= v1 > v0
-                    else:
-                        match &= v1 < v0
-                out |= match & same[:, kept].all(axis=1)
+        out = np.empty(len(src), dtype=bool)
+        for lo in range(0, len(src), MASK_BLOCK):
+            s, d = src[lo:lo + MASK_BLOCK], dst[lo:lo + MASK_BLOCK]
+            codes = np.ascontiguousarray((np.uint8(6) * (s > 0) + np.uint8(3) * (d > 0)
+                                          + np.uint8(1) + (d > s) - (d < s)).T)
+            match = np.ones((len(self._masks), len(s)), dtype=bool)
+            for f, bits in enumerate(np.left_shift(np.uint16(1), codes, dtype=np.uint16)):
+                match &= (self._masks[:, f, None] & bits) != 0
+            out[lo:lo + MASK_BLOCK] = match.any(axis=0)
         return out
 
     # -- serialization -------------------------------------------------------

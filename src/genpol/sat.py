@@ -421,8 +421,7 @@ class Cdcl:
             self.ok = False
             return False
         codes = [_enc(a) for a in assumptions]
-        for code in codes:
-            self.ensure_vars(code >> 1)
+        self.ensure_vars(max(codes, default=0) >> 1)
         assumption_set = set(codes)
         deadline = None if time_limit is None else time.monotonic() + time_limit
         start_conflicts = self.conflicts

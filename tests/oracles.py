@@ -114,6 +114,32 @@ def product_ground(dom, inst):
 
 # -- states and expansion ------------------------------------------------------
 
+def key_bits(gp):
+    """Each action's key bit, read off its precondition mask: of the bits it
+    requires, the one the fewest actions require, the lowest on ties; 64 *
+    words for an action that requires none."""
+    pres = [[b for b in range(64 * gp.words) if int(row[b // 64]) >> (b % 64) & 1]
+            for row in gp.pre_masks]
+    count = {}
+    for bits in pres:
+        for b in bits:
+            count[b] = count.get(b, 0) + 1
+    return [min(bits, key=lambda b: (count[b], b)) if bits else 64 * gp.words
+            for bits in pres]
+
+
+def check_successors(gp, rows):
+    """Asserts that `successors` of each packed row equals the mask test of
+    `transitions` on that row alone: the same action ids, in the same order,
+    and the same successor rows."""
+    for row in rows:
+        aids, succ = gp.successors(row)
+        _, want_aids, want = gp.transitions(row[None])
+        assert aids.dtype == want_aids.dtype and succ.dtype == np.uint64
+        assert np.array_equal(aids, want_aids) and np.array_equal(succ, want)
+        assert succ.shape == (len(aids), gp.words)
+
+
 def unpacker(gp):
     """row -> the atom ids that hold in the state of a packed row: the static
     atoms of the initial state, and atom k of the atoms whose predicate is

@@ -447,6 +447,40 @@ def test_compatible_mask_matches_compatible(text):
     assert got == want[:200] and {type(ok) for ok in got} == {bool}
 
 
+def _random_policy_text(rng) -> str:
+    """A policy of 0-4 features and 0-4 rules: bodies may be empty, an
+    alternative may be nop, set and clear may act on numeric features, and
+    a feature may be both conditioned on and changed."""
+    kinds = [rng.choice(["bool holding", "num clear"]) for _ in range(rng.randrange(5))]
+    lines = [f"feature {i} 1 {kind}" for i, kind in enumerate(kinds)]
+    for _ in range(rng.randrange(5) if kinds else rng.randrange(2)):
+        body = [rng.choice([f"f{i}", f"!f{i}", f"f{i}>0", f"f{i}=0"])
+                for i in range(len(kinds)) if rng.random() < 0.4]
+        alts = [" ".join(rng.choice([f"f{i}", f"!f{i}", f"f{i}++", f"f{i}--"])
+                         for i in range(len(kinds)) if rng.random() < 0.4) or "nop"
+                for _ in range(rng.randint(1, 3))]
+        lines.append(f"rule {' '.join(body) or 'true'} -> {' | '.join(alts)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_compatible_mask_matches_the_oracle_on_random_policies():
+    rng = random.Random(5)
+    values = np.random.default_rng(5)
+    seen = set()
+    for _ in range(300):
+        pol = po.parse_policy(_random_policy_text(rng))
+        n = rng.randint(1, 6)  # values up to n + 1, the unreachable distance
+        src = values.integers(0, n + 2, size=(200, len(pol.features)))
+        dst = np.where(values.random(src.shape) < 0.6, src,
+                       values.integers(0, n + 2, size=src.shape))
+        want = [oracles._allows(pol, a, b) for a, b in zip(src.tolist(), dst.tolist())]
+        assert pol.compatible_mask(src, dst).tolist() == want
+        seen.add((len(pol.features) > 0, len(pol.rules) > 0, any(want), all(want)))
+    # Zero features and zero rules came up, as did mixed verdicts.
+    assert {(False, False, False, False), (False, True, True, True),
+            (True, False, False, False), (True, True, True, False)} <= seen
+
+
 # Each unknown name and its message, unchanged since the names were first
 # checked.
 UNKNOWN_NAMES = {

@@ -518,6 +518,30 @@ def test_distances_over_several_restricts_match_one_at_a_time(case):
         0, ctx.n_states, ctx.n)
 
 
+@pytest.mark.parametrize("maps_stacked,targets_stacked",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_min_distance_of_one_instance_matches_a_naive_minimum(maps_stacked, targets_stacked):
+    # One instance of 72 objects (two words per set): a map and a target
+    # alone are read as views, stacked ones object-major.
+    gp, rows = _parts("two-sizes")[0]
+    ctx = co.state_context([(co.InstanceContext(gp), rows)])
+    rng = np.random.default_rng(4)
+    far = ctx.n + 1
+    maps = rng.integers(0, far + 1, size=(3, ctx.n_states, ctx.n))
+    bits = rng.random((4, ctx.n_states, ctx.n)) < 0.05
+    bits[0] = False
+    m = maps if maps_stacked else maps[:1]
+    b = bits if targets_stacked else bits[:1]
+    got = ctx.min_distance(m if maps_stacked else m[0], ctx.pack(b if targets_stacked else b[0]))
+    assert got.shape == (m.shape[:1] if maps_stacked else ()) + (
+        b.shape[:1] if targets_stacked else ()) + (ctx.n_states,)
+    got = got.reshape(len(m), len(b), ctx.n_states)
+    for i in range(len(m)):
+        for j in range(len(b)):
+            want = [min(m[i, s, b[j, s]], default=far) for s in range(ctx.n_states)]
+            assert got[i, j].tolist() == want
+
+
 def test_min_distance_over_stacked_maps_and_targets_matches_a_loop():
     # Two instances of 72 and 6 objects: two words per set, and n + 1 with
     # each state's own n where a target is empty or out of reach.

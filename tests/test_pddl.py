@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genpol import pddl, space
+from genpol import pddl, policy as po, space
 from genpol.errors import LimitExceededError, PddlError, UnsupportedPddlError
 
 import domains
@@ -146,6 +146,7 @@ def _ground_like_product(dom, inst):
         assert got.dtype == np.uint64 and np.array_equal(got, getattr(want, name)), name
     # No action adds and deletes the same atom.
     assert not (gp.add_masks & gp.del_masks).any()
+    assert gp.pre_key.dtype == np.int64 and gp.pre_key.tolist() == oracles.key_bits(gp)
     return gp
 
 
@@ -327,3 +328,69 @@ def test_goal_params_recorded():
     assert inst.goal_params == ("b1",)
     with pytest.raises(PddlError):
         pddl.parse_instance(domains.clear_tower_instance(3), dom, ["nope"])
+
+
+GATED_DOMAIN = """
+(define (domain gated)
+  (:predicates (ready) (fresh) (done) (lit))
+  (:action finish :parameters () :precondition (and (ready) (fresh))
+           :effect (and (done) (not (fresh))))
+  (:action light :parameters () :precondition (and) :effect (and (lit))))
+"""
+
+
+@pytest.mark.parametrize("init,actions", [
+    ("(ready) (fresh)", ["finish()", "light()"]),
+    ("(fresh)", ["light()"]),
+])
+def test_successors_of_actions_without_dynamic_preconditions(init, actions):
+    # light() has no dynamic precondition, so every row tests it; finish()
+    # is keyed by (fresh), and is not grounded without the static (ready).
+    dom = pddl.parse_domain(GATED_DOMAIN)
+    gp = pddl.ground(dom, pddl.parse_instance(
+        f"(define (problem p) (:domain gated) (:init {init}) (:goal (and (done))))", dom))
+    assert gp.actions == actions
+    assert gp.pre_key[gp.actions.index("light()")] == 64 * gp.words
+    oracles.check_successors(gp, space.expand(gp).states)
+
+
+def test_successors_of_a_problem_without_actions():
+    dom = pddl.parse_domain(GATED_DOMAIN.replace(
+        "(:action light :parameters () :precondition (and) :effect (and (lit)))", ""))
+    gp = pddl.ground(dom, pddl.parse_instance(
+        "(define (problem p) (:domain gated) (:init (fresh)) (:goal (and (done))))", dom))
+    assert gp.actions == [] and gp.pre_key.shape == (0,)
+    aids, succ = gp.successors(gp.init)
+    assert aids.tolist() == [] and succ.shape == (0, gp.words)
+    oracles.check_successors(gp, [gp.init])
+
+
+@pytest.mark.parametrize("cells", [65, 130])
+def test_successors_across_words(cells):
+    # 130 and 260 dynamic atoms: the key bits of the moves lie in every word.
+    dom = pddl.parse_domain(domains.VISITALL_DOMAIN)
+    gp = pddl.ground(dom, pddl.parse_instance(
+        domains.visitall_instance(cells, 1, (0, 0)), dom))
+    assert gp.words == -(-2 * cells // 64)
+    oracles.check_successors(gp, space.expand(gp).states)
+
+
+@pytest.mark.parametrize("make,policy_name", [
+    (lambda rng: instances.clear_tower(50, rng, "clear-50"), "clear"),
+    (lambda rng: instances.gripper(100, rng, "gripper-100"), "gripper"),
+])
+def test_successors_along_greedy_runs(make, policy_name):
+    # perfbench's run instances, along the first 30 states of a greedy run;
+    # each next state is taken from the mask test's transitions.
+    inst = make(random.Random(0))
+    directory = {"gripper": "gripper", "blocksworld": "clear"}[inst.domain]
+    dom = pddl.parse_domain((ROOT / "benchmarks" / directory / "domain.pddl").read_text())
+    gp = pddl.ground(dom, pddl.parse_instance(inst.pddl(), dom, inst.goal_params))
+    pol = po.parse_policy((ROOT / "perfbench" / "policies" / f"{policy_name}.txt").read_text())
+    plan = po.greedy_execute(pol, gp).trajectory
+    rows = [gp.init]
+    for name in plan[:29]:
+        _, aids, succ = gp.transitions(rows[-1][None])
+        rows.append(succ[[gp.actions[a] for a in aids].index(name)])
+    assert len(rows) == 30
+    oracles.check_successors(gp, rows)

@@ -54,6 +54,18 @@ def test_expand_matches_reference_enumeration(domain_text, instance_text,
     _check_against_oracle(_ground(domain_text, instance_text, goal_params))
 
 
+@pytest.mark.parametrize("domain_text,instance_text,goal_params", [
+    (domains.GRIPPER_DOMAIN, domains.gripper_instance(2), ()),
+    (domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4), ("b1",)),
+    (domains.VISITALL_DOMAIN, domains.visitall_instance(2, 2, (0, 0)), ()),
+    (ONEWAY_DOMAIN, ONEWAY_INSTANCE, ()),
+], ids=["gripper", "blocks", "visitall", "oneway"])
+def test_successors_of_every_state_match_the_mask_test(domain_text, instance_text,
+                                                        goal_params):
+    gp = _ground(domain_text, instance_text, goal_params)
+    oracles.check_successors(gp, space.expand(gp).states)
+
+
 @pytest.mark.parametrize("cells,dynamic", [(31, 62), (32, 64), (33, 66), (65, 130)])
 def test_expand_across_word_boundaries(cells, dynamic):
     # A visitall line has one at-robot and one visited atom per cell, so these

@@ -64,6 +64,8 @@ def test_tracer_wraps_every_traced_name_and_records_the_space_spans():
         assert calls["concepts.state_context", op] >= 1
         assert calls["policy.evaluate", op] >= 1
     assert tracer.counters[1]["policy.greedy_steps"] == 5
+    # One successor generation per greedy step, through the traced name.
+    assert calls["pddl.successors", 1] == 5
     assert moves == [True, False] and all(type(ok) is bool for ok in moves)
     assert calls["policy.compatible", 1] == 2
     assert tracer.counters[1]["policy.compatible_true"] == 1
