@@ -10,11 +10,13 @@ value.  A transition is policy-compatible when some rule with a satisfied
 body has a matching alternative.
 
 Feature values come as int64 tables, one row per state (`Policy.evaluate`),
-and compatibility is decided for many transitions at once
-(`Policy.compatible_mask`): for every transition of a space in
-verification, and for blocks of one state's successors at each greedy
-step.  Each rule alternative is compiled to the change codes it allows per
-feature, so a transition costs one bit test per feature and alternative.
+and compatibility is decided for one block of transitions at once
+(`Policy.compatible_mask`): in verification, `verify_space` walks a
+space's transitions `MASK_BLOCK` at a time and gathers the feature values
+of one block only; at each greedy step, a block is some of one state's
+successors.  Each rule alternative is compiled to the change codes it
+allows per feature, so a transition costs one bit test per feature and
+alternative.
 A greedy step takes the successors of one state from
 `GroundProblem.successors`, which tests only the actions keyed by bits the
 state holds.  With the "first" tie break it takes the first compatible
@@ -48,7 +50,7 @@ DEC = "dec"
 
 BLOCK_STATES = 8192  # states evaluated together by `Policy.evaluate`
 FIRST_BLOCK = 16  # successors in a greedy step's first block; each next doubles
-MASK_BLOCK = 1 << 16  # transitions tested together by `Policy.compatible_mask`
+MASK_BLOCK = 1 << 16  # transitions whose feature values `verify_space` gathers at once
 TIE_BREAKS = ("first", "random")  # how `greedy_execute` picks among moves
 
 
@@ -114,17 +116,14 @@ class Policy:
     def compatible_mask(self, src, dst) -> np.ndarray:
         """Whether each transition is a policy move: `src` and `dst` are int
         arrays [n_transitions, n_features] of the feature valuations before
-        and after; returns one bool each."""
-        out = np.empty(len(src), dtype=bool)
-        for lo in range(0, len(src), MASK_BLOCK):
-            s, d = src[lo:lo + MASK_BLOCK], dst[lo:lo + MASK_BLOCK]
-            codes = np.ascontiguousarray((np.uint8(6) * (s > 0) + np.uint8(3) * (d > 0)
-                                          + np.uint8(1) + (d > s) - (d < s)).T)
-            match = np.ones((len(self._masks), len(s)), dtype=bool)
-            for f, bits in enumerate(np.left_shift(np.uint16(1), codes, dtype=np.uint16)):
-                match &= (self._masks[:, f, None] & bits) != 0
-            out[lo:lo + MASK_BLOCK] = match.any(axis=0)
-        return out
+        and after; returns one bool each.  Its temporaries grow with the
+        transitions, so `verify_space` passes `MASK_BLOCK` at a time."""
+        codes = np.ascontiguousarray((np.uint8(6) * (src > 0) + np.uint8(3) * (dst > 0)
+                                      + np.uint8(1) + (dst > src) - (dst < src)).T)
+        match = np.ones((len(self._masks), len(src)), dtype=bool)
+        for f, bits in enumerate(np.left_shift(np.uint16(1), codes, dtype=np.uint16)):
+            match &= (self._masks[:, f, None] & bits) != 0
+        return match.any(axis=0)
 
     # -- serialization -------------------------------------------------------
 
@@ -350,7 +349,10 @@ def verify_space(policy: Policy, space, vals) -> VerifyResult:
     state on a cycle only when peeling leaves some."""
     src, dst, alive = space.src, space.dst, space.alive
     vals = np.asarray(vals, dtype=np.int64)
-    compat = alive[src] & policy.compatible_mask(vals[src], vals[dst])
+    compat = alive[src]
+    for lo in range(0, len(src), MASK_BLOCK):
+        s, d = src[lo:lo + MASK_BLOCK], dst[lo:lo + MASK_BLOCK]
+        compat[lo:lo + MASK_BLOCK] &= policy.compatible_mask(vals[s], vals[d])
     n_compat = int(compat.sum())
     unsafe = np.flatnonzero(compat & (space.goal_dist[dst] < 0))
     stuck = np.flatnonzero(alive & (np.bincount(src[compat],

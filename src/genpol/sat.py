@@ -103,7 +103,8 @@ class Cdcl:
         seen = set()
         clause = []
         for lit in lits:
-            self.ensure_vars(abs(lit))
+            if abs(lit) > self.nvars:
+                self.ensure_vars(abs(lit))
             code = _enc(lit)
             if code ^ 1 in seen:
                 return True  # tautology

@@ -148,9 +148,12 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
         lo, n_states = n_states, n_states + len(new)
         n_transitions += len(succ)
     states = np.concatenate(levels)
-    cat = lambda xs: np.concatenate(xs).astype(np.int64, copy=False)
-    return StateSpace(gp=gp, states=states, src=cat(src), dst=cat(dst),
-                      act=cat(act), is_goal=gp.is_goal(states))
+    # One array at a time, each per-level list released before the next
+    # array is built, so the lists and the results are never all held.
+    for parts in (src, dst, act):
+        parts[:] = [np.concatenate(parts, dtype=np.int64)]
+    return StateSpace(gp=gp, states=states, src=src[0], dst=dst[0],
+                      act=act[0], is_goal=gp.is_goal(states))
 
 
 def label_goal_distances(space: StateSpace) -> StateSpace:

@@ -11,6 +11,7 @@ the loop that evaluates them all (`oracles.eager_greedy_execute`).
 import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -306,6 +307,108 @@ def test_space_larger_than_one_block():
     assert sp.n_states == 11_776 > po.BLOCK_STATES
     pol = po.parse_policy((POLICY_DIR / "gripper.txt").read_text())
     assert _check(pol, gp, sp).ok
+
+
+def _block_case(name):
+    """(policy, ground problem) of a verify case: the fixed policies, the
+    unsafe, stuck and cyclic cases of `VERIFY_CASES`, a policy without
+    features and a space without transitions."""
+    if name in FIXED:
+        policy_file, domain_text, instance_text, goal_params, _ = FIXED[name]
+        text = (POLICY_DIR / f"{policy_file}.txt").read_text()
+    elif name in VERIFY_CASES:
+        text, domain_text, instance_text, goal_params = VERIFY_CASES[name]
+    elif name == "no-features":
+        text, domain_text, instance_text, goal_params = (
+            "rule true -> nop\n", domains.GRIPPER_DOMAIN,
+            domains.gripper_instance(2, seed=1), ())
+    else:  # "no-transitions": one cell, visited at the start
+        text, domain_text, instance_text, goal_params = (
+            (POLICY_DIR / "visitall.txt").read_text(), domains.VISITALL_DOMAIN,
+            domains.visitall_instance(1, 1, (0, 0)), ())
+    return po.parse_policy(text), _ground(domain_text, instance_text, goal_params)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED) + [
+    "reckless", "lazy", "wander", "no-features", "no-transitions"])
+def test_verify_space_is_the_same_at_every_block_size(name, monkeypatch):
+    pol, gp = _block_case(name)
+    sp = space.expand_labeled(gp)
+    vals = pol.evaluate(co.InstanceContext(gp), sp.states)
+    n = sp.n_transitions
+    compat = sp.alive[sp.src] & pol.compatible_mask(vals[sp.src], vals[sp.dst])
+    dead_end = sp.goal_dist[sp.dst] < 0
+    moves = np.bincount(sp.src[compat], minlength=sp.n_states)
+    calls = []
+    mask = po.Policy.compatible_mask
+
+    def recording(self, src, dst):
+        calls.append((src, dst))
+        return mask(self, src, dst)
+
+    monkeypatch.setattr(po.Policy, "compatible_mask", recording)
+    results = []
+    for block in sorted({1, 7, n - 1, n, n + 1} - {-1, 0}):
+        monkeypatch.setattr(po, "MASK_BLOCK", block)
+        calls.clear()
+        got = po.verify_space(pol, sp, vals)
+        # One call per block, in transition order, on that block's values.
+        assert [len(s) for s, _ in calls] == [
+            min(block, n - lo) for lo in range(0, n, block)], block
+        for key, side in ((0, sp.src), (1, sp.dst)):
+            gathered = [c[key] for c in calls] or [vals[:0]]
+            assert np.array_equal(np.concatenate(gathered), vals[side]), block
+        assert (got.n_compatible, got.complete, got.safe) == (
+            int(compat.sum()), not (sp.alive & (moves == 0)).any(),
+            not (compat & dead_end).any()), block
+        results.append(got)
+    # The unblocked mask decides the whole result: one block of n + 1
+    # transitions computes exactly `compat`, and every other size agrees.
+    assert all(r == results[-1] for r in results)
+    assert results[-1].ok == (results[-1].witness is None)
+    want = {"reckless": "compatible transition burn() from state 0 reaches dead end 1",
+            "lazy": "alive state 0 has no compatible transition",
+            "wander": "compatible cycle through state 1",
+            "visitall-bad": "alive state 39 has no compatible transition"}
+    assert results[-1].witness == want.get(name, results[-1].witness)
+    if name == "no-features":
+        assert compat.sum() == sp.alive[sp.src].sum() and not results[-1].acyclic
+    if name == "no-transitions":
+        assert n == 0 and results[-1].ok
+
+
+def _peak_bytes(f, *args):
+    """(f(*args), its peak allocation above what was allocated before the
+    call, what it still holds after the call), in bytes by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = f(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base, held - base
+
+
+def test_expansion_and_verification_hold_one_copy_of_the_transitions(monkeypatch):
+    # gripper-8: 60,416 transitions and three features, so a gather of the
+    # whole value table for the sources and the targets takes 2 * 3 * 8 =
+    # 48 bytes per transition, and building `src`, `dst` and `act` while
+    # all three per-level lists live takes 24 beyond the result.
+    gp = _ground(domains.GRIPPER_DOMAIN, domains.gripper_instance(8))
+    space.expand(gp)  # builds the ground problem's lazy mask tables
+    sp, peak, held = _peak_bytes(space.expand, gp)
+    n = sp.n_transitions
+    assert n == 60_416 and held >= 3 * 8 * n
+    assert peak - held < 22 * n
+    space.label_goal_distances(sp)
+    pol = po.parse_policy((POLICY_DIR / "gripper.txt").read_text())
+    vals = pol.evaluate(co.InstanceContext(gp), sp.states)
+    monkeypatch.setattr(po, "MASK_BLOCK", 1024)
+    got, peak, _ = _peak_bytes(po.verify_space, pol, sp, vals)
+    assert got.ok and len(pol.features) == 3
+    assert peak < 32 * n
 
 
 # Lines of 63, 64, 65 and 130 cells, one object per cell, so sets take one,
