@@ -18,17 +18,23 @@ versions of goal-relevant predicates, nominals for constants and declared
 goal parameters, Top/Bot, negation, conjunction, existential and universal
 role restriction, equality of a role with its goal version, and roles
 derived from primitive or goal roles by inverse and (non-reflexive)
-transitive closure.  Complexity counts one per syntax tree node.
+transitive closure.
 
-Every expression has a stable printable form (`render`) with a matching
-parser (`parse_expression`), e.g. ``And(clear,Nominal(b1))``,
-``Exists(on_plus,Nominal(b1))``, ``Forall(on_plus,Equal(on,on_g))``.
-Role suffixes: ``_g`` goal version, ``_inv`` inverse, ``_plus`` closure.
+The syntax is one table, `FORMS`: each expression class states its
+printable form once, such as ``Exists({},{})``, ``{}_plus``, ``type({})``
+or ``Top``, with the kind of each field (concept, role or name).  Printing
+(`render`), parsing (`parse_expression`, `parse_role`) and walking the
+children (`state_independent`) all read it.  Examples:
+``And(clear,Nominal(b1))``, ``Forall(on_plus,Equal(on,on_g))``.  Suffixes:
+``_g`` goal version, ``_inv`` inverse, ``_plus`` closure; a predicate
+name may not end in one (`RESERVED_SUFFIXES`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -37,113 +43,136 @@ from genpol.errors import GenpolError
 
 
 # ---------------------------------------------------------------------------
-# Expression types
+# Expression types and their printable forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimitiveRole:
-    name: str
+# The sort of an expression and the kind of each of its fields: a concept, a
+# role or a name (of a predicate, type or object).
+CONCEPT, ROLE, NAME = "concept", "role", "name"
+
+# The forms table: per sort, the expression classes, in the order the parser
+# tries their forms.  Each class states its form once (`_syntax`).
+FORMS: dict = {CONCEPT: [], ROLE: []}
+
+_NAME = re.compile(r"[^\s(),]+")
 
 
-@dataclass(frozen=True)
-class GoalRole:
-    name: str
-
-
-@dataclass(frozen=True)
-class InverseRole:
-    base: object
-
-
-@dataclass(frozen=True)
-class ClosureRole:
-    base: object
-
-
-@dataclass(frozen=True)
-class Top:
+class ExpressionParseError(GenpolError):
     pass
 
 
-@dataclass(frozen=True)
-class Bot:
+class _Expression:
+    """Base of the expression classes; `_syntax` sets `form` (one ``{}`` per
+    field), `parts` ((field, kind) in field order) and `children` (the fields
+    that are expressions)."""
+
+    @cached_property
+    def text(self) -> str:
+        """The printable form, built from the children's printable forms."""
+        return self.form.format(*(getattr(self, f) if kind == NAME else getattr(self, f).text
+                                  for f, kind in self.parts))
+
+
+def _syntax(sort, form, *kinds):
+    """Class decorator: a frozen dataclass expression of `sort` printed as
+    `form`, its fields of `kinds` in order."""
+    def make(cls):
+        cls = dataclass(frozen=True)(cls)
+        cls.form, cls.parts = form, tuple(zip((f.name for f in fields(cls)), kinds))
+        cls.children = tuple(f for f, kind in cls.parts if kind != NAME)
+        # Every text fits a bare name, so that form is tried last.
+        FORMS[sort] = sorted(FORMS[sort] + [cls], key=lambda c: c.form == "{}")
+        return cls
+    return make
+
+
+@_syntax(ROLE, "{}", NAME)
+class PrimitiveRole(_Expression):
+    name: str
+
+
+@_syntax(ROLE, "{}_g", NAME)
+class GoalRole(_Expression):
+    name: str
+
+
+@_syntax(ROLE, "{}_inv", ROLE)
+class InverseRole(_Expression):
+    base: object
+
+
+@_syntax(ROLE, "{}_plus", ROLE)
+class ClosureRole(_Expression):
+    base: object
+
+
+@_syntax(CONCEPT, "Top")
+class Top(_Expression):
     pass
 
 
-@dataclass(frozen=True)
-class PrimitiveConcept:
+@_syntax(CONCEPT, "Bot")
+class Bot(_Expression):
+    pass
+
+
+@_syntax(CONCEPT, "{}", NAME)
+class PrimitiveConcept(_Expression):
     name: str
 
 
-@dataclass(frozen=True)
-class GoalConcept:
+@_syntax(CONCEPT, "{}_g", NAME)
+class GoalConcept(_Expression):
     name: str
 
 
-@dataclass(frozen=True)
-class TypeConcept:
+@_syntax(CONCEPT, "type({})", NAME)
+class TypeConcept(_Expression):
     name: str
 
 
-@dataclass(frozen=True)
-class Nominal:
+@_syntax(CONCEPT, "Nominal({})", NAME)
+class Nominal(_Expression):
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+@_syntax(CONCEPT, "Not({})", CONCEPT)
+class Not(_Expression):
     child: object
 
 
-@dataclass(frozen=True)
-class And:
+@_syntax(CONCEPT, "And({},{})", CONCEPT, CONCEPT)
+class And(_Expression):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Exists:
+@_syntax(CONCEPT, "Exists({},{})", ROLE, CONCEPT)
+class Exists(_Expression):
     role: object
     child: object
 
 
-@dataclass(frozen=True)
-class Forall:
+@_syntax(CONCEPT, "Forall({},{})", ROLE, CONCEPT)
+class Forall(_Expression):
     role: object
     child: object
 
 
-@dataclass(frozen=True)
-class RoleEqual:
+@_syntax(CONCEPT, "Equal({},{})", ROLE, ROLE)
+class RoleEqual(_Expression):
     left: object
     right: object
 
 
-_ATOMIC_CONCEPTS = (PrimitiveConcept, Top, Bot, GoalConcept, TypeConcept,
-                    Nominal)
-_ATOMIC = _ATOMIC_CONCEPTS + (PrimitiveRole, GoalRole)
+# Name endings that a printed predicate name would share with a form.
+RESERVED_SUFFIXES = tuple(sorted({c.form[2:] for c in FORMS[CONCEPT] + FORMS[ROLE]
+                                  if c.form.startswith("{}") and c.form != "{}"}))
 
 
-_ROLES = (PrimitiveRole, GoalRole, InverseRole, ClosureRole)
-
-
-def _children(expr) -> tuple:
-    if isinstance(expr, _ATOMIC):
-        return ()
-    if isinstance(expr, Not):
-        return (expr.child,)
-    if isinstance(expr, (InverseRole, ClosureRole)):
-        return (expr.base,)
-    if isinstance(expr, (And, RoleEqual)):
-        return (expr.left, expr.right)
-    if isinstance(expr, (Exists, Forall)):
-        return (expr.role, expr.child)
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def complexity(expr) -> int:
-    """Number of syntax tree nodes."""
-    return 1 + sum(map(complexity, _children(expr)))
+def render(expr) -> str:
+    """The printable form of `expr`."""
+    return expr.text
 
 
 def state_independent(expr, static_preds) -> bool:
@@ -152,48 +181,7 @@ def state_independent(expr, static_preds) -> bool:
     or deletes), types, nominals, goal versions, Top and Bot."""
     if isinstance(expr, (PrimitiveConcept, PrimitiveRole)):
         return expr.name in static_preds
-    return all(state_independent(c, static_preds) for c in _children(expr))
-
-
-def render(expr, name=None) -> str:
-    """The printable form of `expr`.  `name`, when given, gives those of its
-    sub-expressions (say, from a cache); by default they are rendered."""
-    name = name or render
-    if isinstance(expr, Top):
-        return "Top"
-    if isinstance(expr, Bot):
-        return "Bot"
-    if isinstance(expr, (PrimitiveConcept, PrimitiveRole)):
-        return expr.name
-    if isinstance(expr, (GoalConcept, GoalRole)):
-        return f"{expr.name}_g"
-    if isinstance(expr, TypeConcept):
-        return f"type({expr.name})"
-    if isinstance(expr, Nominal):
-        return f"Nominal({expr.name})"
-    if isinstance(expr, Not):
-        return f"Not({name(expr.child)})"
-    if isinstance(expr, And):
-        return f"And({name(expr.left)},{name(expr.right)})"
-    if isinstance(expr, Exists):
-        return f"Exists({name(expr.role)},{name(expr.child)})"
-    if isinstance(expr, Forall):
-        return f"Forall({name(expr.role)},{name(expr.child)})"
-    if isinstance(expr, RoleEqual):
-        return f"Equal({name(expr.left)},{name(expr.right)})"
-    if isinstance(expr, InverseRole):
-        return f"{name(expr.base)}_inv"
-    if isinstance(expr, ClosureRole):
-        return f"{name(expr.base)}_plus"
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# Parsing printable forms back into expressions
-# ---------------------------------------------------------------------------
-
-class ExpressionParseError(GenpolError):
-    pass
+    return all(state_independent(getattr(expr, f), static_preds) for f in expr.children)
 
 
 def _split_args(body: str) -> list:
@@ -210,51 +198,36 @@ def _split_args(body: str) -> list:
     return parts
 
 
-def parse_role(text: str):
+def _parse(text: str, kind: str):
+    """The `kind` (CONCEPT, ROLE or NAME) that `text` prints: the first form
+    of that sort that `text` fits, its fields parsed by their kinds."""
     text = text.strip()
-    if text.endswith("_plus"):
-        return ClosureRole(parse_role(text[:-5]))
-    if text.endswith("_inv"):
-        return InverseRole(parse_role(text[:-4]))
-    if text.endswith("_g"):
-        return GoalRole(text[:-2])
-    if not text or "(" in text:
-        raise ExpressionParseError(f"bad role: '{text}'")
-    return PrimitiveRole(text)
+    if kind == NAME:
+        if not _NAME.fullmatch(text):
+            raise ExpressionParseError(f"bad name: '{text}'")
+        return text
+    for cls in FORMS[kind]:
+        if not cls.parts:
+            if text == cls.form:
+                return cls()
+            continue
+        head, *_, tail = cls.form.split("{}")
+        if text.startswith(head) and text.endswith(tail):
+            args = _split_args(text[len(head):len(text) - len(tail)])
+            if len(args) != len(cls.parts):
+                raise ExpressionParseError(
+                    f"{cls.form} takes {len(cls.parts)} arguments: '{text}'")
+            return cls(*(_parse(a, k) for a, (_, k) in zip(args, cls.parts)))
+
+
+def parse_role(text: str):
+    """Inverse of `render` for roles."""
+    return _parse(text, ROLE)
 
 
 def parse_expression(text: str):
     """Inverse of `render` for concepts."""
-    text = text.strip()
-    if text == "Top":
-        return Top()
-    if text == "Bot":
-        return Bot()
-    if "(" in text:
-        head, _, rest = text.partition("(")
-        if not rest.endswith(")"):
-            raise ExpressionParseError(f"unbalanced parentheses: '{text}'")
-        args = _split_args(rest[:-1])
-        if head == "Not" and len(args) == 1:
-            return Not(parse_expression(args[0]))
-        if head == "And" and len(args) == 2:
-            return And(parse_expression(args[0]), parse_expression(args[1]))
-        if head == "Exists" and len(args) == 2:
-            return Exists(parse_role(args[0]), parse_expression(args[1]))
-        if head == "Forall" and len(args) == 2:
-            return Forall(parse_role(args[0]), parse_expression(args[1]))
-        if head == "Equal" and len(args) == 2:
-            return RoleEqual(parse_role(args[0]), parse_role(args[1]))
-        if head == "Nominal" and len(args) == 1:
-            return Nominal(args[0].strip())
-        if head == "type" and len(args) == 1:
-            return TypeConcept(args[0].strip())
-        raise ExpressionParseError(f"unknown constructor '{head}' in '{text}'")
-    if text.endswith("_g"):
-        return GoalConcept(text[:-2])
-    if not text:
-        raise ExpressionParseError("empty expression")
-    return PrimitiveConcept(text)
+    return _parse(text, CONCEPT)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +430,7 @@ class InstanceContext:
         if self._init is None:
             self._init = StateContext([(self, self.gp.init[None])])
         ctx = self._init
-        return (ctx.role(expr) if isinstance(expr, _ROLES) else ctx.concept(expr))[0]
+        return (ctx.role(expr) if type(expr) in FORMS[ROLE] else ctx.concept(expr))[0]
 
     def distance_table(self, role, restrict) -> np.ndarray:
         """int64 [n, n]: the steps of the state-independent `role` from each

@@ -133,10 +133,10 @@ class Theory:
     stats: dict
 
 
-def _separation_clauses(pool: FeaturePool, matrix: np.ndarray, sample: SampleSet):
+def _separation_clauses(matrix: np.ndarray, sample: SampleSet):
     """Minimal deduplicated goal/non-goal difference sets (one row of feature
     ids each), or a witness pair of states no feature can tell apart."""
-    sigs = boolean_matrix(pool, matrix).T  # per global state
+    sigs = boolean_matrix(matrix).T  # per global state
     ids, first = _first_ids(sigs)
     n = len(ids)
     other, goal = _firsts(ids, len(first), sample.is_goal)  # per signature
@@ -175,7 +175,7 @@ def build_theory(sample: SampleSet, pool: FeaturePool, matrix: np.ndarray,
     families = []
 
     # 4. goal separation (first: an infeasible pool is detected here)
-    sep, witness = _separation_clauses(pool, matrix, sample)
+    sep, witness = _separation_clauses(matrix, sample)
     if witness is not None:
         families.append(("goalsep", Clauses.of([], [0])))
         enc_pairs = []

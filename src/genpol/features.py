@@ -48,7 +48,7 @@ class NullaryFeature:
     weight: int = 1
     is_boolean: bool = True
 
-    def render(self, name=None) -> str:
+    def render(self) -> str:
         return f"Atom({self.pred})"
 
     def values(self, ctx: co.StateContext) -> np.ndarray:
@@ -67,9 +67,8 @@ class CardinalityFeature:
     weight: int
     is_boolean: bool
 
-    def render(self, name=co.render) -> str:
-        """The printable form; `name` renders a concept or role."""
-        return name(self.concept)
+    def render(self) -> str:
+        return co.render(self.concept)
 
     def values(self, ctx: co.StateContext) -> np.ndarray:
         counts = ctx.popcounts(ctx.concept(self.concept))
@@ -85,10 +84,9 @@ class DistanceFeature:
     weight: int
     is_boolean: bool = False
 
-    def render(self, name=co.render) -> str:
-        """The printable form; `name` renders a concept or role."""
-        return (f"Dist({name(self.source)},{name(self.role)},"
-                f"{name(self.restrict)},{name(self.target)})")
+    def render(self) -> str:
+        return (f"Dist({co.render(self.source)},{co.render(self.role)},"
+                f"{co.render(self.restrict)},{co.render(self.target)})")
 
     def values(self, ctx: co.StateContext) -> np.ndarray:
         dmap = ctx.distances(self.source, self.role, [self.restrict])[0]
@@ -117,7 +115,7 @@ def parse_feature(weight: int, kind: str, text: str):
     if text.startswith("Atom(") and text.endswith(")"):
         if not boolean:
             raise co.ExpressionParseError(f"'{text}' is a bool feature, not {kind}")
-        return NullaryFeature(text[5:-1].strip(), weight, True)
+        return NullaryFeature(co._parse(text[5:-1], co.NAME), weight, True)
     if text.startswith("Dist(") and text.endswith(")"):
         if boolean:
             raise co.ExpressionParseError(f"'{text}' is a num feature, not {kind}")
@@ -168,6 +166,11 @@ class Vocabulary:
 
 def primitive_vocabulary(sample: SampleSet, ignore_high_arity: bool = False) -> Vocabulary:
     dom = sample.spaces[0].gp.domain
+    reserved = sorted(p.name for p in dom.predicates.values()
+                      if p.arity in (1, 2) and p.name.endswith(co.RESERVED_SUFFIXES))
+    if reserved:
+        raise GenpolError(f"predicate names ending in {'/'.join(co.RESERVED_SUFFIXES)} "
+                          f"clash with the feature syntax: {', '.join(reserved)}")
     high = dom.high_arity_predicates()
     if high and not ignore_high_arity:
         raise ArityError(
@@ -232,9 +235,8 @@ class FeaturePool:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _generate_roles(vocab: Vocabulary, ctx: co.StateContext, name):
-    """Atomic roles plus inverse/closure/closed-inverse, denotation-pruned;
-    `name` renders an expression."""
+def _generate_roles(vocab: Vocabulary, ctx: co.StateContext):
+    """Atomic roles plus inverse/closure/closed-inverse, denotation-pruned."""
     kept, seen = [], {}
     levels = {
         1: list(vocab.roles),
@@ -242,7 +244,7 @@ def _generate_roles(vocab: Vocabulary, ctx: co.StateContext, name):
         3: [co.ClosureRole(co.InverseRole(r)) for r in vocab.roles],
     }
     for level in (1, 2, 3):
-        for expr in sorted(levels[level], key=name):
+        for expr in sorted(levels[level], key=co.render):
             col = ctx.role(expr)
             sig = col.tobytes()
             if sig in seen:
@@ -265,16 +267,7 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
     vocab = primitive_vocabulary(sample, ignore_high_arity)
     ctx = co.state_context([(co.InstanceContext(sp.gp), sp.states)
                             for sp in sample.spaces])
-
-    names: dict = {}  # expression -> printable form, rendered once
-
-    def name(expr) -> str:
-        text = names.get(expr)
-        if text is None:
-            text = names[expr] = co.render(expr, name)
-        return text
-
-    roles = _generate_roles(vocab, ctx, name)
+    roles = _generate_roles(vocab, ctx)
 
     # Concepts, level by level.  kept: list of (expr, weight, column).  A
     # candidate's children are kept concepts and roles, so their columns are
@@ -304,9 +297,9 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
                 wb = level - 1 - wa
                 if wa > wb:
                     continue
-                bs = [(name(b), b) for b, _ in by_weight.get(wb, [])]
+                bs = [(co.render(b), b) for b, _ in by_weight.get(wb, [])]
                 for a, _ in by_weight.get(wa, []):
-                    ra = name(a)
+                    ra = co.render(a)
                     for rb, b in bs:
                         if (wa, ra) < (wb, rb):
                             cands.append(co.And(a, b))
@@ -318,7 +311,7 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
             if level == 3:
                 for pred in vocab.goal_binary:
                     cands.append(co.RoleEqual(co.PrimitiveRole(pred), co.GoalRole(pred)))
-        for expr in sorted(cands, key=name):
+        for expr in sorted(cands, key=co.render):
             consider(expr, level)
 
     # Features.  Those constant over every training state can never
@@ -372,7 +365,7 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
                                 base + wr + kept[lo + i % t][1]))
 
     # Canonical order, then value-vector deduplication.
-    feats.sort(key=lambda fc: (fc[0].weight, fc[0].render(name)))
+    feats.sort(key=lambda fc: (fc[0].weight, fc[0].render()))
     final: list = []
     cols_out: list = []
     value_seen: set = set()
@@ -393,8 +386,7 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
     return pool, matrix
 
 
-def boolean_matrix(pool: FeaturePool, values: np.ndarray) -> np.ndarray:
-    """Boolean counterparts: the value itself for booleans, value > 0 for numerics."""
-    bools = values > 0
-    b = pool.booleans[:, None]
-    return np.where(b, values.astype(bool), bools).astype(np.uint8)
+def boolean_matrix(values: np.ndarray) -> np.ndarray:
+    """Boolean counterparts: value > 0, as every feature value is
+    non-negative and a boolean one is 0 or 1."""
+    return (values > 0).astype(np.uint8)

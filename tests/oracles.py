@@ -184,6 +184,12 @@ def naive_expand(gp):
 
 # -- concept evaluation --------------------------------------------------------
 
+def complexity(expr) -> int:
+    """Number of syntax tree nodes of a concept or role expression."""
+    return 1 + sum(complexity(getattr(expr, f.name)) for f in dataclasses.fields(expr)
+                   if dataclasses.is_dataclass(getattr(expr, f.name)))
+
+
 def naive_eval_state(expr, gp, state):
     """Set-semantics evaluation of a concept or role expression on a ground
     state, a set of atom ids; returns a set of objects or of object pairs."""

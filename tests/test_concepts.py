@@ -14,12 +14,12 @@ import pytest
 import domains
 import oracles
 from genpol import concepts as co
-from genpol import pddl, space
+from genpol import pddl, policy, space
 from genpol.concepts import (And, Bot, ClosureRole, Exists, Forall, GoalConcept,
                              GoalRole, InverseRole, Nominal, Not,
                              PrimitiveConcept, PrimitiveRole, RoleEqual, Top,
                              TypeConcept)
-from genpol.errors import GenpolError
+from genpol.errors import GenpolError, PolicyError
 
 
 def _space(domain_text, instance_text, goal_params=()):
@@ -241,24 +241,50 @@ def test_render_parse_round_trip():
 
 
 def test_parse_rejects_malformed_expressions():
+    # A name is non-empty and holds no whitespace, parenthesis or comma.
     for text in ["", "And(a)", "Foo(x)", "And(a,b", "Exists(on)",
-                 "Nominal()", "Not()"]:
+                 "Nominal()", "Not()", "type()", "Not(x))", "And(a,b)c)", "x y",
+                 "Exists(on x,Top)", "_g"]:
         with pytest.raises(co.ExpressionParseError):
-            expr = co.parse_expression(text)
-            if expr == Nominal("") or expr == PrimitiveConcept(""):
-                raise co.ExpressionParseError("empty name")
+            co.parse_expression(text)
+    for text in ["", "on)", "a b_plus", "Nominal(b1)_inv", "_plus"]:
+        with pytest.raises(co.ExpressionParseError):
+            co.parse_role(text)
+    # A policy file with such a feature fails where it declares it.
+    with pytest.raises(PolicyError, match="^line 2: bad feature: bad name: 'x\\)'$"):
+        policy.parse_policy("# malformed\nfeature 0 1 bool Not(x))\nrule f0 -> !f0\n")
+
+
+def test_every_expression_class_parses_back_from_its_form():
+    # Every expression class of the module has a form in the table, and
+    # random instances of it print to a text that parses back to them.
+    classes = [c for c in vars(co).values() if isinstance(c, type)
+               and dataclasses.is_dataclass(c) and c.__module__ == co.__name__]
+    assert len(classes) == 15
+    assert sorted(classes, key=str) == sorted(co.FORMS[co.CONCEPT] + co.FORMS[co.ROLE], key=str)
+    rng = random.Random(3)
+    vocab = ([Top(), PrimitiveConcept("clear"), GoalConcept("on-table"), TypeConcept("block"),
+              Nominal("goal0")], [PrimitiveRole("on"), GoalRole("at")])
+    make = {co.NAME: lambda: rng.choice(["clear", "at-robby", "b1", "room_a"]),
+            co.CONCEPT: lambda: _random_concept(rng, vocab, 2),
+            co.ROLE: lambda: _random_role(rng, vocab)}
+    for cls in classes:
+        parse = co.parse_role if cls in co.FORMS[co.ROLE] else co.parse_expression
+        for _ in range(5):
+            expr = cls(*(make[kind]() for _, kind in cls.parts))
+            assert parse(co.render(expr)) == expr, co.render(expr)
 
 
 def test_complexity_counts_syntax_nodes():
-    assert co.complexity(Top()) == 1
-    assert co.complexity(PrimitiveConcept("clear")) == 1
-    assert co.complexity(Not(PrimitiveConcept("clear"))) == 2
-    assert co.complexity(And(Top(), Bot())) == 3
-    assert co.complexity(Exists(PrimitiveRole("on"), Top())) == 3
-    assert co.complexity(Exists(ClosureRole(PrimitiveRole("on")),
-                                Nominal("goal0"))) == 4
-    assert co.complexity(RoleEqual(PrimitiveRole("at"), GoalRole("at"))) == 3
-    assert co.complexity(
+    assert oracles.complexity(Top()) == 1
+    assert oracles.complexity(PrimitiveConcept("clear")) == 1
+    assert oracles.complexity(Not(PrimitiveConcept("clear"))) == 2
+    assert oracles.complexity(And(Top(), Bot())) == 3
+    assert oracles.complexity(Exists(PrimitiveRole("on"), Top())) == 3
+    assert oracles.complexity(Exists(ClosureRole(PrimitiveRole("on")),
+                                     Nominal("goal0"))) == 4
+    assert oracles.complexity(RoleEqual(PrimitiveRole("at"), GoalRole("at"))) == 3
+    assert oracles.complexity(
         Forall(InverseRole(PrimitiveRole("on")),
                And(PrimitiveConcept("clear"), Not(Top())))) == 7
 
@@ -421,6 +447,7 @@ def test_random_expressions_match_set_semantics(case):
         pick = rng.choice([vocab, static_vocab])
         expr = _random_concept(rng, pick) if rng.random() < 0.75 else _random_role(rng, pick)
         is_role = isinstance(expr, (PrimitiveRole, GoalRole, InverseRole, ClosureRole))
+        assert (co.parse_role if is_role else co.parse_expression)(co.render(expr)) == expr
         bits = ctx.members(ctx.role(expr) if is_role else ctx.concept(expr))
         for s, ictx, state in checked:
             want = oracles.naive_eval_state(expr, ictx.gp, state)

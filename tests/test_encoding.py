@@ -167,7 +167,7 @@ def test_cover_clauses_one_per_alive_state():
 
 def test_goal_separation_minimal_and_irredundant():
     sample, pool, matrix = _oneway()
-    clauses, witness = encoding._separation_clauses(pool, matrix, sample)
+    clauses, witness = encoding._separation_clauses(matrix, sample)
     assert witness is None
     # Pool order: Atom(ash)=0, Atom(done)=1, Atom(fresh)=2.  The goal state
     # differs from `fresh` on {done, fresh} and from `ash` on {ash, done}.
@@ -175,8 +175,8 @@ def test_goal_separation_minimal_and_irredundant():
 
     bsample = _sample(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4),
                       ("b1",))
-    bpool, bmatrix = features.generate_pool(bsample, max_weight=4)
-    bclauses, bwitness = encoding._separation_clauses(bpool, bmatrix, bsample)
+    _, bmatrix = features.generate_pool(bsample, max_weight=4)
+    bclauses, bwitness = encoding._separation_clauses(bmatrix, bsample)
     assert bwitness is None
     sets = [frozenset(c) for c in bclauses.tolist()]
     assert len(set(sets)) == len(sets)

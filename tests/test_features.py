@@ -12,7 +12,7 @@ import pytest
 
 import domains
 import oracles
-from genpol import concepts as co, features, pddl, space
+from genpol import cli, concepts as co, features, pddl, space
 from genpol.errors import ArityError, GenpolError, LimitExceededError
 from genpol.features import (CardinalityFeature, DistanceFeature,
                              NullaryFeature)
@@ -45,6 +45,12 @@ def _sample_of(domain_text, instances, goal_params=()):
         space.expand_labeled(pddl.ground(
             dom, pddl.parse_instance(text, dom, list(goal_params))))
         for text in instances])
+
+
+def _benchmark_sample(name, prob, goal_params):
+    bench = BENCHMARKS / name
+    return _sample((bench / "domain.pddl").read_text(),
+                   (bench / f"{prob}.pddl").read_text(), goal_params)
 
 
 def _oracle_matrix(pool, sample):
@@ -158,9 +164,7 @@ PINNED_POOLS = {
 @pytest.mark.parametrize("name,prob,goal_params,k", list(PINNED_POOLS),
                          ids=[f"{name}-{k}" for name, _, _, k in PINNED_POOLS])
 def test_benchmark_pools_are_pinned(name, prob, goal_params, k):
-    bench = BENCHMARKS / name
-    sample = _sample((bench / "domain.pddl").read_text(),
-                     (bench / f"{prob}.pddl").read_text(), goal_params)
+    sample = _benchmark_sample(name, prob, goal_params)
     pool, matrix = features.generate_pool(sample, max_weight=k)
     assert matrix.dtype == np.int64 and matrix.shape == (len(pool), sample.n_states)
     assert (len(pool), hashlib.sha256(pool.dump().encode()).hexdigest(),
@@ -238,10 +242,10 @@ def test_pool_weights_are_complexities(domain_text, instance_text, goal_params, 
         if isinstance(f, NullaryFeature):
             want = 1
         elif isinstance(f, CardinalityFeature):
-            want = co.complexity(f.concept)
+            want = oracles.complexity(f.concept)
         else:
-            want = sum(co.complexity(e) for e in (f.source, f.role, f.restrict,
-                                                  f.target))
+            want = sum(oracles.complexity(e) for e in (f.source, f.role, f.restrict,
+                                                       f.target))
         assert f.weight == w == want, f.render()
 
 
@@ -282,6 +286,38 @@ def test_high_arity_predicates_rejected_unless_ignored():
     assert all("link" not in f.render() for f in pool.features)
 
 
+SUFFIX_DOMAIN = """
+(define (domain suffixes)
+  (:predicates (p ?x) (p_g ?x) (on ?x ?y) (on_plus ?x ?y) (link ?x ?y ?z))
+  (:action put :parameters (?x ?y) :precondition (and (p_g ?x) (on_plus ?x ?y))
+           :effect (and (p ?x) (on ?x ?y))))
+"""
+
+SUFFIX_INSTANCE = """
+(define (problem s1) (:domain suffixes)
+  (:objects a b)
+  (:init (p_g a) (on_plus a b))
+  (:goal (and (p a) (on a b))))
+"""
+
+
+def test_predicate_names_with_reserved_suffixes_rejected(tmp_path, capsys):
+    # `p_g` would print as the goal version of `p`, and `on_plus` as the
+    # closure of `on`, so a feature over one would reload as the other.
+    sample = _sample(SUFFIX_DOMAIN, SUFFIX_INSTANCE)
+    for ignore in (False, True):
+        with pytest.raises(GenpolError, match="on_plus, p_g$") as err:
+            features.generate_pool(sample, max_weight=3, ignore_high_arity=ignore)
+        assert not isinstance(err.value, ArityError)
+    (tmp_path / "domain.pddl").write_text(SUFFIX_DOMAIN)
+    (tmp_path / "s1.pddl").write_text(SUFFIX_INSTANCE)
+    files = ["--domain", str(tmp_path / "domain.pddl"), "--training", str(tmp_path / "s1.pddl"),
+             "--ignore-high-arity"]
+    for command in ("features", "learn"):
+        assert cli.main([command, *files]) == 2
+        assert "on_plus, p_g" in capsys.readouterr().err
+
+
 def test_mismatched_goal_parameter_counts_rejected():
     dom = pddl.parse_domain(domains.BLOCKS_DOMAIN)
     inst1 = pddl.parse_instance(domains.clear_tower_instance(3), dom, ["b1"])
@@ -314,17 +350,20 @@ def test_pool_cap_below_one_is_rejected_before_generation(cap, monkeypatch):
 
 
 def test_pool_dump_load_round_trip():
-    sample = _sample(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4),
-                     ("b1",))
-    pool, matrix = features.generate_pool(sample, max_weight=5)
-    text = pool.dump()
-    loaded = oracles.load_pool(text)
-    assert [f.render() for f in loaded.features] == [f.render() for f in pool.features]
-    assert loaded.features == pool.features
-    assert np.array_equal(loaded.weights, pool.weights)
-    assert np.array_equal(loaded.booleans, pool.booleans)
-    # The reloaded features' oracle values are the generated ones.
-    assert np.array_equal(_oracle_matrix(loaded, sample), matrix)
+    # A small blocks pool, then the three benchmark pools at their weights.
+    for sample, k in [(_sample(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4),
+                               ("b1",)), 5),
+                      (_benchmark_sample("clear", "prob05", ("b1",)), 4),
+                      (_benchmark_sample("gripper", "prob04", ()), 8),
+                      (_benchmark_sample("visitall", "prob3x3", ()), 6)]:
+        pool, matrix = features.generate_pool(sample, max_weight=k)
+        loaded = oracles.load_pool(pool.dump())
+        assert [f.render() for f in loaded.features] == [f.render() for f in pool.features]
+        assert loaded.features == pool.features
+        assert np.array_equal(loaded.weights, pool.weights)
+        assert np.array_equal(loaded.booleans, pool.booleans)
+        # The reloaded features' oracle values are the generated ones.
+        assert np.array_equal(_oracle_matrix(loaded, sample), matrix)
 
 
 def test_load_pool_rejects_sparse_ids():
@@ -338,6 +377,10 @@ def test_load_pool_rejects_sparse_ids():
     "0 1 num Atom(arm-empty)\n",                       # an atom is bool
     "0 3 bool Dist(Nominal(b1),on,Top,clear)\n",       # a distance is num
     "0 1 bool Atom(arm-empty)\n1 one num clear\n",     # weight not an integer
+    "0 1 bool Atom()\n",                               # names are not empty,
+    "0 1 bool Atom(x))\n",                             # hold no parenthesis,
+    "0 1 bool Atom(arm empty)\n",                      # no whitespace
+    "0 2 bool Not(x))\n",
 ])
 def test_load_pool_rejects_malformed_lines(text):
     with pytest.raises(co.ExpressionParseError, match=r"^line \d: bad feature: "):
@@ -356,9 +399,6 @@ def test_feature_lines_round_trip_every_kind():
 
 
 def test_boolean_matrix_thresholds_numerics():
-    pool = oracles.load_pool(
-        "0 1 bool Atom(arm-empty)\n"
-        "1 1 num clear\n")
+    # Row 0 holds a boolean feature's values, row 1 a numeric one's.
     values = np.array([[1, 0, 1], [0, 2, 5]], dtype=np.int64)
-    got = features.boolean_matrix(pool, values)
-    assert got.tolist() == [[1, 0, 1], [0, 1, 1]]
+    assert features.boolean_matrix(values).tolist() == [[1, 0, 1], [0, 1, 1]]
