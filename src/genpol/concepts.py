@@ -10,8 +10,8 @@ states together, or, over a state-independent role and restriction (built
 from static predicates, types, nominals, goal versions, Top and Bot only),
 reads of an all-pairs table built once per instance.  States come as packed
 rows over the dynamic atoms (see `pddl.GroundProblem`); an instance's static
-atoms are placed in its atom table once (`InstanceContext`), and only the
-set bits of each row after.
+atoms are placed in its atom table once (`InstanceContext`), and each row's
+dynamic bits are moved in after, a run of bits at a time.
 
 The grammar: primitive concepts (unary predicates and type names), goal
 versions of goal-relevant predicates, nominals for constants and declared
@@ -331,17 +331,24 @@ class InstanceContext:
 
         # Nominals: domain constants by name, goal parameters by position
         # ("goal0", "goal1", ...) so the same feature re-binds to the goal
-        # arguments of whatever instance it is evaluated on.
+        # arguments of whatever instance it is evaluated on.  A constant of
+        # a goal parameter's name would be one nominal for two objects.
         self.nominals = {name: objects([name]) for name, _ in dom.constants}
         for i, name in enumerate(gp.instance.goal_params):
+            if f"goal{i}" in self.nominals:
+                raise GenpolError(f"domain constant 'goal{i}' has the name of the "
+                                  f"nominal of goal parameter {i} ('{name}')")
             self.nominals[f"goal{i}"] = objects([name])
 
         # A state's atom table is one uint64 row: `words` words per unary
         # predicate and per (binary predicate, first object), then one
-        # column per other predicate that counts its atoms.  Each atom adds
-        # its bit to one cell; the atoms of a state add distinct bits to a
-        # set's cell, so adding them up is or-ing them.  The static atoms
-        # are added once, to the row every state's table starts from.
+        # column per other predicate, nonzero when one of its atoms holds.
+        # The static atoms are placed once, in the row every state's table
+        # starts from.  The dynamic bits are cut into runs: a run is a
+        # stretch of consecutive bits in one word of the packed row that
+        # lands on consecutive bits of one cell (a flag cell takes them at
+        # their own bit positions, as only zero and nonzero tell), so
+        # `tables` moves each run with one shift and one mask per state.
         self.unary_preds = sorted(p.name for p in dom.predicates.values() if p.arity == 1)
         self.binary_preds = sorted(p.name for p in dom.predicates.values() if p.arity == 2)
         self.flag_preds = sorted(p.name for p in dom.predicates.values()
@@ -364,25 +371,47 @@ class InstanceContext:
 
         where = np.fromiter(chain.from_iterable(map(place, gp.atoms)), dtype=np.int64,
                             count=2 * len(gp.atoms)).reshape(-1, 2)
-        slot = where[:, 0] + where[:, 1] // 64
-        bit = np.left_shift(np.uint64(1), (where[:, 1] % 64).astype(np.uint64))
+        cell, bit = where[:, 0] + where[:, 1] // 64, where[:, 1] % 64
         static = np.fromiter(gp.static_atoms, dtype=np.int64, count=len(gp.static_atoms))
         self._static_table = np.zeros(self._width, dtype=np.uint64)
-        np.add.at(self._static_table, slot[static], bit[static])
-        self._slot, self._bit = slot[gp.dynamic], bit[gp.dynamic]  # per dynamic atom
+        np.bitwise_or.at(self._static_table, cell[static],
+                         np.left_shift(np.uint64(1), bit[static].astype(np.uint64)))
+
+        k = np.arange(len(gp.dynamic))
+        cell = cell[gp.dynamic]
+        bit = np.where(cell >= self._flag0, k % 64, bit[gp.dynamic])
+        head = np.ones(len(k), dtype=bool)  # whether dynamic bit k starts a run
+        head[1:] = ((k[1:] % 64 == 0) | (cell[1:] != cell[:-1])
+                    | (bit[1:] != bit[:-1] + 1))
+        start = np.flatnonzero(head)
+        length = np.diff(start, append=len(k)).astype(np.uint64)
+        by_cell = np.argsort(cell[start], kind="stable")
+        start, length = start[by_cell], length[by_cell]
+        self._word = start // 64
+        self._shift = (start % 64).astype(np.uint64)
+        self._mask = np.uint64(2**64 - 1) >> (np.uint64(64) - length)
+        self._dest = bit[start].astype(np.uint64)
+        cell = cell[start]
+        first = np.ones(len(cell), dtype=bool)  # whether run i is its cell's first
+        np.not_equal(cell[1:], cell[:-1], out=first[1:])
+        self._cells = cell[first]
+        self._firsts = None if first.all() else np.flatnonzero(first)
 
     def tables(self, rows):
         """The atoms of the states of the packed `rows`: unary sets [S, U,
         words], binary successor sets [S, B, n, words] and flags bool [S, F],
         S = len(rows), in the order of `unary_preds`, `binary_preds` and
         `flag_preds`."""
-        n_states, width = len(rows), self._width
-        octets = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
-        at, bits = np.divmod(np.flatnonzero(np.unpackbits(
-            octets, axis=1, count=len(self._slot), bitorder="little")), len(self._slot))
-        table = np.tile(self._static_table, n_states)
-        np.add.at(table, at * width + self._slot[bits], self._bit[bits])
-        table = table.reshape(n_states, width)
+        n_states = len(rows)
+        runs = rows[:, self._word]
+        np.right_shift(runs, self._shift, out=runs)
+        np.bitwise_and(runs, self._mask, out=runs)
+        np.left_shift(runs, self._dest, out=runs)
+        if self._firsts is not None:
+            runs = np.bitwise_or.reduceat(runs, self._firsts, axis=1)
+        table = np.empty((n_states, self._width), dtype=np.uint64)
+        table[:] = self._static_table
+        table[:, self._cells] = runs  # cells of dynamic predicates: no static atom
         sets = len(self.unary_preds) * self.words
         return (table[:, :sets].reshape(n_states, len(self.unary_preds), self.words),
                 table[:, sets:self._flag0].reshape(n_states, len(self.binary_preds),

@@ -42,7 +42,7 @@ import numpy as np
 from genpol.errors import InternalInvariantError
 from genpol.features import FeaturePool, boolean_matrix
 from genpol.maxsat import Clauses, WcnfProblem, ranges
-from genpol.space import SampleSet, group, row_keys
+from genpol.space import SampleSet, group
 
 FLAT, UP, DOWN = 0, 1, 2
 
@@ -57,7 +57,14 @@ def _first_ids(rows: np.ndarray):
     occurrence, and per id the row where it first occurs (ascending)."""
     if not rows.shape[1]:  # zero-width rows are all equal
         return np.zeros(len(rows), dtype=np.int64), np.arange(min(1, len(rows)))
-    _, first, inverse = group(row_keys(rows))
+    # Keys equal exactly when the rows are: a one-column row's value, the
+    # bytes of a wider one.
+    if rows.shape[1] == 1:
+        keys = rows[:, 0]
+    else:
+        rows = np.ascontiguousarray(rows)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, inverse = group(keys)
     order = np.argsort(first)
     rank = np.empty(len(first), dtype=np.int64)
     rank[order] = np.arange(len(first))

@@ -465,8 +465,8 @@ def parse_instance(text: str, dom: DomainModel, goal_params=()) -> InstanceModel
 # ---------------------------------------------------------------------------
 
 # Rows times actions tested at once by `GroundProblem.transitions`; bounds
-# its [rows, actions] temporaries to a few MB on large frontiers.
-_APPLICABLE_BLOCK = 1 << 20
+# its uint64 [rows, actions] temporary to 2 MB on large frontiers.
+_APPLICABLE_BLOCK = 1 << 18
 
 
 @dataclass

@@ -11,9 +11,13 @@ source state; `is_goal` is a bool array per state.
 applicable actions of the whole frontier, the successors are `(row & ~del)
 | add`, and a sorted array of row keys tells the known states from the new
 ones, which are numbered in (source, action id) order of first occurrence.
-A row of one word is its own uint64 key; wider rows are keyed by their
-bytes (`row_keys`).  A level's successors are grouped by key with one
-default-kind sort (`group`), not the stable sort of `np.unique`.
+A row of one word is its own uint64 key; a wider row is keyed by a salted
+splitmix64-style mix of its words (`row_keys`; Steele, Lea and Flood,
+OOPSLA 2014).  Such keys can collide, so every level checks that each
+successor equals the row of the state it was merged into, and a collision
+restarts the expansion with the next salt.  A level's successors are
+grouped by key with one default-kind sort (`group`), not the stable sort
+of `np.unique`.
 
 `label_goal_distances` is the one place that decides the labeling the
 theory and the certificates range over:
@@ -27,6 +31,7 @@ theory and the certificates range over:
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -64,14 +69,28 @@ class StateSpace:
         return int(self.goal_dist.max(initial=0))
 
 
-def row_keys(rows: np.ndarray) -> np.ndarray:
-    """One comparable key per row of a 2-D array (a packed state, a code
-    row): its one value when the array has one column, its bytes otherwise.
-    Keys are equal exactly when rows are; their order is not the rows'."""
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, a bijection of uint64, in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def row_keys(rows: np.ndarray, salt: int = 0) -> np.ndarray:
+    """One uint64 key per packed row [n, words]: a one-word row's value, and
+    for wider rows the words mixed in one at a time, from a start that
+    `salt` picks.  Equal rows have equal keys; wider rows that differ can
+    share one, so a caller that merges rows by key must check them."""
     if rows.shape[1] == 1:
         return rows[:, 0]
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    key = np.full(len(rows), (salt + 1) * 0x9E3779B97F4A7C15 % 2**64, dtype=np.uint64)
+    for w in range(rows.shape[1]):
+        key ^= rows[:, w]
+        key = _mix(key)
+    return key
 
 
 def group(keys: np.ndarray):
@@ -111,20 +130,36 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
     in (source, action id) order, that makes a state beyond `max_states` or
     a transition beyond `max_transitions`."""
     check_caps(max_states, max_transitions)
+    for salt in itertools.count():  # a salt whose keys merged no different rows
+        space = _expand(gp, max_states, max_transitions, salt)
+        if space is not None:
+            return space
+
+
+def _expand(gp: GroundProblem, max_states: int, max_transitions: int, salt: int):
+    """`expand` with the row keys of `salt`; None if two different rows
+    shared a key."""
     name = gp.instance.name
-    levels = [gp.init[None]]  # the states of each level, in id order
-    known, known_ids = row_keys(levels[0]), np.zeros(1, dtype=np.int64)
+    states = gp.init[None].copy()  # the states in id order, then spare rows
+    known, known_ids = row_keys(states, salt), np.zeros(1, dtype=np.int64)
     src, dst, act = [], [], []
     lo, n_states, n_transitions = 0, 1, 0  # lo: id of the frontier's first state
-    while len(levels[-1]):
-        at, aids, succ = gp.transitions(levels[-1])
-        uniq, first, inverse = group(row_keys(succ))
+    while lo < n_states:
+        at, aids, succ = gp.transitions(states[lo:n_states])
+        uniq, first, inverse = group(row_keys(succ, salt))
         pos = np.searchsorted(known, uniq)
         near = np.minimum(pos, len(known) - 1)
         ids = known_ids[near]
         fresh = np.flatnonzero(known[near] != uniq)  # in key order
         new = fresh[np.argsort(first[fresh])]  # in order of first occurrence
         ids[new] = np.arange(n_states, n_states + len(new))
+        end = n_states + len(new)
+        if end > len(states):  # double the room; the rows past n_states are spare
+            states = np.resize(states, (max(end, 2 * len(states)), gp.words))
+        states[n_states:end] = succ[first[new]]
+        targets = ids[inverse]
+        if not np.array_equal(states[targets], succ):
+            return None
 
         # The level's first transition beyond the cap, and its first new
         # state beyond the cap; at one transition the state cap comes first.
@@ -137,17 +172,16 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
                 f"more than {max_transitions} transitions in '{name}'")
 
         src.append(at + lo)
-        dst.append(ids[inverse])
+        dst.append(targets)
         act.append(aids)
         to = pos[fresh] + np.arange(len(fresh))  # their places once merged
         old = np.ones(len(known) + len(fresh), dtype=bool)
         old[to] = False
         known = _merged(known, old, uniq[fresh], to)
         known_ids = _merged(known_ids, old, ids[fresh], to)
-        levels.append(succ[first[new]])
-        lo, n_states = n_states, n_states + len(new)
+        lo, n_states = n_states, end
         n_transitions += len(succ)
-    states = np.concatenate(levels)
+    states = states[:n_states].copy()
     # One array at a time, each per-level list released before the next
     # array is built, so the lists and the results are never all held.
     for parts in (src, dst, act):

@@ -160,6 +160,45 @@ def state_sets(space):
     return list(map(unpacker(space.gp), space.states))
 
 
+def scatter_tables(ictx, rows):
+    """`InstanceContext.tables` by unpacking and scattering bits: every atom
+    of `ictx.gp` gets its cell and bit in a flat table (laid out as
+    `tables` documents), the static atoms are added once, and each row's
+    dynamic atoms are found by unpacking its bits and added with `np.add.at`,
+    so a flag column counts the atoms of its predicate."""
+    gp, n, w = ictx.gp, ictx.n, ictx.words
+    unary, binary, flags = ictx.unary_preds, ictx.binary_preds, ictx.flag_preds
+    index = {o: i for i, o in enumerate(gp.objects)}
+    flag0 = (len(unary) + len(binary) * n) * w
+
+    def place(atom):
+        pred, args = atom[0], atom[1:]
+        if len(args) == 1:
+            first, obj = unary.index(pred) * w, index[args[0]]
+        elif len(args) == 2:
+            first = (len(unary) + binary.index(pred) * n + index[args[0]]) * w
+            obj = index[args[1]]
+        else:
+            return flag0 + flags.index(pred), 0
+        return first + obj // 64, obj % 64
+
+    cell, bit = np.array([place(a) for a in gp.atoms], dtype=np.int64).reshape(-1, 2).T
+    bit = np.left_shift(np.uint64(1), bit.astype(np.uint64))
+    table = np.zeros(flag0 + len(flags), dtype=np.uint64)
+    static = np.array(sorted(gp.static_atoms), dtype=np.int64)
+    np.add.at(table, cell[static], bit[static])
+    dyn = gp.dynamic
+    octets = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+    held = np.unpackbits(octets, axis=1, count=len(dyn), bitorder="little")
+    at, k = np.nonzero(held)
+    table = np.tile(table, (len(rows), 1))
+    np.add.at(table, (at, cell[dyn][k]), bit[dyn][k])
+    sets = len(unary) * w
+    return (table[:, :sets].reshape(len(rows), len(unary), w),
+            table[:, sets:flag0].reshape(len(rows), len(binary), n, w),
+            table[:, flag0:] > 0)
+
+
 def naive_expand(gp):
     """Breadth-first enumeration over frozensets of atom ids, from the
     actions of `product_ground` and `gp.atoms` only: the states (id 0 the

@@ -31,6 +31,7 @@ POLICY_DIR = ROOT / "perfbench" / "policies"
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import instances  # noqa: E402  perfbench's generators and STRIPS replay
+import workloads  # noqa: E402  perfbench's verify and run cases
 
 
 def _ground(domain_text, instance_text, goal_params=()):
@@ -438,6 +439,77 @@ def test_word_boundaries_match_the_oracle(width):
     _check(pol, gp, sp)
     assert _check(po.parse_policy((POLICY_DIR / "visitall.txt").read_text()),
                   gp, sp).ok
+
+
+def _random_rows(gp, n, rng):
+    """n seeded packed rows with each dynamic bit set at random."""
+    bits = rng.integers(0, 2, (n, 64 * gp.words), dtype=np.uint8)
+    bits[:, len(gp.dynamic):] = 0
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+# Objects of two types named alternately, so the atoms of `held`, `at` and
+# the ternary `route` skip every other object; 66 and 131 objects make sets
+# of two and three words.
+GAPS_DOMAIN = """
+(define (domain gaps) (:requirements :typing) (:types ball room)
+  (:predicates (held ?b - ball) (at ?b - ball ?r - room) (lit)
+               (route ?a - room ?b - ball ?c - room))
+  (:action go :parameters (?b - ball ?r - room) :precondition (held ?b)
+           :effect (and (not (held ?b)) (at ?b ?r) (lit) (route ?r ?b ?r))))
+"""
+
+
+def _gaps_instance(n):
+    objects = " ".join(f"x{i:03d} - {'ball' if i % 2 else 'room'}" for i in range(n))
+    return (f"(define (problem gaps-{n}) (:domain gaps) (:objects {objects})"
+            f" (:init (held x001)) (:goal (lit)))")
+
+
+def _table_problems():
+    """(name, ground problem, reachable states or None) of every table case."""
+    for name, prob, params in (("clear", "prob05", ("b1",)), ("gripper", "prob04", ()),
+                               ("visitall", "prob3x3", ())):
+        bench = ROOT / "benchmarks" / name
+        gp = _ground((bench / "domain.pddl").read_text(),
+                     (bench / f"{prob}.pddl").read_text(), params)
+        yield f"benchmark-{name}", gp, space.expand(gp).states
+    for seed in (0, 7):
+        for case in workloads.verify_cases(ROOT, seed)[:3]:
+            gp = workloads._ground(case)
+            yield f"{case.name}-{seed}", gp, space.expand(gp).states
+        for case in workloads.run_cases(ROOT, seed):
+            yield f"{case.name}-{seed}", workloads._ground(case), None
+    for width in (63, 64, 65, 130):
+        gp = _ground(domains.VISITALL_DOMAIN, domains.visitall_instance(
+            width, 1, (width - 1, 0), visited=[(x, 0) for x in range(1, width)]))
+        yield f"line-{width}", gp, space.expand(gp).states
+    for n in (7, 66, 131):
+        yield f"gaps-{n}", _ground(GAPS_DOMAIN, _gaps_instance(n)), None
+    rng = random.Random(24)
+    for k in range(200):
+        domain, instance = domains.random_strips_problem(rng)
+        yield f"random-{k}", _ground(domain, instance), None
+
+
+def test_tables_match_the_scatter_oracle():
+    # The bit-field kernel against unpacking and scattering every bit, on
+    # reachable states and on seeded random rows.  Flags are compared as
+    # `tables` returns them, by whether a predicate has an atom.
+    rng = np.random.default_rng(24)
+    seen = set()
+    for name, gp, states in _table_problems():
+        ictx = co.InstanceContext(gp)
+        dynamic = {gp.atoms[a][0] for a in gp.dynamic}
+        seen.update(("flag" if p in ictx.flag_preds else "set", p in dynamic)
+                    for p in ictx.unary_preds + ictx.binary_preds + ictx.flag_preds)
+        for rows in (states, _random_rows(gp, 64, rng), gp.init[None]):
+            if rows is None:
+                continue
+            got, want = ictx.tables(rows), oracles.scatter_tables(ictx, rows)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert seen == {("flag", True), ("flag", False), ("set", True), ("set", False)}
 
 
 @pytest.mark.parametrize("name", ["gripper", "visitall"])

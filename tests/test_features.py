@@ -318,6 +318,39 @@ def test_predicate_names_with_reserved_suffixes_rejected(tmp_path, capsys):
         assert "on_plus, p_g" in capsys.readouterr().err
 
 
+CONSTANT_DOMAIN = """
+(define (domain consts)
+  (:constants goal0)
+  (:predicates (p ?x) (q ?x))
+  (:action mark :parameters (?x) :precondition (q ?x) :effect (p ?x)))
+"""
+
+CONSTANT_INSTANCE = """
+(define (problem c1) (:domain consts)
+  (:objects a)
+  (:init (q a) (q goal0))
+  (:goal (p a)))
+"""
+
+
+def test_constant_named_like_a_goal_parameter_nominal_rejected(tmp_path, capsys):
+    # `Nominal(goal0)` would mean the goal parameter `a`, not the constant.
+    message = "domain constant 'goal0' has the name of the nominal of goal parameter 0"
+    with pytest.raises(GenpolError, match=message):
+        features.generate_pool(_sample(CONSTANT_DOMAIN, CONSTANT_INSTANCE, ["a"]),
+                               max_weight=3)
+    pool, _ = features.generate_pool(_sample(CONSTANT_DOMAIN, CONSTANT_INSTANCE),
+                                     max_weight=3)
+    assert any("Nominal(goal0)" in f.render() for f in pool.features)
+    (tmp_path / "domain.pddl").write_text(CONSTANT_DOMAIN)
+    (tmp_path / "c1.pddl").write_text(CONSTANT_INSTANCE)
+    files = ["--domain", str(tmp_path / "domain.pddl"), "--training",
+             str(tmp_path / "c1.pddl"), "--goal-params", "a"]
+    for command in ("features", "learn"):
+        assert cli.main([command, *files]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_mismatched_goal_parameter_counts_rejected():
     dom = pddl.parse_domain(domains.BLOCKS_DOMAIN)
     inst1 = pddl.parse_instance(domains.clear_tower_instance(3), dom, ["b1"])

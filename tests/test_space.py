@@ -320,6 +320,65 @@ def test_expansion_caps_are_exact():
     assert _first_cap(edges, n, t - 1) == "transitions"
 
 
+def test_row_keys_are_the_one_word_or_a_salted_mix():
+    rng = np.random.default_rng(24)
+    one = rng.integers(0, 2**63, (500, 1)).astype(np.uint64) << np.uint64(1)
+    for salt in (0, 1, 7):
+        assert np.array_equal(space.row_keys(one, salt), one[:, 0])
+    for words in (2, 3, 5):
+        rows = rng.integers(0, 3, (3000, words)).astype(np.uint64) << np.uint64(62)
+        want, _ = oracles.group_by_first_occurrence([r.tobytes() for r in rows])
+        by_salt = [space.row_keys(rows, salt) for salt in (0, 1)]
+        for keys in by_salt:
+            assert keys.dtype == np.uint64 and keys.shape == (len(rows),)
+            assert oracles.group_by_first_occurrence(keys.tolist())[0] == want
+        assert (by_salt[0] != by_salt[1]).all()
+
+
+def _weak_mix(z):
+    """A multiply-xor fold: row keys of wider rows collide under it."""
+    return (z * np.uint64(3)) ^ (z >> np.uint64(32))
+
+
+def _line(width):
+    return _ground(domains.VISITALL_DOMAIN, domains.visitall_instance(
+        width, 1, (width - 1, 0), visited=[(x, 0) for x in range(1, width)]))
+
+
+def test_expansion_survives_key_collisions(monkeypatch):
+    # Under the weak mix the first salt merges two different rows of the
+    # 65-cell line (three words), which the check must catch; every space
+    # and every cap error stays that of the reference enumeration.
+    monkeypatch.setattr(space, "_mix", _weak_mix)
+    salts = []
+    expand_once = space._expand
+
+    def spy(gp, max_states, max_transitions, salt):
+        salts.append(salt)
+        return expand_once(gp, max_states, max_transitions, salt)
+
+    monkeypatch.setattr(space, "_expand", spy)
+    for gp, tried in ((_line(63), [0]), (_line(64), [0]), (_line(65), [0, 1]),
+                      (_line(130), [0]), (_ground(domains.VISITALL_DOMAIN,
+                                                 domains.visitall_instance(33, 1, (0, 0))), [0])):
+        assert gp.words > 1
+        salts.clear()
+        _check_against_oracle(gp)
+        assert salts == tried
+    gp = _line(65)
+    _, edges, _ = oracles.naive_expand(gp)
+    n, t = 129, len(edges)
+    for max_states in (1, 2, 64, n - 1, n):
+        for max_transitions in (0, 1, 100, t - 1, t):
+            want = _first_cap(edges, max_states, max_transitions)
+            if want is None:
+                assert space.expand(gp, max_states, max_transitions).n_transitions == t
+                continue
+            cap = max_states if want == "states" else max_transitions
+            with pytest.raises(LimitExceededError, match=f"more than {cap} {want} in"):
+                space.expand(gp, max_states, max_transitions)
+
+
 def test_sample_set_offsets_and_global_ids():
     sp1 = space.expand_labeled(
         _ground(domains.GRIPPER_DOMAIN, domains.gripper_instance(2)))
