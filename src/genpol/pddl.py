@@ -14,8 +14,8 @@ state, found by a join on those atoms.  Ids are stable across runs: atoms
 are sorted lexicographically by (predicate, args) and actions by name.  A
 state is a packed row of uint64 words over the dynamic atoms only; the
 static atoms of the initial state hold in every state and are kept once
-per instance.  A ground action is a name and three packed masks, of its
-dynamic preconditions, adds and deletes.
+per instance.  A ground action is a name and the bits of its dynamic
+preconditions, adds and deletes.
 """
 
 from __future__ import annotations
@@ -468,6 +468,8 @@ def parse_instance(text: str, dom: DomainModel, goal_params=()) -> InstanceModel
 # its uint64 [rows, actions] temporary to 2 MB on large frontiers.
 _APPLICABLE_BLOCK = 1 << 18
 
+_ONE = np.ones(1, dtype=np.uint64)  # `successors` appends it: bit 64 * words
+
 
 @dataclass
 class GroundProblem:
@@ -479,16 +481,20 @@ class GroundProblem:
     goal names it.  A state is a packed row, uint64 [words]: dynamic atom k
     holds when bit k % 64 of word k // 64 is set.  The dynamic atoms are
     numbered in atom id order (`dynamic` maps a bit to its atom id);
-    `words` is at least one.  An action is its name and three packed masks:
-    action id i is named `actions[i]`, and rows i of `pre_masks`,
-    `add_masks` and `del_masks` hold its dynamic preconditions, adds and
-    deletes (the adds and deletes are disjoint).  Its static preconditions
-    hold, or `ground` would have dropped it.  Each action is keyed by one
-    dynamic precondition bit (`pre_key`), the one the fewest actions
-    require, the lowest on ties; an action without one gets bit 64 * words,
-    which `successors` sets on every row.  `successors` of one row tests
-    only the actions keyed by bits the row holds (as in Helmert, JAIR
-    2006); `transitions` tests all actions on blocks of rows.
+    `words` is at least one.  An action is its name and three int64
+    [actions, k] arrays of bits: action id i is named `actions[i]`, and
+    rows i of `pre_bits`, `add_bits` and `del_bits` hold its dynamic
+    preconditions, adds and deletes (the adds and deletes are disjoint),
+    padded with bit 64 * words, which is no atom; k is the most any one
+    schema has.  Its static preconditions hold, or `ground` would have
+    dropped it.  Each action is keyed by one dynamic precondition bit
+    (`pre_key`), the one the fewest actions require, the lowest on ties; an
+    action without one gets bit 64 * words.  `successors` of one row sets
+    that bit on the row and tests only the actions keyed by bits the row
+    holds (as in Helmert, JAIR 2006), reading their bits; `transitions`
+    tests all actions on blocks of rows through the packed masks
+    `pre_masks`, `add_masks` and `del_masks`, uint64 [actions, words],
+    which are built from the bits on first use.
     """
 
     domain: DomainModel
@@ -501,12 +507,24 @@ class GroundProblem:
     object_types: dict  # name -> type
     dynamic: np.ndarray  # bit -> atom id (int64, ascending)
     static_atoms: frozenset  # ids of the static atoms, true in every state
-    pre_masks: np.ndarray  # uint64 [actions, words]
-    add_masks: np.ndarray
-    del_masks: np.ndarray
+    pre_bits: np.ndarray  # int64 [actions, k], padded with 64 * words
+    add_bits: np.ndarray
+    del_bits: np.ndarray
     goal_mask: np.ndarray  # packed row of the dynamic goal atoms
     goal_static: bool  # whether the static goal atoms hold
     pre_key: np.ndarray  # action -> its key bit (int64)
+
+    @cached_property
+    def pre_masks(self) -> np.ndarray:
+        return _pack(self.pre_bits, self.words)
+
+    @cached_property
+    def add_masks(self) -> np.ndarray:
+        return _pack(self.add_bits, self.words)
+
+    @cached_property
+    def del_masks(self) -> np.ndarray:
+        return _pack(self.del_bits, self.words)
 
     @cached_property
     def _pre_words(self) -> list:
@@ -515,6 +533,40 @@ class GroundProblem:
         ids = [np.flatnonzero(self.pre_masks[:, w]) for w in range(self.words)]
         return [(w, slice(None) if len(i) == len(self.actions) else i, self.pre_masks[i, w])
                 for w, i in enumerate(ids) if len(i)]
+
+    @cached_property
+    def _effects(self) -> np.ndarray:
+        """uint64 [actions, 3, t]: per action, the words its effects change
+        (as int64 bits), and the masks `keep` and `put` that change them,
+        word at[j] becoming (word & keep[j]) | put[j]; t is the number of
+        delete and add columns.  An action's words are distinct, and its row
+        is padded with copies of its first entry (word 0, changed by
+        nothing, when it changes none), so a scatter of one row per action
+        writes each word once, or the same value more than once.  Built one
+        column at a time, so no temporary is larger than one column."""
+        columns = [(1, b) for b in self.del_bits.T] + [(2, b) for b in self.add_bits.T]
+        n = len(self.actions)
+        eff = np.zeros((n, 3, len(columns)), dtype=np.uint64)
+        at = eff[:, 0].view(np.int64)
+        rows = np.arange(n)
+        for j, (kind, bits) in enumerate(columns):
+            real = bits < 64 * self.words
+            word = np.where(real, bits >> 6, -1)
+            slot = np.full(n, j)  # the first column that holds its word, or j
+            for i in range(j - 1, -1, -1):
+                slot[real & (at[:, i] == word)] = i
+            at[:, j] = np.where(slot == j, word, -1)
+            eff[rows, kind, slot] |= np.left_shift(np.uint64(1),
+                                                   (bits & 63).astype(np.uint64)) * real
+        first = np.zeros(n, dtype=np.int64)  # the first column of a row's own word
+        for j in range(len(columns) - 1, -1, -1):
+            first[at[:, j] >= 0] = j
+        for j in range(len(columns)):
+            hole = np.flatnonzero(at[:, j] < 0)
+            eff[hole, :, j] = eff[hole, :, first[hole]]
+        at[at < 0] = 0
+        np.invert(eff[:, 1], out=eff[:, 1])
+        return eff
 
     @property
     def words(self) -> int:
@@ -546,23 +598,28 @@ class GroundProblem:
     def successors(self, row: np.ndarray) -> tuple:
         """(action ids ascending, successor rows [k, words]) of one row, the
         same as `transitions(row[None])`."""
-        held = np.unpackbits(np.append(row, np.uint64(1)).astype("<u8", copy=False)
+        held = np.unpackbits(np.concatenate((row, _ONE)).astype("<u8", copy=False)
                              .view(np.uint8), bitorder="little")
         aids = np.flatnonzero(held[self.pre_key])
-        pre = self.pre_masks[aids]
-        aids = aids[((row & pre) == pre).all(axis=1)]
-        return aids, (row & ~self.del_masks[aids]) | self.add_masks[aids]
+        aids = aids[held[self.pre_bits[aids]].all(axis=1)]
+        eff = self._effects[aids]
+        at = eff[:, 0].view(np.int64)
+        succ = np.repeat(row[None], len(aids), axis=0)
+        succ[np.arange(len(aids))[:, None], at] = (row[at] & eff[:, 1]) | eff[:, 2]
+        return aids, succ
 
 
-def _pack(out: np.ndarray, rows: np.ndarray, ids: np.ndarray, bit_of: np.ndarray):
-    """Set in `out`, uint64 [n, words] packed over the dynamic atoms, the bit
-    of atom ids[i] in row rows[i] for every i (`bit_of`: atom id -> bit, -1
-    for a static atom)."""
-    bits = bit_of[ids]
-    on = bits >= 0
+def _pack(bits: np.ndarray, words: int) -> np.ndarray:
+    """Packed rows, uint64 [n, words], of the bits int64 [n, k] of each row;
+    bit 64 * words sets nothing."""
+    out = np.zeros((len(bits), words), dtype=np.uint64)
+    rows = np.repeat(np.arange(len(bits)), bits.shape[1])
+    bits = bits.ravel()
+    on = bits < 64 * words
     bits = bits[on]
-    np.bitwise_or.at(out, (rows[on], bits // 64),
-                     np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64)))
+    np.bitwise_or.at(out, (rows[on], bits >> 6),
+                     np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64)))
+    return out
 
 
 def _key_bits(pres: list, rank: np.ndarray, bit_of: np.ndarray, words: int) -> np.ndarray:
@@ -783,7 +840,7 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
     parameters to objects of their types under which its static
     preconditions hold in the initial state; no other binding can ever
     apply.  Delete effects shadowed by an add of the same atom are removed,
-    so the add and delete masks of every ground action are disjoint.
+    so the add and delete bits of every ground action are disjoint.
     """
     by_type = _objects_by_type(dom, inst)
     members = {t: frozenset(names) for t, names in by_type.items()}
@@ -823,20 +880,22 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
     actions = [actions[i] for i in order]
     rank = np.empty(len(actions), dtype=np.int64)
     rank[order] = np.arange(len(actions))
-    masks = np.zeros((3, len(actions), words), dtype=np.uint64)  # pre, add, delete
-    first = 0
-    for templates in bound:
-        rows = rank[first:first + len(templates[0])]
-        first += len(rows)
-        for out, ids in zip(masks, templates):
-            _pack(out, np.repeat(rows, ids.shape[1]), ids.ravel(), bit_of)
+    # Atom id -> bit, 64 * words for a static atom and for id len(atoms).
+    to_bit = np.where(bit_of >= 0, bit_of, 64 * words)
 
-    def pack_set(ids):
-        row = np.zeros((1, words), dtype=np.uint64)
-        _pack(row, np.zeros(len(ids), dtype=np.int64),
-              np.fromiter(ids, dtype=np.int64, count=len(ids)), bit_of)
-        return row[0]
+    def spread(kind):
+        """The bits of one kind of template, int64 [actions, k], by action id."""
+        out = np.full((len(actions), max((b[kind].shape[1] for b in bound), default=0)),
+                      64 * words, dtype=np.int64)
+        first = 0
+        for templates in bound:
+            ids = templates[kind]
+            out[rank[first:first + len(ids)], :ids.shape[1]] = to_bit[ids]
+            first += len(ids)
+        return out
 
+    pack_set = lambda ids: _pack(to_bit[np.fromiter(ids, dtype=np.int64, count=len(ids))][None],
+                                 words)[0]
     init = frozenset(atom_id[a] for a in inst.init)
     goal = frozenset(atom_id[a] for a in inst.goal)
     static_atoms = frozenset(static_init.values())
@@ -851,9 +910,9 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
         object_types={o: t for o, t in inst.objects},
         dynamic=dynamic,
         static_atoms=static_atoms,
-        pre_masks=masks[0],
-        add_masks=masks[1],
-        del_masks=masks[2],
+        pre_bits=spread(0),
+        add_bits=spread(1),
+        del_bits=spread(2),
         goal_mask=pack_set(goal),
         goal_static=all(a in static_atoms for a in goal if is_static[a]),
         pre_key=_key_bits([pre for pre, _, _ in bound], rank, bit_of, words),

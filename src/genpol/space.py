@@ -13,11 +13,11 @@ applicable actions of the whole frontier, the successors are `(row & ~del)
 ones, which are numbered in (source, action id) order of first occurrence.
 A row of one word is its own uint64 key; a wider row is keyed by a salted
 splitmix64-style mix of its words (`row_keys`; Steele, Lea and Flood,
-OOPSLA 2014).  Such keys can collide, so every level checks that each
-successor equals the row of the state it was merged into, and a collision
-restarts the expansion with the next salt.  A level's successors are
-grouped by key with one default-kind sort (`group`), not the stable sort
-of `np.unique`.
+OOPSLA 2014).  Such keys can collide, so every level of wider rows checks
+that each successor equals the row of the state it was merged into, and a
+collision restarts the expansion with the next salt, up to `SALTS` salts.
+A level's successors are grouped by key with one default-kind sort
+(`group`), not the stable sort of `np.unique`.
 
 `label_goal_distances` is the one place that decides the labeling the
 theory and the certificates range over:
@@ -31,7 +31,6 @@ theory and the certificates range over:
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -42,6 +41,11 @@ from genpol.maxsat import ranges
 from genpol.pddl import GroundProblem
 
 log = logging.getLogger(__name__)
+
+# Salts `expand` tries before it gives up on keying an instance's rows.  Two
+# different rows share a splitmix64 key with chance about 2^-64 per pair, so
+# a second salt is already rare; running out means a broken key mix.
+SALTS = 8
 
 
 @dataclass
@@ -130,10 +134,12 @@ def expand(gp: GroundProblem, max_states: int = 10**6,
     in (source, action id) order, that makes a state beyond `max_states` or
     a transition beyond `max_transitions`."""
     check_caps(max_states, max_transitions)
-    for salt in itertools.count():  # a salt whose keys merged no different rows
+    for salt in range(SALTS):  # a salt whose keys merged no different rows
         space = _expand(gp, max_states, max_transitions, salt)
         if space is not None:
             return space
+    raise GenpolError(f"the row keys of '{gp.instance.name}' merged different states "
+                      f"under each of {SALTS} salts")
 
 
 def _expand(gp: GroundProblem, max_states: int, max_transitions: int, salt: int):
@@ -158,7 +164,8 @@ def _expand(gp: GroundProblem, max_states: int, max_transitions: int, salt: int)
             states = np.resize(states, (max(end, 2 * len(states)), gp.words))
         states[n_states:end] = succ[first[new]]
         targets = ids[inverse]
-        if not np.array_equal(states[targets], succ):
+        # A one-word row is its own key, so only wider rows can collide.
+        if gp.words > 1 and not np.array_equal(states[targets], succ):
             return None
 
         # The level's first transition beyond the cap, and its first new
@@ -192,20 +199,8 @@ def _expand(gp: GroundProblem, max_states: int, max_transitions: int, salt: int)
 
 def label_goal_distances(space: StateSpace) -> StateSpace:
     """Fill `goal_dist`, `alive` and `alive_t` by one backward breadth-first
-    search, level by level, from all goal states at once.  A bool mark over
-    the states gives each next frontier, ascending, without a sort."""
-    preds = predecessors(space.src, space.dst, space.n_states)
-    dist = np.full(space.n_states, -1, dtype=np.int64)
-    mark = np.zeros(space.n_states, dtype=bool)
-    frontier = np.flatnonzero(space.is_goal)
-    d = 0
-    while len(frontier):
-        dist[frontier] = d
-        d += 1
-        p = preds(frontier)
-        mark[p[dist[p] < 0]] = True
-        frontier = np.flatnonzero(mark)
-        mark[frontier] = False
+    search, level by level, from all goal states at once."""
+    dist = _goal_distances(space.src, space.dst, space.is_goal)
     space.goal_dist = dist
     space.alive = (dist >= 0) & ~space.is_goal
     space.alive_t = np.flatnonzero(space.alive[space.src])
@@ -215,12 +210,40 @@ def label_goal_distances(space: StateSpace) -> StateSpace:
     return space
 
 
+def _goal_distances(src: np.ndarray, dst: np.ndarray, is_goal: np.ndarray) -> np.ndarray:
+    """Each state's distance to a goal, -1 for dead ends.  A bool mark over
+    the states gives each next frontier, ascending, without a sort; the
+    predecessor lists are freed on return, before `alive_t` is built."""
+    preds = predecessors(src, dst, len(is_goal))
+    dist = np.full(len(is_goal), -1, dtype=np.int64)
+    mark = np.zeros(len(is_goal), dtype=bool)
+    frontier = np.flatnonzero(is_goal)
+    d = 0
+    while len(frontier):
+        dist[frontier] = d
+        d += 1
+        p = preds(frontier)
+        mark[p[dist[p] < 0]] = True
+        frontier = np.flatnonzero(mark)
+        mark[frontier] = False
+    return dist
+
+
 def predecessors(src: np.ndarray, dst: np.ndarray, n: int):
-    """The edges src[i] -> dst[i] of a graph on nodes 0..n-1, grouped by
-    target: a function from an array of nodes to the sources of the edges
-    into them, concatenated in node order."""
+    """The edges src[i] -> dst[i] (int64 arrays) of a graph on nodes
+    0..n-1, n < 2^32, grouped by target: a function from an array of nodes
+    to the sources of the edges into them, concatenated in node order, each
+    node's ascending.  One in-place sort of dst << 32 | src keys groups
+    them, 8 bytes per edge."""
+    if n >= 2**32:
+        raise LimitExceededError(f"{n} nodes, more than predecessors packs (2^32 - 1)")
     count = np.bincount(dst, minlength=n)
-    pred, first = src[np.argsort(dst)], np.cumsum(count) - count
+    pred = dst.astype(np.uint64)
+    pred <<= np.uint64(32)
+    pred |= src.view(np.uint64)
+    pred.sort()
+    pred &= np.uint64(0xFFFFFFFF)
+    pred, first = pred.view(np.int64), np.cumsum(count) - count
     return lambda nodes: pred[ranges(first[nodes], count[nodes])]
 
 

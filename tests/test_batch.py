@@ -23,6 +23,7 @@ import oracles
 from genpol import cli, features, pddl, policy as po, space
 from genpol import concepts as co
 from genpol.errors import GenpolError
+from genpol.maxsat import ranges
 from test_policy import VERIFY_CASES
 from test_space import assert_shortest_labeling
 
@@ -230,6 +231,50 @@ def test_labeling_of_random_graphs_is_shortest():
         assert_shortest_labeling(sp)
         longest = max(longest, sp.max_goal_distance())
     assert longest > 40
+
+
+def _by_argsort(src, dst, n):
+    """Predecessor lists built as they were before the one-sort packing:
+    sources in `argsort(dst)` order, whatever the order within a node."""
+    count = np.bincount(dst, minlength=n)
+    pred, first = src[np.argsort(dst)], np.cumsum(count) - count
+    return lambda nodes: pred[ranges(first[nodes], count[nodes])]
+
+
+def _per_node(preds, nodes, dst, n):
+    """The predecessors of `nodes`, sorted within each node."""
+    got = preds(nodes)
+    node = np.repeat(np.arange(len(nodes)), np.bincount(dst, minlength=n)[nodes])
+    return got[np.lexsort((got, node))]
+
+
+def test_predecessors_are_the_argsort_lists_per_node():
+    # The verify cases' spaces and seeded random multigraphs with isolated
+    # nodes, self loops and repeated edges; the nodes asked for come in any
+    # order, with repeats.
+    graphs = []
+    for name in sorted(VERIFY_CASES):
+        _, domain_text, instance_text, goal_params = VERIFY_CASES[name]
+        sp = space.expand(_ground(domain_text, instance_text, goal_params))
+        graphs.append((sp.src, sp.dst, sp.n_states))
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        n = int(rng.integers(1, 300))
+        linked = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+        m = int(rng.integers(0, 4 * n))
+        src, dst = rng.choice(linked, m), rng.choice(linked, m)
+        loops = rng.choice(linked, int(rng.integers(0, 5)))
+        graphs.append((np.concatenate([src, loops]), np.concatenate([dst, loops]), n))
+    isolated = 0
+    for src, dst, n in graphs:
+        new, old = space.predecessors(src, dst, n), _by_argsort(src, dst, n)
+        got = new(np.arange(n))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, src[np.lexsort((src, dst))])
+        nodes = rng.integers(0, n, 2 * n)
+        assert np.array_equal(_per_node(new, nodes, dst, n), _per_node(old, nodes, dst, n))
+        isolated += n - len(np.union1d(src, dst))
+    assert isolated > 0
 
 
 def test_atom_of_a_ternary_predicate_is_a_flag():

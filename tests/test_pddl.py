@@ -4,6 +4,7 @@ import dataclasses
 import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import oracles
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 import instances  # noqa: E402  perfbench's seeded instance generators
+import workloads  # noqa: E402  perfbench's run cases
 
 
 def _gripper(n=2, seed=None):
@@ -146,6 +148,13 @@ def _ground_like_product(dom, inst):
         assert got.dtype == np.uint64 and np.array_equal(got, getattr(want, name)), name
     # No action adds and deletes the same atom.
     assert not (gp.add_masks & gp.del_masks).any()
+    # Each action's bits are its dynamic atoms, padded with bit 64 * words.
+    pad, dynamic = 64 * gp.words, set(want.dynamic)
+    for kind, bits in enumerate((gp.pre_bits, gp.add_bits, gp.del_bits)):
+        assert bits.dtype == np.int64 and bits.shape[0] == len(gp.actions)
+        assert ((bits >= 0) & (bits <= pad)).all()
+        for row, action in zip(bits.tolist(), want.actions):
+            assert {want.dynamic[b] for b in row if b != pad} == action[1 + kind] & dynamic
     assert gp.pre_key.dtype == np.int64 and gp.pre_key.tolist() == oracles.key_bits(gp)
     return gp
 
@@ -365,14 +374,66 @@ def test_successors_of_a_problem_without_actions():
     oracles.check_successors(gp, [gp.init])
 
 
-@pytest.mark.parametrize("cells", [65, 130])
+@pytest.mark.parametrize("cells", [63, 64, 65, 130])
 def test_successors_across_words(cells):
-    # 130 and 260 dynamic atoms: the key bits of the moves lie in every word.
+    # 126 to 260 dynamic atoms: the key bits of the moves lie in every word.
     dom = pddl.parse_domain(domains.VISITALL_DOMAIN)
     gp = pddl.ground(dom, pddl.parse_instance(
         domains.visitall_instance(cells, 1, (0, 0)), dom))
     assert gp.words == -(-2 * cells // 64)
     oracles.check_successors(gp, space.expand(gp).states)
+
+
+TWICE_DOMAIN = """
+(define (domain twice)
+  (:predicates (p ?x) (q ?x))
+  (:action swap :parameters (?x ?y) :precondition (and (p ?x) (p ?y))
+           :effect (and (q ?x) (not (q ?y)) (not (p ?y)) (p ?y))))
+"""
+
+
+def _twice_instance(n):
+    objects = " ".join(f"o{i}" for i in range(n))
+    init = " ".join(f"(p o{i})" for i in range(0, n, 2))
+    return (f"(define (problem twice-{n}) (:domain twice) (:objects {objects})"
+            f" (:init {init} (q o1)) (:goal (and (q o0))))")
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_successors_of_shadowed_deletes_and_repeated_preconditions(n):
+    # swap(x,y) deletes (p y), which it also adds, and for x = y deletes
+    # (q y), which it adds as (q x); it requires (p x) twice when x = y.
+    # 40 objects make two words.
+    dom = pddl.parse_domain(TWICE_DOMAIN)
+    gp = _ground_like_product(dom, pddl.parse_instance(_twice_instance(n), dom))
+    assert len(gp.actions) == n * n and gp.words == -(-2 * n // 64)
+    swap = gp.actions.index("swap(o1,o1)")
+    assert gp.del_bits[swap].tolist() == [64 * gp.words] * 2
+    assert len(set(gp.pre_bits[swap].tolist())) == 1
+    rows = np.random.default_rng(n).integers(0, 2**63, (300, gp.words)).astype(np.uint64)
+    rows = np.concatenate([rows, rows << np.uint64(1), ~rows])
+    oracles.check_successors(gp, rows)
+    if n == 3:
+        oracles.check_successors(gp, space.expand(gp).states)
+
+
+def test_grounding_a_100_block_tower_builds_no_dense_masks():
+    # The dense masks, uint64 [actions, words] each, would take 81 MB here;
+    # a greedy step reads the actions' bits only.
+    dom = pddl.parse_domain((ROOT / "benchmarks" / "clear" / "domain.pddl").read_text())
+    inst = instances.clear_tower(100, random.Random(0), "clear-100")
+    problem = pddl.parse_instance(inst.pddl(), dom, inst.goal_params)
+    tracemalloc.start()
+    try:
+        gp = pddl.ground(dom, problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(gp.actions) == 2 * 100 * 100 + 2 * 100 and gp.words == 161
+    assert peak < 16e6
+    aids, succ = gp.successors(gp.init)
+    assert len(aids) == 1 and gp.actions[aids[0]].startswith("unstack(")
+    assert not {"pre_masks", "add_masks", "del_masks"} & set(vars(gp))
 
 
 @pytest.mark.parametrize("make,policy_name", [
@@ -394,3 +455,18 @@ def test_successors_along_greedy_runs(make, policy_name):
         rows.append(succ[[gp.actions[a] for a in aids].index(name)])
     assert len(rows) == 30
     oracles.check_successors(gp, rows)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_successors_on_every_state_of_the_run_workload(seed):
+    # perfbench's run cases, gripper-100, clear-50 and visitall-14x14, along
+    # the whole greedy run, each next state taken from the mask test.
+    for case in workloads.run_cases(ROOT, seed):
+        gp = workloads._ground(case)
+        plan = po.greedy_execute(case.policy, gp).trajectory
+        rows = [gp.init]
+        for name in plan:
+            _, aids, succ = gp.transitions(rows[-1][None])
+            rows.append(succ[[gp.actions[a] for a in aids].index(name)])
+        assert gp.is_goal(rows[-1])
+        oracles.check_successors(gp, rows)

@@ -379,6 +379,38 @@ def test_expansion_survives_key_collisions(monkeypatch):
                 space.expand(gp, max_states, max_transitions)
 
 
+def test_expansion_gives_up_after_a_bounded_number_of_salts(monkeypatch, tmp_path, capsys):
+    # A mix that ignores the salt, and its input, keys every row of the
+    # 65-cell line (three words) alike: each salt merges different rows, and
+    # after `SALTS` of them `expand` raises an error naming the instance,
+    # which `verify` reports with exit code 2.
+    monkeypatch.setattr(space, "_mix", np.zeros_like)
+    salts = []
+    expand_once = space._expand
+
+    def spy(gp, max_states, max_transitions, salt):
+        salts.append(salt)
+        return expand_once(gp, max_states, max_transitions, salt)
+
+    monkeypatch.setattr(space, "_expand", spy)
+    message = (f"the row keys of 'visitall-65x1' merged different states "
+               f"under each of {space.SALTS} salts")
+    with pytest.raises(GenpolError, match=f"^{message}$"):
+        space.expand(_line(65))
+    assert salts == list(range(space.SALTS))
+
+    salts.clear()
+    (tmp_path / "domain.pddl").write_text(domains.VISITALL_DOMAIN)
+    (tmp_path / "line.pddl").write_text(domains.visitall_instance(
+        65, 1, (64, 0), visited=[(x, 0) for x in range(1, 65)]))
+    (tmp_path / "policy.txt").write_text("feature 0 2 num Not(visited)\nrule f0>0 -> f0--\n")
+    assert cli.main(["verify", "--domain", str(tmp_path / "domain.pddl"),
+                     "--instance", str(tmp_path / "line.pddl"),
+                     "--policy", str(tmp_path / "policy.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert salts == list(range(space.SALTS))
+
+
 def test_sample_set_offsets_and_global_ids():
     sp1 = space.expand_labeled(
         _ground(domains.GRIPPER_DOMAIN, domains.gripper_instance(2)))
