@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="print the labeled transition system")
     _add_instance_args(p)
-    p.add_argument("--max-states", type=int, default=10 ** 6)
+    p.add_argument("--max-states", type=int, default=space.MAX_STATES)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("features", help="print the generated feature pool")
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a policy on a full state space")
     _add_instance_args(p)
     p.add_argument("--policy", required=True)
-    p.add_argument("--max-states", type=int, default=10 ** 6)
+    p.add_argument("--max-states", type=int, default=space.MAX_STATES)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("run", help="execute a policy greedily")

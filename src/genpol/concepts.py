@@ -9,9 +9,10 @@ array [states, words] and a role one of per-object successor sets
 states together, or, over a state-independent role and restriction (built
 from static predicates, types, nominals, goal versions, Top and Bot only),
 reads of an all-pairs table built once per instance.  States come as packed
-rows over the dynamic atoms (see `pddl.GroundProblem`); an instance's static
-atoms are placed in its atom table once (`InstanceContext`), and each row's
-dynamic bits are moved in after, a run of bits at a time.
+rows over the dynamic atoms (see `pddl.GroundProblem`), and each row's bits
+are moved into a table of the dynamic predicates, a run of bits at a time.
+What no state can change (static predicates, types, nominals, goal versions,
+Top and Bot) is one per-instance constant (`InstanceContext.fixed`).
 
 The grammar: primitive concepts (unary predicates and type names), goal
 versions of goal-relevant predicates, nominals for constants and declared
@@ -35,7 +36,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -288,12 +290,20 @@ def _bfs(sources, rows, restrict, far, n) -> np.ndarray:
     return dmap
 
 
+# What the error message of an unknown name calls it, per atomic class.
+_UNKNOWN = {PrimitiveConcept: "unary predicate", GoalConcept: "unary predicate",
+            PrimitiveRole: "binary predicate", GoalRole: "binary predicate", TypeConcept: "type"}
+
+# Arity -> the classes of a predicate's goal version and of the predicate.
+_VERSIONS = {1: (GoalConcept, PrimitiveConcept), 2: (GoalRole, PrimitiveRole)}
+
+
 class InstanceContext:
-    """Per-instance constants: the object numbering, where each ground atom
-    goes in a state's atom table, the state-independent denotations (Top,
-    types, goal versions, nominals) as sets of `words` words, and, built
-    on first use, those of state-independent expressions (`static`) and
-    their distance tables (`distance_table`)."""
+    """Per-instance constants: the object numbering, where each dynamic
+    ground atom goes in a state's atom table, the denotations no state can
+    change (`fixed` and `flags`), and, built on first use, those of
+    state-independent expressions (`static`) and their distance tables
+    (`distance_table`)."""
 
     def __init__(self, gp):
         self.gp = gp
@@ -301,59 +311,64 @@ class InstanceContext:
         self._init = None  # StateContext of the initial state, made on first use
         self._tables: dict = {}  # (role, restrict) -> distance table
         self.objects = gp.objects  # sorted names
-        self.index = {o: i for i, o in enumerate(self.objects)}
+        self.index = index = {o: i for i, o in enumerate(self.objects)}
         n = self.n = len(self.objects)
-        self.words = _words(n)
+        w = self.words = _words(n)
         dom = gp.domain
+        preds = dom.predicates.values()
 
-        def objects(names):
-            bits = np.zeros(n, dtype=bool)
-            bits[[self.index[o] for o in names]] = True
-            return pack(bits, self.words)
-
-        self.top = objects(self.objects)
-        self.type_masks = {
-            t: objects([o for o in self.objects
-                        if dom.is_subtype(gp.object_types[o], t)])
-            for t in dom.types}
-
-        goal_unary: dict = {}
-        goal_roles: dict = {}
-        for atom in (gp.atoms[a] for a in gp.goal):
-            pred, args = atom[0], atom[1:]
-            if len(args) == 1:
-                goal_unary.setdefault(pred, []).append(args[0])
-            elif len(args) == 2:
-                rows = goal_roles.setdefault(pred, np.zeros((n, n), dtype=bool))
-                rows[self.index[args[0]], self.index[args[1]]] = True
-        self.goal_unary = {p: objects(names) for p, names in goal_unary.items()}
-        self.goal_roles = {p: pack(rows, self.words) for p, rows in goal_roles.items()}
-
+        # `fixed`: each atomic expression no state can change, with its set
+        # ([words]) or successor sets ([n, words]).  These are Top, Bot, the
+        # types, the nominals, the goal version of every unary and binary
+        # predicate (empty unless the goal names it), and the static unary
+        # and binary predicates, which hold their atoms of the initial state.
         # Nominals: domain constants by name, goal parameters by position
         # ("goal0", "goal1", ...) so the same feature re-binds to the goal
         # arguments of whatever instance it is evaluated on.  A constant of
         # a goal parameter's name would be one nominal for two objects.
-        self.nominals = {name: objects([name]) for name, _ in dom.constants}
+        # `held` maps each to the object indices of its members, flat.
+        held = {Top(): list(range(n)), Bot(): []}
+        held.update((TypeConcept(t), [index[o] for o in self.objects
+                                      if dom.is_subtype(gp.object_types[o], t)])
+                    for t in dom.types)
+        held.update((Nominal(name), [index[name]]) for name, _ in dom.constants)
         for i, name in enumerate(gp.instance.goal_params):
-            if f"goal{i}" in self.nominals:
+            if Nominal(f"goal{i}") in held:
                 raise GenpolError(f"domain constant 'goal{i}' has the name of the "
                                   f"nominal of goal parameter {i} ('{name}')")
-            self.nominals[f"goal{i}"] = objects([name])
+            held[Nominal(f"goal{i}")] = [index[name]]
+        by_pred: dict = {}  # (0 goal or 1 static, predicate) -> object indices
+        for k, ids in enumerate((gp.goal, gp.static_atoms)):  # sorted: by predicate
+            for pred, group in groupby(map(gp.atoms.__getitem__, sorted(ids)), itemgetter(0)):
+                by_pred[k, pred] = [index[o] for atom in group for o in atom[1:]]
+        static = self.static_preds
+        held.update((version(p.name), by_pred.get((k, p.name), []))
+                    for p in preds if p.arity in _VERSIONS
+                    for k, version in enumerate(_VERSIONS[p.arity][:1 + (p.name in static)]))
+        self.fixed = {}
+        for arity, sort in ((1, CONCEPT), (2, ROLE)):  # one write and one pack each
+            exprs = [e for e in held if type(e) in FORMS[sort]]
+            at = np.fromiter(chain.from_iterable(map(held.get, exprs)), dtype=np.int64)
+            bits = np.zeros((len(exprs),) + (n,) * arity, dtype=bool)
+            bits[(np.repeat(np.arange(len(exprs)), [len(held[e]) // arity for e in exprs]),
+                  *at.reshape(-1, arity).T)] = True
+            self.fixed.update(zip(exprs, pack(bits, w)))
+        # `flags`: each static predicate of another arity, 1 if an atom of it holds.
+        self.flags = {p.name: int((1, p.name) in by_pred) for p in preds
+                      if p.arity not in _VERSIONS and p.name in static}
 
-        # A state's atom table is one uint64 row: `words` words per unary
-        # predicate and per (binary predicate, first object), then one
-        # column per other predicate, nonzero when one of its atoms holds.
-        # The static atoms are placed once, in the row every state's table
-        # starts from.  The dynamic bits are cut into runs: a run is a
-        # stretch of consecutive bits in one word of the packed row that
+        # A state's atom table is one uint64 row over the dynamic predicates:
+        # `words` words per unary predicate and per (binary predicate, first
+        # object), then one column per other predicate, nonzero when one of
+        # its atoms holds.  The bits of a packed row are cut into runs: a
+        # run is a stretch of consecutive bits in one word of the row that
         # lands on consecutive bits of one cell (a flag cell takes them at
         # their own bit positions, as only zero and nonzero tell), so
         # `tables` moves each run with one shift and one mask per state.
-        self.unary_preds = sorted(p.name for p in dom.predicates.values() if p.arity == 1)
-        self.binary_preds = sorted(p.name for p in dom.predicates.values() if p.arity == 2)
-        self.flag_preds = sorted(p.name for p in dom.predicates.values()
-                                 if p.arity not in (1, 2))
-        w = self.words
+        dynamic = [p for p in preds if p.name not in static]
+        self.unary_preds = sorted(p.name for p in dynamic if p.arity == 1)
+        self.binary_preds = sorted(p.name for p in dynamic if p.arity == 2)
+        self.flag_preds = sorted(p.name for p in dynamic if p.arity not in _VERSIONS)
         unary = {p: k * w for k, p in enumerate(self.unary_preds)}
         binary = {p: (len(unary) + k * n) * w for k, p in enumerate(self.binary_preds)}
         self._flag0 = (len(unary) + len(binary) * n) * w
@@ -364,23 +379,18 @@ class InstanceContext:
             """The first cell of an atom's set and its object; a flag's
             bit is that of object 0."""
             if len(atom) == 2:
-                return unary[atom[0]], self.index[atom[1]]
+                return unary[atom[0]], index[atom[1]]
             if len(atom) == 3:
-                return binary[atom[0]] + self.index[atom[1]] * w, self.index[atom[2]]
+                return binary[atom[0]] + index[atom[1]] * w, index[atom[2]]
             return flag[atom[0]], 0
 
-        where = np.fromiter(chain.from_iterable(map(place, gp.atoms)), dtype=np.int64,
-                            count=2 * len(gp.atoms)).reshape(-1, 2)
-        cell, bit = where[:, 0] + where[:, 1] // 64, where[:, 1] % 64
-        static = np.fromiter(gp.static_atoms, dtype=np.int64, count=len(gp.static_atoms))
-        self._static_table = np.zeros(self._width, dtype=np.uint64)
-        np.bitwise_or.at(self._static_table, cell[static],
-                         np.left_shift(np.uint64(1), bit[static].astype(np.uint64)))
-
         k = np.arange(len(gp.dynamic))
-        cell = cell[gp.dynamic]
-        bit = np.where(cell >= self._flag0, k % 64, bit[gp.dynamic])
-        head = np.ones(len(k), dtype=bool)  # whether dynamic bit k starts a run
+        atoms = map(gp.atoms.__getitem__, gp.dynamic.tolist())
+        where = np.fromiter(chain.from_iterable(map(place, atoms)), dtype=np.int64,
+                            count=2 * len(k)).reshape(-1, 2)
+        cell = where[:, 0] + where[:, 1] // 64
+        bit = np.where(cell >= self._flag0, k % 64, where[:, 1] % 64)
+        head = np.ones(len(k), dtype=bool)  # whether bit k starts a run
         head[1:] = ((k[1:] % 64 == 0) | (cell[1:] != cell[:-1])
                     | (bit[1:] != bit[:-1] + 1))
         start = np.flatnonzero(head)
@@ -398,10 +408,10 @@ class InstanceContext:
         self._firsts = None if first.all() else np.flatnonzero(first)
 
     def tables(self, rows):
-        """The atoms of the states of the packed `rows`: unary sets [S, U,
-        words], binary successor sets [S, B, n, words] and flags bool [S, F],
-        S = len(rows), in the order of `unary_preds`, `binary_preds` and
-        `flag_preds`."""
+        """The dynamic atoms of the states of the packed `rows`: unary sets
+        [S, U, words], binary successor sets [S, B, n, words] and flags bool
+        [S, F], S = len(rows), in the order of `unary_preds`, `binary_preds`
+        and `flag_preds`."""
         n_states = len(rows)
         runs = rows[:, self._word]
         np.right_shift(runs, self._shift, out=runs)
@@ -409,46 +419,23 @@ class InstanceContext:
         np.left_shift(runs, self._dest, out=runs)
         if self._firsts is not None:
             runs = np.bitwise_or.reduceat(runs, self._firsts, axis=1)
-        table = np.empty((n_states, self._width), dtype=np.uint64)
-        table[:] = self._static_table
-        table[:, self._cells] = runs  # cells of dynamic predicates: no static atom
+        table = np.zeros((n_states, self._width), dtype=np.uint64)
+        table[:, self._cells] = runs
         sets = len(self.unary_preds) * self.words
         return (table[:, :sets].reshape(n_states, len(self.unary_preds), self.words),
                 table[:, sets:self._flag0].reshape(n_states, len(self.binary_preds),
                                                    self.n, self.words),
                 table[:, self._flag0:] > 0)
 
-    def atomic_concept(self, expr) -> np.ndarray:
-        """Denotation of a state-independent atomic concept."""
-        if isinstance(expr, Top):
-            return self.top
-        if isinstance(expr, Bot):
-            return np.zeros(self.words, dtype=np.uint64)
-        if isinstance(expr, GoalConcept):
-            if expr.name not in self.unary_preds:
-                raise GenpolError(f"unknown unary predicate '{expr.name}'")
-            return self.goal_unary.get(expr.name, np.zeros(self.words, dtype=np.uint64))
-        if isinstance(expr, TypeConcept):
-            mask = self.type_masks.get(expr.name)
-            if mask is None:
-                raise GenpolError(f"unknown type '{expr.name}'")
-            return mask
-        if isinstance(expr, Nominal):
-            mask = self.nominals.get(expr.name)
-            if mask is None:
+    def denotation(self, expr) -> np.ndarray:
+        """The fixed denotation of an atomic expression (see `fixed`)."""
+        got = self.fixed.get(expr)
+        if got is None:
+            if isinstance(expr, Nominal):
                 raise GenpolError(f"nominal '{expr.name}' is not a constant or "
                                   f"goal parameter of instance "
                                   f"'{self.gp.instance.name}'")
-            return mask
-        raise TypeError(f"not a concept: {expr!r}")
-
-    def goal_role(self, name: str) -> np.ndarray:
-        """Successor sets [n, words] of the goal version of a binary predicate."""
-        got = self.goal_roles.get(name)
-        if got is None:
-            if name not in self.binary_preds:
-                raise GenpolError(f"unknown binary predicate '{name}'")
-            got = np.zeros((self.n, self.words), dtype=np.uint64)
+            raise GenpolError(f"unknown {_UNKNOWN[type(expr)]} '{expr.name}'")
         return got
 
     def static(self, expr) -> np.ndarray:
@@ -512,11 +499,12 @@ class StateContext:
             np.concatenate(p) if len(p) > 1 else p[0]
             for p in ([_padded(a, a.shape[:1] + tail) for a in got]
                       for got, tail in zip(zip(*tables), shapes)))
-        self.unary = {p: unary[:, k] for k, p in enumerate(ictx0.unary_preds)}
-        self.rows = {p: rows[:, k] for k, p in enumerate(ictx0.binary_preds)}
-        self.flags = {p: flags[:, k].astype(np.int64)
-                      for k, p in enumerate(ictx0.flag_preds)}
-        self.universe = self.constant([c.top for c in self.ictxs])
+        self.unary = dict(zip(ictx0.unary_preds, unary.swapaxes(0, 1)))
+        self.rows = dict(zip(ictx0.binary_preds, rows.swapaxes(0, 1)))
+        self.flags = dict(zip(ictx0.flag_preds, flags.T.astype(np.int64)))
+        self.flags.update((p, np.repeat([c.flags[p] for c in self.ictxs], self.sizes))
+                          for p in ictx0.flags)
+        self.universe = self.fixed(Top())
 
     def constant(self, values) -> np.ndarray:
         """Per-state array of a per-instance set (or successor sets), given
@@ -526,6 +514,10 @@ class StateContext:
             return np.broadcast_to(_padded(values[0], shape), (self.n_states,) + shape)
         rows = np.stack([_padded(v, shape) for v in values])
         return np.repeat(rows, self.sizes, axis=0)
+
+    def fixed(self, expr) -> np.ndarray:
+        """Per-state array of an atomic expression no state can change."""
+        return self.constant([c.denotation(expr) for c in self.ictxs])
 
     def pack(self, bits: np.ndarray) -> np.ndarray:
         return pack(bits, self.words)
@@ -561,23 +553,16 @@ class StateContext:
         if isinstance(expr, RoleEqual):
             same = (self.role(expr.left) == self.role(expr.right)).all(axis=-1)
             return self.pack(same) & self.universe
-        if isinstance(expr, PrimitiveConcept):
-            got = self.unary.get(expr.name)
-            if got is None:
-                raise GenpolError(f"unknown unary predicate '{expr.name}'")
-            return got
-        return self.constant([c.atomic_concept(expr) for c in self.ictxs])
+        if isinstance(expr, PrimitiveConcept) and expr.name in self.unary:
+            return self.unary[expr.name]
+        return self.fixed(expr)
 
     def role(self, expr) -> np.ndarray:
         got = self.memo.get(expr)
         if got is not None:
             return got
-        if isinstance(expr, PrimitiveRole):
-            got = self.rows.get(expr.name)
-            if got is None:
-                raise GenpolError(f"unknown binary predicate '{expr.name}'")
-        elif isinstance(expr, GoalRole):
-            got = self.constant([c.goal_role(expr.name) for c in self.ictxs])
+        if isinstance(expr, PrimitiveRole) and expr.name in self.rows:
+            got = self.rows[expr.name]
         elif isinstance(expr, InverseRole):
             got = self.pack(self.members(self.role(expr.base)).swapaxes(1, 2))
         elif isinstance(expr, ClosureRole):
@@ -592,7 +577,7 @@ class StateContext:
                 via = (got[:, :, word] >> np.uint64(bit)) & np.uint64(1)
                 got |= np.where(via[:, :, None] != 0, got[:, k:k + 1], np.uint64(0))
         else:
-            raise TypeError(f"not a role: {expr!r}")
+            got = self.fixed(expr)
         self.memo[expr] = got
         return got
 

@@ -152,8 +152,9 @@ def _separation_clauses(matrix: np.ndarray, sample: SampleSet):
         s = both[np.argmin(goal[both])]
         return None, (int(goal[s]), int(other[s]))
 
+    # Shapes are spelled out, as a pool may be empty: zero features.
     gsigs, osigs = sigs[goal[goal < n]], sigs[other[other < n]]
-    diffs = (gsigs[:, None] != osigs[None]).reshape(-1, sigs.shape[1])
+    diffs = (gsigs[:, None] != osigs[None]).reshape(len(gsigs) * len(osigs), sigs.shape[1])
     masks = diffs[_first_ids(diffs)[1]]
     # Fewest features first, then as binary numbers with feature f as bit f.
     order = np.lexsort(np.vstack([masks.T, masks.sum(axis=1)]))
@@ -161,7 +162,7 @@ def _separation_clauses(matrix: np.ndarray, sample: SampleSet):
     for mask in masks[order]:
         if not any((k <= mask).all() for k in kept):
             kept.append(mask)
-    kept = np.array(kept, dtype=bool).reshape(-1, sigs.shape[1])
+    kept = np.array(kept, dtype=bool).reshape(len(kept), sigs.shape[1])
     return Clauses.of(np.nonzero(kept)[1], kept.sum(axis=1)), None
 
 

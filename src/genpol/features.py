@@ -225,7 +225,6 @@ def primitive_vocabulary(sample: SampleSet, ignore_high_arity: bool = False) -> 
 class FeaturePool:
     features: list
     weights: np.ndarray
-    booleans: np.ndarray  # bool array
 
     def __len__(self):
         return len(self.features)
@@ -379,9 +378,7 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
         if len(final) > max_pool:
             raise LimitExceededError(f"feature pool exceeds cap of {max_pool}")
 
-    pool = FeaturePool(final,
-                       np.array([f.weight for f in final], dtype=np.int64),
-                       np.array([f.is_boolean for f in final], dtype=bool))
+    pool = FeaturePool(final, np.array([f.weight for f in final], dtype=np.int64))
     matrix = np.vstack(cols_out) if cols_out else np.zeros((0, ctx.n_states), dtype=np.int64)
     return pool, matrix
 

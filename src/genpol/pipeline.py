@@ -32,8 +32,8 @@ class RunConfig:
     max_feature_weight: int = 8
     v_slack: int = 2
     seed: int = 0
-    max_states: int = 10 ** 6
-    max_transitions: int = 10 ** 7
+    max_states: int = space.MAX_STATES
+    max_transitions: int = space.MAX_TRANSITIONS
     max_pool: int = 200_000
     solver_time_limit: float | None = None
     solver_backend: str = "embedded"

@@ -41,7 +41,7 @@ from genpol import concepts as co
 from genpol.encoding import FLAT, UP, Classes, validate_solution
 from genpol.errors import GenpolError, InternalInvariantError, PolicyError
 from genpol.features import parse_feature_line, render_feature_line
-from genpol.space import expand_labeled, predecessors
+from genpol.space import MAX_STATES, expand_labeled, predecessors
 
 SET_TRUE = "set"
 SET_FALSE = "clear"
@@ -382,7 +382,7 @@ def verify_space(policy: Policy, space, vals) -> VerifyResult:
                         space.n_states, n_compat)
 
 
-def verify_exhaustive(policy: Policy, gp, max_states: int = 10 ** 6) -> VerifyResult:
+def verify_exhaustive(policy: Policy, gp, max_states: int = MAX_STATES) -> VerifyResult:
     """`verify_space` on the full reachable space of a ground instance."""
     space = expand_labeled(gp, max_states=max_states)
     return verify_space(policy, space,

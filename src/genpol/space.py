@@ -47,6 +47,11 @@ log = logging.getLogger(__name__)
 # a second salt is already rare; running out means a broken key mix.
 SALTS = 8
 
+# The default caps of one expansion, which every command, `RunConfig` and
+# verification read.
+MAX_STATES = 10 ** 6
+MAX_TRANSITIONS = 10 ** 7
+
 
 @dataclass
 class StateSpace:
@@ -127,8 +132,8 @@ def check_caps(max_states: int, max_transitions: int):
         raise GenpolError(f"max_transitions must be non-negative, got {max_transitions}")
 
 
-def expand(gp: GroundProblem, max_states: int = 10**6,
-           max_transitions: int = 10**7) -> StateSpace:
+def expand(gp: GroundProblem, max_states: int = MAX_STATES,
+           max_transitions: int = MAX_TRANSITIONS) -> StateSpace:
     """Breadth-first complete expansion from the initial state.  The caps
     fire as the one-state-at-a-time search would: at the first transition,
     in (source, action id) order, that makes a state beyond `max_states` or
@@ -247,8 +252,8 @@ def predecessors(src: np.ndarray, dst: np.ndarray, n: int):
     return lambda nodes: pred[ranges(first[nodes], count[nodes])]
 
 
-def expand_labeled(gp: GroundProblem, max_states: int = 10**6,
-                   max_transitions: int = 10**7) -> StateSpace:
+def expand_labeled(gp: GroundProblem, max_states: int = MAX_STATES,
+                   max_transitions: int = MAX_TRANSITIONS) -> StateSpace:
     return label_goal_distances(expand(gp, max_states, max_transitions))
 
 

@@ -102,13 +102,18 @@ ROADS_DOMAIN = """
 """
 
 
-def roads_instance(flag="open", goal="") -> str:
+def roads_instance(flag="open", goal="", extra=0) -> str:
     """Two vehicles on seven roads between four places and the depot; `flag`
-    is the nullary atom that holds, `goal` extra goal atoms."""
+    is the nullary atom that holds, `goal` extra goal atoms.  `extra` more
+    cities r0, r1, ... lie on a one-way road from q; the even ones are big."""
+    cities = [f"r{i}" for i in range(extra)]
+    roads = "".join(f" (road {a} {b})" for a, b in zip(["q"] + cities, cities))
+    big = "".join(f" (big {c})" for c in cities[::2])
     return f"""(define (problem roads-1) (:domain roads)
-      (:objects truck van - vehicle x y - city p q - place)
+      (:objects truck van - vehicle x y {' '.join(cities)} - city p q - place)
       (:init (at truck x) (at van p) (road x y) (road y x) (road y depot)
-             (road p p) (road p x) (road q depot) (road depot depot) (big y) (big depot) ({flag}))
+             (road p p) (road p x) (road q depot) (road depot depot) (big y) (big depot) ({flag})
+             {roads}{big})
       (:goal (and (visited depot) {goal})))"""
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from genpol.errors import SolverTimeoutError
 from genpol.maxsat import Clauses
+from genpol.space import MAX_STATES
 
 
 # -- grounding ---------------------------------------------------------------
@@ -161,11 +162,11 @@ def state_sets(space):
 
 
 def scatter_tables(ictx, rows):
-    """`InstanceContext.tables` by unpacking and scattering bits: every atom
-    of `ictx.gp` gets its cell and bit in a flat table (laid out as
-    `tables` documents), the static atoms are added once, and each row's
-    dynamic atoms are found by unpacking its bits and added with `np.add.at`,
-    so a flag column counts the atoms of its predicate."""
+    """`InstanceContext.tables` by unpacking and scattering bits: every
+    dynamic atom of `ictx.gp` gets its cell and bit in a flat table (laid out
+    as `tables` documents), and each row's atoms are found by unpacking its
+    bits and added with `np.add.at`, so a flag column counts the atoms of its
+    predicate."""
     gp, n, w = ictx.gp, ictx.n, ictx.words
     unary, binary, flags = ictx.unary_preds, ictx.binary_preds, ictx.flag_preds
     index = {o: i for i, o in enumerate(gp.objects)}
@@ -182,17 +183,14 @@ def scatter_tables(ictx, rows):
             return flag0 + flags.index(pred), 0
         return first + obj // 64, obj % 64
 
-    cell, bit = np.array([place(a) for a in gp.atoms], dtype=np.int64).reshape(-1, 2).T
-    bit = np.left_shift(np.uint64(1), bit.astype(np.uint64))
-    table = np.zeros(flag0 + len(flags), dtype=np.uint64)
-    static = np.array(sorted(gp.static_atoms), dtype=np.int64)
-    np.add.at(table, cell[static], bit[static])
     dyn = gp.dynamic
+    cell, bit = np.array([place(gp.atoms[a]) for a in dyn], dtype=np.int64).reshape(-1, 2).T
+    bit = np.left_shift(np.uint64(1), bit.astype(np.uint64))
     octets = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
     held = np.unpackbits(octets, axis=1, count=len(dyn), bitorder="little")
     at, k = np.nonzero(held)
-    table = np.tile(table, (len(rows), 1))
-    np.add.at(table, (at, cell[dyn][k]), bit[dyn][k])
+    table = np.zeros((len(rows), flag0 + len(flags)), dtype=np.uint64)
+    np.add.at(table, (at, cell[k]), bit[k])
     sets = len(unary) * w
     return (table[:, :sets].reshape(len(rows), len(unary), w),
             table[:, sets:flag0].reshape(len(rows), len(binary), n, w),
@@ -529,8 +527,7 @@ def load_pool(text):
             feats.append(parse_feature_line(line, len(feats)))
         except co.ExpressionParseError as e:
             raise co.ExpressionParseError(f"line {ln}: bad feature: {e}") from e
-    return FeaturePool(feats, np.array([f.weight for f in feats], dtype=np.int64),
-                       np.array([f.is_boolean for f in feats], dtype=bool))
+    return FeaturePool(feats, np.array([f.weight for f in feats], dtype=np.int64))
 
 
 # -- policy existence over a feature subset ----------------------------------------
@@ -729,7 +726,7 @@ def on_cycle(moves, state):
     return False
 
 
-def check_descending(policy, gp, tuple_values, max_states=10 ** 6):
+def check_descending(policy, gp, tuple_values, max_states=MAX_STATES):
     """Whether every policy-compatible transition out of an alive state of
     the full reachable space strictly decreases the given tuple
     lexicographically, with compatibility read from

@@ -217,9 +217,7 @@ def _make_toy(seed):
             rows.append([rng.randrange(0, 3) for _ in range(n)])
     matrix = np.array(rows, dtype=np.int64)
     feats = [_ToyFeature(i, bool(matrix[i].max() <= 1)) for i in range(n_feat)]
-    pool = features.FeaturePool(
-        feats, np.array([1] * n_feat, dtype=np.int64),
-        np.array([f.is_boolean for f in feats], dtype=bool))
+    pool = features.FeaturePool(feats, np.array([1] * n_feat, dtype=np.int64))
     return sp, pool, matrix
 
 

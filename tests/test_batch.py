@@ -8,6 +8,7 @@ execution, which evaluates successors in blocks, must repeat the runs of
 the loop that evaluates them all (`oracles.eager_greedy_execute`).
 """
 
+import itertools
 import random
 import re
 import sys
@@ -24,6 +25,7 @@ from genpol import cli, features, pddl, policy as po, space
 from genpol import concepts as co
 from genpol.errors import GenpolError
 from genpol.maxsat import ranges
+from test_concepts import _names, _pairs
 from test_policy import VERIFY_CASES
 from test_space import assert_shortest_labeling
 
@@ -537,24 +539,73 @@ def _table_problems():
         yield f"random-{k}", _ground(domain, instance), None
 
 
+def _static_kinds(gp, static):
+    """(arity, kind) of each predicate of `static`: "true" when one of its
+    atoms holds in the initial state, "false" when a type-consistent one does
+    not, and "goal false" when the goal names one that does not."""
+    dom, init = gp.domain, set(gp.instance.init)
+    typed = lambda t: [o for o in gp.objects if dom.is_subtype(gp.object_types[o], t)]
+    kinds = set()
+    for p in (dom.predicates[name] for name in static):
+        atoms = [(p.name, *args) for args in itertools.product(*map(typed, p.arg_types))]
+        kinds.update((p.arity, kind) for kind, hit in (
+            ("true", any(a in init for a in atoms)),
+            ("false", not all(a in init for a in atoms)),
+            ("goal false", any(a[0] == p.name and a not in init for a in gp.instance.goal)))
+            if hit)
+    return kinds
+
+
+def _atomic_expressions(dom):
+    """Each predicate's flag `Atom(p)`, and the concepts and roles of the
+    atoms and goal atoms of the unary and binary predicates."""
+    preds = sorted(dom.predicates.values(), key=lambda p: p.name)
+    return ([features.NullaryFeature(p.name) for p in preds],
+            [c(p.name) for p in preds if p.arity == 1
+             for c in (co.PrimitiveConcept, co.GoalConcept)],
+            [r(p.name) for p in preds if p.arity == 2 for r in (co.PrimitiveRole, co.GoalRole)])
+
+
 def test_tables_match_the_scatter_oracle():
     # The bit-field kernel against unpacking and scattering every bit, on
     # reachable states and on seeded random rows.  Flags are compared as
-    # `tables` returns them, by whether a predicate has an atom.
+    # `tables` returns them, by whether a predicate has an atom.  A table
+    # holds the dynamic predicates only; every predicate's atoms, static or
+    # not, and its goal atoms are read through a state context over the same
+    # rows and checked against the set semantics.  The random domains have
+    # static predicates of arity 0 to 3, and atoms of them true and false in
+    # the initial state and named by the goal.
     rng = np.random.default_rng(24)
-    seen = set()
+    seen, kinds = set(), set()
     for name, gp, states in _table_problems():
         ictx = co.InstanceContext(gp)
         dynamic = {gp.atoms[a][0] for a in gp.dynamic}
-        seen.update(("flag" if p in ictx.flag_preds else "set", p in dynamic)
-                    for p in ictx.unary_preds + ictx.binary_preds + ictx.flag_preds)
+        tabled = ictx.unary_preds + ictx.binary_preds + ictx.flag_preds
+        assert sorted([*tabled, *ictx.static_preds]) == sorted(gp.domain.predicates)
+        seen.update(("flag" if p in ictx.flag_preds else "set", p in dynamic) for p in tabled)
+        kinds |= _static_kinds(gp, ictx.static_preds)
+        flags, concepts, roles = _atomic_expressions(gp.domain)
+        unpack = oracles.unpacker(gp)
         for rows in (states, _random_rows(gp, 64, rng), gp.init[None]):
             if rows is None:
                 continue
             got, want = ictx.tables(rows), oracles.scatter_tables(ictx, rows)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w), name
+            rows = rows[:4]  # the set semantics is slow on many objects
+            ctx = co.state_context([(ictx, rows)])
+            for s, state in enumerate(map(unpack, rows)):
+                for f in flags:
+                    assert f.values(ctx)[s] == oracles.feature_value(f, gp, state), name
+                for c in concepts:
+                    got = _names(ctx.members(ctx.concept(c))[s], ictx)
+                    assert got == oracles.naive_eval_state(c, gp, state), (name, co.render(c))
+                for r in roles:
+                    got = _pairs(ctx.members(ctx.role(r))[s], ictx)
+                    assert got == oracles.naive_eval_state(r, gp, state), (name, co.render(r))
     assert seen == {("flag", True), ("flag", False), ("set", True), ("set", False)}
+    assert kinds == {(arity, kind) for arity in range(4)
+                     for kind in ("true", "false", "goal false")}
 
 
 @pytest.mark.parametrize("name", ["gripper", "visitall"])

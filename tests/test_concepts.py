@@ -14,7 +14,7 @@ import pytest
 import domains
 import oracles
 from genpol import concepts as co
-from genpol import pddl, policy, space
+from genpol import features, pddl, policy, space
 from genpol.concepts import (And, Bot, ClosureRole, Exists, Forall, GoalConcept,
                              GoalRole, InverseRole, Nominal, Not,
                              PrimitiveConcept, PrimitiveRole, RoleEqual, Top,
@@ -408,6 +408,13 @@ def _parts(case):
         small, big = (pddl.ground(dom, pddl.parse_instance(domains.visitall_instance(*size), dom))
                       for size in ((2, 3, (0, 0)), (9, 8, (4, 4))))
         return [(big, _reachable_rows(big, 2)), (small, space.expand(small).states)]
+    if case == "roads-two-sizes":
+        # 7 and 73 objects, of which the static `road`, `big` and `open` or
+        # `closed` differ: fixed sets and successor sets padded to two words.
+        dom = pddl.parse_domain(domains.ROADS_DOMAIN)
+        small, big = (pddl.ground(dom, pddl.parse_instance(domains.roads_instance(*args), dom))
+                      for args in (("open",), ("closed", "(visited r65)", 66)))
+        return [(small, space.expand(small).states), (big, _reachable_rows(big, 2))]
     gp, sp = {
         "clear": lambda: _space(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4), ("b1",)),
         "gripper": lambda: _space(domains.GRIPPER_DOMAIN, domains.gripper_instance(2, seed=3)),
@@ -418,7 +425,7 @@ def _parts(case):
     return [(gp, sp.states)]
 
 
-RANDOM_CASES = ["clear", "gripper", "visitall", "roads", "two-sizes"]
+RANDOM_CASES = ["clear", "gripper", "visitall", "roads", "two-sizes", "roads-two-sizes"]
 
 
 def _case_context(case, rng):
@@ -474,6 +481,28 @@ def test_random_expressions_match_set_semantics(case):
             assert got[s] == want and bfs[s] == want, \
                 (co.render(source), co.render(role), co.render(restrict), co.render(target), s)
     assert tables >= 5  # the seeds draw enough state-independent pairs
+
+
+def test_static_predicates_are_per_instance_constants():
+    # The static nullary `open` holds initially in the small roads instance
+    # and `closed` in the big one, so Atom(p) reads each instance's initial
+    # flag in every state of it.
+    parts, ictxs, ctx, checked = _case_context("roads-two-sizes", random.Random(3))
+    sizes = [len(rows) for _, rows in parts]
+    for pred, flags in (("open", [1, 0]), ("closed", [0, 1])):
+        atom = features.NullaryFeature(pred)
+        assert [ictx.flags[pred] for ictx in ictxs] == flags
+        assert atom.values(ctx).tolist() == np.repeat(flags, sizes).tolist()
+        for s, ictx, state in checked:
+            assert atom.values(ctx)[s] == oracles.feature_value(atom, ictx.gp, state)
+    # A one-part context reads a static role from the instance's one array,
+    # broadcast over the states, not copied into each.
+    gp, sp = _space(domains.VISITALL_DOMAIN, domains.visitall_instance(3, 2, (0, 0)))
+    ictx, ctx = _context(gp, sp)
+    connected = ctx.role(PrimitiveRole("connected"))
+    assert connected.shape == (sp.n_states, 6, 1) and connected.strides[0] == 0
+    assert np.array_equal(connected[0], ictx.fixed[PrimitiveRole("connected")])
+    assert ictx.unary_preds == ["at-robot", "visited"] and ictx.binary_preds == []
 
 
 def test_distances_read_tables_only_for_state_independent_parts(monkeypatch):

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -201,6 +202,25 @@ def test_indistinguishable_goal_pair_marks_theory_infeasible():
     assert {g, s} == {1, 2}  # the burned state and the goal state
     assert [] in theory.wcnf.hard.tolist()
     assert maxsat.solve_wcnf(theory.wcnf).status == maxsat.UNSATISFIABLE
+
+
+def test_an_empty_pool_separates_goals_only_when_both_sides_exist():
+    # Zero features give every state the one empty signature: a goal and a
+    # non-goal state are the witness pair, and states of one side alone need
+    # no goal separation clause.
+    sample, _, matrix = _oneway()
+    none = matrix[:0]
+    goal = int(np.flatnonzero(sample.is_goal)[0])
+    other = int(np.flatnonzero(~sample.is_goal)[0])
+    assert encoding._separation_clauses(none, sample) == (None, (goal, other))
+    empty = oracles.load_pool("")
+    theory = build_theory(sample, empty, none, *compute_classes(sample, none))
+    assert theory.infeasible == (goal, other)
+    assert maxsat.solve_wcnf(theory.wcnf).status == maxsat.UNSATISFIABLE
+    for side in (True, False):
+        one_side = SimpleNamespace(is_goal=np.full(sample.n_states, side))
+        clauses, witness = encoding._separation_clauses(none, one_side)
+        assert witness is None and clauses.tolist() == []
 
 
 def test_variable_layout_and_soft_clauses():

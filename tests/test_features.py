@@ -394,7 +394,6 @@ def test_pool_dump_load_round_trip():
         assert [f.render() for f in loaded.features] == [f.render() for f in pool.features]
         assert loaded.features == pool.features
         assert np.array_equal(loaded.weights, pool.weights)
-        assert np.array_equal(loaded.booleans, pool.booleans)
         # The reloaded features' oracle values are the generated ones.
         assert np.array_equal(_oracle_matrix(loaded, sample), matrix)
 

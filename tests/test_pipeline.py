@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior and the command line interface."""
 
 import dataclasses
+import random
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,55 @@ def test_learn_reports_unsat_for_weak_feature_pool(clear_files):
     assert "no policy in feature space" in result.message
     assert result.policy is None
     assert "status=unsat" in result.machine()
+
+
+def _random_problem_files(tmp_path, seed):
+    """Domain and instance files of `domains.random_strips_problem` at `seed`."""
+    paths = tmp_path / "domain.pddl", tmp_path / "instance.pddl"
+    for path, text in zip(paths, domains.random_strips_problem(random.Random(seed))):
+        path.write_text(text)
+    return [str(p) for p in paths]
+
+
+@pytest.mark.parametrize("seed,is_goal", [(1, False), (3, True)])
+def test_learn_with_an_empty_pool(tmp_path, capsys, seed, is_goal):
+    # Each space is one state, a dead end at seed 1 and a goal at seed 3, so
+    # every candidate feature is constant and the pool is empty.  No alive
+    # state needs a move and no goal state needs telling from a non-goal
+    # one, so selecting nothing satisfies the theory: an empty policy at
+    # cost 0 that passes verification, as on any space without alive
+    # states.  A goal and a non-goal state would end in `unsat`
+    # (test_encoding's empty-pool witness).
+    domain, instance = _random_problem_files(tmp_path, seed)
+    out = tmp_path / "out"
+    assert cli.main(["learn", "--domain", domain, "--training", instance,
+                     "--ignore-high-arity", "--max-feature-weight", "4",
+                     "--out", str(out)]) == 0
+    report = dict(line.split("=", 1) for line in (out / "report.kv").read_text().splitlines())
+    assert (report["status"], report["instance.0.states"], report["pool_size"],
+            report["optimum_cost"], report["n_rules"], report["verify.0.ok"]) == (
+        "ok", "1", "0", "0", "0", "1")
+    assert report["n_hard"] == str(int(is_goal))  # the goal state's value clause
+    policy = po.parse_policy((out / "policy.txt").read_text())
+    assert (policy.features, policy.rules) == ([], [])
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_learn_on_random_problems_ends_in_a_report_or_a_typed_error(tmp_path):
+    # 100 seeded random problems, about two thirds of them with an empty
+    # pool: `learn` returns a result or raises a GenpolError.
+    seen = set()
+    for seed in range(100):
+        domain, instance = _random_problem_files(tmp_path, seed)
+        config = pipeline.RunConfig(domain_path=domain, training_paths=[instance],
+                                    max_feature_weight=4, ignore_high_arity=True)
+        try:
+            result = pipeline.learn(config)
+        except GenpolError:
+            seen.add("error")
+            continue
+        seen.add((result.status, result.facts["pool_size"] == 0))
+    assert {("ok", True), ("ok", False), ("unsat", False)} <= seen
 
 
 _SAMPLE_KV = """\

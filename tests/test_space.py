@@ -1,11 +1,13 @@
 """State-space expansion, goal-distance labeling, and sample bookkeeping."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 import domains
 import oracles
-from genpol import cli, concepts as co, pddl, policy as po, space
+from genpol import cli, concepts as co, pddl, pipeline, policy as po, space
 from genpol.errors import GenpolError, LimitExceededError
 
 ONEWAY_DOMAIN = """
@@ -205,6 +207,22 @@ STILL_INSTANCE = """
 STILL_POLICY = "feature 0 1 bool Atom(on)\nrule f0 -> nop\n"
 
 
+def test_expansion_caps_have_one_default():
+    # Every default cap on states and transitions is read from `space`.
+    caps = {"max_states": space.MAX_STATES, "max_transitions": space.MAX_TRANSITIONS}
+    assert caps == {"max_states": 10 ** 6, "max_transitions": 10 ** 7}
+    for fn in (space.expand, space.expand_labeled, po.verify_exhaustive):
+        for name, param in inspect.signature(fn).parameters.items():
+            assert param.default == caps.get(name, param.default), (fn.__name__, name)
+    config = pipeline.RunConfig(domain_path="", training_paths=[])
+    assert (config.max_states, config.max_transitions) == tuple(caps.values())
+    parser = cli.build_parser()
+    for command in ("expand", "verify"):
+        args = parser.parse_args([command, "--domain", "d", "--instance", "i"]
+                                 + ["--policy", "p"] * (command == "verify"))
+        assert args.max_states == space.MAX_STATES
+
+
 @pytest.mark.parametrize("max_states,max_transitions,bad", [
     (0, 10, "max_states must be at least 1, got 0"),
     (-3, 10, "max_states must be at least 1, got -3"),
@@ -241,16 +259,19 @@ def test_cli_rejects_a_state_cap_below_one(tmp_path, capsys):
 
 def test_instance_without_dynamic_atoms():
     # Zero-width atom masks all the way through: the packed row is one zero
-    # word, `tables` unpacks no bits, and the one state is a goal.
+    # word, `tables` unpacks no bits into a table of no predicates, and the
+    # one state is a goal.  The static flag `on` is a per-instance constant.
     gp = _ground(STILL_DOMAIN, STILL_INSTANCE)
     assert len(gp.dynamic) == 0 and gp.actions == ["wait()"]
     sp = _check_against_oracle(gp)
     space.label_goal_distances(sp)
     assert sp.states.tolist() == [[0]] and sp.goal_dist.tolist() == [0]
     assert (sp.src.tolist(), sp.dst.tolist(), sp.alive_t.tolist()) == ([0], [0], [])
-    unary, binary, flags = co.InstanceContext(gp).tables(sp.states)
+    ictx = co.InstanceContext(gp)
+    unary, binary, flags = ictx.tables(sp.states)
     assert unary.shape == (1, 0, 1) and binary.shape == (1, 0, 0, 1)
-    assert flags.tolist() == [[True]]
+    assert flags.shape == (1, 0) and ictx.flags == {"on": 1}
+    assert co.state_context([(ictx, sp.states)]).flags["on"].tolist() == [1]
     res = po.verify_exhaustive(po.parse_policy(STILL_POLICY), gp)
     assert res.ok and (res.n_states, res.n_compatible) == (1, 0)
 
