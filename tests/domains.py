@@ -64,6 +64,35 @@ VISITALL_DOMAIN = """
 """
 
 
+# Functional roles with cycles: `next` is a static ring, and `link` gains
+# any edge of it or the edge of the static `also`, which gives a second
+# successor to an object that already has one on the ring.
+RING_DOMAIN = """
+(define (domain ring)
+  (:requirements :strips)
+  (:predicates (next ?a ?b) (also ?a ?b) (link ?a ?b))
+  (:action join
+    :parameters (?a ?b)
+    :precondition (and (next ?a ?b))
+    :effect (and (link ?a ?b)))
+  (:action fork
+    :parameters (?a ?b)
+    :precondition (and (also ?a ?b))
+    :effect (and (link ?a ?b))))
+"""
+
+
+def ring_instance(n: int) -> str:
+    """Objects o0 ... o(n-1) on the ring o0 -> o1 -> ... -> o0, and o0 ->
+    o2 by `also`; goal: the ring edge out of o0."""
+    objects = [f"o{i}" for i in range(n)]
+    init = [f"(next {a} {b})" for a, b in zip(objects, objects[1:] + objects[:1])]
+    return (f"(define (problem ring-{n}) (:domain ring)\n"
+            f"  (:objects {' '.join(objects)})\n"
+            f"  (:init {' '.join(init)} (also o0 o2))\n"
+            f"  (:goal (and (link o0 o1))))")
+
+
 # Static preconditions on a constant (home), with a repeated variable
 # (spin), over a nullary predicate (home, shut) and over a supertype of the
 # parameter (tour, look: road takes places, ?c is a city); shadowed deletes
