@@ -30,8 +30,9 @@ transitive closure.
 The syntax is one table, `FORMS`: each expression class states its
 printable form once, such as ``Exists({},{})``, ``{}_plus``, ``type({})``
 or ``Top``, with the kind of each field (concept, role or name).  Printing
-(`render`), parsing (`parse_expression`, `parse_role`) and walking the
-children (`state_independent`) all read it.  Examples:
+(`render`), parsing (`parse`) and walking the children (`state_independent`)
+all read it; the feature classes of `features` state theirs in it too, under
+the sort `FEATURE`.  Examples:
 ``And(clear,Nominal(b1))``, ``Forall(on_plus,Equal(on,on_g))``.  Suffixes:
 ``_g`` goal version, ``_inv`` inverse, ``_plus`` closure; a predicate
 name may not end in one (`RESERVED_SUFFIXES`).
@@ -55,12 +56,12 @@ from genpol.errors import GenpolError
 # ---------------------------------------------------------------------------
 
 # The sort of an expression and the kind of each of its fields: a concept, a
-# role or a name (of a predicate, type or object).
-CONCEPT, ROLE, NAME = "concept", "role", "name"
+# role, a feature or a name (of a predicate, type or object).
+CONCEPT, ROLE, FEATURE, NAME = "concept", "role", "feature", "name"
 
 # The forms table: per sort, the expression classes, in the order the parser
-# tries their forms.  Each class states its form once (`_syntax`).
-FORMS: dict = {CONCEPT: [], ROLE: []}
+# tries their forms.  Each class states its form once (`syntax`).
+FORMS: dict = {CONCEPT: [], ROLE: [], FEATURE: []}
 
 _NAME = re.compile(r"[^\s(),]+")
 
@@ -69,10 +70,10 @@ class ExpressionParseError(GenpolError):
     pass
 
 
-class _Expression:
-    """Base of the expression classes; `_syntax` sets `form` (one ``{}`` per
-    field), `parts` ((field, kind) in field order) and `children` (the fields
-    that are expressions)."""
+class Expression:
+    """Base of the expression classes; `syntax` sets `form` (one ``{}`` per
+    part), `parts` ((field, kind) of the leading fields that the form prints,
+    in field order) and `children` (the parts that are expressions)."""
 
     @cached_property
     def text(self) -> str:
@@ -81,9 +82,9 @@ class _Expression:
                                   for f, kind in self.parts))
 
 
-def _syntax(sort, form, *kinds):
+def syntax(sort, form, *kinds):
     """Class decorator: a frozen dataclass expression of `sort` printed as
-    `form`, its fields of `kinds` in order."""
+    `form`, its first fields of `kinds` in order (later ones need defaults)."""
     def make(cls):
         cls = dataclass(frozen=True)(cls)
         cls.form, cls.parts = form, tuple(zip((f.name for f in fields(cls)), kinds))
@@ -94,81 +95,81 @@ def _syntax(sort, form, *kinds):
     return make
 
 
-@_syntax(ROLE, "{}", NAME)
-class PrimitiveRole(_Expression):
+@syntax(ROLE, "{}", NAME)
+class PrimitiveRole(Expression):
     name: str
 
 
-@_syntax(ROLE, "{}_g", NAME)
-class GoalRole(_Expression):
+@syntax(ROLE, "{}_g", NAME)
+class GoalRole(Expression):
     name: str
 
 
-@_syntax(ROLE, "{}_inv", ROLE)
-class InverseRole(_Expression):
+@syntax(ROLE, "{}_inv", ROLE)
+class InverseRole(Expression):
     base: object
 
 
-@_syntax(ROLE, "{}_plus", ROLE)
-class ClosureRole(_Expression):
+@syntax(ROLE, "{}_plus", ROLE)
+class ClosureRole(Expression):
     base: object
 
 
-@_syntax(CONCEPT, "Top")
-class Top(_Expression):
+@syntax(CONCEPT, "Top")
+class Top(Expression):
     pass
 
 
-@_syntax(CONCEPT, "Bot")
-class Bot(_Expression):
+@syntax(CONCEPT, "Bot")
+class Bot(Expression):
     pass
 
 
-@_syntax(CONCEPT, "{}", NAME)
-class PrimitiveConcept(_Expression):
+@syntax(CONCEPT, "{}", NAME)
+class PrimitiveConcept(Expression):
     name: str
 
 
-@_syntax(CONCEPT, "{}_g", NAME)
-class GoalConcept(_Expression):
+@syntax(CONCEPT, "{}_g", NAME)
+class GoalConcept(Expression):
     name: str
 
 
-@_syntax(CONCEPT, "type({})", NAME)
-class TypeConcept(_Expression):
+@syntax(CONCEPT, "type({})", NAME)
+class TypeConcept(Expression):
     name: str
 
 
-@_syntax(CONCEPT, "Nominal({})", NAME)
-class Nominal(_Expression):
+@syntax(CONCEPT, "Nominal({})", NAME)
+class Nominal(Expression):
     name: str
 
 
-@_syntax(CONCEPT, "Not({})", CONCEPT)
-class Not(_Expression):
+@syntax(CONCEPT, "Not({})", CONCEPT)
+class Not(Expression):
     child: object
 
 
-@_syntax(CONCEPT, "And({},{})", CONCEPT, CONCEPT)
-class And(_Expression):
+@syntax(CONCEPT, "And({},{})", CONCEPT, CONCEPT)
+class And(Expression):
     left: object
     right: object
 
 
-@_syntax(CONCEPT, "Exists({},{})", ROLE, CONCEPT)
-class Exists(_Expression):
+@syntax(CONCEPT, "Exists({},{})", ROLE, CONCEPT)
+class Exists(Expression):
     role: object
     child: object
 
 
-@_syntax(CONCEPT, "Forall({},{})", ROLE, CONCEPT)
-class Forall(_Expression):
+@syntax(CONCEPT, "Forall({},{})", ROLE, CONCEPT)
+class Forall(Expression):
     role: object
     child: object
 
 
-@_syntax(CONCEPT, "Equal({},{})", ROLE, ROLE)
-class RoleEqual(_Expression):
+@syntax(CONCEPT, "Equal({},{})", ROLE, ROLE)
+class RoleEqual(Expression):
     left: object
     right: object
 
@@ -206,9 +207,9 @@ def _split_args(body: str) -> list:
     return parts
 
 
-def _parse(text: str, kind: str):
-    """The `kind` (CONCEPT, ROLE or NAME) that `text` prints: the first form
-    of that sort that `text` fits, its fields parsed by their kinds."""
+def parse(text: str, kind: str):
+    """The `kind` (a sort or NAME) that `text` prints: the first form of
+    that sort that `text` fits, its parts parsed by their kinds."""
     text = text.strip()
     if kind == NAME:
         if not _NAME.fullmatch(text):
@@ -225,17 +226,17 @@ def _parse(text: str, kind: str):
             if len(args) != len(cls.parts):
                 raise ExpressionParseError(
                     f"{cls.form} takes {len(cls.parts)} arguments: '{text}'")
-            return cls(*(_parse(a, k) for a, (_, k) in zip(args, cls.parts)))
+            return cls(*(parse(a, k) for a, (_, k) in zip(args, cls.parts)))
 
 
 def parse_role(text: str):
     """Inverse of `render` for roles."""
-    return _parse(text, ROLE)
+    return parse(text, ROLE)
 
 
 def parse_expression(text: str):
     """Inverse of `render` for concepts."""
-    return _parse(text, CONCEPT)
+    return parse(text, CONCEPT)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ A feature maps a state to a non-negative integer.  Three kinds exist:
   denotation of C2; weight = sum of the component complexities; value
   m + 1 when unreachable, with m the number of objects.
 
+Each kind states its printable form once, in `concepts.FORMS` (sort
+`FEATURE`); its weight and kind are the other fields of its pool or policy
+line (`render_feature_line`, `parse_feature_line`).
+
 Concepts and roles are enumerated by increasing complexity, candidates at
 equal complexity in lexicographic order of their printable form, and an
 expression is pruned when its denotation over *all* training states equals
@@ -24,7 +28,7 @@ verification and execution over the states at hand (`Policy.evaluate`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -42,14 +46,18 @@ _MIN_BLOCK = 1 << 17
 # Feature kinds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NullaryFeature:
+class _Feature(co.Expression):
+    """A feature; its form prints the fields before `weight` and `is_boolean`."""
+
+    def render(self) -> str:
+        return self.text
+
+
+@co.syntax(co.FEATURE, "Atom({})", co.NAME)
+class NullaryFeature(_Feature):
     pred: str
     weight: int = 1
     is_boolean: bool = True
-
-    def render(self) -> str:
-        return f"Atom({self.pred})"
 
     def values(self, ctx: co.StateContext) -> np.ndarray:
         self._check(ctx.domain)
@@ -61,32 +69,25 @@ class NullaryFeature:
             raise GenpolError(f"unknown predicate '{self.pred}'")
 
 
-@dataclass(frozen=True)
-class CardinalityFeature:
+@co.syntax(co.FEATURE, "{}", co.CONCEPT)
+class CardinalityFeature(_Feature):
     concept: object
-    weight: int
-    is_boolean: bool
-
-    def render(self) -> str:
-        return co.render(self.concept)
+    weight: int = 1
+    is_boolean: bool = False
 
     def values(self, ctx: co.StateContext) -> np.ndarray:
         counts = ctx.popcounts(ctx.concept(self.concept))
         return (counts == 1).astype(np.int64) if self.is_boolean else counts
 
 
-@dataclass(frozen=True)
-class DistanceFeature:
+@co.syntax(co.FEATURE, "Dist({},{},{},{})", co.CONCEPT, co.ROLE, co.CONCEPT, co.CONCEPT)
+class DistanceFeature(_Feature):
     source: object
     role: object
     restrict: object
     target: object
-    weight: int
+    weight: int = 1
     is_boolean: bool = False
-
-    def render(self) -> str:
-        return (f"Dist({co.render(self.source)},{co.render(self.role)},"
-                f"{co.render(self.restrict)},{co.render(self.target)})")
 
     def values(self, ctx: co.StateContext) -> np.ndarray:
         dmap = ctx.distances(self.source, self.role, [self.restrict])[0]
@@ -111,21 +112,13 @@ def parse_feature(weight: int, kind: str, text: str):
              + text.count("_plus") + text.count("_inv"))
     if depth > MAX_NESTING:
         raise co.ExpressionParseError(f"nesting depth {depth} exceeds {MAX_NESTING}")
+    feature = co.parse(text, co.FEATURE)
     boolean = kind == "bool"
-    if text.startswith("Atom(") and text.endswith(")"):
-        if not boolean:
-            raise co.ExpressionParseError(f"'{text}' is a bool feature, not {kind}")
-        return NullaryFeature(co._parse(text[5:-1], co.NAME), weight, True)
-    if text.startswith("Dist(") and text.endswith(")"):
-        if boolean:
-            raise co.ExpressionParseError(f"'{text}' is a num feature, not {kind}")
-        args = co._split_args(text[5:-1])
-        if len(args) != 4:
-            raise co.ExpressionParseError(f"Dist takes 4 arguments: '{text}'")
-        return DistanceFeature(co.parse_expression(args[0]), co.parse_role(args[1]),
-                               co.parse_expression(args[2]), co.parse_expression(args[3]),
-                               weight, False)
-    return CardinalityFeature(co.parse_expression(text), weight, boolean)
+    # An atom or a distance parses with the kind it always has.
+    if not isinstance(feature, CardinalityFeature) and feature.is_boolean != boolean:
+        fixed = "bool" if feature.is_boolean else "num"
+        raise co.ExpressionParseError(f"'{text}' is a {fixed} feature, not {kind}")
+    return replace(feature, weight=weight, is_boolean=boolean)
 
 
 def parse_feature_line(line: str, index: int):
@@ -364,7 +357,7 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
                                 base + wr + kept[lo + i % t][1]))
 
     # Canonical order, then value-vector deduplication.
-    feats.sort(key=lambda fc: (fc[0].weight, fc[0].render()))
+    feats.sort(key=lambda fc: (fc[0].weight, fc[0].text))
     final: list = []
     cols_out: list = []
     value_seen: set = set()

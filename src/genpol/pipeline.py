@@ -81,13 +81,18 @@ def load_problem(dom, path: str, goal_params=()) -> pddl.GroundProblem:
 
 def prepare(config: RunConfig) -> Prepared:
     """Parse and ground the training instances, expand and label their
-    spaces, generate the feature pool and group transitions into classes."""
+    spaces, generate the feature pool and group transitions into classes.
+    A dead-end initial state is refused: the theory constrains alive states."""
     t0 = time.monotonic()
     dom = load_domain(config.domain_path)
     sample = space.SampleSet([
         space.expand_labeled(load_problem(dom, path, config.goal_params),
                              config.max_states, config.max_transitions)
         for path in config.training_paths])
+    for sp in sample.spaces:
+        if sp.goal_dist[0] < 0:
+            raise GenpolError(f"initial state of training instance "
+                              f"'{sp.gp.instance.name}' is a dead end: no goal is reachable")
     t1 = time.monotonic()
     pool, matrix = features.generate_pool(
         sample, max_weight=config.max_feature_weight, max_pool=config.max_pool,

@@ -7,7 +7,10 @@ qualitative effect alternatives; a state transition matches an alternative
 when every mentioned feature changes as stated (true/false for booleans,
 strictly up/down for numerics) and every unmentioned feature keeps its exact
 value.  A transition is policy-compatible when some rule with a satisfied
-body has a matching alternative.
+body has a matching alternative.  A feature named twice in a body or an
+alternative must meet both tokens.  In a policy file, each rule token has
+one form, in `_CONDITION_TOKENS` or `_EFFECT_TOKENS`, which `Policy.dump`
+prints and `parse_policy` reads back.
 
 Feature values come as int64 tables, one row per state (`Policy.evaluate`),
 and compatibility is decided for one block of transitions at once
@@ -33,6 +36,7 @@ each class contributes its change profile as one alternative.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +91,16 @@ class Policy:
         # Per (rule, alternative), the compiled test of `compatible_mask`:
         # per feature, the set of its change codes that meet the body and
         # the alternative (a bool table [features, 12], packed as uint16).
+        # A feature named twice must meet both tokens.
         masks = []
         for rule in rules:
-            body = {c.feature: _V0 if c.positive else _ALL ^ _V0 for c in rule.body}
+            body: dict = {}
+            for c in rule.body:
+                body[c.feature] = body.get(c.feature, _ALL) & (_V0 if c.positive else _ALL ^ _V0)
             for alt in rule.alternatives:
-                change = {e.feature: _EFFECTS[e.kind] for e in alt}
+                change: dict = {}
+                for e in alt:
+                    change[e.feature] = change.get(e.feature, _ALL) & _EFFECTS[e.kind]
                 masks.append([change.get(f, _SAME) & body.get(f, _ALL)
                               for f in range(len(features))])
         self._masks = np.array(masks, dtype=np.uint16).reshape(len(masks), len(features))
@@ -131,21 +140,24 @@ class Policy:
         lines = [f"feature {render_feature_line(i, f)}"
                  for i, f in enumerate(self.features)]
         for rule in self.rules:
-            body = " ".join(self._cond_str(c) for c in rule.body) or "true"
+            body = " ".join(_CONDITION_TOKENS[self.features[c.feature].is_boolean, c.positive]
+                            .format(c.feature) for c in rule.body) or "true"
             alts = " | ".join(
-                " ".join(self._eff_str(e) for e in alt) or "nop"
+                " ".join(_EFFECT_TOKENS[e.kind].format(e.feature) for e in alt) or "nop"
                 for alt in rule.alternatives)
             lines.append(f"rule {body} -> {alts}")
         return "\n".join(lines) + "\n"
 
-    def _cond_str(self, c: Condition) -> str:
-        if self.features[c.feature].is_boolean:
-            return f"f{c.feature}" if c.positive else f"!f{c.feature}"
-        return f"f{c.feature}>0" if c.positive else f"f{c.feature}=0"
 
-    def _eff_str(self, e: Effect) -> str:
-        return {SET_TRUE: f"f{e.feature}", SET_FALSE: f"!f{e.feature}",
-                INC: f"f{e.feature}++", DEC: f"f{e.feature}--"}[e.kind]
+# The rule tokens, ``{}`` the feature's id: a condition by (boolean feature,
+# positive), an effect by kind.  Parsing inverts them and reads a token by
+# its form alone, so `f0>0` may test a boolean feature and `f0` a numeric one.
+_CONDITION_TOKENS = {(True, True): "f{}", (True, False): "!f{}",
+                     (False, True): "f{}>0", (False, False): "f{}=0"}
+_EFFECT_TOKENS = {SET_TRUE: "f{}", SET_FALSE: "!f{}", INC: "f{}++", DEC: "f{}--"}
+_READ_CONDITION = {form: positive for (_, positive), form in _CONDITION_TOKENS.items()}
+_READ_EFFECT = {form: kind for kind, form in _EFFECT_TOKENS.items()}
+_TOKEN = re.compile(r"(!?)f([0-9]+)(.*)")
 
 
 def parse_policy(text: str) -> Policy:
@@ -166,49 +178,31 @@ def parse_policy(text: str) -> Policy:
                 head, tail = line[5:].split("->", 1)
             except ValueError:
                 raise PolicyError(f"line {ln}: rule lacks '->'") from None
-            conds = [_parse_cond(t, features, ln) for t in head.split()]
-            body = tuple(sorted((c for c in conds if c is not None),
-                                key=lambda c: c.feature))
-            alts = []
-            for part in tail.split("|"):
-                effs = [_parse_eff(t, features, ln)
-                        for t in part.split() if t != "nop"]
-                alts.append(tuple(sorted(effs, key=lambda e: e.feature)))
-            rules.append(Rule(body, tuple(alts)))
+            body = _parse_tokens(head, "true", Condition, _READ_CONDITION, len(features), ln)
+            alts = tuple(_parse_tokens(part, "nop", Effect, _READ_EFFECT, len(features), ln)
+                         for part in tail.split("|"))
+            rules.append(Rule(body, alts))
         else:
             raise PolicyError(f"line {ln}: unrecognized: '{raw}'")
     return Policy(features, rules)
 
 
-def _feature_index(token: str, features: list, ln: int) -> int:
-    if not token.startswith("f") or not token[1:].isdigit():
-        raise PolicyError(f"line {ln}: bad feature reference '{token}'")
-    i = int(token[1:])
-    if i >= len(features):
-        raise PolicyError(f"line {ln}: feature f{i} is not declared")
-    return i
-
-
-def _parse_cond(token: str, features: list, ln: int):
-    if token == "true":
-        return None
-    if token.endswith(">0"):
-        return Condition(_feature_index(token[:-2], features, ln), True)
-    if token.endswith("=0"):
-        return Condition(_feature_index(token[:-2], features, ln), False)
-    if token.startswith("!"):
-        return Condition(_feature_index(token[1:], features, ln), False)
-    return Condition(_feature_index(token, features, ln), True)
-
-
-def _parse_eff(token: str, features: list, ln: int) -> Effect:
-    if token.endswith("++"):
-        return Effect(_feature_index(token[:-2], features, ln), INC)
-    if token.endswith("--"):
-        return Effect(_feature_index(token[:-2], features, ln), DEC)
-    if token.startswith("!"):
-        return Effect(_feature_index(token[1:], features, ln), SET_FALSE)
-    return Effect(_feature_index(token, features, ln), SET_TRUE)
+def _parse_tokens(text: str, empty: str, make, forms: dict, n_features: int, ln: int):
+    """The tokens of `text` but `empty`, each read as `make(feature, value)`
+    with the value of its form in `forms`, sorted by feature."""
+    got = []
+    for token in text.split():
+        if token == empty:
+            continue
+        m = _TOKEN.fullmatch(token)
+        form = m and f"{m[1]}f{{}}{m[3]}"
+        if form not in forms:
+            raise PolicyError(f"line {ln}: bad token '{token}'")
+        i = int(m[2])
+        if i >= n_features:
+            raise PolicyError(f"line {ln}: feature f{i} is not declared")
+        got.append(make(i, forms[form]))
+    return tuple(sorted(got, key=lambda x: x.feature))
 
 
 # ---------------------------------------------------------------------------

@@ -732,18 +732,25 @@ def test_compatible_mask_matches_compatible(text):
     assert got == want[:200] and {type(ok) for ok in got} == {bool}
 
 
+def _random_tokens(rng, forms, n) -> list:
+    """Tokens of `forms` (``{}`` the feature id) for some of n features,
+    now and then one feature twice."""
+    picked = [i for i in range(n) if rng.random() < 0.4]
+    picked += [i for i in picked if rng.random() < 0.3]
+    return [rng.choice(forms).format(i) for i in picked]
+
+
 def _random_policy_text(rng) -> str:
     """A policy of 0-4 features and 0-4 rules: bodies may be empty, an
-    alternative may be nop, set and clear may act on numeric features, and
-    a feature may be both conditioned on and changed."""
+    alternative may be nop, set and clear may act on numeric features, a
+    feature may be both conditioned on and changed, and a body or an
+    alternative may name a feature twice."""
     kinds = [rng.choice(["bool holding", "num clear"]) for _ in range(rng.randrange(5))]
     lines = [f"feature {i} 1 {kind}" for i, kind in enumerate(kinds)]
     for _ in range(rng.randrange(5) if kinds else rng.randrange(2)):
-        body = [rng.choice([f"f{i}", f"!f{i}", f"f{i}>0", f"f{i}=0"])
-                for i in range(len(kinds)) if rng.random() < 0.4]
-        alts = [" ".join(rng.choice([f"f{i}", f"!f{i}", f"f{i}++", f"f{i}--"])
-                         for i in range(len(kinds)) if rng.random() < 0.4) or "nop"
-                for _ in range(rng.randint(1, 3))]
+        body = _random_tokens(rng, ["f{}", "!f{}", "f{}>0", "f{}=0"], len(kinds))
+        alts = [" ".join(_random_tokens(rng, ["f{}", "!f{}", "f{}++", "f{}--"], len(kinds)))
+                or "nop" for _ in range(rng.randint(1, 3))]
         lines.append(f"rule {' '.join(body) or 'true'} -> {' | '.join(alts)}")
     return "\n".join(lines) + "\n"
 

@@ -356,6 +356,24 @@ def test_every_expression_class_parses_back_from_its_form():
         for _ in range(5):
             expr = cls(*(make[kind]() for _, kind in cls.parts))
             assert parse(co.render(expr)) == expr, co.render(expr)
+    # The feature classes state their forms in the same table, the bare
+    # concept last; a feature's weight and kind are the other fields of its
+    # line, and an atom is always bool, a distance always num.
+    assert co.FORMS[co.FEATURE] == [features.NullaryFeature, features.DistanceFeature,
+                                    features.CardinalityFeature]
+    kinds = {features.NullaryFeature: [True], features.DistanceFeature: [False],
+             features.CardinalityFeature: [False, True]}
+    for cls in co.FORMS[co.FEATURE]:
+        for boolean in kinds[cls]:
+            kind = "bool" if boolean else "num"
+            for i in range(5):
+                feature = cls(*(make[k]() for _, k in cls.parts), rng.randint(1, 9), boolean)
+                text = feature.render()
+                assert text == co.render(feature)
+                assert features.parse_feature(feature.weight, kind, text) == feature, text
+                line = features.render_feature_line(i, feature)
+                assert line == f"{i} {feature.weight} {kind} {text}"
+                assert features.parse_feature_line(line, i) == feature, line
 
 
 def test_complexity_counts_syntax_nodes():

@@ -413,6 +413,9 @@ def test_load_pool_rejects_sparse_ids():
     "0 1 bool Atom(x))\n",                             # hold no parenthesis,
     "0 1 bool Atom(arm empty)\n",                      # no whitespace
     "0 2 bool Not(x))\n",
+    "0 1 bool Atom(a,b)\n",                            # a form's argument count
+    "0 3 num Dist(Nominal(b1),on,Top)\n",
+    "0 3 num Dist(Nominal(b1),on,Top,clear,clear)\n",
 ])
 def test_load_pool_rejects_malformed_lines(text):
     with pytest.raises(co.ExpressionParseError, match=r"^line \d: bad feature: "):

@@ -115,25 +115,52 @@ def _random_problem_files(tmp_path, seed):
 @pytest.mark.parametrize("seed,is_goal", [(1, False), (3, True)])
 def test_learn_with_an_empty_pool(tmp_path, capsys, seed, is_goal):
     # Each space is one state, a dead end at seed 1 and a goal at seed 3, so
-    # every candidate feature is constant and the pool is empty.  No alive
-    # state needs a move and no goal state needs telling from a non-goal
-    # one, so selecting nothing satisfies the theory: an empty policy at
-    # cost 0 that passes verification, as on any space without alive
-    # states.  A goal and a non-goal state would end in `unsat`
-    # (test_encoding's empty-pool witness).
+    # every candidate feature is constant and the pool is empty.  A dead-end
+    # initial state is refused: the theory constrains alive states only, so
+    # nothing would be learned or checked.  At the goal, no alive state
+    # needs a move and no goal state needs telling from a non-goal one, so
+    # selecting nothing satisfies the theory: an empty policy at cost 0 that
+    # passes verification.  A goal and a non-goal state would end in
+    # `unsat` (test_encoding's empty-pool witness).
     domain, instance = _random_problem_files(tmp_path, seed)
     out = tmp_path / "out"
-    assert cli.main(["learn", "--domain", domain, "--training", instance,
-                     "--ignore-high-arity", "--max-feature-weight", "4",
-                     "--out", str(out)]) == 0
+    rc = cli.main(["learn", "--domain", domain, "--training", instance,
+                   "--ignore-high-arity", "--max-feature-weight", "4",
+                   "--out", str(out)])
+    if not is_goal:
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: initial state of training instance 'rnd-807952' is a dead end: "
+            "no goal is reachable\n")
+        return
+    assert rc == 0
     report = dict(line.split("=", 1) for line in (out / "report.kv").read_text().splitlines())
     assert (report["status"], report["instance.0.states"], report["pool_size"],
             report["optimum_cost"], report["n_rules"], report["verify.0.ok"]) == (
         "ok", "1", "0", "0", "0", "1")
-    assert report["n_hard"] == str(int(is_goal))  # the goal state's value clause
+    assert report["n_hard"] == "1"  # the goal state's value clause
     policy = po.parse_policy((out / "policy.txt").read_text())
     assert (policy.features, policy.rules) == ([], [])
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_stages_refuse_a_dead_end_training_instance(tmp_path, capsys):
+    # Seed 18's initial state is a dead end of a 520-state space with a
+    # pool of 37 features; every stage that prepares a sample names it.
+    domain, instance = _random_problem_files(tmp_path, 18)
+    flags = ["--domain", domain, "--training", instance, "--ignore-high-arity",
+             "--max-feature-weight", "4"]
+    model = tmp_path / "model.txt"
+    model.write_text("v 1\n")
+    for argv in (["learn", *flags], ["features", *flags],
+                 ["encode", *flags, "--out-prefix", str(tmp_path / "theory")],
+                 ["extract", *flags, "--model", str(model)]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: initial state of training instance 'rnd-")
+        assert captured.err.endswith("' is a dead end: no goal is reachable\n")
+    assert not (tmp_path / "theory.wcnf").exists()
 
 
 def test_learn_on_random_problems_ends_in_a_report_or_a_typed_error(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 import domains
 import oracles
 from genpol import concepts as co
-from genpol import encoding, features, maxsat, pddl, pipeline, policy as po, space
+from genpol import cli, encoding, features, maxsat, pddl, pipeline, policy as po, space
 from genpol.errors import (GenpolError, InternalInvariantError,
                            LimitExceededError, PolicyError)
 
@@ -122,6 +122,44 @@ def test_policy_parse_errors():
         po.parse_policy("feature 1 1 bool holding\n")  # sparse ids
     with pytest.raises(PolicyError):
         po.parse_policy("nonsense line\n")
+
+
+@pytest.mark.parametrize("token", ["f²", "f٣", "f0>1", "!f0++", "f0=0", "g0", "f", "f-1"])
+def test_policy_rejects_malformed_effect_tokens(token):
+    # Ids are ASCII digits: `f²` passes str.isdigit but is no id.  A
+    # condition's form is no effect.
+    with pytest.raises(PolicyError, match=f"^line 2: bad token '{re.escape(token)}'$"):
+        po.parse_policy(f"feature 0 1 bool holding\nrule true -> {token}\n")
+
+
+@pytest.mark.parametrize("token", ["f²", "f0++", "!f0>0", "f0>00", "nop"])
+def test_policy_rejects_malformed_condition_tokens(token):
+    with pytest.raises(PolicyError, match=f"^line 2: bad token '{re.escape(token)}'$"):
+        po.parse_policy(f"feature 0 1 num clear\nrule {token} -> nop\n")
+
+
+def test_cli_run_rejects_a_non_ascii_feature_id(tmp_path, capsys):
+    paths = [tmp_path / name for name in ("domain.pddl", "instance.pddl", "policy.txt")]
+    for path, text in zip(paths, (ONEWAY_DOMAIN, ONEWAY_INSTANCE,
+                                  "feature 0 1 bool fresh\nrule f² -> nop\n")):
+        path.write_text(text)
+    assert cli.main(["run", "--domain", str(paths[0]), "--instance", str(paths[1]),
+                     "--policy", str(paths[2])]) == 2
+    assert capsys.readouterr().err == "error: line 2: bad token 'f²'\n"
+
+
+def test_a_feature_named_twice_must_meet_both_tokens():
+    # Every token holds: a body with f0 and !f0 never holds, and an
+    # alternative that sets and clears f0 matches no move.
+    contradicting = po.parse_policy("feature 0 1 bool holding\nrule f0 !f0 -> nop\n")
+    assert not contradicting.compatible((0,), (0,))
+    assert not contradicting.compatible((1,), (1,))
+    flip = po.parse_policy("feature 0 1 bool holding\nrule true -> f0 !f0\n")
+    assert not flip.compatible((1,), (0,)) and not flip.compatible((0,), (1,))
+    # Repeats that agree narrow nothing; up and nonzero together narrow.
+    both = po.parse_policy("feature 0 1 num clear\nrule f0>0 f0 -> f0-- f0\n")
+    assert both.compatible((3,), (2,)) and not both.compatible((1,), (0,))
+    assert not both.compatible((0,), (0,))
 
 
 @pytest.mark.parametrize("line", [
