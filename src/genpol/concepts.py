@@ -20,6 +20,13 @@ state (a functional role, like `on` in blocksworld), pointer jumping
 Floyd-Warshall (`_pass_closure`), one pass per object some row enters,
 which is about n passes for a tower of n blocks.
 
+Greedy execution also evaluates one state after another by deltas
+(`DeltaContext`): the concepts built from Not, And, Exists, Forall and
+Equal over atomic concepts and roles (`DELTA_FORMS`) keep their
+denotations in one state as Python ints, and a successor's are recomputed
+only at the objects whose inputs its action changed.  Closures, inverses
+and distances are evaluated in full.
+
 The grammar: primitive concepts (unary predicates and type names), goal
 versions of goal-relevant predicates, nominals for constants and declared
 goal parameters, Top/Bot, negation, conjunction, existential and universal
@@ -691,3 +698,223 @@ def state_context(parts) -> StateContext:
     """Denotations over the states of `parts`, (InstanceContext, packed
     rows) pairs of one domain."""
     return StateContext(parts)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation by deltas, one state after another
+# ---------------------------------------------------------------------------
+
+# The classes whose denotations `DeltaContext` keeps: Not, And, Exists,
+# Forall and Equal over atomic concepts and roles.
+DELTA_FORMS = frozenset((Top, Bot, PrimitiveConcept, GoalConcept, TypeConcept, Nominal,
+                         PrimitiveRole, GoalRole, Not, And, Exists, Forall, RoleEqual))
+
+
+def by_deltas(expr) -> bool:
+    """Whether `DeltaContext` can keep `expr`: it is built from `DELTA_FORMS`."""
+    return type(expr) in DELTA_FORMS and all(by_deltas(getattr(expr, f))
+                                             for f in expr.children)
+
+
+def _ints(sets: np.ndarray) -> list:
+    """uint64 [k, words] -> k Python ints, object j as bit j."""
+    return [int.from_bytes(s.astype("<u8").tobytes(), "little") for s in sets]
+
+
+_UNCHANGED = ({}, {}, 0)  # `DeltaContext`'s change of a role that does not change
+
+
+class DeltaContext:
+    """The denotations of the concepts `roots`, and of every sub-expression
+    of them (all of `DELTA_FORMS`), in one state of one instance, kept from
+    a state to its successor by deltas: incremental view maintenance
+    (Gupta, Mumick and Subrahmanian, SIGMOD 1993) over the expression DAG.
+
+    The first state, a packed row, is evaluated through `state_context`.
+    Each node of the DAG is numbered once, children first; a set is a
+    Python int, bit j for object j, and a role is kept as its rows (the
+    successor set of each object) and its inverse rows.  `successor(aid)`
+    reads the dynamic atoms that action `aid` adds or deletes
+    (`GroundProblem.add_bits`, `del_bits`) and recomputes a node only at
+    the objects whose inputs changed:
+
+    * Not and And: their children's new sets, whole (a few words);
+    * Exists(R, C) and Forall(R, C): the objects whose row of R changed,
+      and the inverse rows of R at the objects where C changed;
+    * Equal(R, S): the objects whose row of R or of S changed;
+
+    and a count is the old count plus the members the root gained minus
+    those it lost.  `apply` steps to a successor without evaluating
+    anything.
+    """
+
+    def __init__(self, ictx: InstanceContext, row: np.ndarray, roots):
+        ctx = state_context([(ictx, row[None])])
+        gp = self._gp = ictx.gp
+        ids: dict = {}
+        self._nodes = nodes = []  # per node: (class, child id, child id or -1)
+
+        def number(expr):
+            got = ids.get(expr)
+            if got is None:
+                kids = [number(getattr(expr, f)) for f in expr.children]
+                got = ids[expr] = len(nodes)
+                nodes.append((type(expr), *(kids + [-1, -1])[:2]))
+            return got
+
+        self._roots = [number(c) for c in roots]
+        n = ictx.n
+        self._universe = (1 << n) - 1
+        self._value = []  # per node: its set, or (rows, inverse rows) of a role
+        for expr in ids:  # in id order
+            if type(expr) in FORMS[ROLE]:
+                rows = _ints(ctx.role(expr)[0, :n])
+                inv = [0] * n
+                for x, r in enumerate(rows):
+                    while r:
+                        low = r & -r
+                        inv[low.bit_length() - 1] |= 1 << x
+                        r ^= low
+                self._value.append((rows, inv))
+            else:
+                self._value.append(_ints(ctx.concept(expr))[0])
+        self._counts = [self._value[i].bit_count() for i in self._roots]
+
+        # Each dynamic atom of a predicate some node reads: (node, x, y),
+        # y = -1 for a unary one.
+        dynamic = {PrimitiveConcept: ictx.unary_preds, PrimitiveRole: ictx.binary_preds}
+        node_of = {e.name: i for e, i in ids.items()
+                   if type(e) in dynamic and e.name in dynamic[type(e)]}
+        self._targets = [None] * (64 * gp.words + 1)  # bit -> target; the padding has none
+        for bit, atom_id in enumerate(gp.dynamic.tolist()):
+            atom = gp.atoms[atom_id]
+            if atom[0] in node_of:
+                self._targets[bit] = (node_of[atom[0]], ictx.index[atom[1]],
+                                      ictx.index[atom[2]] if len(atom) == 3 else -1)
+        self._parents = [[] for _ in nodes]
+        for i, (_, a, b) in enumerate(nodes):
+            for kid in {a, b} - {-1}:
+                self._parents[kid].append(i)
+        self._held = bytearray(np.unpackbits(row.astype("<u8").view(np.uint8),
+                                             bitorder="little").tobytes())
+        self._memo: dict = {}  # action id -> its `_reads`
+
+    def _reads(self, aid: int) -> tuple:
+        """(atoms, nodes) of action `aid`: the (bit, added, node, x, y) of
+        each atom it adds or deletes that a node reads, and the ids,
+        ascending, of the compound nodes above those nodes."""
+        got = self._memo.get(aid)
+        if got is None:
+            gp, targets = self._gp, self._targets
+            atoms = [(bit, add) + targets[bit]
+                     for add, bits in ((1, gp.add_bits[aid]), (0, gp.del_bits[aid]))
+                     for bit in bits.tolist() if targets[bit]]
+            above: set = set()
+            todo = [a[2] for a in atoms]
+            while todo:
+                for p in self._parents[todo.pop()]:
+                    if p not in above:
+                        above.add(p)
+                        todo.append(p)
+            got = self._memo[aid] = (atoms, sorted(above))
+        return got
+
+    def successor(self, aid: int) -> tuple:
+        """(counts, change): the counts of the roots in the successor of the
+        current state by action `aid`, and the change that `apply` makes to
+        step to it."""
+        atoms, above = self._reads(aid)
+        value, held = self._value, self._held
+        flips = []  # (bit, added) of each atom that changes
+        new: dict = {}  # node -> its new set, where it changed
+        roles: dict = {}  # role node -> [new rows, new inverse rows, objects whose row changed]
+        for bit, add, node, x, y in atoms:
+            if held[bit] == add:
+                continue
+            flips.append((bit, add))
+            if y < 0:
+                s = new.get(node, value[node])
+                new[node] = s | 1 << x if add else s & ~(1 << x)
+                continue
+            got = roles.get(node)
+            if got is None:
+                got = roles[node] = [{}, {}, 0]
+            rows, inv = value[node]
+            r, c = got[0].get(x, rows[x]), got[1].get(y, inv[y])
+            got[0][x], got[1][y] = (r | 1 << y, c | 1 << x) if add else \
+                                   (r & ~(1 << y), c & ~(1 << x))
+            got[2] |= 1 << x
+        nodes, universe = self._nodes, self._universe
+        for i in above:
+            kind, a, b = nodes[i]
+            old = value[i]
+            if kind is Not:
+                if a not in new:
+                    continue
+                s = universe & ~new[a]
+            elif kind is And:
+                if a not in new and b not in new:
+                    continue
+                s = new.get(a, value[a]) & new.get(b, value[b])
+            elif kind is RoleEqual:
+                if a not in roles and b not in roles:
+                    continue
+                ra, rb = roles.get(a, _UNCHANGED), roles.get(b, _UNCHANGED)
+                rows_a, rows_b = value[a][0], value[b][0]
+                cand = ra[2] | rb[2]
+                s = old & ~cand
+                while cand:
+                    low = cand & -cand
+                    x = low.bit_length() - 1
+                    if ra[0].get(x, rows_a[x]) == rb[0].get(x, rows_b[x]):
+                        s |= low
+                    cand ^= low
+            else:  # Exists or Forall
+                if a not in roles and b not in new:
+                    continue
+                got_rows, got_inv, cand = roles.get(a, _UNCHANGED)
+                rows, inv = value[a]
+                c = new.get(b)
+                if c is None:
+                    c = value[b]
+                else:
+                    d = c ^ value[b]
+                    while d:
+                        low = d & -d
+                        y = low.bit_length() - 1
+                        cand |= got_inv.get(y, inv[y])
+                        d ^= low
+                s = old & ~cand
+                forall = kind is Forall
+                while cand:
+                    low = cand & -cand
+                    x = low.bit_length() - 1
+                    row = got_rows.get(x, rows[x])
+                    if ((row & c) == row) if forall else row & c:
+                        s |= low
+                    cand ^= low
+            if s != old:
+                new[i] = s
+        counts = self._counts[:]
+        for j, root in enumerate(self._roots):
+            s = new.get(root)
+            if s is not None:
+                old = value[root]
+                changed = old ^ s
+                counts[j] += (s & changed).bit_count() - (old & changed).bit_count()
+        return counts, (flips, new, roles, counts)
+
+    def apply(self, change: tuple):
+        """Steps to the successor whose `change` `successor` returned."""
+        flips, new, roles, self._counts = change
+        for bit, add in flips:
+            self._held[bit] = add
+        for node, s in new.items():
+            self._value[node] = s
+        for node, (got_rows, got_inv, _) in roles.items():
+            rows, inv = self._value[node]
+            for x, r in got_rows.items():
+                rows[x] = r
+            for y, c in got_inv.items():
+                inv[y] = c
+

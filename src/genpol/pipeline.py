@@ -86,8 +86,8 @@ def prepare(config: RunConfig) -> Prepared:
     t0 = time.monotonic()
     dom = load_domain(config.domain_path)
     sample = space.SampleSet([
-        space.expand_labeled(load_problem(dom, path, config.goal_params),
-                             config.max_states, config.max_transitions)
+        space.label_goal_distances(space.expand(load_problem(dom, path, config.goal_params),
+                                                config.max_states, config.max_transitions))
         for path in config.training_paths])
     for sp in sample.spaces:
         if sp.goal_dist[0] < 0:

@@ -16,17 +16,25 @@ Feature values come as int64 tables, one row per state (`Policy.evaluate`),
 and compatibility is decided for one block of transitions at once
 (`Policy.compatible_mask`): in verification, `verify_space` walks a
 space's transitions `MASK_BLOCK` at a time and gathers the feature values
-of one block only; at each greedy step, a block is some of one state's
+of one block only; at a greedy step, a block is some of one state's
 successors.  Each rule alternative is compiled to the change codes it
 allows per feature, so a transition costs one bit test per feature and
-alternative.
+alternative; `Policy.compatible` makes the same test on one transition in
+plain Python.
 A greedy step takes the successors of one state from
 `GroundProblem.successors`, which tests only the actions keyed by bits the
 state holds.  With the "first" tie break it takes the first compatible
-successor in action order, so it evaluates the successors in blocks,
-`FIRST_BLOCK` of them first and twice as many in each next block, and
-stops at the first block that holds a compatible one; with the "random"
-tie break it evaluates them all, as one block.
+successor in action order; with the "random" tie break it draws one of all
+the compatible successors.  A policy whose features are all counts of
+concepts that `concepts.DeltaContext` keeps (Not, And, Exists, Forall and
+Equal over atomic concepts and roles) evaluates the first state in full
+and each successor by deltas from the state's kept denotations, one at a
+time in action order, testing each with `Policy.compatible`; the first tie
+break stops at the first move, and stepping applies the chosen successor's
+change without evaluating anything.  Any other policy evaluates the
+successors in blocks, `FIRST_BLOCK` of them first and twice as many in
+each next block, and the first tie break stops at the first block that
+holds a move; the random tie break evaluates them all, as one block.
 
 Extraction turns the good equivalence classes of a theory model into rules:
 classes are grouped by the source valuation (one rule per distinct body) and
@@ -44,7 +52,7 @@ import numpy as np
 from genpol import concepts as co
 from genpol.encoding import FLAT, UP, Classes, validate_solution
 from genpol.errors import GenpolError, InternalInvariantError, PolicyError
-from genpol.features import parse_feature_line, render_feature_line
+from genpol.features import CardinalityFeature, parse_feature_line, render_feature_line
 from genpol.space import MAX_STATES, expand_labeled, predecessors
 
 SET_TRUE = "set"
@@ -104,6 +112,10 @@ class Policy:
                 masks.append([change.get(f, _SAME) & body.get(f, _ALL)
                               for f in range(len(features))])
         self._masks = np.array(masks, dtype=np.uint16).reshape(len(masks), len(features))
+        # The same, each (rule, alternative) as one int for `compatible`:
+        # feature f's 12 bits at bits 12 f to 12 f + 11.
+        self._mask_ints = [sum(m << 12 * f for f, m in enumerate(row))
+                           for row in self._masks.tolist()]
 
     # -- semantics ---------------------------------------------------------
 
@@ -118,9 +130,15 @@ class Policy:
         return out
 
     def compatible(self, src, dst) -> bool:
-        """Whether a transition with these feature valuations is a policy move."""
-        return bool(self.compatible_mask(np.array([src], dtype=np.int64),
-                                         np.array([dst], dtype=np.int64))[0])
+        """Whether a transition with these feature valuations is a policy
+        move: `compatible_mask` of one transition, in plain Python.  Each
+        feature sets the bit of its change code in its 12 bits of one int,
+        and an alternative matches when it holds all of them."""
+        codes = 0
+        for f, (a, b) in enumerate(zip(src, dst)):
+            codes |= 1 << int(12 * f + 6 * (a > 0) + 3 * (b > 0) + (b > a) - (b < a) + 1)
+        n = len(self.features)
+        return any((m & codes).bit_count() == n for m in self._mask_ints)
 
     def compatible_mask(self, src, dst) -> np.ndarray:
         """Whether each transition is a policy move: `src` and `dst` are int
@@ -272,7 +290,9 @@ def check_tie_break(tie_break: str):
 def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
                    tie_break: str = "first", seed: int = 0) -> ExecutionResult:
     """Follows policy-compatible transitions from the initial state: the
-    first in action order, or one drawn by `seed` among all of them."""
+    first in action order, or one drawn by `seed` among all of them.  The
+    successors are evaluated by deltas when every feature is a count that
+    `co.DeltaContext` keeps, and in blocks otherwise."""
     check_max_steps(max_steps)
     check_tie_break(tie_break)
     if max_steps is None:
@@ -282,14 +302,22 @@ def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
     ictx = co.InstanceContext(gp)
     state = gp.init
     src = policy.evaluate(ictx, state[None])[0]
+    kept = None
+    if all(type(f) is CardinalityFeature and co.by_deltas(f.concept)
+           for f in policy.features):
+        kept = co.DeltaContext(ictx, state, [f.concept for f in policy.features])
+        src = src.tolist()
     visited = {state.tobytes()}
     trajectory: list = []
     for step in range(max_steps):
         if gp.is_goal(state):
             return ExecutionResult("goal", step, trajectory)
         aids, succ = gp.successors(state)
-        options, values = _compatible_successors(
-            policy, ictx, src, succ, FIRST_BLOCK if first else len(succ))
+        if kept is None:
+            options, values = _compatible_successors(
+                policy, ictx, src, succ, FIRST_BLOCK if first else len(succ))
+        else:
+            options, values = _kept_successors(policy, kept, src, aids, first)
         if not options:
             return ExecutionResult("no_compatible", step, trajectory)
         k = 0 if first else rng.randrange(len(options))
@@ -299,7 +327,12 @@ def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
             return ExecutionResult("cycle", step, trajectory)
         visited.add(key)
         trajectory.append(gp.actions[aids[i]])
-        state, src = succ[i], values[k]
+        state = succ[i]
+        if kept is None:
+            src = values[k]
+        else:
+            src, change = values[k]
+            kept.apply(change)
     if gp.is_goal(state):
         return ExecutionResult("goal", max_steps, trajectory)
     return ExecutionResult("step_limit", max_steps, trajectory)
@@ -320,6 +353,25 @@ def _compatible_successors(policy: Policy, ictx, src, succ, block: int):
             return (lo + hits).tolist(), dst[hits]
         lo, block = lo + block, 2 * block
     return [], None
+
+
+def _kept_successors(policy: Policy, kept, src, aids, first: bool):
+    """(ids, values) as `_compatible_successors` gives them, for the
+    successors by actions `aids` of the state that the `co.DeltaContext`
+    `kept` holds, evaluated by deltas one at a time in row order and, with
+    `first`, only up to the first move; a value is (feature values, change
+    to apply to `kept`)."""
+    booleans = [f.is_boolean for f in policy.features]
+    options, values = [], []
+    for i, aid in enumerate(aids.tolist()):
+        counts, change = kept.successor(aid)
+        dst = [int(c == 1) if b else c for c, b in zip(counts, booleans)]
+        if policy.compatible(src, dst):
+            options.append(i)
+            values.append((dst, change))
+            if first:
+                break
+    return options, values
 
 
 @dataclass

@@ -209,9 +209,6 @@ def label_goal_distances(space: StateSpace) -> StateSpace:
     space.goal_dist = dist
     space.alive = (dist >= 0) & ~space.is_goal
     space.alive_t = np.flatnonzero(space.alive[space.src])
-    if dist[0] < 0:
-        log.warning("initial state of '%s' is a dead end: no goal is reachable",
-                    space.gp.instance.name)
     return space
 
 
@@ -254,7 +251,14 @@ def predecessors(src: np.ndarray, dst: np.ndarray, n: int):
 
 def expand_labeled(gp: GroundProblem, max_states: int = MAX_STATES,
                    max_transitions: int = MAX_TRANSITIONS) -> StateSpace:
-    return label_goal_distances(expand(gp, max_states, max_transitions))
+    """The labeled space of `gp`; warns when its initial state is a dead
+    end.  Training refuses such an instance with an error instead
+    (`pipeline.prepare`), so it labels its spaces without the warning."""
+    space = label_goal_distances(expand(gp, max_states, max_transitions))
+    if space.goal_dist[0] < 0:
+        log.warning("initial state of '%s' is a dead end: no goal is reachable",
+                    gp.instance.name)
+    return space
 
 
 @dataclass

@@ -229,13 +229,13 @@ def visitall_instance(width: int, height: int, start, visited=(), name=None) -> 
             f"  (:goal (and {' '.join(goal)})))")
 
 
-def random_strips_problem(rng: random.Random) -> tuple:
+def random_strips_problem(rng: random.Random, max_objects: int = 5) -> tuple:
     """(domain, instance) PDDL texts of a random typed STRIPS problem: up to
     three types in a random hierarchy, up to two constants, two to five
     predicates of arity 0-3, one to three schemas of up to three parameters
     whose atoms take parameters and constants of fitting types (repeats
-    included), and up to five objects.  Predicates no schema changes are
-    static."""
+    included), and one to `max_objects` objects.  Predicates no schema
+    changes are static."""
     types = {"object": None}
     for i in range(rng.randint(0, 3)):
         types[f"t{i}"] = rng.choice(list(types))
@@ -277,7 +277,7 @@ def random_strips_problem(rng: random.Random) -> tuple:
     domain = (f"(define (domain rnd) (:requirements :strips :typing)"
               f" (:types {typed((t, p) for t, p in types.items() if p is not None)})"
               f" (:constants {typed(consts)}) (:predicates {signatures}) {' '.join(schemas)})")
-    objects = [(f"o{i}", rng.choice(list(types))) for i in range(rng.randint(1, 5))]
+    objects = [(f"o{i}", rng.choice(list(types))) for i in range(rng.randint(1, max_objects))]
     init = sorted(set(atoms(objects + consts, rng.randint(0, 12))))
     goal = sorted(set(atoms(objects + consts, rng.randint(1, 3))))
     instance = (f"(define (problem rnd-{rng.randrange(10**6)}) (:domain rnd)"

@@ -4,8 +4,10 @@
 exactly the values of the set-semantics oracle (`oracles.feature_value`) on
 every state, and `verify_space` on those values must match the certificate
 oracle, which reads the rules literally and walks plain dicts.  Greedy
-execution, which evaluates successors in blocks, must repeat the runs of
-the loop that evaluates them all (`oracles.eager_greedy_execute`).
+execution, which evaluates successors in blocks or by deltas, must repeat
+the runs of the loop that evaluates them all (`oracles.eager_greedy_execute`),
+and each successor that it evaluates by deltas must get the values that
+`Policy.evaluate` gives on its row.
 """
 
 import itertools
@@ -619,10 +621,9 @@ SCALE_CASES = {
     "gripper-400": ("gripper", lambda: instances.gripper(400, random.Random(6), "gripper-400")),
     "visitall-28x28": ("visitall", lambda: instances.visitall(28, 28, (9, 20), "visitall-28x28")),
 }
-# A random tie break evaluates every successor of a step, about 800 on
-# gripper-400 (27 s for the run), so that case runs with the first only.
-SCALE_RUNS = [(tie_break, case) for tie_break in ("first", "random") for case in SCALE_CASES
-              if (tie_break, case) != ("random", "gripper-400")]
+# A random tie break evaluates every successor of a step, about 400 on
+# gripper-400; by deltas, in a few seconds for the run.
+SCALE_RUNS = [(tie_break, case) for tie_break in ("first", "random") for case in SCALE_CASES]
 
 
 @pytest.mark.parametrize("tie_break,case", SCALE_RUNS, ids=map("-".join, SCALE_RUNS))
@@ -638,17 +639,21 @@ def test_greedy_plans_on_more_than_64_objects_replay_to_the_goal(tie_break, case
     assert instances.replay(inst, run.trajectory) is None
 
 
-# Greedy runs that the block scan must repeat exactly.  Gripper steps have
-# up to 60 successors; the clear tower's putdowns and stacks take the
-# successor at position n - 2 near the end, in the third block; visitall
-# steps have at most 4 successors, one block.  The stuck policy picks one
-# ball, then finds no move among 31 successors, so every block is read.
+# Greedy runs that the block scan, or the delta path, must repeat exactly.
+# Gripper steps have up to 60 successors; the clear tower's putdowns and
+# stacks take the successor at position n - 2 near the end, in the third
+# block; visitall steps have at most 4 successors, one block.  The stuck
+# policies pick one ball, then find no move among 31 successors, so every
+# block is read: by deltas, and, through an inverse role, in blocks.
 BLOCK_SCAN_CASES = {
     "gripper-30": ("gripper", lambda: instances.gripper(30, random.Random(1), "g"), None),
     "clear-52": ("clear", lambda: instances.clear_tower(52, random.Random(1), "c"), None),
     "visitall-6x5": ("visitall", lambda: instances.visitall(6, 5, (2, 2), "v"), None),
     "gripper-30-stuck": ("gripper", lambda: instances.gripper(30, random.Random(1), "g"),
                          "feature 0 3 num Exists(carry,Top)\nrule f0=0 -> f0++\n"),
+    "gripper-30-stuck-inverse": (
+        "gripper", lambda: instances.gripper(30, random.Random(1), "g"),
+        "feature 0 3 num Exists(carry_inv,Top)\nrule f0=0 -> f0++\n"),
 }
 
 
@@ -687,7 +692,7 @@ def test_block_scan_matches_the_eager_loop(name):
                 assert max(taken) >= 3 * po.FIRST_BLOCK  # past two blocks
             if name.startswith("gripper"):
                 assert max(counts) > po.FIRST_BLOCK
-            if name == "gripper-30-stuck":
+            if name.startswith("gripper-30-stuck"):
                 assert got.status == "no_compatible"
                 assert counts[-1] > po.FIRST_BLOCK
 
@@ -701,12 +706,232 @@ def test_first_tie_break_evaluates_fewer_states(monkeypatch):
         return evaluate(self, ictx, states)
 
     monkeypatch.setattr(po.Policy, "evaluate", counting)
-    gp, pol = _block_scan_case("gripper-30")
+    gp, pol = _block_scan_case("clear-52")  # a closure: read in blocks
     assert po.greedy_execute(pol, gp).solved
     lazy = sum(evaluated)
     evaluated.clear()
     assert oracles.eager_greedy_execute(pol, gp).solved
     assert lazy < sum(evaluated)
+
+
+def _delta_checked_run(pol, gp, monkeypatch, **kw):
+    """(run, checked): `greedy_execute` of a policy that takes the delta
+    path, and the number of successors that the path evaluated, each of
+    which got the feature values that `Policy.evaluate` gives on its row."""
+    rows, checked, made = {}, [], []
+    successors, successor = gp.successors, co.DeltaContext.successor
+    compatible, init = po.Policy.compatible, co.DeltaContext.__init__
+
+    def listing(row):
+        aids, succ = successors(row)
+        rows.clear()
+        rows.update(zip(aids.tolist(), succ))
+        return aids, succ
+
+    def evaluating(self, aid):
+        checked.append([rows[aid]])
+        return successor(self, aid)
+
+    def testing(self, src, dst):  # one test per successor evaluated, of its values
+        checked[-1].append(list(dst))
+        return compatible(self, src, dst)
+
+    def making(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(gp, "successors", listing)
+        m.setattr(co.DeltaContext, "successor", evaluating)
+        m.setattr(co.DeltaContext, "__init__", making)
+        m.setattr(po.Policy, "compatible", testing)
+        run = po.greedy_execute(pol, gp, **kw)
+    assert len(made) == 1
+    ictx = co.InstanceContext(gp)
+    for lo in range(0, len(checked), 256):
+        block = checked[lo:lo + 256]
+        assert [values for _, values in block] == \
+            pol.evaluate(ictx, np.stack([row for row, _ in block])).tolist()
+    return run, len(checked)
+
+
+# Gripper runs by deltas: perfbench's gripper-100 of two seeds, the scale
+# cases and the block-scan cases; (tie break, seed) of each run.
+DELTA_CASES = {
+    "perfbench-0": [("first", 0), ("random", 3)],
+    "perfbench-7": [("first", 0), ("random", 3)],
+    "gripper": [("first", 0), ("random", 3)],
+    "gripper-400": [("first", 0)],
+    "gripper-30": [("first", 0), ("random", 1)],
+    "gripper-30-stuck": [("first", 0), ("random", 1)],
+}
+
+
+@pytest.mark.parametrize("name", list(DELTA_CASES))
+def test_delta_path_values_equal_evaluate_on_gripper_runs(name, monkeypatch):
+    if name.startswith("perfbench-"):
+        case = workloads.run_cases(ROOT, int(name.split("-")[1]))[0]
+        gp, pol = workloads._ground(case), case.policy
+    elif name in BLOCK_SCAN_CASES:
+        gp, pol = _block_scan_case(name)
+    else:
+        inst = SCALE_CASES[name][1]()
+        gp = _ground((ROOT / "benchmarks" / "gripper" / "domain.pddl").read_text(),
+                     inst.pddl(), inst.goal_params)
+        pol = po.parse_policy((POLICY_DIR / "gripper.txt").read_text())
+    for tie_break, seed in DELTA_CASES[name]:
+        run, checked = _delta_checked_run(pol, gp, monkeypatch, tie_break=tie_break, seed=seed)
+        assert checked >= run.steps + (run.status == "no_compatible")
+        if name != "gripper-400":  # the eager loop evaluates ~400 successors a step
+            want = oracles.eager_greedy_execute(pol, gp, tie_break=tie_break, seed=seed)
+            assert (run.status, run.steps, run.trajectory) == \
+                (want.status, want.steps, want.trajectory), (tie_break, seed)
+
+
+def _delta_vocabulary(gp):
+    """The atomic concepts and roles of a ground problem's domain: Top, Bot,
+    types, nominals (constants and goal parameters), and each unary and
+    binary predicate and its goal version."""
+    dom = gp.domain
+    atoms = [co.Top(), co.Bot(), *map(co.TypeConcept, dom.types),
+             *(co.Nominal(c) for c, _ in dom.constants),
+             *(co.Nominal(f"goal{i}") for i in range(len(gp.instance.goal_params)))]
+    roles = []
+    for p in sorted(dom.predicates.values(), key=lambda p: p.name):
+        if p.arity == 1:
+            atoms += [co.PrimitiveConcept(p.name), co.GoalConcept(p.name)]
+        elif p.arity == 2:
+            roles += [co.PrimitiveRole(p.name), co.GoalRole(p.name)]
+    return atoms, roles
+
+
+def _random_delta_concept(rng, atoms, roles, depth):
+    """A random concept of `co.DELTA_FORMS` over `atoms` and `roles`, at
+    most `depth` constructors deep; an Equal mostly pairs a role with its
+    goal version."""
+    k = rng.randrange(6) if depth else 5
+    child = lambda: _random_delta_concept(rng, atoms, roles, depth - 1)
+    if k == 0:
+        return co.Not(child())
+    if k == 1:
+        return co.And(child(), child())
+    if k in (2, 3) and roles:
+        return (co.Exists, co.Forall)[k - 2](rng.choice(roles), child())
+    if k == 4 and roles:
+        r = rng.choice(roles)
+        twin = (co.GoalRole if type(r) is co.PrimitiveRole else co.PrimitiveRole)(r.name)
+        return co.RoleEqual(r, rng.choice(roles) if rng.random() < 0.3 else twin)
+    return rng.choice(atoms)
+
+
+def _accepting_policy(concepts, kinds) -> str:
+    """A policy over count features of `concepts` whose alternatives allow
+    every change of their values: every successor is a move."""
+    lines = [f"feature {i} 1 {kind} {co.render(c)}"
+             for i, (c, kind) in enumerate(zip(concepts, kinds))]
+    moves = [["", f"f{i}++", f"f{i}--"] if kind == "num" else ["", f"f{i}", f"!f{i}"]
+             for i, kind in enumerate(kinds)]
+    alts = [" ".join(t for t in alt if t) or "nop" for alt in itertools.product(*moves)]
+    return "\n".join(lines + [f"rule true -> {' | '.join(alts)}"]) + "\n"
+
+
+def _delta_walk(pol, gp, rng, steps: int) -> int:
+    """Walks `steps` random steps, self loops skipped and states revisited,
+    evaluating every successor of each step by deltas (`_kept_successors`
+    of a policy that accepts them all), and checks their values against
+    `Policy.evaluate`; returns the number of successors checked."""
+    ictx = co.InstanceContext(gp)
+    kept = co.DeltaContext(ictx, gp.init, [f.concept for f in pol.features])
+    state, src = gp.init, pol.evaluate(ictx, gp.init[None])[0].tolist()
+    checked = 0
+    for _ in range(steps):
+        aids, succ = gp.successors(state)
+        options, values = po._kept_successors(pol, kept, src, aids, first=False)
+        assert options == list(range(len(aids)))
+        assert [dst for dst, _ in values] == pol.evaluate(ictx, succ).tolist()
+        checked += len(aids)
+        moves = [i for i in options if (succ[i] != state).any()]
+        if not moves:
+            break
+        i = rng.choice(moves)
+        src, change = values[i]
+        kept.apply(change)
+        state = succ[i]
+    return checked
+
+
+def _nodes(expr):
+    yield expr
+    for f in expr.children:
+        yield from _nodes(getattr(expr, f))
+
+
+# Count features that read inverse rows of `at` on gripper with three
+# rooms: the balls in the robot's room, and those of a goal room that the
+# robot is not in.  A drop puts a ball in a row of the inverse of `at` that
+# did not hold it, and a move then reads the rows of two rooms only, which
+# need not include the ball's first room.
+GRIPPER_WALK_CONCEPTS = ["Exists(at,at-robby)", "Forall(at,Not(at-robby))",
+                         "Exists(at_g,Not(at-robby))", "Not(Equal(at,at_g))"]
+GRIPPER_ROOMS_INSTANCE = """
+(define (problem rooms) (:domain gripper)
+  (:objects r1 r2 r3 - room b1 b2 b3 b4 b5 b6 - ball left right - gripper)
+  (:init (at-robby r1) (free left) (free right) (at b1 r1) (at b2 r1)
+         (at b3 r2) (at b4 r2) (at b5 r3) (at b6 r1))
+  (:goal (and (at b1 r3) (at b2 r3) (at b3 r3) (at b4 r1))))
+"""
+
+
+def _delta_walk_cases():
+    """(ground problem, concepts, kinds, steps) of each random walk: random
+    count features on seeded random STRIPS problems, every other one with a
+    goal parameter, and on one problem of 69 objects (two words per set)
+    with a dynamic binary predicate; and `GRIPPER_WALK_CONCEPTS` on
+    a gripper instance of three rooms."""
+    rng = random.Random(29)
+    problems = [(random.Random(seed), 5, ["o0"] if seed % 2 else []) for seed in range(150)]
+    problems.append((random.Random(24), 100, []))
+    for prng, max_objects, goal_params in problems:
+        domain, instance = domains.random_strips_problem(prng, max_objects)
+        gp = _ground(domain, instance, goal_params)
+        atoms, roles = _delta_vocabulary(gp)
+        concepts = [_random_delta_concept(rng, atoms, roles, 3)
+                    for _ in range(rng.randint(1, 4))]
+        yield (gp, concepts, [rng.choice(["bool", "num"]) for _ in concepts],
+               30 if max_objects == 5 else 6)
+    gp = _ground((ROOT / "benchmarks" / "gripper" / "domain.pddl").read_text(),
+                 GRIPPER_ROOMS_INSTANCE)
+    yield (gp, [co.parse_expression(c) for c in GRIPPER_WALK_CONCEPTS],
+           ["num"] * len(GRIPPER_WALK_CONCEPTS), 300)
+
+
+def test_delta_path_values_equal_evaluate_on_random_walks():
+    rng = random.Random(29)
+    seen, wide, total = set(), 0, 0
+    for gp, concepts, kinds, steps in _delta_walk_cases():
+        pol = po.parse_policy(_accepting_policy(concepts, kinds))
+        checked = _delta_walk(pol, gp, rng, steps)
+        if not checked:
+            continue
+        total += checked
+        ctx = co.state_context([(co.InstanceContext(gp), gp.init[None])])
+        static = gp.domain.static_predicates()
+        seen.update(kinds)
+        for e in (e for c in concepts for e in _nodes(c)):
+            seen.add(type(e).__name__)
+            if isinstance(e, (co.PrimitiveConcept, co.PrimitiveRole)) and e.name in static:
+                seen.add("static")
+            if isinstance(e, co.Forall) and not ctx.role(e.role)[0].any(axis=-1).all():
+                seen.add("Forall over an empty row")
+            if isinstance(e, co.RoleEqual) and {type(e.left), type(e.right)} == {
+                    co.PrimitiveRole, co.GoalRole} and e.left.name == e.right.name:
+                seen.add("Equal of a role and its goal version")
+        if len(gp.objects) > 64:
+            wide += checked
+    assert seen >= {"bool", "num", "static", "Forall over an empty row",
+                    "Equal of a role and its goal version"} | {
+        cls.__name__ for cls in co.DELTA_FORMS}
+    assert wide > 1000 and total > 5000
 
 
 POLICY_TEXTS = [(POLICY_DIR / f"{n}.txt").read_text()

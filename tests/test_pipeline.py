@@ -1,7 +1,10 @@
 """End-to-end pipeline behavior and the command line interface."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,6 +164,32 @@ def test_stages_refuse_a_dead_end_training_instance(tmp_path, capsys):
         assert captured.err.startswith("error: initial state of training instance 'rnd-")
         assert captured.err.endswith("' is a dead end: no goal is reachable\n")
     assert not (tmp_path / "theory.wcnf").exists()
+
+
+def test_a_dead_end_initial_state_is_reported_once(tmp_path):
+    # Through a subprocess, as a user sees it: the warning goes through
+    # `logging` to stderr, which the test run's own capture would take.
+    # Training refuses the instance with the error alone; verification
+    # goes on, warns once and checks the policy on the space.
+    domain, instance = _random_problem_files(tmp_path, 18)
+    policy = tmp_path / "policy.txt"
+    policy.write_text("rule true -> nop\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def genpol(*argv):
+        return subprocess.run([sys.executable, "-m", "genpol.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+
+    learn = genpol("learn", "--domain", domain, "--training", instance,
+                   "--ignore-high-arity", "--max-feature-weight", "4")
+    assert (learn.returncode, learn.stdout, learn.stderr) == (
+        2, "", "error: initial state of training instance 'rnd-272009' is a dead end: "
+               "no goal is reachable\n")
+    verify = genpol("verify", "--domain", domain, "--instance", instance,
+                    "--policy", str(policy))
+    assert verify.returncode == 0 and verify.stdout.startswith("states=520\n")
+    assert verify.stderr == "initial state of 'rnd-272009' is a dead end: no goal is reachable\n"
 
 
 def test_learn_on_random_problems_ends_in_a_report_or_a_typed_error(tmp_path):

@@ -1,7 +1,9 @@
 """The benchmark's tracer (perfbench/tracing.py) still finds and wraps every
 function it traces, where the callers look each one up, and the wrapped
 names still carry the work: verification and greedy execution evaluate
-features through `concepts.state_context` and `Policy.evaluate`.
+features through `concepts.state_context` and `Policy.evaluate`, and a
+greedy run by deltas evaluates its first state through them and tests its
+moves through `Policy.compatible`.
 
 A renamed or moved function would make `perfbench/run.py --trace 1` fail
 at install time, or silently record no span for a layer.  `learn` runs one
@@ -71,6 +73,30 @@ def test_tracer_wraps_every_traced_name_and_records_the_space_spans():
     assert tracer.counters[1]["policy.compatible_true"] == 1
     assert calls["pddl.ground", 2] == 1
     assert tracer.counters[2]["pddl.ground_actions"] == len(grounded.actions) == 40
+
+
+def test_tracer_records_a_greedy_run_by_deltas():
+    # perfbench's gripper policy holds count features only, so its greedy
+    # run keeps them by deltas: the full evaluator sees the first state
+    # only, and every successor read is tested through `compatible`.
+    dom = pddl.parse_domain(domains.GRIPPER_DOMAIN)
+    gp = pddl.ground(dom, pddl.parse_instance(domains.gripper_instance(4), dom))
+    pol = po.parse_policy((ROOT / "perfbench" / "policies" / "gripper.txt").read_text())
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.begin_op(0)
+        run = po.greedy_execute(pol, gp)
+    finally:
+        tracer.uninstall()
+    assert run.solved and run.steps > 4
+    calls = Counter(tracer.names[i] for i in tracer.name)
+    assert calls["pddl.successors"] == run.steps
+    assert tracer.counters[0]["policy.greedy_steps"] == run.steps
+    assert calls["policy.evaluate"] == 1 and calls["concepts.state_context"] >= 1
+    # The first move of each step is a compatible one.
+    assert calls["policy.compatible"] >= run.steps
+    assert tracer.counters[0]["policy.compatible_true"] == run.steps
 
 
 def test_tracer_records_every_round_of_a_learn_run():
