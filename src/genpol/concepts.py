@@ -23,9 +23,9 @@ which is about n passes for a tower of n blocks.
 Greedy execution also evaluates one state after another by deltas
 (`DeltaContext`): the concepts built from Not, And, Exists, Forall and
 Equal over atomic concepts and roles (`DELTA_FORMS`) keep their
-denotations in one state as Python ints, and a successor's are recomputed
-only at the objects whose inputs its action changed.  Closures, inverses
-and distances are evaluated in full.
+denotations in one state as Python ints, and a successor's are recomputed,
+children first, only at the objects whose inputs its action changed.
+Closures, inverses and distances are evaluated in full.
 
 The grammar: primitive concepts (unary predicates and type names), goal
 versions of goal-relevant predicates, nominals for constants and declared
@@ -234,16 +234,6 @@ def parse(text: str, kind: str):
                 raise ExpressionParseError(
                     f"{cls.form} takes {len(cls.parts)} arguments: '{text}'")
             return cls(*(parse(a, k) for a, (_, k) in zip(args, cls.parts)))
-
-
-def parse_role(text: str):
-    """Inverse of `render` for roles."""
-    return parse(text, ROLE)
-
-
-def parse_expression(text: str):
-    """Inverse of `render` for concepts."""
-    return parse(text, CONCEPT)
 
 
 # ---------------------------------------------------------------------------
@@ -735,50 +725,40 @@ class DeltaContext:
     Python int, bit j for object j, and a role is kept as its rows (the
     successor set of each object) and its inverse rows.  `successor(aid)`
     reads the dynamic atoms that action `aid` adds or deletes
-    (`GroundProblem.add_bits`, `del_bits`) and recomputes a node only at
-    the objects whose inputs changed:
+    (`GroundProblem.add_bits`, `del_bits`) and recomputes the compound
+    nodes in id order, skipping each whose inputs kept their value, and a
+    recomputed node only at the objects whose inputs changed:
 
     * Not and And: their children's new sets, whole (a few words);
     * Exists(R, C) and Forall(R, C): the objects whose row of R changed,
       and the inverse rows of R at the objects where C changed;
-    * Equal(R, S): the objects whose row of R or of S changed;
+    * Equal(R, S): the objects whose row of R or of S changed.
 
-    and a count is the old count plus the members the root gained minus
-    those it lost.  `apply` steps to a successor without evaluating
-    anything.
+    A count is the `bit_count()` of its root's set.  `apply` steps to a
+    successor without evaluating anything.
     """
 
     def __init__(self, ictx: InstanceContext, row: np.ndarray, roots):
         ctx = state_context([(ictx, row[None])])
         gp = self._gp = ictx.gp
         ids: dict = {}
-        self._nodes = nodes = []  # per node: (class, child id, child id or -1)
+        self._nodes = nodes = []  # per compound node: (id, class, child id, child id or -1)
 
         def number(expr):
             got = ids.get(expr)
             if got is None:
                 kids = [number(getattr(expr, f)) for f in expr.children]
-                got = ids[expr] = len(nodes)
-                nodes.append((type(expr), *(kids + [-1, -1])[:2]))
+                got = ids[expr] = len(ids)
+                if kids:
+                    nodes.append((got, type(expr), *(kids + [-1])[:2]))
             return got
 
         self._roots = [number(c) for c in roots]
         n = ictx.n
         self._universe = (1 << n) - 1
-        self._value = []  # per node: its set, or (rows, inverse rows) of a role
-        for expr in ids:  # in id order
-            if type(expr) in FORMS[ROLE]:
-                rows = _ints(ctx.role(expr)[0, :n])
-                inv = [0] * n
-                for x, r in enumerate(rows):
-                    while r:
-                        low = r & -r
-                        inv[low.bit_length() - 1] |= 1 << x
-                        r ^= low
-                self._value.append((rows, inv))
-            else:
-                self._value.append(_ints(ctx.concept(expr))[0])
-        self._counts = [self._value[i].bit_count() for i in self._roots]
+        self._value = [(_ints(ctx.role(e)[0, :n]), _ints(ctx.role(InverseRole(e))[0, :n]))
+                       if type(e) in FORMS[ROLE] else _ints(ctx.concept(e))[0]
+                       for e in ids]  # per node, in id order: its set, or (rows, inverse rows)
 
         # Each dynamic atom of a predicate some node reads: (node, x, y),
         # y = -1 for a unary one.
@@ -791,44 +771,35 @@ class DeltaContext:
             if atom[0] in node_of:
                 self._targets[bit] = (node_of[atom[0]], ictx.index[atom[1]],
                                       ictx.index[atom[2]] if len(atom) == 3 else -1)
-        self._parents = [[] for _ in nodes]
-        for i, (_, a, b) in enumerate(nodes):
-            for kid in {a, b} - {-1}:
-                self._parents[kid].append(i)
         self._held = bytearray(np.unpackbits(row.astype("<u8").view(np.uint8),
                                              bitorder="little").tobytes())
         self._memo: dict = {}  # action id -> its `_reads`
 
-    def _reads(self, aid: int) -> tuple:
-        """(atoms, nodes) of action `aid`: the (bit, added, node, x, y) of
-        each atom it adds or deletes that a node reads, and the ids,
-        ascending, of the compound nodes above those nodes."""
+    def _reads(self, aid: int) -> list:
+        """The (bit, added, node, x, y) of each atom that action `aid` adds
+        or deletes that a node reads."""
         got = self._memo.get(aid)
         if got is None:
             gp, targets = self._gp, self._targets
-            atoms = [(bit, add) + targets[bit]
-                     for add, bits in ((1, gp.add_bits[aid]), (0, gp.del_bits[aid]))
-                     for bit in bits.tolist() if targets[bit]]
-            above: set = set()
-            todo = [a[2] for a in atoms]
-            while todo:
-                for p in self._parents[todo.pop()]:
-                    if p not in above:
-                        above.add(p)
-                        todo.append(p)
-            got = self._memo[aid] = (atoms, sorted(above))
+            got = self._memo[aid] = [(bit, add) + targets[bit]
+                                     for add, bits in ((1, gp.add_bits[aid]),
+                                                       (0, gp.del_bits[aid]))
+                                     for bit in bits.tolist() if targets[bit]]
         return got
+
+    def counts(self) -> list:
+        """The counts of the roots in the current state."""
+        return [self._value[i].bit_count() for i in self._roots]
 
     def successor(self, aid: int) -> tuple:
         """(counts, change): the counts of the roots in the successor of the
         current state by action `aid`, and the change that `apply` makes to
         step to it."""
-        atoms, above = self._reads(aid)
         value, held = self._value, self._held
         flips = []  # (bit, added) of each atom that changes
         new: dict = {}  # node -> its new set, where it changed
         roles: dict = {}  # role node -> [new rows, new inverse rows, objects whose row changed]
-        for bit, add, node, x, y in atoms:
+        for bit, add, node, x, y in self._reads(aid):
             if held[bit] == add:
                 continue
             flips.append((bit, add))
@@ -844,9 +815,8 @@ class DeltaContext:
             got[0][x], got[1][y] = (r | 1 << y, c | 1 << x) if add else \
                                    (r & ~(1 << y), c & ~(1 << x))
             got[2] |= 1 << x
-        nodes, universe = self._nodes, self._universe
-        for i in above:
-            kind, a, b = nodes[i]
+        universe = self._universe
+        for i, kind, a, b in self._nodes:
             old = value[i]
             if kind is Not:
                 if a not in new:
@@ -895,18 +865,11 @@ class DeltaContext:
                     cand ^= low
             if s != old:
                 new[i] = s
-        counts = self._counts[:]
-        for j, root in enumerate(self._roots):
-            s = new.get(root)
-            if s is not None:
-                old = value[root]
-                changed = old ^ s
-                counts[j] += (s & changed).bit_count() - (old & changed).bit_count()
-        return counts, (flips, new, roles, counts)
+        return [new.get(i, value[i]).bit_count() for i in self._roots], (flips, new, roles)
 
     def apply(self, change: tuple):
         """Steps to the successor whose `change` `successor` returned."""
-        flips, new, roles, self._counts = change
+        flips, new, roles = change
         for bit, add in flips:
             self._held[bit] = add
         for node, s in new.items():

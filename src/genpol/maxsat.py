@@ -117,18 +117,16 @@ class WcnfProblem:
     weights: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
     def __post_init__(self):
-        self._check(self.hard, self.soft, weights=self.weights)
-
-    def _check(self, *parts: Clauses, weights=None):
         """Rejects a weight below 1, weights summing beyond 64 bits and
         literal 0; grows nvars to cover every literal."""
-        if weights is not None and len(weights):
+        weights = self.weights
+        if len(weights):
             if weights.min() <= 0:
                 raise GenpolError(f"soft clause weight must be positive, got "
                                   f"{weights.min()}")
             if sum(weights.tolist()) >= np.iinfo(np.int64).max:
                 raise GenpolError("soft clause weights sum beyond 64 bits")
-        for part in parts:
+        for part in (self.hard, self.soft):
             if len(part.lits):
                 if not part.lits.all():
                     raise GenpolError("literal 0 is reserved for clause termination")

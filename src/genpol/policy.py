@@ -23,18 +23,19 @@ alternative; `Policy.compatible` makes the same test on one transition in
 plain Python.
 A greedy step takes the successors of one state from
 `GroundProblem.successors`, which tests only the actions keyed by bits the
-state holds.  With the "first" tie break it takes the first compatible
-successor in action order; with the "random" tie break it draws one of all
-the compatible successors.  A policy whose features are all counts of
-concepts that `concepts.DeltaContext` keeps (Not, And, Exists, Forall and
-Equal over atomic concepts and roles) evaluates the first state in full
-and each successor by deltas from the state's kept denotations, one at a
-time in action order, testing each with `Policy.compatible`; the first tie
-break stops at the first move, and stepping applies the chosen successor's
-change without evaluating anything.  Any other policy evaluates the
-successors in blocks, `FIRST_BLOCK` of them first and twice as many in
-each next block, and the first tie break stops at the first block that
-holds a move; the random tie break evaluates them all, as one block.
+state holds, and reads the moves among them from a generator, each move
+(row id, feature values, change) in action order; the generator evaluates
+the successors only as far as the moves are read.  The "first" tie break
+takes the first move; the "random" tie break draws one of all of them.  A
+policy whose features are all counts of concepts that
+`concepts.DeltaContext` keeps (Not, And, Exists, Forall and Equal over
+atomic concepts and roles) reads `_delta_moves`: the first state's values
+are the counts of the `DeltaContext`, each successor is evaluated by deltas
+from the state's kept denotations and tested with `Policy.compatible`, and
+stepping applies the chosen move's change without evaluating anything.
+Any other policy reads `_block_moves`, which evaluates the successors in
+blocks: `FIRST_BLOCK` of them first and twice as many in each next block
+for the first tie break, and all of them as one block for the random one.
 
 Extraction turns the good equivalence classes of a theory model into rules:
 classes are grouped by the source valuation (one rule per distinct body) and
@@ -291,8 +292,8 @@ def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
                    tie_break: str = "first", seed: int = 0) -> ExecutionResult:
     """Follows policy-compatible transitions from the initial state: the
     first in action order, or one drawn by `seed` among all of them.  The
-    successors are evaluated by deltas when every feature is a count that
-    `co.DeltaContext` keeps, and in blocks otherwise."""
+    moves come from `_delta_moves` when every feature is a count that
+    `co.DeltaContext` keeps, and from `_block_moves` otherwise."""
     check_max_steps(max_steps)
     check_tie_break(tie_break)
     if max_steps is None:
@@ -301,12 +302,13 @@ def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
     rng = random.Random(seed)
     ictx = co.InstanceContext(gp)
     state = gp.init
-    src = policy.evaluate(ictx, state[None])[0]
     kept = None
     if all(type(f) is CardinalityFeature and co.by_deltas(f.concept)
            for f in policy.features):
         kept = co.DeltaContext(ictx, state, [f.concept for f in policy.features])
-        src = src.tolist()
+        src = _count_values(policy, kept.counts())
+    else:
+        src = policy.evaluate(ictx, state[None])[0]
     visited = {state.tobytes()}
     trajectory: list = []
     for step in range(max_steps):
@@ -314,64 +316,61 @@ def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
             return ExecutionResult("goal", step, trajectory)
         aids, succ = gp.successors(state)
         if kept is None:
-            options, values = _compatible_successors(
-                policy, ictx, src, succ, FIRST_BLOCK if first else len(succ))
+            moves = _block_moves(policy, ictx, src, succ, FIRST_BLOCK if first else len(succ))
         else:
-            options, values = _kept_successors(policy, kept, src, aids, first)
-        if not options:
+            moves = _delta_moves(policy, kept, src, aids)
+        if first:
+            move = next(moves, None)
+        else:
+            moves = list(moves)
+            move = moves[rng.randrange(len(moves))] if moves else None
+        if move is None:
             return ExecutionResult("no_compatible", step, trajectory)
-        k = 0 if first else rng.randrange(len(options))
-        i = options[k]
+        i, src, change = move
         key = succ[i].tobytes()
         if key in visited:
             return ExecutionResult("cycle", step, trajectory)
         visited.add(key)
         trajectory.append(gp.actions[aids[i]])
         state = succ[i]
-        if kept is None:
-            src = values[k]
-        else:
-            src, change = values[k]
+        if kept is not None:
             kept.apply(change)
     if gp.is_goal(state):
         return ExecutionResult("goal", max_steps, trajectory)
     return ExecutionResult("step_limit", max_steps, trajectory)
 
 
-def _compatible_successors(policy: Policy, ictx, src, succ, block: int):
-    """(ids, values): the ids, ascending, of the successor rows `succ` that
-    are policy moves from a state with feature values `src`, and their
-    feature values.  The successors are evaluated in blocks in row order,
-    `block` of them first and twice as many in each next block; only the
-    moves of the first block that holds any are returned."""
+def _block_moves(policy: Policy, ictx, src, succ, block: int):
+    """Yields the moves among the successor rows `succ` of a state with
+    feature values `src`, in row order: (row id, feature values, None).
+    The rows are evaluated in blocks as the moves are read, `block` of them
+    first and twice as many in each next block."""
     lo = 0
     while lo < len(succ):
         dst = policy.evaluate(ictx, succ[lo:lo + block])
-        hits = np.flatnonzero(policy.compatible_mask(
-            np.broadcast_to(src, dst.shape), dst))
-        if len(hits):
-            return (lo + hits).tolist(), dst[hits]
+        for hit in np.flatnonzero(policy.compatible_mask(
+                np.broadcast_to(src, dst.shape), dst)).tolist():
+            yield lo + hit, dst[hit], None
         lo, block = lo + block, 2 * block
-    return [], None
 
 
-def _kept_successors(policy: Policy, kept, src, aids, first: bool):
-    """(ids, values) as `_compatible_successors` gives them, for the
-    successors by actions `aids` of the state that the `co.DeltaContext`
-    `kept` holds, evaluated by deltas one at a time in row order and, with
-    `first`, only up to the first move; a value is (feature values, change
-    to apply to `kept`)."""
-    booleans = [f.is_boolean for f in policy.features]
-    options, values = [], []
+def _delta_moves(policy: Policy, kept, src, aids):
+    """Yields the moves among the successors by actions `aids` of the state
+    that the `co.DeltaContext` `kept` holds, with feature values `src`, in
+    row order: (row id, feature values, change to apply to `kept`).  The
+    successors are evaluated by deltas one at a time as the moves are read,
+    each tested with `Policy.compatible`."""
     for i, aid in enumerate(aids.tolist()):
         counts, change = kept.successor(aid)
-        dst = [int(c == 1) if b else c for c, b in zip(counts, booleans)]
+        dst = _count_values(policy, counts)
         if policy.compatible(src, dst):
-            options.append(i)
-            values.append((dst, change))
-            if first:
-                break
-    return options, values
+            yield i, dst, change
+
+
+def _count_values(policy: Policy, counts: list) -> list:
+    """The feature values of a policy of count features whose concepts
+    have these counts: a boolean holds when its count is one."""
+    return [int(c == 1) if f.is_boolean else c for c, f in zip(counts, policy.features)]
 
 
 @dataclass

@@ -837,7 +837,7 @@ def _accepting_policy(concepts, kinds) -> str:
 
 def _delta_walk(pol, gp, rng, steps: int) -> int:
     """Walks `steps` random steps, self loops skipped and states revisited,
-    evaluating every successor of each step by deltas (`_kept_successors`
+    evaluating every successor of each step by deltas (`_delta_moves`
     of a policy that accepts them all), and checks their values against
     `Policy.evaluate`; returns the number of successors checked."""
     ictx = co.InstanceContext(gp)
@@ -846,15 +846,15 @@ def _delta_walk(pol, gp, rng, steps: int) -> int:
     checked = 0
     for _ in range(steps):
         aids, succ = gp.successors(state)
-        options, values = po._kept_successors(pol, kept, src, aids, first=False)
-        assert options == list(range(len(aids)))
-        assert [dst for dst, _ in values] == pol.evaluate(ictx, succ).tolist()
+        options = list(po._delta_moves(pol, kept, src, aids))
+        assert [i for i, _, _ in options] == list(range(len(aids)))
+        assert [dst for _, dst, _ in options] == pol.evaluate(ictx, succ).tolist()
         checked += len(aids)
-        moves = [i for i in options if (succ[i] != state).any()]
+        moves = [i for i, _, _ in options if (succ[i] != state).any()]
         if not moves:
             break
         i = rng.choice(moves)
-        src, change = values[i]
+        _, src, change = options[i]
         kept.apply(change)
         state = succ[i]
     return checked
@@ -901,7 +901,7 @@ def _delta_walk_cases():
                30 if max_objects == 5 else 6)
     gp = _ground((ROOT / "benchmarks" / "gripper" / "domain.pddl").read_text(),
                  GRIPPER_ROOMS_INSTANCE)
-    yield (gp, [co.parse_expression(c) for c in GRIPPER_WALK_CONCEPTS],
+    yield (gp, [co.parse(c, co.CONCEPT) for c in GRIPPER_WALK_CONCEPTS],
            ["num"] * len(GRIPPER_WALK_CONCEPTS), 300)
 
 
@@ -1034,7 +1034,8 @@ def test_unknown_names_raise_the_per_state_error(text, tmp_path, capsys):
     policy_file = tmp_path / "policy.txt"
     policy_file.write_text(f"feature 0 2 num Not(visited)\nfeature 1 3 {kind} {text}\n"
                            f"rule f0>0 -> f0--\n")
-    rc = cli.main(["verify", "--domain", str(domain), "--instance", str(instance),
-                   "--policy", str(policy_file)])
-    assert rc == 2
-    assert capsys.readouterr().err == f"error: {UNKNOWN_NAMES[text]}\n"
+    for command in ("verify", "run"):
+        rc = cli.main([command, "--domain", str(domain), "--instance", str(instance),
+                       "--policy", str(policy_file)])
+        assert rc == 2, command
+        assert capsys.readouterr().err == f"error: {UNKNOWN_NAMES[text]}\n", command

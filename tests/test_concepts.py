@@ -315,12 +315,12 @@ def test_render_parse_round_trip():
     exprs = (GRIPPER_CONCEPTS + BLOCKS_CONCEPTS + VISITALL_CONCEPTS)
     for expr in exprs:
         text = co.render(expr)
-        assert co.parse_expression(text) == expr
+        assert co.parse(text, co.CONCEPT) == expr
     roles = [PrimitiveRole("on"), GoalRole("at"),
              InverseRole(ClosureRole(PrimitiveRole("on"))),
              ClosureRole(InverseRole(GoalRole("at")))]
     for role in roles:
-        assert co.parse_role(co.render(role)) == role
+        assert co.parse(co.render(role), co.ROLE) == role
 
 
 def test_parse_rejects_malformed_expressions():
@@ -329,10 +329,10 @@ def test_parse_rejects_malformed_expressions():
                  "Nominal()", "Not()", "type()", "Not(x))", "And(a,b)c)", "x y",
                  "Exists(on x,Top)", "_g"]:
         with pytest.raises(co.ExpressionParseError):
-            co.parse_expression(text)
+            co.parse(text, co.CONCEPT)
     for text in ["", "on)", "a b_plus", "Nominal(b1)_inv", "_plus"]:
         with pytest.raises(co.ExpressionParseError):
-            co.parse_role(text)
+            co.parse(text, co.ROLE)
     # A policy file with such a feature fails where it declares it.
     with pytest.raises(PolicyError, match="^line 2: bad feature: bad name: 'x\\)'$"):
         policy.parse_policy("# malformed\nfeature 0 1 bool Not(x))\nrule f0 -> !f0\n")
@@ -352,10 +352,10 @@ def test_every_expression_class_parses_back_from_its_form():
             co.CONCEPT: lambda: _random_concept(rng, vocab, 2),
             co.ROLE: lambda: _random_role(rng, vocab)}
     for cls in classes:
-        parse = co.parse_role if cls in co.FORMS[co.ROLE] else co.parse_expression
+        sort = co.ROLE if cls in co.FORMS[co.ROLE] else co.CONCEPT
         for _ in range(5):
             expr = cls(*(make[kind]() for _, kind in cls.parts))
-            assert parse(co.render(expr)) == expr, co.render(expr)
+            assert co.parse(co.render(expr), sort) == expr, co.render(expr)
     # The feature classes state their forms in the same table, the bare
     # concept last; a feature's weight and kind are the other fields of its
     # line, and an atom is always bool, a distance always num.
@@ -555,7 +555,7 @@ def test_random_expressions_match_set_semantics(case):
         pick = rng.choice([vocab, static_vocab])
         expr = _random_concept(rng, pick) if rng.random() < 0.75 else _random_role(rng, pick)
         is_role = isinstance(expr, (PrimitiveRole, GoalRole, InverseRole, ClosureRole))
-        assert (co.parse_role if is_role else co.parse_expression)(co.render(expr)) == expr
+        assert co.parse(co.render(expr), co.ROLE if is_role else co.CONCEPT) == expr
         bits = ctx.members(ctx.role(expr) if is_role else ctx.concept(expr))
         for s, ictx, state in checked:
             want = oracles.naive_eval_state(expr, ictx.gp, state)

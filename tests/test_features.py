@@ -425,7 +425,7 @@ def test_load_pool_rejects_malformed_lines(text):
 def test_feature_lines_round_trip_every_kind():
     feats = [NullaryFeature("arm-empty"),
              CardinalityFeature(co.PrimitiveConcept("clear"), 1, True),
-             CardinalityFeature(co.parse_expression("Exists(on_plus,Nominal(b1))"), 4,
+             CardinalityFeature(co.parse("Exists(on_plus,Nominal(b1))", co.CONCEPT), 4,
                                 False),
              features.parse_feature(5, "num", "Dist(Nominal(b1),on,Top,clear)")]
     lines = [features.render_feature_line(i, f) for i, f in enumerate(feats)]

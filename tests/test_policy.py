@@ -310,8 +310,8 @@ def test_verify_complete_and_check_descending():
     report = po.verify_exhaustive(pol, gp)
     assert report.complete and report.witness is None
 
-    above = co.parse_expression("Exists(on_plus,Nominal(goal0))")
-    holding = co.parse_expression("holding")
+    above = co.parse("Exists(on_plus,Nominal(goal0))", co.CONCEPT)
+    holding = co.parse("holding", co.CONCEPT)
 
     unpack = oracles.unpacker(gp)
 

@@ -77,8 +77,9 @@ def test_tracer_wraps_every_traced_name_and_records_the_space_spans():
 
 def test_tracer_records_a_greedy_run_by_deltas():
     # perfbench's gripper policy holds count features only, so its greedy
-    # run keeps them by deltas: the full evaluator sees the first state
-    # only, and every successor read is tested through `compatible`.
+    # run keeps them by deltas: the first state is evaluated once, through
+    # `state_context` only, and every successor read is tested through
+    # `compatible`.
     dom = pddl.parse_domain(domains.GRIPPER_DOMAIN)
     gp = pddl.ground(dom, pddl.parse_instance(domains.gripper_instance(4), dom))
     pol = po.parse_policy((ROOT / "perfbench" / "policies" / "gripper.txt").read_text())
@@ -93,7 +94,7 @@ def test_tracer_records_a_greedy_run_by_deltas():
     calls = Counter(tracer.names[i] for i in tracer.name)
     assert calls["pddl.successors"] == run.steps
     assert tracer.counters[0]["policy.greedy_steps"] == run.steps
-    assert calls["policy.evaluate"] == 1 and calls["concepts.state_context"] >= 1
+    assert calls["policy.evaluate"] == 0 and calls["concepts.state_context"] >= 1
     # The first move of each step is a compatible one.
     assert calls["policy.compatible"] >= run.steps
     assert tracer.counters[0]["policy.compatible_true"] == run.steps
