@@ -20,12 +20,13 @@ state (a functional role, like `on` in blocksworld), pointer jumping
 Floyd-Warshall (`_pass_closure`), one pass per object some row enters,
 which is about n passes for a tower of n blocks.
 
-Greedy execution also evaluates one state after another by deltas
-(`DeltaContext`): the concepts built from Not, And, Exists, Forall and
-Equal over atomic concepts and roles (`DELTA_FORMS`) keep their
-denotations in one state as Python ints, and a successor's are recomputed,
-children first, only at the objects whose inputs its action changed.
-Closures, inverses and distances are evaluated in full.
+Greedy execution evaluates one state after another by deltas
+(`DeltaContext`): the features of a policy and every expression in them
+keep their values in one state as Python ints, and a successor's are
+recomputed, children first, only where the atoms its action changes reach.
+Each class of `FORMS` has a rule; a distance, and a closure whose base
+changes otherwise than by one gained edge or one lost edge of a forest,
+are recomputed from their children's new values.
 
 The grammar: primitive concepts (unary predicates and type names), goal
 versions of goal-relevant predicates, nominals for constants and declared
@@ -253,7 +254,8 @@ def pack(bits: np.ndarray, words: int) -> np.ndarray:
     if short:
         packed = np.concatenate(
             [packed, np.zeros(packed.shape[:-1] + (short,), dtype=np.uint8)], axis=-1)
-    return packed.view("<u8")
+    # `packbits` keeps the layout of a transposed `bits`, which `view` rejects.
+    return np.ascontiguousarray(packed).view("<u8")
 
 
 def unpack(sets: np.ndarray, n: int) -> np.ndarray:
@@ -694,86 +696,134 @@ def state_context(parts) -> StateContext:
 # Evaluation by deltas, one state after another
 # ---------------------------------------------------------------------------
 
-# The classes whose denotations `DeltaContext` keeps: Not, And, Exists,
-# Forall and Equal over atomic concepts and roles.
-DELTA_FORMS = frozenset((Top, Bot, PrimitiveConcept, GoalConcept, TypeConcept, Nominal,
-                         PrimitiveRole, GoalRole, Not, And, Exists, Forall, RoleEqual))
-
-
-def by_deltas(expr) -> bool:
-    """Whether `DeltaContext` can keep `expr`: it is built from `DELTA_FORMS`."""
-    return type(expr) in DELTA_FORMS and all(by_deltas(getattr(expr, f))
-                                             for f in expr.children)
-
 
 def _ints(sets: np.ndarray) -> list:
     """uint64 [k, words] -> k Python ints, object j as bit j."""
     return [int.from_bytes(s.astype("<u8").tobytes(), "little") for s in sets]
 
 
-_UNCHANGED = ({}, {}, 0)  # `DeltaContext`'s change of a role that does not change
+def _transpose(rows: list) -> list:
+    """The inverse rows of the successor sets `rows`, Python ints."""
+    inv = [0] * len(rows)
+    for x, r in enumerate(rows):
+        for y in _members(r):
+            inv[y] |= 1 << x
+    return inv
+
+
+def _members(s: int):
+    """The objects of the Python-int set `s`, in increasing order."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+_UNCHANGED = ({}, {})  # `DeltaContext`'s change of a role that does not change
 
 
 class DeltaContext:
-    """The denotations of the concepts `roots`, and of every sub-expression
-    of them (all of `DELTA_FORMS`), in one state of one instance, kept from
-    a state to its successor by deltas: incremental view maintenance
-    (Gupta, Mumick and Subrahmanian, SIGMOD 1993) over the expression DAG.
+    """The values of the features `roots`, and the denotations of every
+    expression in them, in one state of one instance, kept from a state to
+    its successor by deltas: incremental view maintenance (Gupta, Mumick and
+    Subrahmanian, SIGMOD 1993) over the expression DAG.
 
     The first state, a packed row, is evaluated through `state_context`.
     Each node of the DAG is numbered once, children first; a set is a
-    Python int, bit j for object j, and a role is kept as its rows (the
-    successor set of each object) and its inverse rows.  `successor(aid)`
-    reads the dynamic atoms that action `aid` adds or deletes
-    (`GroundProblem.add_bits`, `del_bits`) and recomputes the compound
-    nodes in id order, skipping each whose inputs kept their value, and a
-    recomputed node only at the objects whose inputs changed:
+    Python int, bit j for object j, a role is kept as its rows (the
+    successor set of each object) and its inverse rows, and a feature as its
+    value.  `successor(aid)` reads the dynamic atoms that action `aid` adds
+    or deletes (`GroundProblem.add_bits`, `del_bits`), which change the
+    primitive concepts and roles and the `Atom` features of their
+    predicates, and recomputes the compound nodes in id order, skipping each
+    whose children kept their value:
 
-    * Not and And: their children's new sets, whole (a few words);
-    * Exists(R, C) and Forall(R, C): the objects whose row of R changed,
-      and the inverse rows of R at the objects where C changed;
-    * Equal(R, S): the objects whose row of R or of S changed.
+    * Not and And: from their children's new sets, whole (a few words);
+    * Exists(R, C) and Forall(R, C): at the objects whose row of R changed,
+      and at the inverse rows of R at the objects where C changed;
+    * Equal(R, S): at the objects whose row of R or of S changed;
+    * R_inv: R's changed rows and inverse rows, swapped; the node holds R's
+      lists, swapped, and no copy of them;
+    * R_plus: when R gains one edge (x, y), every object of
+      inverse-closure(x) ∪ {x} gains closure(y) ∪ {y}.  When R loses its one
+      edge at x, and every object that reaches x has one successor and x is
+      not in closure(y), those objects lose the same set, as paths in a
+      forest are unique.  Any other change of R recomputes the closure from
+      R's new rows, one breadth-first search per object;
+    * |C|: the `bit_count()` of C's set, 1 or 0 for a boolean feature;
+    * Dist(S, R, X, T): the first level of a breadth-first search from S,
+      along R and into X, that meets T, or n + 1.  Over a state-independent
+      R and X, each search is kept by its set S and extended only as far as
+      it is read, so a state that returns to a source set searches no more;
+    * Atom(p) of a dynamic p: whether an atom of p holds after the action
+      (its one bit for a nullary p); of a static p, `InstanceContext.flags`,
+      which no action changes.
 
-    A count is the `bit_count()` of its root's set.  `apply` steps to a
-    successor without evaluating anything.
+    `apply` steps to a successor without evaluating anything.
     """
 
     def __init__(self, ictx: InstanceContext, row: np.ndarray, roots):
         ctx = state_context([(ictx, row[None])])
         gp = self._gp = ictx.gp
+        self._n = ictx.n
+        self._universe = (1 << ictx.n) - 1
         ids: dict = {}
-        self._nodes = nodes = []  # per compound node: (id, class, child id, child id or -1)
+        self._nodes = []  # per compound node, in id order: (id, rule, its argument, child ids)
+        self._value = []  # per node, in id order: its set, (rows, inverse rows) or value
+        self._views = set()  # the inverse roles, whose lists are their child's
+        self._roots = [self._number(f, ids, ctx) for f in roots]
 
-        def number(expr):
-            got = ids.get(expr)
-            if got is None:
-                kids = [number(getattr(expr, f)) for f in expr.children]
-                got = ids[expr] = len(ids)
-                if kids:
-                    nodes.append((got, type(expr), *(kids + [-1])[:2]))
-            return got
-
-        self._roots = [number(c) for c in roots]
-        n = ictx.n
-        self._universe = (1 << n) - 1
-        self._value = [(_ints(ctx.role(e)[0, :n]), _ints(ctx.role(InverseRole(e))[0, :n]))
-                       if type(e) in FORMS[ROLE] else _ints(ctx.concept(e))[0]
-                       for e in ids]  # per node, in id order: its set, or (rows, inverse rows)
-
-        # Each dynamic atom of a predicate some node reads: (node, x, y),
-        # y = -1 for a unary one.
-        dynamic = {PrimitiveConcept: ictx.unary_preds, PrimitiveRole: ictx.binary_preds}
-        node_of = {e.name: i for e, i in ids.items()
-                   if type(e) in dynamic and e.name in dynamic[type(e)]}
+        # Each dynamic atom of a predicate some node reads: (node, x, y), y =
+        # -1 for a unary one and x = y = -1 for one of an `Atom` feature,
+        # whose bits `_atoms` lists.
+        node_of = {}
+        for e, i in ids.items():
+            if type(e) is PrimitiveConcept and e.name in ictx.unary_preds or \
+                    type(e) is PrimitiveRole and e.name in ictx.binary_preds:
+                node_of[e.name] = i
+            elif type(e).form == _ATOM and e.pred in ictx.flag_preds:
+                node_of[e.pred] = i
         self._targets = [None] * (64 * gp.words + 1)  # bit -> target; the padding has none
+        self._atoms: dict = {}  # `Atom` node -> the bits of its predicate's atoms
         for bit, atom_id in enumerate(gp.dynamic.tolist()):
             atom = gp.atoms[atom_id]
-            if atom[0] in node_of:
-                self._targets[bit] = (node_of[atom[0]], ictx.index[atom[1]],
+            node = node_of.get(atom[0])
+            if node is None:
+                continue
+            if len(atom) in (2, 3):
+                self._targets[bit] = (node, ictx.index[atom[1]],
                                       ictx.index[atom[2]] if len(atom) == 3 else -1)
+            else:
+                self._targets[bit] = (node, -1, -1)
+                self._atoms.setdefault(node, []).append(bit)
         self._held = bytearray(np.unpackbits(row.astype("<u8").view(np.uint8),
                                              bitorder="little").tobytes())
         self._memo: dict = {}  # action id -> its `_reads`
+
+    def _number(self, expr, ids: dict, ctx) -> int:
+        """The id of `expr`; if new, it is numbered after its children, with
+        its value in the one state of `ctx`."""
+        got = ids.get(expr)
+        if got is None:
+            kids = tuple(self._number(getattr(expr, f), ids, ctx) for f in expr.children)
+            got = ids[expr] = len(self._value)
+            rule = _rule(expr, ctx.ictxs[0].static_preds) if kids else None
+            if type(expr) is InverseRole:
+                value = self._value[kids[0]][::-1]
+                self._views.add(got)
+            elif type(expr) in FORMS[ROLE]:
+                rows = _ints(ctx.role(expr)[0, :self._n])
+                value = rows, _transpose(rows)
+            elif type(expr) in FORMS[CONCEPT]:
+                value = _ints(ctx.concept(expr))[0]
+            elif type(expr).form != _DIST:  # Atom(p) or |C|
+                value = int(expr.values(ctx)[0])
+            else:  # Dist(S,R,X,T), by its rule from its children's
+                value = rule[0](self, got, rule[1], kids, {})
+            self._value.append(value)
+            if rule:
+                self._nodes.append((got, *rule, kids))
+        return got
 
     def _reads(self, aid: int) -> list:
         """The (bit, added, node, x, y) of each atom that action `aid` adds
@@ -787,97 +837,220 @@ class DeltaContext:
                                      for bit in bits.tolist() if targets[bit]]
         return got
 
-    def counts(self) -> list:
-        """The counts of the roots in the current state."""
-        return [self._value[i].bit_count() for i in self._roots]
+    def values(self) -> list:
+        """The values of the roots in the current state."""
+        return [self._value[i] for i in self._roots]
 
     def successor(self, aid: int) -> tuple:
-        """(counts, change): the counts of the roots in the successor of the
+        """(values, change): the values of the roots in the successor of the
         current state by action `aid`, and the change that `apply` makes to
         step to it."""
         value, held = self._value, self._held
         flips = []  # (bit, added) of each atom that changes
-        new: dict = {}  # node -> its new set, where it changed
-        roles: dict = {}  # role node -> [new rows, new inverse rows, objects whose row changed]
+        new: dict = {}  # node -> its new set or value, or its role's changed rows and inverse rows
+        atoms = []  # the `Atom` nodes of the predicates of changed atoms
         for bit, add, node, x, y in self._reads(aid):
             if held[bit] == add:
                 continue
             flips.append((bit, add))
-            if y < 0:
+            if y >= 0:
+                got = new.get(node)
+                if got is None:
+                    got = new[node] = ({}, {})
+                rows, inv = value[node]
+                r, c = got[0].get(x, rows[x]), got[1].get(y, inv[y])
+                got[0][x], got[1][y] = (r | 1 << y, c | 1 << x) if add else \
+                                       (r & ~(1 << y), c & ~(1 << x))
+            elif x >= 0:
                 s = new.get(node, value[node])
                 new[node] = s | 1 << x if add else s & ~(1 << x)
+            else:
+                atoms.append(node)
+        if atoms:
+            now = dict(flips)
+            for node in atoms:
+                new[node] = int(any(now.get(b, held[b]) for b in self._atoms[node]))
+        for i, rule, arg, kids in self._nodes:
+            for k in kids:
+                if k in new:
+                    break
+            else:
                 continue
-            got = roles.get(node)
-            if got is None:
-                got = roles[node] = [{}, {}, 0]
-            rows, inv = value[node]
-            r, c = got[0].get(x, rows[x]), got[1].get(y, inv[y])
-            got[0][x], got[1][y] = (r | 1 << y, c | 1 << x) if add else \
-                                   (r & ~(1 << y), c & ~(1 << x))
-            got[2] |= 1 << x
-        universe = self._universe
-        for i, kind, a, b in self._nodes:
-            old = value[i]
-            if kind is Not:
-                if a not in new:
-                    continue
-                s = universe & ~new[a]
-            elif kind is And:
-                if a not in new and b not in new:
-                    continue
-                s = new.get(a, value[a]) & new.get(b, value[b])
-            elif kind is RoleEqual:
-                if a not in roles and b not in roles:
-                    continue
-                ra, rb = roles.get(a, _UNCHANGED), roles.get(b, _UNCHANGED)
-                rows_a, rows_b = value[a][0], value[b][0]
-                cand = ra[2] | rb[2]
-                s = old & ~cand
-                while cand:
-                    low = cand & -cand
-                    x = low.bit_length() - 1
-                    if ra[0].get(x, rows_a[x]) == rb[0].get(x, rows_b[x]):
-                        s |= low
-                    cand ^= low
-            else:  # Exists or Forall
-                if a not in roles and b not in new:
-                    continue
-                got_rows, got_inv, cand = roles.get(a, _UNCHANGED)
-                rows, inv = value[a]
-                c = new.get(b)
-                if c is None:
-                    c = value[b]
-                else:
-                    d = c ^ value[b]
-                    while d:
-                        low = d & -d
-                        y = low.bit_length() - 1
-                        cand |= got_inv.get(y, inv[y])
-                        d ^= low
-                s = old & ~cand
-                forall = kind is Forall
-                while cand:
-                    low = cand & -cand
-                    x = low.bit_length() - 1
-                    row = got_rows.get(x, rows[x])
-                    if ((row & c) == row) if forall else row & c:
-                        s |= low
-                    cand ^= low
-            if s != old:
-                new[i] = s
-        return [new.get(i, value[i]).bit_count() for i in self._roots], (flips, new, roles)
+            got = rule(self, i, arg, kids, new)
+            # A role's change, two dicts, never equals its value, two lists.
+            if got is not None and got != value[i]:
+                new[i] = got
+        return [new.get(i, value[i]) for i in self._roots], (flips, new)
 
     def apply(self, change: tuple):
         """Steps to the successor whose `change` `successor` returned."""
-        flips, new, roles = change
+        flips, new = change
         for bit, add in flips:
             self._held[bit] = add
-        for node, s in new.items():
-            self._value[node] = s
-        for node, (got_rows, got_inv, _) in roles.items():
-            rows, inv = self._value[node]
-            for x, r in got_rows.items():
-                rows[x] = r
-            for y, c in got_inv.items():
-                inv[y] = c
+        value = self._value
+        for node, got in new.items():
+            if type(got) is not tuple:
+                value[node] = got
+            elif node not in self._views:  # a view's lists are its child's
+                rows, inv = value[node]
+                for x, r in got[0].items():
+                    rows[x] = r
+                for y, c in got[1].items():
+                    inv[y] = c
 
+    # -- the rules: each gives a node's new set, value or role change from
+    # -- its children's, where some child changed; a role's is None if none.
+
+    def _not(self, i, arg, kids, new):
+        return self._universe & ~new[kids[0]]
+
+    def _and(self, i, arg, kids, new):
+        a, b = kids
+        return new.get(a, self._value[a]) & new.get(b, self._value[b])
+
+    def _quantifier(self, i, forall, kids, new):
+        value = self._value
+        a, b = kids
+        rows, inv = value[a]
+        got_rows, got_inv = new.get(a, _UNCHANGED)
+        cand = 0
+        for x in got_rows:
+            cand |= 1 << x
+        c = new.get(b)
+        if c is None:
+            c = value[b]
+        else:
+            d = c ^ value[b]
+            while d:
+                low = d & -d
+                cand |= got_inv.get(low.bit_length() - 1, inv[low.bit_length() - 1])
+                d ^= low
+        s = value[i] & ~cand
+        while cand:
+            low = cand & -cand
+            x = low.bit_length() - 1
+            row = got_rows.get(x, rows[x])
+            if ((row & c) == row) if forall else row & c:
+                s |= low
+            cand ^= low
+        return s
+
+    def _equal(self, i, arg, kids, new):
+        value = self._value
+        a, b = kids
+        got_a, got_b = new.get(a, _UNCHANGED)[0], new.get(b, _UNCHANGED)[0]
+        rows_a, rows_b = value[a][0], value[b][0]
+        s = value[i]
+        for x in chain(got_a, got_b):
+            if got_a.get(x, rows_a[x]) == got_b.get(x, rows_b[x]):
+                s |= 1 << x
+            else:
+                s &= ~(1 << x)
+        return s
+
+    def _inverse(self, i, arg, kids, new):
+        return new[kids[0]][::-1]
+
+    def _closure(self, i, arg, kids, new):
+        base, got = self._value[kids[0]][0], new[kids[0]][0]
+        edges = [(x, r ^ base[x]) for x, r in got.items() if r != base[x]]
+        if not edges:
+            return None
+        rows, inv = self._value[i]
+        x, low = edges[0]
+        if len(edges) == 1 and low & (low - 1) == 0:  # one edge (x, y)
+            head = inv[x] | 1 << x  # x and the objects that reach it
+            tail = rows[low.bit_length() - 1] | low  # y and the objects it reaches
+            if got[x] & low:
+                return _spread(rows, inv, head, tail, True)
+            if not tail >> x & 1 and all(base[u] & (base[u] - 1) == 0 for u in _members(head)):
+                return _spread(rows, inv, head, tail, False)
+        return _closure_change([got.get(x, r) for x, r in enumerate(base)], rows, inv)
+
+    def _count(self, i, boolean, kids, new):
+        k = new[kids[0]].bit_count()
+        return int(k == 1) if boolean else k
+
+    def _distance(self, i, searches, kids, new):
+        value = self._value
+        s, r, x, t = kids
+        sources, targets = new.get(s, value[s]), new.get(t, value[t])
+        rows, got_rows = value[r][0], new.get(r, _UNCHANGED)[0]
+        search = None if searches is None else searches.get(sources)
+        if search is None:
+            search = [[sources], sources]  # the levels so far, and their union
+            if searches is not None:
+                searches[sources] = search
+        levels, d = search[0], 0
+        while levels[d]:
+            if levels[d] & targets:
+                return d
+            d += 1
+            if d == len(levels):
+                step = 0
+                for y in _members(levels[-1]):
+                    step |= got_rows.get(y, rows[y])
+                levels.append(step & new.get(x, value[x]) & ~search[1])
+                search[1] |= levels[-1]
+        return self._n + 1
+
+
+def _spread(rows, inv, head, tail, gain):
+    """The change of a closure (`rows`, `inv`) whose objects `head` each gain,
+    or lose, the objects `tail`; None if it keeps its value."""
+    got_rows = {}
+    for u in _members(head):
+        r = rows[u] | tail if gain else rows[u] & ~tail
+        if r != rows[u]:
+            got_rows[u] = r
+    if not got_rows:
+        return None
+    got_inv = {}
+    for v in _members(tail):
+        c = inv[v] | head if gain else inv[v] & ~head
+        if c != inv[v]:
+            got_inv[v] = c
+    return got_rows, got_inv
+
+
+def _closure_change(base, rows, inv):
+    """The change of a closure (`rows`, `inv`) to the closure of the successor
+    sets `base`, one breadth-first search per object; None if none."""
+    closed = []
+    for frontier in base:
+        reach = 0
+        while frontier:
+            reach |= frontier
+            step = 0
+            for v in _members(frontier):
+                step |= base[v]
+            frontier = step & ~reach
+        closed.append(reach)
+    if closed == rows:
+        return None
+    return ({u: r for u, r in enumerate(closed) if r != rows[u]},
+            {v: c for v, c in enumerate(_transpose(closed)) if c != inv[v]})
+
+
+# The feature forms `DeltaContext` reads; the feature classes are declared in
+# `features`, which imports this module.
+_ATOM, _DIST = "Atom({})", "Dist({},{},{},{})"
+
+# The rule of each compound class of concepts and roles, and its argument.
+_RULES = {Not: (DeltaContext._not, None), And: (DeltaContext._and, None),
+          Exists: (DeltaContext._quantifier, False), Forall: (DeltaContext._quantifier, True),
+          RoleEqual: (DeltaContext._equal, None), InverseRole: (DeltaContext._inverse, None),
+          ClosureRole: (DeltaContext._closure, None)}
+
+
+def _rule(expr, static_preds) -> tuple:
+    """(rule, argument) of a compound node of `DeltaContext`.  A distance
+    over a state-independent role and restriction keeps the levels of its
+    searches, by source set, in its argument."""
+    got = _RULES.get(type(expr))
+    if got is not None:
+        return got
+    if type(expr).form != _DIST:  # |C|
+        return DeltaContext._count, expr.is_boolean
+    fixed = all(state_independent(e, static_preds) for e in (expr.role, expr.restrict))
+    return DeltaContext._distance, {} if fixed else None

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,32 +67,17 @@ class _Node:
         return isinstance(self.value, list)
 
 
+# A token: a parenthesis, or a run of characters other than parentheses,
+# `;` and the whitespace " \t\r" (lines are split on "\n").
+_TOKEN = re.compile(r"[()]|[^ \t\r();]+")
+
+
 def _tokenize(text: str):
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield c, line, col
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            yield text[i:j].lower(), line, col
-            col += j - i
-            i = j
+    """(token, line, column) of each token of `text`, lower-cased, line and
+    column from 1; a `;` starts a comment that runs to the end of its line."""
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(chars.partition(";")[0]):
+            yield m.group().lower(), line, m.start() + 1
 
 
 def _read(text: str) -> _Node:

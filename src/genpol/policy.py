@@ -12,30 +12,24 @@ alternative must meet both tokens.  In a policy file, each rule token has
 one form, in `_CONDITION_TOKENS` or `_EFFECT_TOKENS`, which `Policy.dump`
 prints and `parse_policy` reads back.
 
-Feature values come as int64 tables, one row per state (`Policy.evaluate`),
-and compatibility is decided for one block of transitions at once
-(`Policy.compatible_mask`): in verification, `verify_space` walks a
+In verification, feature values come as int64 tables, one row per state
+(`Policy.evaluate`), and compatibility is decided for one block of
+transitions at once (`Policy.compatible_mask`): `verify_space` walks a
 space's transitions `MASK_BLOCK` at a time and gathers the feature values
-of one block only; at a greedy step, a block is some of one state's
-successors.  Each rule alternative is compiled to the change codes it
-allows per feature, so a transition costs one bit test per feature and
+of one block only.  Each rule alternative is compiled to the change codes
+it allows per feature, so a transition costs one bit test per feature and
 alternative; `Policy.compatible` makes the same test on one transition in
 plain Python.
-A greedy step takes the successors of one state from
+Greedy execution keeps the feature values of one state in a
+`concepts.DeltaContext`, which evaluates the first state and then each
+successor by deltas.  A step takes the successors of one state from
 `GroundProblem.successors`, which tests only the actions keyed by bits the
-state holds, and reads the moves among them from a generator, each move
-(row id, feature values, change) in action order; the generator evaluates
-the successors only as far as the moves are read.  The "first" tie break
-takes the first move; the "random" tie break draws one of all of them.  A
-policy whose features are all counts of concepts that
-`concepts.DeltaContext` keeps (Not, And, Exists, Forall and Equal over
-atomic concepts and roles) reads `_delta_moves`: the first state's values
-are the counts of the `DeltaContext`, each successor is evaluated by deltas
-from the state's kept denotations and tested with `Policy.compatible`, and
-stepping applies the chosen move's change without evaluating anything.
-Any other policy reads `_block_moves`, which evaluates the successors in
-blocks: `FIRST_BLOCK` of them first and twice as many in each next block
-for the first tie break, and all of them as one block for the random one.
+state holds, and reads the moves among them from a generator (`_moves`),
+each move (row id, feature values, change) in action order; the generator
+evaluates the successors one at a time, only as far as the moves are read,
+and tests each with `Policy.compatible`.  The "first" tie break takes the
+first move; the "random" tie break draws one of all of them.  Stepping
+applies the chosen move's change without evaluating anything.
 
 Extraction turns the good equivalence classes of a theory model into rules:
 classes are grouped by the source valuation (one rule per distinct body) and
@@ -53,7 +47,7 @@ import numpy as np
 from genpol import concepts as co
 from genpol.encoding import FLAT, UP, Classes, validate_solution
 from genpol.errors import GenpolError, InternalInvariantError, PolicyError
-from genpol.features import CardinalityFeature, parse_feature_line, render_feature_line
+from genpol.features import parse_feature_line, render_feature_line
 from genpol.space import MAX_STATES, expand_labeled, predecessors
 
 SET_TRUE = "set"
@@ -62,7 +56,6 @@ INC = "inc"
 DEC = "dec"
 
 BLOCK_STATES = 8192  # states evaluated together by `Policy.evaluate`
-FIRST_BLOCK = 16  # successors in a greedy step's first block; each next doubles
 MASK_BLOCK = 1 << 16  # transitions whose feature values `verify_space` gathers at once
 TIE_BREAKS = ("first", "random")  # how `greedy_execute` picks among moves
 
@@ -292,33 +285,23 @@ def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
                    tie_break: str = "first", seed: int = 0) -> ExecutionResult:
     """Follows policy-compatible transitions from the initial state: the
     first in action order, or one drawn by `seed` among all of them.  The
-    moves come from `_delta_moves` when every feature is a count that
-    `co.DeltaContext` keeps, and from `_block_moves` otherwise."""
+    feature values are kept by deltas in one `co.DeltaContext`."""
     check_max_steps(max_steps)
     check_tie_break(tie_break)
     if max_steps is None:
         max_steps = 10 * max(4, len(gp.objects)) ** 2
     first = tie_break == "first"
     rng = random.Random(seed)
-    ictx = co.InstanceContext(gp)
     state = gp.init
-    kept = None
-    if all(type(f) is CardinalityFeature and co.by_deltas(f.concept)
-           for f in policy.features):
-        kept = co.DeltaContext(ictx, state, [f.concept for f in policy.features])
-        src = _count_values(policy, kept.counts())
-    else:
-        src = policy.evaluate(ictx, state[None])[0]
+    kept = co.DeltaContext(co.InstanceContext(gp), state, policy.features)
+    src = kept.values()
     visited = {state.tobytes()}
     trajectory: list = []
     for step in range(max_steps):
         if gp.is_goal(state):
             return ExecutionResult("goal", step, trajectory)
         aids, succ = gp.successors(state)
-        if kept is None:
-            moves = _block_moves(policy, ictx, src, succ, FIRST_BLOCK if first else len(succ))
-        else:
-            moves = _delta_moves(policy, kept, src, aids)
+        moves = _moves(policy, kept, src, aids)
         if first:
             move = next(moves, None)
         else:
@@ -333,44 +316,22 @@ def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
         visited.add(key)
         trajectory.append(gp.actions[aids[i]])
         state = succ[i]
-        if kept is not None:
-            kept.apply(change)
+        kept.apply(change)
     if gp.is_goal(state):
         return ExecutionResult("goal", max_steps, trajectory)
     return ExecutionResult("step_limit", max_steps, trajectory)
 
 
-def _block_moves(policy: Policy, ictx, src, succ, block: int):
-    """Yields the moves among the successor rows `succ` of a state with
-    feature values `src`, in row order: (row id, feature values, None).
-    The rows are evaluated in blocks as the moves are read, `block` of them
-    first and twice as many in each next block."""
-    lo = 0
-    while lo < len(succ):
-        dst = policy.evaluate(ictx, succ[lo:lo + block])
-        for hit in np.flatnonzero(policy.compatible_mask(
-                np.broadcast_to(src, dst.shape), dst)).tolist():
-            yield lo + hit, dst[hit], None
-        lo, block = lo + block, 2 * block
-
-
-def _delta_moves(policy: Policy, kept, src, aids):
+def _moves(policy: Policy, kept, src, aids):
     """Yields the moves among the successors by actions `aids` of the state
     that the `co.DeltaContext` `kept` holds, with feature values `src`, in
-    row order: (row id, feature values, change to apply to `kept`).  The
+    action order: (row id, feature values, change to apply to `kept`).  The
     successors are evaluated by deltas one at a time as the moves are read,
     each tested with `Policy.compatible`."""
     for i, aid in enumerate(aids.tolist()):
-        counts, change = kept.successor(aid)
-        dst = _count_values(policy, counts)
+        dst, change = kept.successor(aid)
         if policy.compatible(src, dst):
             yield i, dst, change
-
-
-def _count_values(policy: Policy, counts: list) -> list:
-    """The feature values of a policy of count features whose concepts
-    have these counts: a boolean holds when its count is one."""
-    return [int(c == 1) if f.is_boolean else c for c, f in zip(counts, policy.features)]
 
 
 @dataclass

@@ -19,6 +19,38 @@ from genpol.maxsat import Clauses
 from genpol.space import MAX_STATES
 
 
+# -- reading -----------------------------------------------------------------
+
+def tokenize(text: str):
+    """(token, line, column) of each token of a PDDL text, read one
+    character at a time: the tokenizer `pddl._tokenize` replaced."""
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif c in " \t\r":
+            col += 1
+            i += 1
+        elif c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c in "()":
+            yield c, line, col
+            col += 1
+            i += 1
+        else:
+            j = i
+            while j < n and text[j] not in " \t\r\n();":
+                j += 1
+            yield text[i:j].lower(), line, col
+            col += j - i
+            i = j
+
+
 # -- grounding ---------------------------------------------------------------
 
 def static_predicates(dom):

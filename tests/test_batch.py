@@ -610,9 +610,9 @@ def test_tables_match_the_scatter_oracle():
                      for kind in ("true", "false", "goal false")}
 
 
-# Greedy runs past one word of objects, up to the sizes the closure kernel
-# is measured at: the clear towers are unstacked by `on_plus`, which pointer
-# jumping computes.
+# Greedy runs past one word of objects, up to the sizes the delta rules are
+# measured at: the clear towers are unstacked by `on_plus`, whose rows the
+# closure rule keeps, and visitall's `Dist` keeps its searches by source.
 SCALE_CASES = {
     "gripper": ("gripper", lambda: instances.gripper(62, random.Random(5), "gripper-62")),
     "visitall": ("visitall", lambda: instances.visitall(9, 8, (4, 3), "visitall-9x8")),
@@ -620,10 +620,14 @@ SCALE_CASES = {
     "clear-100": ("clear", lambda: instances.clear_tower(100, random.Random(6), "clear-100")),
     "gripper-400": ("gripper", lambda: instances.gripper(400, random.Random(6), "gripper-400")),
     "visitall-28x28": ("visitall", lambda: instances.visitall(28, 28, (9, 20), "visitall-28x28")),
+    "clear-150": ("clear", lambda: instances.clear_tower(150, random.Random(7), "clear-150")),
+    "visitall-50x50": ("visitall", lambda: instances.visitall(50, 50, (17, 33), "visitall-50x50")),
 }
 # A random tie break evaluates every successor of a step, about 400 on
-# gripper-400; by deltas, in a few seconds for the run.
-SCALE_RUNS = [(tie_break, case) for tie_break in ("first", "random") for case in SCALE_CASES]
+# gripper-400; by deltas, in a few seconds for the run.  visitall-50x50 is
+# left out: its runs take 0.2-0.4 s, but the replay of each about 1.5 s.
+SCALE_RUNS = [(tie_break, case) for tie_break in ("first", "random") for case in SCALE_CASES
+              if case != "visitall-50x50"]
 
 
 @pytest.mark.parametrize("tie_break,case", SCALE_RUNS, ids=map("-".join, SCALE_RUNS))
@@ -639,12 +643,12 @@ def test_greedy_plans_on_more_than_64_objects_replay_to_the_goal(tie_break, case
     assert instances.replay(inst, run.trajectory) is None
 
 
-# Greedy runs that the block scan, or the delta path, must repeat exactly.
-# Gripper steps have up to 60 successors; the clear tower's putdowns and
-# stacks take the successor at position n - 2 near the end, in the third
-# block; visitall steps have at most 4 successors, one block.  The stuck
-# policies pick one ball, then find no move among 31 successors, so every
-# block is read: by deltas, and, through an inverse role, in blocks.
+# Greedy runs that must repeat those of the loop that evaluates every
+# successor (`oracles.eager_greedy_execute`).  Gripper steps have up to 60
+# successors; the clear tower's putdowns and stacks take the successor at
+# position n - 2 near the end; visitall steps have at most 4 successors.
+# The stuck policies pick one ball, then find no move among 17 successors,
+# so every successor of that state is read, once through an inverse role.
 BLOCK_SCAN_CASES = {
     "gripper-30": ("gripper", lambda: instances.gripper(30, random.Random(1), "g"), None),
     "clear-52": ("clear", lambda: instances.clear_tower(52, random.Random(1), "c"), None),
@@ -688,36 +692,39 @@ def test_block_scan_matches_the_eager_loop(name):
             (want.status, want.steps, want.trajectory), (tie_break, seed)
         if tie_break == "first":
             taken, counts = _positions(gp, got.trajectory)
+            assert (taken, counts) == _positions(gp, want.trajectory)
             if name == "clear-52":
-                assert max(taken) >= 3 * po.FIRST_BLOCK  # past two blocks
+                assert max(taken) >= 48  # a move near the end of its list
             if name.startswith("gripper"):
-                assert max(counts) > po.FIRST_BLOCK
+                assert max(counts) > 16
             if name.startswith("gripper-30-stuck"):
                 assert got.status == "no_compatible"
-                assert counts[-1] > po.FIRST_BLOCK
+                assert counts[-1] > 16
 
 
 def test_first_tie_break_evaluates_fewer_states(monkeypatch):
     evaluated = []
-    evaluate = po.Policy.evaluate
+    successor = co.DeltaContext.successor
 
-    def counting(self, ictx, states):
-        evaluated.append(len(states))
-        return evaluate(self, ictx, states)
+    def counting(self, aid):
+        evaluated.append(aid)
+        return successor(self, aid)
 
-    monkeypatch.setattr(po.Policy, "evaluate", counting)
-    gp, pol = _block_scan_case("clear-52")  # a closure: read in blocks
-    assert po.greedy_execute(pol, gp).solved
-    lazy = sum(evaluated)
-    evaluated.clear()
-    assert oracles.eager_greedy_execute(pol, gp).solved
-    assert lazy < sum(evaluated)
+    gp, pol = _block_scan_case("clear-52")
+    with monkeypatch.context() as m:
+        m.setattr(co.DeltaContext, "successor", counting)
+        run = po.greedy_execute(pol, gp)
+    assert run.solved
+    # Each step reads its successors up to the one it takes, of all of them.
+    taken, counts = _positions(gp, run.trajectory)
+    assert taken == _positions(gp, oracles.eager_greedy_execute(pol, gp).trajectory)[0]
+    assert len(evaluated) == sum(taken) + len(taken) < sum(counts)
 
 
 def _delta_checked_run(pol, gp, monkeypatch, **kw):
-    """(run, checked): `greedy_execute` of a policy that takes the delta
-    path, and the number of successors that the path evaluated, each of
-    which got the feature values that `Policy.evaluate` gives on its row."""
+    """(run, checked): `greedy_execute` of a policy, and the number of
+    successors that it evaluated by deltas, each of which got the feature
+    values that `Policy.evaluate` gives on its row, as did the first state."""
     rows, checked, made = {}, [], []
     successors, successor = gp.successors, co.DeltaContext.successor
     compatible, init = po.Policy.compatible, co.DeltaContext.__init__
@@ -739,6 +746,7 @@ def _delta_checked_run(pol, gp, monkeypatch, **kw):
     def making(self, *args):
         made.append(args)
         init(self, *args)
+        checked.append([gp.init, self.values()])
 
     with monkeypatch.context() as m:
         m.setattr(gp, "successors", listing)
@@ -752,7 +760,7 @@ def _delta_checked_run(pol, gp, monkeypatch, **kw):
         block = checked[lo:lo + 256]
         assert [values for _, values in block] == \
             pol.evaluate(ictx, np.stack([row for row, _ in block])).tolist()
-    return run, len(checked)
+    return run, len(checked) - 1
 
 
 # Gripper runs by deltas: perfbench's gripper-100 of two seeds, the scale
@@ -788,6 +796,87 @@ def test_delta_path_values_equal_evaluate_on_gripper_runs(name, monkeypatch):
                 (want.status, want.steps, want.trajectory), (tie_break, seed)
 
 
+def _with_free_features(text: str, free) -> po.Policy:
+    """The policy `text` with the features `free`, (kind, expression) pairs,
+    added, each free to keep or change its value in every alternative: the
+    moves stay those of `text`, and every move reads the added values."""
+    pol = po.parse_policy(text)
+    k = len(pol.features)
+    lines = [line for line in text.splitlines() if line.startswith("feature ")]
+    lines += [f"feature {k + i} 1 {kind} {expr}" for i, (kind, expr) in enumerate(free)]
+    changes = [["", f"f{j}++", f"f{j}--"] if kind == "num" else ["", f"f{j}", f"!f{j}"]
+               for j, (kind, _) in enumerate(free, k)]
+    for line in text.splitlines():
+        if line.startswith("rule "):
+            body, alts = line[len("rule "):].split("->")
+            alts = [" ".join(t for t in (alt.strip(), *more) if t and t != "nop") or "nop"
+                    for alt in alts.split("|") for more in itertools.product(*changes)]
+            lines.append(f"rule {body.strip()} -> {' | '.join(alts)}")
+    return po.parse_policy("\n".join(lines) + "\n")
+
+
+# Free features that each delta rule keeps, per domain: a closure of a
+# functional role (`on`), of a role that is not (`at_inv`), and of a
+# static one; inverse roles, and inverse closures; `Dist` over a static
+# role and restriction, from a fixed source (only its targets change) and
+# from the robot, and over a dynamic restriction or role; `Atom`.
+FREE_FEATURES = {
+    "clear": [("num", "Exists(on_inv_plus,Nominal(goal0))"), ("num", "Exists(on_inv,Top)"),
+              ("num", "Forall(on_plus,Not(clear))"), ("bool", "Atom(arm-empty)"),
+              ("num", "Dist(Nominal(goal0),on,Top,on-table)"),
+              ("num", "Dist(clear,on_plus,Not(holding),Nominal(goal0))"),
+              ("num", "Not(Equal(on_plus,on_g_plus))")],
+    "gripper": [("num", "Exists(at_inv_plus,Top)"), ("num", "Exists(carry_inv_plus,Top)"),
+                ("num", "Exists(at,Exists(at_inv,Exists(at_g,at-robby)))"),
+                ("num", "Dist(at-robby,at_inv,free,Exists(at_g,Not(at-robby)))")],
+    "visitall": [("num", "Dist(Nominal(goal0),connected,Top,Not(visited))"),
+                 ("num", "Dist(at-robot,connected,Not(visited),Not(visited))"),
+                 ("num", "Dist(at-robot,connected_plus,Top,Not(visited))"),
+                 ("num", "Exists(connected_inv,visited)")],
+}
+
+
+# Runs by deltas of every kind of rule: perfbench's clear and visitall
+# runs of two seeds, by (index in `workloads.run_cases`, seed), and runs of
+# the fixed policies with their domain's `FREE_FEATURES`, by (domain,
+# instance, goal parameters, (tie break, seed) of each run).
+KIND_CASES = {
+    "perfbench-0-clear": (1, 0), "perfbench-7-clear": (1, 7),
+    "perfbench-0-visitall": (2, 0), "perfbench-7-visitall": (2, 7),
+    "clear-12-free": ("clear", lambda: instances.clear_tower(12, random.Random(2), "c"), (),
+                      [("first", 0), ("random", 1), ("random", 2)]),
+    "clear-30-free": ("clear", lambda: instances.clear_tower(30, random.Random(3), "c"), (),
+                      [("first", 0)]),
+    "gripper-8-free": ("gripper", lambda: instances.gripper(8, random.Random(3), "g"), (),
+                       [("first", 0), ("random", 1), ("random", 2)]),
+    "visitall-6x5-free": ("visitall", lambda: instances.visitall(6, 5, (2, 2), "v"),
+                          ["loc-5-4"], [("first", 0), ("random", 1), ("random", 2)]),
+    "visitall-9x8-free": ("visitall", lambda: instances.visitall(9, 8, (4, 3), "v"),
+                          ["loc-0-0"], [("first", 0)]),
+}
+
+
+@pytest.mark.parametrize("name", list(KIND_CASES))
+def test_delta_path_values_equal_evaluate_on_runs_of_every_rule(name, monkeypatch):
+    if name.startswith("perfbench-"):
+        i, seed = KIND_CASES[name]
+        case = workloads.run_cases(ROOT, seed)[i]
+        gp, pol, runs = workloads._ground(case), case.policy, [("first", 0), ("random", 3)]
+    else:
+        domain, make, goal_params, runs = KIND_CASES[name]
+        inst = make()
+        gp = _ground((ROOT / "benchmarks" / domain / "domain.pddl").read_text(),
+                     inst.pddl(), goal_params or inst.goal_params)
+        pol = _with_free_features((POLICY_DIR / f"{domain}.txt").read_text(),
+                                  FREE_FEATURES[domain])
+    for tie_break, seed in runs:
+        run, checked = _delta_checked_run(pol, gp, monkeypatch, tie_break=tie_break, seed=seed)
+        assert run.solved and checked >= run.steps
+        want = oracles.eager_greedy_execute(pol, gp, tie_break=tie_break, seed=seed)
+        assert (run.status, run.steps, run.trajectory) == \
+            (want.status, want.steps, want.trajectory), (tie_break, seed)
+
+
 def _delta_vocabulary(gp):
     """The atomic concepts and roles of a ground problem's domain: Top, Bot,
     types, nominals (constants and goal parameters), and each unary and
@@ -805,48 +894,61 @@ def _delta_vocabulary(gp):
     return atoms, roles
 
 
-def _random_delta_concept(rng, atoms, roles, depth):
-    """A random concept of `co.DELTA_FORMS` over `atoms` and `roles`, at
-    most `depth` constructors deep; an Equal mostly pairs a role with its
-    goal version."""
+def _random_role(rng, roles, depth):
+    """A random role over `roles`: one of them, or, `depth` deep at most,
+    the inverse or the closure of a random role."""
+    k = rng.randrange(4) if depth else 0
+    if k in (1, 2):
+        return (co.InverseRole, co.ClosureRole)[k - 1](_random_role(rng, roles, depth - 1))
+    return rng.choice(roles)
+
+
+def _random_concept(rng, atoms, roles, depth):
+    """A random concept over `atoms` and `roles`, at most `depth`
+    constructors deep; an Equal mostly pairs a role with its goal version."""
     k = rng.randrange(6) if depth else 5
-    child = lambda: _random_delta_concept(rng, atoms, roles, depth - 1)
+    child = lambda: _random_concept(rng, atoms, roles, depth - 1)
     if k == 0:
         return co.Not(child())
     if k == 1:
         return co.And(child(), child())
     if k in (2, 3) and roles:
-        return (co.Exists, co.Forall)[k - 2](rng.choice(roles), child())
+        return (co.Exists, co.Forall)[k - 2](_random_role(rng, roles, 2), child())
     if k == 4 and roles:
         r = rng.choice(roles)
         twin = (co.GoalRole if type(r) is co.PrimitiveRole else co.PrimitiveRole)(r.name)
-        return co.RoleEqual(r, rng.choice(roles) if rng.random() < 0.3 else twin)
+        return co.RoleEqual(r, _random_role(rng, roles, 2) if rng.random() < 0.3 else twin)
     return rng.choice(atoms)
 
 
-def _accepting_policy(concepts, kinds) -> str:
-    """A policy over count features of `concepts` whose alternatives allow
-    every change of their values: every successor is a move."""
-    lines = [f"feature {i} 1 {kind} {co.render(c)}"
-             for i, (c, kind) in enumerate(zip(concepts, kinds))]
-    moves = [["", f"f{i}++", f"f{i}--"] if kind == "num" else ["", f"f{i}", f"!f{i}"]
-             for i, kind in enumerate(kinds)]
-    alts = [" ".join(t for t in alt if t) or "nop" for alt in itertools.product(*moves)]
-    return "\n".join(lines + [f"rule true -> {' | '.join(alts)}"]) + "\n"
+def _random_feature(rng, gp, atoms, roles):
+    """(kind, expression) of a random feature of the whole grammar: the
+    count of a random concept, bool or num, an `Atom` of a random predicate
+    of any arity, or a `Dist` of random concepts and a random role."""
+    k = rng.randrange(6)
+    if k == 0:
+        return "bool", f"Atom({rng.choice(sorted(gp.domain.predicates))})"
+    if k == 1 and roles:
+        s, x, t = (_random_concept(rng, atoms, roles, 2) for _ in range(3))
+        return "num", f"Dist({co.render(s)},{co.render(_random_role(rng, roles, 2))}," \
+                      f"{co.render(x)},{co.render(t)})"
+    return rng.choice(["bool", "num"]), co.render(_random_concept(rng, atoms, roles, 3))
 
 
 def _delta_walk(pol, gp, rng, steps: int) -> int:
     """Walks `steps` random steps, self loops skipped and states revisited,
-    evaluating every successor of each step by deltas (`_delta_moves`
-    of a policy that accepts them all), and checks their values against
-    `Policy.evaluate`; returns the number of successors checked."""
+    evaluating every successor of each step by deltas (`_moves` of a
+    policy that accepts them all), and checks their values, and those of
+    the first state, against `Policy.evaluate`; returns the number of
+    successors checked."""
     ictx = co.InstanceContext(gp)
-    kept = co.DeltaContext(ictx, gp.init, [f.concept for f in pol.features])
-    state, src = gp.init, pol.evaluate(ictx, gp.init[None])[0].tolist()
+    kept = co.DeltaContext(ictx, gp.init, pol.features)
+    state, src = gp.init, kept.values()
+    assert [src] == pol.evaluate(ictx, gp.init[None]).tolist()
     checked = 0
     for _ in range(steps):
         aids, succ = gp.successors(state)
-        options = list(po._delta_moves(pol, kept, src, aids))
+        options = list(po._moves(pol, kept, src, aids))
         assert [i for i, _, _ in options] == list(range(len(aids)))
         assert [dst for _, dst, _ in options] == pol.evaluate(ictx, succ).tolist()
         checked += len(aids)
@@ -881,13 +983,24 @@ GRIPPER_ROOMS_INSTANCE = """
   (:goal (and (at b1 r3) (at b2 r3) (at b3 r3) (at b4 r1))))
 """
 
+# Features of the walks on the benchmark domains and on the ring, whose
+# `link` closes cycles and has two edges out of o0 (`domains.RING_DOMAIN`).
+WALK_FEATURES = {
+    "ring": [("num", "Exists(link_plus,Top)"), ("num", "Forall(link_plus,Exists(link_inv_plus,Top))"),
+             ("num", "Exists(link_inv_plus,Nominal(goal0))"),
+             ("num", "Dist(Nominal(goal0),link,Top,Not(Exists(link,Top)))"),
+             ("num", "Dist(Nominal(goal0),next_plus,Exists(link_inv,Top),Exists(link_plus,Top))")],
+}
+
 
 def _delta_walk_cases():
-    """(ground problem, concepts, kinds, steps) of each random walk: random
-    count features on seeded random STRIPS problems, every other one with a
-    goal parameter, and on one problem of 69 objects (two words per set)
-    with a dynamic binary predicate; and `GRIPPER_WALK_CONCEPTS` on
-    a gripper instance of three rooms."""
+    """(ground problem, features, steps) of each random walk: random
+    features of the whole grammar on seeded random STRIPS problems, every
+    other one with a goal parameter, and on one problem of 69 objects (two
+    words per set) with a dynamic binary predicate; `GRIPPER_WALK_CONCEPTS`
+    and gripper's `FREE_FEATURES` on a gripper instance of three rooms; and
+    the `FREE_FEATURES` and `WALK_FEATURES` of blocksworld, visitall and
+    the ring."""
     rng = random.Random(29)
     problems = [(random.Random(seed), 5, ["o0"] if seed % 2 else []) for seed in range(150)]
     problems.append((random.Random(24), 100, []))
@@ -895,42 +1008,66 @@ def _delta_walk_cases():
         domain, instance = domains.random_strips_problem(prng, max_objects)
         gp = _ground(domain, instance, goal_params)
         atoms, roles = _delta_vocabulary(gp)
-        concepts = [_random_delta_concept(rng, atoms, roles, 3)
-                    for _ in range(rng.randint(1, 4))]
-        yield (gp, concepts, [rng.choice(["bool", "num"]) for _ in concepts],
-               30 if max_objects == 5 else 6)
+        free = [_random_feature(rng, gp, atoms, roles) for _ in range(rng.randint(1, 4))]
+        yield gp, free, 30 if max_objects == 5 else 6
     gp = _ground((ROOT / "benchmarks" / "gripper" / "domain.pddl").read_text(),
                  GRIPPER_ROOMS_INSTANCE)
-    yield (gp, [co.parse(c, co.CONCEPT) for c in GRIPPER_WALK_CONCEPTS],
-           ["num"] * len(GRIPPER_WALK_CONCEPTS), 300)
+    yield gp, [("num", c) for c in GRIPPER_WALK_CONCEPTS] + FREE_FEATURES["gripper"], 300
+    tower = instances.clear_tower(9, random.Random(4), "c")
+    yield (_ground((ROOT / "benchmarks" / "clear" / "domain.pddl").read_text(),
+                   tower.pddl(), tower.goal_params), FREE_FEATURES["clear"], 300)
+    yield (_ground(domains.VISITALL_DOMAIN, domains.visitall_instance(4, 3, (1, 1)),
+                   ["loc-3-2"]), FREE_FEATURES["visitall"], 100)
+    yield _ground(domains.RING_DOMAIN, domains.ring_instance(6), ["o3"]), WALK_FEATURES["ring"], 30
+
+
+def _walk_marks(gp, feats):
+    """What the walks must cover, besides each class: the kinds, static
+    operands, a Forall over an empty row, an Equal of a role and its goal
+    version, closures of a functional and of another role in the first
+    state, `Dist` over a static and over a dynamic role or restriction, and
+    `Atom` of a dynamic and of a static predicate."""
+    ctx = co.state_context([(co.InstanceContext(gp), gp.init[None])])
+    static = gp.domain.static_predicates()
+    marks = set()
+    for f in feats:
+        marks.add("bool" if f.is_boolean else "num")
+        if isinstance(f, features.NullaryFeature) and f.pred in gp.domain.predicates:
+            marks.add("static Atom" if f.pred in static else "dynamic Atom")
+        if isinstance(f, features.DistanceFeature):
+            marks.add("static Dist" if co.state_independent(f.role, static)
+                      and co.state_independent(f.restrict, static) else "dynamic Dist")
+        for e in _nodes(f):
+            marks.add(type(e).__name__)
+            if isinstance(e, (co.PrimitiveConcept, co.PrimitiveRole)) and e.name in static:
+                marks.add("static")
+            if isinstance(e, co.Forall) and not ctx.role(e.role)[0].any(axis=-1).all():
+                marks.add("Forall over an empty row")
+            if isinstance(e, co.RoleEqual) and {type(e.left), type(e.right)} == {
+                    co.PrimitiveRole, co.GoalRole} and e.left.name == e.right.name:
+                marks.add("Equal of a role and its goal version")
+            if isinstance(e, co.ClosureRole):
+                functional = co._functional(ctx.role(e.base))
+                marks.add("functional closure" if functional else "closure")
+    return marks
 
 
 def test_delta_path_values_equal_evaluate_on_random_walks():
     rng = random.Random(29)
     seen, wide, total = set(), 0, 0
-    for gp, concepts, kinds, steps in _delta_walk_cases():
-        pol = po.parse_policy(_accepting_policy(concepts, kinds))
+    for gp, free, steps in _delta_walk_cases():
+        pol = _with_free_features("rule true -> nop\n", free)
         checked = _delta_walk(pol, gp, rng, steps)
         if not checked:
             continue
         total += checked
-        ctx = co.state_context([(co.InstanceContext(gp), gp.init[None])])
-        static = gp.domain.static_predicates()
-        seen.update(kinds)
-        for e in (e for c in concepts for e in _nodes(c)):
-            seen.add(type(e).__name__)
-            if isinstance(e, (co.PrimitiveConcept, co.PrimitiveRole)) and e.name in static:
-                seen.add("static")
-            if isinstance(e, co.Forall) and not ctx.role(e.role)[0].any(axis=-1).all():
-                seen.add("Forall over an empty row")
-            if isinstance(e, co.RoleEqual) and {type(e.left), type(e.right)} == {
-                    co.PrimitiveRole, co.GoalRole} and e.left.name == e.right.name:
-                seen.add("Equal of a role and its goal version")
+        seen |= _walk_marks(gp, pol.features)
         if len(gp.objects) > 64:
             wide += checked
     assert seen >= {"bool", "num", "static", "Forall over an empty row",
-                    "Equal of a role and its goal version"} | {
-        cls.__name__ for cls in co.DELTA_FORMS}
+                    "Equal of a role and its goal version", "functional closure", "closure",
+                    "static Dist", "dynamic Dist", "static Atom", "dynamic Atom"} | {
+        cls.__name__ for forms in co.FORMS.values() for cls in forms}
     assert wide > 1000 and total > 5000
 
 

@@ -128,6 +128,21 @@ def test_role_evaluation_matches_set_semantics():
             assert _pairs(bits, ictx) == want, (co.render(role), sid)
 
 
+@pytest.mark.parametrize("width", [3, 8, 16])
+def test_inverse_of_a_static_role_in_one_state(width):
+    # One state of a whole number of words of objects (64 at width 8): the
+    # transposed members of a broadcast static role pack to a row that a
+    # uint64 view rejected.
+    dom = pddl.parse_domain(domains.VISITALL_DOMAIN)
+    gp = pddl.ground(dom, pddl.parse_instance(
+        domains.visitall_instance(width, 8, (0, 0)), dom))
+    ictx = co.InstanceContext(gp)
+    ctx = co.state_context([(ictx, gp.init[None])])
+    role = InverseRole(PrimitiveRole("connected"))
+    want = oracles.naive_eval_state(role, gp, oracles.unpacker(gp)(gp.init))
+    assert _pairs(ctx.members(ctx.role(role))[0], ictx) == want
+
+
 @pytest.mark.parametrize("n_blocks", [5, 63, 64, 65, 70, 130])
 def test_closure_matches_set_semantics_when_objects_lack_predecessors(n_blocks):
     # The closure passes only over objects that some row of the base role

@@ -72,6 +72,57 @@ def test_parse_error_position():
         assert exc.value.line == 1, text
 
 
+# Pieces of random PDDL-like texts: names, also upper case and non-ASCII
+# ("İ" lower-cases to two characters), parentheses, which need not
+# balance, the whitespace " \t\r\n", other characters that are not
+# whitespace here ("\f", "\v", U+00A0, U+2028), and comments.
+TEXT_PIECES = ["(", ")", "define", "Domain", "?X", ":strips", "a-b", "é", "İx", " ", "\t",
+               "\r", "\r\n", "\n", "\f", "\v", "\u00a0", "\u2028", "x;y", "; a (note)\n", ";"]
+
+
+def _random_text(rng) -> str:
+    """A random text of `TEXT_PIECES`, mostly in one pair of parentheses,
+    now and then ending in a comment with no newline."""
+    text = "".join(rng.choice(TEXT_PIECES) for _ in range(rng.randint(0, 60)))
+    text = f"({text})" if rng.random() < 0.7 else text
+    return text + "; last" if rng.random() < 0.3 else text
+
+
+def _pddl_texts():
+    """The domain and problem texts of `benchmarks/` and of perfbench's run
+    and verify cases of seeds 0 and 7."""
+    yield from (p.read_text() for p in sorted((ROOT / "benchmarks").glob("*/*.pddl")))
+    for seed in (0, 7):
+        for case in workloads.run_cases(ROOT, seed) + workloads.verify_cases(ROOT, seed):
+            yield case.domain_text
+            yield case.problem_text
+
+
+def _read_outcome(text: str) -> str:
+    """What `pddl._read` makes of `text`: its tree, or its error."""
+    def show(node):
+        return [show(v) for v in node.value] if node.is_list else (node.value, node.line, node.col)
+    try:
+        return repr(show(pddl._read(text)))
+    except PddlError as e:
+        return f"error: {e}"
+
+
+def test_tokens_match_the_character_loop(monkeypatch):
+    texts = list(_pddl_texts())
+    rng = random.Random(31)
+    texts += [_random_text(rng) for _ in range(2000)]
+    for text in texts:
+        assert list(pddl._tokenize(text)) == list(oracles.tokenize(text)), repr(text)
+    # The same trees, and the same errors with their lines and columns.
+    outcomes = [_read_outcome(text) for text in texts]
+    monkeypatch.setattr(pddl, "_tokenize", oracles.tokenize)
+    assert outcomes == [_read_outcome(text) for text in texts]
+    errors = [o for o in outcomes if o.startswith("error: ")]
+    assert len(errors) > 1000 and len(outcomes) - len(errors) > 200
+    assert len({o for o in errors if o.startswith("error: unbalanced")}) > 100
+
+
 def test_unsupported_features_rejected():
     text = """
     (define (domain neg)
