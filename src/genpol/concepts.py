@@ -13,12 +13,9 @@ rows over the dynamic atoms (see `pddl.GroundProblem`), and each row's bits
 are moved into a table of the dynamic predicates, a run of bits at a time.
 What no state can change (static predicates, types, nominals, goal versions,
 Top and Bot) is one per-instance constant (`InstanceContext.fixed`).
-A closure role has two kernels, picked from its base role's denotation.
-When every successor set of the base holds at most one object in every
-state (a functional role, like `on` in blocksworld), pointer jumping
-(`_jump_closure`) takes ceil(log2 n) gathers.  Any other base takes bitset
-Floyd-Warshall (`_pass_closure`), one pass per object some row enters,
-which is about n passes for a tower of n blocks.
+A closure role is computed by bitset Floyd-Warshall (`_pass_closure`), one
+pass per object some row enters, which is about n passes for a tower of n
+blocks; greedy execution computes one only for its first state.
 
 Greedy execution evaluates one state after another by deltas
 (`DeltaContext`): the features of a policy and every expression in them
@@ -294,42 +291,6 @@ def _bfs(sources, rows, restrict, far, n) -> np.ndarray:
         seen = seen | cur
         dist += 1
     return dmap
-
-
-def _functional(rows) -> bool:
-    """Whether each successor set of `rows` [..., words] holds at most one
-    object: no word has two bits, and no set two nonzero words."""
-    if (rows & (rows - np.uint64(1))).any():
-        return False
-    return rows.shape[-1] == 1 or ((rows != 0).sum(axis=-1) <= 1).all()
-
-
-def _jump_closure(rows) -> np.ndarray:
-    """Transitive closure of the functional successor sets `rows` [states,
-    n, words] by pointer jumping (Wyllie, 1979).  Rows are numbered state *
-    n + object, and row states * n is an empty sentinel, the successor of
-    every row without one and of itself.  Round k sets reach[x] |=
-    reach[succ[x]] and succ[x] = succ[succ[x]]: both then span 2^k steps.
-    It stops once every pointer is at the sentinel or the span reaches n, as
-    a walk in a functional role meets every object it can reach within n
-    steps, on a cycle too."""
-    n_states, n, words = rows.shape
-    sentinel = n_states * n
-    reach = np.zeros((sentinel + 1, words), dtype=np.uint64)
-    reach[:-1].reshape(rows.shape)[...] = rows  # `rows` may be a read-only view
-    one = np.bitwise_or.reduce(rows, axis=-1)  # a row's one nonzero word, or 0
-    bit = np.frexp(one.astype(np.float64))[1] - 1  # exact: `one` is 0 or 2^b, b < 64
-    if words > 1:
-        bit += 64 * (rows != 0).argmax(axis=-1)
-    succ = np.full(sentinel + 1, sentinel)
-    held = np.flatnonzero(one)
-    succ[held] = held // n * n + bit.ravel()[held]
-    span = 1
-    while span < n and succ.min() < sentinel:
-        reach |= reach.take(succ, axis=0)
-        succ = succ.take(succ)
-        span *= 2
-    return reach[:-1].reshape(rows.shape)
 
 
 def _pass_closure(rows) -> np.ndarray:
@@ -622,11 +583,9 @@ class StateContext:
         elif isinstance(expr, InverseRole):
             got = self.pack(self.members(self.role(expr.base)).swapaxes(1, 2))
         elif isinstance(expr, ClosureRole):
-            # Floyd-Warshall makes one pass per entered object, about n for
-            # `on` in a tower; pointer jumping makes ceil(log2 n) gathers
-            # but needs at most one successor per row in every state.
-            base = self.role(expr.base)
-            got = (_jump_closure if _functional(base) else _pass_closure)(base)
+            # One Floyd-Warshall pass per entered object, about n for `on`
+            # in a tower of n blocks.
+            got = _pass_closure(self.role(expr.base))
         else:
             got = self.fixed(expr)
         self.memo[expr] = got

@@ -441,9 +441,11 @@ def solve_wcnf_external(p: WcnfProblem, command: str,
     """Runs an external MaxSAT solver on the WCNF serialization.
 
     The solver is invoked as `command <file>` and must print standard
-    's'/'v' result lines.  The returned model is re-checked locally and the
-    reported cost recomputed, so a buggy external solver cannot smuggle in
-    an infeasible answer (it can still claim a non-optimal one).
+    's'/'v' result lines; the status is the first line that starts with
+    's '.  The returned model is re-checked locally and the reported cost
+    recomputed, so a buggy external solver cannot smuggle in an infeasible
+    answer (it can still claim a non-optimal one).  'SATISFIABLE', a model
+    not proven optimal, is an error: the cost must be an exact optimum.
     """
     with tempfile.NamedTemporaryFile("w", suffix=".wcnf", delete=False) as f:
         f.write(format_wcnf(p))
@@ -458,11 +460,16 @@ def solve_wcnf_external(p: WcnfProblem, command: str,
     finally:
         os.unlink(path)
     out = proc.stdout
-    if "s UNSATISFIABLE" in out:
+    status = next((" ".join(line.split()[1:]) for line in out.splitlines()
+                   if line.startswith("s ")), None)
+    if status == "UNSATISFIABLE":
         return MaxSatResult(UNSATISFIABLE)
-    if "s OPTIMUM FOUND" not in out and "s SATISFIABLE" not in out:
+    if status == "SATISFIABLE":
+        raise GenpolError(f"external solver '{command}' found a model "
+                          f"but did not prove it optimal")
+    if status != "OPTIMUM FOUND":
         raise GenpolError(
-            f"external solver '{command}' produced no status line; "
+            f"external solver '{command}' reported no optimum; "
             f"stderr: {proc.stderr.strip()[:500]}")
     model = parse_model(out, p.nvars)
     hard_ok, cost = evaluate(p, model)

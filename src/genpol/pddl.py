@@ -454,7 +454,7 @@ def parse_instance(text: str, dom: DomainModel, goal_params=()) -> InstanceModel
 # its uint64 [rows, actions] temporary to 2 MB on large frontiers.
 _APPLICABLE_BLOCK = 1 << 18
 
-_ONE = np.ones(1, dtype=np.uint64)  # `successors` appends it: bit 64 * words
+_ONE = np.ones(1, dtype=np.uint64)  # `_held` appends it: bit 64 * words
 
 
 @dataclass
@@ -477,10 +477,12 @@ class GroundProblem:
     (`pre_key`), the one the fewest actions require, the lowest on ties; an
     action without one gets bit 64 * words.  `successors` of one row sets
     that bit on the row and tests only the actions keyed by bits the row
-    holds (as in Helmert, JAIR 2006), reading their bits; `transitions`
-    tests all actions on blocks of rows through the packed masks
-    `pre_masks`, `add_masks` and `del_masks`, uint64 [actions, words],
-    which are built from the bits on first use.
+    holds (as in Helmert, JAIR 2006), reading their bits, and returns their
+    ids; `apply` builds the successor row of one action from its bits.
+    `transitions` tests all actions on blocks of rows, and builds every
+    successor row, through the packed masks `pre_masks`, `add_masks` and
+    `del_masks`, uint64 [actions, words], which are built from the bits on
+    first use.
     """
 
     domain: DomainModel
@@ -520,40 +522,6 @@ class GroundProblem:
         return [(w, slice(None) if len(i) == len(self.actions) else i, self.pre_masks[i, w])
                 for w, i in enumerate(ids) if len(i)]
 
-    @cached_property
-    def _effects(self) -> np.ndarray:
-        """uint64 [actions, 3, t]: per action, the words its effects change
-        (as int64 bits), and the masks `keep` and `put` that change them,
-        word at[j] becoming (word & keep[j]) | put[j]; t is the number of
-        delete and add columns.  An action's words are distinct, and its row
-        is padded with copies of its first entry (word 0, changed by
-        nothing, when it changes none), so a scatter of one row per action
-        writes each word once, or the same value more than once.  Built one
-        column at a time, so no temporary is larger than one column."""
-        columns = [(1, b) for b in self.del_bits.T] + [(2, b) for b in self.add_bits.T]
-        n = len(self.actions)
-        eff = np.zeros((n, 3, len(columns)), dtype=np.uint64)
-        at = eff[:, 0].view(np.int64)
-        rows = np.arange(n)
-        for j, (kind, bits) in enumerate(columns):
-            real = bits < 64 * self.words
-            word = np.where(real, bits >> 6, -1)
-            slot = np.full(n, j)  # the first column that holds its word, or j
-            for i in range(j - 1, -1, -1):
-                slot[real & (at[:, i] == word)] = i
-            at[:, j] = np.where(slot == j, word, -1)
-            eff[rows, kind, slot] |= np.left_shift(np.uint64(1),
-                                                   (bits & 63).astype(np.uint64)) * real
-        first = np.zeros(n, dtype=np.int64)  # the first column of a row's own word
-        for j in range(len(columns) - 1, -1, -1):
-            first[at[:, j] >= 0] = j
-        for j in range(len(columns)):
-            hole = np.flatnonzero(at[:, j] < 0)
-            eff[hole, :, j] = eff[hole, :, first[hole]]
-        at[at < 0] = 0
-        np.invert(eff[:, 1], out=eff[:, 1])
-        return eff
-
     @property
     def words(self) -> int:
         return len(self.init)
@@ -581,19 +549,27 @@ class GroundProblem:
         at, aids = np.concatenate(at), np.concatenate(aids)
         return at, aids, (rows[at] & ~self.del_masks[aids]) | self.add_masks[aids]
 
-    def successors(self, row: np.ndarray) -> tuple:
-        """(action ids ascending, successor rows [k, words]) of one row, the
-        same as `transitions(row[None])`."""
-        held = np.unpackbits(np.concatenate((row, _ONE)).astype("<u8", copy=False)
-                             .view(np.uint8), bitorder="little")
+    def successors(self, row: np.ndarray) -> np.ndarray:
+        """The ids of the actions applicable in one row, ascending: those of
+        `transitions(row[None])`."""
+        held = self._held(row)
         aids = np.flatnonzero(held[self.pre_key])
-        aids = aids[held[self.pre_bits[aids]].all(axis=1)]
-        eff = self._effects[aids]
-        at = eff[:, 0].view(np.int64)
-        succ = np.repeat(row[None], len(aids), axis=0)
-        succ[np.arange(len(aids))[:, None], at] = (row[at] & eff[:, 1]) | eff[:, 2]
-        return aids, succ
+        return aids[held[self.pre_bits[aids]].all(axis=1)]
 
+    def apply(self, row: np.ndarray, aid: int) -> np.ndarray:
+        """The successor row of one row by action `aid`: its delete bits
+        cleared, then its add bits set."""
+        held = self._held(row)
+        held[self.del_bits[aid]] = 0
+        held[self.add_bits[aid]] = 1
+        packed = np.packbits(held[:-64], bitorder="little")
+        return packed.view("<u8").astype(np.uint64, copy=False)
+
+    @staticmethod
+    def _held(row: np.ndarray) -> np.ndarray:
+        """uint8 [64 * (words + 1)]: the row's bits, then bit 64 * words set."""
+        return np.unpackbits(np.concatenate((row, _ONE)).astype("<u8", copy=False)
+                             .view(np.uint8), bitorder="little")
 
 def _pack(bits: np.ndarray, words: int) -> np.ndarray:
     """Packed rows, uint64 [n, words], of the bits int64 [n, k] of each row;

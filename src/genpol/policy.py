@@ -22,14 +22,16 @@ alternative; `Policy.compatible` makes the same test on one transition in
 plain Python.
 Greedy execution keeps the feature values of one state in a
 `concepts.DeltaContext`, which evaluates the first state and then each
-successor by deltas.  A step takes the successors of one state from
-`GroundProblem.successors`, which tests only the actions keyed by bits the
-state holds, and reads the moves among them from a generator (`_moves`),
-each move (row id, feature values, change) in action order; the generator
-evaluates the successors one at a time, only as far as the moves are read,
-and tests each with `Policy.compatible`.  The "first" tie break takes the
-first move; the "random" tie break draws one of all of them.  Stepping
-applies the chosen move's change without evaluating anything.
+successor by deltas.  A step takes the ids of the actions applicable in one
+state from `GroundProblem.successors`, which tests only the actions keyed
+by bits the state holds, and reads the moves among them from a generator
+(`_moves`), each move (action id, feature values, change) in action order;
+the generator evaluates the successors one at a time from the actions'
+bits, only as far as the moves are read, and tests each with
+`Policy.compatible`.  The "first" tie break takes the first move; the
+"random" tie break draws one of all of them.  Stepping builds the one
+successor row of the chosen action (`GroundProblem.apply`), for the cycle
+check, and applies the move's change without evaluating anything.
 
 Extraction turns the good equivalence classes of a theory model into rules:
 classes are grouped by the source valuation (one rule per distinct body) and
@@ -300,8 +302,7 @@ def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
     for step in range(max_steps):
         if gp.is_goal(state):
             return ExecutionResult("goal", step, trajectory)
-        aids, succ = gp.successors(state)
-        moves = _moves(policy, kept, src, aids)
+        moves = _moves(policy, kept, src, gp.successors(state))
         if first:
             move = next(moves, None)
         else:
@@ -309,13 +310,13 @@ def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
             move = moves[rng.randrange(len(moves))] if moves else None
         if move is None:
             return ExecutionResult("no_compatible", step, trajectory)
-        i, src, change = move
-        key = succ[i].tobytes()
+        aid, src, change = move
+        state = gp.apply(state, aid)
+        key = state.tobytes()
         if key in visited:
             return ExecutionResult("cycle", step, trajectory)
         visited.add(key)
-        trajectory.append(gp.actions[aids[i]])
-        state = succ[i]
+        trajectory.append(gp.actions[aid])
         kept.apply(change)
     if gp.is_goal(state):
         return ExecutionResult("goal", max_steps, trajectory)
@@ -325,13 +326,13 @@ def greedy_execute(policy: Policy, gp, max_steps: int | None = None,
 def _moves(policy: Policy, kept, src, aids):
     """Yields the moves among the successors by actions `aids` of the state
     that the `co.DeltaContext` `kept` holds, with feature values `src`, in
-    action order: (row id, feature values, change to apply to `kept`).  The
-    successors are evaluated by deltas one at a time as the moves are read,
-    each tested with `Policy.compatible`."""
-    for i, aid in enumerate(aids.tolist()):
+    action order: (action id, feature values, change to apply to `kept`).
+    The successors are evaluated by deltas one at a time as the moves are
+    read, each tested with `Policy.compatible`."""
+    for aid in aids.tolist():
         dst, change = kept.successor(aid)
         if policy.compatible(src, dst):
-            yield i, dst, change
+            yield aid, dst, change
 
 
 @dataclass

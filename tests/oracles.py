@@ -162,15 +162,17 @@ def key_bits(gp):
 
 
 def check_successors(gp, rows):
-    """Asserts that `successors` of each packed row equals the mask test of
-    `transitions` on that row alone: the same action ids, in the same order,
-    and the same successor rows."""
+    """Asserts that `successors` and `apply` of each packed row equal the
+    mask test of `transitions` on that row alone: the same action ids, in
+    the same order, and the same successor row by each of them."""
     for row in rows:
-        aids, succ = gp.successors(row)
+        aids = gp.successors(row)
         _, want_aids, want = gp.transitions(row[None])
-        assert aids.dtype == want_aids.dtype and succ.dtype == np.uint64
-        assert np.array_equal(aids, want_aids) and np.array_equal(succ, want)
-        assert succ.shape == (len(aids), gp.words)
+        assert aids.dtype == want_aids.dtype and np.array_equal(aids, want_aids)
+        for aid, succ in zip(aids.tolist(), want):
+            got = gp.apply(row, aid)
+            assert got.dtype == np.uint64 and got.shape == (gp.words,)
+            assert np.array_equal(got, succ)
 
 
 def unpacker(gp):
@@ -257,6 +259,13 @@ def complexity(expr) -> int:
     """Number of syntax tree nodes of a concept or role expression."""
     return 1 + sum(complexity(getattr(expr, f.name)) for f in dataclasses.fields(expr)
                    if dataclasses.is_dataclass(getattr(expr, f.name)))
+
+
+def functional(rows) -> bool:
+    """Whether each successor set of the uint64 array `rows` [..., words]
+    holds at most one object, counted bit by bit."""
+    sets = np.asarray(rows).reshape(-1, np.shape(rows)[-1]).tolist()
+    return all(sum(bin(word).count("1") for word in words) <= 1 for words in sets)
 
 
 def naive_eval_state(expr, gp, state):
@@ -781,8 +790,9 @@ def check_descending(policy, gp, tuple_values, max_states=MAX_STATES):
 
 # -- greedy execution ----------------------------------------------------------
 # `genpol.policy.greedy_execute` before it evaluated successors in blocks,
-# kept verbatim but for the name and the module prefixes: every step
-# evaluates every successor.  `tests/test_policy.py` requires the same runs.
+# kept verbatim but for the name, the module prefixes and the successor
+# rows, which come from the mask test of `transitions`: every step evaluates
+# every successor.  `tests/test_policy.py` requires the same runs.
 
 def eager_greedy_execute(policy, gp, max_steps=None, tie_break="first", seed=0):
     """Follows policy-compatible transitions from the initial state."""
@@ -802,7 +812,7 @@ def eager_greedy_execute(policy, gp, max_steps=None, tie_break="first", seed=0):
     for step in range(max_steps):
         if gp.is_goal(state):
             return po.ExecutionResult("goal", step, trajectory)
-        aids, succ = gp.successors(state)
+        _, aids, succ = gp.transitions(state[None])
         dst = policy.evaluate(ictx, succ)
         options = np.flatnonzero(policy.compatible_mask(
             np.broadcast_to(src, dst.shape), dst)).tolist()

@@ -4,9 +4,9 @@
 exactly the values of the set-semantics oracle (`oracles.feature_value`) on
 every state, and `verify_space` on those values must match the certificate
 oracle, which reads the rules literally and walks plain dicts.  Greedy
-execution, which evaluates successors in blocks or by deltas, must repeat
-the runs of the loop that evaluates them all (`oracles.eager_greedy_execute`),
-and each successor that it evaluates by deltas must get the values that
+execution, which evaluates successors by deltas, must repeat the runs of
+the loop that evaluates them all (`oracles.eager_greedy_execute`), and
+each successor that it evaluates by deltas must get the values that
 `Policy.evaluate` gives on its row.
 """
 
@@ -649,7 +649,7 @@ def test_greedy_plans_on_more_than_64_objects_replay_to_the_goal(tie_break, case
 # position n - 2 near the end; visitall steps have at most 4 successors.
 # The stuck policies pick one ball, then find no move among 17 successors,
 # so every successor of that state is read, once through an inverse role.
-BLOCK_SCAN_CASES = {
+EAGER_LOOP_CASES = {
     "gripper-30": ("gripper", lambda: instances.gripper(30, random.Random(1), "g"), None),
     "clear-52": ("clear", lambda: instances.clear_tower(52, random.Random(1), "c"), None),
     "visitall-6x5": ("visitall", lambda: instances.visitall(6, 5, (2, 2), "v"), None),
@@ -661,8 +661,8 @@ BLOCK_SCAN_CASES = {
 }
 
 
-def _block_scan_case(name):
-    domain, make, text = BLOCK_SCAN_CASES[name]
+def _eager_loop_case(name):
+    domain, make, text = EAGER_LOOP_CASES[name]
     inst = make()
     gp = _ground((ROOT / "benchmarks" / domain / "domain.pddl").read_text(),
                  inst.pddl(), inst.goal_params)
@@ -671,19 +671,20 @@ def _block_scan_case(name):
 
 def _positions(gp, trajectory):
     """Per step of a run, the position of the action taken among the
-    state's successors, and the number of successors of every state."""
+    state's successors, and the number of successors of every state; the
+    successors come from the mask test of `transitions`."""
     state, taken, counts = gp.init, [], []
     for action in trajectory:
-        aids, succ = gp.successors(state)
+        _, aids, succ = gp.transitions(state[None])
         taken.append([gp.actions[a] for a in aids].index(action))
         counts.append(len(aids))
         state = succ[taken[-1]]
-    return taken, counts + [len(gp.successors(state)[0])]
+    return taken, counts + [len(gp.transitions(state[None])[1])]
 
 
-@pytest.mark.parametrize("name", list(BLOCK_SCAN_CASES))
-def test_block_scan_matches_the_eager_loop(name):
-    gp, pol = _block_scan_case(name)
+@pytest.mark.parametrize("name", list(EAGER_LOOP_CASES))
+def test_greedy_execution_matches_the_eager_loop(name):
+    gp, pol = _eager_loop_case(name)
     for tie_break, seed in [("first", 0), ("random", 0), ("random", 1),
                             ("random", 2), ("random", 3)]:
         got = po.greedy_execute(pol, gp, tie_break=tie_break, seed=seed)
@@ -710,7 +711,7 @@ def test_first_tie_break_evaluates_fewer_states(monkeypatch):
         evaluated.append(aid)
         return successor(self, aid)
 
-    gp, pol = _block_scan_case("clear-52")
+    gp, pol = _eager_loop_case("clear-52")
     with monkeypatch.context() as m:
         m.setattr(co.DeltaContext, "successor", counting)
         run = po.greedy_execute(pol, gp)
@@ -729,11 +730,13 @@ def _delta_checked_run(pol, gp, monkeypatch, **kw):
     successors, successor = gp.successors, co.DeltaContext.successor
     compatible, init = po.Policy.compatible, co.DeltaContext.__init__
 
-    def listing(row):
-        aids, succ = successors(row)
+    def listing(row):  # the successor rows from the mask test of `transitions`
+        aids = successors(row)
+        _, want, succ = gp.transitions(row[None])
+        assert np.array_equal(aids, want)
         rows.clear()
         rows.update(zip(aids.tolist(), succ))
-        return aids, succ
+        return aids
 
     def evaluating(self, aid):
         checked.append([rows[aid]])
@@ -764,7 +767,7 @@ def _delta_checked_run(pol, gp, monkeypatch, **kw):
 
 
 # Gripper runs by deltas: perfbench's gripper-100 of two seeds, the scale
-# cases and the block-scan cases; (tie break, seed) of each run.
+# cases and the eager-loop cases; (tie break, seed) of each run.
 DELTA_CASES = {
     "perfbench-0": [("first", 0), ("random", 3)],
     "perfbench-7": [("first", 0), ("random", 3)],
@@ -780,8 +783,8 @@ def test_delta_path_values_equal_evaluate_on_gripper_runs(name, monkeypatch):
     if name.startswith("perfbench-"):
         case = workloads.run_cases(ROOT, int(name.split("-")[1]))[0]
         gp, pol = workloads._ground(case), case.policy
-    elif name in BLOCK_SCAN_CASES:
-        gp, pol = _block_scan_case(name)
+    elif name in EAGER_LOOP_CASES:
+        gp, pol = _eager_loop_case(name)
     else:
         inst = SCALE_CASES[name][1]()
         gp = _ground((ROOT / "benchmarks" / "gripper" / "domain.pddl").read_text(),
@@ -947,12 +950,12 @@ def _delta_walk(pol, gp, rng, steps: int) -> int:
     assert [src] == pol.evaluate(ictx, gp.init[None]).tolist()
     checked = 0
     for _ in range(steps):
-        aids, succ = gp.successors(state)
-        options = list(po._moves(pol, kept, src, aids))
-        assert [i for i, _, _ in options] == list(range(len(aids)))
+        _, aids, succ = gp.transitions(state[None])
+        options = list(po._moves(pol, kept, src, gp.successors(state)))
+        assert [aid for aid, _, _ in options] == aids.tolist()
         assert [dst for _, dst, _ in options] == pol.evaluate(ictx, succ).tolist()
         checked += len(aids)
-        moves = [i for i, _, _ in options if (succ[i] != state).any()]
+        moves = [i for i in range(len(aids)) if (succ[i] != state).any()]
         if not moves:
             break
         i = rng.choice(moves)
@@ -1047,7 +1050,7 @@ def _walk_marks(gp, feats):
                     co.PrimitiveRole, co.GoalRole} and e.left.name == e.right.name:
                 marks.add("Equal of a role and its goal version")
             if isinstance(e, co.ClosureRole):
-                functional = co._functional(ctx.role(e.base))
+                functional = oracles.functional(ctx.role(e.base))
                 marks.add("functional closure" if functional else "closure")
     return marks
 

@@ -423,5 +423,24 @@ def test_external_solver_lies_are_caught(tmp_path):
     with pytest.raises(GenpolError):
         solve_wcnf_external(p, no_status)
 
+    # The status comes from an 's ' line only, not from a comment that
+    # quotes one: this optimum stands.
+    quoted = _write_script(tmp_path, """
+        print('c s UNSATISFIABLE was ruled out')
+        print('s OPTIMUM FOUND')
+        print('v 1 2 0')
+    """)
+    res = solve_wcnf_external(p, quoted)
+    assert (res.status, res.cost) == (maxsat.OPTIMUM, 0)
+
+    # A model that is not proven optimal is no optimum: this one costs 1,
+    # where the optimum is 0.
+    unproven = _write_script(tmp_path, """
+        print('s SATISFIABLE')
+        print('v 1 -2 0')
+    """)
+    with pytest.raises(GenpolError, match="did not prove it optimal"):
+        solve_wcnf_external(p, unproven)
+
     with pytest.raises(GenpolError):
         solve_wcnf_external(p, str(tmp_path / "missing_binary"))

@@ -323,12 +323,12 @@ def test_applicable_matches_hand_simulation():
       (:goal (and (clear a))))"""
     inst = pddl.parse_instance(text, dom, ["a"])
     gp = pddl.ground(dom, inst)
-    aids, succ = gp.successors(gp.init)
+    aids = gp.successors(gp.init)
     assert [gp.actions[i] for i in aids] == ["unstack(b,a)"]
-    assert {gp.atoms[i] for i in oracles.unpacker(gp)(succ[0])} == {
+    succ = gp.apply(gp.init, aids[0])
+    assert {gp.atoms[i] for i in oracles.unpacker(gp)(succ)} == {
         ("clear", "a"), ("holding", "b"), ("on-table", "a")}
-    aids2, _ = gp.successors(succ[0])
-    assert [gp.actions[i] for i in aids2] == ["putdown(b)", "stack(b,a)"]
+    assert [gp.actions[i] for i in gp.successors(succ)] == ["putdown(b)", "stack(b,a)"]
 
 
 def test_successor_states_are_packed_rows():
@@ -336,13 +336,14 @@ def test_successor_states_are_packed_rows():
     gp = pddl.ground(dom, inst)
     assert gp.init.dtype == np.uint64 and gp.init.shape == (gp.words,)
     assert gp.static_atoms == frozenset()  # every gripper predicate is dynamic
-    aids, succ = gp.successors(gp.init)
-    assert succ.dtype == np.uint64 and succ.shape == (len(aids), gp.words)
+    aids = gp.successors(gp.init)
     unpack = oracles.unpacker(gp)
     atoms = lambda row: {gp.atoms[i] for i in unpack(row)}
     init = atoms(gp.init)
     want = oracles.product_ground(dom, inst).actions
-    for aid, row in zip(aids.tolist(), succ):
+    for aid in aids.tolist():
+        row = gp.apply(gp.init, aid)
+        assert row.dtype == np.uint64 and row.shape == (gp.words,)
         name, pre, add, dele = want[aid]
         assert name == gp.actions[aid] and pre <= init
         assert atoms(row) == (init - dele) | add
@@ -420,8 +421,7 @@ def test_successors_of_a_problem_without_actions():
     gp = pddl.ground(dom, pddl.parse_instance(
         "(define (problem p) (:domain gated) (:init (fresh)) (:goal (and (done))))", dom))
     assert gp.actions == [] and gp.pre_key.shape == (0,)
-    aids, succ = gp.successors(gp.init)
-    assert aids.tolist() == [] and succ.shape == (0, gp.words)
+    assert gp.successors(gp.init).tolist() == []
     oracles.check_successors(gp, [gp.init])
 
 
@@ -470,7 +470,8 @@ def test_successors_of_shadowed_deletes_and_repeated_preconditions(n):
 
 def test_grounding_a_100_block_tower_builds_no_dense_masks():
     # The dense masks, uint64 [actions, words] each, would take 81 MB here;
-    # a greedy step reads the actions' bits only.
+    # a greedy step reads the actions' bits only, and builds one row from
+    # the chosen action's bits.
     dom = pddl.parse_domain((ROOT / "benchmarks" / "clear" / "domain.pddl").read_text())
     inst = instances.clear_tower(100, random.Random(0), "clear-100")
     problem = pddl.parse_instance(inst.pddl(), dom, inst.goal_params)
@@ -482,9 +483,12 @@ def test_grounding_a_100_block_tower_builds_no_dense_masks():
         tracemalloc.stop()
     assert len(gp.actions) == 2 * 100 * 100 + 2 * 100 and gp.words == 161
     assert peak < 16e6
-    aids, succ = gp.successors(gp.init)
+    aids = gp.successors(gp.init)
     assert len(aids) == 1 and gp.actions[aids[0]].startswith("unstack(")
-    assert not {"pre_masks", "add_masks", "del_masks"} & set(vars(gp))
+    pol = po.parse_policy((ROOT / "perfbench" / "policies" / "clear.txt").read_text())
+    run = po.greedy_execute(pol, gp, max_steps=4)
+    assert run.status == "step_limit" and len(run.trajectory) == 4
+    assert not [name for name in vars(gp) if name.endswith("_masks")]
 
 
 @pytest.mark.parametrize("make,policy_name", [
