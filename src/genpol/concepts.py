@@ -1,11 +1,12 @@
 """Description logic concepts and roles over planning states.
 
 Concepts denote sets of objects, roles denote binary relations.  Both are
-evaluated over many states at once, possibly of several instances of one
-domain (`state_context`): a set of objects is a row of uint64 words, one
-bit per object of the instance's sorted object list, so a concept is an
-array [states, words] and a role one of per-object successor sets
-[states, objects, words].  Distances are breadth-first searches run in all
+evaluated over many states of one instance at once (`state_context`); pool
+generation, which evaluates several instances, joins their per-instance
+results itself (`features.generate_pool`).  A set of objects is a row of
+uint64 words, one bit per object of the instance's sorted object list, so a
+concept is an array [states, words] and a role one of per-object successor
+sets [states, objects, words].  Distances are breadth-first searches run in all
 states together, or, over a state-independent role and restriction (built
 from static predicates, types, nominals, goal versions, Top and Bot only),
 reads of an all-pairs table built once per instance.  States come as packed
@@ -276,8 +277,8 @@ def _bfs(sources, rows, restrict, far, n) -> np.ndarray:
     """Breadth-first search from each of the object sets `sources` [k,
     words] at once: int64 [k, n] steps of the successor sets `rows` [k or
     1, n, words] to each object, the steps entering `restrict` [k or 1,
-    words] only; `far` [k] where unreachable."""
-    dmap = np.repeat(far[:, None], n, axis=1)
+    words] only; `far` where unreachable."""
+    dmap = np.full((len(sources), n), far)
     rows = np.broadcast_to(rows, (len(sources),) + rows.shape[1:])
     seen = cur = sources
     dist = 0
@@ -331,6 +332,9 @@ class InstanceContext:
         self.index = index = {o: i for i, o in enumerate(self.objects)}
         n = self.n = len(self.objects)
         w = self.words = _words(n)
+        # A role has one successor set per object, and one empty set when the
+        # instance has none, as an empty set of objects still has one word.
+        slots = self.slots = max(1, n)
         dom = gp.domain
         preds = dom.predicates.values()
 
@@ -366,7 +370,7 @@ class InstanceContext:
         for arity, sort in ((1, CONCEPT), (2, ROLE)):  # one write and one pack each
             exprs = [e for e in held if type(e) in FORMS[sort]]
             at = np.fromiter(chain.from_iterable(map(held.get, exprs)), dtype=np.int64)
-            bits = np.zeros((len(exprs),) + (n,) * arity, dtype=bool)
+            bits = np.zeros((len(exprs),) + (slots, n)[2 - arity:], dtype=bool)
             bits[(np.repeat(np.arange(len(exprs)), [len(held[e]) // arity for e in exprs]),
                   *at.reshape(-1, arity).T)] = True
             self.fixed.update(zip(exprs, pack(bits, w)))
@@ -387,8 +391,8 @@ class InstanceContext:
         self.binary_preds = sorted(p.name for p in dynamic if p.arity == 2)
         self.flag_preds = sorted(p.name for p in dynamic if p.arity not in _VERSIONS)
         unary = {p: k * w for k, p in enumerate(self.unary_preds)}
-        binary = {p: (len(unary) + k * n) * w for k, p in enumerate(self.binary_preds)}
-        self._flag0 = (len(unary) + len(binary) * n) * w
+        binary = {p: (len(unary) + k * slots) * w for k, p in enumerate(self.binary_preds)}
+        self._flag0 = (len(unary) + len(binary) * slots) * w
         self._width = self._flag0 + len(self.flag_preds)
         flag = {p: self._flag0 + k for k, p in enumerate(self.flag_preds)}
 
@@ -426,7 +430,7 @@ class InstanceContext:
 
     def tables(self, rows):
         """The dynamic atoms of the states of the packed `rows`: unary sets
-        [S, U, words], binary successor sets [S, B, n, words] and flags bool
+        [S, U, words], binary successor sets [S, B, slots, words] and flags bool
         [S, F], S = len(rows), in the order of `unary_preds`, `binary_preds`
         and `flag_preds`."""
         n_states = len(rows)
@@ -441,7 +445,7 @@ class InstanceContext:
         sets = len(self.unary_preds) * self.words
         return (table[:, :sets].reshape(n_states, len(self.unary_preds), self.words),
                 table[:, sets:self._flag0].reshape(n_states, len(self.binary_preds),
-                                                   self.n, self.words),
+                                                   self.slots, self.words),
                 table[:, self._flag0:] > 0)
 
     def denotation(self, expr) -> np.ndarray:
@@ -457,11 +461,11 @@ class InstanceContext:
 
     def static(self, expr) -> np.ndarray:
         """The denotation of a state-independent concept ([words]) or role
-        ([n, words]), evaluated once in the initial state and memoized."""
+        ([slots, words]), evaluated once in the initial state and memoized."""
         if not state_independent(expr, self.static_preds):
             raise ValueError(f"not state-independent: {render(expr)}")
         if self._init is None:
-            self._init = StateContext([(self, self.gp.init[None])])
+            self._init = StateContext(self, self.gp.init[None])
         ctx = self._init
         return (ctx.role(expr) if type(expr) in FORMS[ROLE] else ctx.concept(expr))[0]
 
@@ -474,67 +478,40 @@ class InstanceContext:
             n = self.n
             got = self._tables[role, restrict] = _bfs(
                 pack(np.eye(n, dtype=bool), self.words), self.static(role)[None, :n],
-                self.static(restrict)[None], np.full(n, n + 1), n)
+                self.static(restrict)[None], n + 1, n)
         return got
 
 
-def _padded(a: np.ndarray, shape: tuple) -> np.ndarray:
-    """`a` zero-padded to `shape`."""
-    if a.shape == shape:
-        return a
-    out = np.zeros(shape, dtype=a.dtype)
-    out[tuple(map(slice, a.shape))] = a
-    return out
-
-
 class StateContext:
-    """Denotations over many states at once; create via `state_context`.
+    """Denotations over many states of one instance at once; create via
+    `state_context`.
 
-    The states are those of `parts`, (InstanceContext, packed rows) pairs
-    of one domain, concatenated.  With n the most objects of any instance (at
-    least one), a concept is a uint64 array [n_states, words] of object
-    sets and a role an array [n_states, n, words] of successor sets, empty
-    past an instance's own objects.  Denotations are memoized in `memo`.
+    The states are the packed rows `states` of the instance of `ictx`.  A
+    concept is a uint64 array [n_states, words] of object sets and a role an
+    array [n_states, n, words] of successor sets, n the instance's object
+    slots (`InstanceContext.slots`).  Denotations are memoized in `memo`.
     """
 
-    def __init__(self, parts):
-        self.ictxs = [ictx for ictx, _ in parts]
-        self.sizes = [len(states) for _, states in parts]
-        self.n_states = sum(self.sizes)
-        self.domain = self.ictxs[0].gp.domain
-        self.n = max(1, max(c.n for c in self.ictxs))
-        self.words = _words(self.n)
-        self.n_objs = np.repeat([c.n for c in self.ictxs], self.sizes)
+    def __init__(self, ictx: InstanceContext, states):
+        self.ictx = ictx
+        self.n_states = len(states)
+        self.domain = ictx.gp.domain
+        self.n, self.words = ictx.slots, ictx.words
+        self.far = ictx.n + 1  # the distance to an object out of reach
         self.memo: dict = {}
 
-        ictx0 = self.ictxs[0]
-        tables = [ictx.tables(states) for ictx, states in parts]
-        shapes = [(len(ictx0.unary_preds), self.words),
-                  (len(ictx0.binary_preds), self.n, self.words),
-                  (len(ictx0.flag_preds),)]
-        unary, rows, flags = (  # one part's tables are used as they are
-            np.concatenate(p) if len(p) > 1 else p[0]
-            for p in ([_padded(a, a.shape[:1] + tail) for a in got]
-                      for got, tail in zip(zip(*tables), shapes)))
-        self.unary = dict(zip(ictx0.unary_preds, unary.swapaxes(0, 1)))
-        self.rows = dict(zip(ictx0.binary_preds, rows.swapaxes(0, 1)))
-        self.flags = dict(zip(ictx0.flag_preds, flags.T.astype(np.int64)))
-        self.flags.update((p, np.repeat([c.flags[p] for c in self.ictxs], self.sizes))
-                          for p in ictx0.flags)
+        unary, rows, flags = ictx.tables(states)
+        self.unary = dict(zip(ictx.unary_preds, unary.swapaxes(0, 1)))
+        self.rows = dict(zip(ictx.binary_preds, rows.swapaxes(0, 1)))
+        self.flags = dict(zip(ictx.flag_preds, flags.T.astype(np.int64)))
+        self.flags.update((p, np.full(self.n_states, flag)) for p, flag in ictx.flags.items())
         self.universe = self.fixed(Top())
 
-    def constant(self, values) -> np.ndarray:
-        """Per-state array of a per-instance set (or successor sets), given
-        for each part; of one part, a read-only view of its value."""
-        shape = (self.words,) if values[0].ndim == 1 else (self.n, self.words)
-        if len(values) == 1:
-            return np.broadcast_to(_padded(values[0], shape), (self.n_states,) + shape)
-        rows = np.stack([_padded(v, shape) for v in values])
-        return np.repeat(rows, self.sizes, axis=0)
-
     def fixed(self, expr) -> np.ndarray:
-        """Per-state array of an atomic expression no state can change."""
-        return self.constant([c.denotation(expr) for c in self.ictxs])
+        """Per-state array of an atomic expression no state can change: a
+        read-only view of the instance's one value."""
+        value = self.ictx.denotation(expr)
+        return np.broadcast_to(value, (self.n_states,) + value.shape)
 
     def pack(self, bits: np.ndarray) -> np.ndarray:
         return pack(bits, self.words)
@@ -596,41 +573,38 @@ class StateContext:
     def distances(self, source, role, restricts) -> np.ndarray:
         """int64 [len(restricts), n_states, n]: per restriction, the steps of
         `role` from the members of `source` to each object, the steps entering
-        the restriction only; n + 1 where unreachable, with each state's own n.
-        Where `role` and a restriction are state-independent, a state's map is
-        the minimum of its instance's distance table rows over the source
-        members; the other restrictions share one breadth-first search."""
-        preds = self.ictxs[0].static_preds
+        the restriction only; `far` where unreachable.  Where `role` and a
+        restriction are state-independent, a state's map is the minimum of the
+        instance's distance table rows over the source members; the other
+        restrictions share one breadth-first search."""
+        ictx = self.ictx
+        preds = ictx.static_preds
         tabled = np.array([state_independent(role, preds) and state_independent(r, preds)
                            for r in restricts], dtype=bool)
-        dmap = np.full((len(restricts), self.n_states, self.n), (self.n_objs + 1)[:, None])
+        dmap = np.full((len(restricts), self.n_states, self.n), self.far)
         searched = [self.concept(r) for r, t in zip(restricts, tabled) if not t]
         if searched:
             k = len(searched)
             dmap[~tabled] = self.distance_map(
                 np.tile(self.concept(source), (k, 1)), np.tile(self.role(role), (k, 1, 1)),
                 np.concatenate(searched)).reshape(k, self.n_states, self.n)
-        members = self.members(self.concept(source))
+        members = self.members(self.concept(source))[:, :ictx.n]
         for i in np.flatnonzero(tabled).tolist():
-            lo = 0
-            for ictx, size in zip(self.ictxs, self.sizes):
-                table = ictx.distance_table(role, restricts[i])
-                states, dists = _reduce_members(np.minimum, members[lo:lo + size, :ictx.n],
-                                                np.broadcast_to(table, (size,) + table.shape))
-                dmap[i, lo + states, :ictx.n] = dists
-                lo += size
+            table = ictx.distance_table(role, restricts[i])
+            states, dists = _reduce_members(np.minimum, members, np.broadcast_to(
+                table, (self.n_states,) + table.shape))
+            dmap[i, states, :ictx.n] = dists
         return dmap
 
     def distance_map(self, sources, rows, restrict) -> np.ndarray:
         """Breadth-first search in every state at once, k searches stacked:
         [k * n_states, n] role steps from `sources` to each object, the steps
-        entering `restrict` only; n + 1 where unreachable, with each state's own n."""
-        return _bfs(sources, rows, restrict,
-                    np.tile(self.n_objs + 1, len(sources) // self.n_states), self.n)
+        entering `restrict` only; `far` where unreachable."""
+        return _bfs(sources, rows, restrict, self.far, self.n)
 
     def min_distance(self, maps: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per state, the least entry of each of `maps` [..., n_states, n] over
-        each of `targets` [..., n_states, words], n + 1 if none: [maps...,
+        each of `targets` [..., n_states, words], `far` if none: [maps...,
         targets..., n_states].  Laid out [objects, maps, targets, states], the
         values reduce over axis 0, far faster than over a short last axis;
         one map and one target are only transposed, as a copy costs more."""
@@ -642,13 +616,12 @@ class StateContext:
             dmap = np.ascontiguousarray(dmap)
         at = at[(slice(None),) + (None,) * (maps.ndim - 2)]
         dmap = dmap[(Ellipsis,) + (None,) * (targets.ndim - 2) + (slice(None),)]
-        return np.where(at, dmap, self.n_objs + 1).min(axis=0)
+        return np.where(at, dmap, self.far).min(axis=0)
 
 
-def state_context(parts) -> StateContext:
-    """Denotations over the states of `parts`, (InstanceContext, packed
-    rows) pairs of one domain."""
-    return StateContext(parts)
+def state_context(ictx: InstanceContext, states) -> StateContext:
+    """Denotations over the packed rows `states` of the instance of `ictx`."""
+    return StateContext(ictx, states)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +695,7 @@ class DeltaContext:
     """
 
     def __init__(self, ictx: InstanceContext, row: np.ndarray, roots):
-        ctx = state_context([(ictx, row[None])])
+        ctx = state_context(ictx, row[None])
         gp = self._gp = ictx.gp
         self._n = ictx.n
         self._universe = (1 << ictx.n) - 1
@@ -766,7 +739,7 @@ class DeltaContext:
         if got is None:
             kids = tuple(self._number(getattr(expr, f), ids, ctx) for f in expr.children)
             got = ids[expr] = len(self._value)
-            rule = _rule(expr, ctx.ictxs[0].static_preds) if kids else None
+            rule = _rule(expr, ctx.ictx.static_preds) if kids else None
             if type(expr) is InverseRole:
                 value = self._value[kids[0]][::-1]
                 self._views.add(got)

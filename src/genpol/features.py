@@ -21,9 +21,11 @@ expression is pruned when its denotation over *all* training states equals
 that of an earlier one.  Feature values are deduplicated the same way.
 Features whose weight exceeds the bound are dropped.
 
-Feature values come from `concepts.StateContext`, which evaluates over
-many states at once: pool generation evaluates over all training states,
-verification and execution over the states at hand (`Policy.evaluate`).
+Feature values come from `concepts.StateContext`, which evaluates many
+states of one instance at once.  Pool generation makes one per training
+instance and joins their columns along the states, so a denotation's
+signature is the bytes of its per-instance columns; verification evaluates
+the states at hand (`Policy.evaluate`).
 """
 
 from __future__ import annotations
@@ -61,12 +63,17 @@ class NullaryFeature(_Feature):
 
     def values(self, ctx: co.StateContext) -> np.ndarray:
         self._check(ctx.domain)
-        got = ctx.flags.get(self.pred)
-        return np.zeros(ctx.n_states, dtype=np.int64) if got is None else got
+        return ctx.flags[self.pred]
 
     def _check(self, domain):
-        if self.pred not in domain.predicates:
+        """Rejects an unknown predicate, and a unary or binary one: a concept
+        or a role, which has no flag."""
+        pred = domain.predicates.get(self.pred)
+        if pred is None:
             raise GenpolError(f"unknown predicate '{self.pred}'")
+        if pred.arity in (1, 2):
+            raise GenpolError(f"Atom({self.pred}) needs a predicate of arity 0 or above 2, "
+                              f"and '{self.pred}' has arity {pred.arity}")
 
 
 @co.syntax(co.FEATURE, "{}", co.CONCEPT)
@@ -227,7 +234,7 @@ class FeaturePool:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _generate_roles(vocab: Vocabulary, ctx: co.StateContext):
+def _generate_roles(vocab: Vocabulary, ctxs: list):
     """Atomic roles plus inverse/closure/closed-inverse, denotation-pruned."""
     kept, seen = [], {}
     levels = {
@@ -237,12 +244,11 @@ def _generate_roles(vocab: Vocabulary, ctx: co.StateContext):
     }
     for level in (1, 2, 3):
         for expr in sorted(levels[level], key=co.render):
-            col = ctx.role(expr)
-            sig = col.tobytes()
+            sig = b"".join(ctx.role(expr).tobytes() for ctx in ctxs)
             if sig in seen:
                 continue
             seen[sig] = expr
-            kept.append((expr, level, col))
+            kept.append((expr, level))
     return kept
 
 
@@ -257,47 +263,48 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
     """Returns (FeaturePool, value matrix over the sample's global states)."""
     check_max_pool(max_pool)
     vocab = primitive_vocabulary(sample, ignore_high_arity)
-    ctx = co.state_context([(co.InstanceContext(sp.gp), sp.states)
-                            for sp in sample.spaces])
-    roles = _generate_roles(vocab, ctx)
+    ctxs = [co.state_context(co.InstanceContext(sp.gp), sp.states) for sp in sample.spaces]
+    roles = _generate_roles(vocab, ctxs)
 
-    # Concepts, level by level.  kept: list of (expr, weight, column).  A
+    # Concepts, level by level.  kept: list of (expr, weight, columns), a
+    # column per instance, and a signature is their bytes joined.  A
     # candidate's children are kept concepts and roles, so their columns are
-    # in the context's memo; a pruned candidate's column is not memoized.
+    # in the contexts' memos; a pruned candidate's columns are not memoized.
     kept: list = []
     by_weight: dict = {}
     seen: dict = {}
 
     def consider(expr, weight):
-        col = ctx.compose(expr)
-        sig = col.tobytes()
+        cols = [ctx.compose(expr) for ctx in ctxs]
+        sig = b"".join(col.tobytes() for col in cols)
         if sig in seen:
             return
         seen[sig] = expr
-        kept.append((expr, weight, col))
-        by_weight.setdefault(weight, []).append((expr, col))
-        ctx.memo[expr] = col
+        kept.append((expr, weight, cols))
+        by_weight.setdefault(weight, []).append(expr)
+        for ctx, col in zip(ctxs, cols):
+            ctx.memo[expr] = col
 
     for level in range(1, max_weight + 1):
         cands: list = []
         if level == 1:
             cands = list(vocab.concepts)
         else:
-            for expr, _ in by_weight.get(level - 1, []):
+            for expr in by_weight.get(level - 1, []):
                 cands.append(co.Not(expr))
             for wa in range(1, level - 1):
                 wb = level - 1 - wa
                 if wa > wb:
                     continue
-                bs = [(co.render(b), b) for b, _ in by_weight.get(wb, [])]
-                for a, _ in by_weight.get(wa, []):
+                bs = [(co.render(b), b) for b in by_weight.get(wb, [])]
+                for a in by_weight.get(wa, []):
                     ra = co.render(a)
                     for rb, b in bs:
                         if (wa, ra) < (wb, rb):
                             cands.append(co.And(a, b))
-            for rexpr, rw, _ in roles:
+            for rexpr, rw in roles:
                 cw = level - 1 - rw
-                for c, _ in by_weight.get(cw, []):
+                for c in by_weight.get(cw, []):
                     cands.append(co.Exists(rexpr, c))
                     cands.append(co.Forall(rexpr, c))
             if level == 3:
@@ -319,42 +326,46 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
 
     for pred in sorted(vocab.nullary):
         if 1 <= max_weight:
-            add(ctx.flags[pred][None], lambda _: NullaryFeature(pred))
+            add(np.concatenate([ctx.flags[pred] for ctx in ctxs])[None],
+                lambda _: NullaryFeature(pred))
 
     singletons: list = []
-    for expr, weight, col in kept:
+    for expr, weight, cols in kept:
         if isinstance(expr, (co.Top, co.Bot)):
             continue  # fixed denotation; |Top| and |Bot| carry no signal
-        counts = ctx.popcounts(col)
+        counts = np.concatenate([ctx.popcounts(col) for ctx, col in zip(ctxs, cols)])
         boolean = bool((counts <= 1).all())
         values = (counts == 1).astype(np.int64) if boolean else counts
         add(values[None], lambda _: CardinalityFeature(expr, weight, boolean))
         if (counts == 1).all():
-            singletons.append((expr, weight, col))
+            singletons.append((expr, weight))
 
     # Distance features: one search per (source, role, restrict weight) over
     # that weight's restricts, `span` maps at a time.  A map's targets, the
     # kept concepts up to some weight, are a prefix of `kept`; the minima over
-    # them take blocks of at most `_MIN_BLOCK` [objects, maps, targets, states].
-    cols = [col for _, _, col in kept]
+    # them take blocks of at most `_MIN_BLOCK` [objects, maps, targets, states],
+    # with the states of all instances and the objects of the largest.
+    targets = list(zip(*(cols for _, _, cols in kept)))  # per instance, kept columns
     upto = np.searchsorted([w for _, w, _ in kept], np.arange(max_weight + 1),
                            side="right")
-    span = max(1, _MIN_BLOCK // (ctx.n_states * ctx.n))
-    for c1, w1, _ in singletons:
-        for rexpr, rw, _ in roles:
+    span = max(1, _MIN_BLOCK // (sample.n_states * max(ctx.n for ctx in ctxs)))
+    for c1, w1 in singletons:
+        for rexpr, rw in roles:
             base = w1 + rw
             for wr in range(1, max_weight - base):
                 k = upto[max_weight - base - wr]
-                crs = [cr for cr, _ in by_weight.get(wr, [])]
+                crs = by_weight.get(wr, [])
                 for g in range(0, len(crs), span):
-                    maps = ctx.distances(c1, rexpr, crs[g:g + span])
-                    block = max(1, span // len(maps))
+                    maps = [ctx.distances(c1, rexpr, crs[g:g + span]) for ctx in ctxs]
+                    block = max(1, span // len(maps[0]))
                     for lo in range(0, k, block):
                         t = min(k - lo, block)
-                        add(ctx.min_distance(maps, np.stack(cols[lo:lo + t])).reshape(
-                            -1, ctx.n_states), lambda i: DistanceFeature(
-                                c1, rexpr, crs[g + i // t], kept[lo + i % t][0],
-                                base + wr + kept[lo + i % t][1]))
+                        values = np.concatenate([ctx.min_distance(m, np.stack(cols[lo:lo + t]))
+                                                 for ctx, m, cols in zip(ctxs, maps, targets)],
+                                                axis=-1)
+                        add(values.reshape(-1, sample.n_states), lambda i: DistanceFeature(
+                            c1, rexpr, crs[g + i // t], kept[lo + i % t][0],
+                            base + wr + kept[lo + i % t][1]))
 
     # Canonical order, then value-vector deduplication.
     feats.sort(key=lambda fc: (fc[0].weight, fc[0].text))
@@ -372,7 +383,7 @@ def generate_pool(sample: SampleSet, max_weight: int = 8, max_pool: int = 200_00
             raise LimitExceededError(f"feature pool exceeds cap of {max_pool}")
 
     pool = FeaturePool(final, np.array([f.weight for f in final], dtype=np.int64))
-    matrix = np.vstack(cols_out) if cols_out else np.zeros((0, ctx.n_states), dtype=np.int64)
+    matrix = np.vstack(cols_out) if cols_out else np.zeros((0, sample.n_states), dtype=np.int64)
     return pool, matrix
 
 

@@ -120,7 +120,7 @@ class Policy:
         one instance, evaluated `BLOCK_STATES` states at a time."""
         out = np.empty((len(states), len(self.features)), dtype=np.int64)
         for lo in range(0, len(states), BLOCK_STATES):
-            ctx = co.state_context([(ictx, states[lo:lo + BLOCK_STATES])])
+            ctx = co.state_context(ictx, states[lo:lo + BLOCK_STATES])
             for j, f in enumerate(self.features):
                 out[lo:lo + BLOCK_STATES, j] = f.values(ctx)
         return out

@@ -304,15 +304,80 @@ def test_atom_of_a_ternary_predicate_is_a_flag():
         == [1] * sp.n_states
 
 
+@pytest.mark.parametrize("pred,arity", [("clear", 1), ("on", 2)])
+def test_atom_of_a_unary_or_binary_predicate_is_an_error(pred, arity, tmp_path, capsys):
+    # `clear` and `on` are a concept and a role and have no flag: both
+    # evaluators reject an Atom of them by name and arity, not read it as 0
+    # (|clear| reads 1 on a tower).
+    gp = _ground(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(3), ("b1",))
+    ictx = co.InstanceContext(gp)
+    assert po.parse_policy("feature 0 1 num clear\n").evaluate(ictx, gp.init[None]).tolist() \
+        == [[1]]
+    message = (f"Atom({pred}) needs a predicate of arity 0 or above 2, "
+               f"and '{pred}' has arity {arity}")
+    text = f"feature 0 1 bool Atom({pred})\nrule f0 -> !f0\n"
+    pol = po.parse_policy(text)
+    for evaluate in (lambda: pol.evaluate(ictx, gp.init[None]),
+                     lambda: po.greedy_execute(pol, gp)):
+        with pytest.raises(GenpolError) as raised:
+            evaluate()
+        assert str(raised.value) == message
+
+    (tmp_path / "domain.pddl").write_text(domains.BLOCKS_DOMAIN)
+    (tmp_path / "instance.pddl").write_text(domains.clear_tower_instance(3))
+    (tmp_path / "policy.txt").write_text(text)
+    for command in ("verify", "run"):
+        rc = cli.main([command, "--domain", str(tmp_path / "domain.pddl"),
+                       "--instance", str(tmp_path / "instance.pddl"), "--goal-params", "b1",
+                       "--policy", str(tmp_path / "policy.txt")])
+        assert rc == 2, command
+        assert capsys.readouterr().err == f"error: {message}\n", command
+
+
+# A domain of nullary, unary and binary predicates, `r` static or, with
+# `LINK_ACTION`, dynamic, and an instance of it without objects.
+BARE_DOMAIN = """
+(define (domain bare)
+  (:predicates (fresh) (done) (p ?x) (r ?x ?y))
+  (:action finish :parameters () :precondition (and (fresh))
+           :effect (and (done) (not (fresh))))
+  {})
+"""
+LINK_ACTION = "(:action link :parameters (?x ?y) :precondition (and (p ?x)) " \
+              ":effect (and (r ?x ?y)))"
+BARE_INSTANCE = "(define (problem none) (:domain bare) (:init (fresh)) (:goal (and (done))))"
+BARE_FEATURES = [("bool", "Atom(done)"), ("num", "Not(p)"), ("num", "Dist(Top,r,Top,Top)"),
+                 ("num", "Exists(r_plus,Top)")]
+
+
+@pytest.mark.parametrize("link", ["", LINK_ACTION], ids=["static", "dynamic"])
+def test_an_instance_without_objects_reads_alike_in_both_evaluators(link):
+    # No object: sets are empty, a role has one empty object slot, and an
+    # unreachable distance is n + 1 = 1, by `Policy.evaluate` and by deltas.
+    gp = _ground(BARE_DOMAIN.format(link), BARE_INSTANCE)
+    assert gp.objects == [] and ("r" in gp.domain.static_predicates()) == (not link)
+    pol = po.parse_policy("".join(f"feature {i} 1 {kind} {expr}\n" for i, (kind, expr)
+                                  in enumerate(BARE_FEATURES)) + "rule !f0 -> f0\n")
+    ictx = co.InstanceContext(gp)
+    assert pol.evaluate(ictx, gp.init[None]).tolist() == [[0, 0, 1, 0]]
+    assert co.DeltaContext(ictx, gp.init, pol.features).values() == [0, 0, 1, 0]
+    everything = _with_free_features("rule true -> nop\n", BARE_FEATURES)
+    assert _delta_walk(everything, gp, random.Random(0), 3) == 1
+    assert _check(pol, gp, space.expand_labeled(gp)).ok
+    assert po.verify_exhaustive(pol, gp).ok
+    run = po.greedy_execute(pol, gp)
+    assert (run.status, run.trajectory) == ("goal", ["finish()"])
+
+
 # Feature sets covering every constructor: Forall, Equal, inverse, closure of
 # an inverse, a goal role of a predicate the goal does not mention, types,
-# nullary atoms (also of a unary predicate, always 0), and distances with an
+# nullary atoms, and distances with an
 # empty source or target, whose value is n + 1 in every state.
 # name -> (domain, instance, goal params, features, rules, ids of the
 # distances with an empty end)
 FEATURE_CASES = {
     "blocks": (domains.BLOCKS_DOMAIN, domains.clear_tower_instance(4), ("b1",), [
-        "1 bool Atom(arm-empty)", "1 bool Atom(clear)",
+        "1 bool Atom(arm-empty)", "1 num clear",
         "3 num Forall(on_plus,clear)", "4 num Exists(on_inv_plus,Nominal(goal0))",
         "3 num Exists(on_inv,Top)", "4 num Not(Equal(on,on_g))",
         "3 num Exists(on_g,Top)", "3 bool And(Nominal(goal0),holding)",
@@ -559,10 +624,11 @@ def _static_kinds(gp, static):
 
 
 def _atomic_expressions(dom):
-    """Each predicate's flag `Atom(p)`, and the concepts and roles of the
-    atoms and goal atoms of the unary and binary predicates."""
+    """The flag `Atom(p)` of each predicate of another arity than 1 and 2,
+    and the concepts and roles of the atoms and goal atoms of the unary and
+    binary predicates."""
     preds = sorted(dom.predicates.values(), key=lambda p: p.name)
-    return ([features.NullaryFeature(p.name) for p in preds],
+    return ([features.NullaryFeature(p.name) for p in preds if p.arity not in (1, 2)],
             [c(p.name) for p in preds if p.arity == 1
              for c in (co.PrimitiveConcept, co.GoalConcept)],
             [r(p.name) for p in preds if p.arity == 2 for r in (co.PrimitiveRole, co.GoalRole)])
@@ -595,7 +661,7 @@ def test_tables_match_the_scatter_oracle():
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w), name
             rows = rows[:4]  # the set semantics is slow on many objects
-            ctx = co.state_context([(ictx, rows)])
+            ctx = co.state_context(ictx, rows)
             for s, state in enumerate(map(unpack, rows)):
                 for f in flags:
                     assert f.values(ctx)[s] == oracles.feature_value(f, gp, state), name
@@ -927,10 +993,11 @@ def _random_concept(rng, atoms, roles, depth):
 def _random_feature(rng, gp, atoms, roles):
     """(kind, expression) of a random feature of the whole grammar: the
     count of a random concept, bool or num, an `Atom` of a random predicate
-    of any arity, or a `Dist` of random concepts and a random role."""
+    of arity 0 or above 2, or a `Dist` of random concepts and a random role."""
     k = rng.randrange(6)
-    if k == 0:
-        return "bool", f"Atom({rng.choice(sorted(gp.domain.predicates))})"
+    flags = sorted(p.name for p in gp.domain.predicates.values() if p.arity not in (1, 2))
+    if k == 0 and flags:
+        return "bool", f"Atom({rng.choice(flags)})"
     if k == 1 and roles:
         s, x, t = (_random_concept(rng, atoms, roles, 2) for _ in range(3))
         return "num", f"Dist({co.render(s)},{co.render(_random_role(rng, roles, 2))}," \
@@ -1030,7 +1097,7 @@ def _walk_marks(gp, feats):
     version, closures of a functional and of another role in the first
     state, `Dist` over a static and over a dynamic role or restriction, and
     `Atom` of a dynamic and of a static predicate."""
-    ctx = co.state_context([(co.InstanceContext(gp), gp.init[None])])
+    ctx = co.state_context(co.InstanceContext(gp), gp.init[None])
     static = gp.domain.static_predicates()
     marks = set()
     for f in feats:

@@ -31,7 +31,7 @@ def _space(domain_text, instance_text, goal_params=()):
 
 def _context(gp, sp):
     ictx = co.InstanceContext(gp)
-    return ictx, co.state_context([(ictx, sp.states)])
+    return ictx, co.state_context(ictx, sp.states)
 
 
 def _names(bits, ictx):
@@ -137,7 +137,7 @@ def test_inverse_of_a_static_role_in_one_state(width):
     gp = pddl.ground(dom, pddl.parse_instance(
         domains.visitall_instance(width, 8, (0, 0)), dom))
     ictx = co.InstanceContext(gp)
-    ctx = co.state_context([(ictx, gp.init[None])])
+    ctx = co.state_context(ictx, gp.init[None])
     role = InverseRole(PrimitiveRole("connected"))
     want = oracles.naive_eval_state(role, gp, oracles.unpacker(gp)(gp.init))
     assert _pairs(ctx.members(ctx.role(role))[0], ictx) == want
@@ -162,7 +162,7 @@ def test_closure_matches_set_semantics_when_objects_lack_predecessors(n_blocks):
         rows.append(gp.apply(rows[-1], gp.actions.index(action)))
     rows = np.array(rows[::-1])
     ictx = co.InstanceContext(gp)
-    ctx = co.state_context([(ictx, rows)])
+    ctx = co.state_context(ictx, rows)
     states = list(map(oracles.unpacker(gp), rows))
     for base in (PrimitiveRole("on"), InverseRole(PrimitiveRole("on"))):
         assert not ctx.members(ctx.role(base)).any(axis=(0, 1)).all()
@@ -198,10 +198,10 @@ def test_closure_kernels_match_set_semantics_on_a_ring():
 
     check(ctx, range(sp.n_states))
     sids = np.flatnonzero(~fork)
-    ctx = co.state_context([(ictx, sp.states[sids])])
+    ctx = co.state_context(ictx, sp.states[sids])
     assert oracles.functional(ctx.role(link))
     check(ctx, sids)
-    ctx = co.state_context([(ictx, sp.states[:1])])
+    ctx = co.state_context(ictx, sp.states[:1])
     assert not ctx.role(ClosureRole(link)).any()
 
 
@@ -268,7 +268,7 @@ def test_distance_matches_naive_bfs():
 def test_distance_conventions():
     gp, sp = _space(domains.VISITALL_DOMAIN, domains.visitall_instance(3, 2, (0, 0)))
     ictx = co.InstanceContext(gp)
-    ctx = co.state_context([(ictx, sp.states[:1])])
+    ctx = co.state_context(ictx, sp.states[:1])
     robot = ctx.concept(PrimitiveConcept("at-robot"))
     conn = ctx.role(PrimitiveRole("connected"))
     top, empty = ctx.universe, np.zeros_like(robot)
@@ -498,14 +498,14 @@ def _reachable_rows(gp, levels):
 def _parts(case):
     """(ground problem, packed state rows) of each instance of a case."""
     if case == "two-sizes":
-        # 6 and 72 objects: one and two words per set, padded to two.
+        # 6 and 72 objects: one and two words per set.
         dom = pddl.parse_domain(domains.VISITALL_DOMAIN)
         small, big = (pddl.ground(dom, pddl.parse_instance(domains.visitall_instance(*size), dom))
                       for size in ((2, 3, (0, 0)), (9, 8, (4, 4))))
         return [(big, _reachable_rows(big, 2)), (small, space.expand(small).states)]
     if case == "roads-two-sizes":
         # 7 and 73 objects, of which the static `road`, `big` and `open` or
-        # `closed` differ: fixed sets and successor sets padded to two words.
+        # `closed` differ: fixed sets and successor sets of one and two words.
         dom = pddl.parse_domain(domains.ROADS_DOMAIN)
         small, big = (pddl.ground(dom, pddl.parse_instance(domains.roads_instance(*args), dom))
                       for args in (("open",), ("closed", "(visited r65)", 66)))
@@ -523,58 +523,60 @@ def _parts(case):
 RANDOM_CASES = ["clear", "gripper", "visitall", "roads", "two-sizes", "roads-two-sizes"]
 
 
-def _case_context(case, rng):
-    """(parts, instance contexts, state context, checked states) of a case:
-    up to 12 states of each instance, 3 of a large one, as (global index,
-    instance, atom ids); the set semantics is slow on many objects."""
-    parts = _parts(case)
-    ictxs = [co.InstanceContext(gp) for gp, _ in parts]
-    ctx = co.state_context([(ictx, rows) for ictx, (_, rows) in zip(ictxs, parts)])
-    checked, lo = [], 0
-    for ictx, (gp, rows) in zip(ictxs, parts):
-        unpack = oracles.unpacker(gp)
-        for i in sorted(rng.sample(range(len(rows)), min(12 if ictx.n < 64 else 3, len(rows)))):
-            checked.append((lo + i, ictx, unpack(rows[i])))
-        lo += len(rows)
-    return parts, ictxs, ctx, checked
+def _case_contexts(case, rng):
+    """Per instance of a case, (instance context, state context, checked
+    states): up to 12 of its states, 3 of a large instance, as (index, atom
+    ids); the set semantics is slow on many objects."""
+    contexts = []
+    for gp, rows in _parts(case):
+        ictx, unpack = co.InstanceContext(gp), oracles.unpacker(gp)
+        picks = sorted(rng.sample(range(len(rows)), min(12 if ictx.n < 64 else 3, len(rows))))
+        contexts.append((ictx, co.state_context(ictx, rows),
+                         [(i, unpack(rows[i])) for i in picks]))
+    return contexts
 
 
 @pytest.mark.parametrize("case", RANDOM_CASES)
 def test_random_expressions_match_set_semantics(case):
     rng = random.Random(RANDOM_CASES.index(case))
-    parts, ictxs, ctx, checked = _case_context(case, rng)
-    vocab, static_vocab = _vocabulary(parts[0][0]), _vocabulary(parts[0][0], True)
+    contexts = _case_contexts(case, rng)
+    gp = contexts[0][0].gp
+    vocab, static_vocab = _vocabulary(gp), _vocabulary(gp, True)
 
     for _ in range(60):
         pick = rng.choice([vocab, static_vocab])
         expr = _random_concept(rng, pick) if rng.random() < 0.75 else _random_role(rng, pick)
         is_role = isinstance(expr, (PrimitiveRole, GoalRole, InverseRole, ClosureRole))
         assert co.parse(co.render(expr), co.ROLE if is_role else co.CONCEPT) == expr
-        bits = ctx.members(ctx.role(expr) if is_role else ctx.concept(expr))
-        for s, ictx, state in checked:
-            want = oracles.naive_eval_state(expr, ictx.gp, state)
-            n = ictx.n
-            got = _pairs(bits[s, :n, :n], ictx) if is_role else _names(bits[s, :n], ictx)
-            assert got == want and not bits[s, n:].any(), (co.render(expr), s)
-            if co.state_independent(expr, ictx.static_preds):
-                static = co.unpack(ictx.static(expr), n)
-                assert (_pairs(static[:n], ictx) if is_role else _names(static, ictx)) == want
+        for ictx, ctx, checked in contexts:
+            bits = ctx.members(ctx.role(expr) if is_role else ctx.concept(expr))
+            for s, state in checked:
+                want = oracles.naive_eval_state(expr, ictx.gp, state)
+                got = _pairs(bits[s], ictx) if is_role else _names(bits[s], ictx)
+                assert got == want, (co.render(expr), s)
+                if co.state_independent(expr, ictx.static_preds):
+                    static = co.unpack(ictx.static(expr), ictx.n)
+                    assert (_pairs(static, ictx) if is_role else _names(static, ictx)) == want
 
     tables = 0
     for _ in range(30):
         pick = rng.choice([vocab, static_vocab])
         source, restrict, target = (_random_concept(rng, pick, 1) for _ in range(3))
         role = _random_role(rng, pick)
-        tables += all(co.state_independent(e, ictxs[0].static_preds) for e in (role, restrict))
-        dmap = ctx.distances(source, role, [restrict])[0]
-        bfs_map = ctx.distance_map(ctx.concept(source), ctx.role(role), ctx.concept(restrict))
-        assert np.array_equal(dmap, bfs_map)  # padding included
-        got = ctx.min_distance(dmap, ctx.concept(target))
-        bfs = ctx.min_distance(bfs_map, ctx.concept(target))
-        for s, ictx, state in checked:
-            want = oracles.naive_distance(ictx.gp, state, source, role, restrict, target)
-            assert got[s] == want and bfs[s] == want, \
-                (co.render(source), co.render(role), co.render(restrict), co.render(target), s)
+        tables += all(co.state_independent(e, contexts[0][0].static_preds)
+                      for e in (role, restrict))
+        for ictx, ctx, checked in contexts:
+            dmap = ctx.distances(source, role, [restrict])[0]
+            bfs_map = ctx.distance_map(ctx.concept(source), ctx.role(role),
+                                       ctx.concept(restrict))
+            assert np.array_equal(dmap, bfs_map)
+            got = ctx.min_distance(dmap, ctx.concept(target))
+            bfs = ctx.min_distance(bfs_map, ctx.concept(target))
+            for s, state in checked:
+                want = oracles.naive_distance(ictx.gp, state, source, role, restrict, target)
+                assert got[s] == want and bfs[s] == want, (
+                    co.render(source), co.render(role), co.render(restrict),
+                    co.render(target), s)
     assert tables >= 5  # the seeds draw enough state-independent pairs
 
 
@@ -582,15 +584,15 @@ def test_static_predicates_are_per_instance_constants():
     # The static nullary `open` holds initially in the small roads instance
     # and `closed` in the big one, so Atom(p) reads each instance's initial
     # flag in every state of it.
-    parts, ictxs, ctx, checked = _case_context("roads-two-sizes", random.Random(3))
-    sizes = [len(rows) for _, rows in parts]
+    contexts = _case_contexts("roads-two-sizes", random.Random(3))
     for pred, flags in (("open", [1, 0]), ("closed", [0, 1])):
         atom = features.NullaryFeature(pred)
-        assert [ictx.flags[pred] for ictx in ictxs] == flags
-        assert atom.values(ctx).tolist() == np.repeat(flags, sizes).tolist()
-        for s, ictx, state in checked:
-            assert atom.values(ctx)[s] == oracles.feature_value(atom, ictx.gp, state)
-    # A one-part context reads a static role from the instance's one array,
+        assert [ictx.flags[pred] for ictx, _, _ in contexts] == flags
+        for (ictx, ctx, checked), flag in zip(contexts, flags):
+            assert atom.values(ctx).tolist() == [flag] * ctx.n_states
+            for s, state in checked:
+                assert atom.values(ctx)[s] == oracles.feature_value(atom, ictx.gp, state)
+    # A context reads a static role from the instance's one array,
     # broadcast over the states, not copied into each.
     gp, sp = _space(domains.VISITALL_DOMAIN, domains.visitall_instance(3, 2, (0, 0)))
     ictx, ctx = _context(gp, sp)
@@ -641,9 +643,10 @@ def test_distances_over_several_restricts_match_one_at_a_time(case):
     # for all) mixed with state-independent ones (table reads), gives the
     # maps of one restrict at a time, of a plain search and of the oracle.
     rng = random.Random(11 + RANDOM_CASES.index(case))
-    parts, ictxs, ctx, checked = _case_context(case, rng)
-    vocab, static_vocab = _vocabulary(parts[0][0]), _vocabulary(parts[0][0], True)
-    preds = ictxs[0].static_preds
+    contexts = _case_contexts(case, rng)
+    gp = contexts[0][0].gp
+    vocab, static_vocab = _vocabulary(gp), _vocabulary(gp, True)
+    preds = contexts[0][0].static_preds
     mixed = 0
     for _ in range(12):
         source = _random_concept(rng, rng.choice([vocab, static_vocab]), 1)
@@ -652,21 +655,24 @@ def test_distances_over_several_restricts_match_one_at_a_time(case):
                      for _ in range(rng.randint(1, 5))]
         mixed += {co.state_independent(role, preds) and co.state_independent(r, preds)
                   for r in restricts} == {True, False}
-        maps = ctx.distances(source, role, restricts)
-        assert maps.shape == (len(restricts), ctx.n_states, ctx.n)
-        assert maps.dtype == np.int64
         target = _random_concept(rng, vocab, 1)
-        minima = ctx.min_distance(maps, ctx.concept(target))
-        for restrict, dmap, got in zip(restricts, maps, minima):
-            assert np.array_equal(dmap, ctx.distances(source, role, [restrict])[0])
-            assert np.array_equal(dmap, ctx.distance_map(  # padding included
-                ctx.concept(source), ctx.role(role), ctx.concept(restrict)))
-            for s, ictx, state in checked:
-                want = oracles.naive_distance(ictx.gp, state, source, role, restrict, target)
-                assert got[s] == want, (co.render(role), co.render(restrict), s)
+        for ictx, ctx, checked in contexts:
+            maps = ctx.distances(source, role, restricts)
+            assert maps.shape == (len(restricts), ctx.n_states, ctx.n)
+            assert maps.dtype == np.int64
+            minima = ctx.min_distance(maps, ctx.concept(target))
+            for restrict, dmap, got in zip(restricts, maps, minima):
+                assert np.array_equal(dmap, ctx.distances(source, role, [restrict])[0])
+                assert np.array_equal(dmap, ctx.distance_map(
+                    ctx.concept(source), ctx.role(role), ctx.concept(restrict)))
+                for s, state in checked:
+                    want = oracles.naive_distance(ictx.gp, state, source, role, restrict,
+                                                  target)
+                    assert got[s] == want, (co.render(role), co.render(restrict), s)
     assert mixed >= 2  # the seeds draw calls that search and read tables at once
-    assert ctx.distances(Top(), PrimitiveRole(vocab[1][0].name), []).shape == (
-        0, ctx.n_states, ctx.n)
+    for _, ctx, _ in contexts:
+        assert ctx.distances(Top(), PrimitiveRole(vocab[1][0].name), []).shape == (
+            0, ctx.n_states, ctx.n)
 
 
 @pytest.mark.parametrize("maps_stacked,targets_stacked",
@@ -675,7 +681,7 @@ def test_min_distance_of_one_instance_matches_a_naive_minimum(maps_stacked, targ
     # One instance of 72 objects (two words per set): a map and a target
     # alone are read as views, stacked ones object-major.
     gp, rows = _parts("two-sizes")[0]
-    ctx = co.state_context([(co.InstanceContext(gp), rows)])
+    ctx = co.state_context(co.InstanceContext(gp), rows)
     rng = np.random.default_rng(4)
     far = ctx.n + 1
     maps = rng.integers(0, far + 1, size=(3, ctx.n_states, ctx.n))
@@ -694,31 +700,31 @@ def test_min_distance_of_one_instance_matches_a_naive_minimum(maps_stacked, targ
 
 
 def test_min_distance_over_stacked_maps_and_targets_matches_a_loop():
-    # Two instances of 72 and 6 objects: two words per set, and n + 1 with
-    # each state's own n where a target is empty or out of reach.
-    _, _, ctx, _ = _case_context("two-sizes", random.Random(0))
+    # Instances of 72 and 6 objects, two words and one per set: n + 1 with
+    # the instance's n where a target is empty or out of reach.
     rng = np.random.default_rng(3)
-    far = ctx.n_objs + 1
-    maps = rng.integers(0, far[None, :, None] + 1, size=(4, ctx.n_states, ctx.n))
-    bits = (rng.random((6, ctx.n_states, ctx.n)) < 0.05) & ctx.members(ctx.universe)
-    bits[0] = False
-    got = ctx.min_distance(maps, ctx.pack(bits))
-    assert got.shape == (4, 6, ctx.n_states) and got.dtype == np.int64
-    for i in range(4):
-        assert np.array_equal(ctx.min_distance(maps[i], ctx.pack(bits)), got[i])
-        for j in range(6):
-            want = [min(maps[i, s, bits[j, s]], default=far[s]) for s in range(ctx.n_states)]
-            assert got[i, j].tolist() == want
-            assert np.array_equal(ctx.min_distance(maps[i], ctx.pack(bits[j])), got[i, j])
-    assert (got[:, 0] == far).all()
-    # Real maps, one of them unreachable past the source (restricted to Bot).
-    source, role = PrimitiveConcept("at-robot"), PrimitiveRole("connected")
-    restricts = [Top(), Bot(), Not(PrimitiveConcept("visited"))]
-    maps = ctx.distances(source, role, restricts)
-    targets = np.stack([ctx.concept(c) for c in (Bot(), Top(), restricts[2])])
-    got = ctx.min_distance(maps, targets)
-    for i in range(3):
-        for j in range(3):
-            assert np.array_equal(got[i, j], ctx.min_distance(maps[i], targets[j]))
-    assert (got[:, 0] == far).all()
-    assert (got[1, 2] == far).all() and (got[0, 2] < far).any()
+    for ictx, ctx, _ in _case_contexts("two-sizes", random.Random(0)):
+        far = ictx.n + 1
+        maps = rng.integers(0, far + 1, size=(4, ctx.n_states, ctx.n))
+        bits = (rng.random((6, ctx.n_states, ctx.n)) < 0.05) & ctx.members(ctx.universe)
+        bits[0] = False
+        got = ctx.min_distance(maps, ctx.pack(bits))
+        assert got.shape == (4, 6, ctx.n_states) and got.dtype == np.int64
+        for i in range(4):
+            assert np.array_equal(ctx.min_distance(maps[i], ctx.pack(bits)), got[i])
+            for j in range(6):
+                want = [min(maps[i, s, bits[j, s]], default=far) for s in range(ctx.n_states)]
+                assert got[i, j].tolist() == want
+                assert np.array_equal(ctx.min_distance(maps[i], ctx.pack(bits[j])), got[i, j])
+        assert (got[:, 0] == far).all()
+        # Real maps, one of them unreachable past the source (restricted to Bot).
+        source, role = PrimitiveConcept("at-robot"), PrimitiveRole("connected")
+        restricts = [Top(), Bot(), Not(PrimitiveConcept("visited"))]
+        maps = ctx.distances(source, role, restricts)
+        targets = np.stack([ctx.concept(c) for c in (Bot(), Top(), restricts[2])])
+        got = ctx.min_distance(maps, targets)
+        for i in range(3):
+            for j in range(3):
+                assert np.array_equal(got[i, j], ctx.min_distance(maps[i], targets[j]))
+        assert (got[:, 0] == far).all()
+        assert (got[1, 2] == far).all() and (got[0, 2] < far).any()

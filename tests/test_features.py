@@ -96,8 +96,8 @@ def test_generation_matches_per_state_evaluation(domain_text, instance_text,
 @pytest.mark.parametrize("domain_text,instances,goal_params,k", TWO_SIZES)
 def test_generation_over_instances_of_different_sizes(domain_text, instances,
                                                       goal_params, k):
-    # Sets and roles are padded to the larger instance (to two words for 65
-    # objects), and an unreachable distance is n + 1 with each state's own n.
+    # Each instance is evaluated in its own context (two words per set for
+    # 65 objects), and an unreachable distance is n + 1 with its own n.
     sample = _sample_of(domain_text, instances, goal_params)
     sizes = [len(sp.gp.objects) for sp in sample.spaces]
     assert sizes[0] < sizes[1]

@@ -259,8 +259,9 @@ def test_cli_rejects_a_state_cap_below_one(tmp_path, capsys):
 
 def test_instance_without_dynamic_atoms():
     # Zero-width atom masks all the way through: the packed row is one zero
-    # word, `tables` unpacks no bits into a table of no predicates, and the
-    # one state is a goal.  The static flag `on` is a per-instance constant.
+    # word, `tables` unpacks no bits into a table of no predicates (with one
+    # empty object slot, as the instance has no objects), and the one state
+    # is a goal.  The static flag `on` is a per-instance constant.
     gp = _ground(STILL_DOMAIN, STILL_INSTANCE)
     assert len(gp.dynamic) == 0 and gp.actions == ["wait()"]
     sp = _check_against_oracle(gp)
@@ -269,9 +270,9 @@ def test_instance_without_dynamic_atoms():
     assert (sp.src.tolist(), sp.dst.tolist(), sp.alive_t.tolist()) == ([0], [0], [])
     ictx = co.InstanceContext(gp)
     unary, binary, flags = ictx.tables(sp.states)
-    assert unary.shape == (1, 0, 1) and binary.shape == (1, 0, 0, 1)
+    assert unary.shape == (1, 0, 1) and binary.shape == (1, 0, 1, 1)
     assert flags.shape == (1, 0) and ictx.flags == {"on": 1}
-    assert co.state_context([(ictx, sp.states)]).flags["on"].tolist() == [1]
+    assert co.state_context(ictx, sp.states).flags["on"].tolist() == [1]
     res = po.verify_exhaustive(po.parse_policy(STILL_POLICY), gp)
     assert res.ok and (res.n_states, res.n_compatible) == (1, 0)
 
