@@ -244,22 +244,42 @@ def _words(n: int) -> int:
     return max(1, -(-n // 64))
 
 
+def _octets(n: int) -> int:
+    """Bytes that hold n bits; at least one."""
+    return max(1, -(-n // 8))
+
+
+def _heads(sets: np.ndarray, octets: int) -> np.ndarray:
+    """A view [...] of the first `octets` bytes of each set of the uint64
+    `sets` [..., words], one void item per set, so that they are copied as
+    one item each rather than a short row of bytes each."""
+    return sets.view(np.uint8)[..., :octets].view(f"V{octets}")[..., 0]
+
+
 def pack(bits: np.ndarray, words: int) -> np.ndarray:
     """bool [..., n] -> uint64 [..., words]; object j is bit j % 64 of
-    word j // 64."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    short = 8 * words - packed.shape[-1]
-    if short:
-        packed = np.concatenate(
-            [packed, np.zeros(packed.shape[:-1] + (short,), dtype=np.uint8)], axis=-1)
-    # `packbits` keeps the layout of a transposed `bits`, which `view` rejects.
-    return np.ascontiguousarray(packed).view("<u8")
+    word j // 64.  The bits are padded to whole bytes in one copy, which also
+    lays out a transposed `bits`, packed in one flat pass and widened to
+    words."""
+    lead, n = bits.shape[:-1], bits.shape[-1]
+    octets = _octets(n)
+    padded = np.zeros(lead + (8 * octets,), dtype=bool)
+    padded[..., :n] = bits
+    sets = np.zeros(lead + (words,), dtype="<u8")
+    _heads(sets, octets)[...] = np.packbits(padded.reshape(-1), bitorder="little") \
+        .view(f"V{octets}").reshape(lead)
+    return sets
 
 
 def unpack(sets: np.ndarray, n: int) -> np.ndarray:
-    """uint64 [..., words] -> bool [..., n]; inverse of `pack`."""
-    octets = np.ascontiguousarray(sets, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=-1, count=n, bitorder="little").view(bool)
+    """uint64 [..., words] -> bool [..., n]; inverse of `pack`.  The bytes
+    that hold the first n bits of each set are gathered and unpacked in one
+    flat pass; the result is a view of the first n bits of each set's."""
+    octets = _octets(n)
+    sets = np.ascontiguousarray(sets, dtype="<u8")
+    heads = np.ascontiguousarray(_heads(sets, octets))
+    bits = np.unpackbits(heads.reshape(-1).view(np.uint8), bitorder="little").view(bool)
+    return bits.reshape(sets.shape[:-1] + (8 * octets,))[..., :n]
 
 
 def _reduce_members(ufunc, at, values):
@@ -296,15 +316,18 @@ def _bfs(sources, rows, restrict, far, n) -> np.ndarray:
 
 def _pass_closure(rows) -> np.ndarray:
     """Transitive closure of the successor sets `rows` [states, n, words] by
-    bitset Floyd-Warshall: the pass over intermediate k adds row k to every
-    row that reaches k.  A path enters k by a base edge, so only objects
-    some row holds, in some state, are intermediates."""
+    bitset Floyd-Warshall: the pass over intermediate k ORs row k into every
+    row that reaches k, through a word mask of all ones or none.  A path
+    enters k by a base edge, so only objects some row holds, in some state,
+    are intermediates."""
     got = rows.copy()
     entered = np.bitwise_or.reduce(got, axis=(0, 1))
     for k in np.flatnonzero(unpack(entered, rows.shape[1])).tolist():
         word, bit = divmod(k, 64)
-        via = (got[:, :, word] >> np.uint64(bit)) & np.uint64(1)
-        got |= np.where(via[:, :, None] != 0, got[:, k:k + 1], np.uint64(0))
+        via = got[:, :, word] >> np.uint64(bit)
+        via &= np.uint64(1)
+        np.negative(via, out=via)  # 0 - via
+        got |= via[:, :, None] & got[:, k:k + 1]
     return got
 
 
@@ -517,11 +540,13 @@ class StateContext:
         return pack(bits, self.words)
 
     def members(self, sets: np.ndarray) -> np.ndarray:
-        """uint64 [..., words] -> bool [..., n]; inverse of `pack`."""
+        """uint64 [..., words] -> bool [..., n], a view; inverse of `pack`."""
         return unpack(sets, self.n)
 
     def popcounts(self, col: np.ndarray) -> np.ndarray:
-        return self.members(col).sum(axis=-1, dtype=np.int64)
+        """int64 [...]: the members of each set of `col` [..., words].  Every
+        bit of a word is counted; no denotation sets one at or above n."""
+        return np.bitwise_count(col).sum(axis=-1, dtype=np.int64)
 
     # -- denotations -------------------------------------------------------
 
@@ -574,9 +599,10 @@ class StateContext:
         """int64 [len(restricts), n_states, n]: per restriction, the steps of
         `role` from the members of `source` to each object, the steps entering
         the restriction only; `far` where unreachable.  Where `role` and a
-        restriction are state-independent, a state's map is the minimum of the
-        instance's distance table rows over the source members; the other
-        restrictions share one breadth-first search."""
+        restriction are state-independent, a state's map is the instance's
+        distance table row of its first source member, lowered in place by the
+        rows of its further members; the other restrictions share one
+        breadth-first search."""
         ictx = self.ictx
         preds = ictx.static_preds
         tabled = np.array([state_independent(role, preds) and state_independent(r, preds)
@@ -588,12 +614,18 @@ class StateContext:
             dmap[~tabled] = self.distance_map(
                 np.tile(self.concept(source), (k, 1)), np.tile(self.role(role), (k, 1, 1)),
                 np.concatenate(searched)).reshape(k, self.n_states, self.n)
-        members = self.members(self.concept(source))[:, :ictx.n]
-        for i in np.flatnonzero(tabled).tolist():
-            table = ictx.distance_table(role, restricts[i])
-            states, dists = _reduce_members(np.minimum, members, np.broadcast_to(
-                table, (self.n_states,) + table.shape))
-            dmap[i, states, :ictx.n] = dists
+        if tabled.any():
+            # Each source member (state, obj), in state order, and whether it
+            # is its state's first.
+            at = self.members(self.concept(source))[:, :ictx.n]
+            state, obj = np.divmod(np.flatnonzero(at), ictx.n)
+            first = np.ones(len(state), dtype=bool)
+            np.not_equal(state[1:], state[:-1], out=first[1:])
+            later = ~first
+            for i in np.flatnonzero(tabled).tolist():
+                table = ictx.distance_table(role, restricts[i])
+                dmap[i, state[first], :ictx.n] = table[obj[first]]
+                np.minimum.at(dmap[i, :, :ictx.n], state[later], table[obj[later]])
         return dmap
 
     def distance_map(self, sources, rows, restrict) -> np.ndarray:

@@ -390,10 +390,13 @@ def verify_space(policy: Policy, space, vals) -> VerifyResult:
 
 
 def verify_exhaustive(policy: Policy, gp, max_states: int = MAX_STATES) -> VerifyResult:
-    """`verify_space` on the full reachable space of a ground instance."""
+    """`verify_space` on the full reachable space of a ground instance.  The
+    features are first evaluated on the initial state, so that a name or
+    arity error in the policy is raised before the expansion."""
+    ictx = co.InstanceContext(gp)
+    policy.evaluate(ictx, gp.init[None])
     space = expand_labeled(gp, max_states=max_states)
-    return verify_space(policy, space,
-                        policy.evaluate(co.InstanceContext(gp), space.states))
+    return verify_space(policy, space, policy.evaluate(ictx, space.states))
 
 
 def _peels_away(nodes: np.ndarray, src: np.ndarray, dst: np.ndarray) -> bool:

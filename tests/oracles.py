@@ -190,6 +190,18 @@ def unpacker(gp):
     return unpack
 
 
+def bits_past_objects(ctx):
+    """The printable forms of the denotations memoized in the state context
+    `ctx` that set a bit at or above n, its instance's object count: bit j
+    of a set is bit j % 64 of word j // 64, so word k may hold the bits
+    below n - 64 * k only."""
+    n = ctx.ictx.n
+    past = [(2**64 - 1) ^ ((1 << min(64, max(0, n - 64 * k))) - 1)
+            for k in range(ctx.words)]
+    return sorted(expr.text for expr, sets in ctx.memo.items()
+                  if (sets & np.array(past, dtype=np.uint64)).any())
+
+
 def state_sets(space):
     """The atom ids of every state of an expanded space, in state id order."""
     return list(map(unpacker(space.gp), space.states))

@@ -519,7 +519,11 @@ def test_expansion_and_verification_hold_one_copy_of_the_transitions(monkeypatch
     assert peak - held < 22 * n
     space.label_goal_distances(sp)
     pol = po.parse_policy((POLICY_DIR / "gripper.txt").read_text())
-    vals = pol.evaluate(co.InstanceContext(gp), sp.states)
+    ictx = co.InstanceContext(gp)
+    # Evaluation peaks at the temporaries of one block of `BLOCK_STATES`
+    # states: 3.5 MB here by tracemalloc, whatever the space's size.
+    vals, peak, _ = _peak_bytes(pol.evaluate, ictx, sp.states)
+    assert sp.n_states == 11_776 and peak < 4_000_000
     monkeypatch.setattr(po, "MASK_BLOCK", 1024)
     got, peak, _ = _peak_bytes(po.verify_space, pol, sp, vals)
     assert got.ok and len(pol.features) == 3
@@ -551,6 +555,11 @@ def test_word_boundaries_match_the_oracle(width):
     text = "".join(f"feature {i} {f}\n" for i, f in enumerate(LINE_FEATURES))
     pol = po.parse_policy(text + "rule f5>0 -> f5-- | f1--\n")
     _check(pol, gp, sp)
+    # No denotation sets a bit past the objects, which `popcounts` would count.
+    ctx = co.state_context(co.InstanceContext(gp), sp.states)
+    for f in pol.features:
+        f.values(ctx)
+    assert len(ctx.memo) > len(pol.features) and oracles.bits_past_objects(ctx) == []
     assert _check(po.parse_policy((POLICY_DIR / "visitall.txt").read_text()),
                   gp, sp).ok
 

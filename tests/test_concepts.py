@@ -424,6 +424,56 @@ def test_reduce_members_matches_a_loop(n):
             assert got.tolist() == ufunc.reduce(values[i][at[i]], axis=0).tolist()
 
 
+def _pack_by_loop(bits, words):
+    """`co.pack` one bit at a time: object j is bit j % 64 of word j // 64."""
+    sets = np.zeros(bits.shape[:-1] + (words,), dtype=np.uint64)
+    for *lead, j in zip(*np.nonzero(bits)):
+        sets[(*lead, j // 64)] |= np.uint64(1) << np.uint64(j % 64)
+    return sets
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 128])
+def test_pack_unpack_and_popcounts_match_a_loop(n):
+    rng = np.random.default_rng(n)
+    words = co._words(n)
+    _, ctx = _context(*_space(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(3)))
+    for lead in ((), (5,), (5, n)):
+        bits = rng.random(lead + (n,)) < 0.4
+        # A transposed array too, as an inverse role packs one.
+        for b in (bits, bits.swapaxes(-1, -2)) if len(lead) == 2 else (bits,):
+            sets = co.pack(b, words)
+            assert sets.dtype == np.uint64 and np.array_equal(sets, _pack_by_loop(b, words))
+            assert np.array_equal(co.unpack(sets, n), b)
+            counts = ctx.popcounts(sets)
+            by_words = np.vectorize(lambda w: bin(w).count("1"), otypes=[int])(
+                sets.astype(object)).sum(axis=-1)
+            assert counts.dtype == np.int64 and counts.shape == lead
+            assert counts.tolist() == by_words.tolist() == b.sum(axis=-1).tolist()
+
+
+def test_tabled_distances_with_any_number_of_source_members():
+    # Over the static `connected` and Top, the maps read the distance table:
+    # in one block, states with no unvisited cell, with one and with several.
+    gp, sp = _space(domains.VISITALL_DOMAIN, domains.visitall_instance(3, 2, (0, 0)))
+    ictx, ctx = _context(gp, sp)
+    source, role = Not(PrimitiveConcept("visited")), PrimitiveRole("connected")
+    sizes = set(ctx.popcounts(ctx.concept(source)).tolist())
+    assert {0, 1} < sizes and max(sizes) >= 3
+    restricts = [Top(), PrimitiveConcept("visited"), Bot()]
+    tabled = [co.state_independent(role, ictx.static_preds)
+              and co.state_independent(r, ictx.static_preds) for r in restricts]
+    assert tabled == [True, False, True]
+    maps = ctx.distances(source, role, restricts)
+    states = oracles.state_sets(sp)
+    for dmap, restrict in zip(maps, restricts):
+        assert np.array_equal(dmap, ctx.distance_map(ctx.concept(source), ctx.role(role),
+                                                     ctx.concept(restrict)))
+        for target in (Top(), PrimitiveConcept("at-robot"), Exists(role, PrimitiveConcept("at-robot"))):
+            want = [oracles.naive_distance(gp, state, source, role, restrict, target)
+                    for state in states]
+            assert ctx.min_distance(dmap, ctx.concept(target)).tolist() == want
+
+
 def test_evaluation_is_memoized_per_state():
     gp, sp = _space(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(3),
                     ("b1",))
@@ -578,6 +628,9 @@ def test_random_expressions_match_set_semantics(case):
                     co.render(source), co.render(role), co.render(restrict),
                     co.render(target), s)
     assert tables >= 5  # the seeds draw enough state-independent pairs
+    # `popcounts` counts every bit of a set's words.
+    for _, ctx, _ in contexts:
+        assert ctx.memo and oracles.bits_past_objects(ctx) == []
 
 
 def test_static_predicates_are_per_instance_constants():

@@ -1,11 +1,14 @@
 """numpy is the only runtime dependency: every module of `genpol` imports
-only the standard library, numpy and genpol itself."""
+only the standard library, numpy and genpol itself.  The declared numpy
+floor is 2.0 or later, the first with `np.bitwise_count`."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "genpol").rglob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "genpol").rglob("*.py"))
 
 
 def _imports(path):
@@ -26,3 +29,10 @@ def test_genpol_imports_only_the_standard_library_and_numpy():
     assert {path.name for path in SOURCES} >= {"__init__.py", "cli.py", "concepts.py",
                                                "features.py", "pipeline.py", "sat.py"}
     assert {("concepts.py", "numpy"), ("cli.py", "argparse")} <= found
+
+
+def test_declared_numpy_floor_has_bitwise_count():
+    # `concepts.StateContext.popcounts` calls `np.bitwise_count`, new in numpy 2.0.
+    text = (ROOT / "pyproject.toml").read_text()
+    floors = re.findall(r'"numpy>=(\d+)\.(\d+)', text)
+    assert len(floors) == 1 and tuple(map(int, floors[0])) >= (2, 0)

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import domains
-from genpol import cli, encoding, maxsat, pipeline, policy as po
+from genpol import cli, encoding, maxsat, pipeline, policy as po, space
 from genpol.errors import GenpolError
 
 
@@ -619,6 +620,31 @@ def test_cli_verify_rejects_bad_policy(clear_files, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "complete=0" in out and "witness=" in out
+
+
+@pytest.mark.parametrize("feature,error", [
+    ("1 num nonsense", "unknown unary predicate 'nonsense'"),
+    ("1 num Exists(link,Top)", "unknown binary predicate 'link'"),
+    ("1 bool Nominal(nowhere)", "nominal 'nowhere' is not a constant or goal parameter"),
+    ("1 bool Atom(holding)", "Atom(holding) needs a predicate of arity 0 or above 2"),
+])
+def test_verify_rejects_a_bad_feature_before_expanding(clear_files, tmp_path, capsys,
+                                                       monkeypatch, feature, error):
+    # The features are evaluated on the initial state first, so a name or
+    # arity error is raised without expanding the space.
+    expanded = []
+    monkeypatch.setattr(space, "expand", lambda *a, **kw: expanded.append(a))
+    dom, train = clear_files
+    pol = tmp_path / "bad.txt"
+    pol.write_text(f"feature 0 {feature}\nrule true -> nop\n")
+    gp = pipeline.load_problem(pipeline.load_domain(dom), train, ["b1"])
+    with pytest.raises(GenpolError, match=re.escape(error)):
+        po.verify_exhaustive(po.parse_policy(pol.read_text()), gp)
+    rc = cli.main(["verify", "--domain", dom, "--instance", train,
+                   "--goal-params", "b1", "--policy", str(pol)])
+    captured = capsys.readouterr()
+    assert rc == 2 and error in captured.err and captured.out == ""
+    assert expanded == []
 
 
 def test_cli_input_errors_exit_2(tmp_path, capsys):
