@@ -51,7 +51,7 @@ _INSTANCE_FIELDS = ("domain_path", "training_paths", "goal_params")
 
 
 def _goal_params(args):
-    return [x for x in args.goal_params.split(",") if x]
+    return [x.strip() for x in args.goal_params.split(",") if x.strip()]
 
 
 def _config_from(args) -> pipeline.RunConfig:

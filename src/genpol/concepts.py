@@ -372,9 +372,10 @@ class InstanceContext:
         # a goal parameter's name would be one nominal for two objects.
         # `held` maps each to the object indices of its members, flat.
         held = {Top(): list(range(n)), Bot(): []}
-        held.update((TypeConcept(t), [index[o] for o in self.objects
-                                      if dom.is_subtype(gp.object_types[o], t)])
-                    for t in dom.types)
+        kinds = {k: {t for t in dom.types if dom.is_subtype(k, t)}  # object type -> its types
+                 for k in set(gp.object_types.values())}
+        held.update((TypeConcept(t), [i for i, o in enumerate(self.objects)
+                                      if t in kinds[gp.object_types[o]]]) for t in dom.types)
         held.update((Nominal(name), [index[name]]) for name, _ in dom.constants)
         for i, name in enumerate(gp.instance.goal_params):
             if Nominal(f"goal{i}") in held:
@@ -384,7 +385,8 @@ class InstanceContext:
         by_pred: dict = {}  # (0 goal or 1 static, predicate) -> object indices
         for k, ids in enumerate((gp.goal, gp.static_atoms)):  # sorted: by predicate
             for pred, group in groupby(map(gp.atoms.__getitem__, sorted(ids)), itemgetter(0)):
-                by_pred[k, pred] = [index[o] for atom in group for o in atom[1:]]
+                by_pred[k, pred] = list(map(index.__getitem__, chain.from_iterable(
+                    map(itemgetter(slice(1, None)), group))))
         static = self.static_preds
         held.update((version(p.name), by_pred.get((k, p.name), []))
                     for p in preds if p.arity in _VERSIONS
@@ -419,21 +421,17 @@ class InstanceContext:
         self._width = self._flag0 + len(self.flag_preds)
         flag = {p: self._flag0 + k for k, p in enumerate(self.flag_preds)}
 
-        def place(atom):
-            """The first cell of an atom's set and its object; a flag's
-            bit is that of object 0."""
-            if len(atom) == 2:
-                return unary[atom[0]], index[atom[1]]
-            if len(atom) == 3:
-                return binary[atom[0]] + index[atom[1]] * w, index[atom[2]]
-            return flag[atom[0]], 0
-
+        # Each dynamic atom's cell and bit: a unary atom's set at its object,
+        # a binary atom's successor set of its first object at its second,
+        # and a flag's cell at the atom's own bit.
+        arity = np.array([dom.predicates[p].arity for p in gp.predicates])[gp.dynamic_pred]
+        first = np.array([unary.get(p, binary.get(p, flag.get(p, -1)))
+                          for p in gp.predicates])[gp.dynamic_pred]
+        x, y = gp.dynamic_args[:, 0], gp.dynamic_args[:, 1]
+        obj = np.where(arity == 2, y, np.where(arity == 1, x, 0))
+        cell = first + np.where(arity == 2, x * w, 0) + obj // 64
         k = np.arange(len(gp.dynamic))
-        atoms = map(gp.atoms.__getitem__, gp.dynamic.tolist())
-        where = np.fromiter(chain.from_iterable(map(place, atoms)), dtype=np.int64,
-                            count=2 * len(k)).reshape(-1, 2)
-        cell = where[:, 0] + where[:, 1] // 64
-        bit = np.where(cell >= self._flag0, k % 64, where[:, 1] % 64)
+        bit = np.where(cell >= self._flag0, k % 64, obj % 64)
         head = np.ones(len(k), dtype=bool)  # whether bit k starts a run
         head[1:] = ((k[1:] % 64 == 0) | (cell[1:] != cell[:-1])
                     | (bit[1:] != bit[:-1] + 1))
@@ -663,15 +661,18 @@ def state_context(ictx: InstanceContext, states) -> StateContext:
 
 def _ints(sets: np.ndarray) -> list:
     """uint64 [k, words] -> k Python ints, object j as bit j."""
-    return [int.from_bytes(s.astype("<u8").tobytes(), "little") for s in sets]
+    raw, step = sets.astype("<u8").tobytes(), 8 * sets.shape[-1]
+    return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
 
 
 def _transpose(rows: list) -> list:
     """The inverse rows of the successor sets `rows`, Python ints."""
     inv = [0] * len(rows)
     for x, r in enumerate(rows):
-        for y in _members(r):
-            inv[y] |= 1 << x
+        while r:
+            low = r & -r
+            inv[low.bit_length() - 1] |= 1 << x
+            r ^= low
     return inv
 
 
@@ -747,19 +748,17 @@ class DeltaContext:
                 node_of[e.name] = i
             elif type(e).form == _ATOM and e.pred in ictx.flag_preds:
                 node_of[e.pred] = i
+        node, arity = np.array([(node_of.get(p, -1), gp.domain.predicates[p].arity)
+                                for p in gp.predicates], dtype=np.int64).reshape(-1, 2)[
+            gp.dynamic_pred].T
+        x = np.where((arity == 1) | (arity == 2), gp.dynamic_args[:, 0], -1)
+        y = np.where(arity == 2, gp.dynamic_args[:, 1], -1)
+        read = np.flatnonzero(node >= 0)
         self._targets = [None] * (64 * gp.words + 1)  # bit -> target; the padding has none
-        self._atoms: dict = {}  # `Atom` node -> the bits of its predicate's atoms
-        for bit, atom_id in enumerate(gp.dynamic.tolist()):
-            atom = gp.atoms[atom_id]
-            node = node_of.get(atom[0])
-            if node is None:
-                continue
-            if len(atom) in (2, 3):
-                self._targets[bit] = (node, ictx.index[atom[1]],
-                                      ictx.index[atom[2]] if len(atom) == 3 else -1)
-            else:
-                self._targets[bit] = (node, -1, -1)
-                self._atoms.setdefault(node, []).append(bit)
+        for bit, target in zip(read.tolist(), zip(*(a[read].tolist() for a in (node, x, y)))):
+            self._targets[bit] = target
+        flags = read[x[read] < 0]  # `_atoms`: `Atom` node -> its predicate's bits
+        self._atoms = {i: flags[node[flags] == i].tolist() for i in set(node[flags].tolist())}
         self._held = bytearray(np.unpackbits(row.astype("<u8").view(np.uint8),
                                              bitorder="little").tobytes())
         self._memo: dict = {}  # action id -> its `_reads`

@@ -20,11 +20,13 @@ preconditions, adds and deletes.
 
 from __future__ import annotations
 
-import bisect
 import itertools
+import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -49,80 +51,91 @@ _UNSUPPORTED_HEADS = {
 
 
 # ---------------------------------------------------------------------------
-# S-expression reading with source positions
+# S-expression reading
 # ---------------------------------------------------------------------------
 
-class _Node:
-    """Either a list of nodes or an atom token, tagged with line/col."""
-
-    __slots__ = ("value", "line", "col")
-
-    def __init__(self, value, line, col):
-        self.value = value
-        self.line = line
-        self.col = col
-
-    @property
-    def is_list(self):
-        return isinstance(self.value, list)
-
-
 # A token: a parenthesis, or a run of characters other than parentheses,
-# `;` and the whitespace " \t\r" (lines are split on "\n").
-_TOKEN = re.compile(r"[()]|[^ \t\r();]+")
+# `;` and the whitespace " \t\r\n".  A `;` starts a comment that runs to
+# the end of its line.  A text is read by one `findall` over it, without its
+# comments and lower-cased, and a node of its tree keeps only the index of
+# its token; the line and column of a token are found only when an error is
+# raised at it, by one more scan (`_tokenize`, in `_positions`).
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+")
+_COMMENT = re.compile(r";[^\n]*")
 
 
 def _tokenize(text: str):
     """(token, line, column) of each token of `text`, lower-cased, line and
-    column from 1; a `;` starts a comment that runs to the end of its line."""
+    column from 1."""
     for line, chars in enumerate(text.split("\n"), 1):
         for m in _TOKEN.finditer(chars.partition(";")[0]):
             yield m.group().lower(), line, m.start() + 1
 
 
-def _read(text: str) -> _Node:
+class _Fault(Exception):
+    """Error class, message and node of a `PddlError` that `_positions` raises."""
+
+
+def _err(node: tuple, message: str, error=PddlError) -> _Fault:
+    return _Fault(error, message, node)
+
+
+@contextmanager
+def _positions(text: str):
+    """Raises each `_Fault` of the block as its error, with the line and
+    column of its node's token in `text`, found by one more scan."""
+    try:
+        yield
+    except _Fault as fault:
+        error, message, node = fault.args
+        line, col = next(itertools.islice(_tokenize(text), node[0], None))[1:]
+        raise error(message, line, col) from None
+
+
+def _read(text: str) -> tuple:
+    """The tree of `text`: a node is (index of its token, the token), or for
+    a form (index of its "(", list of its nodes)."""
+    tokens = _TOKEN.findall(_COMMENT.sub("", text).lower())
     stack = []
     root = None
-    for tok, line, col in _tokenize(text):
-        if tok == "(":
-            node = _Node([], line, col)
-            if stack:
-                stack[-1].value.append(node)
-            stack.append(node)
-        elif tok == ")":
-            if not stack:
-                raise PddlError("unbalanced ')'", line, col)
-            node = stack.pop()
-            if not stack:
-                if root is not None:
-                    raise PddlError("trailing expression after top-level form", line, col)
-                root = node
-        else:
-            if not stack:
-                raise PddlError(f"token '{tok}' outside any form", line, col)
-            stack[-1].value.append(_Node(tok, line, col))
-    if stack:
-        raise PddlError("unbalanced '('", stack[-1].line, stack[-1].col)
+    with _positions(text):
+        for at, tok in enumerate(tokens):
+            if tok == "(":
+                node = (at, [])
+                if stack:
+                    stack[-1][1].append(node)
+                stack.append(node)
+            elif tok == ")":
+                if not stack:
+                    raise _err((at,), "unbalanced ')'")
+                node = stack.pop()
+                if not stack:
+                    if root is not None:
+                        raise _err((at,), "trailing expression after top-level form")
+                    root = node
+            elif stack:
+                stack[-1][1].append((at, tok))
+            else:
+                raise _err((at,), f"token '{tok}' outside any form")
+        if stack:
+            raise _err(stack[-1], "unbalanced '('")
     if root is None:
         raise PddlError("empty input", 1, 1)
     return root
 
 
-def _err(node: _Node, message: str) -> PddlError:
-    return PddlError(message, node.line, node.col)
-
-
-def _head(node: _Node) -> str:
-    if not node.is_list or not node.value or node.value[0].is_list:
+def _head(node: tuple) -> str:
+    value = node[1]
+    if type(value) is not list or not value or type(value[0][1]) is list:
         raise _err(node, "expected a (head ...) form")
-    return node.value[0].value
+    return value[0][1]
 
 
-def _name_of(node: _Node) -> str:
+def _name_of(node: tuple) -> str:
     """The name in a (head name) form, e.g. (domain gripper)."""
-    if len(node.value) != 2 or node.value[1].is_list:
+    if len(node[1]) != 2 or type(node[1][1][1]) is list:
         raise _err(node, f"expected ({_head(node)} <name>)")
-    return node.value[1].value
+    return node[1][1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +153,10 @@ class Predicate:
 
 
 @dataclass(frozen=True)
-class SchemaAtom:
-    pred: str
-    args: tuple  # variables ('?x') or constant names
-
-
-@dataclass(frozen=True)
 class ActionSchema:
     name: str
     params: tuple  # ((var, type), ...)
-    pre: frozenset
+    pre: frozenset  # of Atom over variables ('?x') and constant names
     add: frozenset
     dele: frozenset
 
@@ -176,7 +183,7 @@ class DomainModel:
         """The predicates no schema adds or deletes: their atoms are those
         of the initial state in every state."""
         return frozenset(self.predicates) - {
-            a.pred for sc in self.schemas for a in sc.add | sc.dele}
+            a[0] for sc in self.schemas for a in sc.add | sc.dele}
 
 
 @dataclass
@@ -199,251 +206,239 @@ def _parse_typed_list(nodes: list, what: str) -> list:
     pending = []
     it = iter(nodes)
     for node in it:
-        if node.is_list:
+        if type(node[1]) is list:
             raise _err(node, f"unexpected list in {what}")
-        if node.value == "-":
-            try:
-                tnode = next(it)
-            except StopIteration:
-                raise _err(node, f"dangling '-' in {what}") from None
-            if tnode.is_list:
+        if node[1] == "-":
+            tnode = next(it, None)
+            if tnode is None:
+                raise _err(node, f"dangling '-' in {what}")
+            if type(tnode[1]) is list:
                 raise _err(tnode, "compound types ('either') are not supported")
-            for name in pending:
-                out.append((name, tnode.value))
+            out += [(name, tnode[1]) for name in pending]
             pending = []
         else:
-            pending.append(node.value)
-    out.extend((name, ROOT_TYPE) for name in pending)
+            pending.append(node[1])
+    return out + [(name, ROOT_TYPE) for name in pending]
+
+
+def _parse_atoms(nodes: list, dom: DomainModel, scope: dict, context: str) -> list:
+    """The atoms (predicate, *terms) of the atom forms `nodes`, checked in
+    order; `scope` maps each symbol in scope (variable, constant or object)
+    to its type.  A type is tested once per (symbol type, argument type)."""
+    preds = dom.predicates
+    fits: dict = {}
+    out = []
+    for node in nodes:
+        value = node[1]
+        if type(value) is not list or not value:
+            raise _err(node, f"expected an atom in {context}")
+        name = value[0][1]
+        if type(name) is list:
+            raise _err(node, "expected a (head ...) form")
+        if name in _UNSUPPORTED_HEADS:
+            raise _err(node, f"{_UNSUPPORTED_HEADS[name]} is not supported in {context}",
+                       UnsupportedPddlError)
+        pred = preds.get(name)
+        if pred is None:
+            raise _err(node, f"undeclared predicate '{name}'")
+        types = pred.arg_types
+        if len(value) != len(types) + 1:
+            raise _err(node, f"predicate '{name}' expects {len(types)} arguments, "
+                             f"got {len(value) - 1}")
+        atom = [name]
+        for anode, want in zip(value[1:], types):
+            term = anode[1]
+            if type(term) is list:
+                raise _err(anode, "nested term in atom")
+            have = scope.get(term)
+            if have is None:
+                kind = "variable" if term.startswith("?") else "object"
+                raise _err(anode, f"undeclared {kind} '{term}' in {context}")
+            fit = fits.get((have, want))
+            if fit is None:
+                fit = fits[have, want] = dom.is_subtype(have, want)
+            if not fit:
+                raise _err(anode, f"'{term}' has type '{have}', but '{name}' expects '{want}'")
+            atom.append(term)
+        out.append(tuple(atom))
     return out
 
 
-def _check_unsupported(node: _Node, context: str):
-    if node.is_list and node.value:
-        head = node.value[0]
-        if not head.is_list and head.value in _UNSUPPORTED_HEADS:
-            raise UnsupportedPddlError(
-                f"{_UNSUPPORTED_HEADS[head.value]} is not supported in {context}",
-                node.line, node.col)
-
-
-def _parse_atom(node: _Node, dom: DomainModel, allowed: dict, context: str) -> SchemaAtom:
-    """allowed: name -> type for the symbols (vars/constants/objects) in scope."""
-    _check_unsupported(node, context)
-    if not node.is_list or not node.value:
-        raise _err(node, f"expected an atom in {context}")
-    name = _head(node)
-    pred = dom.predicates.get(name)
-    if pred is None:
-        raise _err(node, f"undeclared predicate '{name}'")
-    args = node.value[1:]
-    if len(args) != pred.arity:
-        raise _err(node, f"predicate '{name}' expects {pred.arity} arguments, got {len(args)}")
-    terms = []
-    for anode, want in zip(args, pred.arg_types):
-        if anode.is_list:
-            raise _err(anode, "nested term in atom")
-        term = anode.value
-        if term not in allowed:
-            kind = "variable" if term.startswith("?") else "object"
-            raise _err(anode, f"undeclared {kind} '{term}' in {context}")
-        if not dom.is_subtype(allowed[term], want):
-            raise _err(anode, f"'{term}' has type '{allowed[term]}', "
-                              f"but '{name}' expects '{want}'")
-        terms.append(term)
-    return SchemaAtom(name, tuple(terms))
-
-
-def _parse_conjunction(node: _Node, dom, allowed, context) -> list:
-    if node.is_list and node.value and not node.value[0].is_list \
-            and node.value[0].value == "and":
-        return [_parse_atom(child, dom, allowed, context) for child in node.value[1:]]
-    return [_parse_atom(node, dom, allowed, context)]
+def _conjuncts(node: tuple) -> list:
+    """The nodes of an (and ...) form, or the one node of any other."""
+    value = node[1]
+    if type(value) is list and value and value[0][1] == "and":
+        return value[1:]
+    return [node]
 
 
 def parse_domain(text: str) -> DomainModel:
     root = _read(text)
-    if _head(root) != "define":
-        raise _err(root, "expected (define (domain ...) ...)")
-    sections = root.value[1:]
-    if not sections or _head(sections[0]) != "domain":
-        raise _err(root, "first section must be (domain <name>)")
-    name = _name_of(sections[0])
+    with _positions(text):
+        if _head(root) != "define":
+            raise _err(root, "expected (define (domain ...) ...)")
+        sections = root[1][1:]
+        if not sections or _head(sections[0]) != "domain":
+            raise _err(root, "first section must be (domain <name>)")
+        name = _name_of(sections[0])
 
-    types: dict = {ROOT_TYPE: None}
-    predicates: dict = {}
-    constants: list = []
-    schemas: list = []
+        types: dict = {ROOT_TYPE: None}
+        predicates: dict = {}
+        constants: list = []
+        schemas: list = []
 
-    for sec in sections[1:]:
-        head = _head(sec)
-        if head == ":requirements":
-            continue  # supported fragment is enforced structurally below
-        elif head == ":types":
-            for tname, parent in _parse_typed_list(sec.value[1:], ":types"):
-                if tname == ROOT_TYPE and parent == ROOT_TYPE:
-                    continue  # the root type, declared again
-                types[tname] = parent
-                types.setdefault(parent, ROOT_TYPE if parent != ROOT_TYPE else None)
-        elif head == ":constants":
-            constants.extend(_parse_typed_list(sec.value[1:], ":constants"))
-        elif head == ":predicates":
-            for pnode in sec.value[1:]:
-                pname = _head(pnode)
-                if pname in predicates:
-                    raise _err(pnode, f"duplicate predicate '{pname}'")
-                args = _parse_typed_list(pnode.value[1:], f"predicate '{pname}'")
-                predicates[pname] = Predicate(pname, tuple(t for _, t in args))
-        elif head == ":functions":
-            raise UnsupportedPddlError("numeric fluents are not supported",
-                                       sec.line, sec.col)
-        elif head == ":action":
-            schemas.append(sec)  # parsed after predicates are known
-        else:
-            raise UnsupportedPddlError(f"unsupported section '{head}'", sec.line, sec.col)
+        for sec in sections[1:]:
+            head = _head(sec)
+            if head == ":requirements":
+                continue  # supported fragment is enforced structurally below
+            elif head == ":types":
+                for tname, parent in _parse_typed_list(sec[1][1:], ":types"):
+                    if tname == ROOT_TYPE and parent == ROOT_TYPE:
+                        continue  # the root type, declared again
+                    types[tname] = parent
+                    types.setdefault(parent, ROOT_TYPE if parent != ROOT_TYPE else None)
+            elif head == ":constants":
+                constants.extend(_parse_typed_list(sec[1][1:], ":constants"))
+            elif head == ":predicates":
+                for pnode in sec[1][1:]:
+                    pname = _head(pnode)
+                    if pname in predicates:
+                        raise _err(pnode, f"duplicate predicate '{pname}'")
+                    args = _parse_typed_list(pnode[1][1:], f"predicate '{pname}'")
+                    predicates[pname] = Predicate(pname, tuple(t for _, t in args))
+            elif head == ":functions":
+                raise _err(sec, "numeric fluents are not supported", UnsupportedPddlError)
+            elif head == ":action":
+                schemas.append(sec)  # parsed after predicates are known
+            else:
+                raise _err(sec, f"unsupported section '{head}'", UnsupportedPddlError)
 
-    for tname in types:
-        seen, t = set(), tname
-        while t is not None:
-            if t in seen:
-                raise PddlError(f"type '{tname}' is its own ancestor")
-            seen.add(t)
-            t = types[t]
+        for tname in types:
+            seen, t = set(), tname
+            while t is not None:
+                if t in seen:
+                    raise PddlError(f"type '{tname}' is its own ancestor")
+                seen.add(t)
+                t = types[t]
 
-    dom = DomainModel(name, types, predicates, tuple(constants), ())
-    for cname, ctype in constants:
-        if ctype not in types:
-            raise PddlError(f"constant '{cname}' has undeclared type '{ctype}'")
-    for pred in predicates.values():
-        for t in pred.arg_types:
-            if t not in types:
-                raise PddlError(f"predicate '{pred.name}' uses undeclared type '{t}'")
+        dom = DomainModel(name, types, predicates, tuple(constants), ())
+        for cname, ctype in constants:
+            if ctype not in types:
+                raise PddlError(f"constant '{cname}' has undeclared type '{ctype}'")
+        for pred in predicates.values():
+            for t in pred.arg_types:
+                if t not in types:
+                    raise PddlError(f"predicate '{pred.name}' uses undeclared type '{t}'")
 
-    parsed = []
-    const_types = dict(constants)
-    for sec in schemas:
-        parsed.append(_parse_schema(sec, dom, const_types))
-    dom.schemas = tuple(parsed)
-    return dom
+        const_types = dict(constants)
+        dom.schemas = tuple(_parse_schema(sec, dom, const_types) for sec in schemas)
+        return dom
 
 
-def _parse_schema(sec: _Node, dom: DomainModel, const_types: dict) -> ActionSchema:
-    items = sec.value[1:]
-    if not items or items[0].is_list:
+def _parse_schema(sec: tuple, dom: DomainModel, const_types: dict) -> ActionSchema:
+    items = sec[1][1:]
+    if not items or type(items[0][1]) is list:
         raise _err(sec, "missing action name")
-    aname = items[0].value
+    aname = items[0][1]
     params: list = []
     pre = add = dele = None
-    i = 1
-    while i < len(items):
-        key = items[i]
-        if key.is_list or not key.value.startswith(":"):
+    for i in range(1, len(items), 2):
+        key, word = items[i], items[i][1]
+        if type(word) is list or not word.startswith(":"):
             raise _err(key, f"expected keyword in action '{aname}'")
         if i + 1 >= len(items):
-            raise _err(key, f"missing value for {key.value}")
+            raise _err(key, f"missing value for {word}")
         val = items[i + 1]
-        if key.value == ":parameters":
-            if not val.is_list:
+        scope = dict(const_types)
+        scope.update(params)
+        if word == ":parameters":
+            if type(val[1]) is not list:
                 raise _err(val, f"expected a parameter list in action '{aname}'")
-            params = _parse_typed_list(val.value, ":parameters")
+            params = _parse_typed_list(val[1], ":parameters")
             for var, ptype in params:
                 if not var.startswith("?"):
                     raise _err(val, f"parameter '{var}' must start with '?'")
                 if ptype not in dom.types:
                     raise _err(val, f"parameter '{var}' has undeclared type '{ptype}'")
-        elif key.value == ":precondition":
-            scope = dict(const_types)
-            scope.update(params)
-            pre = _parse_conjunction(val, dom, scope, f"precondition of '{aname}'")
-        elif key.value == ":effect":
-            scope = dict(const_types)
-            scope.update(params)
-            add, dele = _parse_effect(val, dom, scope, aname)
+        elif word == ":precondition":
+            pre = _parse_atoms(_conjuncts(val), dom, scope, f"precondition of '{aname}'")
+        elif word == ":effect":
+            add, dele = [], []
+            for lit in _conjuncts(val):
+                value = lit[1]
+                if type(value) is list and value and value[0][1] == "not":
+                    if len(value) != 2:
+                        raise _err(lit, "(not ...) takes exactly one atom")
+                    dele += _parse_atoms(value[1:], dom, scope, f"effect of '{aname}'")
+                else:
+                    add += _parse_atoms([lit], dom, scope, f"effect of '{aname}'")
         else:
-            raise UnsupportedPddlError(f"unsupported action field '{key.value}'",
-                                       key.line, key.col)
-        i += 2
+            raise _err(key, f"unsupported action field '{word}'", UnsupportedPddlError)
     if pre is None or add is None:
         raise _err(sec, f"action '{aname}' needs :precondition and :effect")
     return ActionSchema(aname, tuple(params), frozenset(pre),
                         frozenset(add), frozenset(dele))
 
 
-def _parse_effect(node: _Node, dom, scope, aname):
-    context = f"effect of '{aname}'"
-    literals = node.value[1:] if (node.is_list and node.value
-                                  and not node.value[0].is_list
-                                  and node.value[0].value == "and") else [node]
-    add, dele = [], []
-    for lit in literals:
-        if lit.is_list and lit.value and not lit.value[0].is_list \
-                and lit.value[0].value == "not":
-            if len(lit.value) != 2:
-                raise _err(lit, "(not ...) takes exactly one atom")
-            dele.append(_parse_atom(lit.value[1], dom, scope, context))
-        else:
-            add.append(_parse_atom(lit, dom, scope, context))
-    return add, dele
-
-
 def parse_instance(text: str, dom: DomainModel, goal_params=()) -> InstanceModel:
+    """The instance of `text` over `dom`.  Its names are lower-cased, as
+    are those of `goal_params`, the objects that nominals "goal0",
+    "goal1", ... name."""
     root = _read(text)
-    if _head(root) != "define":
-        raise _err(root, "expected (define (problem ...) ...)")
-    sections = root.value[1:]
-    if not sections or _head(sections[0]) != "problem":
-        raise _err(root, "first section must be (problem <name>)")
-    name = _name_of(sections[0])
+    goal_params = tuple(p.lower() for p in goal_params)
+    with _positions(text):
+        if _head(root) != "define":
+            raise _err(root, "expected (define (problem ...) ...)")
+        sections = root[1][1:]
+        if not sections or _head(sections[0]) != "problem":
+            raise _err(root, "first section must be (problem <name>)")
+        name = _name_of(sections[0])
 
-    domain_name = None
-    objects: list = list(dom.constants)
-    init: list = []
-    goal: list = []
-    goal_node = None
+        domain_name = None
+        objects: list = list(dom.constants)
+        init: list = []
+        goal_node = None
 
-    for sec in sections[1:]:
-        head = _head(sec)
-        if head == ":domain":
-            domain_name = _name_of(sec)
-        elif head == ":objects":
-            objects.extend(_parse_typed_list(sec.value[1:], ":objects"))
-        elif head == ":requirements":
-            continue
-        elif head == ":init":
-            init.extend(sec.value[1:])
-        elif head == ":goal":
-            if len(sec.value) != 2:
-                raise _err(sec, "(:goal ...) takes exactly one formula")
-            goal_node = sec.value[1]
-        elif head in (":metric", ":length"):
-            raise UnsupportedPddlError(f"'{head}' is not supported", sec.line, sec.col)
-        else:
-            raise UnsupportedPddlError(f"unsupported section '{head}'", sec.line, sec.col)
+        for sec in sections[1:]:
+            head = _head(sec)
+            if head == ":domain":
+                domain_name = _name_of(sec)
+            elif head == ":objects":
+                objects.extend(_parse_typed_list(sec[1][1:], ":objects"))
+            elif head == ":requirements":
+                continue
+            elif head == ":init":
+                init.extend(sec[1][1:])
+            elif head == ":goal":
+                if len(sec[1]) != 2:
+                    raise _err(sec, "(:goal ...) takes exactly one formula")
+                goal_node = sec[1][1]
+            elif head in (":metric", ":length"):
+                raise _err(sec, f"'{head}' is not supported", UnsupportedPddlError)
+            else:
+                raise _err(sec, f"unsupported section '{head}'", UnsupportedPddlError)
 
-    if domain_name is not None and domain_name != dom.name:
-        raise PddlError(f"instance '{name}' is for domain '{domain_name}', "
-                        f"not '{dom.name}'")
-    scope = {}
-    for oname, otype in objects:
-        if otype not in dom.types:
-            raise PddlError(f"object '{oname}' has undeclared type '{otype}'")
-        if oname in scope:
-            raise PddlError(f"duplicate object '{oname}'")
-        scope[oname] = otype
+        if domain_name is not None and domain_name != dom.name:
+            raise PddlError(f"instance '{name}' is for domain '{domain_name}', "
+                            f"not '{dom.name}'")
+        scope = {}
+        for oname, otype in objects:
+            if otype not in dom.types:
+                raise PddlError(f"object '{oname}' has undeclared type '{otype}'")
+            if oname in scope:
+                raise PddlError(f"duplicate object '{oname}'")
+            scope[oname] = otype
 
-    init_atoms = [_parse_atom(node, dom, scope, ":init") for node in init]
-    if goal_node is None:
-        raise PddlError(f"instance '{name}' has no goal")
-    goal = _parse_conjunction(goal_node, dom, scope, ":goal")
+        init = _parse_atoms(init, dom, scope, ":init")
+        if goal_node is None:
+            raise PddlError(f"instance '{name}' has no goal")
+        goal = _parse_atoms(_conjuncts(goal_node), dom, scope, ":goal")
 
-    for gp in goal_params:
-        if gp not in scope:
-            raise PddlError(f"goal parameter '{gp}' is not an object of instance '{name}'")
-
-    to_atom = lambda sa: (sa.pred, *sa.args)
-    return InstanceModel(name, dom.name, tuple(objects),
-                         frozenset(map(to_atom, init_atoms)),
-                         frozenset(map(to_atom, goal)),
-                         tuple(goal_params))
+        for gp in goal_params:
+            if gp not in scope:
+                raise PddlError(f"goal parameter '{gp}' is not an object of instance '{name}'")
+        return InstanceModel(name, dom.name, tuple(objects), frozenset(init), frozenset(goal),
+                             goal_params)
 
 
 # ---------------------------------------------------------------------------
@@ -467,22 +462,24 @@ class GroundProblem:
     goal names it.  A state is a packed row, uint64 [words]: dynamic atom k
     holds when bit k % 64 of word k // 64 is set.  The dynamic atoms are
     numbered in atom id order (`dynamic` maps a bit to its atom id);
-    `words` is at least one.  An action is its name and three int64
-    [actions, k] arrays of bits: action id i is named `actions[i]`, and
-    rows i of `pre_bits`, `add_bits` and `del_bits` hold its dynamic
+    `words` is at least one.  Bit k is the atom of predicate
+    `predicates[dynamic_pred[k]]` over the objects `dynamic_args[k]` (ids in
+    `objects`; -1 past its arity, in at least two columns), computed as
+    `_Binder._dynamic_ids` computes ids.  An action is its name and three
+    int64 [actions, k] arrays of bits: action id i is named `actions[i]`,
+    and rows i of `pre_bits`, `add_bits` and `del_bits` hold its dynamic
     preconditions, adds and deletes (the adds and deletes are disjoint),
     padded with bit 64 * words, which is no atom; k is the most any one
     schema has.  Its static preconditions hold, or `ground` would have
     dropped it.  Each action is keyed by one dynamic precondition bit
     (`pre_key`), the one the fewest actions require, the lowest on ties; an
     action without one gets bit 64 * words.  `successors` of one row sets
-    that bit on the row and tests only the actions keyed by bits the row
-    holds (as in Helmert, JAIR 2006), reading their bits, and returns their
-    ids; `apply` builds the successor row of one action from its bits.
+    that bit on the row, reads each action's key bit there, and tests the
+    other bits of only the actions whose key it holds (as in Helmert, JAIR
+    2006); `apply` builds the successor row of one action from its bits.
     `transitions` tests all actions on blocks of rows, and builds every
     successor row, through the packed masks `pre_masks`, `add_masks` and
-    `del_masks`, uint64 [actions, words], which are built from the bits on
-    first use.
+    `del_masks`, uint64 [actions, words], built from the bits on first use.
     """
 
     domain: DomainModel
@@ -501,6 +498,9 @@ class GroundProblem:
     goal_mask: np.ndarray  # packed row of the dynamic goal atoms
     goal_static: bool  # whether the static goal atoms hold
     pre_key: np.ndarray  # action -> its key bit (int64)
+    predicates: list  # predicate id -> name, sorted
+    dynamic_pred: np.ndarray  # bit -> its atom's predicate id (int64)
+    dynamic_args: np.ndarray  # int64 [bits, a]: bit -> its atom's object ids, -1 past its arity
 
     @cached_property
     def pre_masks(self) -> np.ndarray:
@@ -584,33 +584,39 @@ def _pack(bits: np.ndarray, words: int) -> np.ndarray:
     return out
 
 
-def _key_bits(pres: list, rank: np.ndarray, bit_of: np.ndarray, words: int) -> np.ndarray:
-    """Each action's key bit (see `GroundProblem`), from the schemas' pre
-    templates `pres` in grounding order (`rank`: that order -> action id)."""
-    bits = [bit_of[pre] for pre in pres]
-    for b in bits:
-        for j in range(1, b.shape[1]):  # an atom required twice counts once
-            b[(b[:, :j] == b[:, j:j + 1]).any(axis=1), j] = -1
-    m = len(bit_of)  # above every bit; count[-1] is 0
-    count = np.bincount(np.concatenate([b[b >= 0] for b in bits] + [rank[:0]]), minlength=m)
-    never = (len(rank) + 1) * m
-    best = np.concatenate([rank[:0]] + [np.where(b >= 0, count[b] * m + b, never).min(axis=1)
-                                        if b.shape[1] else np.full(len(b), never) for b in bits])
-    key = np.empty(len(rank), dtype=np.int64)
-    key[rank] = np.where(best < never, best % m, 64 * words)
-    return key
+def _key_bits(pre_bits: np.ndarray, words: int) -> np.ndarray:
+    """Each action's key bit (see `GroundProblem`) from its precondition
+    bits, read a column at a time, as reducing rows of a few bits is slow."""
+    none = 64 * words
+    bits = pre_bits.copy()
+    for j in range(1, bits.shape[1]):  # an atom required twice counts once
+        for i in range(j):
+            bits[bits[:, i] == bits[:, j], j] = none
+    count = np.bincount(bits.ravel(), minlength=none + 1)
+    never = (len(pre_bits) + 1) * (none + 1)
+    best = np.full(len(pre_bits), never)
+    for col in bits.T:
+        np.minimum(best, np.where(col < none, count[col] * (none + 1) + col, never), out=best)
+    return np.where(best < never, best % (none + 1), none)
 
 
 def _objects_by_type(dom: DomainModel, inst: InstanceModel) -> dict:
     by_type: dict = {t: [] for t in dom.types}
-    for oname, otype in inst.objects:
-        t = otype
+    for oname, t in inst.objects:
         while t is not None:
             by_type[t].append(oname)
             t = dom.types.get(t)
-    for names in by_type.values():
-        names.sort()
-    return by_type
+    return {t: sorted(names) for t, names in by_type.items()}
+
+
+def _by_predicate(atoms) -> dict:
+    """Predicate -> its atoms among `atoms`, sorted."""
+    return {p: list(group) for p, group in itertools.groupby(sorted(atoms), itemgetter(0))}
+
+
+def _tuples(columns: list, n: int) -> list:
+    """The n rows of the `columns` as tuples, () each when there are none."""
+    return list(zip(*columns)) if columns else [()] * n
 
 
 class _Binder:
@@ -621,57 +627,52 @@ class _Binder:
     (the schema's k parameters) and constant i - k after that.  The atom
     ids of a template over a dynamic predicate are arithmetic: that
     predicate's atoms are the product of its argument types' objects, in
-    order and consecutive among the atom ids.  Static templates are matched
-    against the static atoms of the initial state, which the join also
-    draws parameters from.
+    order and consecutive among the atom ids from `start[predicate]`.
+    Static templates are matched against the static atoms of the initial
+    state, which the join also draws parameters from; they have no bit, and
+    take the id `none`.
     """
 
-    def __init__(self, dom, objects, by_type, atoms, static_preds, static_init):
+    def __init__(self, dom, objects, pools, start, static_preds, static_init, none):
         self.dom = dom
         self.static_preds = static_preds
-        self.objects = objects
-        self.index = {o: i for i, o in enumerate(objects)}
-        self.pools = {t: [self.index[o] for o in names] for t, names in by_type.items()}
-        self.atoms = atoms
-        self._start, self._rank = {}, {}
-        # (predicate, object ids...) -> atom id, and (predicate, position,
-        # the other arguments) -> [(object id at that position, atom id)].
-        self.static_ids = {(a[0], *map(self.index.__getitem__, a[1:])): i
-                           for a, i in static_init.items()}
-        self.candidates: dict = {}
-        for key, aid in self.static_ids.items():
-            for pos in range(len(key) - 1):
-                other = key[1:pos + 1] + key[pos + 2:]
-                self.candidates.setdefault((key[0], pos, other), []).append(
-                    (key[pos + 1], aid))
+        self.n_objects = len(objects)
+        self._named = {end: np.array([o + end for o in objects], dtype=object) for end in ",)"}
+        self.pools = pools
+        self.start = start
+        self.none = none
+        self._rank: dict = {}
+        self._by_others: dict = {}  # (predicate, position) -> `_candidates`
+        # Per static predicate, its atoms of the initial state: the object
+        # ids at each position (`columns`) and the atoms as tuples of them.
+        index = self.index = dict(zip(objects, range(len(objects))))
+        self.columns, self.held = {}, {}
+        for pred, group in static_init.items():
+            cols = self.columns[pred] = [list(map(index.__getitem__, names))
+                                         for names in list(zip(*group))[1:]]
+            self.held[pred] = set(_tuples(cols, len(group)))
 
     def bind(self, sc: ActionSchema, room: int) -> tuple:
         """The names and the atom ids of the pre, add and delete templates,
         int64 [n, c] each, of the first room + 1 bindings of `sc` under which
-        its static preconditions hold.  Without static preconditions the
-        bindings are the product of the parameters' types; with them, a join
-        (see `_plan`)."""
+        its static preconditions hold (see `_join`)."""
         k = len(sc.params)
-        types = [t for _, t in sc.params]
         pre, add, dele, consts = self._compile(sc)
         statics = [t for t in pre if t[0] in self.static_preds]
-        if statics:
-            found = self._join(types, consts, statics)
-        else:
-            found = itertools.product(*(self.pools[t] for t in types))
-        found = list(itertools.islice(found, room + 1))
-        rows = np.array(found, dtype=np.int64).reshape(len(found), k + len(statics))
+        rows = self._join([t for _, t in sc.params], consts, statics, room)[:room + 1]
         column = lambda s: rows[:, s] if s < k else consts[s - k]
-        static_col = {t: rows[:, k + j] for j, t in enumerate(statics)}
 
         def ids(templates):
-            out = np.empty((len(rows), len(templates)), dtype=np.int64)
+            out = np.full((len(rows), len(templates)), self.none, dtype=np.int64)
             for c, t in enumerate(templates):
-                out[:, c] = static_col[t] if t in static_col else self._dynamic_ids(t, column)
+                if t[0] not in self.static_preds:
+                    out[:, c] = self._dynamic_ids(t, column)
             return out
 
-        names = [f"{sc.name}({','.join(map(self.objects.__getitem__, row[:k]))})"
-                 for row in found]
+        # A name is the schema's and "(", then each parameter's object and a
+        # "," or, after the last, a ")".
+        parts = [self._named["," if i + 1 < k else ")"][rows[:, i]].tolist() for i in range(k)]
+        names = list(map("".join, zip([f"{sc.name}({')' * (not k)}"] * len(rows), *parts)))
         return names, ids(pre), ids(add), ids(dele)
 
     def _compile(self, sc: ActionSchema) -> tuple:
@@ -682,12 +683,12 @@ class _Binder:
 
         def templates(atoms):
             out = []
-            for sa in sorted(atoms, key=lambda sa: (sa.pred, sa.args)):
-                for term in sa.args:
+            for atom in sorted(atoms):
+                for term in atom[1:]:
                     if term not in slot:
                         slot[term] = len(slot)
                         consts.append(self.index[term])
-                out.append((sa.pred, tuple(slot[term] for term in sa.args)))
+                out.append((atom[0], tuple(slot[term] for term in atom[1:])))
             return out
 
         return templates(sc.pre), templates(sc.add), templates(sc.dele), consts
@@ -696,101 +697,73 @@ class _Binder:
         """Ids of a dynamic-predicate template's atoms, given each slot's
         object ids (`column`: slot -> int64 [n] or one object id)."""
         pred, slots = template
-        if pred not in self._start:
-            self._start[pred] = bisect.bisect_left(self.atoms, (pred,))
-        ids, stride = self._start[pred], 1
+        ids, stride = self.start[pred], 1
         for s, t in zip(reversed(slots), reversed(self.dom.predicates[pred].arg_types)):
-            if t not in self._rank:
-                self._rank[t] = np.full(len(self.objects), -1, dtype=np.int64)
-                self._rank[t][self.pools[t]] = np.arange(len(self.pools[t]))
-            ids = ids + self._rank[t][column(s)] * stride
+            ids = ids + self._ranks(t)[column(s)] * stride
             stride *= len(self.pools[t])
         return ids
 
-    def _plan(self, types, n_slots, statics) -> tuple:
-        """The order in which the join binds a schema's parameters.
+    def _ranks(self, t: str) -> np.ndarray:
+        """int64 [objects]: each object's rank among those of type t, or -1."""
+        if t not in self._rank:
+            self._rank[t] = np.full(self.n_objects, -1, dtype=np.int64)
+            self._rank[t][self.pools[t]] = np.arange(len(self.pools[t]))
+        return self._rank[t]
 
-        Returns (tests, steps).  `tests` are the static templates over
-        constants only, tested once.  Each step binds one parameter and is
-        (parameter, source, keep, tests): source (j, pos) draws it from the
-        candidates of static template j at position pos, whose other slots
-        are bound, so j holds by construction; source None draws it from its
-        type.  `keep` is the set of objects of the parameter's type when the
-        candidates may lie outside it (else None), and `tests` the templates
-        whose last slot the step binds.
-        """
-        k = len(types)
-        bound = set(range(k, n_slots))
-        open_ = list(range(len(statics)))
+    def _candidates(self, pred: str, pos: int) -> dict:
+        """The static atoms of `pred` in the initial state by their objects
+        other than the one at `pos`: that tuple -> the objects at `pos`."""
+        got = self._by_others.get((pred, pos))
+        if got is None:
+            got = self._by_others[pred, pos] = {}
+            cols = self.columns.get(pred, [[]] * (pos + 1))
+            for key, obj in zip(_tuples(cols[:pos] + cols[pos + 1:], len(cols[pos])), cols[pos]):
+                got.setdefault(key, []).append(obj)
+        return got
 
-        def ready():
-            done = [j for j in open_ if bound.issuperset(statics[j][1])]
-            open_[:] = [j for j in open_ if j not in done]
-            return done
-
-        tests, steps = ready(), []
-        while len(bound) < n_slots:
-            # An open template has an unbound slot; when all its other slots
-            # are bound, that one names a parameter there only.
+    def _join(self, types, consts, statics, room) -> np.ndarray:
+        """int64 [n, k + c]: the slots' object ids (parameters, then
+        constants) of each binding under which every static template holds,
+        all rows at once.  Each step binds one parameter: from the
+        candidates of an open static template whose other slots are bound,
+        so that it holds by construction, or else from the parameter's
+        type; then the templates whose slots are all bound are tested.  Once
+        no template is open no step drops a row, so a step from a type first
+        drops the rows past those of the first room + 1 bindings."""
+        k, n_slots = len(types), len(types) + len(consts)
+        rows = np.array([[0] * k + consts], dtype=np.int64)
+        bound, open_ = set(range(k, n_slots)), list(range(len(statics)))
+        while True:
+            for j in [j for j in open_ if bound.issuperset(statics[j][1])]:
+                open_.remove(j)
+                pred, ss = statics[j]
+                keys = _tuples([rows[:, s].tolist() for s in ss], len(rows))
+                rows = rows[np.fromiter(map(self.held.get(pred, set()).__contains__, keys),
+                                        dtype=bool, count=len(rows))]
+            if len(bound) == n_slots:
+                return rows
             source = next(((j, pos) for j in open_ for pos in range(len(statics[j][1]))
                            if bound.issuperset(statics[j][1][:pos] + statics[j][1][pos + 1:])),
                           None)
-            keep = None
             if source is None:
-                p = next(q for q in range(k) if q not in bound)
+                p = min(set(range(k)) - bound)
+                pool = self.pools[types[p]]
+                if not open_:
+                    rows = rows[:-(-(room + 1) // max(1, len(pool)))]
+                n = len(rows)
+                rows = np.repeat(rows, len(pool), axis=0)
+                rows[:, p] = np.tile(pool, n)
             else:
                 j, pos = source
-                p = statics[j][1][pos]
                 open_.remove(j)
-                if not self.dom.is_subtype(self.dom.predicates[statics[j][0]].arg_types[pos],
-                                           types[p]):
-                    keep = frozenset(self.pools[types[p]])
+                pred, ss = statics[j]
+                p = ss[pos]
+                keys = _tuples([rows[:, s].tolist() for s in ss[:pos] + ss[pos + 1:]], len(rows))
+                got = list(map(self._candidates(pred, pos).get, keys, itertools.repeat(())))
+                rows = np.repeat(rows, np.fromiter(map(len, got), np.int64, len(got)), axis=0)
+                rows[:, p] = np.fromiter(itertools.chain.from_iterable(got), np.int64, len(rows))
+                rows = rows[self._ranks(types[p])[rows[:, p]] >= 0]
             bound.add(p)
-            steps.append((p, source, keep, ready()))
-        return tests, steps
-
-    def _join(self, types, consts, statics):
-        """Yield each binding under which every static template holds: the
-        parameters' object ids, then the static templates' atom ids."""
-        k = len(types)
-        tests0, steps = self._plan(types, k + len(consts), statics)
-        slots = [0] * k + consts
-        sids = [0] * len(statics)
-        pools = {types[p]: [(o, -1) for o in self.pools[types[p]]]
-                 for p, source, _, _ in steps if source is None}
-
-        def holds(tests):
-            for j in tests:
-                pred, ss = statics[j]
-                aid = self.static_ids.get((pred, *[slots[s] for s in ss]))
-                if aid is None:
-                    return False
-                sids[j] = aid
-            return True
-
-        def extend(depth):
-            if depth == len(steps):
-                yield (*slots[:k], *sids)
-                return
-            p, source, keep, tests = steps[depth]
-            if source is None:
-                j, cands = None, pools[types[p]]
-            else:
-                j, pos = source
-                pred, ss = statics[j]
-                other = tuple(slots[s] for s in ss[:pos] + ss[pos + 1:])
-                cands = self.candidates.get((pred, pos, other), ())
-            for o, aid in cands:
-                if keep is not None and o not in keep:
-                    continue
-                slots[p] = o
-                if j is not None:
-                    sids[j] = aid
-                if holds(tests):
-                    yield from extend(depth + 1)
-
-        if holds(tests0):
-            yield from extend(0)
 
 
 def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> GroundProblem:
@@ -804,31 +777,54 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
     apply.  Delete effects shadowed by an add of the same atom are removed,
     so the add and delete bits of every ground action are disjoint.
     """
+    preds = dom.predicates
     by_type = _objects_by_type(dom, inst)
     members = {t: frozenset(names) for t, names in by_type.items()}
-    for what, atoms in (("init", inst.init), ("goal", inst.goal)):
-        for a in atoms:
-            pred = dom.predicates.get(a[0])
-            if pred is None or len(a) != pred.arity + 1 or any(
-                    o not in members[t] for o, t in zip(a[1:], pred.arg_types)):
-                raise PddlError(f"{what} atom {a} is not type-consistent")
+    init_of, goal_of = _by_predicate(inst.init), _by_predicate(inst.goal)
+    for what, groups in (("init", init_of), ("goal", goal_of)):
+        for name, group in groups.items():
+            sets = [members[t] for t in preds[name].arg_types] if name in preds else None
+            bad = group if sets is None else [a for a in group if len(a) != len(sets) + 1
+                                              or not all(map(frozenset.__contains__, sets, a[1:]))]
+            if bad:
+                raise PddlError(f"{what} atom {bad[0]} is not type-consistent")
 
     static_preds = dom.static_predicates()
-    static_init = [a for a in inst.init if a[0] in static_preds]
-    atoms = sorted(itertools.chain(
-        ((p.name, *args) for p in dom.predicates.values() if p.name not in static_preds
-         for args in itertools.product(*(by_type[t] for t in p.arg_types))),
-        set(static_init).union(a for a in inst.goal if a[0] in static_preds)))
-    atom_id = {a: i for i, a in enumerate(atoms)}
-    is_static = np.array([a[0] in static_preds for a in atoms], dtype=bool)
-    dynamic = np.flatnonzero(~is_static)
-    bit_of = np.full(len(atoms) + 1, -1, dtype=np.int64)  # id len(atoms): none
-    bit_of[dynamic] = np.arange(len(dynamic))
+    static_init = {p: group for p, group in init_of.items() if p in static_preds}
+    objects = sorted(map(itemgetter(0), inst.objects))
+    index = dict(zip(objects, range(len(objects))))
+    pools = {t: np.array(list(map(index.__getitem__, names)), dtype=np.int64)
+             for t, names in by_type.items()}
+    # The atoms, by predicate in name order: the static ones of the initial
+    # state and the goal, sorted, or the product of a dynamic predicate's
+    # argument types, whose object ids are the columns of `args`.
+    predicates = sorted(preds)
+    atoms, start, dynamic, pred_of, args = [], {}, [], [], []
+    width = max([2] + [p.arity for p in preds.values()])
+    for i, name in enumerate(predicates):
+        start[name] = len(atoms)
+        if name in static_preds:
+            atoms += sorted(set(init_of.get(name, [])).union(goal_of[name])) \
+                if name in goal_of else init_of.get(name, [])
+            continue
+        types = preds[name].arg_types
+        atoms += itertools.product((name,), *(by_type[t] for t in types))
+        sizes = [len(pools[t]) for t in types]
+        n = len(atoms) - start[name]
+        dynamic.append(np.arange(start[name], len(atoms)))
+        pred_of.append(np.full(n, i))
+        args.append(np.full((n, width), -1))
+        for j, t in enumerate(types):
+            args[-1][:, j] = np.tile(np.repeat(pools[t], math.prod(sizes[j + 1:])),
+                                     math.prod(sizes[:j]))
+    atom_id = dict(zip(atoms, range(len(atoms))))
+    dynamic = np.concatenate(dynamic + [np.zeros(0, dtype=np.int64)])
     words = max(1, -(-len(dynamic) // 64))
+    # Atom id -> bit, 64 * words for a static atom and for id len(atoms).
+    to_bit = np.full(len(atoms) + 1, 64 * words, dtype=np.int64)
+    to_bit[dynamic] = np.arange(len(dynamic))
 
-    objects = sorted(o for o, _ in inst.objects)
-    static_init = {a: atom_id[a] for a in static_init}
-    binder = _Binder(dom, objects, by_type, atoms, static_preds, static_init)
+    binder = _Binder(dom, objects, pools, start, static_preds, static_init, len(atoms))
     actions, bound = [], []
     for sc in sorted(dom.schemas, key=lambda s: s.name):
         names, pre, add, dele = binder.bind(sc, max_actions - len(actions))
@@ -836,14 +832,13 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
             raise LimitExceededError(
                 f"more than {max_actions} ground actions in '{inst.name}'")
         actions += names
-        shadowed = (dele[:, :, None] == add[:, None, :]).any(axis=2)
-        bound.append((pre, add, np.where(shadowed, len(atoms), dele)))
+        for col in add.T:  # a delete shadowed by an add is none
+            dele[dele == col[:, None]] = len(atoms)
+        bound.append((pre, add, dele))
     order = sorted(range(len(actions)), key=actions.__getitem__)
-    actions = [actions[i] for i in order]
+    actions = list(map(actions.__getitem__, order))
     rank = np.empty(len(actions), dtype=np.int64)
     rank[order] = np.arange(len(actions))
-    # Atom id -> bit, 64 * words for a static atom and for id len(atoms).
-    to_bit = np.where(bit_of >= 0, bit_of, 64 * words)
 
     def spread(kind):
         """The bits of one kind of template, int64 [actions, k], by action id."""
@@ -858,9 +853,10 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
 
     pack_set = lambda ids: _pack(to_bit[np.fromiter(ids, dtype=np.int64, count=len(ids))][None],
                                  words)[0]
-    init = frozenset(atom_id[a] for a in inst.init)
-    goal = frozenset(atom_id[a] for a in inst.goal)
-    static_atoms = frozenset(static_init.values())
+    init = frozenset(map(atom_id.__getitem__, inst.init))
+    goal = frozenset(map(atom_id.__getitem__, inst.goal))
+    static_atoms = frozenset(map(atom_id.__getitem__, itertools.chain(*static_init.values())))
+    pre_bits = spread(0)
     return GroundProblem(
         domain=dom,
         instance=inst,
@@ -869,13 +865,17 @@ def ground(dom: DomainModel, inst: InstanceModel, max_actions: int = 10**6) -> G
         init=pack_set(init),
         goal=goal,
         objects=objects,
-        object_types={o: t for o, t in inst.objects},
+        object_types=dict(inst.objects),
         dynamic=dynamic,
         static_atoms=static_atoms,
-        pre_bits=spread(0),
+        pre_bits=pre_bits,
         add_bits=spread(1),
         del_bits=spread(2),
         goal_mask=pack_set(goal),
-        goal_static=all(a in static_atoms for a in goal if is_static[a]),
-        pre_key=_key_bits([pre for pre, _, _ in bound], rank, bit_of, words),
+        goal_static=all(set(group) <= set(init_of.get(p, ())) for p, group in goal_of.items()
+                        if p in static_preds),
+        pre_key=_key_bits(pre_bits, words),
+        predicates=predicates,
+        dynamic_pred=np.concatenate(pred_of + [np.zeros(0, dtype=np.int64)]),
+        dynamic_args=np.concatenate(args + [np.zeros((0, width), dtype=np.int64)]),
     )

@@ -55,7 +55,7 @@ def tokenize(text: str):
 
 def static_predicates(dom):
     """The predicates no schema adds or deletes."""
-    return set(dom.predicates) - {a.pred for s in dom.schemas for a in s.add | s.dele}
+    return set(dom.predicates) - {a[0] for s in dom.schemas for a in s.add | s.dele}
 
 
 def brute_force_ground_actions(dom, inst):
@@ -77,7 +77,7 @@ def brute_force_ground_actions(dom, inst):
                     *[type_objs.get(t, []) for _v, t in schema.params]):
                 env = dict(zip((v for v, _t in schema.params), binding))
                 def ground(a):
-                    return (a.pred,) + tuple(env.get(x, x) for x in a.args)
+                    return (a[0],) + tuple(env.get(x, x) for x in a[1:])
                 if all(ground(p) in ever_true for p in schema.pre):
                     for a in schema.add:
                         if ground(a) not in ever_true:
@@ -89,7 +89,7 @@ def brute_force_ground_actions(dom, inst):
                 *[type_objs.get(t, []) for _v, t in schema.params]):
             env = dict(zip((v for v, _t in schema.params), binding))
             def ground(a):
-                return (a.pred,) + tuple(env.get(x, x) for x in a.args)
+                return (a[0],) + tuple(env.get(x, x) for x in a[1:])
             if all(ground(p) in ever_true for p in schema.pre):
                 names.append(f"{schema.name}({','.join(binding)})")
     return sorted(names)
@@ -120,7 +120,7 @@ def product_ground(dom, inst):
         for binding in itertools.product(*[type_objs[t] for _v, t in schema.params]):
             env = dict(zip((v for v, _t in schema.params), binding))
             ground = lambda atoms: frozenset(
-                (a.pred,) + tuple(env.get(x, x) for x in a.args) for a in atoms)
+                (a[0],) + tuple(env.get(x, x) for x in a[1:]) for a in atoms)
             pre = ground(schema.pre)
             if any(a[0] in static and a not in inst.init for a in pre):
                 continue

@@ -1,6 +1,7 @@
 """Parser, grounder and successor generator tests."""
 
 import dataclasses
+import hashlib
 import random
 import re
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genpol import pddl, policy as po, space
+from genpol import concepts as co, pddl, policy as po, space
 from genpol.errors import LimitExceededError, PddlError, UnsupportedPddlError
 
 import domains
@@ -99,9 +100,14 @@ def _pddl_texts():
 
 
 def _read_outcome(text: str) -> str:
-    """What `pddl._read` makes of `text`: its tree, or its error."""
+    """What `pddl._read` makes of `text`: its tree, each token shown with
+    the (token, line, column) that `pddl._tokenize` yields at its index, or
+    its error."""
+    tokens = list(pddl._tokenize(text))
+
     def show(node):
-        return [show(v) for v in node.value] if node.is_list else (node.value, node.line, node.col)
+        at, value = node
+        return [show(v) for v in value] if type(value) is list else (value, *tokens[at])
     try:
         return repr(show(pddl._read(text)))
     except PddlError as e:
@@ -121,6 +127,132 @@ def test_tokens_match_the_character_loop(monkeypatch):
     errors = [o for o in outcomes if o.startswith("error: ")]
     assert len(errors) > 1000 and len(outcomes) - len(errors) > 200
     assert len({o for o in errors if o.startswith("error: unbalanced")}) > 100
+
+
+# Malformed texts, each made from one of perfbench's texts by a change or
+# two of one token (the text, then (old, new, n): the n-th occurrence of old,
+# from the end when n < 0, becomes new), and the error, message, line and
+# column that parsing it raises, pinned from the reader that built a node per
+# token with its position.  They cover unknown predicates, wrong arities,
+# undeclared objects, variables and types, wrong types, nested terms,
+# `(not ...)` and `(or ...)` where only atoms may stand, unbalanced and
+# trailing forms, upper-case and non-ASCII names ("İ" lower-cases to two
+# characters) and comments.
+ERROR_CORPUS = [
+    ('gripper', [('(at-robby ?from))\n', '(at-robbyx ?from))\n', 1)],
+     'PddlError', "undeclared predicate 'at-robbyx'", 10, 24),
+    ('gripper', [('(free ?g))', '(free ?g ?b))', 1)],
+     'PddlError', "predicate 'free' expects 1 arguments, got 2", 14, 49),
+    ('gripper', [('(carry ?b ?g) (not', '(carry ?x ?g) (not', 1)],
+     'PddlError', "undeclared variable '?x' in effect of 'pick'", 15, 25),
+    ('gripper', [('(at ?b ?r) (at-robby', '(at ?r ?b) (at-robby', 1)],
+     'PddlError', "'?r' has type 'room', but 'at' expects 'ball'", 14, 28),
+    ('gripper', [('(at-robby ?to)', '(at-robby (?to))', 1)],
+     'PddlError', 'nested term in atom', 11, 28),
+    ('gripper', [('?r - room ?g', '?r - rom ?g', 1)],
+     'PddlError', "parameter '?r' has undeclared type 'rom'", 13, 17),
+    ('gripper', [('(not (carry ?b ?g))', '(not (carry ?b ?g) (free ?g))', 1)],
+     'PddlError', '(not ...) takes exactly one atom', 19, 39),
+    ('clear', [('(and (clear ?ob) (on-table', '(or (clear ?ob) (on-table', 1)],
+     'UnsupportedPddlError',
+     "disjunctive condition is not supported in precondition of 'pickup'", 6, 19),
+    ('clear', [('(not (arm-empty)))))', '(not (arm-empty))))', 1)],
+     'PddlError', "unbalanced '('", 1, 1),
+    ('clear', [('(not (arm-empty)))))', '(not (arm-empty))))) (extra)', 1)],
+     'PddlError', 'trailing expression after top-level form', 22, 87),
+    ('clear', [('(not (arm-empty)))))', '(not (arm-empty))))) x', 1)],
+     'PddlError', "token 'x' outside any form", 22, 81),
+    ('clear', [('(not (arm-empty)))))', '(not (arm-empty))))))', 1)],
+     'PddlError', "unbalanced ')'", 22, 80),
+    ('clear', [('(on ?x ?y)', '(on ?x ;?y)', 1)],
+     'PddlError', "unbalanced '('", 3, 3),
+    ('clear', [(':parameters (?ob ?underob)',
+                ':parameters (?ob ?underob) ; (x\n    :parameters', 1)],
+     'PddlError', "expected a parameter list in action 'stack'", 16, 5),
+    ('visitall', [(':effect', ':effects', 1)],
+     'UnsupportedPddlError', "unsupported action field ':effects'", 10, 5),
+    ('visitall', [('(:predicates', '(:predicate', 1)],
+     'UnsupportedPddlError', "unsupported section ':predicate'", 4, 3),
+    ('visitall', [('(connected ?curpos ?nextpos)', '(CONNECTED ?CurPos ?NextPos ?X)', 1)],
+     'PddlError', "predicate 'connected' expects 2 arguments, got 3", 9, 43),
+    ('visitall', [('?nextpos))\n    :effect', '?néxtpos))\n    :effect', 1)],
+     'PddlError', "undeclared variable '?néxtpos' in precondition of 'move'", 9, 62),
+    ('visitall', [('(at-robot ?nextpos)', '(at-robot ?nextpos ?İ)', 1)],
+     'PddlError', "predicate 'at-robot' expects 1 arguments, got 2", 10, 18),
+    ('gripper-100', [('(free left)', '(fre left)', 1)],
+     'PddlError', "undeclared predicate 'fre'", 3, 27),
+    ('gripper-100', [('(free right)', '(free right left)', 1)],
+     'PddlError', "predicate 'free' expects 1 arguments, got 2", 3, 39),
+    ('gripper-100', [('(at ball50 ', '(at ball500 ', 1)],
+     'PddlError', "undeclared object 'ball500' in :init", 3, 929),
+    ('gripper-100', [('(free left)', '(free rooma)', 1)],
+     'PddlError', "'rooma' has type 'room', but 'free' expects 'gripper'", 3, 33),
+    ('gripper-100', [('(at ball100 roomb))))', '(at ball100 roomc))))', 1)],
+     'PddlError', "undeclared object 'roomc' in :goal", 4, 1800),
+    ('gripper-100', [('(free right)', '(not (free right))', 1)],
+     'UnsupportedPddlError', 'negative condition is not supported in :init', 3, 39),
+    ('gripper-100', [('(at ball3 roomb)', '(at roomb ball3)', -1)],
+     'PddlError', "'roomb' has type 'room', but 'at' expects 'ball'", 4, 53),
+    ('clear-50', [('(:goal (and', '(:goal (or', 1)],
+     'UnsupportedPddlError', 'disjunctive condition is not supported in :goal', 4, 10),
+    ('clear-50', [('(on b28 b2)', '(on (b28) b2)', 1)],
+     'PddlError', 'nested term in atom', 3, 40),
+    ('clear-50', [('(clear b2))))', '(clear b2 b3))))', 1)],
+     'PddlError', "predicate 'clear' expects 1 arguments, got 2", 4, 15),
+    ('clear-50', [('b50)', 'b50 - blk)', 1)],
+     'PddlError', "object 'b1' has undeclared type 'blk'", None, None),
+    ('clear-50', [('b50)', 'b50 b1)', 1)],
+     'PddlError', "duplicate object 'b1'", None, None),
+    ('clear-50', [('(:domain blocksworld)', '(:domain blocks)', 1)],
+     'PddlError', "instance 'clear-50' is for domain 'blocks', not 'blocksworld'", None, None),
+    ('clear-50', [('(clear b2))))', '(clear b2 ;))))\n  b3))))', 1)],
+     'PddlError', "predicate 'clear' expects 1 arguments, got 2", 4, 15),
+    ('clear-50', [('(define', '; (define', 1)],
+     'PddlError', 'trailing expression after top-level form', 3, 667),
+    ('clear-50', [('(on b28 b2)', '(on b28 b2) (on-table)', 1)],
+     'PddlError', "predicate 'on-table' expects 1 arguments, got 0", 3, 48),
+    ('visitall-14x14', [('loc-0-1 - place', 'loc-0-1 - placé', 1)],
+     'PddlError', "object 'loc-0-1' has undeclared type 'placé'", None, None),
+    ('visitall-14x14', [('(:objects loc-0-0', '(:objects İ loc-0-0', 1),
+                        ('loc-13-13 - place)', 'loc-13-13 - place (x))', 1)],
+     'PddlError', 'unexpected list in :objects', 2, 3263),
+    ('visitall-14x14', [('(connected loc-0-0 loc-0-1)', '(connected loc-0-0 İoc-0-1)', 1)],
+     'PddlError', "undeclared object 'i̇oc-0-1' in :init", 3, 94),
+    ('visitall-14x14', [('(:goal (and (visited', '(:goal (and (visited) (visited', 1)],
+     'PddlError', "predicate 'visited' expects 1 arguments, got 0", 4, 15),
+    ('visitall-14x14', [('(:init', '(:init ;', 1)],
+     'PddlError', "unbalanced '('", 1, 1),
+    ('visitall-14x14', [(')))\n', '))\n', -1)],
+     'PddlError', "unbalanced '('", 1, 1),
+]
+
+
+def _corpus_text(key: str, changes: list) -> str:
+    if key in ("gripper", "clear", "visitall"):
+        text = (ROOT / "benchmarks" / key / "domain.pddl").read_text()
+    else:
+        text = next(c.problem_text for c in workloads.run_cases(ROOT, 0) if c.name == key)
+    for old, new, nth in changes:
+        at = -1
+        for _ in range(nth if nth > 0 else text.count(old) + 1 + nth):
+            at = text.index(old, at + 1)
+        text = text[:at] + new + text[at + len(old):]
+    return text
+
+
+@pytest.mark.parametrize("key,changes,error,message,line,col", ERROR_CORPUS)
+def test_error_corpus_messages_and_positions(key, changes, error, message, line, col):
+    text = _corpus_text(key, changes)
+    domain = key if key in ("gripper", "clear", "visitall") else key.split("-")[0]
+    dom = pddl.parse_domain((ROOT / "benchmarks" / domain / "domain.pddl").read_text())
+    with pytest.raises(PddlError) as exc:
+        if key == domain:
+            pddl.parse_domain(text)
+        else:
+            pddl.parse_instance(text, dom)
+    where = "" if line is None else f" (line {line}, column {col})"
+    assert (type(exc.value).__name__, str(exc.value), exc.value.line, exc.value.col) == (
+        error, message + where, line, col)
 
 
 def test_unsupported_features_rejected():
@@ -387,8 +519,10 @@ def test_goal_params_recorded():
     dom = pddl.parse_domain(domains.BLOCKS_DOMAIN)
     inst = pddl.parse_instance(domains.clear_tower_instance(3), dom, ["b1"])
     assert inst.goal_params == ("b1",)
-    with pytest.raises(PddlError):
-        pddl.parse_instance(domains.clear_tower_instance(3), dom, ["nope"])
+    # Names are read lower-cased, goal parameters too.
+    assert pddl.parse_instance(domains.clear_tower_instance(3), dom, ["B1"]) == inst
+    with pytest.raises(PddlError, match="goal parameter 'nope' is not an object"):
+        pddl.parse_instance(domains.clear_tower_instance(3), dom, ["NOPE"])
 
 
 GATED_DOMAIN = """
@@ -525,3 +659,119 @@ def test_successors_on_every_state_of_the_run_workload(seed):
             rows.append(succ[[gp.actions[a] for a in aids].index(name)])
         assert gp.is_goal(rows[-1])
         oracles.check_successors(gp, rows)
+
+
+# SHA-256 of the ground problem's fields below, pinned from the grounder
+# that bound parameters one generator step at a time and looked every atom
+# up by name: perfbench's run and verify cases of seeds 0 and 7, and three
+# instances at the sizes the greedy runs are measured at.
+GROUND_FIELDS = ("atoms", "actions", "dynamic", "pre_bits", "add_bits", "del_bits", "pre_key",
+                 "init", "goal_mask", "static_atoms")
+GROUND_DIGESTS = {
+    "gripper-100-0": "376a061b3c0f29d4f67d4a7701c0db3db632fc172a0cd3b9e2a02ce5ed1f344e",
+    "clear-50-0": "12d95dc9ffad59b62ada005ccea9cae99c13a21169a6bb3ae6f061b37f02494c",
+    "visitall-14x14-0": "8e1bb12b3b33a302241e9ce93eb7a616ef7b799666a8f7fff21881a4fffc4290",
+    "visitall-4x4-0": "9322914223b4baf9cb3bb676f585d9e541059b476b9bc43dc28592913dc629e4",
+    "gripper-10-0": "ad57a616f42dc604435e0cd33212e5ea13faf43c34e382970a1d2de29224bcc7",
+    "clear-7-0": "ce4e8234a5e837bed979ea17d8793447dba371bd43184d8f20cb1a22356dd74f",
+    "visitall-4x4-bad-0": "cbe240ab24ac8bcf6b8be775a9fe1c5dc4fe0e8444a9b4b3abc60ef8b9908bd7",
+    "gripper-100-7": "7c3b5b2df7b7ff65e61e752cef7100cea7e2427683b6edf113860bfc623234bb",
+    "clear-50-7": "fe551bfda3e9c12ad5b2040f4ac7a42a4460ecd647441064fdf53c551e1d17fa",
+    "visitall-14x14-7": "5bf1258a62e4b43fadde4ea978ef4b14ca91d209c31dc9b7df519b7836b31276",
+    "visitall-4x4-7": "24b0831139d124a4c367da0f8de7ba0b28de039aaa2bca2fd2a9e442f9115ef0",
+    "gripper-10-7": "a1ef7742a630d04e474afebed4bc5227c1a487d0567e651bd575c7d476f471bb",
+    "clear-7-7": "b4de5eee9a89117a6e3e66010d5e7379dc11167f540746f9bd5195f885b6dd43",
+    "visitall-4x4-bad-7": "cbe240ab24ac8bcf6b8be775a9fe1c5dc4fe0e8444a9b4b3abc60ef8b9908bd7",
+    "clear-150": "8c42439b57ba227b49faad9f80a6df4ff157559b0a4860d12716ec72ef327532",
+    "visitall-28x28": "ccbf2d9163bf3530ae7e751dec1f51e225052691ccafb13eed7dd13472ce5166",
+    "gripper-400": "4edfc048c4db397b6fe34efcb1f16c47182100aea0a06d4fdea9e82c6b40a252",
+}
+
+
+def _digest_cases():
+    """name -> (perfbench case-like instance, domain directory)."""
+    cases = {f"{c.name}-{seed}": c.instance for seed in (0, 7)
+             for c in workloads.run_cases(ROOT, seed) + workloads.verify_cases(ROOT, seed)}
+    cases["clear-150"] = instances.clear_tower(150, random.Random(7), "clear-150")
+    cases["visitall-28x28"] = instances.visitall(28, 28, (9, 20), "visitall-28x28")
+    cases["gripper-400"] = instances.gripper(400, random.Random(6), "gripper-400")
+    return cases
+
+
+def _ground_digest(gp) -> str:
+    h = hashlib.sha256()
+    for name in GROUND_FIELDS:
+        value = getattr(gp, name)
+        if isinstance(value, np.ndarray):
+            h.update(f"{name} {value.dtype} {value.shape}".encode())
+            h.update(value.tobytes())
+        else:
+            h.update(f"{name} {sorted(value) if isinstance(value, frozenset) else value}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,inst", list(_digest_cases().items()))
+def test_ground_digests_and_contexts(name, inst):
+    directory = {"gripper": "gripper", "blocksworld": "clear", "grid-visit-all": "visitall"}
+    dom = pddl.parse_domain(
+        (ROOT / "benchmarks" / directory[inst.domain] / "domain.pddl").read_text())
+    gp = pddl.ground(dom, pddl.parse_instance(inst.pddl(), dom, inst.goal_params))
+    assert _ground_digest(gp) == GROUND_DIGESTS[name]
+    # The atom tables of random rows, and the policy's values by deltas at
+    # the first state and at its first successors, against the oracle's
+    # tables and the batch evaluation.
+    ictx = co.InstanceContext(gp)
+    rows = np.random.default_rng(5).integers(0, 2**63, size=(8, gp.words), dtype=np.uint64)
+    for got, want in zip(ictx.tables(rows), oracles.scatter_tables(ictx, rows)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    pol = po.parse_policy(
+        (ROOT / "perfbench" / "policies" / f"{directory[inst.domain]}.txt").read_text())
+    kept = co.DeltaContext(ictx, gp.init, pol.features)
+    assert kept.values() == pol.evaluate(ictx, gp.init[None])[0].tolist()
+    for aid in gp.successors(gp.init)[:4].tolist():
+        want = pol.evaluate(ictx, gp.apply(gp.init, aid)[None])[0].tolist()
+        assert kept.successor(aid)[0] == want
+
+
+def _calls(fn, *args):
+    """The result of fn(*args) and the Python calls it made."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        calls[0] += event == "call"
+    sys.setprofile(profile)
+    try:
+        return fn(*args), calls[0]
+    finally:
+        sys.setprofile(None)
+
+
+# Python calls ('call' events of `sys.setprofile`) made to parse and ground
+# an instance and to set up the contexts of a greedy run on it.  Reading,
+# grounding and the contexts work in bulk, with no call per token, atom or
+# action; the reader that made a node per token and the grounder that
+# looked atoms up one by one made 95,424 / 42,035 / 7,257 calls on
+# visitall-28x28 and 2,924 / 11,216 / 16,032 on clear-100.  Each bound is
+# 1.5 times the count of the bulk code (815 / 156 / 337 and 32 / 414 / 410).
+CALL_BUDGETS = {
+    "visitall-28x28": ("visitall", lambda: instances.visitall(28, 28, (9, 20), "v"),
+                       (1222, 234, 505)),
+    "clear-100": ("clear", lambda: instances.clear_tower(100, random.Random(6), "c"),
+                  (48, 621, 615)),
+}
+
+
+@pytest.mark.parametrize("name", list(CALL_BUDGETS))
+def test_parsing_grounding_and_contexts_stay_within_a_call_budget(name):
+    directory, make, budget = CALL_BUDGETS[name]
+    inst = make()
+    dom = pddl.parse_domain((ROOT / "benchmarks" / directory / "domain.pddl").read_text())
+    pol = po.parse_policy((ROOT / "perfbench" / "policies" / f"{directory}.txt").read_text())
+    text = inst.pddl()
+    for _ in range(2):  # the first time round warms caches and lazy imports
+        problem, parse = _calls(pddl.parse_instance, text, dom, inst.goal_params)
+        gp, ground = _calls(pddl.ground, dom, problem)
+        ictx, instance = _calls(co.InstanceContext, gp)
+        _, delta = _calls(co.DeltaContext, ictx, gp.init, pol.features)
+    got = (parse, ground, instance + delta)
+    assert all(n <= bound for n, bound in zip(got, budget)), (got, budget)

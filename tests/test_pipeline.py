@@ -116,6 +116,22 @@ def _random_problem_files(tmp_path, seed):
     return [str(p) for p in paths]
 
 
+@pytest.mark.parametrize("goal_params", ["B1", " b1 ", "b1,"])
+def test_goal_parameters_are_names_in_any_case(tmp_path, goal_params):
+    # PDDL names are read lower-cased, and so are goal parameters; the
+    # spaces around one are not part of it.
+    clear = Path(__file__).resolve().parents[1] / "benchmarks" / "clear"
+    outs = []
+    for i, params in enumerate(["b1", goal_params]):
+        rc = cli.main(["learn", "--domain", str(clear / "domain.pddl"),
+                       "--training", str(clear / "prob05.pddl"), "--goal-params", params,
+                       "--max-feature-weight", "4", "--out", str(tmp_path / str(i))])
+        assert rc == 0
+        outs.append([(tmp_path / str(i) / name).read_bytes()
+                     for name in ("report.kv", "policy.txt")])
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("seed,is_goal", [(1, False), (3, True)])
 def test_learn_with_an_empty_pool(tmp_path, capsys, seed, is_goal):
     # Each space is one state, a dead end at seed 1 and a goal at seed 3, so
