@@ -99,7 +99,8 @@ def cmd_encode(args) -> int:
     with open(args.out_prefix + ".wcnf", "w") as f:
         f.write(maxsat.format_wcnf(theory.wcnf))
     with open(args.out_prefix + ".tags", "w") as f:
-        f.writelines(f"{i} {tag}\n" for i, tag in enumerate(theory.tags))
+        tags = (tag for tag, count in theory.families for _ in range(count))
+        f.writelines(f"{i} {tag}\n" for i, tag in enumerate(tags))
     sys.stdout.write(pipeline.render_kv(dict(sorted(theory.stats.items()))))
     return 0
 
@@ -125,7 +126,8 @@ def cmd_extract(args) -> int:
     theory = pipeline.build_theory(prep, [], cfg)
     with open(args.model) as f:
         model = maxsat.parse_model(f.read(), theory.wcnf.nvars)
-    phi, goods, _values = encoding.decode(theory, model)
+    encoding.check_model(theory, prep.classes, model)
+    phi, goods = encoding.decode(theory, model)
     pol = policy.extract_policy(prep.pool, phi, prep.classes, goods)
     sys.stdout.write(pol.dump())
     return 0

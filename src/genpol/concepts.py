@@ -392,13 +392,15 @@ class InstanceContext:
                     for p in preds if p.arity in _VERSIONS
                     for k, version in enumerate(_VERSIONS[p.arity][:1 + (p.name in static)]))
         self.fixed = {}
-        for arity, sort in ((1, CONCEPT), (2, ROLE)):  # one write and one pack each
+        for arity, sort in ((1, CONCEPT), (2, ROLE)):  # one scatter into words each
             exprs = [e for e in held if type(e) in FORMS[sort]]
-            at = np.fromiter(chain.from_iterable(map(held.get, exprs)), dtype=np.int64)
-            bits = np.zeros((len(exprs),) + (slots, n)[2 - arity:], dtype=bool)
-            bits[(np.repeat(np.arange(len(exprs)), [len(held[e]) // arity for e in exprs]),
-                  *at.reshape(-1, arity).T)] = True
-            self.fixed.update(zip(exprs, pack(bits, w)))
+            row = np.repeat(np.arange(len(exprs)), [len(held[e]) // arity for e in exprs])
+            *slot, obj = np.fromiter(chain.from_iterable(map(held.get, exprs)),
+                                     dtype=np.int64).reshape(-1, arity).T
+            sets = np.zeros((len(exprs),) + (slots, w)[2 - arity:], dtype=np.uint64)
+            np.bitwise_or.at(sets, (row, *slot, obj >> 6),
+                             np.left_shift(np.uint64(1), (obj & 63).astype(np.uint64)))
+            self.fixed.update(zip(exprs, sets))
         # `flags`: each static predicate of another arity, 1 if an atom of it holds.
         self.flags = {p.name: int((1, p.name) in by_pred) for p in preds
                       if p.arity not in _VERSIONS and p.name in static}

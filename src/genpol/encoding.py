@@ -28,7 +28,8 @@ occurrence, and `class_of` is an int64 array over the sample's alive
 transitions.  The V(s, d) of a state are consecutive variables from
 `Theory.v_first[s]`, d = goal_dist(s) first.  Each constraint family is
 emitted from numpy as one `maxsat.Clauses` block, in the order the clauses
-are numbered in the `.wcnf` and `.tags` files.
+are numbered in the `.wcnf` file; `Theory.families` keeps each family's tag
+and clause count, from which `genpol encode` writes the `.tags` file.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from itertools import combinations
 
 import numpy as np
 
-from genpol.errors import InternalInvariantError
+from genpol.errors import GenpolError
 from genpol.features import FeaturePool, boolean_matrix
 from genpol.maxsat import Clauses, WcnfProblem, ranges
 from genpol.space import SampleSet, group
@@ -57,13 +58,9 @@ def _first_ids(rows: np.ndarray):
     occurrence, and per id the row where it first occurs (ascending)."""
     if not rows.shape[1]:  # zero-width rows are all equal
         return np.zeros(len(rows), dtype=np.int64), np.arange(min(1, len(rows)))
-    # Keys equal exactly when the rows are: a one-column row's value, the
-    # bytes of a wider one.
-    if rows.shape[1] == 1:
-        keys = rows[:, 0]
-    else:
-        rows = np.ascontiguousarray(rows)
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    # Keys equal exactly when the rows are: the bytes of each row.
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
     _, first, inverse = group(keys)
     order = np.argsort(first)
     rank = np.empty(len(first), dtype=np.int64)
@@ -129,7 +126,7 @@ def _out_classes(sample: SampleSet, class_of: np.ndarray, n_classes: int) -> Cla
 @dataclass
 class Theory:
     wcnf: WcnfProblem
-    tags: list                # formula tag per hard clause
+    families: list            # (tag, clause count) per constraint family, in clause order
     n_select: int
     n_good: int
     goal_dist: np.ndarray     # per global state (the sample's)
@@ -193,13 +190,10 @@ def build_theory(sample: SampleSet, pool: FeaturePool, matrix: np.ndarray,
                                     v_count)
         families.append(("separate", _separate(classes, enc_pairs, good)))
 
-    tags = []
-    for tag, part in families:
-        tags += [tag] * len(part)
     wcnf = WcnfProblem(nvars, Clauses.join([part for _, part in families]), soft,
                        np.asarray(pool.weights, np.int64))
-    theory = Theory(wcnf, tags, n_select, n_good, dist, v_first, v_count,
-                    enc_pairs, witness, {})
+    theory = Theory(wcnf, [(tag, len(part)) for tag, part in families], n_select,
+                    n_good, dist, v_first, v_count, enc_pairs, witness, {})
     theory.stats = _stats(theory, sample)
     return theory
 
@@ -268,12 +262,11 @@ def _separate(classes: Classes, enc_pairs: list, good) -> Clauses:
 
 def _stats(theory: Theory, sample: SampleSet) -> dict:
     n_classes = theory.n_good
-    built_sep = theory.tags.count("separate")
     full_sep = n_classes * (n_classes - 1)  # both directions of each pair
-    base = len(theory.tags) - built_sep
+    base = len(theory.wcnf.hard) - dict(theory.families).get("separate", 0)
     return {
         "n_vars": theory.wcnf.nvars,
-        "n_hard": len(theory.tags),
+        "n_hard": len(theory.wcnf.hard),
         "n_soft": len(theory.wcnf.soft),
         "n_clauses_full": base + full_sep + len(theory.wcnf.soft),
         "n_pairs": len(theory.pairs),
@@ -306,23 +299,29 @@ def initial_pairs(classes: Classes, class_of: np.ndarray, sample: SampleSet,
     return sorted(pairs)
 
 
+def check_model(theory: Theory, classes: Classes, model: list):
+    """Refuses a model read from outside (0/1 per variable, index 0 unused)
+    unless it satisfies the hard clauses of `theory` and separates good from
+    bad `classes` on every pair; the error names what it violates first."""
+    held = theory.wcnf.hard.satisfied(np.asarray(model, dtype=bool))
+    if not held.all():
+        i = int(np.argmin(held))
+        ends = np.cumsum([count for _, count in theory.families])
+        tag = theory.families[int(np.searchsorted(ends, i, "right"))][0]
+        raise GenpolError(f"model violates hard clause {i} ({tag})")
+    bad = validate_solution(classes, *decode(theory, model))
+    if bad:
+        raise GenpolError(f"model leaves {len(bad)} class pairs unseparated, "
+                          f"first {bad[0]}")
+
+
 def decode(theory: Theory, model: list):
-    """(selected feature ids, good class ids, value label per global state,
-    -1 for the dead ends)."""
+    """(selected feature ids, good class ids) of a model."""
     m = np.asarray(model, dtype=bool)
     n_select, n_good = theory.n_select, theory.n_good
     phi = np.flatnonzero(m[1:n_select + 1]).tolist()
     goods = np.flatnonzero(m[n_select + 1:n_select + n_good + 1]).tolist()
-    v0 = n_select + n_good + 1
-    owner = np.repeat(np.arange(len(theory.v_count)), theory.v_count)
-    on = np.flatnonzero(m[v0:v0 + len(owner)])  # true V variables, less v0
-    states = owner[on]
-    twice = states[1:][np.diff(states) == 0]
-    if len(twice):
-        raise InternalInvariantError(f"state {twice[0]} carries two value labels")
-    values = np.full(len(theory.v_count), -1, dtype=np.int64)
-    values[states] = theory.goal_dist[states] + v0 + on - theory.v_first[states]
-    return phi, goods, values
+    return phi, goods
 
 
 def validate_solution(classes: Classes, phi: list, goods: list) -> list:

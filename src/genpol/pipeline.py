@@ -133,10 +133,11 @@ def solve_fixpoint(prep: Prepared, pairs: list, config: RunConfig) -> Fixpoint:
     `pairs`, and grows tau with the pairs the model leaves unseparated until
     it leaves none: the model then satisfies the full theory.
 
-    Each round builds the whole theory, for its stats and the model check.
-    The embedded backend continues one OLL search across rounds: the fresh
-    pairs are appended to tau, so a round's hard clauses extend the last
-    round's by the new `separate` clauses, and only those are loaded."""
+    Each round builds the whole theory: perfbench's tracer counts one round per
+    `encoding.build_theory` call, as `tests/test_trace_hooks.py` pins.  The
+    embedded backend continues one OLL search across rounds: the fresh pairs
+    are appended to tau, so a round's hard clauses extend the last round's
+    by the new `separate` clauses, and only those are loaded."""
     oll = maxsat.Oll()
     iterations = 0
     while True:
@@ -155,7 +156,7 @@ def solve_fixpoint(prep: Prepared, pairs: list, config: RunConfig) -> Fixpoint:
         if result.status != maxsat.OPTIMUM:
             return Fixpoint(theory, result, [], [], iterations,
                             "no policy in feature space: theory is unsatisfiable")
-        phi, goods, _values = encoding.decode(theory, result.model)
+        phi, goods = encoding.decode(theory, result.model)
         violated = encoding.validate_solution(prep.classes, phi, goods)
         if not violated:
             return Fixpoint(theory, result, phi, goods, iterations, "")

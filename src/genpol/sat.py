@@ -48,7 +48,6 @@ def _dec(code: int) -> int:
 class Cdcl:
     def __init__(self):
         self.nvars = 0
-        self.clauses = []        # problem clauses (lists of encoded lits)
         self.learnts = []
         self.watches = [[], []]  # indexed by encoded literal
         self.lval = [UNASSIGNED, UNASSIGNED]  # indexed by encoded literal
@@ -125,20 +124,19 @@ class Cdcl:
             self.ok = self._propagate() is None
             return self.ok
         self._attach(clause)
-        self.clauses.append(clause)
         return True
 
     def add_clauses(self, lits, starts) -> bool:
         """Adds clause i = lits[starts[i]:starts[i + 1]] (signed ints) for
         each i in order, leaving the state add_clause on each in turn leaves:
-        the same clause lists, watch order, level-0 trail and heap.
+        the same watch lists, level-0 trail and heap.
 
         A clause of two or more distinct variables, none of them assigned,
         is attached as it is, its literals encoded in numpy.  The others
         (units, empty clauses, repeated variables, and clauses over a
         variable assigned at level 0 by the time they are reached) go
         through add_clause in their turn.  Clauses are examined about BLOCK
-        literals at a time, so the temporaries stay small beside the clause
+        literals at a time, so the temporaries stay small beside the watch
         lists."""
         if not self.ok:
             return False
@@ -180,12 +178,8 @@ class Cdcl:
                 for stop in (np.flatnonzero(special) + at).tolist() + [m]:
                     if stop > at:
                         self.ensure_vars(int(var[bounds[at]:bounds[stop]].max()))
-                        watches, clauses = self.watches, self.clauses
                         for a, b in zip(bounds[at:stop], bounds[at + 1:stop + 1]):
-                            clause = flat[a:b]
-                            watches[clause[0]].append(clause)
-                            watches[clause[1]].append(clause)
-                            clauses.append(clause)
+                            self._attach(flat[a:b])
                     at = stop
                     if stop == m:
                         break

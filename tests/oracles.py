@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from genpol.errors import SolverTimeoutError
+from genpol.errors import InternalInvariantError, SolverTimeoutError
 from genpol.maxsat import Clauses
 from genpol.space import MAX_STATES
 
@@ -564,6 +564,25 @@ def good_var(theory, c):
 def value_var(theory, g, d):
     """The WCNF variable of global state g taking value d."""
     return int(theory.v_first[g] + d - theory.goal_dist[g])
+
+
+def tags(theory):
+    """The family tag of each hard clause, in clause order: the lines of
+    the `.tags` file that `genpol encode` writes."""
+    return [tag for tag, count in theory.families for _ in range(count)]
+
+
+def value_labels(theory, model):
+    """Per global state, the value d of the V(s, d) that the model sets,
+    -1 where it sets none; two on one state are an error."""
+    values = []
+    for g, (dist, count) in enumerate(zip(theory.goal_dist.tolist(),
+                                          theory.v_count.tolist())):
+        on = [d for d in range(dist, dist + count) if model[value_var(theory, g, d)]]
+        if len(on) > 1:
+            raise InternalInvariantError(f"state {g} carries two value labels")
+        values.append(on[0] if on else -1)
+    return values
 
 
 def load_pool(text):

@@ -277,7 +277,7 @@ def test_criterion_5_every_sampled_model_yields_verified_policy(capsys):
                 res = maxsat.solve_wcnf(theory.wcnf)
                 if res.status != maxsat.OPTIMUM:
                     break
-                phi, goods, _values = encoding.decode(theory, res.model)
+                phi, goods = encoding.decode(theory, res.model)
                 # extract_policy re-validates the class separation
                 pol = po.extract_policy(pool, phi, classes, goods)
                 vals = [tuple(int(matrix[f, s]) for f in phi)

@@ -13,7 +13,7 @@ import oracles
 from genpol import encoding, features, maxsat, pddl, pipeline, space
 from genpol.encoding import (build_theory, compute_classes, decode,
                              initial_pairs, validate_solution)
-from genpol.errors import InternalInvariantError
+from genpol.errors import GenpolError, InternalInvariantError
 from genpol.sat import Cdcl
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -120,8 +120,8 @@ def test_value_domains_and_exactly_one():
     theory = build_theory(sample, pool, matrix, classes, class_of, v_slack=2)
     # fresh: distance 1 -> {1, 2}; done: goal -> {0}; ash: dead end -> absent.
     assert _domains(theory) == {0: [1, 2], 2: [0]}
-    value_clauses = [c for c, t in zip(theory.wcnf.hard.tolist(), theory.tags)
-                     if t == "value"]
+    value_clauses = [c for c, t in zip(theory.wcnf.hard.tolist(),
+                                       oracles.tags(theory)) if t == "value"]
     # One at-least-one per solvable state plus one pairwise exclusion for the
     # two-value state.
     assert len(value_clauses) == 3
@@ -137,8 +137,8 @@ def test_descend_skips_goal_and_dead_targets():
     classes, class_of = compute_classes(sample, matrix)
     theory = build_theory(sample, pool, matrix, classes, class_of)
     # finish ends in a goal, burn in a dead end: no descend clause at all.
-    assert theory.tags.count("descend") == 0
-    assert theory.tags.count("deadend") == 1
+    assert oracles.tags(theory).count("descend") == 0
+    assert oracles.tags(theory).count("deadend") == 1
 
     bsample = _sample(domains.BLOCKS_DOMAIN, domains.clear_tower_instance(3),
                       ("b1",))
@@ -152,7 +152,7 @@ def test_descend_skips_goal_and_dead_targets():
         did = sp.dst[t]
         if sp.goal_dist[did] >= 0 and not sp.is_goal[did]:
             expected += btheory.v_count[sp.src[t]]
-    assert btheory.tags.count("descend") == expected
+    assert oracles.tags(btheory).count("descend") == expected
 
 
 def test_cover_clauses_one_per_alive_state():
@@ -163,7 +163,7 @@ def test_cover_clauses_one_per_alive_state():
     theory = build_theory(sample, pool, matrix, classes, class_of)
     sp = sample.spaces[0]
     n_alive_states = sum(1 for s in range(sp.n_states) if sp.alive[s])
-    assert theory.tags.count("cover") == n_alive_states
+    assert oracles.tags(theory).count("cover") == n_alive_states
 
 
 def test_goal_separation_minimal_and_irredundant():
@@ -238,7 +238,7 @@ def test_variable_layout_and_soft_clauses():
     assert theory.wcnf.soft.tolist() == [[-oracles.select_var(f)]
                                          for f in range(len(pool))]
     assert theory.wcnf.weights.tolist() == pool.weights.tolist()
-    assert len(theory.tags) == len(theory.wcnf.hard)
+    assert len(oracles.tags(theory)) == len(theory.wcnf.hard)
     assert theory.stats["n_hard"] == len(theory.wcnf.hard)
     assert theory.stats["n_soft"] == len(pool)
     assert theory.stats["n_alive_transitions"] == 2
@@ -253,21 +253,26 @@ def test_oneway_theory_solves_to_known_optimum():
     assert res.status == maxsat.OPTIMUM
     # Atom(done) alone separates the goal and certifies the finish move.
     assert res.cost == 1
-    phi, goods, values = decode(theory, res.model)
+    phi, goods = decode(theory, res.model)
     assert [pool.features[f].render() for f in phi] == ["Atom(done)"]
     finish = dict(zip(_alive_actions(sample), class_of.tolist()))["finish()"]
     assert goods == [finish]
     assert validate_solution(classes, phi, goods) == []
     # Value labels: the goal is 0, the initial state within its band and
     # the dead end unlabeled.
+    values = oracles.value_labels(theory, res.model)
     assert values[2] == 0
     assert values[0] in (1, 2)
     assert values[1] == -1
-    # A model with two labels on one state is rejected.
+    encoding.check_model(theory, classes, res.model)
+    # A model with two labels on one state violates a `value` clause.
     twice = list(res.model)
     twice[oracles.value_var(theory, 0, 1)] = twice[oracles.value_var(theory, 0, 2)] = 1
     with pytest.raises(InternalInvariantError, match="state 0 carries two"):
-        decode(theory, twice)
+        oracles.value_labels(theory, twice)
+    with pytest.raises(GenpolError, match=r"hard clause \d+ \(value\)") as caught:
+        encoding.check_model(theory, classes, twice)
+    assert not isinstance(caught.value, InternalInvariantError)
 
 
 def test_initial_pairs_full_quadratic_when_small():
@@ -317,13 +322,13 @@ def test_separation_clauses_only_for_requested_pairs():
     pool, matrix = features.generate_pool(sample, max_weight=3)
     classes, class_of = compute_classes(sample, matrix)
     bare = build_theory(sample, pool, matrix, classes, class_of, pairs=[])
-    assert bare.tags.count("separate") == 0
+    assert oracles.tags(bare).count("separate") == 0
     assert bare.pairs == []
     one = build_theory(sample, pool, matrix, classes, class_of,
                        pairs=[(1, 0), (0, 1), (0, 0)])
     # Deduplicated, normalized, self-pairs dropped; two directions per pair.
     assert one.pairs == [(0, 1)]
-    assert one.tags.count("separate") == 2
+    assert oracles.tags(one).count("separate") == 2
 
 
 def test_validate_solution_flags_unseparated_mixtures():
@@ -445,7 +450,7 @@ def _starting_theory(name, merge, prepared):
 def test_starting_theory_bytes_are_pinned(name, merge, prepared):
     theory = _starting_theory(name, merge, prepared)
     wcnf = maxsat.format_wcnf(theory.wcnf)
-    tags = "".join(f"{i} {tag}\n" for i, tag in enumerate(theory.tags))
+    tags = "".join(f"{i} {tag}\n" for i, tag in enumerate(oracles.tags(theory)))
     digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
     assert (digest(wcnf), digest(tags)) == PINNED[(name, merge)]
 
@@ -508,8 +513,8 @@ def test_classes_and_validation_match_dict_grouping(name, merge, prepared):
     if name == "ladders":
         assert len(sample.spaces) == 2 and 0 < classes.dst_dead.sum() < len(classes)
 
-    # One-column rows are keyed by their value and wider ones by their bytes;
-    # either way ids number the distinct rows by first occurrence.
+    # Rows are keyed by their bytes, one column or many; ids number the
+    # distinct rows by first occurrence.
     codes = classes.codes
     wide = codes.sum(axis=1, dtype=np.uint64)
     wide[1::2] += np.uint64(1) << np.uint64(63)  # beyond float64 precision

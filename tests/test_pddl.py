@@ -625,6 +625,25 @@ def test_grounding_a_100_block_tower_builds_no_dense_masks():
     assert not [name for name in vars(gp) if name.endswith("_masks")]
 
 
+def test_instance_context_builds_no_dense_object_squares():
+    # visitall-50x50's static `connected` and its goal version as dense bool
+    # [slots, objects] arrays would take 2 * 2,500² bytes = 12.5 MB; the
+    # fixed sets are scattered straight into packed words.
+    inst = instances.visitall(50, 50, (17, 33), "visitall-50x50")
+    dom = pddl.parse_domain((ROOT / "benchmarks" / "visitall" / "domain.pddl").read_text())
+    gp = pddl.ground(dom, pddl.parse_instance(inst.pddl(), dom))
+    tracemalloc.start()
+    try:
+        ictx = co.InstanceContext(gp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    connected = ictx.fixed[co.PrimitiveRole("connected")]
+    assert connected.shape == (2500, 40)
+    assert int(np.bitwise_count(connected).sum()) == 2 * 2 * 50 * 49
+
+
 @pytest.mark.parametrize("make,policy_name", [
     (lambda rng: instances.clear_tower(50, rng, "clear-50"), "clear"),
     (lambda rng: instances.gripper(100, rng, "gripper-100"), "gripper"),

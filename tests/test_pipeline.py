@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior and the command line interface."""
 
 import dataclasses
+import hashlib
 import os
 import random
 import re
@@ -73,7 +74,7 @@ def test_learn_matches_manual_stage_composition(clear_files):
     theory = pipeline.build_theory(prep, pipeline.start_pairs(prep, cfg), cfg)
     res = maxsat.solve_wcnf(theory.wcnf)
     assert res.cost == result.cost
-    phi, goods, _ = encoding.decode(theory, res.model)
+    phi, goods = encoding.decode(theory, res.model)
     manual = po.extract_policy(prep.pool, phi, prep.classes, goods)
     assert manual.dump() == result.policy.dump()
 
@@ -81,13 +82,24 @@ def test_learn_matches_manual_stage_composition(clear_files):
 def test_rounds_continue_one_search(monkeypatch):
     # Visitall 3x3 takes two rounds.  The second continues the first's
     # search on one solver, and finds the optimum a fresh search finds on
-    # the whole theory of that round.
+    # the whole theory of that round.  The search of both rounds is pinned
+    # as `PINNED_SEARCH` pins a fresh one: the model's sha256 and the SAT
+    # calls, conflicts, decisions and propagations summed over the
+    # Cdcl.solve calls that return.
     made = []
+    counts = [0, 0, 0, 0]
 
     class Counted(maxsat.Cdcl):
         def __init__(self):
             super().__init__()
             made.append(self)
+
+        def solve(self, *args, **kwargs):
+            before = (0, self.conflicts, self.decisions, self.propagations)
+            result = super().solve(*args, **kwargs)
+            after = (1, self.conflicts, self.decisions, self.propagations)
+            counts[:] = [n + b - a for n, a, b in zip(counts, before, after)]
+            return result
 
     monkeypatch.setattr(maxsat, "Cdcl", Counted)
     visitall = Path(__file__).resolve().parent.parent / "benchmarks" / "visitall"
@@ -97,6 +109,11 @@ def test_rounds_continue_one_search(monkeypatch):
     prep = pipeline.prepare(cfg)
     fix = pipeline.solve_fixpoint(prep, pipeline.start_pairs(prep, cfg), cfg)
     assert fix.iterations == 2 and len(made) == 1
+    assert len(fix.theory.pairs) == 936
+    model = hashlib.sha256(bytes(fix.result.model)).hexdigest()
+    assert (model, *counts) == (
+        "06e86bf969af622156b629c7fd92a4fb000bf64ac875f5ac45e75e9667a1fbd5",
+        8, 18, 4550, 18492)
     assert fix.result.cost == maxsat.solve_wcnf(fix.theory.wcnf).cost == 7
 
 
@@ -588,6 +605,72 @@ def test_cli_stagewise_chain(clear_files, tmp_path, capsys):
     rc = cli.main(["run", *instance, "--policy", str(pol_path),
                    "--tie-break", "random", "--seed", "3"])
     assert rc == 0 and capsys.readouterr().out == _RUN_RANDOM_3
+
+
+def _extract(monkeypatch, capsys, flags, model, model_path):
+    """(exit code, stderr, error raised) of `genpol extract` on `model`, 0/1
+    per variable, written as one line of signed literals."""
+    model_path.write_text("v " + " ".join(str(v if on else -v)
+                                          for v, on in enumerate(model) if v) + "\n")
+    raised = []
+    extract = cli.cmd_extract
+
+    def spy(args):
+        try:
+            return extract(args)
+        except GenpolError as e:
+            raised.append(e)
+            raise
+
+    monkeypatch.setattr(cli, "cmd_extract", spy)
+    rc = cli.main(["extract", *flags, "--model", str(model_path)])
+    return rc, capsys.readouterr().err, (raised or [None])[0]
+
+
+def test_cli_extract_refuses_a_model_violating_the_theory(clear_files, tmp_path,
+                                                          monkeypatch, capsys):
+    dom, train = clear_files
+    flags = ["--domain", dom, "--training", train, "--goal-params", "b1",
+             "--max-feature-weight", "4"]
+    path = tmp_path / "model.txt"
+    path.write_text("v 0\n")
+    rc = cli.main(["extract", *flags, "--model", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: model violates hard clause 0 (goalsep)\n"
+
+    # learn's model extracts to learn's policy; a second value label on
+    # state 0 breaks the clause that allows one.
+    cfg = _clear_config(clear_files)
+    prep = pipeline.prepare(cfg)
+    fix = pipeline.solve_fixpoint(prep, pipeline.start_pairs(prep, cfg), cfg)
+    rc, err, _ = _extract(monkeypatch, capsys, flags, fix.result.model, path)
+    assert rc == 0 and err == ""
+    labels = range(fix.theory.v_first[0], fix.theory.v_first[0] + fix.theory.v_count[0])
+    assert sum(fix.result.model[v] for v in labels) == 1
+    twice = list(fix.result.model)
+    twice[next(v for v in labels if not twice[v])] = 1
+    rc, err, _ = _extract(monkeypatch, capsys, flags, twice, path)
+    assert rc == 2 and re.fullmatch(r"error: model violates hard clause \d+ \(value\)\n", err)
+
+
+def test_cli_extract_refuses_an_unseparated_model(tmp_path, monkeypatch, capsys):
+    # The optimum of gripper's pair-free theory satisfies every hard clause
+    # that `extract` builds, but leaves good and bad classes unseparated:
+    # a plain input error, not an internal one.
+    gripper = Path(__file__).resolve().parent.parent / "benchmarks" / "gripper"
+    flags = ["--domain", str(gripper / "domain.pddl"),
+             "--training", str(gripper / "prob04.pddl"), "--max-feature-weight", "8"]
+    cfg = cli._config_from(cli.build_parser().parse_args(["extract", *flags, "--model", "-"]))
+    prep = pipeline.prepare(cfg)
+    theory = pipeline.build_theory(prep, [], cfg)
+    res = maxsat.solve_wcnf(theory.wcnf)
+    assert res.status == maxsat.OPTIMUM
+    assert maxsat.evaluate(theory.wcnf, res.model)[0]
+    bad = encoding.validate_solution(prep.classes, *encoding.decode(theory, res.model))
+    assert len(bad) == 54
+    rc, err, exc = _extract(monkeypatch, capsys, flags, res.model, tmp_path / "model.txt")
+    assert rc == 2 and err == f"error: model leaves 54 class pairs unseparated, first {bad[0]}\n"
+    assert type(exc) is GenpolError
 
 
 # `holding` nested inside `depth` Nots; an even number keeps its values.

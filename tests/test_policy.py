@@ -54,7 +54,7 @@ def _learn_clear(n_blocks=5, k=4):
                                    pairs=pairs)
     res = maxsat.solve_wcnf(theory.wcnf)
     assert res.status == maxsat.OPTIMUM
-    phi, goods, _ = encoding.decode(theory, res.model)
+    phi, goods = encoding.decode(theory, res.model)
     assert encoding.validate_solution(classes, phi, goods) == []
     return pool, phi, classes, goods, gp
 

@@ -261,7 +261,7 @@ def random_clauses(rng, n_vars, n_clauses):
 
 
 def _state(s):
-    return s.ok, s.nvars, s.clauses, s.watches, s.trail, s.heap, s.queued
+    return s.ok, s.nvars, s.watches, s.trail, s.heap, s.queued
 
 
 def test_bulk_loader_matches_clause_by_clause():
@@ -331,7 +331,7 @@ class ScannedCdcl(Cdcl):
 def _search_state(s):
     """What the search has done and will read next, the heap aside."""
     return (s.ok, s.nvars, s.trail, s.trail_lim, s.qhead, s.level, s.reason,
-            s.phase, s.activity, s.var_inc, s.clauses, s.learnts, s.watches,
+            s.phase, s.activity, s.var_inc, s.learnts, s.watches,
             s.max_learnts, s.conflicts, s.decisions, s.propagations, s.core)
 
 
