@@ -10,11 +10,15 @@ Variables:
 Hard constraints:
 
 1. every alive state has a good outgoing class            (tag "cover")
-2. every solvable state takes exactly one value           (tag "value")
+2. every solvable state takes at least one value          (tag "value")
 3. good transitions strictly decrease the value label     (tag "descend")
 4. selected features separate goal from non-goal states   (tag "goalsep")
 5. classes leading into dead-ends are never good          (tag "deadend")
 6. selected features distinguish good from bad classes    (tag "separate")
+
+Constraint 2 is "at least one": keeping each state's least label L(s) alone
+leaves every clause satisfied, as the descend clause of L(s) on a good (s, t),
+t alive, puts L(t) below L(s).  So "exactly one" has the same optimal policies.
 
 Transitions are grouped into equivalence classes by their feature change
 profile; constraints 1, 5 and 6 operate on class variables.  Constraint 6 is
@@ -51,6 +55,10 @@ FLAT, UP, DOWN = 0, 1, 2
 # otherwise it adds this many seeded random pairs per class.
 PAIR_FULL_LIMIT = 4000
 EXTRA_PAIRS_PER_CLASS = 2
+
+# Why an infeasible pool has no policy, given `Theory.infeasible`.
+INFEASIBLE = ("no policy in feature space: goal state {} and non-goal state {} "
+              "have identical feature values")
 
 
 def _first_ids(rows: np.ndarray):
@@ -207,18 +215,9 @@ def _state_families(sample: SampleSet, classes: Classes, class_of: np.ndarray,
     out = _out_classes(sample, class_of, len(classes))
     cover = Clauses(good(out.lits), out.starts)
 
-    # 2. exactly one value per solvable state: the clause over its labels,
-    # then -a | -b for each pair of labels a < b
-    first, count = v_first[dist >= 0], v_count[dist >= 0]
-    labels = ranges(first, count)
-    later = np.repeat(first + count, count) - labels - 1  # labels b > a
-    pairwise = Clauses.of(np.stack([-np.repeat(labels, later),
-                                    -ranges(labels + 1, later)], axis=1).ravel(),
-                          np.full(int(later.sum()), 2))
-    state = np.arange(len(count))
-    owner = np.concatenate([state, np.repeat(state, count * (count - 1) // 2)])
-    value = Clauses.join([Clauses.of(labels, count), pairwise]).take(
-        np.argsort(owner, kind="stable"))
+    # 2. at least one value per solvable state (see the module docstring)
+    count = v_count[dist >= 0]
+    value = Clauses.of(ranges(v_first[dist >= 0], count), count)
 
     # 5. dead-end targets are never good
     dead = good(np.flatnonzero(classes.dst_dead))
@@ -303,6 +302,8 @@ def check_model(theory: Theory, classes: Classes, model: list):
     """Refuses a model read from outside (0/1 per variable, index 0 unused)
     unless it satisfies the hard clauses of `theory` and separates good from
     bad `classes` on every pair; the error names what it violates first."""
+    if theory.infeasible is not None:
+        raise GenpolError(INFEASIBLE.format(*theory.infeasible))
     held = theory.wcnf.hard.satisfied(np.asarray(model, dtype=bool))
     if not held.all():
         i = int(np.argmin(held))

@@ -147,10 +147,8 @@ def solve_fixpoint(prep: Prepared, pairs: list, config: RunConfig) -> Fixpoint:
                               f"{MAX_ITERATIONS} rounds")
         theory = build_theory(prep, pairs, config)
         if theory.infeasible is not None:
-            g, ng = theory.infeasible
             return Fixpoint(theory, None, [], [], iterations,
-                            f"no policy in feature space: goal state {g} and "
-                            f"non-goal state {ng} have identical feature values")
+                            encoding.INFEASIBLE.format(*theory.infeasible))
         result = maxsat.solve(theory.wcnf, config.solver_backend,
                               time_limit=config.solver_time_limit, oll=oll)
         if result.status != maxsat.OPTIMUM:

@@ -1,6 +1,12 @@
-"""PDDL text builders and seeded random instance generators for the tests."""
+"""PDDL text builders and seeded random instance generators for the tests,
+and seeded random toy state spaces with their feature matrices."""
 
 import random
+from types import SimpleNamespace
+
+import numpy as np
+
+from genpol import encoding, features, space
 
 GRIPPER_DOMAIN = """
 (define (domain gripper)
@@ -284,3 +290,66 @@ def random_strips_problem(rng: random.Random, max_objects: int = 5) -> tuple:
                 f" (:objects {typed(objects)}) (:init {' '.join(init)})"
                 f" (:goal (and {' '.join(goal)})))")
     return domain, instance
+
+
+# -- toy spaces --------------------------------------------------------------
+
+class ToyFeature:
+    def __init__(self, idx, boolean):
+        self.idx = idx
+        self.is_boolean = boolean
+        self.weight = 1
+
+    def render(self):
+        return f"toy{self.idx}"
+
+
+def toy_space(seed):
+    """Random labeled transition system (≤ 16 states) with a random feature
+    matrix (≤ 5 features): some rows are distance-like or goal indicators so
+    that both solvable and unsolvable spaces occur."""
+    rng = random.Random(seed)
+    n = rng.randrange(4, 16)
+    goals = set(rng.sample(range(n), max(1, n // 4)))
+    edges = set()
+    for s in range(n):
+        for _ in range(rng.randrange(1, 4)):
+            edges.add((s, rng.randrange(n)))
+    edges = sorted(edges)
+    src = [s for s, _ in edges]
+    dst = [d for _, d in edges]
+    sp = space.StateSpace(
+        gp=SimpleNamespace(instance=SimpleNamespace(name=f"toy-{seed}")),
+        states=np.zeros((n, 1), dtype=np.uint64),
+        src=np.array(src, dtype=np.int64), dst=np.array(dst, dtype=np.int64),
+        act=np.arange(len(edges), dtype=np.int64),
+        is_goal=np.array([s in goals for s in range(n)], dtype=bool))
+    space.label_goal_distances(sp)
+
+    n_feat = rng.randrange(2, 6)
+    rows = []
+    for _f in range(n_feat):
+        kind = rng.random()
+        if kind < 0.35:
+            rows.append([min(sp.goal_dist[s], 3) if sp.goal_dist[s] >= 0
+                         else 3 for s in range(n)])
+        elif kind < 0.55:
+            rows.append([int(s in goals) for s in range(n)])
+        else:
+            rows.append([rng.randrange(0, 3) for _ in range(n)])
+    matrix = np.array(rows, dtype=np.int64)
+    feats = [ToyFeature(i, bool(matrix[i].max() <= 1)) for i in range(n_feat)]
+    pool = features.FeaturePool(feats, np.array([1] * n_feat, dtype=np.int64))
+    return sp, pool, matrix
+
+
+def toy_theory(sp, pool, matrix):
+    """Full (all class pairs) theory of a toy space, with a value-label range
+    wide enough never to bind, matching the brute-force search."""
+    sample = space.SampleSet([sp])
+    classes, class_of = encoding.compute_classes(sample, matrix)
+    nc = len(classes)
+    pairs = [(a, b) for a in range(nc) for b in range(a + 1, nc)]
+    theory = encoding.build_theory(sample, pool, matrix, classes, class_of,
+                                   v_slack=sp.n_states, pairs=pairs)
+    return theory, classes

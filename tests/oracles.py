@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from genpol.errors import InternalInvariantError, SolverTimeoutError
+from genpol.errors import SolverTimeoutError
 from genpol.maxsat import Clauses
 from genpol.space import MAX_STATES
 
@@ -573,16 +573,47 @@ def tags(theory):
 
 
 def value_labels(theory, model):
-    """Per global state, the value d of the V(s, d) that the model sets,
-    -1 where it sets none; two on one state are an error."""
+    """Per global state, the least value d of the V(s, d) that the model
+    sets, -1 where it sets none."""
     values = []
     for g, (dist, count) in enumerate(zip(theory.goal_dist.tolist(),
                                           theory.v_count.tolist())):
         on = [d for d in range(dist, dist + count) if model[value_var(theory, g, d)]]
-        if len(on) > 1:
-            raise InternalInvariantError(f"state {g} carries two value labels")
         values.append(on[0] if on else -1)
     return values
+
+
+def least_labels(theory, model):
+    """`model` with every V(s, d) cleared but each state's least label."""
+    out = list(model)
+    for g, least in enumerate(value_labels(theory, model)):
+        dist = int(theory.goal_dist[g])
+        for d in range(dist, dist + int(theory.v_count[g])):
+            out[value_var(theory, g, d)] = int(d == least)
+    return out
+
+
+def exactly_one(theory):
+    """The theory's WCNF read with "every solvable state takes exactly one
+    value": its clauses plus -V(s, a) | -V(s, b) for each pair of labels
+    a < b of a state, the construction `encoding` used to emit."""
+    pairs = [[-a, -b] for first, count in zip(theory.v_first.tolist(),
+                                              theory.v_count.tolist())
+             for a, b in itertools.combinations(range(first, first + count), 2)]
+    return dataclasses.replace(theory.wcnf, hard=Clauses.join(
+        [theory.wcnf.hard, Clauses.from_lists(pairs)]))
+
+
+def labeling_holds(sample, class_of, goods, values):
+    """Whether exactly the solvable states have a value (`values` per global
+    state, as `value_labels`), and every transition of a good class into an
+    alive state goes to a lower one."""
+    good = set(goods)
+    return all((v >= 0) == (d >= 0) for v, d in zip(
+        values, sample.goal_dist.tolist())) and all(
+        values[t] < values[s] for s, t, c in zip(
+            sample.src.tolist(), sample.dst.tolist(), class_of.tolist())
+        if c in good and sample.alive[t])
 
 
 def load_pool(text):

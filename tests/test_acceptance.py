@@ -11,14 +11,12 @@ import itertools
 import random
 import time
 from contextlib import contextmanager
-from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 import domains
 import oracles
-from genpol import encoding, features, maxsat, pddl, pipeline, policy as po, space
+from genpol import encoding, maxsat, pddl, pipeline, policy as po
 
 # Encoding sizes (variables, clauses) reported for comparable runs of the
 # same construction; compared informationally with a +/-50% band because the
@@ -172,67 +170,6 @@ def test_criterion_3_visitall_reproduction(tmp_path, capsys):
 # Criteria 4-5: toy-space equivalence with brute force
 # ---------------------------------------------------------------------------
 
-class _ToyFeature:
-    def __init__(self, idx, boolean):
-        self.idx = idx
-        self.is_boolean = boolean
-        self.weight = 1
-
-    def render(self):
-        return f"toy{self.idx}"
-
-
-def _make_toy(seed):
-    """Random labeled transition system (≤ 16 states) with a random feature
-    matrix (≤ 5 features): some rows are distance-like or goal indicators so
-    that both solvable and unsolvable spaces occur."""
-    rng = random.Random(seed)
-    n = rng.randrange(4, 16)
-    goals = set(rng.sample(range(n), max(1, n // 4)))
-    edges = set()
-    for s in range(n):
-        for _ in range(rng.randrange(1, 4)):
-            edges.add((s, rng.randrange(n)))
-    edges = sorted(edges)
-    src = [s for s, _ in edges]
-    dst = [d for _, d in edges]
-    sp = space.StateSpace(
-        gp=SimpleNamespace(instance=SimpleNamespace(name=f"toy-{seed}")),
-        states=np.zeros((n, 1), dtype=np.uint64),
-        src=np.array(src, dtype=np.int64), dst=np.array(dst, dtype=np.int64),
-        act=np.arange(len(edges), dtype=np.int64),
-        is_goal=np.array([s in goals for s in range(n)], dtype=bool))
-    space.label_goal_distances(sp)
-
-    n_feat = rng.randrange(2, 6)
-    rows = []
-    for _f in range(n_feat):
-        kind = rng.random()
-        if kind < 0.35:
-            rows.append([min(sp.goal_dist[s], 3) if sp.goal_dist[s] >= 0
-                         else 3 for s in range(n)])
-        elif kind < 0.55:
-            rows.append([int(s in goals) for s in range(n)])
-        else:
-            rows.append([rng.randrange(0, 3) for _ in range(n)])
-    matrix = np.array(rows, dtype=np.int64)
-    feats = [_ToyFeature(i, bool(matrix[i].max() <= 1)) for i in range(n_feat)]
-    pool = features.FeaturePool(feats, np.array([1] * n_feat, dtype=np.int64))
-    return sp, pool, matrix
-
-
-def _toy_theory(sp, pool, matrix):
-    """Full (all class pairs) theory of a toy space, with a value-label range
-    wide enough never to bind, matching the brute-force search."""
-    sample = space.SampleSet([sp])
-    classes, class_of = encoding.compute_classes(sample, matrix)
-    nc = len(classes)
-    pairs = [(a, b) for a in range(nc) for b in range(a + 1, nc)]
-    theory = encoding.build_theory(sample, pool, matrix, classes, class_of,
-                                   v_slack=sp.n_states, pairs=pairs)
-    return theory, classes
-
-
 def _oracle_policy_exists(sp, matrix):
     rows = matrix.tolist()
     n_feat = matrix.shape[0]
@@ -247,8 +184,8 @@ def test_criterion_4_theory_sat_equals_policy_existence(capsys):
     with criterion(capsys, 4, "toy spaces: theory SAT == brute-force existence") as info:
         n_sat = n_unsat = 0
         for seed in range(60):
-            sp, pool, matrix = _make_toy(seed)
-            theory, _classes = _toy_theory(sp, pool, matrix)
+            sp, pool, matrix = domains.toy_space(seed)
+            theory, _classes = domains.toy_theory(sp, pool, matrix)
             if theory.infeasible is not None:
                 sat = False
             else:
@@ -268,8 +205,8 @@ def test_criterion_5_every_sampled_model_yields_verified_policy(capsys):
         sat_spaces = 0
         exhausted = 0
         for seed in range(60):
-            sp, pool, matrix = _make_toy(seed)
-            theory, classes = _toy_theory(sp, pool, matrix)
+            sp, pool, matrix = domains.toy_space(seed)
+            theory, classes = domains.toy_theory(sp, pool, matrix)
             if theory.infeasible is not None:
                 continue
             n_models = 0

@@ -114,20 +114,20 @@ def test_training_space_class_counts():
     assert len(gclasses) == 61
 
 
-def test_value_domains_and_exactly_one():
+def _value_clauses(theory):
+    return [c for c, t in zip(theory.wcnf.hard.tolist(), oracles.tags(theory))
+            if t == "value"]
+
+
+def test_value_domains_and_at_least_one():
     sample, pool, matrix = _oneway()
     classes, class_of = compute_classes(sample, matrix)
     theory = build_theory(sample, pool, matrix, classes, class_of, v_slack=2)
     # fresh: distance 1 -> {1, 2}; done: goal -> {0}; ash: dead end -> absent.
     assert _domains(theory) == {0: [1, 2], 2: [0]}
-    value_clauses = [c for c, t in zip(theory.wcnf.hard.tolist(),
-                                       oracles.tags(theory)) if t == "value"]
-    # One at-least-one per solvable state plus one pairwise exclusion for the
-    # two-value state.
-    assert len(value_clauses) == 3
-    at_least = [c for c in value_clauses if all(l > 0 for l in c)]
-    pairwise = [c for c in value_clauses if all(l < 0 for l in c)]
-    assert len(at_least) == 2 and len(pairwise) == 1
+    # One at-least-one clause per solvable state and no pairwise exclusion.
+    v = lambda g, d: oracles.value_var(theory, g, d)
+    assert _value_clauses(theory) == [[v(0, 1), v(0, 2)], [v(2, 0)]]
     wide = build_theory(sample, pool, matrix, classes, class_of, v_slack=3)
     assert _domains(wide)[0] == [1, 2, 3]
 
@@ -265,13 +265,19 @@ def test_oneway_theory_solves_to_known_optimum():
     assert values[0] in (1, 2)
     assert values[1] == -1
     encoding.check_model(theory, classes, res.model)
-    # A model with two labels on one state violates a `value` clause.
+    # Two labels on one state satisfy the theory: the least one is read.
+    labels = [oracles.value_var(theory, 0, d) for d in (1, 2)]
     twice = list(res.model)
-    twice[oracles.value_var(theory, 0, 1)] = twice[oracles.value_var(theory, 0, 2)] = 1
-    with pytest.raises(InternalInvariantError, match="state 0 carries two"):
-        oracles.value_labels(theory, twice)
+    for v in labels:
+        twice[v] = 1
+    encoding.check_model(theory, classes, twice)
+    assert oracles.value_labels(theory, twice)[0] == 1
+    # A model that clears every label of state 0 violates a `value` clause.
+    unlabeled = list(res.model)
+    for v in labels:
+        unlabeled[v] = 0
     with pytest.raises(GenpolError, match=r"hard clause \d+ \(value\)") as caught:
-        encoding.check_model(theory, classes, twice)
+        encoding.check_model(theory, classes, unlabeled)
     assert not isinstance(caught.value, InternalInvariantError)
 
 
@@ -354,15 +360,15 @@ def test_validate_solution_flags_unseparated_mixtures():
 # pair selection changes them.
 PINNED = {
     ("clear-5", True): (
-        "a79f7a986472e4cf3f07a9645e9764156433244dd52e94e0fd40d99b343e8cf6",
-        "6844094439f8119fa1076a28afc0212908c2341d7cb47bc9f6c4a36c8e1e0980"),
+        "92da8e76c9648b9a41ba50e2164cbcd230b19b13cedc0b80d9bd35955ebeefb8",
+        "1bbb40b22bd656273eaae9f7dc23d7af02036e96cfb93175447a4de0576432bf"),
     ("clear-5", False): (
-        "79ad72f6dbe9abfe593ad7b76968fad8ee6ccf408c1a6f41a2fd09039f0993a0",
-        "341129547d23c66b0317d10a130c05f09eb5a498be4b62556209e7ed3ae07752"),
+        "c4b86903c93648f269dae24e236825bb8f00f7d9094e4567db2d9e5c37da998d",
+        "2445d9ff1488945827540691ea6683c40036fe7a61f31e406134954f2368e73d"),
     # More than PAIR_FULL_LIMIT class pairs: shared sources and random extras.
     ("visitall", True): (
-        "cc45398b1cd94e5c09dc43a4c25fedbb3729f0c34494741ef2a54ef203255922",
-        "90c875bea80aad553207e36254f70bfc0ab5859f48e47bf4be54912e4e5957f1"),
+        "2f5afb0b63779f0638e8d7c85ff677da3a8d610a94c1e5d6e5c887776e40fec4",
+        "52348df6b0bf44f93605d41212d40ee24e8655f2ce98ae9fb832338194ecbbdc"),
 }
 
 # The three benchmark training instances: (problem, goal parameters, weight).
@@ -468,11 +474,11 @@ PINNED_SEARCH = {
         9, 5, 774, 3050),
     # 7 cores, so 7 sums built and 8 bounds extended between solves.
     ("gripper", True): (
-        10, "ec777dcc83c604c4bf96c83a52e60bddd19305e1c4d7b5aced83079f042bf7e2",
-        17, 63, 4607, 25398),
+        10, "5b63825605e60b8f22c68a266a96754bfb78cae04e531b14c274d4976ddb1b33",
+        17, 63, 4735, 25398),
     ("visitall", True): (
-        7, "e1053e26e99da5564271eea8b27dc93395974cf67f1422b64f00dd6686f7f51e",
-        7, 18, 2574, 13186),
+        7, "70d8ab05f2a5be80252ccd49d20de2b95f9af97c12719c05d50c09225e04fa5e",
+        7, 18, 3271, 12775),
 }
 
 
@@ -493,6 +499,55 @@ def test_starting_theory_search_is_pinned(name, merge, prepared, monkeypatch):
     res = maxsat.solve_wcnf(theory.wcnf)
     model = hashlib.sha256(bytes(res.model)).hexdigest()
     assert (res.cost, model, *counts) == PINNED_SEARCH[(name, merge)]
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SAMPLES) + ["ladders"])
+def test_value_family_is_one_clause_per_solvable_state(name, prepared):
+    sample = prepared(name)[0]
+    theory = _starting_theory(name, True, prepared)
+    want = [[oracles.value_var(theory, g, d) for d in range(dist, dist + n)]
+            for g, (dist, n) in enumerate(zip(sample.goal_dist.tolist(),
+                                              theory.v_count.tolist()))
+            if dist >= 0]
+    assert all(want)
+    assert _value_clauses(theory) == want
+
+
+def _matches_exactly_one(sample, matrix, theory):
+    """Whether the theory has a model, after checking that it has the
+    optimum of its exactly-one reading (`oracles.exactly_one`), and that its
+    model cut to its least labels is a model of that reading at the same
+    cost, whose labels descend along every good transition."""
+    ref = oracles.exactly_one(theory)
+    got, want = maxsat.solve_wcnf(theory.wcnf), maxsat.solve_wcnf(ref)
+    assert got.status == want.status
+    if got.status != maxsat.OPTIMUM:
+        return False
+    assert got.cost == want.cost
+    least = oracles.least_labels(theory, got.model)
+    assert maxsat.evaluate(ref, least) == (True, got.cost)
+    _, class_of = compute_classes(sample, matrix)
+    _, goods = decode(theory, got.model)
+    assert oracles.labeling_holds(sample, class_of, goods,
+                                  oracles.value_labels(theory, least))
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SAMPLES) + ["ladders"])
+def test_starting_theory_matches_exactly_one(name, prepared):
+    sample, _pool, matrix = prepared(name)
+    assert _matches_exactly_one(sample, matrix,
+                                _starting_theory(name, True, prepared))
+
+
+def test_toy_theories_match_exactly_one():
+    # Criterion 4's toy spaces, solvable or not.
+    n_sat = 0
+    for seed in range(60):
+        sp, pool, matrix = domains.toy_space(seed)
+        theory, _classes = domains.toy_theory(sp, pool, matrix)
+        n_sat += _matches_exactly_one(space.SampleSet([sp]), matrix, theory)
+    assert 10 <= n_sat <= 50
 
 
 @pytest.mark.parametrize("merge", [True, False])

@@ -112,8 +112,8 @@ def test_rounds_continue_one_search(monkeypatch):
     assert len(fix.theory.pairs) == 936
     model = hashlib.sha256(bytes(fix.result.model)).hexdigest()
     assert (model, *counts) == (
-        "06e86bf969af622156b629c7fd92a4fb000bf64ac875f5ac45e75e9667a1fbd5",
-        8, 18, 4550, 18492)
+        "818b1944103663292591c5a41ed21fd5db942e174220e3dfd474010b5f7a8531",
+        8, 18, 5958, 18081)
     assert fix.result.cost == maxsat.solve_wcnf(fix.theory.wcnf).cost == 7
 
 
@@ -262,9 +262,9 @@ _EXPECTED_KV = {
 pool_size=38
 n_classes=46
 n_vars=2323
-n_hard=10019
+n_hard=6678
 n_soft=38
-n_clauses_full=10057
+n_clauses_full=6716
 n_pairs=1035
 iterations=1
 optimum_cost=8
@@ -291,9 +291,9 @@ message=no policy in feature space: goal state 20 and non-goal state 1 have iden
 pool_size=15
 n_classes=30
 n_vars=2284
-n_hard=8816
+n_hard=5475
 n_soft=15
-n_clauses_full=8831
+n_clauses_full=5490
 n_pairs=435
 iterations=1
 message=no policy in feature space: theory is unsatisfiable
@@ -518,8 +518,8 @@ def test_solver_time_limit_must_be_positive(clear_files, tmp_path, capsys, limit
 # the unseen clear-7 tower, taken byte for byte from the stage printers.
 _ENCODE_STATS = """\
 n_alive_transitions=1161
-n_clauses_full=10057
-n_hard=10019
+n_clauses_full=6716
+n_hard=6678
 n_pairs=1035
 n_soft=38
 n_states=866
@@ -571,7 +571,7 @@ def test_cli_stagewise_chain(clear_files, tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == _ENCODE_STATS
     tags = (tmp_path / "clear.tags").read_text().splitlines()
-    assert len(tags) == 10019  # one per hard clause
+    assert len(tags) == 6678  # one per hard clause
 
     rc = cli.main(["solve", "--wcnf", prefix + ".wcnf"])
     out = capsys.readouterr().out
@@ -638,19 +638,35 @@ def test_cli_extract_refuses_a_model_violating_the_theory(clear_files, tmp_path,
     assert rc == 2
     assert capsys.readouterr().err == "error: model violates hard clause 0 (goalsep)\n"
 
-    # learn's model extracts to learn's policy; a second value label on
-    # state 0 breaks the clause that allows one.
+    # learn's model extracts to learn's policy; clearing every value label
+    # of state 0 breaks the clause that asks for one.
     cfg = _clear_config(clear_files)
     prep = pipeline.prepare(cfg)
     fix = pipeline.solve_fixpoint(prep, pipeline.start_pairs(prep, cfg), cfg)
     rc, err, _ = _extract(monkeypatch, capsys, flags, fix.result.model, path)
     assert rc == 0 and err == ""
     labels = range(fix.theory.v_first[0], fix.theory.v_first[0] + fix.theory.v_count[0])
-    assert sum(fix.result.model[v] for v in labels) == 1
-    twice = list(fix.result.model)
-    twice[next(v for v in labels if not twice[v])] = 1
-    rc, err, _ = _extract(monkeypatch, capsys, flags, twice, path)
+    assert any(fix.result.model[v] for v in labels)
+    unlabeled = list(fix.result.model)
+    for v in labels:
+        unlabeled[v] = 0
+    rc, err, _ = _extract(monkeypatch, capsys, flags, unlabeled, path)
     assert rc == 2 and re.fullmatch(r"error: model violates hard clause \d+ \(value\)\n", err)
+
+
+def test_cli_extract_refuses_any_model_of_an_infeasible_pool(clear_files, tmp_path,
+                                                             capsys):
+    # At weight 1 no feature tells goal state 20 from state 1: `extract`
+    # says so, as `learn` does, whatever the model.
+    dom, train = clear_files
+    path = tmp_path / "model.txt"
+    path.write_text("v 0\n")
+    rc = cli.main(["extract", "--domain", dom, "--training", train, "--goal-params",
+                   "b1", "--max-feature-weight", "1", "--model", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: no policy in feature space: goal state 20 and non-goal state 1 "
+        "have identical feature values\n")
 
 
 def test_cli_extract_refuses_an_unseparated_model(tmp_path, monkeypatch, capsys):
